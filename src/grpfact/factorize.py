@@ -424,20 +424,23 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
 
 
 class _Timer:
+    """Wall time of a with-block in ms, frozen when the block exits.
+
+    It stays zero unless timing was requested, so default reports are
+    byte-reproducible.
+    """
+
     def __init__(self, record: bool):
         self.record = record
-        self.t0 = time.perf_counter()
+        self.ms = 0
 
     def __enter__(self):
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc):
-        pass
-
-    @property
-    def ms(self) -> int:
-        # zero unless timing was requested: reports stay byte-reproducible
-        return int((time.perf_counter() - self.t0) * 1000) if self.record else 0
+        if self.record:
+            self.ms = int((time.perf_counter() - self.t0) * 1000)
 
 
 def _run_identity(claim, setup, record_timings) -> StrategyResult:
@@ -460,13 +463,13 @@ def _run_identity(claim, setup, record_timings) -> StrategyResult:
                 # projective bookkeeping: the linear identity divides through
                 # by the scalar subgroup on both sides
                 details["projective"] = "ambient stated modulo scalars; linear lift identity shown"
-        return StrategyResult(
-            "identity",
-            verdict,
-            intersection_order=report.intersection_order if report else None,
-            details=details,
-            wall_ms=tm.ms,
-        )
+    return StrategyResult(
+        "identity",
+        verdict,
+        intersection_order=report.intersection_order if report else None,
+        details=details,
+        wall_ms=tm.ms,
+    )
 
 
 def _run_order(claim, setup, rng, record) -> StrategyResult:
@@ -671,6 +674,13 @@ def _finalize(claim, strategies, notes, tight=None) -> VerificationReport:
 # sporadic rows
 
 
+def _identity_strategy(row, intersection_order, seed, record) -> StrategyResult:
+    with _Timer(record) as tm:
+        ok = orders.identity_check(row, {}).ok
+    return StrategyResult("identity", "pass" if ok else "fail",
+                          intersection_order=intersection_order, wall_ms=tm.ms, seed=seed)
+
+
 def _verify_row9(claim, rng, seed, record) -> VerificationReport:
     with _Timer(record) as tm:
         X, Y, info = sporadic.locate_two_a5_classes(rng)
@@ -679,8 +689,7 @@ def _verify_row9(claim, rng, seed, record) -> VerificationReport:
         z_order = 360
         lhs, rhs = z_order * i_order, X.order() * Y.order()
     strategies = [
-        StrategyResult("identity", "pass" if orders.identity_check("9", {}).ok else "fail",
-                       intersection_order=10, seed=seed),
+        _identity_strategy("9", 10, seed, record),
         StrategyResult(
             "enumerate",
             "pass" if lhs == rhs else "fail",
@@ -727,8 +736,7 @@ def _verify_row10(claim, rng, seed, record) -> VerificationReport:
                 "tries": {"pgl27": xinfo["tries"], "m10": yinfo["tries"]},
             }
     strategies = [
-        StrategyResult("identity", "pass" if orders.identity_check("10", {}).ok else "fail",
-                       intersection_order=6, seed=seed),
+        _identity_strategy("10", 6, seed, record),
         StrategyResult("enumerate", "pass" if any_pass else "fail",
                        intersection_order=i_order_seen, details={"extensions": per_candidate},
                        wall_ms=tm.ms, seed=seed),
@@ -747,18 +755,18 @@ def _verify_row11(claim, rng, seed, record) -> VerificationReport:
         i_order = inter.order()
         lhs = Z.claimed_order * i_order
         rhs = X.order() * Y.order()
+    with _Timer(record) as tm_orbit:
         seedpt = _pair_point(4) if claim.row == "11a" else ActionPoint(VECTOR, _e1(4))
         target = 120 if claim.row == "11a" else 15
         orb = orbit(Y, seedpt, keep_keys=False)
     strategies = [
-        StrategyResult("identity", "pass" if orders.identity_check(claim.row, {}).ok else "fail",
-                       intersection_order=claim.expected_intersection, seed=seed),
+        _identity_strategy(claim.row, claim.expected_intersection, seed, record),
         StrategyResult("enumerate", "pass" if lhs == rhs else "fail", intersection_order=i_order,
                        details={"intersection_hint": structure_hint(inter),
                                 "a7_search": info}, wall_ms=tm.ms, seed=seed),
         StrategyResult("orbit", "pass" if orb.size == target else "fail",
                        orbit_sizes=[orb.size], details={"target": target, "acting": "A7 factor"},
-                       seed=seed),
+                       wall_ms=tm_orbit.ms, seed=seed),
     ]
     return _finalize(claim, strategies, {})
 
@@ -796,29 +804,31 @@ def _verify_row12(claim, rng, seed, record) -> VerificationReport:
         i_order = inter.order()
         lhs = Z.order() * i_order
         rhs = X.order() * Y.order()
-        orb = orbit(X, proj_pt, keep_keys=False)
         y_structure = 3**3 * orders.sl_order(3, 3)
+    with _Timer(record) as tm_orbit:
+        orb = orbit(X, proj_pt, keep_keys=False)
     strategies = [
-        StrategyResult("identity", "pass" if orders.identity_check(claim.row, {}).ok else "fail",
-                       intersection_order=claim.expected_intersection, seed=seed),
+        _identity_strategy(claim.row, claim.expected_intersection, seed, record),
         StrategyResult("order", "pass" if lhs == rhs else "fail", intersection_order=i_order,
                        details={"intersection_hint": structure_hint(inter),
                                 "y_is_point_stabilizer": Y.order() == y_structure,
                                 "search": info}, wall_ms=tm.ms, seed=seed),
         StrategyResult("orbit", "pass" if orb.size == 40 else "fail", orbit_sizes=[orb.size],
-                       details={"target": 40}, seed=seed),
+                       details={"target": 40}, wall_ms=tm_orbit.ms, seed=seed),
     ]
     notes = {}
     tight = None
     if claim.row == "12a" and "tight" in claim.checks:
-        res = solvable_residual(X, rng=rng)
-        tight = res.order() == 60 and all(X.contains(g) for g in res.generators)
+        with _Timer(record) as tm_tight:
+            res = solvable_residual(X, rng=rng)
+            tight = res.order() == 60 and all(X.contains(g) for g in res.generators)
         notes["residual_reading"] = {
             "x_residual_order": res.order(),
             "matches_A5_entry": tight,
         }
         strategies.append(StrategyResult("tight", "pass" if tight else "fail",
-                                         details={"target": "A5 inside the S5 witness"}, seed=seed))
+                                         details={"target": "A5 inside the S5 witness"},
+                                         wall_ms=tm_tight.ms, seed=seed))
     return _finalize(claim, strategies, notes)
 
 
@@ -835,8 +845,7 @@ def _verify_row13(claim, rng, seed, record) -> VerificationReport:
             i_order = inter.order()
             lhs = Z.order() * i_order
             rhs = X.order() * Y.order()
-            orb = orbit(X, proj_pt, keep_keys=False)
-            results.append((X.name, i_order, lhs == rhs, orb.size, structure_hint(inter)))
+            results.append((X.name, i_order, lhs == rhs, structure_hint(inter)))
         table_reading = 3**5 * orders.sl_order(5, 3)
         text_reading = 5**3 * orders.sl_order(5, 3)
         discrepancy = {
@@ -846,19 +855,20 @@ def _verify_row13(claim, rng, seed, record) -> VerificationReport:
             "matches": "table" if Y.order() == table_reading else (
                 "text" if Y.order() == text_reading else "neither"),
         }
+    with _Timer(record) as tm_orbit:
+        sizes = [orbit(X, proj_pt, keep_keys=False).size for X in (X1, X2)]
+    results = [(nm, io, ok, osz, hint) for (nm, io, ok, hint), osz in zip(results, sizes)]
     both_ok = all(ok and osz == 364 and io == 3 for (_, io, ok, osz, _) in results)
     strategies = [
-        StrategyResult("identity", "pass" if orders.identity_check("13", {}).ok else "fail",
-                       intersection_order=3, seed=seed),
+        _identity_strategy("13", 3, seed, record),
         StrategyResult("order", "pass" if both_ok else "fail",
                        intersection_order=results[0][1],
                        details={"witnesses": [
                            {"name": nm, "intersection_order": io, "orbit": osz, "hint": hint}
                            for (nm, io, ok, osz, hint) in results],
                            "class_certificate": info}, wall_ms=tm.ms, seed=seed),
-        StrategyResult("orbit", "pass" if all(osz == 364 for (_, _, _, osz, _) in results) else "fail",
-                       orbit_sizes=[osz for (_, _, _, osz, _) in results],
-                       details={"target": 364}, seed=seed),
+        StrategyResult("orbit", "pass" if all(osz == 364 for osz in sizes) else "fail",
+                       orbit_sizes=sizes, details={"target": 364}, wall_ms=tm_orbit.ms, seed=seed),
     ]
     notes = {"structure_discrepancy": discrepancy}
     return _finalize(claim, strategies, notes)
@@ -875,9 +885,30 @@ def _conjugate_group(G: GroupSpec, x: GroupElement, name: str) -> GroupSpec:
                      provenance=f"{G.name} conjugated", action_tag=G.action_tag)
 
 
-def property_suite_section2(claim, rng, samples=50) -> tuple[list[StrategyResult], dict]:
+def property_suite_section2(claim, rng, samples=50, record=False) -> tuple[list[StrategyResult], dict]:
     """Conjugation stability of a verified factorization plus the product
     set identity on the socle-full case."""
+    with _Timer(record) as tm_conj:
+        G, H, K, base_inter, stable, spectra_ok = _conjugation_samples(claim, rng, samples)
+    # product set identity with both side products equal to the whole group
+    # (the socle equals the ambient for these two instances, so the identity
+    # degenerates to the factorization itself)
+    with _Timer(record) as tm_prod:
+        kb = K.order() if claim.row != "suite1" else orders.vector_stab_order(4, 2)
+        product_identity = G.order() * base_inter == H.order() * kb
+    strategies = [
+        StrategyResult("conjugation", "pass" if stable == samples else "fail",
+                       intersection_order=base_inter,
+                       details={"samples": samples, "stable": stable,
+                                "spectra_preserved": spectra_ok},
+                       wall_ms=tm_conj.ms),
+        StrategyResult("product_identity", "pass" if product_identity else "fail",
+                       details={"socle_equals_ambient": True}, wall_ms=tm_prod.ms),
+    ]
+    return strategies, {"samples": samples}
+
+
+def _conjugation_samples(claim, rng, samples):
     if claim.row == "suite1":
         G = classical_generators("SL", 4, 2)
         H = ext_subgroup("SL", 2, 2, 2)
@@ -912,20 +943,7 @@ def property_suite_section2(claim, rng, samples=50) -> tuple[list[StrategyResult
             spec_ok = _spectrum_of(inter) == frozenset({1, 2, 5})
         stable += 1 if ok else 0
         spectra_ok += 1 if spec_ok else 0
-    # product set identity with both side products equal to the whole group
-    # (the socle equals the ambient for these two instances, so the identity
-    # degenerates to the factorization itself)
-    kb = K.order() if claim.row != "suite1" else orders.vector_stab_order(4, 2)
-    product_identity = G.order() * base_inter == H.order() * kb
-    strategies = [
-        StrategyResult("conjugation", "pass" if stable == samples else "fail",
-                       intersection_order=base_inter,
-                       details={"samples": samples, "stable": stable,
-                                "spectra_preserved": spectra_ok}),
-        StrategyResult("product_identity", "pass" if product_identity else "fail",
-                       details={"socle_equals_ambient": True}),
-    ]
-    return strategies, {"samples": samples}
+    return G, H, K, base_inter, stable, spectra_ok
 
 
 def _spectrum_of(group: GroupSpec) -> frozenset:
@@ -933,8 +951,7 @@ def _spectrum_of(group: GroupSpec) -> frozenset:
 
 
 def _verify_suite(claim, rng, seed, record) -> VerificationReport:
-    with _Timer(record):
-        strategies, notes = property_suite_section2(claim, rng, claim.params.get("samples", 50))
+    strategies, notes = property_suite_section2(claim, rng, claim.params.get("samples", 50), record)
     for s in strategies:
         s.seed = seed
     return _finalize(claim, strategies, notes)

@@ -1,16 +1,23 @@
 """Generic group machinery on enumerated action domains.
 
 Groups are given by semilinear generators; every computation runs on the
-permutation image over a chosen action domain while tracking the matrix
-form of each element alongside its permutation.  Stabilizer chains use
-randomized Schreier-Sims: with a known (claimed) target order the build is
-Las Vegas and the reached order is itself the certificate; with an unknown
-order a Monte Carlo phase is followed by a full deterministic Schreier
-generator verification pass.
+permutation image over a chosen action domain.  A ``Tracked`` element
+carries its permutation eagerly and its matrix form as a pending product
+DAG.  Sifts, random walks, transversals and Schreier generators use
+permutations only; a matrix is composed when ``.elem`` is read, which
+happens when an element leaves the core: as a generator of a returned
+``GroupSpec`` (accepted Schreier generators, derived-subgroup generators,
+enumerated intersections, searched witnesses) or as a random element used
+as a matrix (product-membership samples, conjugating elements).
+Stabilizer chains use randomized Schreier-Sims: with a known (claimed)
+target order the build is Las Vegas and the reached order is itself the
+certificate; with an unknown order a Monte Carlo phase is followed by a
+full deterministic Schreier generator verification pass.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -44,22 +51,66 @@ class OrbitBudgetError(GrpError):
 
 
 # ---------------------------------------------------------------------------
-# tracked elements: matrix form + permutation image
+# tracked elements: eager permutation image + lazy matrix form
+
+
+class _Lazy:
+    """Matrix side of a Tracked element.
+
+    A leaf holds its GroupElement; otherwise args is (a, b) for "apply a,
+    then b" or (a,) for the inverse of a.  Nodes hold no permutations, so
+    unread history costs only these small objects.
+    """
+
+    __slots__ = ("elem", "args")
+
+    def __init__(self, elem: GroupElement | None = None, args: tuple = ()):
+        self.elem = elem
+        self.args = args
+
+
+def _force(node: _Lazy) -> GroupElement:
+    """Evaluate a node with an explicit stack; results are memoized and the
+    evaluated nodes drop their parents."""
+    stack = [node]
+    while stack:
+        top = stack[-1]
+        if top.elem is not None:
+            stack.pop()
+            continue
+        pending = [a for a in top.args if a.elem is None]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if len(top.args) == 2:
+            top.elem = sl_compose(top.args[0].elem, top.args[1].elem)
+        else:
+            top.elem = sl_inverse(top.args[0].elem)
+        top.args = ()
+    return node.elem
 
 
 class Tracked:
-    __slots__ = ("elem", "perm", "_inv")
+    """Group element as a permutation of a domain, with its matrix on demand."""
 
-    def __init__(self, elem: GroupElement, perm: np.ndarray):
-        self.elem = elem
+    __slots__ = ("perm", "_node", "_inv")
+
+    def __init__(self, elem: GroupElement | _Lazy, perm: np.ndarray):
+        self._node = elem if isinstance(elem, _Lazy) else _Lazy(elem)
         self.perm = perm
         self._inv = None
+
+    @property
+    def elem(self) -> GroupElement:
+        node = self._node
+        return node.elem if node.elem is not None else _force(node)
 
     def inverse(self) -> "Tracked":
         if self._inv is None:
             inv_perm = np.empty_like(self.perm)
             inv_perm[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
-            self._inv = Tracked(sl_inverse(self.elem), inv_perm)
+            self._inv = Tracked(_Lazy(args=(self._node,)), inv_perm)
             self._inv._inv = self
         return self._inv
 
@@ -68,8 +119,8 @@ class Tracked:
 
 
 def t_compose(a: Tracked, b: Tracked) -> Tracked:
-    """Apply a, then b."""
-    return Tracked(sl_compose(a.elem, b.elem), b.perm[a.perm])
+    """Apply a, then b; the matrix product waits until .elem is read."""
+    return Tracked(_Lazy(args=(a._node, b._node)), b.perm[a.perm])
 
 
 class Rattle:
@@ -116,7 +167,12 @@ class _Level:
 
 
 class StabChain:
-    """BSGS over a PermDomain with matrix lifts tracked through every product."""
+    """BSGS over a PermDomain.
+
+    Every decision reads permutations only; the stored generators are
+    Tracked, so their matrices are composed when a caller reads ``.elem``
+    (``suffix_generators``, derived subgroups, searched witnesses).
+    """
 
     MAX_STALL = 4000
     QUIET_ROUNDS = 14
@@ -277,10 +333,10 @@ class StabChain:
             e = level.eff[int(level.par[b])]
             path.append(e)
             b = int(e.inverse().perm[b])
-        t = self.ident
+        t = None
         for e in reversed(path):
-            t = t_compose(t, e)
-        return t
+            t = e if t is None else t_compose(t, e)
+        return t if t is not None else self.ident
 
     def _sift(self, t: Tracked, start: int = 0):
         u = t
@@ -310,10 +366,10 @@ class StabChain:
             self._recompute_orbit(j)
         return True
 
-    def add_element(self, g: GroupElement) -> bool:
+    def add_element(self, g: GroupElement | Tracked) -> bool:
         """Incremental extension; invalidates prior verification."""
         self.verified = False
-        t = Tracked(g, self.domain.perm_of(g))
+        t = g if isinstance(g, Tracked) else Tracked(g, self.domain.perm_of(g))
         self.originals.append(t)
         return self._add(t)
 
@@ -353,12 +409,13 @@ class StabChain:
         return gens or [self.ident.elem]
 
     def random_element(self, rng) -> Tracked:
-        acc = self.ident
+        acc = None
         for li in range(len(self.levels) - 1, -1, -1):
             level = self.levels[li]
             pick = int(level.orbit[int(rng.integers(len(level.orbit)))])
-            acc = t_compose(acc, self._transversal(li, pick))
-        return acc
+            u = self._transversal(li, pick)
+            acc = u if acc is None else t_compose(acc, u)
+        return acc if acc is not None else self.ident
 
     def elements(self):
         """Iterate the whole group (use only at small orders)."""
@@ -448,7 +505,8 @@ class GroupSpec:
         return self.chain().contains(g)
 
     def with_name(self, name: str) -> "GroupSpec":
-        return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order, self.provenance, self.action_tag)
+        return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order, self.provenance,
+                         self.action_tag, self.stabilizer_of, self._chain)
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +522,25 @@ class OrbitSet:
     size: int
     keys: np.ndarray | None
     seen_dense: np.ndarray | None = None
-    transporters: dict | None = None
+    # Schreier vector (orbit_with_transporters): BFS index of each key's
+    # parent (-1 at the seed) and the generator mapping the parent to the
+    # key; sorted_keys[i] == keys[sort_order[i]] serves lookups
+    parent: np.ndarray | None = None
+    via: np.ndarray | None = None
+    sorted_keys: np.ndarray | None = field(default=None, repr=False)
+    sort_order: np.ndarray | None = field(default=None, repr=False)
+
+    def index_of(self, keys):
+        """BFS index of each key, -1 where the key is not in the orbit."""
+        keys = np.asarray(keys, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(self.sorted_keys, keys), self.size - 1)
+        return np.where(self.sorted_keys[pos] == keys, self.sort_order[pos], -1)
 
     def contains_key(self, key: int) -> bool:
         if self.seen_dense is not None:
             return 0 <= key < len(self.seen_dense) and bool(self.seen_dense[key])
-        if self.transporters is not None:
-            return key in self.transporters
+        if self.parent is not None:
+            return int(self.index_of(key)) >= 0
         return key in self._key_set()
 
     def _key_set(self):
@@ -535,42 +605,50 @@ def orbit(
 
 
 def orbit_with_transporters(gens: list[GroupElement], point: ActionPoint, action: Action | None = None, max_points: int = 500_000) -> OrbitSet:
-    """Small-scale orbit with a witness word per point (gen index, parent key)."""
+    """Orbit with a Schreier vector, by a frontier BFS over apply_batch.
+
+    Each level stacks the frontier's images point-major, generator-minor and
+    keeps the first occurrence of every unseen key in that flat order, so
+    the key order and each key's (parent, generator) are those of a queue
+    BFS that tries the generators in order at each point.
+    """
     spec, n = gens[0].spec, gens[0].n
     if action is None:
         action = Action(point.tag, spec, n)
     seed = action.point_key(point)
-    trans: dict[int, tuple[int, int] | None] = {seed: None}
-    queue = [seed]
-    head = 0
-    while head < len(queue):
-        key = queue[head]
-        head += 1
-        x = action.key_point(key)
-        for gi, g in enumerate(gens):
-            img = action.point_key(action.apply_point(g, x))
-            if img not in trans:
-                trans[img] = (gi, key)
-                queue.append(img)
-                if len(trans) > max_points:
-                    raise OrbitBudgetError("transporter orbit exceeded budget", len(trans))
-    keys = np.array(queue, dtype=np.int64)
-    out = OrbitSet(point.tag, seed, len(queue), keys)
-    out.transporters = trans
-    return out
+    frontier = np.array([seed], dtype=np.int64)
+    keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
+    seen = frontier  # sorted
+    start, total = 0, 1
+    while frontier.size:
+        imgs = np.stack([action.apply_batch(g, frontier) for g in gens], axis=1).ravel()
+        pos = np.minimum(np.searchsorted(seen, imgs), seen.size - 1)
+        flat = np.nonzero(seen[pos] != imgs)[0]
+        fresh, first = np.unique(imgs[flat], return_index=True)
+        flat = flat[np.sort(first)]
+        total += flat.size
+        if total > max_points:
+            raise OrbitBudgetError("transporter orbit exceeded budget", total)
+        keys.append(imgs[flat])
+        parent.append(start + flat // len(gens))
+        via.append(flat % len(gens))
+        start += frontier.size
+        frontier = keys[-1]
+        seen = np.sort(np.concatenate((seen, fresh)), kind="stable")
+    keys = np.concatenate(keys)
+    return OrbitSet(point.tag, seed, total, keys, parent=np.concatenate(parent), via=np.concatenate(via),
+                    sorted_keys=seen, sort_order=np.argsort(keys, kind="stable"))
 
 
 def transporter(orbit_set: OrbitSet, gens: list[GroupElement], key: int) -> GroupElement:
     """Element moving the seed to the given orbit key."""
+    i = int(orbit_set.index_of(key))
+    if i < 0:
+        raise GrpError(f"key {key} is not in the orbit")
     word = []
-    k = key
-    while True:
-        step = orbit_set.transporters[k]
-        if step is None:
-            break
-        gi, parent = step
-        word.append(gi)
-        k = parent
+    while orbit_set.parent[i] >= 0:
+        word.append(int(orbit_set.via[i]))
+        i = int(orbit_set.parent[i])
     g = identity_element(gens[0].spec, gens[0].n)
     for gi in reversed(word):
         g = sl_compose(g, gens[gi])
@@ -583,7 +661,12 @@ def stabilizer_generators(
     rng=None,
     name: str | None = None,
 ) -> GroupSpec:
-    """Point stabilizer via Schreier generators, certified by orbit-stabilizer."""
+    """Point stabilizer via Schreier generators, certified by orbit-stabilizer.
+
+    Transversals are composed as permutations on the home domain along the
+    Schreier vector, only for the orbit points the loop reaches; matrices
+    are read only for the Schreier generators the chain accepts.
+    """
     action = Action(point.tag, group.spec, group.n)
     orb = orbit_with_transporters(group.generators, point, action)
     total = group.order()
@@ -595,20 +678,29 @@ def stabilizer_generators(
     chain = StabChain(domain)
     gens_out: list[GroupElement] = []
     if target > 1:
-        reps: dict[int, GroupElement] = {}
-        for key in map(int, orb.keys):
-            reps[key] = transporter(orb, group.generators, key)
+        gens = [Tracked(g, domain.perm_of(g)) for g in group.generators]
+        images = [orb.index_of(action.apply_batch(g, orb.keys)) for g in group.generators]
+        reps = {0: chain.ident}
+
+        def rep(i: int) -> Tracked:
+            path = []
+            while i not in reps:
+                path.append(i)
+                i = int(orb.parent[i])
+            for j in reversed(path):
+                reps[j] = t_compose(reps[i], gens[int(orb.via[j])])
+                i = j
+            return reps[i]
+
         done = False
-        for key in map(int, orb.keys):
+        for i in range(orb.size):
             if done:
                 break
-            u = reps[key]
-            x = action.key_point(key)
-            for gi, g in enumerate(group.generators):
-                img_key = action.point_key(action.apply_point(g, x))
-                s = sl_compose(sl_compose(u, g), sl_inverse(reps[img_key]))
+            u = rep(i)
+            for gi, g in enumerate(gens):
+                s = t_compose(t_compose(u, g), rep(int(images[gi][i])).inverse())
                 if chain.add_element(s):
-                    gens_out.append(s)
+                    gens_out.append(s.elem)
                 if chain.order() == target:
                     done = True
                     break
@@ -713,29 +805,33 @@ def product_membership(h_orbit: OrbitSet, action: Action, g: GroupElement, omega
 def tracked_power(t: Tracked, e: int) -> Tracked:
     if e < 0:
         return tracked_power(t.inverse(), -e)
-    out = Tracked(identity_element(t.elem.spec, t.elem.n), np.arange(len(t.perm), dtype=t.perm.dtype))
+    out = None
     base = t
     while e:
         if e & 1:
-            out = t_compose(out, base)
-        base = t_compose(base, base)
+            out = base if out is None else t_compose(out, base)
         e >>= 1
+        if e:
+            base = t_compose(base, base)
+    if out is None:
+        return Tracked(identity_element(t.elem.spec, t.elem.n), np.arange(len(t.perm), dtype=t.perm.dtype))
     return out
 
 
 def element_order_perm(perm: np.ndarray) -> int:
-    """Order of a permutation: lcm of cycle lengths."""
-    n = len(perm)
-    seen = np.zeros(n, dtype=bool)
-    out = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = int(perm[j])
-            length += 1
-        out = out * length // np.gcd(out, length)
-    return int(out)
+    """Order of a permutation: lcm of cycle lengths.
+
+    Pointer doubling labels every point with the least point of its cycle;
+    the label counts are the cycle lengths, and their lcm is taken on
+    Python ints, which do not overflow.
+    """
+    label = np.arange(len(perm))
+    jump = np.asarray(perm)
+    while True:
+        nxt = np.minimum(label, label[jump])
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+        jump = jump[jump]
+    lengths = np.bincount(label)
+    return math.lcm(*np.unique(lengths[lengths > 0]).tolist())

@@ -184,17 +184,19 @@ def two_generator_search(
 
 
 def subgroups_conjugate(ambient: GroupSpec, A: GroupSpec, B: GroupSpec) -> bool:
-    """Brute-force conjugacy decision; only for small ambient orders."""
+    """Brute-force conjugacy decision on the ambient's permutation domain;
+    only for small ambient orders."""
     if ambient.order() > 50000:
         raise ConstructionError("brute-force conjugacy is desk scale only")
     if A.order() != B.order():
         return False
-    bchain = B.chain()
-    for z in ambient.chain().elements():
+    achain, bchain = ambient.chain(), B.chain()
+    if bchain.domain is not achain.domain:
+        raise ConstructionError("conjugacy test needs B on the ambient's domain")
+    gens = [Tracked(g, achain.domain.perm_of(g)) for g in A.generators]
+    for z in achain.elements():
         zi = z.inverse()
-        if all(
-            bchain.contains(sl_compose(sl_compose(zi.elem, g), z.elem)) for g in A.generators
-        ):
+        if all(bchain.contains_tracked(t_compose(t_compose(zi, g), z)) for g in gens):
             return True
     return False
 

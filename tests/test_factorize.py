@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from grpfact import orders
+from grpfact import factorize, orders
 from grpfact.catalog import load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
@@ -138,3 +138,21 @@ def test_quotient_claim_notes(catalog):
     rep = verify_quotient_claim(claim)
     assert rep.overall == "pass"
     assert "quotient" in rep.notes
+
+
+def test_timings_cover_every_strategy(catalog, monkeypatch):
+    # a fake clock that advances one second per reading: every timed block
+    # reads at least 1000 ms, and an untimed strategy stays at 0
+    ticks = iter(range(10**9))
+    monkeypatch.setattr(factorize.time, "perf_counter", lambda: float(next(ticks)))
+    for cid in ("t1r09", "t1r11-a", "t1r12-b", "t1r13", "suite-r1"):
+        claim = catalog.claim_by_id(cid)
+        timed = verify_claim(claim, record_timings=True).as_dict()
+        assert timed["overall"] == "pass"
+        for s in timed["strategies"]:
+            assert s["wall_ms"] >= 1000, (cid, s["name"])
+        untimed = verify_claim(claim).as_dict()
+        assert all(s["wall_ms"] == 0 for s in untimed["strategies"])
+        for s in timed["strategies"]:
+            s["wall_ms"] = 0
+        assert timed == untimed

@@ -1,15 +1,19 @@
 """Chains, orbits, stabilizers and residuals, cross-checked against sympy."""
 
+import math
+
 import numpy as np
 import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import gf, grpcore
-from grpfact.constructors import classical_generators, stabilizer_subgroup
+from grpfact.constructors import automorphism_element, classical_generators, stabilizer_subgroup
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
     StabChain,
+    Tracked,
+    element_order_perm,
     orbit,
     orbit_with_transporters,
     product_membership,
@@ -21,10 +25,15 @@ from grpfact.grpcore import (
 )
 from grpfact.actions import Action
 from grpfact.linalg import (
+    ANTIFLAG,
+    PAIR,
+    PROJECTIVE,
     VECTOR,
     GroupElement,
     Mat,
     canonical_point,
+    sl_compose,
+    sl_inverse,
 )
 
 
@@ -222,3 +231,167 @@ def test_elements_enumeration_complete():
     els = list(G.chain().elements())
     assert len(els) == 60
     assert len({t.perm.tobytes() for t in els}) == 60
+
+
+# ---------------------------------------------------------------------------
+# permutation-first core: lazy matrices, Schreier vectors, element orders
+
+
+def _primes_below(n):
+    return [p for p in range(2, n) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+def test_element_order_perm_does_not_overflow():
+    primes = _primes_below(80)
+    assert sum(primes) == 791
+    perm, start = [], 0
+    for p in primes:
+        perm.extend(start + (i + 1) % p for i in range(p))
+        start += p
+    expected = 1
+    for p in primes:
+        expected *= p
+    assert expected > 2**63
+    assert element_order_perm(np.array(perm)) == expected
+
+
+def test_element_order_perm_matches_cycle_walk():
+    rng = np.random.default_rng(3)
+    for size in (0, 1, 2, 7, 60, 336, 1000):
+        for _ in range(5):
+            perm = rng.permutation(size)
+            seen, lengths = set(), []
+            for i in range(size):
+                length = 0
+                while i not in seen:
+                    seen.add(i)
+                    i = int(perm[i])
+                    length += 1
+                if length:
+                    lengths.append(length)
+            assert element_order_perm(perm) == math.lcm(*lengths)
+
+
+def _semilinear_gens():
+    """SL_2(4) generators with the Frobenius-and-duality automorphism, on pairs."""
+    G = classical_generators("SL", 2, 4)
+    gens = list(G.generators) + [automorphism_element("phi_gamma", 2, 4), automorphism_element("phi", 2, 4)]
+    assert any(g.dual for g in gens) and any(g.fa for g in gens)
+    return gens, shared_domain(PAIR, G.spec, 2)
+
+
+def test_lazy_product_of_many_factors_matches_eager():
+    gens, dom = _semilinear_gens()
+    tracked = [Tracked(g, dom.perm_of(g)) for g in gens]
+    rng = np.random.default_rng(11)
+    word = rng.integers(len(gens), size=20_000)
+    left = right = tracked[word[0]]
+    eager_left = eager_right = gens[word[0]]
+    for gi in word[1:]:
+        left = t_compose(left, tracked[gi])
+        right = t_compose(tracked[gi], right)
+        eager_left = sl_compose(eager_left, gens[gi])
+        eager_right = sl_compose(gens[gi], eager_right)
+    assert left.elem == eager_left
+    assert right.elem == eager_right
+    assert np.array_equal(dom.perm_of(left.elem), left.perm)
+    assert np.array_equal(dom.perm_of(right.elem), right.perm)
+    assert left.inverse().inverse() is left
+    assert left.inverse().elem == sl_inverse(eager_left)
+
+
+def test_lazy_inverse_chain_has_no_recursion_limit():
+    gens, dom = _semilinear_gens()
+    t = Tracked(gens[-2], dom.perm_of(gens[-2]))
+    acc = t
+    for _ in range(20_000):
+        acc = t_compose(acc, t).inverse()
+    assert np.array_equal(dom.perm_of(acc.elem), acc.perm)
+
+
+def test_matrices_are_composed_only_when_read(monkeypatch):
+    gens, dom = _semilinear_gens()
+    calls = []
+    real = grpcore.sl_compose
+    monkeypatch.setattr(grpcore, "sl_compose", lambda g, h: calls.append(1) or real(g, h))
+    a, b = (Tracked(g, dom.perm_of(g)) for g in gens[:2])
+    ab = t_compose(a, b)
+    abab = t_compose(ab, ab)
+    assert not calls
+    assert abab.elem == sl_compose(sl_compose(gens[0], gens[1]), sl_compose(gens[0], gens[1]))
+    assert len(calls) == 2  # the shared factor ab is composed once
+    abab.elem
+    assert len(calls) == 2
+
+
+def _queue_bfs(gens, point, action):
+    """Scalar reference: queue BFS trying the generators in order at each point."""
+    seed = action.point_key(point)
+    found = {seed: None}
+    queue = [seed]
+    for key in queue:
+        x = action.key_point(key)
+        for gi, g in enumerate(gens):
+            img = action.point_key(action.apply_point(g, x))
+            if img not in found:
+                found[img] = (gi, key)
+                queue.append(img)
+    return queue, found
+
+
+def _orbit_cases():
+    sl33 = classical_generators("SL", 3, 3).generators
+    sl34 = classical_generators("SL", 3, 4).generators
+    sl32 = classical_generators("SL", 3, 2).generators
+    sl29 = classical_generators("SL", 2, 9).generators
+    F3, F4, F2, F9 = gf.make_field(3, 1), gf.make_field(2, 2), gf.make_field(2, 1), gf.make_field(3, 2)
+    return [
+        ("vector", sl33, canonical_point(VECTOR, (0, 1, 2))),
+        ("vector-frobenius", sl34 + [automorphism_element("phi", 3, 4)], canonical_point(VECTOR, (1, 0, 0))),
+        ("projective", sl34 + [automorphism_element("phi", 3, 4)],
+         canonical_point(PROJECTIVE, (0, 1, 3), spec=F4)),
+        ("projective-odd", sl33, canonical_point(PROJECTIVE, (1, 2, 0), spec=F3)),
+        ("antiflag", sl34 + [automorphism_element("phi_gamma", 3, 4)],
+         canonical_point(ANTIFLAG, (1, 0, 0), (1, 1, 0), spec=F4)),
+        ("antiflag-odd", sl33, canonical_point(ANTIFLAG, (1, 1, 0), (0, 1, 0), spec=F3)),
+        ("pair-duality", sl32 + [automorphism_element("gamma", 3, 2)],
+         canonical_point(PAIR, (1, 0, 0), (1, 0, 0), spec=F2)),
+        ("pair-duality-odd", sl29 + [automorphism_element("phi_gamma", 2, 9)],
+         canonical_point(PAIR, (1, 0), (1, 0), spec=F9)),
+    ]
+
+
+@pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
+def test_orbit_with_transporters_matches_queue_bfs(case):
+    _, gens, point = case
+    action = Action(point.tag, gens[0].spec, gens[0].n)
+    queue, found = _queue_bfs(gens, point, action)
+    orb = orbit_with_transporters(gens, point, action)
+    assert orb.keys.tolist() == queue
+    assert orb.size == len(queue) > 1
+    assert orb.parent[0] == -1
+    for i, key in enumerate(queue[1:], start=1):
+        assert (int(orb.via[i]), int(orb.keys[orb.parent[i]])) == found[key]
+    assert orb.index_of(orb.keys).tolist() == list(range(orb.size))
+    for key in queue[:: max(1, len(queue) // 7)]:
+        u = transporter(orb, gens, key)
+        assert action.point_key(action.apply_point(u, point)) == key
+        assert orb.contains_key(key)
+    outside = next(k for k in range(10**6) if k not in found)
+    assert not orb.contains_key(outside)
+
+
+def test_orbit_with_transporters_budget():
+    gens = classical_generators("SL", 3, 3).generators
+    with pytest.raises(grpcore.OrbitBudgetError):
+        orbit_with_transporters(gens, canonical_point(VECTOR, (1, 0, 0)), max_points=10)
+
+
+def test_with_name_keeps_stabilizer_stages_and_chain():
+    K = stabilizer_subgroup("vector", 3, 2)
+    chain = K.chain()
+    renamed = K.with_name("renamed")
+    assert renamed.name == "renamed"
+    assert renamed.stabilizer_of == K.stabilizer_of is not None
+    assert renamed._chain is chain
+    assert renamed.order() == K.order()
