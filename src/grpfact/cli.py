@@ -216,7 +216,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="run catalog verifications")
-    pv.add_argument("--all", action="store_true", help="all claims of the selected tier")
     pv.add_argument("--row", action="append", help="claim id (repeatable)")
     pv.add_argument("--tier", choices=["desk", "extended", "all"], default="desk")
     pv.add_argument("--negative-controls", action="store_true")

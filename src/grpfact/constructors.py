@@ -75,9 +75,6 @@ def standard_symplectic_form(spec: FieldSpec, n: int) -> Mat:
 
 
 def preserves_form(g: GroupElement, J: Mat) -> bool:
-    if g.fa or g.dual:
-        gJ = mat_product(mat_transpose(g.mat), mat_product(J, g.mat))
-        return gJ == J
     return mat_product(mat_transpose(g.mat), mat_product(J, g.mat)) == J
 
 

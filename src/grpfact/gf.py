@@ -2,7 +2,7 @@
 
 Elements of GF(p^f) are encoded as integer indices in [0, p^f): the index
 is the base-p packing of the coefficient vector of the residue polynomial,
-low degree first.  This encoding is the one used by all asset files.
+low degree first.
 
 Fields up to 2^16 elements get exp/log and Zech-logarithm tables, so every
 element operation is a couple of table lookups.  Larger fields (supported
@@ -15,8 +15,6 @@ primitive, so encodings are reproducible across runs.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -403,65 +401,6 @@ def _mult_order_mod_p(g: int, p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """A field element: interned spec reference plus integer encoding."""
-
-    spec: FieldSpec
-    rep: int
-
-    def __post_init__(self):
-        if not 0 <= self.rep < self.spec.q:
-            raise FieldError(f"encoding {self.rep} out of range for {self.spec}")
-
-    def _check(self, other: "FieldElem"):
-        if other.spec is not self.spec:
-            raise FieldError(f"field mismatch: {self.spec} vs {other.spec}")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.add(self.rep, other.rep))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.sub(self.rep, other.rep))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.spec, self.spec.mul(self.rep, other.rep))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.rep))
-
-    def inverse(self):
-        return FieldElem(self.spec, self.spec.inv(self.rep))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.spec, self.spec.power(self.rep, e))
-
-    def __bool__(self):
-        return self.rep != 0
-
-
-def ff_op(kind: str, a: FieldElem, b=None) -> FieldElem:
-    """Dispatch a field operation by name: add, mul, inv, pow, neg."""
-    if kind == "add":
-        return a + b
-    if kind == "mul":
-        return a * b
-    if kind == "inv":
-        return a.inverse()
-    if kind == "pow":
-        return a ** int(b)
-    if kind == "neg":
-        return -a
-    raise FieldError(f"unknown field op {kind!r}")
-
-
-def frobenius(a: FieldElem, s: int = 1) -> FieldElem:
-    return FieldElem(a.spec, a.spec.frobenius(a.rep, s))
-
-
 _EMBED_CACHE: dict[tuple[int, int, int, int], np.ndarray] = {}
 
 
@@ -513,7 +452,3 @@ def _scalar_into(c: int, ext: FieldSpec) -> int:
     for _ in range(c):
         acc = ext.add(acc, 1)
     return acc
-
-
-def embed(a: FieldElem, ext: FieldSpec) -> FieldElem:
-    return FieldElem(ext, int(embedding_table(a.spec, ext)[a.rep]))

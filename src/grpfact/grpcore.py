@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import Action, ActionError, PermDomain, domain_size
+from .actions import Action, ActionError, PermDomain
 from .gf import FieldSpec
 from .linalg import (
     PAIR,
@@ -658,7 +658,6 @@ def transporter(orbit_set: OrbitSet, gens: list[GroupElement], key: int) -> Grou
 def stabilizer_generators(
     group: GroupSpec,
     point: ActionPoint,
-    rng=None,
     name: str | None = None,
 ) -> GroupSpec:
     """Point stabilizer via Schreier generators, certified by orbit-stabilizer.

@@ -1,6 +1,6 @@
 """Vectors, matrices and semilinear-with-duality elements over GF(q).
 
-Conventions, fixed once and used by every asset file and action:
+Conventions, fixed once and used by every action:
 
 * column vectors; a matrix A sends v to A @ v;
 * points are acted on from the right: x^(g*h) = (x^g)^h, i.e. ``compose(g, h)``
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldError, FieldSpec, embedding_table, make_field
+from .gf import FieldError, FieldSpec, embedding_table
 
 VECTOR = "vector"
 FUNCTIONAL = "functional"
@@ -257,19 +257,6 @@ def sl_inverse(g: GroupElement) -> GroupElement:
         m = mat_frobenius(m, fa_inv)
         g._inv_cache = GroupElement(mat_inverse(m), fa_inv, g.dual)
     return g._inv_cache
-
-
-def element_power(g: GroupElement, e: int) -> GroupElement:
-    if e < 0:
-        return element_power(sl_inverse(g), -e)
-    out = identity_element(g.spec, g.n)
-    base = g
-    while e:
-        if e & 1:
-            out = sl_compose(out, base)
-        base = sl_compose(base, base)
-        e >>= 1
-    return out
 
 
 def element_order(g: GroupElement, cap: int = 10**6) -> int:

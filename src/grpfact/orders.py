@@ -87,20 +87,6 @@ def psl_order(n: int, q: int) -> int:
     return sl_order(n, q) // scalar_count(n, q)
 
 
-def projective_order_of_group(group) -> int:
-    """|G| / |G n scalars| for a matrix GroupSpec, counting scalars by membership."""
-    from .linalg import Mat, GroupElement
-    import numpy as np
-
-    spec = group.spec
-    count = 0
-    for c in range(1, spec.q):
-        mat = Mat(spec, np.eye(group.n, dtype=np.int64) * 0 + np.diag([c] * group.n))
-        if group.contains(GroupElement(mat)):
-            count += 1
-    return group.order() // count
-
-
 # ---------------------------------------------------------------------------
 # per-row identity arithmetic
 

@@ -4,7 +4,7 @@ Subgroups are located, not classified: randomized two-generator searches
 with explicit certificates (exact order via a stabilizer chain, exact
 element-order spectrum by enumeration), algebraic constructions where one
 exists (the scalar-extended icosahedral lift, the extraspecial normalizer),
-and orbit-signature or brute-force conjugacy evidence for "two classes"
+and brute-force conjugacy or module certificates for "two classes"
 claims.  Every search takes a seeded RNG and reports the tries it used.
 """
 
@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import orders
-from .constructors import ConstructionError, classical_generators, sl_generators
-from .g2 import g2_derived  # noqa: F401  (re-exported for the catalog)
+from .constructors import ConstructionError, classical_generators
 from .gf import make_field
 from .grpcore import (
     CertificationError,
@@ -93,30 +92,6 @@ def _walk_rejects(a: Tracked, b: Tracked, allowed, rng, samples: int = 16) -> bo
 
 def exact_spectrum(chain: StabChain) -> frozenset[int]:
     return frozenset(element_order_perm(t.perm) for t in chain.elements())
-
-
-def orbit_signature(perms: list[np.ndarray], size: int) -> tuple[int, ...]:
-    """Sorted orbit sizes of the subgroup on the whole domain."""
-    seen = np.zeros(size, dtype=bool)
-    sizes = []
-    for start in range(size):
-        if seen[start]:
-            continue
-        frontier = np.array([start])
-        seen[start] = True
-        total = 1
-        while frontier.size:
-            parts = []
-            for p in perms:
-                imgs = p[frontier]
-                new = np.unique(imgs[~seen[imgs]])
-                if new.size:
-                    seen[new] = True
-                    parts.append(new)
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            total += frontier.size
-        sizes.append(total)
-    return tuple(sorted(sizes))
 
 
 def two_generator_search(
@@ -201,12 +176,6 @@ def subgroups_conjugate(ambient: GroupSpec, A: GroupSpec, B: GroupSpec) -> bool:
     return False
 
 
-def subgroup_signature(group: GroupSpec) -> tuple[int, ...]:
-    domain = shared_domain(group.action_tag, group.spec, group.n)
-    perms = [domain.perm_of(g) for g in group.generators]
-    return orbit_signature(perms, domain.size)
-
-
 # ---------------------------------------------------------------------------
 # the concrete ambients of the fixed rows
 
@@ -270,7 +239,6 @@ def locate_two_a5_classes(rng) -> tuple[GroupSpec, GroupSpec, dict]:
                 "first": info1,
                 "second": info2,
                 "rejected_conjugates": k,
-                "signatures": [subgroup_signature(first), subgroup_signature(cand)],
             }
             return first, cand, info
     raise SearchBudgetError("could not find a second A5 class in PSL_2(9)")
@@ -657,37 +625,6 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     if not info["classes_split_certified"]:
         raise SearchBudgetError("class-split certificate failed for PSL_2(13)")
     return X1, X2, info
-
-
-def locate_sporadic(target: str, rng) -> tuple[GroupSpec, dict]:
-    """Dispatch a sporadic-subgroup locate by target name.
-
-    Targets: A5_class1, A5_class2, PGL2_7, M10, A7, S5, FourXA5,
-    TwoFour_A5, PSL2_13 (first class; PSL2_13b for the second).
-    """
-    if target in ("A5_class1", "A5_class2"):
-        first, second, info = locate_two_a5_classes(rng)
-        return (first if target == "A5_class1" else second), info
-    if target in ("PGL2_7", "M10"):
-        report = locate_pgl27_m10(rng)
-        key = "pgl27" if target == "PGL2_7" else "m10"
-        for outer, entry in report.items():
-            if entry.get(key):
-                group, info = entry[key]
-                return group, dict(info, extension=outer)
-        raise SearchBudgetError(f"{target} not located in any index-2 extension")
-    if target == "A7":
-        return locate_a7(rng)
-    if target == "S5":
-        return locate_s5(rng)
-    if target == "FourXA5":
-        return locate_4xa5(rng)
-    if target == "TwoFour_A5":
-        return locate_2_4_a5(rng)
-    if target in ("PSL2_13", "PSL2_13b"):
-        first, second, info = locate_two_psl2_13(rng)
-        return (first if target == "PSL2_13" else second), info
-    raise ConstructionError(f"unknown sporadic target {target!r}")
 
 
 def sp4_2_derived() -> GroupSpec:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from grpfact import factorize, orders
+from grpfact import factorize, orders, sporadic
 from grpfact.catalog import load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
@@ -15,7 +15,6 @@ from grpfact.factorize import (
     structure_hint,
     verify,
     verify_claim,
-    verify_quotient_claim,
 )
 from grpfact.grpcore import GroupSpec
 from grpfact.sporadic import sp4_2_derived
@@ -133,13 +132,6 @@ def test_determinism_same_seed_same_report(catalog):
     assert claim_seed("t1r09", 123) == claim_seed("t1r09", 123)
 
 
-def test_quotient_claim_notes(catalog):
-    claim = catalog.claim_by_id("t1r01-sp-a4b1q3")
-    rep = verify_quotient_claim(claim)
-    assert rep.overall == "pass"
-    assert "quotient" in rep.notes
-
-
 def test_timings_cover_every_strategy(catalog, monkeypatch):
     # a fake clock that advances one second per reading: every timed block
     # reads at least 1000 ms, and an untimed strategy stays at 0
@@ -149,6 +141,9 @@ def test_timings_cover_every_strategy(catalog, monkeypatch):
         claim = catalog.claim_by_id(cid)
         timed = verify_claim(claim, record_timings=True).as_dict()
         assert timed["overall"] == "pass"
+        if not claim.row.startswith("suite"):
+            names = [s["name"] for s in timed["strategies"]]
+            assert names == [c for c in claim.checks if c != "discrepancy"], cid
         for s in timed["strategies"]:
             assert s["wall_ms"] >= 1000, (cid, s["name"])
         untimed = verify_claim(claim).as_dict()
@@ -156,3 +151,29 @@ def test_timings_cover_every_strategy(catalog, monkeypatch):
         for s in timed["strategies"]:
             s["wall_ms"] = 0
         assert timed == untimed
+
+
+def test_row11_enumerate_strategy_enumerates(catalog, monkeypatch):
+    routes = []
+    real = factorize.intersect
+
+    def spy(H, K, strategy="stabilizer"):
+        routes.append(strategy)
+        return real(H, K, strategy)
+
+    monkeypatch.setattr(factorize, "intersect", spy)
+    rep = verify_claim(catalog.claim_by_id("t1r11-a"))
+    assert rep.overall == "pass"
+    assert [s.name for s in rep.strategies] == ["identity", "enumerate", "orbit"]
+    assert routes == ["enumerate_smaller"]
+
+
+def test_locator_budget_exhaustion_is_a_fail_report(catalog, monkeypatch):
+    def exhausted(rng):
+        raise sporadic.SearchBudgetError("search budget exhausted locating A7")
+
+    monkeypatch.setattr(sporadic, "locate_a7", exhausted)
+    rep = verify_claim(catalog.claim_by_id("t1r11-a"))
+    assert rep.overall == "fail"
+    assert rep.strategies == []
+    assert "search budget exhausted" in rep.reason

@@ -144,26 +144,6 @@ def test_zero_inverse_raises(field):
         field.inv(0)
 
 
-def test_ff_op_dispatch():
-    F4 = gf.make_field(2, 2)
-    lam = gf.FieldElem(F4, F4.primitive_elem)
-    one = gf.FieldElem(F4, 1)
-    assert gf.ff_op("mul", lam, lam).rep == 3
-    assert gf.ff_op("inv", lam).rep == 3
-    assert gf.ff_op("add", lam, one).rep == 3
-    assert gf.ff_op("neg", lam).rep == lam.rep
-    assert gf.ff_op("pow", lam, 3).rep == 1
-    with pytest.raises(gf.FieldError):
-        gf.ff_op("div", lam, lam)
-
-
-def test_field_elem_spec_mismatch():
-    a = gf.FieldElem(gf.make_field(2, 2), 1)
-    b = gf.FieldElem(gf.make_field(2, 3), 1)
-    with pytest.raises(gf.FieldError):
-        _ = a + b
-
-
 def test_large_field_polynomial_path():
     # design headroom: GF(3^11) > 2^16 runs on the polynomial path
     F = gf.make_field(3, 11)

@@ -40,15 +40,6 @@ def test_projective_orders():
     assert orders.scalar_count(6, 4) == 3
 
 
-def test_projective_order_of_group_counts_scalars():
-    from grpfact.constructors import classical_generators
-
-    G = classical_generators("SL", 2, 9)
-    assert orders.projective_order_of_group(G) == 360
-    H = classical_generators("SL", 2, 4)
-    assert orders.projective_order_of_group(H) == 60
-
-
 def test_bracket_gcd_reproduces_both_branches():
     # gcd(q^5b, q^6b/4) is q^5b for q >= 4 and 2^(2+2) at q = 2, b = 1
     assert orders._bracket_gcd(2, 1) == 16

@@ -73,10 +73,3 @@ def test_extension_ambients():
     for outer in ("gamma", "phi", "phi_gamma"):
         Z = sporadic.psl3_4_ext(outer)
         assert Z.order() == 40320
-
-
-def test_locate_sporadic_dispatcher(rng):
-    group, info = sporadic.locate_sporadic("A5_class1", rng)
-    assert group.order() == 60
-    with pytest.raises(Exception):
-        sporadic.locate_sporadic("unknown_target", rng)
