@@ -2,8 +2,9 @@
 
 Keys pack coordinate digits base q (bit-packed when q is a power of two),
 vector first, functional second for the two-sided kinds.  Batch application
-works on int64 key arrays; characteristic-two ambients get a fast path
-that never unpacks: per-column scaled tables plus XOR folds.
+works on int64 key arrays.  In characteristic two the key map of vector,
+functional and pair points is GF(2)-linear on the key bits, so it never
+unpacks: one XOR table per run of at most 12 key bits, one lookup each.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .linalg import (
 )
 
 _DENSE_LOOKUP_LIMIT = 2**26
+_CHUNK_BITS = 12  # widest key run one XOR table covers
 
 
 class ActionError(ValueError):
@@ -54,7 +56,7 @@ class Action:
         self.q = spec.q
         self.two_sided = tag in (PAIR, ANTIFLAG)
         self.width = 2 * n if self.two_sided else n
-        self._scaled_cache: dict = {}
+        self._chunk_cache: dict = {}
 
     # -- scalar interface ---------------------------------------------------
 
@@ -92,60 +94,62 @@ class Action:
 
     # -- batch application ----------------------------------------------------
 
-    def _scaled_tables(self, g: GroupElement):
-        """Per-column key contributions for the char-2 packed fast path.
+    def _chunk_tables(self, g: GroupElement):
+        """XOR tables of the char-2 key map, which is GF(2)-linear on key bits.
 
-        Table i maps the i-th key digit d to the packed contribution of
-        column i scaled by frobenius(d); folding the tables with XOR is the
-        whole matrix-vector product.
+        Column b is the image of the basis key 1 << b: the duality swap is a
+        rotation of the columns, Frobenius acts on the digit 1 << j, and the
+        matrix column is scaled by the result.  The key bits are cut into
+        runs of at most _CHUNK_BITS, as even as possible, and each run gets a
+        table, built by doubling, of the XOR of its bits' columns; folding
+        one lookup per run is the whole product ("four Russians").
         """
-        cached = self._scaled_cache.get(g)
+        cached = self._chunk_cache.get(g)
         if cached is not None:
             return cached
-        spec, n, q = self.spec, self.n, self.q
-        bits = spec.f
-        scalars = [spec.frobenius(d, g.fa) for d in range(q)]
+        spec, n, f = self.spec, self.n, self.spec.f
+        digits = np.array([spec.frobenius(1 << j, g.fa) for j in range(f)], dtype=np.int64)
+        shifts = np.arange(n, dtype=np.int64)[:, None, None] * f
         if self.tag == VECTOR:
             mats = [g.mat.a]
         elif self.tag == FUNCTIONAL:
             mats = [g.dual_mat().a]
         else:
             mats = [g.mat.a, g.dual_mat().a]
-        tables = []
+        cols = []
         for side, M in enumerate(mats):
-            offset = side * n * bits
-            for i in range(n):
-                tab = np.zeros(q, dtype=np.int64)
-                for d in range(1, q):
-                    key = 0
-                    for r in range(n):
-                        key |= int(spec.mul(int(M[r, i]), scalars[d])) << (r * bits)
-                    tab[d] = key << offset
-                tables.append(tab)
-        self._scaled_cache[g] = tables
+            # scaled[r, i, j]: row r of column i times the digit of bit j
+            scaled = spec.mul_table[M[:, :, None], digits[None, None, :]]
+            cols.append((scaled.astype(np.int64) << shifts).sum(axis=0).ravel() << (side * n * f))
+        cols = np.concatenate(cols)
+        if g.dual:
+            cols = np.roll(cols, n * f)
+        nbits = len(cols)
+        k = -(-nbits // _CHUNK_BITS)
+        tables, lo = [], 0
+        for c in range(k):
+            width = nbits // k + (c < nbits % k)
+            tab = np.zeros(1 << width, dtype=np.int64)
+            for j in range(width):
+                np.bitwise_xor(tab[: 1 << j], cols[lo + j], out=tab[1 << j : 2 << j])
+            tables.append((lo, (1 << width) - 1, tab))
+            lo += width
+        self._chunk_cache[g] = tables
         return tables
 
     def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
         """Images of packed keys under g; canonicalizes normalized kinds."""
-        spec, n = self.spec, self.n
-        if g.dual:
-            if not self.two_sided:
-                raise LinAlgError(f"duality does not act on {self.tag} points")
-            if spec.p == 2:
-                bits_side = n * spec.f
-                lo = keys & ((1 << bits_side) - 1)
-                keys = (keys >> bits_side) | (lo << bits_side)
-            else:
-                qn = self.q**n
-                keys = (keys // qn) + (keys % qn) * qn
-        if spec.p == 2 and self.tag in (VECTOR, FUNCTIONAL, PAIR):
-            tables = self._scaled_tables(g)
-            bits = spec.f
-            mask = self.q - 1
-            out = np.zeros(len(keys), dtype=np.int64)
-            for i in range(self.width):
-                out ^= tables[i][(keys >> (i * bits)) & mask]
+        if g.dual and not self.two_sided:
+            raise LinAlgError(f"duality does not act on {self.tag} points")
+        if self.spec.p == 2 and self.tag in (VECTOR, FUNCTIONAL, PAIR):
+            (lo, mask, tab), *rest = self._chunk_tables(g)
+            out = tab[(keys >> lo) & mask]
+            for lo, mask, tab in rest:
+                out ^= tab[(keys >> lo) & mask]
             return out
+        if g.dual:
+            qn = self.q**self.n
+            keys = (keys // qn) + (keys % qn) * qn
         return self._apply_batch_digits(g, keys)
 
     def _apply_batch_digits(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:

@@ -155,7 +155,7 @@ def cmd_tools_orbit(args) -> int:
     else:
         point = canonical_point(args.action, data, spec=group.spec)
     budget = int(os.environ.get(_MEMORY_ENV, "2048"))
-    orb = orbit(group, point, max_points=_max_orbit_points(budget), keep_keys=False)
+    orb = orbit(group, point, max_points=_max_orbit_points(budget))
     print(f"orbit of {args.point} ({args.action}) under {group.name}: {orb.size}")
     return 0
 

@@ -590,7 +590,7 @@ def _run_enumerate(claim, setup, rng, record) -> StrategyResult:
 
 def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
     with _Timer(record) as tm:
-        sizes = [orbit(H, setup.orbit_seed, max_points=max_points, keep_keys=False).size
+        sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size
                  for H in setup.witnesses]
         verdict = "pass" if all(size == setup.orbit_target for size in sizes) else "fail"
         details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
@@ -599,7 +599,7 @@ def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
 
 def _run_vector_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
     with _Timer(record) as tm:
-        orb = orbit(setup.H, setup.orbit_seed, max_points=max_points, keep_keys=False)
+        orb = orbit(setup.H, setup.orbit_seed, max_points=max_points)
         verdict = "pass" if orb.size == setup.orbit_target else "fail"
     return StrategyResult(
         "vector_orbit",
@@ -868,7 +868,7 @@ def _conjugation_samples(claim, rng, samples):
         Hx = _conjugate_group(H, x, "H^x")
         if omega is not None:
             omega_y = action.apply_point(y, omega)
-            orb = orbit(Hx, omega_y, keep_keys=False)
+            orb = orbit(Hx, omega_y)
             inter = stabilizer_generators(Hx, omega_y)
             ok = orb.size == (2**4 - 1) and inter.order() == base_inter
             spec_ok = _spectrum_of(inter) == frozenset({1, 2})
@@ -907,7 +907,7 @@ def verify(G: GroupSpec, H: GroupSpec, K: GroupSpec, strategies=("order", "orbit
     if "orbit" in strategies and K.stabilizer_of:
         stages = _stages_for(H, K.stabilizer_of)
         if len(stages) == 1:
-            orb = orbit(H, stages[0], keep_keys=False)
+            orb = orbit(H, stages[0])
             out["orbit_size"] = orb.size
             out["orbit_covers"] = orb.size * K.order() == G.order()
     out["verdict"] = all(v for k, v in out.items() if k.endswith(("identity", "covers")))

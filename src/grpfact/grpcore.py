@@ -515,13 +515,19 @@ class GroupSpec:
 
 @dataclass
 class OrbitSet:
-    """Closure of a seed under the generators, as packed keys."""
+    """Closure of a seed under the generators, over packed keys.
+
+    ``orbit`` keeps only the seen keys (a bool array over a dense keyspace,
+    a set over a sparse one); ``orbit_with_transporters`` keeps the keys in
+    BFS order and a Schreier vector.
+    """
 
     tag: str
     seed_key: int
     size: int
-    keys: np.ndarray | None
+    keys: np.ndarray | None = None
     seen_dense: np.ndarray | None = None
+    seen_set: set | None = None
     # Schreier vector (orbit_with_transporters): BFS index of each key's
     # parent (-1 at the seed) and the generator mapping the parent to the
     # key; sorted_keys[i] == keys[sort_order[i]] serves lookups
@@ -539,17 +545,13 @@ class OrbitSet:
     def contains_key(self, key: int) -> bool:
         if self.seen_dense is not None:
             return 0 <= key < len(self.seen_dense) and bool(self.seen_dense[key])
-        if self.parent is not None:
-            return int(self.index_of(key)) >= 0
-        return key in self._key_set()
-
-    def _key_set(self):
-        if not hasattr(self, "_cached_set"):
-            self._cached_set = set(int(k) for k in self.keys)
-        return self._cached_set
+        if self.seen_set is not None:
+            return key in self.seen_set
+        return int(self.index_of(key)) >= 0
 
 
 _DENSE_SEEN_LIMIT = 2**26
+_SCAN_SHARE = 8
 
 
 def orbit(
@@ -557,9 +559,20 @@ def orbit(
     point: ActionPoint,
     action: Action | None = None,
     max_points: int = 2**24,
-    keep_keys: bool = True,
+    keep_keys: bool = False,
 ) -> OrbitSet:
-    """BFS closure of the point under the generators, vectorized over keys."""
+    """BFS closure of the point under the generators, vectorized over keys.
+
+    Only the size and membership are kept, and no level sorts.  Over a
+    dense keyspace, a level with at least keyspace/_SCAN_SHARE images
+    scatters them into a second keyspace-sized mask, drops the seen keys
+    from it and reads the next frontier off with one flatnonzero scan; a
+    smaller level filters each generator's images against the seen mask,
+    which costs less than scanning the keyspace.  ``keep_keys`` is accepted
+    only as False; ``orbit_with_transporters`` keeps the keys themselves.
+    """
+    if keep_keys:
+        raise ValueError("orbit keeps no keys; use orbit_with_transporters")
     if isinstance(group_or_gens, GroupSpec):
         gens = group_or_gens.generators
         spec, n = group_or_gens.spec, group_or_gens.n
@@ -573,35 +586,43 @@ def orbit(
     dense = keyspace <= _DENSE_SEEN_LIMIT
     if dense:
         seen = np.zeros(keyspace, dtype=bool)
+        hit = np.zeros(keyspace, dtype=bool)
         seen[seed] = True
     else:
         seen_set = {seed}
-    chunks = [np.array([seed], dtype=np.int64)]
-    frontier = chunks[0]
+    frontier = np.array([seed], dtype=np.int64)
     total = 1
     while frontier.size:
-        parts = []
-        for g in gens:
-            imgs = action.apply_batch(g, frontier)
-            if dense:
-                new = np.unique(imgs[~seen[imgs]])
-                if new.size:
-                    seen[new] = True
-                    parts.append(new)
-            else:
-                imgs = np.unique(imgs)
-                new = np.array([k for k in imgs.tolist() if k not in seen_set], dtype=np.int64)
-                if new.size:
-                    seen_set.update(new.tolist())
-                    parts.append(new)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if dense and frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
+            for g in gens:
+                hit[action.apply_batch(g, frontier)] = True
+            # hit and not seen; this also clears the last scanned frontier
+            np.greater(hit, seen, out=hit)
+            frontier = np.flatnonzero(hit)
+            seen[frontier] = True
+        elif dense:
+            # a generator maps distinct keys to distinct keys, so marking
+            # each batch seen as it is filtered leaves the frontier no repeats
+            parts = []
+            for g in gens:
+                imgs = action.apply_batch(g, frontier)
+                imgs = imgs[~seen[imgs]]
+                seen[imgs] = True
+                parts.append(imgs)
+            frontier = np.concatenate(parts)
+        else:
+            new = set()
+            for g in gens:
+                new.update(action.apply_batch(g, frontier).tolist())
+            new -= seen_set
+            seen_set |= new
+            frontier = np.fromiter(new, dtype=np.int64, count=len(new))
         total += frontier.size
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
-        if frontier.size:
-            chunks.append(frontier)
-    keys = np.concatenate(chunks) if keep_keys else None
-    return OrbitSet(point.tag, seed, total, keys, seen if dense else None)
+    if dense:
+        return OrbitSet(point.tag, seed, total, seen_dense=seen)
+    return OrbitSet(point.tag, seed, total, seen_set=seen_set)
 
 
 def orbit_with_transporters(gens: list[GroupElement], point: ActionPoint, action: Action | None = None, max_points: int = 500_000) -> OrbitSet:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from grpfact import factorize, orders, sporadic
+from grpfact import factorize, grpcore, orders, sporadic
 from grpfact.catalog import load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
@@ -177,3 +177,11 @@ def test_locator_budget_exhaustion_is_a_fail_report(catalog, monkeypatch):
     assert rep.overall == "fail"
     assert rep.strategies == []
     assert "search budget exhausted" in rep.reason
+
+
+def test_row14_extended_orbit_covers_every_pair_point(catalog):
+    # the orbit certificate of t1r14-ext: the blown G2(4).2 on pair points of GF(2)^12
+    claim = catalog.claim_by_id("t1r14-ext")
+    setup = factorize.build_setup(claim, np.random.default_rng(claim_seed(claim.claim_id, 20260810)))
+    assert setup.orbit_seed.tag == "pair"
+    assert grpcore.orbit(setup.H, setup.orbit_seed).size == (2**12 - 1) * 2**11

@@ -379,6 +379,33 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
         assert orb.contains_key(key)
     outside = next(k for k in range(10**6) if k not in found)
     assert not orb.contains_key(outside)
+    plain = orbit(gens, point, action)
+    assert plain.size == len(queue)
+    assert all(plain.contains_key(key) for key in queue)
+    assert not plain.contains_key(outside)
+
+
+def test_contains_key_on_sparse_keyspace_orbit():
+    # the pair keyspace of GF(2)^14 has 2^28 keys, past the dense-mask limit
+    G = classical_generators("SL", 14, 2)
+    F2 = gf.make_field(2, 1)
+    e1 = (1,) + (0,) * 13
+    omega = canonical_point(PAIR, e1, e1, spec=F2)
+    action = Action(PAIR, F2, 14)
+    gens = G.generators[1:2]
+    orb = orbit(gens, omega, action)
+    assert orb.seen_dense is None
+    queue, found = _queue_bfs(gens, omega, action)
+    assert orb.size == len(queue) > 1
+    assert all(orb.contains_key(key) for key in queue)
+    assert not orb.contains_key(next(k for k in range(10**6) if k not in found))
+    assert product_membership(orb, action, G.identity(), omega)
+    assert product_membership(orb, action, gens[0], omega)
+
+
+def test_orbit_keeps_no_keys():
+    with pytest.raises(ValueError):
+        orbit(classical_generators("SL", 3, 2).generators, canonical_point(VECTOR, (1, 0, 0)), keep_keys=True)
 
 
 def test_orbit_with_transporters_budget():
