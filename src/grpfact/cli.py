@@ -145,7 +145,7 @@ def _parse_group(text: str):
 
 
 def cmd_tools_orbit(args) -> int:
-    from .grpcore import orbit
+    from .grpcore import OrbitBudgetError, orbit
     from .linalg import ANTIFLAG, PAIR, ActionPoint, canonical_point
 
     group = _parse_group(args.group)
@@ -155,7 +155,12 @@ def cmd_tools_orbit(args) -> int:
     else:
         point = canonical_point(args.action, data, spec=group.spec)
     budget = int(os.environ.get(_MEMORY_ENV, "2048"))
-    orb = orbit(group, point, max_points=_max_orbit_points(budget))
+    try:
+        orb = orbit(group, point, max_points=_max_orbit_points(budget))
+    except OrbitBudgetError as exc:
+        print(f"orbit of {args.point} ({args.action}) under {group.name}: {exc} "
+              f"(memory budget {budget} MB)", file=sys.stderr)
+        return 1
     print(f"orbit of {args.point} ({args.action}) under {group.name}: {orb.size}")
     return 0
 

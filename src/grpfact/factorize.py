@@ -51,6 +51,7 @@ from .g2 import g2_derived, g2_generators
 from .grpcore import (
     CertificationError,
     GroupSpec,
+    OrbitBudgetError,
     element_order_perm,
     orbit,
     orbit_with_transporters,
@@ -588,26 +589,36 @@ def _run_enumerate(claim, setup, rng, record) -> StrategyResult:
     return StrategyResult("enumerate", verdict, intersection_order=i_order, details=details, wall_ms=tm.ms)
 
 
-def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
+def _orbit_strategy(name, setup, groups, details, record, max_points) -> StrategyResult:
+    """Each group's orbit of the seed must reach the target.
+
+    A target above the budget is skipped before any BFS, with the reason;
+    an orbit that outgrows a target the budget holds cannot equal it, so
+    that strategy fails with the budget error as its reason.
+    """
+    if setup.orbit_target > max_points:
+        return StrategyResult(name, "skipped", details={
+            **details, "reason": "orbit target exceeds the memory budget", "max_points": max_points})
     with _Timer(record) as tm:
-        sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size
-                 for H in setup.witnesses]
-        verdict = "pass" if all(size == setup.orbit_target for size in sizes) else "fail"
-        details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
-    return StrategyResult("orbit", verdict, orbit_sizes=sizes, details=details, wall_ms=tm.ms)
+        try:
+            sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size for H in groups]
+        except OrbitBudgetError as exc:
+            sizes = None
+            details.update(reason=str(exc), max_points=max_points)
+    if sizes is None:
+        return StrategyResult(name, "fail", details=details, wall_ms=tm.ms)
+    verdict = "pass" if all(size == setup.orbit_target for size in sizes) else "fail"
+    return StrategyResult(name, verdict, orbit_sizes=sizes, details=details, wall_ms=tm.ms)
+
+
+def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
+    details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
+    return _orbit_strategy("orbit", setup, setup.witnesses, details, record, max_points)
 
 
 def _run_vector_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
-    with _Timer(record) as tm:
-        orb = orbit(setup.H, setup.orbit_seed, max_points=max_points)
-        verdict = "pass" if orb.size == setup.orbit_target else "fail"
-    return StrategyResult(
-        "vector_orbit",
-        verdict,
-        orbit_sizes=[orb.size],
-        details={"target": setup.orbit_target, "witness_only": True},
-        wall_ms=tm.ms,
-    )
+    details = {"target": setup.orbit_target, "witness_only": True}
+    return _orbit_strategy("vector_orbit", setup, (setup.H,), details, record, max_points)
 
 
 def _run_sample(claim, setup, rng, record, samples=50) -> StrategyResult:
@@ -667,8 +678,12 @@ def _run_tight(claim, setup, rng, record) -> StrategyResult:
 
 
 def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
-    """Solvable residuals equal as subgroups (mutual membership), not just isomorphic."""
-    res_h = solvable_residual(H_located, rng=rng)
+    """Solvable residuals equal as subgroups (mutual membership), not just isomorphic.
+
+    X_catalog bounds H's derived series: a derived chain that sifts into X
+    and reaches |X| is certified without a Schreier pass.
+    """
+    res_h = solvable_residual(H_located, rng=rng, within=X_catalog)
     res_x = solvable_residual(X_catalog, rng=rng)
     return same_subgroup(res_h, res_x)
 
@@ -815,10 +830,12 @@ def _verify_row10(claim, rng, seed, record) -> VerificationReport:
 
 
 def _conjugate_group(G: GroupSpec, x: GroupElement, name: str) -> GroupSpec:
+    """x^-1 G x, with G's certified chain relabeled rather than rebuilt."""
     xin = sl_inverse(x)
     gens = [sl_compose(sl_compose(xin, g), x) for g in G.generators]
     return GroupSpec(name, G.n, G.spec, gens, claimed_order=G.claimed_order,
-                     provenance=f"{G.name} conjugated", action_tag=G.action_tag)
+                     provenance=f"{G.name} conjugated", action_tag=G.action_tag,
+                     _chain=G.chain().conjugate(x))
 
 
 def property_suite_section2(claim, rng, samples=50, record=False) -> tuple[list[StrategyResult], dict]:

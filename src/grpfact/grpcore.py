@@ -9,10 +9,26 @@ happens when an element leaves the core: as a generator of a returned
 ``GroupSpec`` (accepted Schreier generators, derived-subgroup generators,
 enumerated intersections, searched witnesses) or as a random element used
 as a matrix (product-membership samples, conjugating elements).
-Stabilizer chains use randomized Schreier-Sims: with a known (claimed)
-target order the build is Las Vegas and the reached order is itself the
-certificate; with an unknown order a Monte Carlo phase is followed by a
-full deterministic Schreier generator verification pass.
+
+Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
+a partial chain, so its order is a lower bound on the group's order, and
+one of three certificates makes it exact:
+
+* known order: the caller has an a-priori group of that order containing
+  the generators, the Las Vegas build reaches it, and the reached order is
+  the certificate (``post_verify`` adds a Schreier pass for searched
+  candidates, which have no such group);
+* bound: the certified order of a group known to contain the generated
+  one, on the same action or with both actions faithful; a Monte Carlo
+  chain that reaches it is complete (sandwich), one above it is refused;
+* Schreier pass: otherwise a deterministic Schreier generator check runs
+  after the Monte Carlo phase.
+
+Chains that follow from a certified chain are inherited rather than
+rebuilt: ``stabilizer_generators`` returns the chain it completed (its
+order |G|/|orbit| is the orbit-stabilizer certificate), ``derived_subgroup``
+and ``solvable_residual`` return the chains they certified, and
+``StabChain.conjugate`` relabels a chain through a conjugating element.
 """
 
 from __future__ import annotations
@@ -205,16 +221,27 @@ class StabChain:
         max_stall: int | None = None,
         tracked: list["Tracked"] | None = None,
         post_verify: bool = False,
+        bound: int | None = None,
     ) -> "StabChain":
-        """Chain construction.
+        """Chain construction, certified by one of three certificates.
 
-        A known_order build is a certificate only when the caller has an
-        a-priori upper bound group of that order containing the generators
-        (determinant/form/block-shape invariants, homomorphic images, ...).
-        Without such a bound - searched candidates in particular - the
-        generated group can exceed the claim while the orbit-length product
-        passes through it; post_verify=True closes that hole by running the
-        deterministic Schreier check and rejecting any growth.
+        Known order: a known_order build is a certificate only when the
+        caller has an a-priori upper bound group of that order containing
+        the generators (determinant/form/block-shape invariants, homomorphic
+        images, ...).  Without such a group - searched candidates in
+        particular - the generated group can exceed the claim while the
+        orbit-length product passes through it; post_verify=True closes that
+        hole by running the deterministic Schreier check and rejecting any
+        growth.
+
+        Bound: with an unknown order, ``bound`` is the certified order of a
+        group P known to contain the generated group S, on this action or
+        with both actions faithful.  The Monte Carlo chain's order is a
+        lower bound on |S|, so a chain that reaches |P| proves S = P and
+        needs no Schreier pass; a chain above it raises CertificationError.
+
+        Schreier pass: a chain below its bound, or built without one, ends
+        in the deterministic Schreier generator check.
         """
         chain = cls(domain, base_hint)
         rng = rng if rng is not None else np.random.default_rng(zlib.crc32(name.encode()) or 1)
@@ -240,7 +267,7 @@ class StabChain:
                     )
         else:
             chain._build_monte_carlo(nontrivial, rng)
-            chain._verify_loop()
+            chain._certify(bound, name)
         chain.verified = True
         return chain
 
@@ -277,6 +304,16 @@ class StabChain:
         quiet = 0
         while quiet < self.QUIET_ROUNDS:
             quiet = 0 if self._add(rat.sample()) else quiet + 1
+
+    def _certify(self, bound: int | None, name: str):
+        """Make a Monte Carlo chain exact: at its bound it is complete,
+        below it (or without one) the Schreier pass completes it."""
+        if bound is None or self.order() < bound:
+            self._verify_loop()
+        if bound is not None and self.order() > bound:
+            raise CertificationError(
+                f"{name}: generated group has order {self.order()}, exceeding its bound {bound}"
+            )
 
     def _verify_loop(self):
         while True:
@@ -372,6 +409,40 @@ class StabChain:
         t = g if isinstance(g, Tracked) else Tracked(g, self.domain.perm_of(g))
         self.originals.append(t)
         return self._add(t)
+
+    def conjugate(self, x: GroupElement) -> "StabChain":
+        """The chain of x^-1 G x, relabeled through perm(x) without a build.
+
+        x maps base point b to the conjugate's base point x(b), and the
+        orbits and Schreier vectors move the same way; each generator t
+        becomes x^-1 t x, whose matrix is composed only when read.  The
+        relabeled chain carries this chain's certificate.
+        """
+        xt = Tracked(x, self.domain.perm_of(x))
+        pi, x_inv = xt.perm, xt.inverse()
+        out = StabChain(self.domain)
+        images: dict[int, Tracked] = {}
+
+        def conj(t: Tracked) -> Tracked:
+            if id(t) not in images:
+                perm = np.empty_like(t.perm)
+                perm[pi] = pi[t.perm]
+                images[id(t)] = Tracked(_Lazy(args=(x_inv._node, _Lazy(args=(t._node, xt._node)))), perm)
+            return images[id(t)]
+
+        for level in self.levels:
+            new = _Level(int(pi[level.base]))
+            new.own = [conj(t) for t in level.own]
+            new.eff = [conj(t) for t in level.eff]
+            new.orbit = pi[level.orbit]
+            new.seen = np.empty_like(level.seen)
+            new.seen[pi] = level.seen
+            new.par = np.empty_like(level.par)
+            new.par[pi] = level.par
+            out.levels.append(new)
+        out.originals = [conj(t) for t in self.originals]
+        out.verified = self.verified
+        return out
 
     # -- queries ----------------------------------------------------------------
 
@@ -685,7 +756,10 @@ def stabilizer_generators(
 
     Transversals are composed as permutations on the home domain along the
     Schreier vector, only for the orbit points the loop reaches; matrices
-    are read only for the Schreier generators the chain accepts.
+    are read only for the Schreier generators the chain accepts.  The
+    Schreier generators lie in the stabilizer, whose order is |G|/|orbit|,
+    so the chain that reaches that order is complete: the returned spec
+    keeps it as its certified chain.
     """
     action = Action(point.tag, group.spec, group.n)
     orb = orbit_with_transporters(group.generators, point, action)
@@ -719,16 +793,22 @@ def stabilizer_generators(
             u = rep(i)
             for gi, g in enumerate(gens):
                 s = t_compose(t_compose(u, g), rep(int(images[gi][i])).inverse())
-                if chain.add_element(s):
+                if chain._add(s):
+                    chain.originals.append(s)
                     gens_out.append(s.elem)
                 if chain.order() == target:
                     done = True
                     break
+        if chain.order() < target:
+            # the Schreier generators generate the stabilizer, but sifting
+            # them one by one can leave a partial chain short of it
+            chain._verify_loop()
         if chain.order() != target:
             raise CertificationError(
                 f"{stab_name}: Schreier generators reached {chain.order()}, expected {target}"
             )
-    spec_out = GroupSpec(
+    chain.verified = True
+    return GroupSpec(
         stab_name,
         group.n,
         group.spec,
@@ -736,20 +816,26 @@ def stabilizer_generators(
         claimed_order=target,
         provenance=f"stabilizer of {point.tag} point in {group.name}",
         action_tag=group.action_tag,
+        _chain=chain,
     )
-    return spec_out
 
 
 # ---------------------------------------------------------------------------
 # derived series / solvable residual
 
 
-def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> GroupSpec:
+def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
+                     within: GroupSpec | None = None) -> GroupSpec:
     """Normal closure of generator commutators, with verified closure fixpoint.
 
     Commutators and their conjugates always have trivial duality bit, so the
     derived subgroup acts on bare vectors even when the parent does not; the
-    vector domain is both faithful and much smaller than a pair domain.
+    vector domain is faithful for it and much smaller than a pair domain.
+    The pair domain is faithful for the parent, so the parent's order bounds
+    the derived subgroup's on either domain (D <= parent).  ``within``'s
+    order is a second bound when it is smaller, its chain is on the same
+    domain, and the commutators sift into that chain.  The returned spec
+    keeps the certified chain.
     """
     rng = rng if rng is not None else np.random.default_rng(zlib.crc32(group.name.encode()) or 1)
     derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
@@ -760,7 +846,15 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> Gro
         for b in gens:
             c = sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b))
             comms.append(c)
-    chain = StabChain.build(domain, comms, rng=rng, name=(name or group.name) + "'")
+    tracked = [Tracked(c, domain.perm_of(c)) for c in comms]
+    parent_order = group.order()
+    bound = parent_order
+    if within is not None and within.order() < bound:
+        wchain = within.chain()
+        if wchain.domain is domain and all(wchain.contains_tracked(t) for t in tracked):
+            bound = within.order()
+    label = (name or group.name) + "'"
+    chain = StabChain.build(domain, comms, rng=rng, name=label, tracked=tracked, bound=bound)
     current = [t.elem for lvl in chain.levels for t in lvl.own]
     changed = True
     while changed:
@@ -774,7 +868,8 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> Gro
                     changed = True
         if changed:
             chain._build_monte_carlo([Tracked(e, domain.perm_of(e)) for e in current], rng)
-            chain._verify_loop()
+            chain._certify(parent_order, label)
+            chain.verified = True
     out_gens = current or [group.identity()]
     return GroupSpec(
         name or f"{group.name}'",
@@ -784,16 +879,18 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> Gro
         claimed_order=chain.order(),
         provenance=f"derived subgroup of {group.name}",
         action_tag=derived_tag,
+        _chain=chain,
     )
 
 
-def solvable_residual(group: GroupSpec, rng=None) -> GroupSpec:
-    """Limit of the derived series."""
+def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = None) -> GroupSpec:
+    """Limit of the derived series; ``within`` bounds each derived step
+    (see derived_subgroup), and the residual keeps its certified chain."""
     cur = group
     cur_order = cur.order()
     step = 0
     while True:
-        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step + 1})")
+        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step + 1})", within=within)
         nxt_order = nxt.order()
         if nxt_order == cur_order:
             return cur.with_name(f"{group.name}^(inf)") if step else GroupSpec(
@@ -804,6 +901,7 @@ def solvable_residual(group: GroupSpec, rng=None) -> GroupSpec:
                 claimed_order=cur_order,
                 provenance=f"solvable residual of {group.name}",
                 action_tag=group.action_tag,
+                _chain=cur.chain(),
             )
         cur, cur_order = nxt, nxt_order
         step += 1

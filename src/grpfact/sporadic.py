@@ -362,6 +362,17 @@ def _closure_elements(gens: list[GroupElement], cap: int = 4096) -> set[GroupEle
     return els
 
 
+def require_minus_identity(group: GroupSpec) -> None:
+    """Over GF(3) the scalars are +-I, so a linear group's projective image
+    has half its order exactly when -I lies in the group; sift -I in the
+    group's certified chain."""
+    spec = group.spec
+    minus_one = GroupElement(Mat(spec, np.eye(group.n, dtype=np.int64) * spec.neg(1)))
+    if not group.contains(minus_one):
+        raise CertificationError(f"{group.name}: -I is not in the group, so its projective image "
+                                 f"does not have half its order {group.order()}")
+
+
 def locate_2_4_a5(rng, max_tries: int = 60000) -> tuple[GroupSpec, dict]:
     """2^4:A5 < PSL_4(3) as the extraspecial normalizer's solvable residual."""
     F3 = make_field(3, 1)
@@ -394,6 +405,7 @@ def locate_2_4_a5(rng, max_tries: int = 60000) -> tuple[GroupSpec, dict]:
             residual = None
     if residual is None:
         raise SearchBudgetError(f"2^(1+4) normalizer search exhausted ({max_tries} tries)")
+    require_minus_identity(residual)
     projective = GroupSpec(
         "2^4:A5<PSL_4(3)",
         4,

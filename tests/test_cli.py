@@ -36,6 +36,18 @@ def test_byte_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_memory_budget_below_the_orbit_target_skips_the_orbit(tmp_path):
+    # 16 MB holds 699,050 points, far below row 14's 8,386,560 pair points
+    rc = main(["verify", "--row", "t1r14-ext", "--memory-budget", "16", "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "t1r14-ext.json").read_text())
+    orbit = next(s for s in report["strategies"] if s["name"] == "orbit")
+    assert orbit["verdict"] == "skipped"
+    assert orbit["details"]["max_points"] < orbit["details"]["target"] == 8386560
+    assert "memory budget" in orbit["details"]["reason"]
+    # a skipped certificate is left out of the vote; the others decide
+    assert rc == 0 and report["overall"] == "pass"
+
+
 def test_order_sweep_csv(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     rc = main(["tools", "order", "--sweep", "--csv", str(csv_path)])
@@ -60,6 +72,14 @@ def test_orbit_tool_pair(capsys):
     assert main(["tools", "orbit", "--group", "SL:4:2", "--point", "e1;e1",
                  "--action", "pair"]) == 0
     assert ": 120" in capsys.readouterr().out
+
+
+def test_orbit_tool_over_budget_reports_instead_of_raising(capsys, monkeypatch):
+    # 1 MB holds the 65,536-point floor; SL_10(2) has 523,776 pair points
+    monkeypatch.setenv("GRPFACT_MEMORY_BUDGET_MB", "1")
+    assert main(["tools", "orbit", "--group", "SL:10:2", "--point", "e1;e1",
+                 "--action", "pair"]) == 1
+    assert "exceeded 65536 points" in capsys.readouterr().err
 
 
 def test_intersect_tool(capsys):

@@ -17,6 +17,7 @@ from grpfact.factorize import (
     verify_claim,
 )
 from grpfact.grpcore import GroupSpec
+from grpfact.linalg import VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 
 
@@ -185,3 +186,30 @@ def test_row14_extended_orbit_covers_every_pair_point(catalog):
     setup = factorize.build_setup(claim, np.random.default_rng(claim_seed(claim.claim_id, 20260810)))
     assert setup.orbit_seed.tag == "pair"
     assert grpcore.orbit(setup.H, setup.orbit_seed).size == (2**12 - 1) * 2**11
+
+
+@pytest.mark.parametrize("claim_id", ["t1r04-sp-m4", "t1r06-m2", "t1r07-m2"])
+def test_check_tight_needs_no_schreier_pass(catalog, claim_id, monkeypatch):
+    # each derived chain reaches its parent's order or the catalog X's order,
+    # so the bounds certify it and the Schreier pass never runs
+    claim = catalog.claim_by_id(claim_id)
+    rng = np.random.default_rng(claim_seed(claim_id, 20260810))
+    setup = factorize.build_setup(claim, rng)
+    calls = []
+    monkeypatch.setattr(grpcore.StabChain, "_verify_loop", lambda chain: calls.append(chain.order()))
+    assert check_tight(setup.H, setup.tight_target, rng=rng)
+    assert calls == []
+
+
+def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
+    # a target the budget holds, and an orbit that outgrows the budget
+    # before it closes: the strategy fails with the budget error as reason
+    setup = factorize.ClaimSetup(
+        orders.sl_order(4, 2), classical_generators("SL", 4, 2), stabilizer_subgroup("vector", 4, 2),
+        orbit_seed=ActionPoint(VECTOR, (1, 0, 0, 0)), orbit_target=8,
+    )
+    res = factorize._run_orbit(None, setup, None, False, max_points=10)
+    assert res.verdict == "fail"
+    assert "exceeded" in res.details["reason"] and res.details["max_points"] == 10
+    res = factorize._run_orbit(None, setup, None, False, max_points=4)
+    assert res.verdict == "skipped" and res.details["target"] == 8

@@ -7,10 +7,11 @@ import pytest
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import gf, grpcore
-from grpfact.constructors import automorphism_element, classical_generators, stabilizer_subgroup
+from grpfact.constructors import automorphism_element, classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
+    derived_subgroup,
     StabChain,
     Tracked,
     element_order_perm,
@@ -208,6 +209,108 @@ def test_post_verify_rejects_supergroup_masquerade():
     except CertificationError:
         return  # either failure mode is a correct rejection
     pytest.fail(f"order-24 claim accepted for a group of order {chain.order()}")
+
+
+# ---------------------------------------------------------------------------
+# certificates other than the Schreier pass: look-alikes must not pass them
+
+
+@pytest.fixture
+def verify_loop_calls(monkeypatch):
+    calls = []
+    schreier_pass = StabChain._verify_loop
+
+    def spy(chain):
+        calls.append(chain.order())
+        schreier_pass(chain)
+
+    monkeypatch.setattr(StabChain, "_verify_loop", spy)
+    return calls
+
+
+def _conjugate_gens(gens, x):
+    return [sl_compose(sl_compose(sl_inverse(x), g), x) for g in gens]
+
+
+def _non_normalizing_element(G: GroupSpec, X: GroupSpec, rng) -> GroupElement:
+    chain = G.chain()
+    while True:
+        x = chain.random_element(rng).elem
+        if not all(X.contains(g) for g in _conjugate_gens(X.generators, x)):
+            return x
+
+
+def test_caller_bound_that_does_not_contain_the_derived_subgroup_does_not_certify(verify_loop_calls):
+    # H = SL_2(4).2 blown into SL_4(2); H' = X = SL_2(4) has order 60 and the
+    # parent bound |H| = 120 is never reached, so only a caller bound could
+    # skip the Schreier pass
+    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    X = ext_subgroup("SL", 2, 2, 2)
+    D = derived_subgroup(H, within=X)
+    assert D.order() == 60 and verify_loop_calls == []
+    # a conjugate of X has the right order but does not contain H'
+    x = _non_normalizing_element(classical_generators("SL", 4, 2), X, np.random.default_rng(3))
+    X_conj = GroupSpec("X^x", 4, X.spec, _conjugate_gens(X.generators, x), claimed_order=60)
+    D = derived_subgroup(H, within=X_conj)
+    assert verify_loop_calls, "a caller bound that does not contain H' certified it"
+    assert D.order() == 60
+
+
+def test_monte_carlo_short_of_its_bound_falls_back_to_the_schreier_pass(monkeypatch, verify_loop_calls):
+    G = classical_generators("SL", 4, 2)  # order 20160
+    dom = shared_domain(VECTOR, G.spec, 4)
+    partial = StabChain(dom)
+    for g in G.generators:
+        partial._add(Tracked(g, dom.perm_of(g)))
+    assert partial.order() < 20160  # the generators alone stop short
+    monkeypatch.setattr(StabChain, "QUIET_ROUNDS", 0)
+    chain = StabChain.build(dom, G.generators, bound=20160, name="short")
+    assert verify_loop_calls and verify_loop_calls[0] < 20160
+    assert chain.order() == 20160
+
+
+def test_chain_above_its_bound_is_refused():
+    G = classical_generators("SL", 3, 2)  # true order 168
+    dom = shared_domain(VECTOR, G.spec, 3)
+    with pytest.raises(CertificationError):
+        StabChain.build(dom, G.generators, bound=24, name="too big")
+
+
+def test_conjugate_chain_matches_a_fresh_build():
+    G = classical_generators("SL", 4, 2)
+    X = ext_subgroup("SL", 2, 2, 2)
+    rng = np.random.default_rng(11)
+    x = _non_normalizing_element(G, X, rng)
+    conj = X.chain().conjugate(x)
+    dom = conj.domain
+    fresh = StabChain.build(dom, _conjugate_gens(X.generators, x), name="fresh")
+    assert conj.verified and conj.order() == fresh.order() == 60
+    for lvl in conj.levels:
+        for t in lvl.own:
+            assert np.array_equal(dom.perm_of(t.elem), t.perm)
+    for _ in range(200):
+        t = fresh.random_element(rng)
+        assert conj.contains_tracked(t)
+        u = conj.random_element(rng)
+        assert fresh.contains_tracked(u)
+        assert np.array_equal(dom.perm_of(u.elem), u.perm)
+    gchain = G.chain()
+    outside = 0
+    while outside < 200:
+        t = gchain.random_element(rng)
+        if not fresh.contains_tracked(t):
+            assert not conj.contains_tracked(t)
+            outside += 1
+
+
+def test_stabilizer_generators_keeps_its_certified_chain():
+    G = classical_generators("SL", 4, 2)
+    S = stabilizer_generators(G, canonical_point(VECTOR, (1, 0, 0, 0)))
+    kept = S._chain
+    assert kept is not None and kept.verified
+    rebuilt = StabChain.build(kept.domain, S.generators, name="rebuild")
+    assert kept.order() == rebuilt.order() == 20160 // 15
+    assert S.order() == kept.order()
 
 
 def test_orbit_budget_error():

@@ -1,0 +1,35 @@
+"""Byte-identity guard: default-seed reports of fast claims must not move.
+
+The digests are sha256 of ``json.dumps(report, sort_keys=True)`` for
+``verify_claim`` at the default seed.  They cover claims whose chains are
+certified by tightness bounds, inherited from stabilizer computations or
+conjugated, so a performance change that alters what a report says fails
+here.  A deliberate behaviour change must update a digest and say which
+report keys moved.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from grpfact.catalog import load_catalog
+from grpfact.factorize import verify_claim
+
+DIGESTS = {
+    "t1r04-m2": "0c00089eda0e364d2bd203541854d39bc61bf77a2e967b386a0f7cf252ad9bab",
+    "t1r04-sp-m4": "fb87ef72ce2640a6df245508710fa2e41b3d86c939b5a88cf554fa1c1f2e39ca",
+    "t1r06-m2": "c5afa2049c9e9c7c346e4f156b72059ab1056de9df92dfaa296ee26f9b4eead4",
+    "t1r07-m2": "026b4ef7c08a6505e5c515e55447eafe3c7c346cc5c6cefac49386c334bdacc2",
+    "t1r08-q4-sp": "a96412d0a7918ce72353e64d87c26c31e0c91d66d1da50c19d23d22a94b840af",
+    "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
+    "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(DIGESTS))
+def test_default_report_bytes_are_pinned(claim_id):
+    claim = load_catalog().claim_by_id(claim_id)
+    report = verify_claim(claim).as_dict()
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest == DIGESTS[claim_id]

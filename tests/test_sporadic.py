@@ -73,3 +73,14 @@ def test_extension_ambients():
     for outer in ("gamma", "phi", "phi_gamma"):
         Z = sporadic.psl3_4_ext(outer)
         assert Z.order() == 40320
+
+
+def test_minus_identity_check():
+    # row 12c halves the residual's order in its projective image, which
+    # needs -I in the residual
+    from grpfact.constructors import classical_generators
+    from grpfact.grpcore import CertificationError
+
+    sporadic.require_minus_identity(classical_generators("SL", 2, 3))
+    with pytest.raises(CertificationError):
+        sporadic.require_minus_identity(classical_generators("SL", 3, 3))  # det(-I) = -1
