@@ -213,30 +213,35 @@ class Action:
                 step = q ** (lead + 1)
                 parts.append(base + step * np.arange(q ** (n - lead - 1), dtype=np.int64))
             return np.concatenate(parts)
-        keys = []
+        # two-sided: for each vector v (nonzero, or normalized for antiflags)
+        # the functionals w with w.v = 1, w's free digits (all but v's pivot,
+        # the first nonzero coordinate) counting up and w[pivot] solved
         spec = self.spec
-        v_iter = (
+        add, mul = spec.add_table.astype(np.int64), spec.mul_table.astype(np.int64)
+        vkeys = (
             np.arange(1, q**n, dtype=np.int64)
             if self.tag == PAIR
             else Action(PROJECTIVE, spec, n).all_keys()
         )
-        qn = q**n
-        for vkey in v_iter:
-            v = unpack_point(VECTOR, int(vkey), q, n).data
-            piv = next(i for i, x in enumerate(v) if x)
-            piv_inv = spec.inv(v[piv])
+        V = Action(VECTOR, spec, n)._unpack_digits(vkeys)
+        pivots = (V != 0).argmax(axis=1)
+        fdigits = Action(VECTOR, spec, n - 1)._unpack_digits(np.arange(q ** (n - 1), dtype=np.int64))
+        powers = q ** np.arange(n, dtype=np.int64)
+        wkeys = np.empty((len(vkeys), q ** (n - 1)), dtype=np.int64)
+        for piv in range(n):
+            rows = np.flatnonzero(pivots == piv)
+            if not rows.size:
+                continue
             free = [i for i in range(n) if i != piv]
-            for fkey in range(q ** (n - 1)):
-                w = [0] * n
-                rest = fkey
-                acc = 0
-                for i in free:
-                    w[i] = rest % q
-                    rest //= q
-                    acc = spec.add(acc, spec.mul(w[i], v[i]))
-                w[piv] = spec.mul(spec.add(1, spec.neg(acc)), piv_inv)
-                keys.append(int(vkey) + qn * sum(w[i] * q**i for i in range(n)))
-        return np.array(keys, dtype=np.int64)
+            acc = np.zeros((rows.size, q ** (n - 1)), dtype=np.int64)
+            wkey = np.zeros_like(acc)
+            for j, i in enumerate(free):
+                acc = add[acc, mul[fdigits[None, :, j], V[rows, i][:, None]]]
+                wkey += fdigits[None, :, j] * powers[i]
+            rhs = add[1, spec.neg_table[acc]]
+            wpiv = mul[rhs, spec.inv_table[V[rows, piv]].astype(np.int64)[:, None]]
+            wkeys[rows] = wkey + wpiv * powers[piv]
+        return (vkeys[:, None] + q**n * wkeys).ravel()
 
 
 class PermDomain:

@@ -52,7 +52,6 @@ from .grpcore import (
     CertificationError,
     GroupSpec,
     OrbitBudgetError,
-    element_order_perm,
     orbit,
     orbit_with_transporters,
     same_subgroup,
@@ -174,9 +173,7 @@ def structure_hint(group: GroupSpec, cap: int = 10_000) -> str:
     order = group.order()
     if order > cap:
         return f"order {order}"
-    spectrum = frozenset(
-        element_order_perm(t.perm) for t in group.chain().elements()
-    )
+    spectrum = sporadic.exact_spectrum(group.chain())
     return _HINTS.get((order, spectrum), f"order {order}, spectrum {sorted(spectrum)}")
 
 
@@ -888,19 +885,15 @@ def _conjugation_samples(claim, rng, samples):
             orb = orbit(Hx, omega_y)
             inter = stabilizer_generators(Hx, omega_y)
             ok = orb.size == (2**4 - 1) and inter.order() == base_inter
-            spec_ok = _spectrum_of(inter) == frozenset({1, 2})
+            spec_ok = sporadic.exact_spectrum(inter.chain()) == frozenset({1, 2})
         else:
             Ky = _conjugate_group(K, y, "K^y")
             inter = intersect(Hx, Ky, "enumerate_smaller")
             ok = G.order() * inter.order() == Hx.order() * Ky.order() and inter.order() == base_inter
-            spec_ok = _spectrum_of(inter) == frozenset({1, 2, 5})
+            spec_ok = sporadic.exact_spectrum(inter.chain()) == frozenset({1, 2, 5})
         stable += 1 if ok else 0
         spectra_ok += 1 if spec_ok else 0
     return G, H, K, base_inter, stable, spectra_ok
-
-
-def _spectrum_of(group: GroupSpec) -> frozenset:
-    return frozenset(element_order_perm(t.perm) for t in group.chain().elements())
 
 
 def _verify_suite(claim, rng, seed, record) -> VerificationReport:

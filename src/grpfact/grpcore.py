@@ -33,6 +33,7 @@ and ``solvable_residual`` return the chains they certified, and
 
 from __future__ import annotations
 
+import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
@@ -367,6 +368,8 @@ class StabChain:
         path = []
         b = beta
         while b != level.base:
+            if len(path) == len(level.orbit):
+                raise CertificationError(f"Schreier vector of level {li} does not lead {beta} to its base")
             e = level.eff[int(level.par[b])]
             path.append(e)
             b = int(e.inverse().perm[b])
@@ -384,7 +387,11 @@ class StabChain:
                 continue
             if not level.seen[beta]:
                 return u, li
+            steps = 0
             while beta != level.base:
+                if steps == len(level.orbit):
+                    raise CertificationError(f"Schreier vector of level {li} does not lead a sift to its base")
+                steps += 1
                 e = level.eff[int(level.par[beta])]
                 einv = e.inverse()
                 u = t_compose(u, einv)
@@ -506,6 +513,27 @@ class StabChain:
                 yield from walk(i + 1, t_compose(acc, t))
 
         yield from walk(0, self.ident)
+
+    def element_perm_blocks(self, max_entries: int = 1 << 16):
+        """The group's elements as stacked (k, N) permutation arrays, in the
+        order of ``elements``, each of at most max_entries entries (or one
+        element).  The innermost levels of the walk are multiplied out as
+        one block by fancy indexing, and the outer levels are walked one
+        prefix at a time, so no matrix is composed."""
+        N = self.domain.size
+        trans = [np.stack([self._transversal(li, int(b)).perm for b in self.levels[li].orbit])
+                 for li in range(len(self.levels) - 1, -1, -1)]
+        block, split = self._arange[None, :], len(trans)
+        while split and len(block) * len(trans[split - 1]) * N <= max_entries:
+            split -= 1
+            # entry [i, j] applies transversal i, then block element j
+            block = block[np.arange(len(block))[None, :, None], trans[split][:, None, :]].reshape(-1, N)
+        outer = trans[:split]
+        for idx in itertools.product(*(range(len(T)) for T in outer)):
+            prefix = self._arange
+            for T, i in zip(outer, idx):
+                prefix = T[i][prefix]
+            yield block[:, prefix]
 
 
 # ---------------------------------------------------------------------------
@@ -936,20 +964,34 @@ def tracked_power(t: Tracked, e: int) -> Tracked:
     return out
 
 
-def element_order_perm(perm: np.ndarray) -> int:
-    """Order of a permutation: lcm of cycle lengths.
+def element_orders(perms: np.ndarray) -> list[int]:
+    """Orders of the stacked permutations perms[i] (shape (k, N)).
 
-    Pointer doubling labels every point with the least point of its cycle;
-    the label counts are the cycle lengths, and their lcm is taken on
-    Python ints, which do not overflow.
+    Pointer doubling labels every point with the least point of its cycle,
+    all rows at once; the label counts are the cycle lengths, and the lcm
+    of each row's distinct lengths is taken on Python ints, which do not
+    overflow.
     """
-    label = np.arange(len(perm))
-    jump = np.asarray(perm)
+    k, N = np.shape(perms)
+    dtype = np.int32 if k * N < 2**31 else np.int64
+    # one flat permutation of k * N points, row i shifted by i * N
+    jump = (np.asarray(perms, dtype=dtype) + N * np.arange(k, dtype=dtype)[:, None]).ravel()
+    label = np.arange(k * N, dtype=dtype)
     while True:
         nxt = np.minimum(label, label[jump])
         if np.array_equal(nxt, label):
             break
         label = nxt
         jump = jump[jump]
-    lengths = np.bincount(label)
-    return math.lcm(*np.unique(lengths[lengths > 0]).tolist())
+    counts = np.bincount(label, minlength=k * N)
+    roots = np.flatnonzero(counts)
+    pairs = np.unique(roots // N * (N + 1) + counts[roots])
+    lengths: list[list[int]] = [[] for _ in range(k)]
+    for row, length in zip((pairs // (N + 1)).tolist(), (pairs % (N + 1)).tolist()):
+        lengths[row].append(length)
+    return [math.lcm(*ls) for ls in lengths]
+
+
+def element_order_perm(perm: np.ndarray) -> int:
+    """Order of one permutation: lcm of cycle lengths (``element_orders``)."""
+    return element_orders(np.asarray(perm)[None, :])[0]

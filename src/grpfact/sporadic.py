@@ -21,6 +21,7 @@ from .grpcore import (
     StabChain,
     Tracked,
     element_order_perm,
+    element_orders,
     shared_domain,
     solvable_residual,
     t_compose,
@@ -91,7 +92,8 @@ def _walk_rejects(a: Tracked, b: Tracked, allowed, rng, samples: int = 16) -> bo
 
 
 def exact_spectrum(chain: StabChain) -> frozenset[int]:
-    return frozenset(element_order_perm(t.perm) for t in chain.elements())
+    """The set of element orders of a small group, by enumeration."""
+    return frozenset(o for block in chain.element_perm_blocks() for o in element_orders(block))
 
 
 def two_generator_search(
@@ -420,7 +422,13 @@ def locate_2_4_a5(rng, max_tries: int = 60000) -> tuple[GroupSpec, dict]:
 
 
 def _sl2_13_group():
-    """All 2184 elements of SL_2(13) as 2x2 tuples, plus generator words."""
+    """SL_2(13) as 2x2 tuples, enumerated by BFS from the identity under
+    right multiplication by C (order 13) and S (S^2 = -1).
+
+    Returns C, S, tmul, the elements in BFS order, their index, and the
+    BFS tree: the levels as index arrays, and for each element i > 0 the
+    (parent, generator) edge with elements[i] = elements[parent] * gen.
+    """
     P = 13
     def tmul(a, b):
         return (
@@ -431,26 +439,32 @@ def _sl2_13_group():
         )
     C = (1, 1, 0, 1)
     S = (0, P - 1, 1, 0)
-    ident = (1, 0, 0, 1)
-    words = {ident: ()}
-    frontier = [ident]
-    while frontier:
+    els = [(1, 0, 0, 1)]
+    index = {els[0]: 0}
+    parent, gen, levels = [0], [0], [[0]]
+    while levels[-1]:
         new = []
-        for g in frontier:
+        for i in levels[-1]:
             for gi, h in enumerate((C, S)):
-                x = tmul(g, h)
-                if x not in words:
-                    words[x] = words[g] + (gi,)
-                    new.append(x)
-        frontier = new
-    return C, S, ident, tmul, words
+                x = tmul(els[i], h)
+                if x not in index:
+                    index[x] = len(els)
+                    new.append(len(els))
+                    els.append(x)
+                    parent.append(i)
+                    gen.append(gi)
+        levels.append(new)
+    tree = ([np.array(lv, dtype=np.int64) for lv in levels[:-1]],
+            np.array(parent, dtype=np.int64), np.array(gen, dtype=np.int64))
+    return C, S, tmul, els, index, tree
 
 
 def _sl2_13_torus_module():
     """156-dim GF(3) module induced from the order-2 character of the C14 torus."""
     P = 13
-    C, S, ident, tmul, words = _sl2_13_group()
-    els = sorted(words)
+    C, S, tmul, elements, _, _ = _sl2_13_group()
+    ident = elements[0]
+    els = sorted(elements)
     def torder(t):
         k, x = 1, t
         while x != ident:
@@ -472,31 +486,41 @@ def _sl2_13_torus_module():
             cos_of[key] = len(cos_of)
     keys = sorted(cos_of, key=lambda k: cos_of[k])
     reps = [coset_rep[k] for k in keys]
-    def inv2(t):
-        d = (t[0] * t[3] - t[1] * t[2]) % P
-        di = pow(d, -1, P)
-        return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
     def module_matrix(h):
         M = np.zeros((156, 156), dtype=np.int64)
         for j, r in enumerate(reps):
             gh = tmul(r, h)
             i = cos_of[min(tmul(t, gh) for t in torus)]
-            t = tmul(gh, inv2(reps[i]))
+            t = tmul(gh, _inv2(reps[i]))
             M[i, j] = 1 if tor_exp[t] % 2 == 0 else 2
         return M
-    return module_matrix(C), module_matrix(S), (C, S, tmul, words)
+    return module_matrix(C), module_matrix(S), (C, S, tmul)
 
 
-def _psl2_13_matrices(rng):
-    """6-dim GF(3) matrices for the SL_2(13) generators c (order 13), s (s^2 = -1).
+def _inv2(t):
+    P = 13
+    d = (t[0] * t[3] - t[1] * t[2]) % P
+    di = pow(d, -1, P)
+    return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
+
+
+def derive_psl2_13_module(rng) -> tuple[np.ndarray, np.ndarray]:
+    """Provenance of the literal module: 6-dim GF(3) matrices for the SL_2(13)
+    generators C (order 13) and S (S^2 = -1) of ``_sl2_13_group``.
 
     The faithful 6-dim module is a defect-zero constituent: it is carved out
     of (14-dim faithful submodule) tensor (7-dim submodule of the signed
-    projective-line module) by minimal-polynomial kernel spins.
+    projective-line module) by three ``meataxe.chop_for_dimension`` hunts
+    for minimal-polynomial kernel spins, which draw from rng.  SL_2(13) has
+    two 6-dim modules over GF(3), swapped by the outer automorphism, and
+    the seed decides which one the hunts carve out; both have the same
+    image group.  The verify path does not run this: it certifies the
+    literal ``_PSL2_13_C6``, ``_PSL2_13_S6`` that this returns at
+    ``_PSL2_13_SEED``.
     """
     from . import meataxe as mx
 
-    MC, MS, grp = _sl2_13_torus_module()
+    MC, MS, (C2, S2, tmul) = _sl2_13_torus_module()
     U14 = mx.chop_for_dimension([MC, MS], 14, 3, rng)
     if U14 is None:
         raise SearchBudgetError("no 14-dim faithful constituent found")
@@ -513,16 +537,11 @@ def _psl2_13_matrices(rng):
     idx = {x: i for i, x in enumerate(pts)}
     reps = {a: (a, 1, 1, 0) for a in range(P)}
     reps["inf"] = (1, 0, 0, 1)
-    C2, S2, tmul, words = grp[0], grp[1], grp[2], grp[3]
-    def inv2(t):
-        d = (t[0] * t[3] - t[1] * t[2]) % P
-        di = pow(d, -1, P)
-        return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
     def signed_matrix(g):
         M = np.zeros((14, 14), dtype=np.int64)
         for x in pts:
             gx = act(g, x)
-            b = tmul(inv2(reps[gx]), tmul(g, reps[x]))
+            b = tmul(_inv2(reps[gx]), tmul(g, reps[x]))
             sgn = pow(b[0] % P, (P - 1) // 2, P)
             M[idx[gx], idx[x]] = 1 if sgn == 1 else 2
         return M
@@ -536,11 +555,71 @@ def _psl2_13_matrices(rng):
     if U6 is None:
         raise SearchBudgetError("no 6-dim constituent in the 14x7 tensor")
     A6 = [mx.action_on(U6, g, 3) for g in T]
-    return A6[0], A6[1], (C2, S2, tmul, words)
+    return A6[0], A6[1]
+
+
+# The images of _sl2_13_group's C and S in a 6-dim GF(3) module of
+# SL_2(13): derive_psl2_13_module(np.random.default_rng(_PSL2_13_SEED))
+# returns exactly these (seed 4).  Their certificate is
+# certify_psl2_13_module, run on every use.
+_PSL2_13_SEED = 4
+_PSL2_13_C6 = np.array([
+    [0, 1, 0, 2, 2, 1],
+    [0, 2, 2, 1, 0, 1],
+    [0, 1, 0, 1, 1, 1],
+    [0, 0, 1, 0, 1, 2],
+    [2, 0, 0, 2, 0, 0],
+    [0, 0, 1, 0, 2, 0],
+], dtype=np.int64)
+_PSL2_13_S6 = np.array([
+    [2, 2, 0, 1, 2, 1],
+    [1, 2, 2, 2, 2, 0],
+    [0, 1, 0, 1, 2, 2],
+    [0, 2, 1, 0, 1, 2],
+    [1, 1, 0, 1, 0, 0],
+    [0, 0, 1, 1, 0, 2],
+], dtype=np.int64)
+
+
+def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray):
+    """Certify that C -> c6, S -> s6 is a GF(3) representation rho of SL_2(13)
+    whose projective image has order at most |PSL_2(13)| = 1092.
+
+    rho is built on all 2184 elements along the BFS tree of
+    ``_sl2_13_group``, so rho(x g) = rho(x) rho(g) holds on the tree edges
+    by construction; checking it on every edge of the Cayley graph (every
+    x, both generators) proves rho a homomorphism.  With s6^2 = -I, the
+    image of the central -1 is the scalar -I, so the projective image is a
+    homomorphic image of PSL_2(13).  Returns rho as a (2184, 6, 6) array,
+    with the group data (C, S, tmul, index) that indexes it.
+    """
+    C, S, tmul, els, index, (levels, parent, gen) = _sl2_13_group()
+    if len(els) != 2184:
+        raise CertificationError(f"<C, S> has {len(els)} elements, not |SL_2(13)| = 2184")
+    gens = np.stack([c6, s6]).astype(np.int64) % 3
+    rho = np.empty((len(els), 6, 6), dtype=np.int64)
+    rho[0] = np.eye(6, dtype=np.int64)
+    for level in levels[1:]:
+        rho[level] = rho[parent[level]] @ gens[gen[level]] % 3
+    for gi, h in enumerate((C, S)):
+        right = np.array([index[tmul(x, h)] for x in els], dtype=np.int64)
+        if not np.array_equal(rho[right], rho @ gens[gi] % 3):
+            raise CertificationError("the PSL_2(13) module matrices do not define a representation of SL_2(13)")
+    if not np.array_equal(gens[1] @ gens[1] % 3, 2 * np.eye(6, dtype=np.int64)):
+        raise CertificationError("s6^2 != -I: the central -1 of SL_2(13) does not map to -I")
+    return rho, (C, S, tmul, index)
 
 
 def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     """Two PSL_2(13) < PSL_6(3), one per conjugacy class.
+
+    The first witness is generated by the literal module matrices
+    ``_PSL2_13_C6``, ``_PSL2_13_S6`` (provenance: ``derive_psl2_13_module``).
+    ``certify_psl2_13_module`` proves its projective order at most 1092,
+    so a chain build that reaches 1092 is exact without a Schreier pass;
+    the exact spectrum and a (2,3,13) generator pair are checked on top.
+    The second witness is its determinant -1 conjugate, whose chain is
+    relabeled, not rebuilt.
 
     The classes are fused in the full projective general group, so no
     orbit statistic can separate them; instead the class split is certified
@@ -552,7 +631,8 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     from . import meataxe as mx
 
     F3 = make_field(3, 1)
-    c6, s6, (C2, S2, tmul, words) = _psl2_13_matrices(rng)
+    c6, s6 = _PSL2_13_C6, _PSL2_13_S6
+    rho, (C2, S2, tmul, index) = certify_psl2_13_module(c6, s6)
     gens1 = [GroupElement(Mat(F3, c6)), GroupElement(Mat(F3, s6))]
     X1 = GroupSpec(
         "PSL_2(13)a<PSL_6(3)",
@@ -560,26 +640,22 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         F3,
         gens1,
         claimed_order=1092,
-        provenance="6-dim module chopped from induced modules of SL_2(13)",
+        provenance="certified literal 6-dim module of SL_2(13)",
         action_tag=PROJECTIVE,
     )
     pdom = shared_domain(PROJECTIVE, F3, 6)
-    X1._chain = StabChain.build(pdom, gens1, known_order=1092, rng=rng, name=X1.name, post_verify=True)
-    if exact_spectrum(X1.chain()) != SPECTRA["PSL2_13"]:
+    X1._chain = StabChain.build(pdom, gens1, known_order=1092, rng=rng, name=X1.name)
+    spectrum, of_order = set(), {2: [], 3: []}
+    for block in X1.chain().element_perm_blocks():
+        orders = np.array(element_orders(block))
+        spectrum.update(orders.tolist())
+        for k, found in of_order.items():
+            found.append(block[orders == k])
+    if spectrum != SPECTRA["PSL2_13"]:
         raise SearchBudgetError("PSL_2(13) witness has a wrong spectrum")
     # presentation-style certificate: |a| = 2, |b| = 3, |ab| = 13
-    els = list(X1.chain().elements())
-    invs = [t for t in els if element_order_perm(t.perm) == 2]
-    threes = [t for t in els if element_order_perm(t.perm) == 3]
-    pres = None
-    for a in invs:
-        for b in threes:
-            if element_order_perm(t_compose(a, b).perm) == 13:
-                pres = (a.elem, b.elem)
-                break
-        if pres:
-            break
-    if pres is None:
+    threes = np.concatenate(of_order[3])
+    if not any(13 in element_orders(threes[:, a]) for a in np.concatenate(of_order[2])):
         raise SearchBudgetError("no (2,3,13) generator pair inside the witness")
     # second class: conjugate by a determinant -1 matrix (2 is self-inverse mod 3)
     Tdiag = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)
@@ -593,39 +669,12 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         provenance=X1.provenance + "; det(-1) conjugate",
         action_tag=PROJECTIVE,
     )
-    X2._chain = StabChain.build(pdom, gens2, known_order=1092, rng=rng, name=X2.name, post_verify=True)
+    X2._chain = X1.chain().conjugate(GroupElement(Mat(F3, Tdiag)))
     # class-split certificate
     commutant = mx.commutant_dimension([c6, s6], [c6, s6], 3)
-    # outer twist: conjugation by diag(2,1) of GL_2(13); express twisted
-    # generators as words in the original ones and push through the module
-    P = 13
+    # outer twist: conjugation by diag(2,1) of GL_2(13), pushed through rho
     delta = (2, 0, 0, 1)
-    def inv2(t):
-        d = (t[0] * t[3] - t[1] * t[2]) % P
-        di = pow(d, -1, P)
-        return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
-    rho = {0: c6, 1: s6}
-    def make_rho(reverse):
-        def rho_of(g2):
-            word = words[g2]
-            out = np.eye(6, dtype=np.int64)
-            for gi in (reversed(word) if reverse else word):
-                out = (out @ rho[gi]) % 3
-            return out
-        return rho_of
-    rho_of = None
-    for reverse in (False, True):
-        cand = make_rho(reverse)
-        ok = all(
-            np.array_equal(cand(tmul(x, y)), (cand(x) @ cand(y)) % 3)
-            for x, y in [(C2, S2), (S2, C2), (tmul(C2, C2), S2)]
-        )
-        if ok:
-            rho_of = cand
-            break
-    if rho_of is None:
-        raise SearchBudgetError("module homomorphism convention check failed")
-    twisted = [rho_of(tmul(inv2(delta), tmul(g2, delta))) for g2 in (C2, S2)]
+    twisted = [rho[index[tmul(_inv2(delta), tmul(g2, delta))]] for g2 in (C2, S2)]
     outer_hom = mx.commutant_dimension(twisted, [c6, s6], 3)
     info = {
         "strategy": "module chop + determinant class",

@@ -1,11 +1,23 @@
-"""The char-2 XOR-table kernel of Action.apply_batch against scalar sl_apply."""
+"""Action kernels against scalar references: the char-2 XOR-table
+apply_batch against sl_apply, and the two-sided domain enumeration."""
 
 import numpy as np
 import pytest
 
 from grpfact import gf
-from grpfact.actions import Action
-from grpfact.linalg import FUNCTIONAL, PAIR, VECTOR, GroupElement, LinAlgError, Mat, det
+from grpfact.actions import Action, domain_size
+from grpfact.linalg import (
+    ANTIFLAG,
+    FUNCTIONAL,
+    PAIR,
+    PROJECTIVE,
+    VECTOR,
+    GroupElement,
+    LinAlgError,
+    Mat,
+    det,
+    unpack_point,
+)
 
 
 def _random_element(rng, spec, n, fa, dual):
@@ -48,3 +60,33 @@ def test_duality_rejected_on_one_sided_kinds():
     for tag in (VECTOR, FUNCTIONAL):
         with pytest.raises(LinAlgError):
             Action(tag, spec, 3).apply_batch(g, np.array([1, 2], dtype=np.int64))
+
+
+def _all_keys_reference(action: Action) -> list[int]:
+    """The two-sided domain one vector at a time: for each v, the w with
+    w.v = 1, w's free digits counting up and w[pivot] solved."""
+    spec, q, n = action.spec, action.q, action.n
+    vkeys = range(1, q**n) if action.tag == PAIR else Action(PROJECTIVE, spec, n).all_keys()
+    keys = []
+    for vkey in vkeys:
+        v = unpack_point(VECTOR, int(vkey), q, n).data
+        piv = next(i for i, x in enumerate(v) if x)
+        free = [i for i in range(n) if i != piv]
+        for fkey in range(q ** (n - 1)):
+            w, rest, acc = [0] * n, fkey, 0
+            for i in free:
+                w[i] = rest % q
+                rest //= q
+                acc = spec.add(acc, spec.mul(w[i], v[i]))
+            w[piv] = spec.mul(spec.add(1, spec.neg(acc)), spec.inv(v[piv]))
+            keys.append(int(vkey) + q**n * sum(w[i] * q**i for i in range(n)))
+    return keys
+
+
+@pytest.mark.parametrize("tag", [PAIR, ANTIFLAG])
+@pytest.mark.parametrize("p,f,n", [(2, 1, 2), (2, 1, 5), (3, 1, 3), (2, 2, 3), (5, 1, 3), (2, 3, 2), (3, 1, 1)])
+def test_all_keys_matches_scalar_enumeration(tag, p, f, n):
+    action = Action(tag, gf.make_field(p, f), n)
+    keys = action.all_keys()
+    assert keys.tolist() == _all_keys_reference(action)
+    assert len(keys) == domain_size(tag, action.q, n)

@@ -344,18 +344,34 @@ def _primes_below(n):
     return [p for p in range(2, n) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
-def test_element_order_perm_does_not_overflow():
+def _overflow_perm():
+    """Cycles of every prime below 80: 791 points, order above 2**63."""
     primes = _primes_below(80)
     assert sum(primes) == 791
     perm, start = [], 0
     for p in primes:
         perm.extend(start + (i + 1) % p for i in range(p))
         start += p
-    expected = 1
-    for p in primes:
-        expected *= p
+    return np.array(perm), math.prod(primes)
+
+
+def _cycle_walk_order(perm):
+    seen, lengths = set(), []
+    for i in range(len(perm)):
+        length = 0
+        while i not in seen:
+            seen.add(i)
+            i = int(perm[i])
+            length += 1
+        if length:
+            lengths.append(length)
+    return math.lcm(*lengths)
+
+
+def test_element_order_perm_does_not_overflow():
+    perm, expected = _overflow_perm()
     assert expected > 2**63
-    assert element_order_perm(np.array(perm)) == expected
+    assert element_order_perm(perm) == expected
 
 
 def test_element_order_perm_matches_cycle_walk():
@@ -363,16 +379,61 @@ def test_element_order_perm_matches_cycle_walk():
     for size in (0, 1, 2, 7, 60, 336, 1000):
         for _ in range(5):
             perm = rng.permutation(size)
-            seen, lengths = set(), []
-            for i in range(size):
-                length = 0
-                while i not in seen:
-                    seen.add(i)
-                    i = int(perm[i])
-                    length += 1
-                if length:
-                    lengths.append(length)
-            assert element_order_perm(perm) == math.lcm(*lengths)
+            assert element_order_perm(perm) == _cycle_walk_order(perm)
+
+
+def test_element_orders_batched_matches_one_at_a_time():
+    rng = np.random.default_rng(5)
+    big, expected = _overflow_perm()
+    for size in (0, 1, 7, 336, 791):
+        perms = [rng.permutation(size) for _ in range(6)]
+        perms.append(np.arange(size))
+        if size == 791:
+            perms.insert(3, big)
+        got = grpcore.element_orders(np.stack(perms))
+        assert got == [element_order_perm(p) for p in perms] == [_cycle_walk_order(p) for p in perms]
+        if size == 791:
+            assert got[3] == expected
+
+
+def test_element_perm_blocks_follow_elements(sl32):
+    chain = sl32.chain()
+    want = np.stack([t.perm for t in chain.elements()])
+    for max_entries in (1, 7 * 10, 1 << 22):  # element by element, a few levels, one block
+        got = np.concatenate(list(chain.element_perm_blocks(max_entries)))
+        assert np.array_equal(got, want)
+
+
+def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+    level = chain.levels[0]
+
+    def walk_closes(start):
+        b = start
+        for _ in range(len(level.orbit)):
+            if b == level.base:
+                return True
+            b = int(level.eff[int(level.par[b])].inverse().perm[b])
+        return b == level.base
+
+    # point a Schreier vector entry at a descendant, which makes a cycle
+    for beta in map(int, level.orbit[1:]):
+        u = chain._transversal(0, beta)
+        old = int(level.par[beta])
+        for gi in range(len(level.eff)):
+            level.par[beta] = gi
+            if not walk_closes(beta):
+                break
+        else:
+            level.par[beta] = old
+            continue
+        break
+    else:
+        pytest.fail("no single Schreier vector entry closes a cycle")
+    with pytest.raises(CertificationError, match="Schreier vector"):
+        chain._transversal(0, beta)
+    with pytest.raises(CertificationError, match="Schreier vector"):
+        chain._sift(u)
 
 
 def _semilinear_gens():

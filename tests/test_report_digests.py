@@ -3,7 +3,7 @@
 The digests are sha256 of ``json.dumps(report, sort_keys=True)`` for
 ``verify_claim`` at the default seed.  They cover claims whose chains are
 certified by tightness bounds, inherited from stabilizer computations or
-conjugated, so a performance change that alters what a report says fails
+conjugated, or built from a certified literal module (row 13), so a performance change that alters what a report says fails
 here.  A deliberate behaviour change must update a digest and say which
 report keys moved.
 """
@@ -22,6 +22,7 @@ DIGESTS = {
     "t1r06-m2": "c5afa2049c9e9c7c346e4f156b72059ab1056de9df92dfaa296ee26f9b4eead4",
     "t1r07-m2": "026b4ef7c08a6505e5c515e55447eafe3c7c346cc5c6cefac49386c334bdacc2",
     "t1r08-q4-sp": "a96412d0a7918ce72353e64d87c26c31e0c91d66d1da50c19d23d22a94b840af",
+    "t1r13": "86a6fdd6cce5c94fa9db771378848eee6f27d5d492d1fcd427b88532ce76e37c",
     "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
     "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
 }

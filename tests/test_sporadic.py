@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grpfact import sporadic
+from grpfact.grpcore import CertificationError
 from grpfact.sporadic import (
     SPECTRA,
     exact_spectrum,
@@ -84,3 +85,56 @@ def test_minus_identity_check():
     sporadic.require_minus_identity(classical_generators("SL", 2, 3))
     with pytest.raises(CertificationError):
         sporadic.require_minus_identity(classical_generators("SL", 3, 3))  # det(-I) = -1
+
+
+# ---------------------------------------------------------------------------
+# row 13: the certified literal module
+
+
+def test_literal_module_is_the_derived_one():
+    c6, s6 = sporadic.derive_psl2_13_module(np.random.default_rng(sporadic._PSL2_13_SEED))
+    assert np.array_equal(c6, sporadic._PSL2_13_C6)
+    assert np.array_equal(s6, sporadic._PSL2_13_S6)
+
+
+@pytest.mark.parametrize("which,entry", [(0, (0, 0)), (0, (4, 5)), (1, (2, 3)), (1, (5, 5))])
+def test_changed_literal_entry_is_not_a_representation(which, entry):
+    mats = [sporadic._PSL2_13_C6.copy(), sporadic._PSL2_13_S6.copy()]
+    mats[which][entry] = (mats[which][entry] + 1) % 3
+    with pytest.raises(CertificationError, match="representation"):
+        sporadic.certify_psl2_13_module(*mats)
+
+
+def test_module_needs_s_squared_minus_identity():
+    # the trivial module is a representation, but its -1 is not -I, so the
+    # projective bound 1092 would not follow
+    ident = np.eye(6, dtype=np.int64)
+    with pytest.raises(CertificationError, match="-I"):
+        sporadic.certify_psl2_13_module(ident, ident)
+
+
+def test_row13_setup_runs_no_module_hunt_and_no_schreier_pass(monkeypatch):
+    from grpfact import grpcore, meataxe
+    from grpfact.catalog import load_catalog
+    from grpfact.factorize import build_setup, claim_seed
+
+    calls = []
+    monkeypatch.setattr(meataxe, "chop_for_dimension", lambda *a, **k: calls.append("chop"))
+    monkeypatch.setattr(grpcore.StabChain, "_verify_loop", lambda chain: calls.append("schreier"))
+    setup = build_setup(load_catalog().claim_by_id("t1r13"), np.random.default_rng(claim_seed("t1r13", 1)))
+    assert calls == []
+    assert setup.H.order() == setup.extra_witnesses[0].order() == 1092
+
+
+def test_row13_results_do_not_depend_on_the_seed():
+    from grpfact.catalog import load_catalog
+    from grpfact.factorize import verify_claim
+
+    claim = load_catalog().claim_by_id("t1r13")
+    for base_seed in range(1, 6):
+        rep = verify_claim(claim, base_seed=base_seed)
+        got = [(s.name, s.verdict, s.intersection_order, s.orbit_sizes) for s in rep.strategies]
+        assert rep.overall == "pass"
+        assert got == [("identity", "pass", 3, []), ("order", "pass", 3, []), ("orbit", "pass", None, [364, 364])]
+        witnesses = rep.strategies[1].details["witnesses"]
+        assert [w["intersection_order"] for w in witnesses] == [3, 3]
