@@ -2,7 +2,7 @@
 
 from .catalog import load_catalog
 from .constructors import classical_generators, ext_subgroup, stabilizer_subgroup
-from .factorize import intersect, verify, verify_claim
+from .factorize import intersect, verify_claim
 from .g2 import g2_derived, g2_generators
 from .gf import make_field
 from .grpcore import GroupSpec, orbit, solvable_residual, stabilizer_generators
@@ -22,6 +22,5 @@ __all__ = [
     "solvable_residual",
     "stabilizer_generators",
     "stabilizer_subgroup",
-    "verify",
     "verify_claim",
 ]

@@ -52,6 +52,7 @@ from .grpcore import (
     CertificationError,
     GroupSpec,
     OrbitBudgetError,
+    TrackedGenerators,
     orbit,
     orbit_with_transporters,
     same_subgroup,
@@ -225,21 +226,18 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         small, big = (H, K) if H.order() <= K.order() else (K, H)
         if small.order() > 10_000:
             raise VerifyError("enumerate strategy capped at 10^4 elements")
-        big_chain = big.chain()
-        members = []
-        for t in small.chain().elements():
-            if big_chain.contains_tracked(t):
-                members.append(t.elem)
-        out = GroupSpec(
+        big_chain, small_chain = big.chain(), small.chain()
+        members = [t for t in small_chain.elements() if big_chain.contains_tracked(t)] or [small_chain.ident]
+        home = H.home_domain()
+        return GroupSpec(
             f"{H.name} n {K.name}",
             H.n,
             H.spec,
-            members or [H.identity()],
-            claimed_order=len(members) or 1,
+            TrackedGenerators(members, home) if small_chain.domain is home else [t.elem for t in members],
+            claimed_order=len(members),
             provenance=f"enumerated intersection of {small.name} into {big.name}",
             action_tag=H.action_tag,
         )
-        return out
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
 
 
@@ -660,7 +658,7 @@ def _run_tight(claim, setup, rng, record) -> StrategyResult:
     with _Timer(record) as tm:
         if setup.residual_order is not None:
             res = solvable_residual(setup.H, rng=rng)
-            ok = res.order() == setup.residual_order and all(setup.H.contains(g) for g in res.generators)
+            ok = res.order() == setup.residual_order and setup.H.includes(res)
             setup.notes["residual_reading"] = {
                 "x_residual_order": res.order(),
                 "matches_A5_entry": ok,
@@ -827,12 +825,12 @@ def _verify_row10(claim, rng, seed, record) -> VerificationReport:
 
 
 def _conjugate_group(G: GroupSpec, x: GroupElement, name: str) -> GroupSpec:
-    """x^-1 G x, with G's certified chain relabeled rather than rebuilt."""
-    xin = sl_inverse(x)
-    gens = [sl_compose(sl_compose(xin, g), x) for g in G.generators]
-    return GroupSpec(name, G.n, G.spec, gens, claimed_order=G.claimed_order,
-                     provenance=f"{G.name} conjugated", action_tag=G.action_tag,
-                     _chain=G.chain().conjugate(x))
+    """x^-1 G x, with G's certified chain relabeled rather than rebuilt; its
+    generators are the relabeled chain's originals."""
+    chain = G.chain().conjugate(x)
+    return GroupSpec(name, G.n, G.spec, TrackedGenerators(chain.originals, chain.domain),
+                     claimed_order=G.claimed_order, provenance=f"{G.name} conjugated",
+                     action_tag=G.action_tag, _chain=chain)
 
 
 def property_suite_section2(claim, rng, samples=50, record=False) -> tuple[list[StrategyResult], dict]:
@@ -901,24 +899,3 @@ def _verify_suite(claim, rng, seed, record) -> VerificationReport:
     for s in strategies:
         s.seed = seed
     return _finalize(claim, strategies, notes)
-
-
-# ---------------------------------------------------------------------------
-# convenience wrappers
-
-
-def verify(G: GroupSpec, H: GroupSpec, K: GroupSpec, strategies=("order", "orbit")) -> dict:
-    """Ad-hoc verification of G = HK for constructed groups."""
-    out = {}
-    if "order" in strategies:
-        inter = intersect(H, K, "stabilizer" if K.stabilizer_of else "enumerate_smaller")
-        out["intersection_order"] = inter.order()
-        out["order_identity"] = G.order() * inter.order() == H.order() * K.order()
-    if "orbit" in strategies and K.stabilizer_of:
-        stages = _stages_for(H, K.stabilizer_of)
-        if len(stages) == 1:
-            orb = orbit(H, stages[0])
-            out["orbit_size"] = orb.size
-            out["orbit_covers"] = orb.size * K.order() == G.order()
-    out["verdict"] = all(v for k, v in out.items() if k.endswith(("identity", "covers")))
-    return out

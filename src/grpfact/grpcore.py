@@ -3,12 +3,14 @@
 Groups are given by semilinear generators; every computation runs on the
 permutation image over a chosen action domain.  A ``Tracked`` element
 carries its permutation eagerly and its matrix form as a pending product
-DAG.  Sifts, random walks, transversals and Schreier generators use
-permutations only; a matrix is composed when ``.elem`` is read, which
-happens when an element leaves the core: as a generator of a returned
-``GroupSpec`` (accepted Schreier generators, derived-subgroup generators,
-enumerated intersections, searched witnesses) or as a random element used
-as a matrix (product-membership samples, conjugating elements).
+DAG.  Sifts, random walks, transversals, Schreier generators, commutators
+and conjugates use permutations only; a matrix is composed when ``.elem``
+is read.  The specs the core returns (point stabilizers, derived
+subgroups, conjugates, enumerated intersections) keep their generators as
+the Tracked elements of their chains (``TrackedGenerators``), so a matrix
+is composed only when a caller reads a generator (to act on another
+domain, to transport a point) or a random element used as a matrix
+(product-membership samples, conjugating elements).
 
 Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
 a partial chain, so its order is a lower bound on the group's order, and
@@ -25,10 +27,12 @@ one of three certificates makes it exact:
   after the Monte Carlo phase.
 
 Chains that follow from a certified chain are inherited rather than
-rebuilt: ``stabilizer_generators`` returns the chain it completed (its
-order |G|/|orbit| is the orbit-stabilizer certificate), ``derived_subgroup``
-and ``solvable_residual`` return the chains they certified, and
-``StabChain.conjugate`` relabels a chain through a conjugating element.
+rebuilt.  ``StabChain.conjugate`` relabels a chain, or its suffix from some
+level, through a conjugating element.  ``stabilizer_generators`` takes a
+point of the first basic orbit as that relabeled suffix, and any other
+point by sifting Schreier generators; either way the order |G|/|orbit| is
+the orbit-stabilizer certificate.  ``derived_subgroup`` and
+``solvable_residual`` return the chains they certified.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -108,12 +113,28 @@ def _force(node: _Lazy) -> GroupElement:
     return node.elem
 
 
+_IDENTITY_PERMS: dict[int, np.ndarray] = {}
+
+
+def _identity_perm(size: int) -> np.ndarray:
+    ident = _IDENTITY_PERMS.get(size)
+    if ident is None:
+        ident = _IDENTITY_PERMS[size] = np.arange(size)
+    return ident
+
+
 class Tracked:
-    """Group element as a permutation of a domain, with its matrix on demand."""
+    """Group element as a permutation of a domain, with its matrix on demand.
+
+    ``perm`` is None for an element that does not act on the domain (a
+    duality element on vectors); only ``derived_subgroup`` makes such
+    placeholders, and it reads the permutation of any product containing
+    one off the product's matrix.
+    """
 
     __slots__ = ("perm", "_node", "_inv")
 
-    def __init__(self, elem: GroupElement | _Lazy, perm: np.ndarray):
+    def __init__(self, elem: GroupElement | _Lazy, perm: np.ndarray | None):
         self._node = elem if isinstance(elem, _Lazy) else _Lazy(elem)
         self.perm = perm
         self._inv = None
@@ -125,14 +146,16 @@ class Tracked:
 
     def inverse(self) -> "Tracked":
         if self._inv is None:
-            inv_perm = np.empty_like(self.perm)
-            inv_perm[self.perm] = np.arange(len(self.perm), dtype=self.perm.dtype)
+            inv_perm = None
+            if self.perm is not None:
+                inv_perm = np.empty_like(self.perm)
+                inv_perm[self.perm] = _identity_perm(len(self.perm))
             self._inv = Tracked(_Lazy(args=(self._node,)), inv_perm)
             self._inv._inv = self
         return self._inv
 
     def is_identity(self) -> bool:
-        return bool((self.perm == np.arange(len(self.perm))).all())
+        return bool((self.perm == _identity_perm(len(self.perm))).all())
 
 
 def t_compose(a: Tracked, b: Tracked) -> Tracked:
@@ -246,7 +269,7 @@ class StabChain:
         """
         chain = cls(domain, base_hint)
         rng = rng if rng is not None else np.random.default_rng(zlib.crc32(name.encode()) or 1)
-        chain.originals = tracked if tracked is not None else [
+        chain.originals = list(tracked) if tracked is not None else [
             Tracked(g, domain.perm_of(g)) for g in generators
         ]
         for t in chain.originals:
@@ -351,7 +374,9 @@ class StabChain:
             parts = []
             for gi, g in enumerate(level.eff):
                 imgs = g.perm[frontier]
-                new = np.unique(imgs[~seen[imgs]])
+                # frontier points are distinct and seen is updated between
+                # generators, so the unseen images have no repeats
+                new = np.sort(imgs[~seen[imgs]])
                 if new.size:
                     seen[new] = True
                     par[new] = gi
@@ -417,37 +442,54 @@ class StabChain:
         self.originals.append(t)
         return self._add(t)
 
-    def conjugate(self, x: GroupElement) -> "StabChain":
-        """The chain of x^-1 G x, relabeled through perm(x) without a build.
+    def conjugate(self, x: GroupElement | Tracked, from_level: int = 0) -> "StabChain":
+        """The chain of x^-1 G^(from_level) x, relabeled through perm(x)
+        without a build; G^(i) is the pointwise stabilizer of the first i
+        base points.
 
         x maps base point b to the conjugate's base point x(b), and the
         orbits and Schreier vectors move the same way; each generator t
         becomes x^-1 t x, whose matrix is composed only when read.  The
-        relabeled chain carries this chain's certificate.
+        levels from from_level on are a chain of G^(from_level), whose
+        strong generators are the originals of the relabeled chain, so the
+        relabeled chain carries this chain's certificate.  A trivial x
+        relabels nothing and shares the generators.
         """
-        xt = Tracked(x, self.domain.perm_of(x))
+        xt = x if isinstance(x, Tracked) else Tracked(x, self.domain.perm_of(x))
         pi, x_inv = xt.perm, xt.inverse()
         out = StabChain(self.domain)
         images: dict[int, Tracked] = {}
+        trivial = xt.is_identity()
 
         def conj(t: Tracked) -> Tracked:
+            if trivial:
+                return t
             if id(t) not in images:
                 perm = np.empty_like(t.perm)
                 perm[pi] = pi[t.perm]
                 images[id(t)] = Tracked(_Lazy(args=(x_inv._node, _Lazy(args=(t._node, xt._node)))), perm)
             return images[id(t)]
 
-        for level in self.levels:
+        def moved(a: np.ndarray) -> np.ndarray:
+            # the entry of point b goes to point x(b)
+            if trivial:
+                return a
+            res = np.empty_like(a)
+            res[pi] = a
+            return res
+
+        for level in self.levels[from_level:]:
             new = _Level(int(pi[level.base]))
             new.own = [conj(t) for t in level.own]
             new.eff = [conj(t) for t in level.eff]
             new.orbit = pi[level.orbit]
-            new.seen = np.empty_like(level.seen)
-            new.seen[pi] = level.seen
-            new.par = np.empty_like(level.par)
-            new.par[pi] = level.par
+            new.seen = moved(level.seen)
+            new.par = moved(level.par)
             out.levels.append(new)
-        out.originals = [conj(t) for t in self.originals]
+        if from_level == 0:
+            out.originals = [conj(t) for t in self.originals]
+        else:
+            out.originals = list(out.levels[0].eff) if out.levels else []
         out.verified = self.verified
         return out
 
@@ -550,19 +592,40 @@ def shared_domain(tag: str, spec: FieldSpec, n: int, max_size: int = 200_000) ->
     return _DOMAIN_CACHE[key]
 
 
+class TrackedGenerators(Sequence):
+    """A spec's generators kept as Tracked elements of one domain.
+
+    Reading a generator composes its matrix (once; the product DAG is
+    memoized), so a group that is only sifted into, relabeled or used as a
+    parent of further permutation work never composes one.
+    """
+
+    def __init__(self, tracked: list[Tracked], domain: PermDomain):
+        self.tracked = list(tracked)
+        self.domain = domain
+
+    def __len__(self) -> int:
+        return len(self.tracked)
+
+    def __getitem__(self, i: int) -> GroupElement:
+        return self.tracked[i].elem
+
+
 @dataclass
 class GroupSpec:
     """Named matrix group: generators, claimed order, provenance, home action.
 
-    stabilizer_of, when set, records that the group is the full ambient
-    stabilizer of the listed points (applied in order); the intersection
-    engine uses it to compute H n K as an iterated point stabilizer.
+    generators is a list of matrices, or a ``TrackedGenerators`` that
+    composes each matrix when it is read.  stabilizer_of, when set, records
+    that the group is the full ambient stabilizer of the listed points
+    (applied in order); the intersection engine uses it to compute H n K as
+    an iterated point stabilizer.
     """
 
     name: str
     n: int
     spec: FieldSpec
-    generators: list[GroupElement]
+    generators: Sequence[GroupElement]
     claimed_order: int | None = None
     provenance: str = ""
     action_tag: str | None = None
@@ -575,7 +638,10 @@ class GroupSpec:
 
     @property
     def has_duality(self) -> bool:
-        return any(g.dual for g in self.generators)
+        gens = self.generators
+        if isinstance(gens, TrackedGenerators) and not gens.domain.action.two_sided:
+            return False  # a duality element does not act on one-sided points
+        return any(g.dual for g in gens)
 
     @property
     def q(self) -> int:
@@ -584,16 +650,27 @@ class GroupSpec:
     def identity(self) -> GroupElement:
         return identity_element(self.spec, self.n)
 
+    def home_domain(self) -> PermDomain:
+        return shared_domain(self.action_tag, self.spec, self.n)
+
+    def tracked_generators(self) -> list[Tracked]:
+        """The generators as Tracked elements of the home domain."""
+        domain = self.home_domain()
+        gens = self.generators
+        if isinstance(gens, TrackedGenerators) and gens.domain is domain:
+            return gens.tracked
+        return [Tracked(g, domain.perm_of(g)) for g in gens]
+
     def chain(self, rng=None) -> StabChain:
         """Build (once) the certified stabilizer chain on the home action."""
         if self._chain is None:
-            domain = shared_domain(self.action_tag, self.spec, self.n)
             self._chain = StabChain.build(
-                domain,
-                self.generators,
+                self.home_domain(),
+                [],
                 known_order=self.claimed_order,
                 rng=rng,
                 name=self.name,
+                tracked=self.tracked_generators(),
             )
         return self._chain
 
@@ -602,6 +679,15 @@ class GroupSpec:
 
     def contains(self, g: GroupElement) -> bool:
         return self.chain().contains(g)
+
+    def includes(self, other: "GroupSpec") -> bool:
+        """Whether every generator of other lies in this group, sifted as
+        permutations when other's generators live on this chain's domain."""
+        chain = self.chain()
+        gens = other.generators
+        if isinstance(gens, TrackedGenerators) and gens.domain is chain.domain:
+            return all(chain.contains_tracked(t) for t in gens.tracked)
+        return all(chain.contains(g) for g in gens)
 
     def with_name(self, name: str) -> "GroupSpec":
         return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order, self.provenance,
@@ -673,7 +759,7 @@ def orbit(
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
     if isinstance(group_or_gens, GroupSpec):
-        gens = group_or_gens.generators
+        gens = list(group_or_gens.generators)
         spec, n = group_or_gens.spec, group_or_gens.n
     else:
         gens = list(group_or_gens)
@@ -780,14 +866,64 @@ def stabilizer_generators(
     point: ActionPoint,
     name: str | None = None,
 ) -> GroupSpec:
-    """Point stabilizer via Schreier generators, certified by orbit-stabilizer.
+    """Point stabilizer, by one of two routes, certified by orbit-stabilizer.
+
+    Suffix: when the point lies on the domain of the group's certified chain
+    and in its first basic orbit, say x = u(b0) with u the transversal
+    element of level 0, the stabilizer is u^-1 G_b0 u.  The chain's levels
+    from 1 on are a chain of G_b0, so they are relabeled through u
+    (``StabChain.conjugate``) and nothing is sifted; the order is
+    |G| / |b0^G| (Holt, Eick and O'Brien, Handbook of CGT, 2005, 4.1).
+
+    Schreier loop: for any other point (off the chain's domain, or outside
+    its first basic orbit) see ``_schreier_stabilizer``.
+
+    Either way the returned spec keeps the certified chain, and its
+    generators are the chain's Tracked originals, whose matrices are
+    composed only when read.
+    """
+    stab_name = name or f"{group.name}_stab"
+    chain = group.chain()
+    x = _first_orbit_index(group, chain, point)
+    if x is None:
+        stab = _schreier_stabilizer(group, point, stab_name)
+    else:
+        stab = chain.conjugate(chain._transversal(0, x), from_level=1)
+    return GroupSpec(
+        stab_name,
+        group.n,
+        group.spec,
+        TrackedGenerators(stab.originals or [stab.ident], stab.domain),
+        claimed_order=stab.order(),
+        provenance=f"stabilizer of {point.tag} point in {group.name}",
+        action_tag=group.action_tag,
+        _chain=stab,
+    )
+
+
+def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
+    """The point's index on the domain of the group's certified chain when
+    the point lies in its first basic orbit, else None."""
+    action = chain.domain.action
+    # the shared_domain key of the point's action in the group's ambient
+    if (action.tag, action.spec.p, action.spec.f, action.n) != (point.tag, group.spec.p, group.spec.f, group.n):
+        return None
+    if not (chain.verified and chain.levels):
+        return None
+    try:
+        x = chain.domain.index_of_point(point)
+    except ActionError:
+        return None
+    return x if chain.levels[0].seen[x] else None
+
+
+def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -> StabChain:
+    """The stabilizer's chain from sifted Schreier generators.
 
     Transversals are composed as permutations on the home domain along the
-    Schreier vector, only for the orbit points the loop reaches; matrices
-    are read only for the Schreier generators the chain accepts.  The
-    Schreier generators lie in the stabilizer, whose order is |G|/|orbit|,
-    so the chain that reaches that order is complete: the returned spec
-    keeps it as its certified chain.
+    Schreier vector of the point's orbit, only for the orbit points the
+    loop reaches.  The Schreier generators lie in the stabilizer, whose
+    order is |G|/|orbit|, so the chain that reaches that order is complete.
     """
     action = Action(point.tag, group.spec, group.n)
     orb = orbit_with_transporters(group.generators, point, action)
@@ -795,12 +931,9 @@ def stabilizer_generators(
     if total % orb.size:
         raise GrpError("orbit length does not divide the group order")
     target = total // orb.size
-    stab_name = name or f"{group.name}_stab"
-    domain = shared_domain(group.action_tag, group.spec, group.n)
-    chain = StabChain(domain)
-    gens_out: list[GroupElement] = []
+    chain = StabChain(group.home_domain())
     if target > 1:
-        gens = [Tracked(g, domain.perm_of(g)) for g in group.generators]
+        gens = group.tracked_generators()
         images = [orb.index_of(action.apply_batch(g, orb.keys)) for g in group.generators]
         reps = {0: chain.ident}
 
@@ -823,7 +956,6 @@ def stabilizer_generators(
                 s = t_compose(t_compose(u, g), rep(int(images[gi][i])).inverse())
                 if chain._add(s):
                     chain.originals.append(s)
-                    gens_out.append(s.elem)
                 if chain.order() == target:
                     done = True
                     break
@@ -836,16 +968,7 @@ def stabilizer_generators(
                 f"{stab_name}: Schreier generators reached {chain.order()}, expected {target}"
             )
     chain.verified = True
-    return GroupSpec(
-        stab_name,
-        group.n,
-        group.spec,
-        gens_out or [group.identity()],
-        claimed_order=target,
-        provenance=f"stabilizer of {point.tag} point in {group.name}",
-        action_tag=group.action_tag,
-        _chain=chain,
-    )
+    return chain
 
 
 # ---------------------------------------------------------------------------
@@ -864,17 +987,32 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     order is a second bound when it is smaller, its chain is on the same
     domain, and the commutators sift into that chain.  The returned spec
     keeps the certified chain.
+
+    Commutators and conjugates are Tracked products on the derived domain,
+    so no matrix is composed; only a product with a duality generator of the
+    parent, which has no permutation there, is composed to read its
+    permutation off its matrix.
     """
     rng = rng if rng is not None else np.random.default_rng(zlib.crc32(group.name.encode()) or 1)
     derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
     domain = shared_domain(derived_tag, group.spec, group.n)
-    gens = group.generators
-    comms = []
-    for a in gens:
-        for b in gens:
-            c = sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b))
-            comms.append(c)
-    tracked = [Tracked(c, domain.perm_of(c)) for c in comms]
+    if group.home_domain() is domain:
+        gens = group.tracked_generators()
+    else:
+        gens = [Tracked(g, None if g.dual else domain.perm_of(g)) for g in group.generators]
+
+    def product(*factors: Tracked) -> Tracked:
+        out = factors[0]
+        for f in factors[1:]:
+            if out.perm is None or f.perm is None:
+                out = Tracked(_Lazy(args=(out._node, f._node)), None)
+            else:
+                out = t_compose(out, f)
+        if out.perm is None:
+            out.perm = domain.perm_of(out.elem)
+        return out
+
+    tracked = [product(a.inverse(), b.inverse(), a, b) for a in gens for b in gens]
     parent_order = group.order()
     bound = parent_order
     if within is not None and within.order() < bound:
@@ -882,28 +1020,27 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
         if wchain.domain is domain and all(wchain.contains_tracked(t) for t in tracked):
             bound = within.order()
     label = (name or group.name) + "'"
-    chain = StabChain.build(domain, comms, rng=rng, name=label, tracked=tracked, bound=bound)
-    current = [t.elem for lvl in chain.levels for t in lvl.own]
+    chain = StabChain.build(domain, [], rng=rng, name=label, tracked=tracked, bound=bound)
+    current = [t for lvl in chain.levels for t in lvl.own]
     changed = True
     while changed:
         changed = False
         for t in list(current):
             for g in gens:
-                conj = sl_compose(sl_compose(sl_inverse(g), t), g)
-                if not chain.contains(conj):
+                conj = product(g.inverse(), t, g)
+                if not chain.contains_tracked(conj):
                     chain.add_element(conj)
                     current.append(conj)
                     changed = True
         if changed:
-            chain._build_monte_carlo([Tracked(e, domain.perm_of(e)) for e in current], rng)
+            chain._build_monte_carlo(list(current), rng)
             chain._certify(parent_order, label)
             chain.verified = True
-    out_gens = current or [group.identity()]
     return GroupSpec(
         name or f"{group.name}'",
         group.n,
         group.spec,
-        out_gens,
+        TrackedGenerators(current or [chain.ident], domain),
         claimed_order=chain.order(),
         provenance=f"derived subgroup of {group.name}",
         action_tag=derived_tag,
@@ -937,9 +1074,7 @@ def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = Non
 
 def same_subgroup(a: GroupSpec, b: GroupSpec) -> bool:
     """Equality as subgroups: mutual membership of generators."""
-    if a.order() != b.order():
-        return False
-    return all(b.contains(g) for g in a.generators) and all(a.contains(g) for g in b.generators)
+    return a.order() == b.order() and b.includes(a) and a.includes(b)
 
 
 def product_membership(h_orbit: OrbitSet, action: Action, g: GroupElement, omega: ActionPoint) -> bool:

@@ -131,7 +131,7 @@ def two_generator_search(
             # the target on the way up
             sub = StabChain.build(
                 domain,
-                [a.elem, b.elem],
+                [],
                 known_order=target,
                 rng=rng,
                 name=f"{kind} candidate",

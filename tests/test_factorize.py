@@ -13,7 +13,6 @@ from grpfact.factorize import (
     claim_seed,
     intersect,
     structure_hint,
-    verify,
     verify_claim,
 )
 from grpfact.grpcore import GroupSpec
@@ -50,14 +49,16 @@ def test_intersect_requires_applicable_strategy():
         intersect(H, K, "enumerate_smaller")  # both too big
 
 
-def test_generic_verify_wrapper():
+def test_intersect_and_orbit_give_the_factorization():
     G = classical_generators("SL", 4, 2)
     H = ext_subgroup("SL", 2, 2, 2)
     K = stabilizer_subgroup("vector", 4, 2)
-    out = verify(G, H, K)
-    assert out["verdict"]
-    assert out["intersection_order"] == 4
-    assert out["orbit_size"] == 15
+    inter = intersect(H, K, "stabilizer")
+    assert inter.order() == 4
+    assert G.order() * inter.order() == H.order() * K.order()
+    orb = grpcore.orbit(H, ActionPoint(VECTOR, (1, 0, 0, 0)))
+    assert orb.size == 15
+    assert orb.size * K.order() == G.order()
 
 
 def test_structure_hints():

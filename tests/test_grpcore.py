@@ -27,9 +27,11 @@ from grpfact.grpcore import (
 from grpfact.actions import Action
 from grpfact.linalg import (
     ANTIFLAG,
+    FUNCTIONAL,
     PAIR,
     PROJECTIVE,
     VECTOR,
+    ActionPoint,
     GroupElement,
     Mat,
     canonical_point,
@@ -586,3 +588,171 @@ def test_with_name_keeps_stabilizer_stages_and_chain():
     assert renamed.stabilizer_of == K.stabilizer_of is not None
     assert renamed._chain is chain
     assert renamed.order() == K.order()
+
+
+# ---------------------------------------------------------------------------
+# point stabilizers as relabeled suffixes of the certified chain
+
+
+def _stabilizer_cases():
+    """(group, point kind) on vector, projective and pair home domains."""
+    sl42 = classical_generators("SL", 4, 2)
+    sl33 = classical_generators("SL", 3, 3)
+    psl33 = GroupSpec("PSL_3(3)", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PROJECTIVE)
+    gamma_l24 = ext_subgroup("SL", 2, 2, 2, "psi_gamma")  # has a duality generator
+    return [(sl42, VECTOR), (psl33, PROJECTIVE), (gamma_l24, PAIR)]
+
+
+def _points_of_first_orbit(chain):
+    """b0 and the point of the first basic orbit that the Schreier vector
+    reaches last, so that its transversal element is a long word."""
+    return chain.levels[0].base, int(chain.levels[0].orbit[-1])
+
+
+@pytest.fixture
+def schreier_loop_calls(monkeypatch):
+    calls = []
+    loop = grpcore._schreier_stabilizer
+
+    def spy(group, point, name):
+        calls.append(point)
+        return loop(group, point, name)
+
+    monkeypatch.setattr(grpcore, "_schreier_stabilizer", spy)
+    return calls
+
+
+@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+def test_suffix_stabilizer_matches_the_schreier_loop(case, schreier_loop_calls):
+    G, tag = _stabilizer_cases()[case]
+    gchain = G.chain()
+    dom = gchain.domain
+    assert dom.action.tag == tag
+    rng = np.random.default_rng(17 + case)
+    for x in _points_of_first_orbit(gchain):
+        pt = dom.point(x)
+        S = stabilizer_generators(G, pt)
+        assert not schreier_loop_calls, "a first-orbit point took the Schreier loop"
+        loop = grpcore._schreier_stabilizer(G, pt, "loop")
+        schreier_loop_calls.clear()
+        assert S.order() == loop.order() == gchain.order() // len(gchain.levels[0].orbit)
+        assert S.chain().verified
+        for t in S.generators.tracked:
+            assert np.array_equal(dom.perm_of(t.elem), t.perm)
+            assert int(t.perm[x]) == x
+        for _ in range(200):
+            assert S.chain().contains_tracked(loop.random_element(rng))
+            u = S.chain().random_element(rng)
+            assert loop.contains_tracked(u) and int(u.perm[x]) == x
+        outside = 0
+        while outside < 200:
+            t = gchain.random_element(rng)
+            if int(t.perm[x]) != x:
+                assert not S.chain().contains_tracked(t)
+                outside += 1
+
+
+def test_off_domain_and_outside_first_orbit_points_take_the_schreier_loop(schreier_loop_calls):
+    G = classical_generators("SL", 4, 2)
+    functional = ActionPoint(FUNCTIONAL, (1, 0, 0, 0))
+    S = stabilizer_generators(G, functional)
+    assert schreier_loop_calls == [functional]
+    assert S.order() == 20160 // 15
+    # the antiflag stabilizer SL_3(2) fixes e1, so e1 lies outside its first
+    # basic orbit, and it has two orbits of 7 vectors besides
+    K = stabilizer_subgroup("antiflag", 4, 2)
+    kchain = K.chain()
+    e1 = ActionPoint(VECTOR, (1, 0, 0, 0))
+    x = kchain.domain.index_of_point(e1)
+    assert not kchain.levels[0].seen[x]
+    schreier_loop_calls.clear()
+    assert stabilizer_generators(K, e1).order() == K.order()
+    assert schreier_loop_calls == [e1]
+    # a point in the other orbit of 7
+    other = next(i for i in range(kchain.domain.size) if not kchain.levels[0].seen[i] and i != x)
+    pt = kchain.domain.point(other)
+    schreier_loop_calls.clear()
+    S = stabilizer_generators(K, pt)
+    assert schreier_loop_calls == [pt]
+    assert S.order() * orbit(K, pt).size == K.order()
+
+
+def test_first_orbit_stabilizer_sifts_nothing(monkeypatch):
+    G = classical_generators("SL", 4, 2)
+    G.chain()
+    adds = []
+    real_add = StabChain._add
+    monkeypatch.setattr(StabChain, "_add", lambda chain, t: adds.append(t) or real_add(chain, t))
+    S = stabilizer_generators(G, ActionPoint(VECTOR, (1, 0, 0, 0)))
+    assert S.order() == 20160 // 15
+    assert adds == []
+
+
+def _count_matrix_ops(monkeypatch):
+    calls = []
+    for fn in ("sl_compose", "sl_inverse"):
+        real = getattr(grpcore, fn)
+        monkeypatch.setattr(grpcore, fn, lambda *a, real=real: calls.append(1) or real(*a))
+    return calls
+
+
+def test_stabilizer_generators_are_composed_only_when_read(monkeypatch):
+    G = classical_generators("SL", 4, 2)
+    gchain = G.chain()
+    x = _points_of_first_orbit(gchain)[1]
+    calls = _count_matrix_ops(monkeypatch)
+    S = stabilizer_generators(G, gchain.domain.point(x))
+    S.order()
+    sub = stabilizer_generators(S, gchain.domain.point(_points_of_first_orbit(S.chain())[1]))
+    sub.order()
+    assert not calls
+    g = S.generators[0]
+    assert calls
+    assert np.array_equal(gchain.domain.perm_of(g), S.generators.tracked[0].perm)
+
+
+def _derived_by_matrices(group, rng, label):
+    """The normal-closure loop with every commutator and conjugate composed
+    as a matrix, as a reference for the permutation route."""
+    tag = VECTOR if group.action_tag == PAIR else group.action_tag
+    dom = shared_domain(tag, group.spec, group.n)
+    gens = list(group.generators)
+    comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b)) for a in gens for b in gens]
+    chain = StabChain.build(dom, comms, rng=rng, name=label, bound=group.order())
+    current = [t.elem for lvl in chain.levels for t in lvl.own]
+    changed = True
+    while changed:
+        changed = False
+        for t in list(current):
+            for g in gens:
+                conj = sl_compose(sl_compose(sl_inverse(g), t), g)
+                if not chain.contains(conj):
+                    chain.add_element(conj)
+                    current.append(conj)
+                    changed = True
+        if changed:
+            chain._build_monte_carlo([Tracked(e, dom.perm_of(e)) for e in current], rng)
+            chain._certify(group.order(), label)
+    return current, chain
+
+
+@pytest.mark.parametrize("parent", ["Sp_4(2)", "duality"])
+def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkeypatch):
+    if parent == "Sp_4(2)":
+        G = classical_generators("Sp", 4, 2)
+    else:
+        G = ext_subgroup("SL", 2, 2, 2, "psi_gamma")
+        assert G.has_duality and G.action_tag == PAIR
+    G.order()
+    current, ref = _derived_by_matrices(G, np.random.default_rng(9), f"{G.name}'")
+    calls = _count_matrix_ops(monkeypatch)
+    D = derived_subgroup(G, rng=np.random.default_rng(9))
+    if parent == "Sp_4(2)":
+        assert not calls
+    else:
+        assert calls  # products with the duality generator are read off matrices
+    assert D.order() == ref.order() == (360 if parent == "Sp_4(2)" else 60)
+    assert D.chain().base_points() == ref.base_points()
+    assert list(D.generators) == current
+    for t in D.generators.tracked:
+        assert np.array_equal(D.chain().domain.perm_of(t.elem), t.perm)

@@ -2,9 +2,10 @@
 
 The digests are sha256 of ``json.dumps(report, sort_keys=True)`` for
 ``verify_claim`` at the default seed.  They cover claims whose chains are
-certified by tightness bounds, inherited from stabilizer computations or
-conjugated, or built from a certified literal module (row 13), so a performance change that alters what a report says fails
-here.  A deliberate behaviour change must update a digest and say which
+certified by tightness bounds, inherited from stabilizer computations
+(relabeled chain suffixes or sifted Schreier generators) or conjugated, or
+built from a certified literal module (row 13), so a performance change
+that alters what a report says fails here.  A deliberate behaviour change must update a digest and say which
 report keys moved.
 """
 
@@ -17,11 +18,18 @@ from grpfact.catalog import load_catalog
 from grpfact.factorize import verify_claim
 
 DIGESTS = {
+    "t1r01-sl-a2b2q2": "8d9251fbf52d2e28364894fc54f021606a36b5c8ff7ccf13831e1c34caeea6b8",
+    "t1r01-sp-a4b1q2": "3287d8e49e3969b3a5c9ee677d873f2b8244764df927f72ad8b5c642c9a6338d",
+    "t1r03-n4q2": "a75b84b1ca007dd4d4a060d7e63908f20d7f8feed3082285937e7d0f54d7d41d",
     "t1r04-m2": "0c00089eda0e364d2bd203541854d39bc61bf77a2e967b386a0f7cf252ad9bab",
     "t1r04-sp-m4": "fb87ef72ce2640a6df245508710fa2e41b3d86c939b5a88cf554fa1c1f2e39ca",
     "t1r06-m2": "c5afa2049c9e9c7c346e4f156b72059ab1056de9df92dfaa296ee26f9b4eead4",
     "t1r07-m2": "026b4ef7c08a6505e5c515e55447eafe3c7c346cc5c6cefac49386c334bdacc2",
     "t1r08-q4-sp": "a96412d0a7918ce72353e64d87c26c31e0c91d66d1da50c19d23d22a94b840af",
+    "t1r09": "3aa4d9bf980db48de1bd12f8121722b6abfc09f438756ebc7c72dcaff67923c0",
+    "t1r11-a": "1b4c67edcec2d1e939886303312ebc9d05d23cec7eeaa1d35af623e3a88ac077",
+    "t1r11-b": "042f70f05f230c2f2ba47a7e91a09e25316575203bfbe79469a4f18d298810f1",
+    "t1r12-b": "d6fd51c4b66db21787e2a1f0e6d583ce5e43f64e03f46ae42fee9cd79d0cdd96",
     "t1r13": "86a6fdd6cce5c94fa9db771378848eee6f27d5d492d1fcd427b88532ce76e37c",
     "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
     "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
