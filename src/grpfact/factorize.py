@@ -29,6 +29,7 @@ and pass exactly when it does.
 
 from __future__ import annotations
 
+import itertools
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import orders
-from .actions import Action
 from .catalog import FactorizationClaim, identity_for_claim
 from .constructors import (
     ambient_group,
@@ -52,13 +52,16 @@ from .grpcore import (
     CertificationError,
     GroupSpec,
     OrbitBudgetError,
+    ProductSift,
+    Tracked,
     TrackedGenerators,
+    generator_perms,
     orbit,
-    orbit_with_transporters,
     same_subgroup,
+    schreier_orbit,
     solvable_residual,
     stabilizer_generators,
-    transporter,
+    stabilizer_series,
 )
 from .linalg import (
     FUNCTIONAL,
@@ -66,9 +69,6 @@ from .linalg import (
     PROJECTIVE,
     VECTOR,
     ActionPoint,
-    GroupElement,
-    sl_compose,
-    sl_inverse,
 )
 from . import sporadic
 
@@ -218,16 +218,15 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
     if strategy == "stabilizer":
         if not K.stabilizer_of:
             raise VerifyError("stabilizer strategy needs a constructed stabilizer K")
-        cur = H
-        for i, pt in enumerate(_stages_for(H, K.stabilizer_of)):
-            cur = stabilizer_generators(cur, pt, name=f"{H.name}_cap_{K.name}_{i}")
-        return cur.with_name(f"{H.name} n {K.name}")
+        series = stabilizer_series(H, _stages_for(H, K.stabilizer_of), name=f"{H.name}_cap_{K.name}")
+        return series[-1].with_name(f"{H.name} n {K.name}")
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
         if small.order() > 10_000:
             raise VerifyError("enumerate strategy capped at 10^4 elements")
         big_chain, small_chain = big.chain(), small.chain()
-        members = [t for t in small_chain.elements() if big_chain.contains_tracked(t)] or [small_chain.ident]
+        mask = np.concatenate([big_chain.contains_block(b) for b in small_chain.element_perm_blocks()])
+        members = list(itertools.compress(small_chain.elements(), mask)) or [small_chain.ident]
         home = H.home_domain()
         return GroupSpec(
             f"{H.name} n {K.name}",
@@ -617,36 +616,16 @@ def _run_vector_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
 
 
 def _run_sample(claim, setup, rng, record, samples=50) -> StrategyResult:
-    """Random-element product membership, via layered transport through K's stages."""
+    """Random-element product membership, sifted on permutations through
+    H's layered orbits of K's stages (``ProductSift``)."""
     with _Timer(record) as tm:
         if setup.G is None:
             return StrategyResult("sample", "skipped", details={"reason": "no ambient chain"})
         stages = _stages_for(setup.H, setup.K.stabilizer_of)
         gchain = setup.G.chain()
-        layers = []
-        group = setup.H
-        for pt in stages:
-            action = Action(pt.tag, group.spec, group.n)
-            orb = orbit_with_transporters(group.generators, pt, action)
-            layers.append((group, pt, action, orb))
-            group = stabilizer_generators(group, pt)
-        ok = 0
-        for _ in range(samples):
-            g = gchain.random_element(rng)
-            # g in H.K iff the staged points moved by g^-1 land in the
-            # layered H-orbits; each stage transports its point back before
-            # testing the next against the stabilizer's orbit
-            cur = sl_inverse(g.elem)
-            good = True
-            for (grp, pt, action, orb) in layers:
-                key = action.point_key(action.apply_point(cur, pt))
-                if not orb.contains_key(key):
-                    good = False
-                    break
-                back = transporter(orb, grp.generators, key)
-                cur = sl_compose(cur, sl_inverse(back))
-            if good:
-                ok += 1
+        sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
+        drawn = (gchain.random_element(rng) for _ in range(samples))
+        ok = int(sift.contains(drawn, gchain.domain).sum())
         verdict = "pass" if ok == samples else "fail"
     return StrategyResult(
         "sample", verdict, details={"samples": samples, "members": ok}, wall_ms=tm.ms,
@@ -824,9 +803,10 @@ def _verify_row10(claim, rng, seed, record) -> VerificationReport:
 # conjugation stability / quotient bookkeeping suites
 
 
-def _conjugate_group(G: GroupSpec, x: GroupElement, name: str) -> GroupSpec:
-    """x^-1 G x, with G's certified chain relabeled rather than rebuilt; its
-    generators are the relabeled chain's originals."""
+def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
+    """x^-1 G x, for x a permutation of G's chain domain, with G's certified
+    chain relabeled rather than rebuilt; its generators are the relabeled
+    chain's originals."""
     chain = G.chain().conjugate(x)
     return GroupSpec(name, G.n, G.spec, TrackedGenerators(chain.originals, chain.domain),
                      claimed_order=G.claimed_order, provenance=f"{G.name} conjugated",
@@ -857,31 +837,36 @@ def property_suite_section2(claim, rng, samples=50, record=False) -> tuple[list[
 
 
 def _conjugation_samples(claim, rng, samples):
+    """Conjugation stability over random x, y of G, on permutations: x and y
+    stay Tracked, and y(omega) and H^x's orbit are read off permutations."""
     if claim.row == "suite1":
         G = classical_generators("SL", 4, 2)
         H = ext_subgroup("SL", 2, 2, 2)
         omega = ActionPoint(VECTOR, _e1(4))
         K = stabilizer_subgroup("vector", 4, 2)
         base_inter = 4
-        action = Action(VECTOR, G.spec, 4)
     else:
         Z = sporadic.psl2_9()
         H, K, _ = sporadic.locate_two_a5_classes(rng)
         G = Z
         omega = None
         base_inter = 10
-        action = None
     gchain = G.chain()
+    dom = gchain.domain
+    # x and y are permutations of G's chain domain, so the chains they
+    # relabel must live on it
+    if any(group.chain().domain is not dom for group in ((H,) if omega is not None else (H, K))):
+        raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
     stable = 0
     spectra_ok = 0
     for _ in range(samples):
-        x = gchain.random_element(rng).elem
-        y = gchain.random_element(rng).elem
+        x = gchain.random_element(rng)
+        y = gchain.random_element(rng)
         Hx = _conjugate_group(H, x, "H^x")
         if omega is not None:
-            omega_y = action.apply_point(y, omega)
-            orb = orbit(Hx, omega_y)
-            inter = stabilizer_generators(Hx, omega_y)
+            y_omega = int(y.perm[dom.index_of_point(omega)])
+            orb, _, _ = schreier_orbit(generator_perms(Hx, dom), y_omega, dom.size)
+            inter = stabilizer_generators(Hx, dom.point(y_omega))
             ok = orb.size == (2**4 - 1) and inter.order() == base_inter
             spec_ok = sporadic.exact_spectrum(inter.chain()) == frozenset({1, 2})
         else:

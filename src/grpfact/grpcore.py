@@ -8,9 +8,11 @@ and conjugates use permutations only; a matrix is composed when ``.elem``
 is read.  The specs the core returns (point stabilizers, derived
 subgroups, conjugates, enumerated intersections) keep their generators as
 the Tracked elements of their chains (``TrackedGenerators``), so a matrix
-is composed only when a caller reads a generator (to act on another
-domain, to transport a point) or a random element used as a matrix
-(product-membership samples, conjugating elements).
+is composed only when a caller reads a generator or an element to act on
+another domain.  Product-membership samples (``ProductSift``) and
+enumerated intersections (``StabChain.contains_block``) sift stacked
+permutations, and the chain levels and the samples' layered orbits share
+one BFS kernel over domain indices (``schreier_orbit``).
 
 Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
 a partial chain, so its order is a lower bound on the group's order, and
@@ -40,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import zlib
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,6 +194,70 @@ class Rattle:
 
 # ---------------------------------------------------------------------------
 # stabilizer chains
+
+
+def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
+    """Orbit of a domain index under permutations, with a Schreier vector.
+
+    A frontier BFS: each level takes every generator in turn and keeps its
+    unseen images in increasing order.  Returns the orbit in that order,
+    the seen mask and par, where par[x] is the index of the generator that
+    reached x (-1 off the orbit and at the base), over all ``size`` points.
+    """
+    seen = np.zeros(size, dtype=bool)
+    par = np.full(size, -1, dtype=np.int32)
+    seen[base] = True
+    frontier = np.array([base], dtype=np.int64)
+    chunks = [frontier]
+    while frontier.size:
+        parts = []
+        for gi, perm in enumerate(perms):
+            imgs = perm[frontier]
+            # frontier points are distinct and seen is updated between
+            # generators, so the unseen images have no repeats
+            new = np.sort(imgs[~seen[imgs]])
+            if new.size:
+                seen[new] = True
+                par[new] = gi
+                parts.append(new)
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if frontier.size:
+            chunks.append(frontier)
+    return np.concatenate(chunks), seen, par
+
+
+def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
+    """The inverses of permutations of size points, stacked as a (k, size)
+    int32 array (domains stay far below 2^31 points)."""
+    inv = np.empty((len(perms), size), dtype=np.int32)
+    ident = np.arange(size, dtype=np.int32)
+    for row, perm in zip(inv, perms):
+        row[perm] = ident
+    return inv
+
+
+def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.ndarray, inv_gens,
+               depth: int, what: str):
+    """Transport the given rows along a Schreier vector, in place, until
+    walkers[0] reaches base.
+
+    walkers[0] holds one point per row, in the orbit at the given rows; each
+    step applies to every array of walkers, at the rows not yet home, the
+    inverse of the generator that reached their first point (inv_gens[j]
+    stacks those inverses on walkers[j]'s points).  A walk longer than the
+    orbit means a corrupt Schreier vector and raises CertificationError.
+    """
+    todo = rows[walkers[0][rows] != base]
+    steps = 0
+    while todo.size:
+        if steps == depth:
+            raise CertificationError(f"Schreier vector of {what} does not lead a sift to its base")
+        steps += 1
+        gi = par[walkers[0][todo]]
+        for arr, inv in zip(walkers, inv_gens):
+            sub = arr[todo]
+            arr[todo] = inv[gi[:, None], sub] if sub.ndim == 2 else inv[gi, sub]
+        todo = todo[walkers[0][todo] != base]
 
 
 class _Level:
@@ -364,29 +430,7 @@ class StabChain:
     def _recompute_orbit(self, li: int):
         level = self.levels[li]
         level.eff = [t for lvl in self.levels[li:] for t in lvl.own]
-        N = self.domain.size
-        seen = np.zeros(N, dtype=bool)
-        par = np.full(N, -1, dtype=np.int32)
-        seen[level.base] = True
-        frontier = np.array([level.base], dtype=np.int64)
-        chunks = [frontier]
-        while frontier.size:
-            parts = []
-            for gi, g in enumerate(level.eff):
-                imgs = g.perm[frontier]
-                # frontier points are distinct and seen is updated between
-                # generators, so the unseen images have no repeats
-                new = np.sort(imgs[~seen[imgs]])
-                if new.size:
-                    seen[new] = True
-                    par[new] = gi
-                    parts.append(new)
-            frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-            if frontier.size:
-                chunks.append(frontier)
-        level.orbit = np.concatenate(chunks)
-        level.seen = seen
-        level.par = par
+        level.orbit, level.seen, level.par = schreier_orbit([t.perm for t in level.eff], level.base, self.domain.size)
 
     def _transversal(self, li: int, beta: int) -> Tracked:
         level = self.levels[li]
@@ -560,8 +604,9 @@ class StabChain:
         """The group's elements as stacked (k, N) permutation arrays, in the
         order of ``elements``, each of at most max_entries entries (or one
         element).  The innermost levels of the walk are multiplied out as
-        one block by fancy indexing, and the outer levels are walked one
-        prefix at a time, so no matrix is composed."""
+        one block by fancy indexing; the outer levels are walked one prefix
+        at a time, and as many consecutive prefixes as fit are applied to
+        that block together, so no matrix is composed."""
         N = self.domain.size
         trans = [np.stack([self._transversal(li, int(b)).perm for b in self.levels[li].orbit])
                  for li in range(len(self.levels) - 1, -1, -1)]
@@ -571,11 +616,43 @@ class StabChain:
             # entry [i, j] applies transversal i, then block element j
             block = block[np.arange(len(block))[None, :, None], trans[split][:, None, :]].reshape(-1, N)
         outer = trans[:split]
+        per_block = max(1, max_entries // (len(block) * N))
+        prefixes = []
         for idx in itertools.product(*(range(len(T)) for T in outer)):
             prefix = self._arange
             for T, i in zip(outer, idx):
                 prefix = T[i][prefix]
-            yield block[:, prefix]
+            prefixes.append(prefix)
+            if len(prefixes) == per_block:
+                yield self._apply_prefixes(block, prefixes)
+                prefixes = []
+        if prefixes:
+            yield self._apply_prefixes(block, prefixes)
+
+    @staticmethod
+    def _apply_prefixes(block: np.ndarray, prefixes: list[np.ndarray]) -> np.ndarray:
+        # prefix-major: the rows of block[:, p] for each prefix p in turn
+        return block[:, np.stack(prefixes)].transpose(1, 0, 2).reshape(-1, block.shape[1])
+
+    def contains_block(self, block: np.ndarray) -> np.ndarray:
+        """Membership mask of the stacked permutations block[i] (shape (k, N)).
+
+        All rows are sifted together, level by level: a row whose base
+        image leaves the basic orbit is out, and the others walk the
+        Schreier vector home by fancy indexing, with ``_sift``'s walk-length
+        check.  A row is a member when its residue is the identity.
+        """
+        u = np.array(block, dtype=np.int64)
+        alive = np.ones(len(u), dtype=bool)
+        for li, level in enumerate(self.levels):
+            beta = u[:, level.base].copy()  # walked beside u, not a view of it
+            alive &= level.seen[beta]
+            rows = np.flatnonzero(alive)
+            if not rows.size:
+                break
+            inv = _inverse_perms([t.perm for t in level.eff], len(self._arange))
+            _walk_home([beta, u], rows, level.base, level.par, (inv, inv), len(level.orbit), f"level {li}")
+        return alive & (u == self._arange).all(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -846,21 +923,6 @@ def orbit_with_transporters(gens: list[GroupElement], point: ActionPoint, action
                     sorted_keys=seen, sort_order=np.argsort(keys, kind="stable"))
 
 
-def transporter(orbit_set: OrbitSet, gens: list[GroupElement], key: int) -> GroupElement:
-    """Element moving the seed to the given orbit key."""
-    i = int(orbit_set.index_of(key))
-    if i < 0:
-        raise GrpError(f"key {key} is not in the orbit")
-    word = []
-    while orbit_set.parent[i] >= 0:
-        word.append(int(orbit_set.via[i]))
-        i = int(orbit_set.parent[i])
-    g = identity_element(gens[0].spec, gens[0].n)
-    for gi in reversed(word):
-        g = sl_compose(g, gens[gi])
-    return g
-
-
 def stabilizer_generators(
     group: GroupSpec,
     point: ActionPoint,
@@ -971,6 +1033,67 @@ def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -
     return chain
 
 
+def stabilizer_series(group: GroupSpec, points: Sequence[ActionPoint], name: str | None = None) -> list[GroupSpec]:
+    """group, its stabilizer of points[0], that stabilizer's stabilizer of
+    points[1], and so on: len(points) + 1 specs from ``stabilizer_generators``,
+    the i-th named name_i when a name is given."""
+    series = [group]
+    for i, pt in enumerate(points):
+        series.append(stabilizer_generators(series[-1], pt, name=f"{name}_{i}" if name else None))
+    return series
+
+
+def generator_perms(group: GroupSpec, domain: PermDomain) -> list[np.ndarray]:
+    """The group's generators as permutations of a domain: free when they
+    are Tracked on it, read off each generator's matrix otherwise."""
+    gens = group.generators
+    if isinstance(gens, TrackedGenerators) and gens.domain is domain:
+        return [t.perm for t in gens.tracked]
+    return [domain.perm_of(g) for g in gens]
+
+
+class ProductSift:
+    """Membership in HK, for K the full stabilizer of the points w_0, w_1,
+    ... of the ambient, sifted on base images.
+
+    g lies in HK iff g^-1 moves w_0 into its H-orbit and, once an element of
+    H carries that image back to w_0, moves w_1 into its orbit under H_w0,
+    and so on; the answer does not depend on the elements chosen.  Layer i
+    keeps the orbit of w_i under series[i] (see ``stabilizer_series``) as a
+    seen mask and Schreier vector over the indices of w_i's shared domain,
+    and the inverses of series[i]'s generators stacked as permutations of
+    the domain of each w_j, j >= i.  A test reads g^-1's images of the points
+    and carries them back by gathers along the Schreier vectors.
+    """
+
+    def __init__(self, series: Sequence[GroupSpec], points: Sequence[ActionPoint]):
+        spec, n = series[0].spec, series[0].n
+        self.domains = [shared_domain(pt.tag, spec, n) for pt in points]
+        self.bases = [d.index_of_point(pt) for d, pt in zip(self.domains, points)]
+        self.layers = []
+        for i, group in enumerate(series[: len(points)]):
+            perms = {d: generator_perms(group, d) for d in self.domains[i:]}
+            _, seen, par = schreier_orbit(perms[self.domains[i]], self.bases[i], self.domains[i].size)
+            inv = {d: _inverse_perms(p, d.size) for d, p in perms.items()}
+            self.layers.append((seen, par, [inv[d] for d in self.domains[i:]]))
+
+    def contains(self, elements: Iterable[Tracked], domain: PermDomain) -> np.ndarray:
+        """Membership mask of Tracked elements of the given domain, which are
+        read one at a time and not kept.  A point on another shared domain
+        reads the element's matrix there, once."""
+
+        def images(t: Tracked) -> list[int]:
+            on = {d: t.perm if d is domain else d.perm_of(t.elem) for d in dict.fromkeys(self.domains)}
+            return [int(np.argmax(on[d] == b)) for d, b in zip(self.domains, self.bases)]  # g^-1(w)
+
+        x = np.array([images(t) for t in elements], dtype=np.int64).reshape(-1, len(self.domains)).T
+        ok = np.ones(x.shape[1], dtype=bool)
+        for i, (seen, par, inv) in enumerate(self.layers):
+            ok &= seen[x[i]]
+            _walk_home(list(x[i:]), np.flatnonzero(ok), self.bases[i], par, inv, int(seen.sum()), f"stage {i}")
+        return ok
+
+
 # ---------------------------------------------------------------------------
 # derived series / solvable residual
 
@@ -1075,12 +1198,6 @@ def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = Non
 def same_subgroup(a: GroupSpec, b: GroupSpec) -> bool:
     """Equality as subgroups: mutual membership of generators."""
     return a.order() == b.order() and b.includes(a) and a.includes(b)
-
-
-def product_membership(h_orbit: OrbitSet, action: Action, g: GroupElement, omega: ActionPoint) -> bool:
-    """g lies in H.K (K the full stabilizer of omega) iff omega^(g^-1) is in omega^H."""
-    pre = action.apply_point(sl_inverse(g), omega)
-    return h_orbit.contains_key(action.point_key(pre))
 
 
 def tracked_power(t: Tracked, e: int) -> Tracked:

@@ -214,3 +214,68 @@ def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
     assert "exceeded" in res.details["reason"] and res.details["max_points"] == 10
     res = factorize._run_orbit(None, setup, None, False, max_points=4)
     assert res.verdict == "skipped" and res.details["target"] == 8
+
+
+def _count_compositions(monkeypatch):
+    """Count linalg.sl_compose calls in every grpfact module that imported it."""
+    import importlib
+    import pkgutil
+
+    import grpfact
+    from grpfact import linalg
+
+    calls = []
+    real = linalg.sl_compose
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for info in pkgutil.iter_modules(grpfact.__path__):
+        module = importlib.import_module(f"grpfact.{info.name}")
+        if getattr(module, "sl_compose", None) is real:
+            monkeypatch.setattr(module, "sl_compose", counting)
+    return calls
+
+
+@pytest.mark.parametrize("claim_id", ["t1r01-sl-a2b2q2", "t1r08-q4-sp"])
+def test_product_membership_samples_compose_no_matrix(catalog, claim_id, monkeypatch):
+    claim = catalog.claim_by_id(claim_id)
+    rng = np.random.default_rng(claim_seed(claim_id, 20260810))
+    setup = factorize.build_setup(claim, rng)
+    calls = _count_compositions(monkeypatch)
+    result = factorize._run_sample(claim, setup, rng, False)
+    assert result.verdict == "pass"
+    assert result.details == {"samples": 50, "members": 50}
+    assert not calls
+
+
+def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):
+    claim = catalog.claim_by_id("suite-r1")
+    calls = _count_compositions(monkeypatch)
+    *_, stable, spectra_ok = factorize._conjugation_samples(claim, np.random.default_rng(5), 50)
+    assert (stable, spectra_ok) == (50, 50)
+    assert not calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sample_members_match_brute_force_without_a_factorization(catalog, seed):
+    # H replaced by a proper point stabilizer: H_v K is a proper subset of
+    # G, and the sampled member count must equal a brute-force count of the
+    # same draws g with g^-1(e1) = h(e1) for some h of H_v
+    claim = catalog.claim_by_id("t1r01-sl-a2b2q2")
+    setup = factorize.build_setup(claim, np.random.default_rng(seed))
+    hchain = setup.H.chain()
+    dom = hchain.domain
+    setup.H = grpcore.stabilizer_generators(setup.H, dom.point(int(hchain.levels[0].orbit[-1])))
+    assert setup.H.order() < hchain.order()
+    result = factorize._run_sample(claim, setup, np.random.default_rng(seed), False)
+    gchain = setup.G.chain()
+    assert gchain.domain is dom
+    e1 = dom.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
+    h_images = np.array([int(t.perm[e1]) for t in setup.H.chain().elements()])
+    rng = np.random.default_rng(seed)
+    draws = [gchain.random_element(rng) for _ in range(50)]
+    expected = sum(bool((g.perm[h_images] == e1).any()) for g in draws)
+    assert result.details == {"samples": 50, "members": expected}
+    assert expected < 50

@@ -11,18 +11,18 @@ from grpfact.constructors import automorphism_element, classical_generators, ext
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
+    ProductSift,
     derived_subgroup,
     StabChain,
     Tracked,
     element_order_perm,
     orbit,
     orbit_with_transporters,
-    product_membership,
     shared_domain,
     solvable_residual,
     stabilizer_generators,
+    stabilizer_series,
     t_compose,
-    transporter,
 )
 from grpfact.actions import Action
 from grpfact.linalg import (
@@ -160,6 +160,23 @@ def test_residual_idempotent_and_inside_derived():
     assert same_subgroup(solvable_residual(res), res)
 
 
+def _brute_force_products(G, H, points):
+    """The set HK, K the stabilizer in G of the points (read off matrices),
+    as permutation bytes."""
+    actions = [Action(pt.tag, G.spec, G.n) for pt in points]
+
+    def fixes(t):
+        return all(a.point_key(a.apply_point(t.elem, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
+
+    els = list(G.chain().elements())
+    k_els = [t for t in els if fixes(t)]
+    return els, {t_compose(h, k).perm.tobytes() for h in H.chain().elements() for k in k_els}
+
+
+def _product_sift(H, points):
+    return ProductSift(stabilizer_series(H, points[:-1]), points)
+
+
 def test_product_membership_matches_brute_force():
     # SL_2(2) with H a subgroup and K = stabilizer: HK as an explicit set
     G = classical_generators("SL", 2, 2)
@@ -167,20 +184,48 @@ def test_product_membership_matches_brute_force():
     w = GroupElement(Mat(spec, [[0, 1], [1, 0]]))
     H = GroupSpec("swap", 2, spec, [w], claimed_order=2)
     omega = canonical_point(VECTOR, (1, 0))
-    action = Action(VECTOR, spec, 2)
-    h_orbit = orbit(H, omega)
-    els = list(G.chain().elements())
-    k_els = [t for t in els if action.point_key(action.apply_point(t.elem, omega)) == action.point_key(omega)]
-    hk = set()
-    h_els = list(H.chain().elements())
-    for h in h_els:
-        for k in k_els:
-            hk.add(t_compose(h, k).perm.tobytes())
-    for t in els:
-        expected = t.perm.tobytes() in hk
-        assert product_membership(h_orbit, action, t.elem, omega) == expected
-    assert product_membership(h_orbit, action, G.identity(), omega)
-    assert product_membership(h_orbit, action, w, omega)
+    els, hk = _brute_force_products(G, H, [omega])
+    sift = _product_sift(H, [omega])
+    dom = G.chain().domain
+    got = sift.contains(els, dom)
+    assert got.tolist() == [t.perm.tobytes() in hk for t in els]
+    assert 0 < got.sum() < len(els)
+    ident, swap = G.chain().ident, Tracked(w, dom.perm_of(w))
+    assert sift.contains([ident, swap], dom).all()
+
+
+def test_two_stage_product_membership_matches_brute_force():
+    # SL_3(2) with K the stabilizer of e1 and e2, and H the stabilizer of
+    # e3 (order 24) and a Sylow 7 (order 7): HK as an explicit set
+    G = classical_generators("SL", 3, 2)
+    dom = G.chain().domain
+    stages = [canonical_point(VECTOR, (1, 0, 0)), canonical_point(VECTOR, (0, 1, 0))]
+    rng = np.random.default_rng(11)
+    seven = next(t for t in (G.chain().random_element(rng) for _ in range(200)) if element_order_perm(t.perm) == 7)
+    H7 = GroupSpec("C7", 3, G.spec, grpcore.TrackedGenerators([seven], dom), claimed_order=7)
+    H24 = stabilizer_generators(G, canonical_point(VECTOR, (0, 0, 1)))
+    # the antiflag (e1, e1*) as a vector stage and a functional stage: the
+    # functional stage reads permutations off matrices on its own domain
+    antiflag = [stages[0], ActionPoint(FUNCTIONAL, (1, 0, 0))]
+    for points in (stages, antiflag):
+        for H in (H7, H24, G):
+            els, hk = _brute_force_products(G, H, points)
+            got = _product_sift(H, points).contains(els, dom)
+            assert got.tolist() == [t.perm.tobytes() in hk for t in els]
+            assert got.sum() == len(hk)
+
+
+def _walk_to_seed(orb, gens, action, key):
+    """Walk the Schreier vector from key back to the seed: each step applies
+    the inverse of the generator that reached the key and must land on the
+    parent's key."""
+    i = int(orb.index_of(key))
+    assert i >= 0
+    while orb.parent[i] >= 0:
+        key = int(action.apply_batch(sl_inverse(gens[int(orb.via[i])]), np.array([key]))[0])
+        i = int(orb.parent[i])
+        assert key == int(orb.keys[i])
+    return key
 
 
 def test_transporters_transport():
@@ -188,9 +233,9 @@ def test_transporters_transport():
     pt = canonical_point(VECTOR, (0, 1, 0))
     action = Action(VECTOR, G.spec, 3)
     orb = orbit_with_transporters(G.generators, pt, action)
+    assert orb.size == 7
     for key in map(int, orb.keys):
-        u = transporter(orb, G.generators, key)
-        assert action.point_key(action.apply_point(u, pt)) == key
+        assert _walk_to_seed(orb, G.generators, action, key) == orb.seed_key == action.point_key(pt)
 
 
 def test_known_order_build_rejects_wrong_claims():
@@ -401,13 +446,15 @@ def test_element_orders_batched_matches_one_at_a_time():
 def test_element_perm_blocks_follow_elements(sl32):
     chain = sl32.chain()
     want = np.stack([t.perm for t in chain.elements()])
-    for max_entries in (1, 7 * 10, 1 << 22):  # element by element, a few levels, one block
+    # element by element, a few levels, a few levels times three prefixes, one block
+    for max_entries in (1, 7 * 10, 7 * 7 * 3, 1 << 22):
         got = np.concatenate(list(chain.element_perm_blocks(max_entries)))
         assert np.array_equal(got, want)
 
 
-def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
-    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+def _corrupt_first_level(chain):
+    """Point one Schreier vector entry of level 0 at a descendant, which makes
+    a cycle; returns the point and its transversal element from before."""
     level = chain.levels[0]
 
     def walk_closes(start):
@@ -418,24 +465,66 @@ def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
             b = int(level.eff[int(level.par[b])].inverse().perm[b])
         return b == level.base
 
-    # point a Schreier vector entry at a descendant, which makes a cycle
     for beta in map(int, level.orbit[1:]):
         u = chain._transversal(0, beta)
         old = int(level.par[beta])
         for gi in range(len(level.eff)):
             level.par[beta] = gi
             if not walk_closes(beta):
-                break
-        else:
-            level.par[beta] = old
-            continue
-        break
-    else:
-        pytest.fail("no single Schreier vector entry closes a cycle")
+                return beta, u
+        level.par[beta] = old
+    pytest.fail("no single Schreier vector entry closes a cycle")
+
+
+def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+    beta, u = _corrupt_first_level(chain)
     with pytest.raises(CertificationError, match="Schreier vector"):
         chain._transversal(0, beta)
     with pytest.raises(CertificationError, match="Schreier vector"):
         chain._sift(u)
+
+
+def test_corrupt_schreier_vector_stops_the_batched_sift(sl32):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+    beta, u = _corrupt_first_level(chain)
+    block = np.stack([chain.ident.perm, u.perm, u.perm])
+    with pytest.raises(CertificationError, match="Schreier vector of level 0"):
+        chain.contains_block(block)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+def test_contains_block_matches_contains_tracked(case):
+    G, _ = _stabilizer_cases()[case]
+    gchain = G.chain()
+    dom = gchain.domain
+    S = stabilizer_generators(G, dom.point(_points_of_first_orbit(gchain)[1])).chain()
+    rng = np.random.default_rng(29 + case)
+    members = [S.random_element(rng) for _ in range(40)]
+    supergroup = [gchain.random_element(rng) for _ in range(40)]
+    # the matrix of these placeholders is never read
+    loose = [Tracked(G.identity(), rng.permutation(dom.size)) for _ in range(20)]
+    tests = members + supergroup + loose + [S.ident]
+    want = [S.contains_tracked(t) for t in tests]
+    assert all(want[:40]) and want[-1] and not any(want[80:100])
+    assert 0 < sum(want[40:80]) < 40
+    got = S.contains_block(np.stack([t.perm for t in tests]))
+    assert got.dtype == bool and got.tolist() == want
+    assert gchain.contains_block(np.stack([t.perm for t in supergroup])).all()
+
+
+def test_psl2_13_blocks_fill_max_entries():
+    from grpfact import sporadic
+
+    X1, _, _ = sporadic.locate_two_psl2_13(np.random.default_rng(3))
+    chain = X1.chain()
+    N, max_entries = chain.domain.size, 1 << 16
+    assert (N, chain.order()) == (364, 1092)
+    blocks = list(chain.element_perm_blocks(max_entries))
+    assert len(blocks) <= -(-1092 * 364 // max_entries) + 1
+    assert all(b.size <= max_entries for b in blocks)
+    want = np.stack([t.perm for t in chain.elements()])
+    assert np.array_equal(np.concatenate(blocks), want)
 
 
 def _semilinear_gens():
@@ -540,8 +629,7 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
         assert (int(orb.via[i]), int(orb.keys[orb.parent[i]])) == found[key]
     assert orb.index_of(orb.keys).tolist() == list(range(orb.size))
     for key in queue[:: max(1, len(queue) // 7)]:
-        u = transporter(orb, gens, key)
-        assert action.point_key(action.apply_point(u, point)) == key
+        assert _walk_to_seed(orb, gens, action, key) == orb.seed_key
         assert orb.contains_key(key)
     outside = next(k for k in range(10**6) if k not in found)
     assert not orb.contains_key(outside)
@@ -565,8 +653,9 @@ def test_contains_key_on_sparse_keyspace_orbit():
     assert orb.size == len(queue) > 1
     assert all(orb.contains_key(key) for key in queue)
     assert not orb.contains_key(next(k for k in range(10**6) if k not in found))
-    assert product_membership(orb, action, G.identity(), omega)
-    assert product_membership(orb, action, gens[0], omega)
+    seed = action.point_key(omega)
+    assert orb.contains_key(seed)
+    assert orb.contains_key(int(action.apply_batch(sl_inverse(gens[0]), np.array([seed]))[0]))
 
 
 def test_orbit_keeps_no_keys():

@@ -33,6 +33,15 @@ DIGESTS = {
     "t1r13": "86a6fdd6cce5c94fa9db771378848eee6f27d5d492d1fcd427b88532ce76e37c",
     "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
     "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
+    # the enumerate_smaller path (t1r08-sp-q2, neg-sp6-g2p) and the rest of the desk grid
+    "t1r08-sp-q2": "04d411fc442d4698917bc3ee6e9663bb2bca4f8dd3ad9975178072a82edde5b1",
+    "neg-sp6-g2p": "a90ce4cc23a3d1946352f84e315ab53d09fe081ef40e812bb30afbaac276f40f",
+    "t1r01-sp-a4b1q3": "a8c976339a36703d13e0ffcfceb1f4d62a5683cb1e744a0e6125860f642d51d7",
+    "t1r02-b1q2": "2961b8a566ed89d5eeca1de8a621e790df3687ccd89b3c8b89edfc61d9702f8c",
+    "t1r03-n6q2": "888937ca10d729618f50e697936f4b2f6b35cb3ba98bb20d2c7ccbf96e613f68",
+    "t1r05-m2": "a6db855748ff081111fe2bfd19d28260108717f5c64c6e7911d798240c0a49a2",
+    "t1r08-q2": "96ea3d1bc9c8cafcd9cc5fabb76d155f298c1c9d95400520e7dac79817af4ed2",
+    "neg-sl6-g2p": "d2fac69ee64b1eb1aac1758c360fc25dd65ca42a3823ad88e67b54159483149c",
 }
 
 
