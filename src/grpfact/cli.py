@@ -25,7 +25,10 @@ _MEMORY_ENV = "GRPFACT_MEMORY_BUDGET_MB"
 
 
 def _max_orbit_points(budget_mb: int) -> int:
-    # keys are int64 plus bookkeeping; 24 bytes per point is conservative
+    # a dense orbit holds two bool masks over the keyspace, 8 bytes per key
+    # of its largest BFS level and O(block) batch temporaries (57 MiB for
+    # t1r14-ext's 8.4M points); 24 bytes per point covers that when the
+    # orbit fills much of its keyspace
     return max(1 << 16, budget_mb * (1 << 20) // 24)
 
 

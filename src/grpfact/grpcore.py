@@ -814,6 +814,9 @@ class OrbitSet:
 
 _DENSE_SEEN_LIMIT = 2**26
 _SCAN_SHARE = 8
+# frontier keys per apply_batch call on a scanned level: each generator's
+# int64 temporaries stay cache-sized and are reused, not mapped per level
+_SCAN_BLOCK = 2**14
 
 
 def orbit(
@@ -828,15 +831,23 @@ def orbit(
     Only the size and membership are kept, and no level sorts.  Over a
     dense keyspace, a level with at least keyspace/_SCAN_SHARE images
     scatters them into a second keyspace-sized mask, drops the seen keys
-    from it and reads the next frontier off with one flatnonzero scan; a
-    smaller level filters each generator's images against the seen mask,
-    which costs less than scanning the keyspace.  ``keep_keys`` is accepted
+    from it and reads the next frontier off with one flatnonzero scan.  Such
+    a level is walked in blocks of _SCAN_BLOCK keys, every generator applied
+    to one block before the next, so the batch temporaries stay small and
+    the memory is the two masks and the largest level.  A smaller level
+    filters each generator's images against the seen mask, which costs less
+    than scanning the keyspace.  A spec whose generators are Tracked on a
+    domain of the point's kind takes the orbit off their permutations
+    (``schreier_orbit``) and composes no matrix.  ``keep_keys`` is accepted
     only as False; ``orbit_with_transporters`` keeps the keys themselves.
     """
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
     if isinstance(group_or_gens, GroupSpec):
-        gens = list(group_or_gens.generators)
+        gens = group_or_gens.generators
+        if isinstance(gens, TrackedGenerators) and gens.domain.action.tag == point.tag:
+            return _orbit_on_domain(gens, point, max_points)
+        gens = list(gens)
         spec, n = group_or_gens.spec, group_or_gens.n
     else:
         gens = list(group_or_gens)
@@ -856,8 +867,12 @@ def orbit(
     total = 1
     while frontier.size:
         if dense and frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
-            for g in gens:
-                hit[action.apply_batch(g, frontier)] = True
+            for lo in range(0, frontier.size, _SCAN_BLOCK):
+                block = frontier[lo : lo + _SCAN_BLOCK]
+                for g in gens:
+                    hit[action.apply_batch(g, block)] = True
+            # free the spent level before the next one is read off
+            block = frontier = None
             # hit and not seen; this also clears the last scanned frontier
             np.greater(hit, seen, out=hit)
             frontier = np.flatnonzero(hit)
@@ -885,6 +900,17 @@ def orbit(
     if dense:
         return OrbitSet(point.tag, seed, total, seen_dense=seen)
     return OrbitSet(point.tag, seed, total, seen_set=seen_set)
+
+
+def _orbit_on_domain(gens: TrackedGenerators, point: ActionPoint, max_points: int) -> OrbitSet:
+    """``orbit`` of a point of the domain that the generators are Tracked
+    on (same field and n as the spec): a BFS over their permutations."""
+    domain = gens.domain
+    seed = domain.action.point_key(point)
+    orb, _, _ = schreier_orbit([t.perm for t in gens.tracked], domain.index_of_key(seed), domain.size)
+    if orb.size > max_points:
+        raise OrbitBudgetError(f"orbit exceeded {max_points} points", orb.size)
+    return OrbitSet(point.tag, seed, orb.size, seen_set=set(domain.keys[orb].tolist()))
 
 
 def orbit_with_transporters(gens: list[GroupElement], point: ActionPoint, action: Action | None = None, max_points: int = 500_000) -> OrbitSet:

@@ -1,5 +1,7 @@
 """Verification engine behavior: strategies, agreement, negative controls."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from jsonschema import validate
@@ -186,7 +188,34 @@ def test_row14_extended_orbit_covers_every_pair_point(catalog):
     claim = catalog.claim_by_id("t1r14-ext")
     setup = factorize.build_setup(claim, np.random.default_rng(claim_seed(claim.claim_id, 20260810)))
     assert setup.orbit_seed.tag == "pair"
-    assert grpcore.orbit(setup.H, setup.orbit_seed).size == (2**12 - 1) * 2**11
+    tracemalloc.start()
+    try:
+        size = grpcore.orbit(setup.H, setup.orbit_seed).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size == (2**12 - 1) * 2**11
+    # two masks over the 2^24 pair keys (32 MiB) and the largest BFS level,
+    # 3,231,067 int64 keys (24.7 MiB), plus blocks; applying each generator
+    # to a whole level peaked at 136.9 MiB, and keeping the spent level
+    # while the next is read off at 78.1 MiB
+    assert peak < 72 * 2**20
+
+
+@pytest.mark.parametrize("claim_id", ["t1r01-sp-a4b1q2", "t1r02-b1q2"])
+def test_orbit_strategy_on_tracked_witnesses_composes_no_matrix(catalog, claim_id, monkeypatch):
+    # the witnesses' generators are Tracked on the seed's domain, so the
+    # orbit is read off their permutations
+    claim = catalog.claim_by_id(claim_id)
+    rng = np.random.default_rng(claim_seed(claim_id, 20260810))
+    setup = factorize.build_setup(claim, rng)
+    assert any(isinstance(H.generators, grpcore.TrackedGenerators) for H in setup.witnesses)
+    calls = []
+    real = grpcore.sl_compose
+    monkeypatch.setattr(grpcore, "sl_compose", lambda g, h: calls.append(1) or real(g, h))
+    res = factorize._run_orbit(claim, setup, rng, False, max_points=2**20)
+    assert res.verdict == "pass" and res.orbit_sizes == [setup.orbit_target] * len(setup.witnesses)
+    assert calls == []
 
 
 @pytest.mark.parametrize("claim_id", ["t1r04-sp-m4", "t1r06-m2", "t1r07-m2"])

@@ -639,6 +639,43 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
     assert not plain.contains_key(outside)
 
 
+@pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
+def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch):
+    # every level takes the scan branch, walked in blocks of 3 keys, so
+    # levels end on full and on partial blocks
+    monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
+    monkeypatch.setattr(grpcore, "_SCAN_BLOCK", 3)
+    _, gens, point = case
+    action = Action(point.tag, gens[0].spec, gens[0].n)
+    queue, _ = _queue_bfs(gens, point, action)
+    orb = orbit(gens, point, action)
+    assert orb.size == len(queue) > 3
+    assert all(orb.contains_key(key) for key in queue)
+    assert int(orb.seen_dense.sum()) == len(queue)
+
+
+def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
+    G = classical_generators("SL", 3, 3)
+    K = stabilizer_generators(G, canonical_point(VECTOR, (1, 0, 0)))
+    assert isinstance(K.generators, grpcore.TrackedGenerators)
+    point = canonical_point(VECTOR, (0, 1, 0))
+    calls = []
+    real = grpcore.sl_compose
+    monkeypatch.setattr(grpcore, "sl_compose", lambda g, h: calls.append(1) or real(g, h))
+    orb = orbit(K, point)
+    assert calls == []
+    gens = list(K.generators)
+    queue, found = _queue_bfs(gens, point, Action(VECTOR, G.spec, 3))
+    assert orb.size == len(queue) == 24  # the vectors off <e1>
+    assert all(orb.contains_key(key) for key in queue)
+    assert not orb.contains_key(next(k for k in range(1, 27) if k not in found))
+    with pytest.raises(grpcore.OrbitBudgetError):
+        orbit(K, point, max_points=23)
+    # a point of another kind is closed under the matrices
+    proj = canonical_point(PROJECTIVE, (0, 1, 0), spec=G.spec)
+    assert orbit(K, proj).size == len(_queue_bfs(gens, proj, Action(PROJECTIVE, G.spec, 3))[0]) == 12
+
+
 def test_contains_key_on_sparse_keyspace_orbit():
     # the pair keyspace of GF(2)^14 has 2^28 keys, past the dense-mask limit
     G = classical_generators("SL", 14, 2)
