@@ -113,22 +113,33 @@ def cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
-def _parse_point(text: str, n: int, q: int):
-    from .linalg import ActionPoint
+def _parse_point(text: str, action: str, group):
+    """The --point text as a point of the action; a malformed point exits
+    with a usage error that names the expected form."""
+    from .linalg import ANTIFLAG, PAIR, LinAlgError, canonical_point
+
+    n, q = group.n, group.spec.q
+    form = "v;w" if action in (PAIR, ANTIFLAG) else "one vector v"
+    usage = (f"bad {action} point {text!r} for n={n}, q={q}: expected {form}, each vector "
+             f"eK with 1 <= K <= {n} or {n} comma-separated coordinates in 0..{q - 1}")
 
     def vec(part):
-        if part.startswith("e") and part[1:].isdigit():
-            idx = int(part[1:]) - 1
-            return tuple(1 if i == idx else 0 for i in range(n))
+        if part.startswith("e") and part[1:].isdigit() and 1 <= int(part[1:]) <= n:
+            return tuple(int(i == int(part[1:]) - 1) for i in range(n))
         coords = tuple(int(t) for t in part.split(","))
         if len(coords) != n or any(not 0 <= c < q for c in coords):
-            raise SystemExit(f"bad point {part!r} for n={n}, q={q}")
+            raise ValueError
         return coords
 
-    if ";" in text:
-        v, w = text.split(";")
-        return (vec(v), vec(w))
-    return vec(text)
+    parts = text.split(";")
+    if len(parts) != (2 if action in (PAIR, ANTIFLAG) else 1):
+        raise SystemExit(usage)
+    try:
+        return canonical_point(action, *map(vec, parts), spec=group.spec)
+    except LinAlgError as exc:  # a zero vector, or w(v) != 1
+        raise SystemExit(f"{usage} ({exc})") from None
+    except ValueError:
+        raise SystemExit(usage) from None
 
 
 def _parse_group(text: str):
@@ -149,14 +160,9 @@ def _parse_group(text: str):
 
 def cmd_tools_orbit(args) -> int:
     from .grpcore import OrbitBudgetError, orbit
-    from .linalg import ANTIFLAG, PAIR, ActionPoint, canonical_point
 
     group = _parse_group(args.group)
-    data = _parse_point(args.point, group.n, group.spec.q)
-    if args.action in (PAIR, ANTIFLAG):
-        point = canonical_point(args.action, data[0], data[1], spec=group.spec)
-    else:
-        point = canonical_point(args.action, data, spec=group.spec)
+    point = _parse_point(args.point, args.action, group)
     budget = int(os.environ.get(_MEMORY_ENV, "2048"))
     try:
         orb = orbit(group, point, max_points=_max_orbit_points(budget))

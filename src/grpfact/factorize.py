@@ -270,10 +270,6 @@ def _e1(n):
     return (1,) + (0,) * (n - 1)
 
 
-def _f1(n):
-    return (0, 1) + (0,) * (n - 2)
-
-
 def _pair_point(n):
     return ActionPoint(PAIR, (_e1(n), _e1(n)))
 

@@ -11,8 +11,15 @@ the Tracked elements of their chains (``TrackedGenerators``), so a matrix
 is composed only when a caller reads a generator or an element to act on
 another domain.  Product-membership samples (``ProductSift``) and
 enumerated intersections (``StabChain.contains_block``) sift stacked
-permutations, and the chain levels and the samples' layered orbits share
-one BFS kernel over domain indices (``schreier_orbit``).
+permutations.
+
+Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
+of an enumerated domain and keeps a Schreier vector; the chain levels, the
+samples' layered orbits, the transporter orbits of Schreier stabilizers
+(``orbit_with_transporters``) and the orbits of specs kept as permutations
+use it.  ``orbit`` runs over packed keys, with no enumerated domain, and
+keeps only the size and the seen keys, so it reaches orbits of millions of
+points.
 
 Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
 a partial chain, so its order is a lower bound on the group's order, and
@@ -44,6 +51,7 @@ import math
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -561,12 +569,6 @@ class StabChain:
     def contains_tracked(self, t: Tracked) -> bool:
         return self._sift(t)[0].is_identity()
 
-    def suffix_order(self, from_level: int) -> int:
-        out = 1
-        for level in self.levels[from_level:]:
-            out *= len(level.orbit)
-        return out
-
     def suffix_generators(self, from_level: int) -> list[GroupElement]:
         """Generators of the pointwise stabilizer of the first base points."""
         gens = [t.elem for lvl in self.levels[from_level:] for t in lvl.own]
@@ -777,39 +779,20 @@ class GroupSpec:
 
 @dataclass
 class OrbitSet:
-    """Closure of a seed under the generators, over packed keys.
-
-    ``orbit`` keeps only the seen keys (a bool array over a dense keyspace,
-    a set over a sparse one); ``orbit_with_transporters`` keeps the keys in
-    BFS order and a Schreier vector.
-    """
+    """Closure of a seed under the generators, over packed keys: its size
+    and the seen keys (a bool array over a dense keyspace, a set over a
+    sparse one)."""
 
     tag: str
     seed_key: int
     size: int
-    keys: np.ndarray | None = None
     seen_dense: np.ndarray | None = None
     seen_set: set | None = None
-    # Schreier vector (orbit_with_transporters): BFS index of each key's
-    # parent (-1 at the seed) and the generator mapping the parent to the
-    # key; sorted_keys[i] == keys[sort_order[i]] serves lookups
-    parent: np.ndarray | None = None
-    via: np.ndarray | None = None
-    sorted_keys: np.ndarray | None = field(default=None, repr=False)
-    sort_order: np.ndarray | None = field(default=None, repr=False)
-
-    def index_of(self, keys):
-        """BFS index of each key, -1 where the key is not in the orbit."""
-        keys = np.asarray(keys, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(self.sorted_keys, keys), self.size - 1)
-        return np.where(self.sorted_keys[pos] == keys, self.sort_order[pos], -1)
 
     def contains_key(self, key: int) -> bool:
         if self.seen_dense is not None:
             return 0 <= key < len(self.seen_dense) and bool(self.seen_dense[key])
-        if self.seen_set is not None:
-            return key in self.seen_set
-        return int(self.index_of(key)) >= 0
+        return key in self.seen_set
 
 
 _DENSE_SEEN_LIMIT = 2**26
@@ -839,7 +822,8 @@ def orbit(
     than scanning the keyspace.  A spec whose generators are Tracked on a
     domain of the point's kind takes the orbit off their permutations
     (``schreier_orbit``) and composes no matrix.  ``keep_keys`` is accepted
-    only as False; ``orbit_with_transporters`` keeps the keys themselves.
+    only as False, for callers that still pass it;
+    ``orbit_with_transporters`` keeps the orbit points and a Schreier vector.
     """
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
@@ -913,40 +897,25 @@ def _orbit_on_domain(gens: TrackedGenerators, point: ActionPoint, max_points: in
     return OrbitSet(point.tag, seed, orb.size, seen_set=set(domain.keys[orb].tolist()))
 
 
-def orbit_with_transporters(gens: list[GroupElement], point: ActionPoint, action: Action | None = None, max_points: int = 500_000) -> OrbitSet:
-    """Orbit with a Schreier vector, by a frontier BFS over apply_batch.
+class TransporterOrbit(NamedTuple):
+    """A point's orbit over the indices of its shared domain, in
+    ``schreier_orbit``'s order (the point first), with the generators'
+    permutations of that domain and the Schreier vector par."""
 
-    Each level stacks the frontier's images point-major, generator-minor and
-    keeps the first occurrence of every unseen key in that flat order, so
-    the key order and each key's (parent, generator) are those of a queue
-    BFS that tries the generators in order at each point.
-    """
-    spec, n = gens[0].spec, gens[0].n
-    if action is None:
-        action = Action(point.tag, spec, n)
-    seed = action.point_key(point)
-    frontier = np.array([seed], dtype=np.int64)
-    keys, parent, via = [frontier], [np.array([-1])], [np.array([-1])]
-    seen = frontier  # sorted
-    start, total = 0, 1
-    while frontier.size:
-        imgs = np.stack([action.apply_batch(g, frontier) for g in gens], axis=1).ravel()
-        pos = np.minimum(np.searchsorted(seen, imgs), seen.size - 1)
-        flat = np.nonzero(seen[pos] != imgs)[0]
-        fresh, first = np.unique(imgs[flat], return_index=True)
-        flat = flat[np.sort(first)]
-        total += flat.size
-        if total > max_points:
-            raise OrbitBudgetError("transporter orbit exceeded budget", total)
-        keys.append(imgs[flat])
-        parent.append(start + flat // len(gens))
-        via.append(flat % len(gens))
-        start += frontier.size
-        frontier = keys[-1]
-        seen = np.sort(np.concatenate((seen, fresh)), kind="stable")
-    keys = np.concatenate(keys)
-    return OrbitSet(point.tag, seed, total, keys, parent=np.concatenate(parent), via=np.concatenate(via),
-                    sorted_keys=seen, sort_order=np.argsort(keys, kind="stable"))
+    domain: PermDomain
+    perms: list[np.ndarray]
+    orbit: np.ndarray
+    par: np.ndarray
+    size: int
+
+
+def orbit_with_transporters(group: GroupSpec, point: ActionPoint) -> TransporterOrbit:
+    """The point's orbit with a Schreier vector, by ``schreier_orbit`` over
+    the generators' permutations of the point's shared domain."""
+    domain = shared_domain(point.tag, group.spec, group.n)
+    perms = generator_perms(group, domain)
+    orb, _, par = schreier_orbit(perms, domain.index_of_point(point), domain.size)
+    return TransporterOrbit(domain, perms, orb, par, len(orb))
 
 
 def stabilizer_generators(
@@ -1008,13 +977,14 @@ def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -
 def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -> StabChain:
     """The stabilizer's chain from sifted Schreier generators.
 
-    Transversals are composed as permutations on the home domain along the
-    Schreier vector of the point's orbit, only for the orbit points the
-    loop reaches.  The Schreier generators lie in the stabilizer, whose
+    The point's orbit and Schreier vector live on its shared domain
+    (``orbit_with_transporters``).  Transversals are walked back through
+    the inverse generator permutations there and composed as Tracked
+    elements of the home domain, only for the orbit points the loop
+    reaches.  The Schreier generators lie in the stabilizer, whose
     order is |G|/|orbit|, so the chain that reaches that order is complete.
     """
-    action = Action(point.tag, group.spec, group.n)
-    orb = orbit_with_transporters(group.generators, point, action)
+    orb = orbit_with_transporters(group, point)
     total = group.order()
     if total % orb.size:
         raise GrpError("orbit length does not divide the group order")
@@ -1022,31 +992,26 @@ def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -
     chain = StabChain(group.home_domain())
     if target > 1:
         gens = group.tracked_generators()
-        images = [orb.index_of(action.apply_batch(g, orb.keys)) for g in group.generators]
-        reps = {0: chain.ident}
+        inv = _inverse_perms(orb.perms, orb.domain.size)
+        reps = {int(orb.orbit[0]): chain.ident}
 
-        def rep(i: int) -> Tracked:
+        def rep(x: int) -> Tracked:
             path = []
-            while i not in reps:
-                path.append(i)
-                i = int(orb.parent[i])
-            for j in reversed(path):
-                reps[j] = t_compose(reps[i], gens[int(orb.via[j])])
-                i = j
-            return reps[i]
+            while x not in reps:
+                path.append(x)
+                x = int(inv[orb.par[x], x])
+            for y in reversed(path):
+                reps[y] = t_compose(reps[x], gens[int(orb.par[y])])
+                x = y
+            return reps[x]
 
-        done = False
-        for i in range(orb.size):
-            if done:
+        schreier = (t_compose(t_compose(rep(x), g), rep(int(orb.perms[gi][x])).inverse())
+                    for x in map(int, orb.orbit) for gi, g in enumerate(gens))
+        for s in schreier:
+            if chain.order() == target:
                 break
-            u = rep(i)
-            for gi, g in enumerate(gens):
-                s = t_compose(t_compose(u, g), rep(int(images[gi][i])).inverse())
-                if chain._add(s):
-                    chain.originals.append(s)
-                if chain.order() == target:
-                    done = True
-                    break
+            if chain._add(s):
+                chain.originals.append(s)
         if chain.order() < target:
             # the Schreier generators generate the stabilizer, but sifting
             # them one by one can leave a partial chain short of it

@@ -35,7 +35,6 @@ from .linalg import (
     Mat,
     blowup,
     mat_identity,
-    sl_compose,
 )
 
 SPECTRA = {
@@ -347,21 +346,21 @@ def _extraspecial_32(spec) -> list[GroupElement]:
     ]
 
 
-def _closure_elements(gens: list[GroupElement], cap: int = 4096) -> set[GroupElement]:
-    els = set(gens)
-    frontier = list(gens)
-    while frontier:
-        new = []
-        for a in gens:
-            for b in frontier:
-                c = sl_compose(a, b)
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-                    if len(els) > cap:
-                        raise ConstructionError("closure exceeded cap")
-        frontier = new
-    return els
+def _extraspecial_chain(gens: list[GroupElement], domain) -> StabChain:
+    """E = <gens> on the domain, built with no claimed order, so the Schreier
+    pass makes the chain's order exact; E must have order 32."""
+    chain = StabChain.build(domain, gens, name="2^(1+4)")
+    if chain.order() != 32:
+        raise ConstructionError(f"extraspecial group has order {chain.order()}, not 32")
+    return chain
+
+
+def _normalizes(echain: StabChain, t: Tracked) -> bool:
+    """Whether t^-1 e t lies in E for every generator e of E, sifted as
+    permutations of E's domain, on which matrices act faithfully."""
+    eperms = np.stack([e.perm for e in echain.originals])
+    # row k applies t^-1, then e_k, then t
+    return bool(echain.contains_block(t.perm[eperms[:, t.inverse().perm]]).all())
 
 
 def require_minus_identity(group: GroupSpec) -> None:
@@ -379,28 +378,17 @@ def locate_2_4_a5(rng, max_tries: int = 60000) -> tuple[GroupSpec, dict]:
     """2^4:A5 < PSL_4(3) as the extraspecial normalizer's solvable residual."""
     F3 = make_field(3, 1)
     egens = _extraspecial_32(F3)
-    eset = _closure_elements(egens)
-    if len(eset) != 32:
-        raise ConstructionError(f"extraspecial closure has {len(eset)} elements")
     ambient = classical_generators("SL", 4, 3)
     chain = ambient.chain()
+    echain = _extraspecial_chain(egens, chain.domain)
     found: list[GroupElement] = []
-    tries = 0
     residual = None
-    for attempt in range(max_tries):
-        tries = attempt + 1
+    for tries in range(1, max_tries + 1):
         t = chain.random_element(rng)
-        zi = t.inverse()
-        if all(sl_compose(sl_compose(zi.elem, e), t.elem) in eset for e in egens):
+        if _normalizes(echain, t):
             found.append(t.elem)
-            candidate = GroupSpec(
-                "N(2^(1+4))",
-                4,
-                F3,
-                [g for g in egens] + found,
-                provenance=f"extraspecial normalizer closure, {tries} tries",
-                action_tag=VECTOR,
-            )
+            candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + found, action_tag=VECTOR,
+                                  provenance=f"extraspecial normalizer closure, {tries} tries")
             residual = solvable_residual(candidate, rng=rng)
             if residual.order() == 1920:
                 break

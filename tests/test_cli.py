@@ -74,6 +74,18 @@ def test_orbit_tool_pair(capsys):
     assert ": 120" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("point, action, form", [
+    ("e1", "pair", "expected v;w"),              # a pair or antiflag needs v;w
+    ("e1;e1", "vector", "expected one vector"),  # a vector point is one vector
+    ("e5", "vector", "1 <= K <= 4"),             # eK past n
+    ("e0", "vector", "1 <= K <= 4"),             # e0 is no basis vector
+])
+def test_orbit_tool_malformed_point_is_a_usage_error(point, action, form):
+    with pytest.raises(SystemExit) as exc:
+        main(["tools", "orbit", "--group", "SL:4:2", "--point", point, "--action", action])
+    assert form in str(exc.value.code) and repr(point) in str(exc.value.code)
+
+
 def test_orbit_tool_over_budget_reports_instead_of_raising(capsys, monkeypatch):
     # 1 MB holds the 65,536-point floor; SL_10(2) has 523,776 pair points
     monkeypatch.setenv("GRPFACT_MEMORY_BUDGET_MB", "1")

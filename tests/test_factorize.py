@@ -308,3 +308,19 @@ def test_sample_members_match_brute_force_without_a_factorization(catalog, seed)
     expected = sum(bool((g.perm[h_images] == e1).any()) for g in draws)
     assert result.details == {"samples": 50, "members": expected}
     assert expected < 50
+
+
+def test_row3_verify_reaches_the_transporter_orbit(catalog, monkeypatch):
+    # the benchmark's grpcore.orbit_with_transporters counters read these
+    # calls; a desk claim that stopped making them would report 0 points
+    sizes = []
+    real = grpcore.orbit_with_transporters
+
+    def counting(*args):
+        orb = real(*args)
+        sizes.append(orb.size)
+        return orb
+
+    monkeypatch.setattr(grpcore, "orbit_with_transporters", counting)
+    assert verify_claim(catalog.claim_by_id("t1r03-n4q2")).overall == "pass"
+    assert sizes and all(size > 1 for size in sizes)

@@ -24,7 +24,7 @@ from grpfact.grpcore import (
     stabilizer_series,
     t_compose,
 )
-from grpfact.actions import Action
+from grpfact.actions import Action, ActionError
 from grpfact.linalg import (
     ANTIFLAG,
     FUNCTIONAL,
@@ -215,27 +215,28 @@ def test_two_stage_product_membership_matches_brute_force():
             assert got.sum() == len(hk)
 
 
-def _walk_to_seed(orb, gens, action, key):
-    """Walk the Schreier vector from key back to the seed: each step applies
-    the inverse of the generator that reached the key and must land on the
-    parent's key."""
-    i = int(orb.index_of(key))
-    assert i >= 0
-    while orb.parent[i] >= 0:
-        key = int(action.apply_batch(sl_inverse(gens[int(orb.via[i])]), np.array([key]))[0])
-        i = int(orb.parent[i])
-        assert key == int(orb.keys[i])
-    return key
+def _walk_to_seed(orb, x):
+    """Walk the Schreier vector from domain index x back to the orbit's
+    first point: each step applies the inverse of the generator that
+    reached the point, and the walk is no longer than the orbit."""
+    base = int(orb.orbit[0])
+    for _ in range(orb.size):
+        if x == base:
+            return x
+        x = int(np.flatnonzero(orb.perms[int(orb.par[x])] == x)[0])
+    assert x == base
+    return x
 
 
 def test_transporters_transport():
     G = classical_generators("SL", 3, 2)
     pt = canonical_point(VECTOR, (0, 1, 0))
-    action = Action(VECTOR, G.spec, 3)
-    orb = orbit_with_transporters(G.generators, pt, action)
+    orb = orbit_with_transporters(G, pt)
     assert orb.size == 7
-    for key in map(int, orb.keys):
-        assert _walk_to_seed(orb, G.generators, action, key) == orb.seed_key == action.point_key(pt)
+    assert orb.domain is shared_domain(VECTOR, G.spec, 3)
+    assert int(orb.orbit[0]) == orb.domain.index_of_point(pt)
+    for x in map(int, orb.orbit):
+        assert _walk_to_seed(orb, x) == orb.domain.index_of_point(pt)
 
 
 def test_known_order_build_rejects_wrong_claims():
@@ -619,20 +620,17 @@ def _orbit_cases():
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
 def test_orbit_with_transporters_matches_queue_bfs(case):
     _, gens, point = case
-    action = Action(point.tag, gens[0].spec, gens[0].n)
+    spec, n = gens[0].spec, gens[0].n
+    action = Action(point.tag, spec, n)
     queue, found = _queue_bfs(gens, point, action)
-    orb = orbit_with_transporters(gens, point, action)
-    assert orb.keys.tolist() == queue
+    orb = orbit_with_transporters(GroupSpec("case", n, spec, gens), point)
     assert orb.size == len(queue) > 1
-    assert orb.parent[0] == -1
-    for i, key in enumerate(queue[1:], start=1):
-        assert (int(orb.via[i]), int(orb.keys[orb.parent[i]])) == found[key]
-    assert orb.index_of(orb.keys).tolist() == list(range(orb.size))
-    for key in queue[:: max(1, len(queue) // 7)]:
-        assert _walk_to_seed(orb, gens, action, key) == orb.seed_key
-        assert orb.contains_key(key)
+    assert sorted(orb.domain.keys[orb.orbit].tolist()) == sorted(queue)
+    assert int(orb.orbit[0]) == orb.domain.index_of_point(point)
+    assert (orb.par[orb.orbit[1:]] >= 0).all() and orb.par[orb.orbit[0]] == -1
+    for x in map(int, orb.orbit):
+        assert _walk_to_seed(orb, x) == int(orb.orbit[0])
     outside = next(k for k in range(10**6) if k not in found)
-    assert not orb.contains_key(outside)
     plain = orbit(gens, point, action)
     assert plain.size == len(queue)
     assert all(plain.contains_key(key) for key in queue)
@@ -701,9 +699,11 @@ def test_orbit_keeps_no_keys():
 
 
 def test_orbit_with_transporters_budget():
-    gens = classical_generators("SL", 3, 3).generators
-    with pytest.raises(grpcore.OrbitBudgetError):
-        orbit_with_transporters(gens, canonical_point(VECTOR, (1, 0, 0)), max_points=10)
+    # the pair domain of GF(2)^10 has 1023 * 512 = 523,776 points
+    G = classical_generators("SL", 10, 2)
+    e1 = (1,) + (0,) * 9
+    with pytest.raises(ActionError, match="200000 limit"):
+        orbit_with_transporters(G, canonical_point(PAIR, e1, e1, spec=G.spec))
 
 
 def test_with_name_keeps_stabilizer_stages_and_chain():

@@ -42,6 +42,8 @@ DIGESTS = {
     "t1r05-m2": "a6db855748ff081111fe2bfd19d28260108717f5c64c6e7911d798240c0a49a2",
     "t1r08-q2": "96ea3d1bc9c8cafcd9cc5fabb76d155f298c1c9d95400520e7dac79817af4ed2",
     "neg-sl6-g2p": "d2fac69ee64b1eb1aac1758c360fc25dd65ca42a3823ad88e67b54159483149c",
+    # row 12c's seeded normalizer search: its tries and accept decisions
+    "t1r12-c": "0604a3b0cf4a93762c95b65c6b91ede2ed728dce32b966ab8454cdebaa62f31e",
 }
 
 

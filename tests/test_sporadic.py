@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from grpfact import sporadic
-from grpfact.grpcore import CertificationError
+from grpfact.constructors import ConstructionError, classical_generators
+from grpfact.gf import make_field
+from grpfact.grpcore import CertificationError, Tracked, shared_domain, t_compose
+from grpfact.linalg import VECTOR, GroupElement, Mat, mat_identity, sl_compose
 from grpfact.sporadic import (
     SPECTRA,
     exact_spectrum,
@@ -138,3 +141,46 @@ def test_row13_results_do_not_depend_on_the_seed():
         assert got == [("identity", "pass", 3, []), ("order", "pass", 3, []), ("orbit", "pass", None, [364, 364])]
         witnesses = rep.strategies[1].details["witnesses"]
         assert [w["intersection_order"] for w in witnesses] == [3, 3]
+
+
+# ---------------------------------------------------------------------------
+# row 12c: the extraspecial group E and the normalizer test
+
+
+def _unipotent_in_second_factor(F3):
+    """I_2 (x) [[1, 1], [0, 1]], of order 3: it centralizes the D8 factor and
+    normalizes the Q8 factor (Q8 is normal in GL_2(3)), so it normalizes E
+    without lying in it."""
+    return GroupElement(sporadic._tensor(mat_identity(F3, 2), Mat(F3, [[1, 1], [0, 1]])))
+
+
+def test_extraspecial_build_refuses_a_group_not_of_order_32():
+    F3 = make_field(3, 1)
+    egens = sporadic._extraspecial_32(F3)
+    domain = shared_domain(VECTOR, F3, 4)
+    assert sporadic._extraspecial_chain(egens, domain).order() == 32
+    with pytest.raises(ConstructionError):
+        sporadic._extraspecial_chain(egens + [_unipotent_in_second_factor(F3)], domain)
+
+
+def test_normalizer_test_on_permutations_matches_the_matrix_test():
+    F3 = make_field(3, 1)
+    egens = sporadic._extraspecial_32(F3)
+    chain = classical_generators("SL", 4, 3).chain()
+    echain = sporadic._extraspecial_chain(egens, chain.domain)
+    eset = {t.elem for t in echain.elements()}
+    assert len(eset) == 32
+    rng = np.random.default_rng(20260810)
+    u = _unipotent_in_second_factor(F3)
+    u = Tracked(u, chain.domain.perm_of(u))
+    # the same unipotent in the first factor does not normalize D8
+    v = GroupElement(sporadic._tensor(Mat(F3, [[1, 1], [0, 1]]), mat_identity(F3, 2)))
+    v = Tracked(v, chain.domain.perm_of(v))
+    tries = [chain.random_element(rng) for _ in range(40)] + [u, v]
+    tries += [t_compose(echain.random_element(rng), w) for w in (u, v, u.inverse()) for _ in range(3)]
+    perm_verdicts = [sporadic._normalizes(echain, t) for t in tries]
+    matrix_verdicts = [
+        all(sl_compose(sl_compose(t.inverse().elem, e), t.elem) in eset for e in egens) for t in tries
+    ]
+    assert perm_verdicts == matrix_verdicts
+    assert True in perm_verdicts and False in perm_verdicts
