@@ -19,17 +19,19 @@ from pathlib import Path
 from . import orders
 from .catalog import CatalogError, load_catalog
 from .factorize import verify_claim
+from .grpcore import ORBIT_POINT_BYTES
 
 DEFAULT_SEED = 20260810
 _MEMORY_ENV = "GRPFACT_MEMORY_BUDGET_MB"
 
 
 def _max_orbit_points(budget_mb: int) -> int:
-    # a dense orbit holds two bool masks over the keyspace, 8 bytes per key
-    # of its largest BFS level and O(block) batch temporaries (57 MiB for
-    # t1r14-ext's 8.4M points); 24 bytes per point covers that when the
-    # orbit fills much of its keyspace
-    return max(1 << 16, budget_mb * (1 << 20) // 24)
+    # the budget buys ORBIT_POINT_BYTES per point.  A dense orbit holds a
+    # byte mask and a bit mask over its keyspace (9/8 bytes per key, 18 MiB
+    # for t1r14-ext's 8.4M points) and one sweep batch's arrays, and
+    # grpcore.orbit refuses masks over that price before it allocates them;
+    # a sparse orbit, past the dense keyspace limit, is bounded by its points
+    return max(1 << 16, budget_mb * (1 << 20) // ORBIT_POINT_BYTES)
 
 
 def _claim_worker(args):

@@ -584,7 +584,9 @@ def _orbit_strategy(name, setup, groups, details, record, max_points) -> Strateg
 
     A target above the budget is skipped before any BFS, with the reason;
     an orbit that outgrows a target the budget holds cannot equal it, so
-    that strategy fails with the budget error as its reason.
+    that strategy fails with the budget error as its reason.  An orbit
+    stopped before it passed the target (its keyspace masks priced over
+    the budget) decides nothing and is skipped with that reason.
     """
     if setup.orbit_target > max_points:
         return StrategyResult(name, "skipped", details={
@@ -595,8 +597,9 @@ def _orbit_strategy(name, setup, groups, details, record, max_points) -> Strateg
         except OrbitBudgetError as exc:
             sizes = None
             details.update(reason=str(exc), max_points=max_points)
+            verdict = "fail" if exc.partial_size > setup.orbit_target else "skipped"
     if sizes is None:
-        return StrategyResult(name, "fail", details=details, wall_ms=tm.ms)
+        return StrategyResult(name, verdict, details=details, wall_ms=tm.ms)
     verdict = "pass" if all(size == setup.orbit_target for size in sizes) else "fail"
     return StrategyResult(name, verdict, orbit_sizes=sizes, details=details, wall_ms=tm.ms)
 

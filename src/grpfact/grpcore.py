@@ -796,10 +796,14 @@ class OrbitSet:
 
 
 _DENSE_SEEN_LIMIT = 2**26
-_SCAN_SHARE = 8
-# frontier keys per apply_batch call on a scanned level: each generator's
-# int64 temporaries stay cache-sized and are reused, not mapped per level
-_SCAN_BLOCK = 2**14
+# bytes that an orbit budget buys per point; a dense orbit's masks are
+# priced in them before they are allocated
+ORBIT_POINT_BYTES = 24
+_SCAN_SHARE = 64
+# keys per sweep chunk, a multiple of 8 so that a chunk starts on a byte of
+# the packed done mask, and the least keys per apply_batch call in a sweep:
+# batches of 2^13 to 2^14 keys keep each generator's temporaries cached
+_SWEEP_CHUNK = 2**13
 
 
 def orbit(
@@ -812,17 +816,16 @@ def orbit(
     """BFS closure of the point under the generators, vectorized over keys.
 
     Only the size and membership are kept, and no level sorts.  Over a
-    dense keyspace, a level with at least keyspace/_SCAN_SHARE images
-    scatters them into a second keyspace-sized mask, drops the seen keys
-    from it and reads the next frontier off with one flatnonzero scan.  Such
-    a level is walked in blocks of _SCAN_BLOCK keys, every generator applied
-    to one block before the next, so the batch temporaries stay small and
-    the memory is the two masks and the largest level.  A smaller level
-    filters each generator's images against the seen mask, which costs less
-    than scanning the keyspace.  A spec whose generators are Tracked on a
-    domain of the point's kind takes the orbit off their permutations
-    (``schreier_orbit``) and composes no matrix.  ``keep_keys`` is accepted
-    only as False, for callers that still pass it;
+    dense keyspace the seen keys are a bool mask, and a small level filters
+    each generator's images against it.  Once a level reaches
+    keyspace/_SCAN_SHARE images, the rest of the closure is swept
+    (``_sweep_closure``): no level is held, and the memory is the mask, a
+    packed bit mask of the keys already applied and one batch's arrays.
+    Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
+    point of max_points before they are allocated.  A spec whose generators
+    are Tracked on a domain of the point's kind takes the orbit off their
+    permutations (``schreier_orbit``) and composes no matrix.
+    ``keep_keys`` is accepted only as False, for callers that still pass it;
     ``orbit_with_transporters`` keeps the orbit points and a Schreier vector.
     """
     if keep_keys:
@@ -842,8 +845,12 @@ def orbit(
     keyspace = (spec.q**n) ** (2 if action.two_sided else 1)
     dense = keyspace <= _DENSE_SEEN_LIMIT
     if dense:
+        mask_bytes = keyspace + (keyspace + 7) // 8
+        if mask_bytes > ORBIT_POINT_BYTES * max_points:
+            raise OrbitBudgetError(
+                f"orbit masks over {keyspace} keys need {mask_bytes} bytes, "
+                f"more than the {ORBIT_POINT_BYTES * max_points} bytes of a {max_points}-point budget", 1)
         seen = np.zeros(keyspace, dtype=bool)
-        hit = np.zeros(keyspace, dtype=bool)
         seen[seed] = True
     else:
         seen_set = {seed}
@@ -851,17 +858,9 @@ def orbit(
     total = 1
     while frontier.size:
         if dense and frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
-            for lo in range(0, frontier.size, _SCAN_BLOCK):
-                block = frontier[lo : lo + _SCAN_BLOCK]
-                for g in gens:
-                    hit[action.apply_batch(g, block)] = True
-            # free the spent level before the next one is read off
-            block = frontier = None
-            # hit and not seen; this also clears the last scanned frontier
-            np.greater(hit, seen, out=hit)
-            frontier = np.flatnonzero(hit)
-            seen[frontier] = True
-        elif dense:
+            total = _sweep_closure(action, gens, seen, frontier, max_points)
+            break
+        if dense:
             # a generator maps distinct keys to distinct keys, so marking
             # each batch seen as it is filtered leaves the frontier no repeats
             parts = []
@@ -884,6 +883,53 @@ def orbit(
     if dense:
         return OrbitSet(point.tag, seed, total, seen_dense=seen)
     return OrbitSet(point.tag, seed, total, seen_set=seen_set)
+
+
+def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray, max_points: int) -> int:
+    """Close the seen mask under the generators in place and return the
+    orbit size; the frontier's keys are seen and not yet applied.
+
+    A packed bit mask marks the keys whose images have been scattered.
+    Each sweep walks the keyspace once (``_sweep_batches``), and every
+    generator's images of each batch of seen and not done keys are set in
+    seen with no filter.  Images behind the walk wait for the next sweep.
+    A sweep that sets no new key leaves every seen key done, which ends the
+    closure, and every orbit key is applied once per generator.
+    """
+    seen[frontier] = False
+    done = np.packbits(seen)
+    seen[frontier] = True
+    total, grown = 0, int(np.count_nonzero(seen))
+    while grown > total:
+        total = grown
+        for keys in _sweep_batches(seen, done):
+            for g in gens:
+                seen[action.apply_batch(g, keys)] = True
+        grown = int(np.count_nonzero(seen))
+        if grown > max_points:
+            raise OrbitBudgetError(f"orbit exceeded {max_points} points", grown)
+    return total
+
+
+def _sweep_batches(seen: np.ndarray, done: np.ndarray):
+    """One walk of the keyspace in chunks of _SWEEP_CHUNK keys: the seen and
+    not done keys of each chunk are marked done, and they are yielded in
+    batches of at least _SWEEP_CHUNK keys (the last may be smaller).  The
+    caller scatters a batch before the walk goes on."""
+    pending, count = [], 0
+    for lo in range(0, seen.size, _SWEEP_CHUNK):
+        chunk = seen[lo : lo + _SWEEP_CHUNK]
+        bits = done[lo // 8 : (lo + _SWEEP_CHUNK) // 8]
+        todo = np.flatnonzero(chunk > np.unpackbits(bits, count=chunk.size))
+        if todo.size:
+            bits[:] = np.packbits(chunk)
+            pending.append(todo + lo)
+            count += todo.size
+            if count >= _SWEEP_CHUNK:
+                yield np.concatenate(pending)
+                pending, count = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 def _orbit_on_domain(gens: TrackedGenerators, point: ActionPoint, max_points: int) -> OrbitSet:

@@ -326,7 +326,7 @@ def canonical_point(tag: str, vector, functional=None, spec: FieldSpec | None = 
     w = _as_tuple(functional)
     c = _eval_functional(spec, w, v)
     if c == 0:
-        raise LinAlgError("vector lies in the hyperplane: not an antiflag")
+        raise LinAlgError(f"vector lies in the hyperplane: not {'a pair' if tag == PAIR else 'an antiflag'}")
     ci = spec.inv(c)
     if tag == PAIR:
         return ActionPoint(PAIR, (v, tuple(spec.mul(ci, x) for x in w)))

@@ -1,6 +1,7 @@
 """CLI contract: selections, reports, exit codes, byte determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,8 @@ def test_orbit_tool_pair(capsys):
     ("e1;e1", "vector", "expected one vector"),  # a vector point is one vector
     ("e5", "vector", "1 <= K <= 4"),             # eK past n
     ("e0", "vector", "1 <= K <= 4"),             # e0 is no basis vector
+    ("e1;e2", "pair", "not a pair"),             # w(v) = 0
+    ("e1;e2", "antiflag", "not an antiflag"),
 ])
 def test_orbit_tool_malformed_point_is_a_usage_error(point, action, form):
     with pytest.raises(SystemExit) as exc:
@@ -92,6 +95,21 @@ def test_orbit_tool_over_budget_reports_instead_of_raising(capsys, monkeypatch):
     assert main(["tools", "orbit", "--group", "SL:10:2", "--point", "e1;e1",
                  "--action", "pair"]) == 1
     assert "exceeded 65536 points" in capsys.readouterr().err
+
+
+def test_orbit_tool_refuses_masks_past_the_budget_before_allocating(capsys, monkeypatch):
+    # 16 MB prices 699,050 points; the masks over the 2^26 pair keys of
+    # GF(2)^13 need 72 MiB, so the orbit stops before it allocates them
+    monkeypatch.setenv("GRPFACT_MEMORY_BUDGET_MB", "16")
+    tracemalloc.start()
+    try:
+        rc = main(["tools", "orbit", "--group", "SL:13:2", "--point", "e1;e1", "--action", "pair"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert "(memory budget 16 MB)" in capsys.readouterr().err
+    assert peak < 2**20
 
 
 def test_intersect_tool(capsys):

@@ -18,7 +18,7 @@ from grpfact.factorize import (
     verify_claim,
 )
 from grpfact.grpcore import GroupSpec
-from grpfact.linalg import VECTOR, ActionPoint
+from grpfact.linalg import PAIR, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 
 
@@ -195,11 +195,10 @@ def test_row14_extended_orbit_covers_every_pair_point(catalog):
     finally:
         tracemalloc.stop()
     assert size == (2**12 - 1) * 2**11
-    # two masks over the 2^24 pair keys (32 MiB) and the largest BFS level,
-    # 3,231,067 int64 keys (24.7 MiB), plus blocks; applying each generator
-    # to a whole level peaked at 136.9 MiB, and keeping the spent level
-    # while the next is read off at 78.1 MiB
-    assert peak < 72 * 2**20
+    # the 16 MiB seen mask over the 2^24 pair keys, the 2 MiB packed done
+    # mask and one sweep batch's temporaries; holding the largest BFS level
+    # as int64 keys (3,231,067 keys, 24.7 MiB) breaks this bound
+    assert peak < 24 * 2**20
 
 
 @pytest.mark.parametrize("claim_id", ["t1r01-sp-a4b1q2", "t1r02-b1q2"])
@@ -243,6 +242,11 @@ def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
     assert "exceeded" in res.details["reason"] and res.details["max_points"] == 10
     res = factorize._run_orbit(None, setup, None, False, max_points=4)
     assert res.verdict == "skipped" and res.details["target"] == 8
+    # the 288 bytes of masks over the 256 pair keys of GF(2)^4 are over a
+    # 10-point budget's 240: no point is closed, so nothing is decided
+    setup.orbit_seed = ActionPoint(PAIR, ((1, 0, 0, 0), (1, 0, 0, 0)))
+    res = factorize._run_orbit(None, setup, None, False, max_points=10)
+    assert res.verdict == "skipped" and "need 288 bytes" in res.details["reason"]
 
 
 def _count_compositions(monkeypatch):

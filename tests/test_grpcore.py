@@ -639,17 +639,49 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
 
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
 def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch):
-    # every level takes the scan branch, walked in blocks of 3 keys, so
-    # levels end on full and on partial blocks
+    # the first level goes to the sweep, which scans the keyspace in chunks
+    # of 8 and of 16 keys; the keyspaces of 27, 729 and 6561 keys end inside
+    # a byte of the packed done mask
     monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
-    monkeypatch.setattr(grpcore, "_SCAN_BLOCK", 3)
     _, gens, point = case
     action = Action(point.tag, gens[0].spec, gens[0].n)
     queue, _ = _queue_bfs(gens, point, action)
-    orb = orbit(gens, point, action)
-    assert orb.size == len(queue) > 3
-    assert all(orb.contains_key(key) for key in queue)
-    assert int(orb.seen_dense.sum()) == len(queue)
+    real = Action.apply_batch
+    for chunk in (8, 16):
+        monkeypatch.setattr(grpcore, "_SWEEP_CHUNK", chunk)
+        applied = []
+        monkeypatch.setattr(Action, "apply_batch",
+                            lambda self, g, keys: applied.append(keys.copy()) or real(self, g, keys))
+        orb = orbit(gens, point, action)
+        assert orb.size == len(queue) > 3
+        assert all(orb.contains_key(key) for key in queue)
+        assert int(orb.seen_dense.sum()) == len(queue)
+        # every orbit key is applied once per generator
+        keys, counts = np.unique(np.concatenate(applied), return_counts=True)
+        assert keys.tolist() == sorted(queue)
+        assert (counts == len(gens)).all()
+
+
+def test_orbit_budget_error_inside_a_sweep(monkeypatch):
+    monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
+    sweeps = []
+    real = grpcore._sweep_closure
+    monkeypatch.setattr(grpcore, "_sweep_closure", lambda *args: sweeps.append(1) or real(*args))
+    G = classical_generators("SL", 4, 2)
+    with pytest.raises(grpcore.OrbitBudgetError, match="exceeded 4 points") as exc:
+        orbit(G, canonical_point(VECTOR, (1, 0, 0, 0)), max_points=4)
+    assert sweeps == [1] and 4 < exc.value.partial_size <= 15
+
+
+def test_orbit_prices_the_dense_masks_before_allocating():
+    # 16 + 2 bytes of masks over the 16 vector keys of GF(2)^4; a budget
+    # of 24 bytes a point holds them at one point but not at none
+    G = classical_generators("SL", 4, 2)
+    point = canonical_point(VECTOR, (1, 0, 0, 0))
+    with pytest.raises(grpcore.OrbitBudgetError, match="need 18 bytes"):
+        orbit(G, point, max_points=0)
+    with pytest.raises(grpcore.OrbitBudgetError, match="exceeded 1 points"):
+        orbit(G, point, max_points=1)
 
 
 def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
