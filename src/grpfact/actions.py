@@ -5,6 +5,9 @@ vector first, functional second for the two-sided kinds.  Batch application
 works on int64 key arrays.  In characteristic two the key map of vector,
 functional and pair points is GF(2)-linear on the key bits, so it never
 unpacks: one XOR table per run of at most 12 key bits, one lookup each.
+Offsets from an aligned block start (``apply_batch``'s ``base``) take one
+lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of a
+dense orbit walks its keyspace in such blocks of ``Action.block_bits``.
 """
 
 from __future__ import annotations
@@ -56,7 +59,12 @@ class Action:
         self.q = spec.q
         self.two_sided = tag in (PAIR, ANTIFLAG)
         self.width = 2 * n if self.two_sided else n
+        self.linear = spec.p == 2 and tag in (VECTOR, FUNCTIONAL, PAIR)
+        # log2 of the keys per block of a base call: a linear block's offset
+        # table stays cache-sized, and the digit path needs larger batches
+        self.block_bits = 14 if self.linear else 16
         self._chunk_cache: dict = {}
+        self._block_cache: dict = {}
 
     # -- scalar interface ---------------------------------------------------
 
@@ -94,19 +102,13 @@ class Action:
 
     # -- batch application ----------------------------------------------------
 
-    def _chunk_tables(self, g: GroupElement):
-        """XOR tables of the char-2 key map, which is GF(2)-linear on key bits.
+    def _columns(self, g: GroupElement) -> np.ndarray:
+        """Images of the basis keys 1 << b under the char-2 key map, which is
+        GF(2)-linear on key bits.
 
-        Column b is the image of the basis key 1 << b: the duality swap is a
-        rotation of the columns, Frobenius acts on the digit 1 << j, and the
-        matrix column is scaled by the result.  The key bits are cut into
-        runs of at most _CHUNK_BITS, as even as possible, and each run gets a
-        table, built by doubling, of the XOR of its bits' columns; folding
-        one lookup per run is the whole product ("four Russians").
+        The duality swap is a rotation of the columns, Frobenius acts on the
+        digit 1 << j, and the matrix column is scaled by the result.
         """
-        cached = self._chunk_cache.get(g)
-        if cached is not None:
-            return cached
         spec, n, f = self.spec, self.n, self.spec.f
         digits = np.array([spec.frobenius(1 << j, g.fa) for j in range(f)], dtype=np.int64)
         shifts = np.arange(n, dtype=np.int64)[:, None, None] * f
@@ -122,31 +124,57 @@ class Action:
             scaled = spec.mul_table[M[:, :, None], digits[None, None, :]]
             cols.append((scaled.astype(np.int64) << shifts).sum(axis=0).ravel() << (side * n * f))
         cols = np.concatenate(cols)
-        if g.dual:
-            cols = np.roll(cols, n * f)
-        nbits = len(cols)
-        k = -(-nbits // _CHUNK_BITS)
-        tables, lo = [], 0
-        for c in range(k):
-            width = nbits // k + (c < nbits % k)
-            tab = np.zeros(1 << width, dtype=np.int64)
-            for j in range(width):
-                np.bitwise_xor(tab[: 1 << j], cols[lo + j], out=tab[1 << j : 2 << j])
-            tables.append((lo, (1 << width) - 1, tab))
-            lo += width
-        self._chunk_cache[g] = tables
+        return np.roll(cols, n * f) if g.dual else cols
+
+    def _chunk_tables(self, g: GroupElement):
+        """XOR tables of whole keys: the key bits are cut into runs of at
+        most _CHUNK_BITS, as even as possible, and each run gets a table;
+        folding one lookup per run is the whole product ("four Russians")."""
+        tables = self._chunk_cache.get(g)
+        if tables is None:
+            cols = self._columns(g)
+            k = -(-len(cols) // _CHUNK_BITS)
+            tables, lo = [], 0
+            for c in range(k):
+                width = len(cols) // k + (c < len(cols) % k)
+                tables.append((lo, (1 << width) - 1, _xor_table(cols[lo : lo + width])))
+                lo += width
+            self._chunk_cache[g] = tables
         return tables
 
-    def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
-        """Images of packed keys under g; canonicalizes normalized kinds."""
+    def _block_tables(self, g: GroupElement):
+        """XOR tables of a block offset (its low block_bits key bits) and of
+        a block index (the key bits above them)."""
+        bits = self.block_bits
+        tables = self._block_cache.get((g, bits))
+        if tables is None:
+            cols = self._columns(g)
+            tables = _xor_table(cols[:bits]), _xor_table(cols[bits:])
+            self._block_cache[(g, bits)] = tables
+        return tables
+
+    def apply_batch(self, g: GroupElement, keys: np.ndarray, base: int | None = None) -> np.ndarray:
+        """Images of packed keys under g; canonicalizes normalized kinds.
+
+        With ``base``, the keys are offsets below 2**block_bits from base, a
+        multiple of 2**block_bits, and the images are those of base + keys:
+        a GF(2)-linear key map takes them as one lookup and one XOR each.
+        """
         if g.dual and not self.two_sided:
             raise LinAlgError(f"duality does not act on {self.tag} points")
-        if self.spec.p == 2 and self.tag in (VECTOR, FUNCTIONAL, PAIR):
+        if self.linear:
+            if base is not None:
+                low, high = self._block_tables(g)
+                out = low[keys]
+                out ^= high[base >> self.block_bits]
+                return out
             (lo, mask, tab), *rest = self._chunk_tables(g)
             out = tab[(keys >> lo) & mask]
             for lo, mask, tab in rest:
                 out ^= tab[(keys >> lo) & mask]
             return out
+        if base is not None:
+            keys = keys + base
         if g.dual:
             qn = self.q**self.n
             keys = (keys // qn) + (keys % qn) * qn
@@ -242,6 +270,15 @@ class Action:
             wpiv = mul[rhs, spec.inv_table[V[rows, piv]].astype(np.int64)[:, None]]
             wkeys[rows] = wkey + wpiv * powers[piv]
         return (vkeys[:, None] + q**n * wkeys).ravel()
+
+
+def _xor_table(cols: np.ndarray) -> np.ndarray:
+    """Table of the XOR of each subset of the columns, indexed by the subset's
+    bits, built by doubling."""
+    tab = np.zeros(1 << len(cols), dtype=np.int64)
+    for j, col in enumerate(cols):
+        np.bitwise_xor(tab[: 1 << j], col, out=tab[1 << j : 2 << j])
+    return tab
 
 
 class PermDomain:

@@ -800,10 +800,6 @@ _DENSE_SEEN_LIMIT = 2**26
 # priced in them before they are allocated
 ORBIT_POINT_BYTES = 24
 _SCAN_SHARE = 64
-# keys per sweep chunk, a multiple of 8 so that a chunk starts on a byte of
-# the packed done mask, and the least keys per apply_batch call in a sweep:
-# batches of 2^13 to 2^14 keys keep each generator's temporaries cached
-_SWEEP_CHUNK = 2**13
 
 
 def orbit(
@@ -819,8 +815,9 @@ def orbit(
     dense keyspace the seen keys are a bool mask, and a small level filters
     each generator's images against it.  Once a level reaches
     keyspace/_SCAN_SHARE images, the rest of the closure is swept
-    (``_sweep_closure``): no level is held, and the memory is the mask, a
-    packed bit mask of the keys already applied and one batch's arrays.
+    (``_sweep_closure``) in aligned blocks of the action's block width: no
+    level is held, and the memory is the mask, a packed bit mask of the keys
+    already applied, one block's arrays and the action's cached tables.
     Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
     point of max_points before they are allocated.  A spec whose generators
     are Tracked on a domain of the point's kind takes the orbit off their
@@ -890,46 +887,34 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray,
     orbit size; the frontier's keys are seen and not yet applied.
 
     A packed bit mask marks the keys whose images have been scattered.
-    Each sweep walks the keyspace once (``_sweep_batches``), and every
-    generator's images of each batch of seen and not done keys are set in
-    seen with no filter.  Images behind the walk wait for the next sweep.
-    A sweep that sets no new key leaves every seen key done, which ends the
-    closure, and every orbit key is applied once per generator.
+    Each sweep walks the keyspace once in aligned blocks of
+    2**action.block_bits keys (a multiple of 8, so a block starts on a byte
+    of the bit mask).  A block's seen and not done keys are marked done, and
+    every generator's images of them, taken as offsets from the block start
+    (``apply_batch``'s ``base``), are set in seen with no filter.  Images
+    behind the walk wait for the next sweep.  A sweep that sets no new key
+    leaves every seen key done, which ends the closure, and every orbit key
+    is applied once per generator.
     """
     seen[frontier] = False
     done = np.packbits(seen)
     seen[frontier] = True
+    block = 1 << action.block_bits
     total, grown = 0, int(np.count_nonzero(seen))
     while grown > total:
         total = grown
-        for keys in _sweep_batches(seen, done):
-            for g in gens:
-                seen[action.apply_batch(g, keys)] = True
+        for lo in range(0, seen.size, block):
+            chunk = seen[lo : lo + block]
+            bits = done[lo // 8 : (lo + block) // 8]
+            todo = np.flatnonzero(chunk > np.unpackbits(bits, count=chunk.size))
+            if todo.size:
+                bits[:] = np.packbits(chunk)
+                for g in gens:
+                    seen[action.apply_batch(g, todo, base=lo)] = True
         grown = int(np.count_nonzero(seen))
         if grown > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", grown)
     return total
-
-
-def _sweep_batches(seen: np.ndarray, done: np.ndarray):
-    """One walk of the keyspace in chunks of _SWEEP_CHUNK keys: the seen and
-    not done keys of each chunk are marked done, and they are yielded in
-    batches of at least _SWEEP_CHUNK keys (the last may be smaller).  The
-    caller scatters a batch before the walk goes on."""
-    pending, count = [], 0
-    for lo in range(0, seen.size, _SWEEP_CHUNK):
-        chunk = seen[lo : lo + _SWEEP_CHUNK]
-        bits = done[lo // 8 : (lo + _SWEEP_CHUNK) // 8]
-        todo = np.flatnonzero(chunk > np.unpackbits(bits, count=chunk.size))
-        if todo.size:
-            bits[:] = np.packbits(chunk)
-            pending.append(todo + lo)
-            count += todo.size
-            if count >= _SWEEP_CHUNK:
-                yield np.concatenate(pending)
-                pending, count = [], 0
-    if pending:
-        yield np.concatenate(pending)
 
 
 def _orbit_on_domain(gens: TrackedGenerators, point: ActionPoint, max_points: int) -> OrbitSet:

@@ -1,5 +1,6 @@
 """Action kernels against scalar references: the char-2 XOR-table
-apply_batch against sl_apply, and the two-sided domain enumeration."""
+apply_batch against sl_apply, its block offsets against whole keys, and the
+two-sided domain enumeration."""
 
 import numpy as np
 import pytest
@@ -52,6 +53,49 @@ def test_apply_batch_matches_sl_apply(tag, f, n):
             want = [action.point_key(action.apply_point(g, action.key_point(int(k)))) for k in keys]
             assert got.tolist() == want, (fa, dual)
             assert action.apply_batch(g, keys).tolist() == want  # from the cache
+
+
+# (kind, f, n): GF(2)^4 vectors are narrower than one block, the rest wider
+_BLOCK_CASES = [
+    (VECTOR, 1, 4), (VECTOR, 1, 18), (VECTOR, 2, 9), (VECTOR, 4, 5),
+    (FUNCTIONAL, 1, 17), (FUNCTIONAL, 2, 8), (FUNCTIONAL, 4, 4),
+    (PAIR, 1, 9), (PAIR, 2, 5), (PAIR, 4, 3),
+]
+
+
+def _block_offsets_match_whole_keys(action, g, rng):
+    keyspace = action.q**action.width
+    block = 1 << action.block_bits
+    starts = range(0, keyspace, block)
+    for lo in sorted({starts[0], starts[len(starts) // 2], starts[-1]}):
+        size = min(block, keyspace - lo)
+        offsets = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, size=200)]))
+        want = action.apply_batch(g, offsets + lo).tolist()
+        assert action.apply_batch(g, offsets, base=lo).tolist() == want, lo
+        assert action.apply_batch(g, offsets, base=lo).tolist() == want  # from the cache
+
+
+@pytest.mark.parametrize("tag,f,n", _BLOCK_CASES, ids=lambda c: str(c))
+def test_block_offsets_match_whole_keys(tag, f, n):
+    spec = gf.make_field(2, f)
+    action = Action(tag, spec, n)
+    assert action.linear and action.block_bits == 14
+    rng = np.random.default_rng(action.width * 31 + f)
+    duals = (0, 1) if tag == PAIR else (0,)
+    for fa in sorted({0, f - 1, f // 2}):
+        for dual in duals:
+            _block_offsets_match_whole_keys(action, _random_element(rng, spec, n, fa, dual), rng)
+
+
+def test_block_offsets_on_the_digit_path():
+    # the pair keyspace of GF(3)^6 has 3^12 keys, eight full blocks and a
+    # partial last one
+    spec = gf.make_field(3, 1)
+    action = Action(PAIR, spec, 6)
+    assert not action.linear and action.block_bits == 16
+    rng = np.random.default_rng(7)
+    for dual in (0, 1):
+        _block_offsets_match_whole_keys(action, _random_element(rng, spec, 6, 0, dual), rng)
 
 
 def test_duality_rejected_on_one_sided_kinds():

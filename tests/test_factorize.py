@@ -196,8 +196,9 @@ def test_row14_extended_orbit_covers_every_pair_point(catalog):
         tracemalloc.stop()
     assert size == (2**12 - 1) * 2**11
     # the 16 MiB seen mask over the 2^24 pair keys, the 2 MiB packed done
-    # mask and one sweep batch's temporaries; holding the largest BFS level
-    # as int64 keys (3,231,067 keys, 24.7 MiB) breaks this bound
+    # mask, one sweep block's temporaries and the cached block tables; holding
+    # the largest BFS level as int64 keys (3,231,067 keys, 24.7 MiB) breaks
+    # this bound
     assert peak < 24 * 2**20
 
 

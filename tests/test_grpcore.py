@@ -639,7 +639,7 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
 
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
 def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch):
-    # the first level goes to the sweep, which scans the keyspace in chunks
+    # the first level goes to the sweep, which walks the keyspace in blocks
     # of 8 and of 16 keys; the keyspaces of 27, 729 and 6561 keys end inside
     # a byte of the packed done mask
     monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
@@ -647,11 +647,11 @@ def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch)
     action = Action(point.tag, gens[0].spec, gens[0].n)
     queue, _ = _queue_bfs(gens, point, action)
     real = Action.apply_batch
-    for chunk in (8, 16):
-        monkeypatch.setattr(grpcore, "_SWEEP_CHUNK", chunk)
+    for bits in (3, 4):
+        monkeypatch.setattr(action, "block_bits", bits)
         applied = []
         monkeypatch.setattr(Action, "apply_batch",
-                            lambda self, g, keys: applied.append(keys.copy()) or real(self, g, keys))
+                            lambda self, g, keys, base: applied.append(keys + base) or real(self, g, keys, base))
         orb = orbit(gens, point, action)
         assert orb.size == len(queue) > 3
         assert all(orb.contains_key(key) for key in queue)
