@@ -326,5 +326,5 @@ class PermDomain:
             perm = self._dense[imgs]
             if (perm < 0).any():
                 raise ActionError("element does not preserve the domain")
-            return perm.astype(np.int64)
+            return perm
         return np.array([self._lookup[int(k)] for k in imgs], dtype=np.int64)

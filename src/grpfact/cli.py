@@ -146,19 +146,25 @@ def _parse_point(text: str, action: str, group):
 
 
 def _parse_group(text: str):
+    """The --group text as a group; a malformed or unsupported spec exits
+    with a usage error that names the accepted forms and the reason."""
     from . import constructors
     from .g2 import g2_derived, g2_generators
 
-    parts = text.split(":")
-    fam = parts[0]
+    usage = f"bad group spec {text!r}: use SL:n:q, Sp:n:q, GL:n:q, G2:q or G2p:q"
+    fam, *args = text.split(":")
     if fam in ("SL", "Sp", "GL"):
-        n, q = int(parts[1]), int(parts[2])
-        return constructors.classical_generators(fam, n, q)
-    if fam == "G2":
-        return g2_generators(int(parts[1]))
-    if fam == "G2p":
-        return g2_derived(int(parts[1]))
-    raise SystemExit(f"unknown group spec {text!r} (use SL:n:q, Sp:n:q, GL:n:q, G2:q, G2p:q)")
+        build, arity = lambda n, q: constructors.classical_generators(fam, n, q), 2
+    elif fam in ("G2", "G2p"):
+        build, arity = g2_generators if fam == "G2" else g2_derived, 1
+    else:
+        raise SystemExit(usage)
+    if len(args) != arity or not all(a.isdigit() for a in args):
+        raise SystemExit(usage)
+    try:
+        return build(*map(int, args))
+    except ValueError as exc:  # no such group, or a field outside the modulus table
+        raise SystemExit(f"{usage} ({exc})") from None
 
 
 def cmd_tools_orbit(args) -> int:
@@ -191,7 +197,11 @@ def cmd_tools_order(args) -> int:
     if not (args.family and args.n and args.q):
         print("need --sweep or --family/--n/--q", file=sys.stderr)
         return 2
-    print(orders.group_order(args.family, args.n, args.q))
+    try:
+        print(orders.group_order(args.family, args.n, args.q))
+    except orders.OrderError as exc:
+        print(f"bad --family/--n/--q: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import orders
-from .gf import FieldSpec, make_field
+from .gf import FieldSpec, make_field, supported_fields
 from .grpcore import GroupSpec
 from .linalg import (
     PAIR,
@@ -150,16 +150,12 @@ def classical_generators(family: str, n: int, q: int) -> GroupSpec:
 
 def _split_prime_power(q: int) -> tuple[int, int]:
     for p in (2, 3, 5, 7, 11, 13):
-        if q % p == 0:
-            f = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                f += 1
-            if qq != 1:
-                break
+        f = 1
+        while p**f < q:
+            f += 1
+        if p**f == q:
             return p, f
-    raise ConstructionError(f"{q} is not a prime power in range")
+    raise ConstructionError(f"q = {q} is not a supported field size ({supported_fields()})")
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,19 @@ _FAMILIES = {
 
 def group_order(family: str, n: int, q: int) -> int:
     if family not in _FAMILIES:
-        raise OrderError(f"unknown family {family!r}")
+        raise OrderError(f"unknown family {family!r} (use {', '.join(_FAMILIES)})")
+    if not _is_prime_power(q):
+        raise OrderError(f"q = {q} is not a prime power")
     return _FAMILIES[family](n, q)
+
+
+def _is_prime_power(q: int) -> bool:
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    if p is None:
+        return False
+    while q % p == 0:
+        q //= p
+    return q == 1
 
 
 def scalar_count(n: int, q: int) -> int:

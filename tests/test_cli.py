@@ -63,6 +63,16 @@ def test_order_single(capsys):
     assert capsys.readouterr().out.strip() == "1451520"
 
 
+@pytest.mark.parametrize("family, q, reason", [
+    ("XX", 2, "unknown family 'XX'"),
+    ("SL", 6, "q = 6 is not a prime power"),
+])
+def test_order_single_bad_input_is_a_usage_error(capsys, family, q, reason):
+    assert main(["tools", "order", "--family", family, "--n", "3", "--q", str(q)]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and reason in out.err
+
+
 def test_orbit_tool(capsys):
     assert main(["tools", "orbit", "--group", "SL:4:2", "--point", "e1",
                  "--action", "vector"]) == 0
@@ -87,6 +97,29 @@ def test_orbit_tool_malformed_point_is_a_usage_error(point, action, form):
     with pytest.raises(SystemExit) as exc:
         main(["tools", "orbit", "--group", "SL:4:2", "--point", point, "--action", action])
     assert form in str(exc.value.code) and repr(point) in str(exc.value.code)
+
+
+@pytest.mark.parametrize("group, reason", [
+    ("SL:x:2", ""),                                    # n is not an integer
+    ("SL:3", ""),                                      # q missing
+    ("SL:2:289", "not a supported field size"),        # 17^2: p past the table
+    ("SL:2:0", "q = 0 is not a supported field size"),
+    ("Sp:3:2", "Sp needs even n"),
+    ("G2:8", "G2 construction supports even q"),
+    ("SL:2:512", "GF(2^9) is not a supported field"),  # 2^9 > 256
+])
+def test_orbit_tool_bad_group_is_a_usage_error(group, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["tools", "orbit", "--group", group, "--point", "e1"])
+    msg = str(exc.value.code)
+    assert msg.startswith(f"bad group spec {group!r}: use SL:n:q") and reason in msg
+    if "field" in reason:
+        assert "GF(243), GF(256)" in msg
+
+
+def test_orbit_tool_over_the_largest_odd_table_field(capsys):
+    assert main(["tools", "orbit", "--group", "SL:2:243", "--point", "e1"]) == 0
+    assert capsys.readouterr().out.strip().endswith(": 59048")
 
 
 def test_orbit_tool_over_budget_reports_instead_of_raising(capsys, monkeypatch):

@@ -1,5 +1,7 @@
 """Certified constructions: classical groups, stabilizers, blow-ups, G2."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,12 @@ from grpfact.constructors import (
     classical_generators,
     ext_subgroup,
     preserves_form,
+    sl_generators,
     sp_pointwise_factor,
     stabilizer_subgroup,
     standard_symplectic_form,
 )
+from grpfact import g2
 from grpfact.g2 import g2_derived, g2_generators
 from grpfact.grpcore import orbit, shared_domain, solvable_residual
 from grpfact.linalg import (
@@ -159,6 +163,38 @@ def test_g2_orders_and_form():
         for g in G.generators:
             assert preserves_form(g, J)
             assert det(g.mat) == 1
+
+
+# sha256 of each generator's int64 matrix bytes, Frobenius exponent and
+# duality bit, in generator order: the construction must not move them
+G2_GENERATOR_DIGESTS = {
+    2: "91a45500c26c8ce09e1f9dc6c1cd9818c7453531a88521aa8adeb3bbfd4ffee7",
+    4: "e164e910350a65e947b98256f17d56a549aab4000678ecdd5d59e4cec9bcc10b",
+    16: "90267464599c9f75eb94b93fc088822731d3ccd574782bc06c8813c6325eff0f",
+}
+
+
+@pytest.mark.parametrize("q", sorted(G2_GENERATOR_DIGESTS))
+def test_g2_generator_bytes_are_pinned(q):
+    h = hashlib.sha256()
+    for g in g2_generators(q).generators:
+        h.update(np.ascontiguousarray(g.mat.a, dtype=np.int64).tobytes())
+        h.update(bytes([g.fa, g.dual]))
+    assert h.hexdigest() == G2_GENERATOR_DIGESTS[q]
+
+
+def test_algebra_automorphism_check_rejects_one_changed_entry():
+    spec = gf.make_field(2, 2)
+    auts = [g2._unimodular_automorphism(g.mat) for g in sl_generators(spec, 3)]
+    auts.append(g2._half_swap())
+    auts += g2._family_elements(spec, g2._derivation_exp_candidates()[0][1])
+    for A in auts:
+        assert g2._is_algebra_automorphism(spec, A)
+        for r in range(8):
+            for c in range(8):
+                B = A.copy()
+                B[r, c] ^= 1
+                assert not g2._is_algebra_automorphism(spec, B), (r, c)
 
 
 def test_g2_derived_index_two():

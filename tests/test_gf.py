@@ -144,16 +144,44 @@ def test_zero_inverse_raises(field):
         field.inv(0)
 
 
-def test_large_field_polynomial_path():
-    # design headroom: GF(3^11) > 2^16 runs on the polynomial path
-    F = gf.make_field(3, 11)
-    assert F.q == 177147
-    for a in (1, 2, 17, 12345, 98765):
-        assert F.mul(a, F.inv(a)) == 1
-        assert F.add(a, F.neg(a)) == 0
-        assert F.frobenius(a, F.f) == a
-    a, b, c = 4821, 77077, 130000
-    assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+@pytest.mark.parametrize("p, f", [(3, 11), (2, 9), (17, 1)])
+def test_make_field_rejects_fields_outside_the_table(p, f):
+    with pytest.raises(gf.FieldError, match="not a supported field.*GF\\(256\\)"):
+        gf.make_field(p, f)
+
+
+# the moduli a smallest-index search picked for these fields before the
+# table covered them; element encodings depend on them
+ADDED_MODULI = {
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (5, 3): (2, 3, 0, 1),
+    (11, 2): (7, 1, 1),
+    (13, 2): (2, 1, 1),
+}
+
+
+def test_every_prime_power_up_to_256_builds():
+    for p in (2, 3, 5, 7, 11, 13):
+        f = 1
+        while p**f <= 256:
+            F = gf.make_field(p, f)
+            assert F.q == p**f and F.elem_order(F.primitive_elem) == F.q - 1
+            assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, F.q))
+            f += 1
+    for (p, f), modulus in ADDED_MODULI.items():
+        assert gf.make_field(p, f).modulus == modulus
+
+
+@pytest.mark.parametrize("p, f", [(2, 3), (3, 2), (2, 5), (5, 2), (3, 3), (7, 2)])
+def test_tables_match_polynomial_arithmetic(p, f):
+    # loop reference for the vectorised tables: digit-wise sums and
+    # products of residue polynomials reduced by the modulus
+    F = gf.make_field(p, f)
+    for a, b in itertools.product(range(F.q), repeat=2):
+        da, db = gf._digits(a, p, f), gf._digits(b, p, f)
+        assert F.add(a, b) == gf._pack([(x + y) % p for x, y in zip(da, db)], p)
+        assert F.mul(a, b) == gf._pack(gf._poly_mulmod(da, db, F.modulus, p), p)
 
 
 def test_specs_are_interned():
