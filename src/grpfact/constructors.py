@@ -419,26 +419,3 @@ def _certify_adjoin(blown_gens, extra, inner_order, index, spec, n, name):
         power = sl_compose(power, extra)
     if power.dual or not chain.contains(power):
         raise ConstructionError(f"{name}: adjoined element power {index} leaves the core")
-
-
-# ---------------------------------------------------------------------------
-# ambient groups for the duality / field-automorphism rows
-
-
-def ambient_group(n: int, q: int, adjoin_kind: str | None = None) -> GroupSpec:
-    """SL_n(q), optionally extended by phi (SigmaL) or phi_gamma."""
-    base = classical_generators("SL", n, q)
-    if adjoin_kind is None:
-        return base
-    p, f = _split_prime_power(q)
-    extra = automorphism_element(adjoin_kind, n, q)
-    factor = {"phi": f, "gamma": 2, "phi_gamma": _lcm(f, 2)}[adjoin_kind]
-    if factor == 1:
-        return base
-    return adjoin(base, [extra], f"SL_{n}({q}).{adjoin_kind}", factor)
-
-
-def _lcm(a, b):
-    from math import gcd
-
-    return a * b // gcd(a, b)

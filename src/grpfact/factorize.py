@@ -15,13 +15,17 @@ Strategies per claim:
 * ``sample``     product membership of random ambient elements (smoke test);
 * ``tight``      solvable residuals agree, as subgroups, with the expected
                  minimal factor;
-* ``vector_orbit``  the extended-tier big orbit witness.
+* ``vector_orbit``  the extended-tier big orbit witness;
+* ``conjugation``  the suites: H^x n K^y for random x, y of the ambient has
+                 the order and spectrum of H n K;
+* ``product_identity``  the suites' product set identity, which for their
+                 instances is the counting identity of the factorization.
 
 Every claim runs one path: ``build_setup`` constructs or locates the
 ambient order, the factors and the orbit point, one runner per entry of
 ``claim.checks`` produces a strategy, and ``_finalize`` decides the claim.
 Row 10, which searches three ambients for its pair of factors, is the one
-bespoke verifier left; the conjugation suites keep their own runner.
+bespoke verifier left.
 
 Claims carry an expectation; negative controls expect the identity to fail
 and pass exactly when it does.
@@ -39,7 +43,6 @@ import numpy as np
 from . import orders
 from .catalog import FactorizationClaim, identity_for_claim
 from .constructors import (
-    ambient_group,
     automorphism_element,
     adjoin,
     classical_generators,
@@ -258,6 +261,9 @@ class ClaimSetup:
     residual_order: int | None = None
     # row 13: a second witness for H, from the other conjugacy class
     extra_witnesses: tuple[GroupSpec, ...] = ()
+    # conjugation suites: the order and element-order spectrum of every
+    # conjugate intersection H^x n K^y
+    conjugate_intersection: tuple[int, frozenset] | None = None
     # facts for the report's notes; the tight runner adds its reading
     notes: dict = field(default_factory=dict)
 
@@ -270,146 +276,69 @@ def _e1(n):
     return (1,) + (0,) * (n - 1)
 
 
-def _pair_point(n):
-    return ActionPoint(PAIR, (_e1(n), _e1(n)))
+def _stab_setup(kind: str, n: int, q: int, H: GroupSpec, **kw) -> ClaimSetup:
+    """H against K = the ``kind`` stabilizer in SL_n(q), in an ambient of
+    order |SL_n(q)|; the orbit seed is K's defining point, e1 for a vector
+    and (e1, e1) for an antiflag, and the target is its SL_n(q)-orbit."""
+    K = stabilizer_subgroup(kind, n, q)
+    if kind == "vector":
+        seed, target = ActionPoint(VECTOR, _e1(n)), q**n - 1
+    else:
+        seed, target = ActionPoint(PAIR, (_e1(n), _e1(n))), (q**n - 1) * q ** (n - 1)
+    return ClaimSetup(orders.sl_order(n, q), H, K, orbit_seed=seed, orbit_target=target, **kw)
+
+
+# rows 4-7 by their digit: q, H's adjoined element, and K's outer element,
+# which doubles the ambient's order
+_ANTIFLAG_ROWS = {
+    "4": (2, "psi", None),
+    "5": (2, "psi_gamma", "phi_gamma"),
+    "6": (4, "psi", "phi"),
+    "7": (4, "psi_gamma", "phi_gamma"),
+}
 
 
 def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
     row, p = claim.row, claim.params
-    if row == "1SL":
+    if row in ("1SL", "1Sp"):
         a, b, q = p["a"], p["b"], p["q"]
-        n = a * b
-        H = ext_subgroup("SL", a, b, q)
-        K = stabilizer_subgroup("vector", n, q)
-        return ClaimSetup(
-            orders.sl_order(n, q), H, K, G=classical_generators("SL", n, q),
-            orbit_seed=ActionPoint(VECTOR, _e1(n)), orbit_target=q**n - 1,
-        )
-    if row == "1Sp":
-        a, b, q = p["a"], p["b"], p["q"]
-        n = a * b
-        if (a, b, q) == (4, 1, 2):
+        if (row, a, b, q) == ("1Sp", 4, 1, 2):
             H = sporadic.sp4_2_derived()
         else:
-            H = ext_subgroup("Sp", a, b, q)
-        K = stabilizer_subgroup("vector", n, q)
-        return ClaimSetup(
-            orders.sl_order(n, q), H, K, G=classical_generators("SL", n, q),
-            orbit_seed=ActionPoint(VECTOR, _e1(n)), orbit_target=q**n - 1,
-        )
+            H = ext_subgroup(row[1:], a, b, q)
+        return _stab_setup("vector", a * b, q, H, G=classical_generators("SL", a * b, q))
     if row == "2":
         b, q = p["b"], p["q"]
-        n = 6 * b
-        if b == 1:
-            H = g2_derived(q)
-        else:
-            H = ext_subgroup("G2", 6, b, q)
-        K = stabilizer_subgroup("vector", n, q)
-        return ClaimSetup(
-            orders.sl_order(n, q), H, K,
-            orbit_seed=ActionPoint(VECTOR, _e1(n)), orbit_target=q**n - 1,
-        )
+        H = g2_derived(q) if b == 1 else ext_subgroup("G2", 6, b, q)
+        return _stab_setup("vector", 6 * b, q, H)
     if row == "3":
         n, q = p["n"], p["q"]
         H = sporadic.sp4_2_derived() if (n, q) == (4, 2) else classical_generators("Sp", n, q)
-        K = stabilizer_subgroup("antiflag", n, q)
-        return ClaimSetup(
-            orders.sl_order(n, q), H, K, G=classical_generators("SL", n, q),
-            orbit_seed=_pair_point(n), orbit_target=(q**n - 1) * q ** (n - 1),
-        )
-    if row in ("4SL", "4Sp"):
-        m = p["m"]
-        n, q = 2 * m, 2
-        inner = "SL" if row == "4SL" else "Sp"
-        H = ext_subgroup(inner, m, 2, q, "psi")
-        K = stabilizer_subgroup("antiflag", n, q)
-        return ClaimSetup(
-            orders.sl_order(n, q), H, K,
-            orbit_seed=_pair_point(n), orbit_target=(q**n - 1) * q ** (n - 1),
-            tight_target=ext_subgroup(inner, m, 2, q),
-        )
-    if row in ("5SL", "5Sp"):
-        m = p["m"]
-        n, q = 2 * m, 2
-        inner = "SL" if row == "5SL" else "Sp"
-        H = ext_subgroup(inner, m, 2, q, "psi_gamma")
-        K = adjoin(
-            stabilizer_subgroup("antiflag", n, q),
-            [automorphism_element("phi_gamma", n, q)],
-            f"stab_antiflag_SL_{n}({q}).2",
-            2,
-        )
-        return ClaimSetup(
-            2 * orders.sl_order(n, q), H, K, G=ambient_group(n, q, "phi_gamma"),
-            orbit_seed=_pair_point(n), orbit_target=(q**n - 1) * q ** (n - 1),
-            tight_target=ext_subgroup(inner, m, 2, q),
-        )
-    if row in ("6SL", "6Sp"):
-        m = p["m"]
-        n, q = 2 * m, 4
-        inner = "SL" if row == "6SL" else "Sp"
-        H = ext_subgroup(inner, m, 2, q, "psi")
-        K = adjoin(
-            stabilizer_subgroup("antiflag", n, q),
-            [automorphism_element("phi", n, q)],
-            f"stab_antiflag_SL_{n}({q}).phi",
-            2,
-        )
-        return ClaimSetup(
-            2 * orders.sl_order(n, q), H, K,
-            orbit_seed=_pair_point(n), orbit_target=(q**n - 1) * q ** (n - 1),
-            tight_target=ext_subgroup(inner, m, 2, q),
-        )
-    if row in ("7SL", "7Sp"):
-        m = p["m"]
-        n, q = 2 * m, 4
-        inner = "SL" if row == "7SL" else "Sp"
-        H = ext_subgroup(inner, m, 2, q, "psi_gamma")
-        K = adjoin(
-            stabilizer_subgroup("antiflag", n, q),
-            [automorphism_element("phi_gamma", n, q)],
-            f"stab_antiflag_SL_{n}({q}).2",
-            2,
-        )
-        return ClaimSetup(
-            2 * orders.sl_order(n, q), H, K,
-            orbit_seed=_pair_point(n), orbit_target=(q**n - 1) * q ** (n - 1),
-            tight_target=ext_subgroup(inner, m, 2, q),
-        )
+        return _stab_setup("antiflag", n, q, H, G=classical_generators("SL", n, q))
+    if row[:1] in _ANTIFLAG_ROWS and row[1:] in ("SL", "Sp"):
+        m, inner = p["m"], row[1:]
+        n = 2 * m
+        q, h_extra, k_extra = _ANTIFLAG_ROWS[row[:1]]
+        H = ext_subgroup(inner, m, 2, q, h_extra)
+        setup = _stab_setup("antiflag", n, q, H, tight_target=ext_subgroup(inner, m, 2, q))
+        if k_extra is not None:
+            suffix = "phi" if k_extra == "phi" else "2"
+            setup.K = adjoin(setup.K, [automorphism_element(k_extra, n, q)],
+                             f"stab_antiflag_SL_{n}({q}).{suffix}", 2)
+            setup.g_order *= 2
+        return setup
     if row == "8":
-        q = p["q"]
-        H = g2_generators(q)
-        K = stabilizer_subgroup("antiflag", 6, q)
-        return ClaimSetup(
-            orders.sl_order(6, q), H, K,
-            orbit_seed=_pair_point(6), orbit_target=(q**6 - 1) * q**5,
-        )
-    if row == "8Sp":
-        q = p["q"]
-        H = g2_generators(q)
-        K = sp_pointwise_factor(6, q)
-        return ClaimSetup(orders.sp_order(6, q), H, K, G=classical_generators("Sp", 6, q))
-    if row == "neg_sp":
-        q = 2
-        H = g2_derived(2)
+        return _stab_setup("antiflag", 6, p["q"], g2_generators(p["q"]))
+    if row in ("8Sp", "neg_sp"):
+        q = p["q"] if row == "8Sp" else 2
+        H = g2_generators(q) if row == "8Sp" else g2_derived(2)
         K = sp_pointwise_factor(6, q)
         return ClaimSetup(orders.sp_order(6, q), H, K, G=classical_generators("Sp", 6, q))
     if row == "neg_sl":
-        q = 2
-        H = g2_derived(2)
-        K = stabilizer_subgroup("antiflag", 6, q)
-        return ClaimSetup(
-            orders.sl_order(6, q), H, K,
-            orbit_seed=_pair_point(6), orbit_target=(q**6 - 1) * q**5,
-        )
+        return _stab_setup("antiflag", 6, 2, g2_derived(2))
     if row == "14":
-        H = ext_subgroup("G2", 6, 2, 2, "psi")
-        K = stabilizer_subgroup("antiflag", 12, 2)
-        return ClaimSetup(
-            orders.sl_order(12, 2), H, K,
-            orbit_seed=_pair_point(12), orbit_target=(2**12 - 1) * 2**11,
-            tight_target=ext_subgroup("G2", 6, 2, 2),
-        )
+        return _stab_setup("antiflag", 12, 2, ext_subgroup("G2", 6, 2, 2, "psi"),
+                           tight_target=ext_subgroup("G2", 6, 2, 2))
     if row == "15":
         # degree 16.7M ambient: generators only, witness-grade claimed order
         H = ext_subgroup("G2", 6, 2, 4, "psi", certify_adjoin=False)
@@ -424,16 +353,20 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
                         "rejected_conjugates": info["rejected_conjugates"]},
             "classes": "brute-force conjugacy over all 360 ambient elements",
         })
+    # the conjugation suites: H^x n K^y for random x, y of G, with H^x and
+    # K^y on G's chain domain; suite 1 reads K^y as the stabilizer of y(e1)
+    samples = {"samples": p.get("samples", 50)}
+    if row == "suite1":
+        return _stab_setup("vector", 4, 2, ext_subgroup("SL", 2, 2, 2), G=classical_generators("SL", 4, 2),
+                           conjugate_intersection=(4, frozenset({1, 2})), notes=samples)
+    if row == "suite9":
+        X, Y, _ = sporadic.locate_two_a5_classes(rng)
+        return ClaimSetup(360, X, Y, G=sporadic.psl2_9(),
+                          conjugate_intersection=(10, frozenset({1, 2, 5})), notes=samples)
     if row in ("11a", "11b"):
         A7, info = sporadic.locate_a7(rng)
-        if row == "11a":
-            K, seed_pt, target = stabilizer_subgroup("antiflag", 4, 2), _pair_point(4), (2**4 - 1) * 2**3
-        else:
-            K, seed_pt, target = stabilizer_subgroup("vector", 4, 2), ActionPoint(VECTOR, _e1(4)), 2**4 - 1
-        return ClaimSetup(
-            orders.sl_order(4, 2), A7, K,
-            orbit_seed=seed_pt, orbit_target=target, notes={"a7_search": info},
-        )
+        kind = "antiflag" if row == "11a" else "vector"
+        return _stab_setup(kind, 4, 2, A7, notes={"a7_search": info})
     if row in ("12a", "12b", "12c"):
         Z = sporadic.psl_n3_projective(4)
         Y = _projective_point_stabilizer(Z)
@@ -675,12 +608,9 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
     rng = np.random.default_rng(seed)
     if claim.row == "10":
         return _verify_row10(claim, rng, seed, record_timings)
-    if claim.row in ("suite1", "suite9"):
-        return _verify_suite(claim, rng, seed, record_timings)
 
     strategies: list[StrategyResult] = []
-    needs_setup = any(c in ("order", "enumerate", "orbit", "vector_orbit", "sample", "tight")
-                      for c in claim.checks)
+    needs_setup = any(c != "identity" for c in claim.checks)
     setup = None
     if needs_setup:
         try:
@@ -706,6 +636,10 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
             strategies.append(_run_sample(claim, setup, rng, record_timings))
         elif check == "tight":
             strategies.append(_run_tight(claim, setup, rng, record_timings))
+        elif check == "conjugation":
+            strategies.append(_run_conjugation(claim, setup, rng, record_timings))
+        elif check == "product_identity":
+            strategies.append(_run_product_identity(claim, setup, rng, record_timings))
         elif check == "discrepancy":
             pass  # row 13's structure discrepancy is a note of its setup
         else:
@@ -812,74 +746,46 @@ def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
                      action_tag=G.action_tag, _chain=chain)
 
 
-def property_suite_section2(claim, rng, samples=50, record=False) -> tuple[list[StrategyResult], dict]:
-    """Conjugation stability of a verified factorization plus the product
-    set identity on the socle-full case."""
-    with _Timer(record) as tm_conj:
-        G, H, K, base_inter, stable, spectra_ok = _conjugation_samples(claim, rng, samples)
-    # product set identity with both side products equal to the whole group
-    # (the socle equals the ambient for these two instances, so the identity
-    # degenerates to the factorization itself)
-    with _Timer(record) as tm_prod:
-        kb = K.order() if claim.row != "suite1" else orders.vector_stab_order(4, 2)
-        product_identity = G.order() * base_inter == H.order() * kb
-    strategies = [
-        StrategyResult("conjugation", "pass" if stable == samples else "fail",
-                       intersection_order=base_inter,
-                       details={"samples": samples, "stable": stable,
-                                "spectra_preserved": spectra_ok},
-                       wall_ms=tm_conj.ms),
-        StrategyResult("product_identity", "pass" if product_identity else "fail",
-                       details={"socle_equals_ambient": True}, wall_ms=tm_prod.ms),
-    ]
-    return strategies, {"samples": samples}
-
-
-def _conjugation_samples(claim, rng, samples):
+def _run_conjugation(claim, setup, rng, record) -> StrategyResult:
     """Conjugation stability over random x, y of G, on permutations: x and y
     stay Tracked, and y(omega) and H^x's orbit are read off permutations."""
-    if claim.row == "suite1":
-        G = classical_generators("SL", 4, 2)
-        H = ext_subgroup("SL", 2, 2, 2)
-        omega = ActionPoint(VECTOR, _e1(4))
-        K = stabilizer_subgroup("vector", 4, 2)
-        base_inter = 4
-    else:
-        Z = sporadic.psl2_9()
-        H, K, _ = sporadic.locate_two_a5_classes(rng)
-        G = Z
-        omega = None
-        base_inter = 10
-    gchain = G.chain()
-    dom = gchain.domain
-    # x and y are permutations of G's chain domain, so the chains they
-    # relabel must live on it
-    if any(group.chain().domain is not dom for group in ((H,) if omega is not None else (H, K))):
-        raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
-    stable = 0
-    spectra_ok = 0
-    for _ in range(samples):
-        x = gchain.random_element(rng)
-        y = gchain.random_element(rng)
-        Hx = _conjugate_group(H, x, "H^x")
-        if omega is not None:
-            y_omega = int(y.perm[dom.index_of_point(omega)])
-            orb, _, _ = schreier_orbit(generator_perms(Hx, dom), y_omega, dom.size)
-            inter = stabilizer_generators(Hx, dom.point(y_omega))
-            ok = orb.size == (2**4 - 1) and inter.order() == base_inter
-            spec_ok = sporadic.exact_spectrum(inter.chain()) == frozenset({1, 2})
-        else:
-            Ky = _conjugate_group(K, y, "K^y")
-            inter = intersect(Hx, Ky, "enumerate_smaller")
-            ok = G.order() * inter.order() == Hx.order() * Ky.order() and inter.order() == base_inter
-            spec_ok = sporadic.exact_spectrum(inter.chain()) == frozenset({1, 2, 5})
-        stable += 1 if ok else 0
-        spectra_ok += 1 if spec_ok else 0
-    return G, H, K, base_inter, stable, spectra_ok
+    samples = claim.params.get("samples", 50)
+    base_inter, spectrum = setup.conjugate_intersection
+    omega = setup.orbit_seed
+    with _Timer(record) as tm:
+        gchain = setup.G.chain()
+        dom = gchain.domain
+        # x and y are permutations of G's chain domain, so the chains they
+        # relabel must live on it
+        if any(g.chain().domain is not dom for g in ((setup.H,) if omega is not None else (setup.H, setup.K))):
+            raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
+        stable = spectra_ok = 0
+        for _ in range(samples):
+            x = gchain.random_element(rng)
+            y = gchain.random_element(rng)
+            Hx = _conjugate_group(setup.H, x, "H^x")
+            if omega is not None:
+                y_omega = int(y.perm[dom.index_of_point(omega)])
+                orb, _, _ = schreier_orbit(generator_perms(Hx, dom), y_omega, dom.size)
+                inter = stabilizer_generators(Hx, dom.point(y_omega))
+                ok = orb.size == setup.orbit_target
+            else:
+                Ky = _conjugate_group(setup.K, y, "K^y")
+                inter = intersect(Hx, Ky, "enumerate_smaller")
+                ok = setup.g_order * inter.order() == Hx.order() * Ky.order()
+            stable += ok and inter.order() == base_inter
+            spectra_ok += sporadic.exact_spectrum(inter.chain()) == spectrum
+    return StrategyResult("conjugation", "pass" if stable == samples else "fail", intersection_order=base_inter,
+                          details={"samples": samples, "stable": stable, "spectra_preserved": spectra_ok},
+                          wall_ms=tm.ms)
 
 
-def _verify_suite(claim, rng, seed, record) -> VerificationReport:
-    strategies, notes = property_suite_section2(claim, rng, claim.params.get("samples", 50), record)
-    for s in strategies:
-        s.seed = seed
-    return _finalize(claim, strategies, notes)
+def _run_product_identity(claim, setup, rng, record) -> StrategyResult:
+    """The product set identity with both side products equal to the whole
+    group: the socle equals the ambient for the suites' instances, so the
+    identity degenerates to the factorization itself."""
+    with _Timer(record) as tm:
+        base_inter = setup.conjugate_intersection[0]
+        ok = setup.g_order * base_inter == setup.H.order() * setup.K.order()
+    return StrategyResult("product_identity", "pass" if ok else "fail",
+                          details={"socle_equals_ambient": True}, wall_ms=tm.ms)

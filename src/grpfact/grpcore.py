@@ -1130,8 +1130,8 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     The pair domain is faithful for the parent, so the parent's order bounds
     the derived subgroup's on either domain (D <= parent).  ``within``'s
     order is a second bound when it is smaller, its chain is on the same
-    domain, and the commutators sift into that chain.  The returned spec
-    keeps the certified chain.
+    domain, and the commutators and every conjugate the closure adds sift
+    into that chain.  The returned spec keeps the certified chain.
 
     Commutators and conjugates are Tracked products on the derived domain,
     so no matrix is composed; only a product with a duality generator of the
@@ -1159,11 +1159,12 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
 
     tracked = [product(a.inverse(), b.inverse(), a, b) for a in gens for b in gens]
     parent_order = group.order()
-    bound = parent_order
-    if within is not None and within.order() < bound:
+    wchain = None
+    if within is not None and within.order() < parent_order:
         wchain = within.chain()
-        if wchain.domain is domain and all(wchain.contains_tracked(t) for t in tracked):
-            bound = within.order()
+        if wchain.domain is not domain or not all(wchain.contains_tracked(t) for t in tracked):
+            wchain = None
+    bound = parent_order if wchain is None else within.order()
     label = (name or group.name) + "'"
     chain = StabChain.build(domain, [], rng=rng, name=label, tracked=tracked, bound=bound)
     current = [t for lvl in chain.levels for t in lvl.own]
@@ -1174,12 +1175,15 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
             for g in gens:
                 conj = product(g.inverse(), t, g)
                 if not chain.contains_tracked(conj):
+                    # within bounds the closure while every conjugate sifts into it
+                    if wchain is not None and not wchain.contains_tracked(conj):
+                        wchain, bound = None, parent_order
                     chain.add_element(conj)
                     current.append(conj)
                     changed = True
         if changed:
             chain._build_monte_carlo(list(current), rng)
-            chain._certify(parent_order, label)
+            chain._certify(bound, label)
             chain.verified = True
     return GroupSpec(
         name or f"{group.name}'",

@@ -8,7 +8,6 @@ import pytest
 from grpfact import gf, orders
 from grpfact.constructors import (
     ConstructionError,
-    ambient_group,
     automorphism_element,
     classical_generators,
     ext_subgroup,
@@ -142,13 +141,6 @@ def test_adjoin_certificate_rejects_non_normalizing_element():
         [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)))
     with pytest.raises(ConstructionError):
         _certify_adjoin(blown, rogue, 60, 2, spec, 4, "rogue")
-
-
-def test_ambient_group_orders():
-    assert ambient_group(4, 2).order() == 20160
-    assert ambient_group(4, 2, "phi_gamma").order() == 40320
-    amb = ambient_group(4, 4, "phi")
-    assert amb.order() == 2 * orders.sl_order(4, 4)
 
 
 # ---------------------------------------------------------------------------

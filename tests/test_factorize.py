@@ -284,11 +284,22 @@ def test_product_membership_samples_compose_no_matrix(catalog, claim_id, monkeyp
     assert not calls
 
 
+@pytest.mark.parametrize("row", ["4SL", "4Sp", "5SL", "5Sp", "6SL", "6Sp", "7SL", "7Sp"])
+def test_every_row_4_to_7_variant_factorizes(catalog, row):
+    # 5Sp, 6Sp and 7SL have no catalog claim; their setups run only here
+    report = verify_claim(catalog.instantiate(row, {"m": 2}))
+    assert report.overall == "pass"
+    orbit = next(s for s in report.strategies if s.name == "orbit")
+    assert orbit.orbit_sizes == [120 if row[0] in "45" else 16_320]
+    assert {s.intersection_order for s in report.strategies if s.name != "orbit"} == {1}
+
+
 def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):
     claim = catalog.claim_by_id("suite-r1")
+    rng = np.random.default_rng(5)
     calls = _count_compositions(monkeypatch)
-    *_, stable, spectra_ok = factorize._conjugation_samples(claim, np.random.default_rng(5), 50)
-    assert (stable, spectra_ok) == (50, 50)
+    result = factorize._run_conjugation(claim, factorize.build_setup(claim, rng), rng, False)
+    assert (result.details["stable"], result.details["spectra_preserved"]) == (50, 50)
     assert not calls
 
 

@@ -304,6 +304,36 @@ def test_caller_bound_that_does_not_contain_the_derived_subgroup_does_not_certif
     assert D.order() == 60
 
 
+def test_normal_closure_keeps_the_caller_bound(monkeypatch, verify_loop_calls):
+    # the blown G2(4).2 on three generators (the product of the six core
+    # generators, the last core generator, and psi): their commutators do
+    # not generate H' = X, so the normal-closure loop enlarges the chain,
+    # and every conjugate it adds lies in X
+    H = ext_subgroup("G2", 6, 2, 2, "psi")
+    X = ext_subgroup("G2", 6, 2, 2)
+    *core, psi = H.generators
+    product = core[0]
+    for g in core[1:]:
+        product = sl_compose(product, g)
+    H2 = GroupSpec("G2(4).2 on three", H.n, H.spec, [product, core[-1], psi], claimed_order=H.claimed_order)
+    H2.order(), X.order()
+    bounds = []
+    certify = StabChain._certify
+
+    def spy(chain, bound, name):
+        bounds.append(bound)
+        certify(chain, bound, name)
+
+    monkeypatch.setattr(StabChain, "_certify", spy)
+    D = derived_subgroup(H2, within=X)
+    assert len(bounds) > 1, "the normal-closure loop did not enlarge the chain"
+    assert bounds == [X.order()] * len(bounds)
+    assert D.order() == X.order()
+    # only the small intermediate chains get a Schreier pass, never the
+    # chain that already reached |X|
+    assert all(order < X.order() for order in verify_loop_calls)
+
+
 def test_monte_carlo_short_of_its_bound_falls_back_to_the_schreier_pass(monkeypatch, verify_loop_calls):
     G = classical_generators("SL", 4, 2)  # order 20160
     dom = shared_domain(VECTOR, G.spec, 4)

@@ -44,6 +44,9 @@ DIGESTS = {
     "neg-sl6-g2p": "d2fac69ee64b1eb1aac1758c360fc25dd65ca42a3823ad88e67b54159483149c",
     # row 12c's seeded normalizer search: its tries and accept decisions
     "t1r12-c": "0604a3b0cf4a93762c95b65c6b91ede2ed728dce32b966ab8454cdebaa62f31e",
+    # row 12a's residual reading and row 14's extended claim, both through build_setup
+    "t1r12-a": "ad5c7c6d91a1b3eebbd1ec156ca861c8b5170b7cfb4c75202a2392ff28009c1e",
+    "t1r14-ext": "ec6ca6876457430634ae87ba409cc4027de6fa19a63e8f0fb6f395e65bac454f",
 }
 
 
