@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -140,14 +141,21 @@ class Tracked:
     duality element on vectors); only ``derived_subgroup`` makes such
     placeholders, and it reads the permutation of any product containing
     one off the product's matrix.
+
+    An element holds its inverse once built, and the inverse refers back
+    only weakly (``_inv_of``): a two-way link would be a reference cycle, and
+    a cycle keeps both permutations alive until the cyclic collector runs.
+    So ``t.inverse().inverse() is t`` while ``t`` is alive, and the inverse
+    of an orphaned inverse is built afresh.
     """
 
-    __slots__ = ("perm", "_node", "_inv")
+    __slots__ = ("perm", "_node", "_inv", "_inv_of", "__weakref__")
 
     def __init__(self, elem: GroupElement | _Lazy, perm: np.ndarray | None):
         self._node = elem if isinstance(elem, _Lazy) else _Lazy(elem)
         self.perm = perm
         self._inv = None
+        self._inv_of = None
 
     @property
     def elem(self) -> GroupElement:
@@ -156,12 +164,14 @@ class Tracked:
 
     def inverse(self) -> "Tracked":
         if self._inv is None:
+            if self._inv_of is not None and (of := self._inv_of()) is not None:
+                return of
             inv_perm = None
             if self.perm is not None:
                 inv_perm = np.empty_like(self.perm)
                 inv_perm[self.perm] = _identity_perm(len(self.perm))
             self._inv = Tracked(_Lazy(args=(self._node,)), inv_perm)
-            self._inv._inv = self
+            self._inv._inv_of = weakref.ref(self)
         return self._inv
 
     def is_identity(self) -> bool:
@@ -171,6 +181,16 @@ class Tracked:
 def t_compose(a: Tracked, b: Tracked) -> Tracked:
     """Apply a, then b; the matrix product waits until .elem is read."""
     return Tracked(_Lazy(args=(a._node, b._node)), b.perm[a.perm])
+
+
+def _walk(transversals: list[list[Tracked]], i: int, acc: Tracked):
+    """Every acc * t_i * ... * t_last, one transversal element per level;
+    module-level so that no generator closes over itself."""
+    if i == len(transversals):
+        yield acc
+        return
+    for t in transversals[i]:
+        yield from _walk(transversals, i + 1, t_compose(acc, t))
 
 
 class Rattle:
@@ -585,22 +605,9 @@ class StabChain:
 
     def elements(self):
         """Iterate the whole group (use only at small orders)."""
-        transversals = []
-        for li in range(len(self.levels) - 1, -1, -1):
-            level = self.levels[li]
-            transversals.append([self._transversal(li, int(b)) for b in level.orbit])
-        if not transversals:
-            yield self.ident
-            return
-
-        def walk(i, acc):
-            if i == len(transversals):
-                yield acc
-                return
-            for t in transversals[i]:
-                yield from walk(i + 1, t_compose(acc, t))
-
-        yield from walk(0, self.ident)
+        transversals = [[self._transversal(li, int(b)) for b in self.levels[li].orbit]
+                        for li in range(len(self.levels) - 1, -1, -1)]
+        yield from _walk(transversals, 0, self.ident)
 
     def element_perm_blocks(self, max_entries: int = 1 << 16):
         """The group's elements as stacked (k, N) permutation arrays, in the

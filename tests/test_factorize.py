@@ -1,5 +1,6 @@
 """Verification engine behavior: strategies, agreement, negative controls."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -340,3 +341,24 @@ def test_row3_verify_reaches_the_transporter_orbit(catalog, monkeypatch):
     monkeypatch.setattr(grpcore, "orbit_with_transporters", counting)
     assert verify_claim(catalog.claim_by_id("t1r03-n4q2")).overall == "pass"
     assert sizes and all(size > 1 for size in sizes)
+
+
+def test_verification_leaves_no_cyclic_element_garbage(catalog):
+    """Elements and their lazy products are freed by reference counting: with
+    the collector off, a full collection afterwards finds none of them in a
+    cycle."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for claim_id in ("t1r04-m2", "t1r08-sp-q2", "suite-r9"):
+            verify_claim(catalog.claim_by_id(claim_id))
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage if isinstance(o, (grpcore.Tracked, grpcore._Lazy))]
+        assert cyclic == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()

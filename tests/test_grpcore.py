@@ -1,6 +1,8 @@
 """Chains, orbits, stabilizers and residuals, cross-checked against sympy."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -593,6 +595,26 @@ def test_lazy_inverse_chain_has_no_recursion_limit():
     for _ in range(20_000):
         acc = t_compose(acc, t).inverse()
     assert np.array_equal(dom.perm_of(acc.elem), acc.perm)
+
+
+def test_inverse_does_not_keep_its_element_alive():
+    gens, dom = _semilinear_gens()
+    g = gens[-2]
+    perm = dom.perm_of(g)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        t = Tracked(g, perm.copy())
+        inv = t.inverse()
+        ref = weakref.ref(t)
+        del t
+        assert ref() is None
+        back = inv.inverse()
+        assert np.array_equal(back.perm, perm)
+        assert back.elem == g
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_matrices_are_composed_only_when_read(monkeypatch):
