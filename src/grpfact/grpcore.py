@@ -232,26 +232,41 @@ def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
     the seen mask and par, where par[x] is the index of the generator that
     reached x (-1 off the orbit and at the base), over all ``size`` points.
     """
-    seen = np.zeros(size, dtype=bool)
+    unseen = np.ones(size, dtype=bool)
+    unseen[base] = False
     par = np.full(size, -1, dtype=np.int32)
-    seen[base] = True
     frontier = np.array([base], dtype=np.int64)
     chunks = [frontier]
-    while frontier.size:
+    while True:
         parts = []
-        for gi, perm in enumerate(perms):
-            imgs = perm[frontier]
-            # frontier points are distinct and seen is updated between
-            # generators, so the unseen images have no repeats
-            new = np.sort(imgs[~seen[imgs]])
-            if new.size:
-                seen[new] = True
-                par[new] = gi
-                parts.append(new)
-        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        if frontier.size:
-            chunks.append(frontier)
-    return np.concatenate(chunks), seen, par
+        if frontier.size == 1:
+            # scalar steps: each generator adds at most the one image
+            x = frontier[0]
+            for gi, perm in enumerate(perms):
+                y = perm[x]
+                if unseen[y]:
+                    unseen[y] = False
+                    par[y] = gi
+                    parts.append(y)
+            if parts:
+                parts = [np.array(parts, dtype=np.int64)]
+        else:
+            for gi, perm in enumerate(perms):
+                imgs = perm[frontier]
+                # frontier points are distinct and unseen is updated between
+                # generators, so the new images have no repeats; boolean
+                # indexing copies, so the sort may run in place
+                new = imgs[unseen[imgs]]
+                if new.size:
+                    new.sort()
+                    unseen[new] = False
+                    par[new] = gi
+                    parts.append(new)
+        if not parts:
+            break
+        frontier = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        chunks.append(frontier)
+    return np.concatenate(chunks), np.logical_not(unseen, out=unseen), par
 
 
 def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -1255,13 +1270,13 @@ def element_orders(perms: np.ndarray) -> list[int]:
     Pointer doubling labels every point with the least point of its cycle,
     all rows at once; the label counts are the cycle lengths, and the lcm
     of each row's distinct lengths is taken on Python ints, which do not
-    overflow.
+    overflow.  Every index array is intp, because numpy casts an index
+    array of any other dtype on each gather and bincount.
     """
     k, N = np.shape(perms)
-    dtype = np.int32 if k * N < 2**31 else np.int64
     # one flat permutation of k * N points, row i shifted by i * N
-    jump = (np.asarray(perms, dtype=dtype) + N * np.arange(k, dtype=dtype)[:, None]).ravel()
-    label = np.arange(k * N, dtype=dtype)
+    jump = (np.asarray(perms, dtype=np.intp) + N * np.arange(k, dtype=np.intp)[:, None]).ravel()
+    label = np.arange(k * N, dtype=np.intp)
     while True:
         nxt = np.minimum(label, label[jump])
         if np.array_equal(nxt, label):
@@ -1270,7 +1285,11 @@ def element_orders(perms: np.ndarray) -> list[int]:
         jump = jump[jump]
     counts = np.bincount(label, minlength=k * N)
     roots = np.flatnonzero(counts)
-    pairs = np.unique(roots // N * (N + 1) + counts[roots])
+    codes = np.sort(roots // N * (N + 1) + counts[roots])
+    # the distinct codes, by a neighbour mask: np.unique imports numpy.ma
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    pairs = codes[first]
     lengths: list[list[int]] = [[] for _ in range(k)]
     for row, length in zip((pairs // (N + 1)).tolist(), (pairs % (N + 1)).tolist()):
         lengths[row].append(length)

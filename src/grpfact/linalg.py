@@ -259,16 +259,6 @@ def sl_inverse(g: GroupElement) -> GroupElement:
     return g._inv_cache
 
 
-def element_order(g: GroupElement, cap: int = 10**6) -> int:
-    cur = g
-    ident = identity_element(g.spec, g.n)
-    for k in range(1, cap + 1):
-        if cur == ident:
-            return k
-        cur = sl_compose(cur, g)
-    raise LinAlgError("element order exceeds cap")
-
-
 # ---------------------------------------------------------------------------
 # action points
 
@@ -462,14 +452,3 @@ def blowup(M: Mat, s: int, sub: FieldSpec) -> GroupElement:
                 val = ext.mul(int(M.a[i, j]), lam_pc)
                 out[i * b : (i + 1) * b, j * b + c] = coords[val]
     return GroupElement(Mat(sub, out), s % sub.f, 0)
-
-
-def field_norm(ext: FieldSpec, sub: FieldSpec, x: int) -> int:
-    """Norm map GF(q^b) -> GF(q) expressed in sub's encoding."""
-    b = ext.f // sub.f
-    e = (ext.q - 1) // (sub.q - 1) if sub.q > 1 else 1
-    img = ext.power(x, e) if x else 0
-    coords = subfield_coords(sub, ext)[img]
-    if any(int(c) for c in coords[1:]):
-        raise FieldError("norm image fell outside the subfield")
-    return int(coords[0])

@@ -26,8 +26,8 @@ from grpfact.linalg import (
     Mat,
     canonical_point,
     det,
-    element_order,
 )
+from oracles import element_order
 
 
 @pytest.mark.parametrize(

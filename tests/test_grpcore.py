@@ -2,10 +2,15 @@
 
 import gc
 import math
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import gf, grpcore
@@ -20,6 +25,7 @@ from grpfact.grpcore import (
     element_order_perm,
     orbit,
     orbit_with_transporters,
+    schreier_orbit,
     shared_domain,
     solvable_residual,
     stabilizer_generators,
@@ -474,6 +480,20 @@ def test_element_orders_batched_matches_one_at_a_time():
         assert got == [element_order_perm(p) for p in perms] == [_cycle_walk_order(p) for p in perms]
         if size == 791:
             assert got[3] == expected
+    assert grpcore.element_orders(np.empty((0, 7), dtype=np.int64)) == []
+
+
+def test_verifying_an_element_order_claim_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (about 1 MB) on its first call in a process;
+    # t1r09's search takes element orders, which must not pay for it
+    code = ("import sys\n"
+            "from grpfact import catalog, factorize\n"
+            "report = factorize.verify_claim(catalog.load_catalog().claim_by_id('t1r09'))\n"
+            "print(report.overall, 'numpy.ma' in sys.modules)\n")
+    src = str(Path(grpcore.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert done.stdout.split() == ["pass", "False"]
 
 
 def test_element_perm_blocks_follow_elements(sl32):
@@ -645,6 +665,75 @@ def _queue_bfs(gens, point, action):
                 found[img] = (gi, key)
                 queue.append(img)
     return queue, found
+
+
+def _schreier_orbit_reference(perms, base, size):
+    """A frontier BFS with a seen mask, one generator at a time: the orbit
+    order, mask and Schreier vector that schreier_orbit must return."""
+    seen = np.zeros(size, dtype=bool)
+    par = np.full(size, -1, dtype=np.int32)
+    seen[base] = True
+    frontier = np.array([base], dtype=np.int64)
+    chunks = [frontier]
+    while frontier.size:
+        parts = []
+        for gi, perm in enumerate(perms):
+            imgs = perm[frontier]
+            new = np.sort(imgs[~seen[imgs]])
+            if new.size:
+                seen[new] = True
+                par[new] = gi
+                parts.append(new)
+        frontier = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+        if frontier.size:
+            chunks.append(frontier)
+    return np.concatenate(chunks), seen, par
+
+
+def _assert_schreier_orbit_matches_reference(perms, base, size):
+    got = schreier_orbit(perms, base, size)
+    want = _schreier_orbit_reference(perms, base, size)
+    assert [a.dtype for a in got] == [np.dtype(np.int64), np.dtype(bool), np.dtype(np.int32)]
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@st.composite
+def _perm_sets(draw):
+    # every generator permutes [0, split) and [split, size) separately, so
+    # the orbit of base is often a proper part of the domain
+    size = draw(st.integers(1, 40))
+    split = draw(st.integers(0, size))
+
+    def perm():
+        low = draw(st.permutations(range(split)))
+        high = draw(st.permutations(range(split, size)))
+        return np.array(low + high, dtype=np.int64)
+
+    perms = [perm() for _ in range(draw(st.integers(0, 5)))]
+    if perms and draw(st.booleans()):
+        perms.insert(draw(st.integers(0, len(perms))), perms[draw(st.integers(0, len(perms) - 1))])
+    if draw(st.booleans()):
+        perms.insert(draw(st.integers(0, len(perms))), np.arange(size, dtype=np.int64))
+    return perms, draw(st.integers(0, size - 1)), size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_perm_sets())
+def test_schreier_orbit_matches_reference_on_random_generators(case):
+    _assert_schreier_orbit_matches_reference(*case)
+
+
+@pytest.mark.parametrize("perms, base, size", [
+    ([], 3, 8),  # no generators
+    ([np.array([0])], 0, 1),  # one-point domain
+    ([], 0, 1),
+    ([np.array([1, 2, 0, 3, 4]), np.array([2, 0, 1, 3, 4])], 4, 5),  # every generator fixes base
+    ([np.array([1, 0, 2, 4, 3]), np.arange(5), np.array([1, 0, 2, 4, 3])], 3, 5),  # repeated and identity
+    ([np.array([1, 2, 3, 4, 5, 0])], 2, 6),  # one generator
+], ids=["k0", "one-point", "one-point-k0", "fixed-base", "repeated-identity", "k1"])
+def test_schreier_orbit_matches_reference_on_edge_cases(perms, base, size):
+    _assert_schreier_orbit_matches_reference(perms, base, size)
 
 
 def _orbit_cases():
