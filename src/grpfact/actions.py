@@ -6,11 +6,13 @@ works on int64 key arrays.  In characteristic two the key map of vector,
 functional and pair points is GF(2)-linear on the key bits, so it never
 unpacks: one XOR table per run of at most 12 key bits, one lookup each.
 Offsets from an aligned block start (``apply_batch``'s ``base``) take one
-lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of a
-dense orbit walks its keyspace in such blocks of ``Action.block_bits``.
+lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of an
+orbit walks its keyspace in such blocks of ``Action.block_bits``.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -63,8 +65,10 @@ class Action:
         # log2 of the keys per block of a base call: a linear block's offset
         # table stays cache-sized, and the digit path needs larger batches
         self.block_bits = 14 if self.linear else 16
-        self._chunk_cache: dict = {}
-        self._block_cache: dict = {}
+        # an element's tables live as long as the element: a shared domain's
+        # action outlives every claim that applied elements through it
+        self._chunk_cache = weakref.WeakKeyDictionary()
+        self._block_cache = weakref.WeakKeyDictionary()
 
     # -- scalar interface ---------------------------------------------------
 
@@ -146,12 +150,12 @@ class Action:
         """XOR tables of a block offset (its low block_bits key bits) and of
         a block index (the key bits above them)."""
         bits = self.block_bits
-        tables = self._block_cache.get((g, bits))
-        if tables is None:
+        tables = self._block_cache.get(g)
+        if tables is None or tables[0] != bits:
             cols = self._columns(g)
-            tables = _xor_table(cols[:bits]), _xor_table(cols[bits:])
-            self._block_cache[(g, bits)] = tables
-        return tables
+            tables = bits, _xor_table(cols[:bits]), _xor_table(cols[bits:])
+            self._block_cache[g] = tables
+        return tables[1:]
 
     def apply_batch(self, g: GroupElement, keys: np.ndarray, base: int | None = None) -> np.ndarray:
         """Images of packed keys under g; canonicalizes normalized kinds.

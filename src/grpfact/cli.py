@@ -26,12 +26,12 @@ _MEMORY_ENV = "GRPFACT_MEMORY_BUDGET_MB"
 
 
 def _max_orbit_points(budget_mb: int) -> int:
-    # the budget buys ORBIT_POINT_BYTES per point.  A dense orbit holds a
+    # the budget buys ORBIT_POINT_BYTES per point.  An orbit holds a
     # byte mask and a bit mask over its keyspace (9/8 bytes per key, 18 MiB
     # for t1r14-ext's 8.4M points), one sweep block's arrays and the action's
     # cached block tables (128 KiB per generator in characteristic two), and
-    # grpcore.orbit refuses masks over that price before it allocates them;
-    # a sparse orbit, past the dense keyspace limit, is bounded by its points
+    # grpcore.orbit refuses masks over that price before it allocates them,
+    # whatever the size of the keyspace
     return max(1 << 16, budget_mb * (1 << 20) // ORBIT_POINT_BYTES)
 
 

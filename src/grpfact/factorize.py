@@ -34,6 +34,7 @@ and pass exactly when it does.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 import zlib
 from dataclasses import dataclass, field
@@ -67,6 +68,7 @@ from .grpcore import (
     stabilizer_series,
 )
 from .linalg import (
+    ANTIFLAG,
     FUNCTIONAL,
     PAIR,
     PROJECTIVE,
@@ -296,6 +298,8 @@ _ANTIFLAG_ROWS = {
     "6": (4, "psi", "phi"),
     "7": (4, "psi_gamma", "phi_gamma"),
 }
+# the projective form of a home action, where scalars act trivially
+_PROJECTIVE_FORM = {VECTOR: PROJECTIVE, PAIR: ANTIFLAG}
 
 
 def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
@@ -325,6 +329,12 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
             suffix = "phi" if k_extra == "phi" else "2"
             setup.K = adjoin(setup.K, [automorphism_element(k_extra, n, q)],
                              f"stab_antiflag_SL_{n}({q}).{suffix}", 2)
+            if q > 2 and math.gcd(n, q - 1) == 1:
+                # K's linear elements lie in SL_n(q), whose scalars are
+                # mu_gcd(n, q-1), here trivial: the known-order chain on the
+                # q - 1 times smaller projective domain certifies the same |K|.
+                # Only K's order reads that chain; intersect uses stabilizer_of.
+                setup.K.action_tag = _PROJECTIVE_FORM[setup.K.action_tag]
             setup.g_order *= 2
         return setup
     if row == "8":

@@ -315,6 +315,11 @@ class _Level:
         self.par = None
 
 
+# entries of one block of stacked permutations: element_orders holds a few
+# intp arrays of a block's size, under 1 MiB at 2^14 entries
+BLOCK_ENTRIES = 1 << 14
+
+
 class StabChain:
     """BSGS over a PermDomain.
 
@@ -624,7 +629,7 @@ class StabChain:
                         for li in range(len(self.levels) - 1, -1, -1)]
         yield from _walk(transversals, 0, self.ident)
 
-    def element_perm_blocks(self, max_entries: int = 1 << 16):
+    def element_perm_blocks(self, max_entries: int = BLOCK_ENTRIES):
         """The group's elements as stacked (k, N) permutation arrays, in the
         order of ``elements``, each of at most max_entries entries (or one
         element).  The innermost levels of the walk are multiplied out as
@@ -632,8 +637,7 @@ class StabChain:
         at a time, and as many consecutive prefixes as fit are applied to
         that block together, so no matrix is composed."""
         N = self.domain.size
-        trans = [np.stack([self._transversal(li, int(b)).perm for b in self.levels[li].orbit])
-                 for li in range(len(self.levels) - 1, -1, -1)]
+        trans = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
         block, split = self._arange[None, :], len(trans)
         while split and len(block) * len(trans[split - 1]) * N <= max_entries:
             split -= 1
@@ -652,6 +656,15 @@ class StabChain:
                 prefixes = []
         if prefixes:
             yield self._apply_prefixes(block, prefixes)
+
+    def _transversal_stack(self, li: int) -> np.ndarray:
+        """Level li's transversals, in orbit order, as one (orbit, N) array
+        filled a row at a time, so no list of them is held beside it."""
+        orbit = self.levels[li].orbit
+        out = np.empty((len(orbit), self.domain.size), dtype=np.int64)
+        for row, b in zip(out, orbit.tolist()):
+            row[:] = self._transversal(li, b).perm
+        return out
 
     @staticmethod
     def _apply_prefixes(block: np.ndarray, prefixes: list[np.ndarray]) -> np.ndarray:
@@ -802,8 +815,8 @@ class GroupSpec:
 @dataclass
 class OrbitSet:
     """Closure of a seed under the generators, over packed keys: its size
-    and the seen keys (a bool array over a dense keyspace, a set over a
-    sparse one)."""
+    and the seen keys (a bool mask over the keyspace, or the key set of an
+    orbit taken on a chain domain)."""
 
     tag: str
     seed_key: int
@@ -817,9 +830,8 @@ class OrbitSet:
         return key in self.seen_set
 
 
-_DENSE_SEEN_LIMIT = 2**26
-# bytes that an orbit budget buys per point; a dense orbit's masks are
-# priced in them before they are allocated
+# bytes that an orbit budget buys per point; an orbit's masks are priced
+# in them before they are allocated
 ORBIT_POINT_BYTES = 24
 _SCAN_SHARE = 64
 
@@ -833,9 +845,9 @@ def orbit(
 ) -> OrbitSet:
     """BFS closure of the point under the generators, vectorized over keys.
 
-    Only the size and membership are kept, and no level sorts.  Over a
-    dense keyspace the seen keys are a bool mask, and a small level filters
-    each generator's images against it.  Once a level reaches
+    Only the size and membership are kept, and no level sorts.  The seen
+    keys are a bool mask over the keyspace, and a small level filters each
+    generator's images against it.  Once a level reaches
     keyspace/_SCAN_SHARE images, the rest of the closure is swept
     (``_sweep_closure``) in aligned blocks of the action's block width: no
     level is held, and the memory is the mask, a packed bit mask of the keys
@@ -862,46 +874,32 @@ def orbit(
         action = Action(point.tag, spec, n)
     seed = action.point_key(point)
     keyspace = (spec.q**n) ** (2 if action.two_sided else 1)
-    dense = keyspace <= _DENSE_SEEN_LIMIT
-    if dense:
-        mask_bytes = keyspace + (keyspace + 7) // 8
-        if mask_bytes > ORBIT_POINT_BYTES * max_points:
-            raise OrbitBudgetError(
-                f"orbit masks over {keyspace} keys need {mask_bytes} bytes, "
-                f"more than the {ORBIT_POINT_BYTES * max_points} bytes of a {max_points}-point budget", 1)
-        seen = np.zeros(keyspace, dtype=bool)
-        seen[seed] = True
-    else:
-        seen_set = {seed}
+    mask_bytes = keyspace + (keyspace + 7) // 8
+    if mask_bytes > ORBIT_POINT_BYTES * max_points:
+        raise OrbitBudgetError(
+            f"orbit masks over {keyspace} keys need {mask_bytes} bytes, "
+            f"more than the {ORBIT_POINT_BYTES * max_points} bytes of a {max_points}-point budget", 1)
+    seen = np.zeros(keyspace, dtype=bool)
+    seen[seed] = True
     frontier = np.array([seed], dtype=np.int64)
     total = 1
     while frontier.size:
-        if dense and frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
+        if frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
             total = _sweep_closure(action, gens, seen, frontier, max_points)
             break
-        if dense:
-            # a generator maps distinct keys to distinct keys, so marking
-            # each batch seen as it is filtered leaves the frontier no repeats
-            parts = []
-            for g in gens:
-                imgs = action.apply_batch(g, frontier)
-                imgs = imgs[~seen[imgs]]
-                seen[imgs] = True
-                parts.append(imgs)
-            frontier = np.concatenate(parts)
-        else:
-            new = set()
-            for g in gens:
-                new.update(action.apply_batch(g, frontier).tolist())
-            new -= seen_set
-            seen_set |= new
-            frontier = np.fromiter(new, dtype=np.int64, count=len(new))
+        # a generator maps distinct keys to distinct keys, so marking each
+        # batch seen as it is filtered leaves the frontier no repeats
+        parts = []
+        for g in gens:
+            imgs = action.apply_batch(g, frontier)
+            imgs = imgs[~seen[imgs]]
+            seen[imgs] = True
+            parts.append(imgs)
+        frontier = np.concatenate(parts)
         total += frontier.size
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
-    if dense:
-        return OrbitSet(point.tag, seed, total, seen_dense=seen)
-    return OrbitSet(point.tag, seed, total, seen_set=seen_set)
+    return OrbitSet(point.tag, seed, total, seen_dense=seen)
 
 
 def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray, max_points: int) -> int:

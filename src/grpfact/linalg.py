@@ -185,7 +185,7 @@ def dualize(A: Mat) -> Mat:
 class GroupElement:
     """Element of GammaL_n(q) extended by duality: (matrix, phi-exp, dual bit)."""
 
-    __slots__ = ("mat", "fa", "dual", "_inv_cache", "_dual_mat_cache", "_hash")
+    __slots__ = ("mat", "fa", "dual", "_inv_cache", "_dual_mat_cache", "_hash", "__weakref__")
 
     def __init__(self, mat: Mat, fa: int = 0, dual: int = 0):
         self.mat = mat
@@ -213,7 +213,8 @@ class GroupElement:
         return self._dual_mat_cache
 
     def __eq__(self, other):
-        return (
+        # identity first: a weak-keyed cache compares its keys' referents
+        return self is other or (
             isinstance(other, GroupElement)
             and self.fa == other.fa
             and self.dual == other.dual

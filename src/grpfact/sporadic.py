@@ -16,6 +16,7 @@ from . import orders
 from .constructors import ConstructionError, classical_generators
 from .gf import make_field
 from .grpcore import (
+    BLOCK_ENTRIES,
     CertificationError,
     GroupSpec,
     StabChain,
@@ -578,15 +579,17 @@ def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray):
     by construction; checking it on every edge of the Cayley graph (every
     x, both generators) proves rho a homomorphism.  With s6^2 = -I, the
     image of the central -1 is the scalar -I, so the projective image is a
-    homomorphic image of PSL_2(13).  Returns rho as a (2184, 6, 6) array,
-    with the group data (C, S, tmul, index) that indexes it.
+    homomorphic image of PSL_2(13).  Returns rho as a (2184, 6, 6) int8
+    array (an entry of a product of two reduced matrices is at most
+    6 * 2 * 2 = 24 before its reduction), with the group data (C, S, tmul,
+    index) that indexes it.
     """
     C, S, tmul, els, index, (levels, parent, gen) = _sl2_13_group()
     if len(els) != 2184:
         raise CertificationError(f"<C, S> has {len(els)} elements, not |SL_2(13)| = 2184")
-    gens = np.stack([c6, s6]).astype(np.int64) % 3
-    rho = np.empty((len(els), 6, 6), dtype=np.int64)
-    rho[0] = np.eye(6, dtype=np.int64)
+    gens = (np.stack([c6, s6]) % 3).astype(np.int8)
+    rho = np.empty((len(els), 6, 6), dtype=np.int8)
+    rho[0] = np.eye(6, dtype=np.int8)
     for level in levels[1:]:
         rho[level] = rho[parent[level]] @ gens[gen[level]] % 3
     for gi, h in enumerate((C, S)):
@@ -633,17 +636,23 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     )
     pdom = shared_domain(PROJECTIVE, F3, 6)
     X1._chain = StabChain.build(pdom, gens1, known_order=1092, rng=rng, name=X1.name)
+    # the elements of order 2 and 3 are kept in the narrowest dtype that
+    # holds a point of the 364-point domain
+    narrow = np.min_scalar_type(pdom.size)
     spectrum, of_order = set(), {2: [], 3: []}
     for block in X1.chain().element_perm_blocks():
         orders = np.array(element_orders(block))
         spectrum.update(orders.tolist())
         for k, found in of_order.items():
-            found.append(block[orders == k])
+            found.append(block[orders == k].astype(narrow))
     if spectrum != SPECTRA["PSL2_13"]:
         raise SearchBudgetError("PSL_2(13) witness has a wrong spectrum")
-    # presentation-style certificate: |a| = 2, |b| = 3, |ab| = 13
+    # presentation-style certificate: |a| = 2, |b| = 3, |ab| = 13, with the
+    # b taken in blocks of at most BLOCK_ENTRIES entries
     threes = np.concatenate(of_order[3])
-    if not any(13 in element_orders(threes[:, a]) for a in np.concatenate(of_order[2])):
+    step = max(1, BLOCK_ENTRIES // threes.shape[1])
+    if not any(13 in element_orders(threes[lo : lo + step, a])
+               for a in np.concatenate(of_order[2]) for lo in range(0, len(threes), step)):
         raise SearchBudgetError("no (2,3,13) generator pair inside the witness")
     # second class: conjugate by a determinant -1 matrix (2 is self-inverse mod 3)
     Tdiag = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)

@@ -7,6 +7,7 @@ import pytest
 
 from grpfact import gf
 from grpfact.actions import Action, domain_size
+from grpfact.grpcore import shared_domain
 from grpfact.linalg import (
     ANTIFLAG,
     FUNCTIONAL,
@@ -96,6 +97,20 @@ def test_block_offsets_on_the_digit_path():
     rng = np.random.default_rng(7)
     for dual in (0, 1):
         _block_offsets_match_whole_keys(action, _random_element(rng, spec, 6, 0, dual), rng)
+
+
+def test_dead_element_tables_leave_the_shared_action_cache():
+    # a shared domain's action outlives the claims that apply elements
+    # through it; the tables of an element go with the element
+    domain = shared_domain(PAIR, gf.make_field(2, 2), 3)
+    action = domain.action
+    before = len(action._chunk_cache), len(action._block_cache)
+    g = _random_element(np.random.default_rng(3), action.spec, 3, 1, 1)
+    domain.perm_of(g)
+    action.apply_batch(g, np.arange(8, dtype=np.int64), base=0)
+    assert (len(action._chunk_cache), len(action._block_cache)) == (before[0] + 1, before[1] + 1)
+    del g
+    assert (len(action._chunk_cache), len(action._block_cache)) == before
 
 
 def test_duality_rejected_on_one_sided_kinds():

@@ -8,7 +8,7 @@ import pytest
 from jsonschema import validate
 
 from grpfact import factorize, grpcore, orders, sporadic
-from grpfact.catalog import load_catalog
+from grpfact.catalog import FactorizationClaim, load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
     REPORT_SCHEMA,
@@ -19,7 +19,7 @@ from grpfact.factorize import (
     verify_claim,
 )
 from grpfact.grpcore import GroupSpec
-from grpfact.linalg import PAIR, VECTOR, ActionPoint
+from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 
 
@@ -230,6 +230,24 @@ def test_check_tight_needs_no_schreier_pass(catalog, claim_id, monkeypatch):
     monkeypatch.setattr(grpcore.StabChain, "_verify_loop", lambda chain: calls.append(chain.order()))
     assert check_tight(setup.H, setup.tight_target, rng=rng)
     assert calls == []
+
+
+@pytest.mark.parametrize("row, m, home, points", [
+    ("7Sp", 2, ANTIFLAG, 5440),  # t1r07-m2: the duality extension
+    ("6SL", 2, PROJECTIVE, 85),  # t1r06-m2: the Frobenius extension
+    ("5SL", 2, PAIR, None),  # t1r05-m2: q = 2
+    ("6SL", 3, VECTOR, None),  # gcd(6, 4 - 1) = 3: SL_6(4) has scalars
+])
+def test_extended_antiflag_stabilizer_home(row, m, home, points):
+    # with q > 2 and gcd(n, q - 1) = 1 the extended stabilizer K is certified
+    # on the projective form of its action, with the same order
+    claim = FactorizationClaim(f"row{row}-m{m}", row, {"m": m}, "desk", "pass", [])
+    K = factorize.build_setup(claim, np.random.default_rng(0)).K
+    assert K.action_tag == home
+    if points is not None:
+        chain = K.chain()
+        assert chain.domain.size == points
+        assert chain.order() == K.claimed_order == 2 * orders.sl_order(3, 4) == 120960
 
 
 def test_orbit_outgrowing_its_budget_is_a_fail(catalog):

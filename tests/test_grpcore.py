@@ -847,8 +847,10 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     assert orbit(K, proj).size == len(_queue_bfs(gens, proj, Action(PROJECTIVE, G.spec, 3))[0]) == 12
 
 
-def test_contains_key_on_sparse_keyspace_orbit():
-    # the pair keyspace of GF(2)^14 has 2^28 keys, past the dense-mask limit
+def test_contains_key_on_2_28_key_pair_orbit():
+    # the pair keyspace of GF(2)^14 has 2^28 keys: its masks, 302 MB priced
+    # inside the default budget, are allocated zeroed, and a small orbit
+    # writes only the pages its keys fall in
     G = classical_generators("SL", 14, 2)
     F2 = gf.make_field(2, 1)
     e1 = (1,) + (0,) * 13
@@ -856,7 +858,7 @@ def test_contains_key_on_sparse_keyspace_orbit():
     action = Action(PAIR, F2, 14)
     gens = G.generators[1:2]
     orb = orbit(gens, omega, action)
-    assert orb.seen_dense is None
+    assert orb.seen_dense.size == 1 << 28 and orb.seen_set is None
     queue, found = _queue_bfs(gens, omega, action)
     assert orb.size == len(queue) > 1
     assert all(orb.contains_key(key) for key in queue)

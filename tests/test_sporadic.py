@@ -1,5 +1,7 @@
 """Sporadic-row locators and their certificates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,22 @@ def test_sp42_derived():
     d = sp4_2_derived()
     assert d.order() == 360
     assert exact_spectrum(d.chain()) == frozenset({1, 2, 3, 4, 5})
+
+
+def test_exact_spectrum_scratch_is_bounded():
+    # Sp_4(3), 51,840 elements on 80 vectors, enumerated in blocks of at
+    # most 2^14 entries: element_orders' temporaries on one block stay well
+    # under 1 MiB, where blocks of 2^16 entries took 2.9 MiB
+    chain = classical_generators("Sp", 4, 3).chain()
+    tracemalloc.start()
+    try:
+        spectrum = exact_spectrum(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.order() == 51840
+    assert spectrum == frozenset({1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 18})
+    assert peak < 2**20
 
 
 def test_two_a5_classes(rng):
