@@ -7,12 +7,21 @@ file whose digest disagrees with the manifest.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from importlib import resources
 
 from . import orders
+
+# importing hashlib maps OpenSSL's libcrypto, several MB resident, only to
+# hash this one file; the interpreter's built-in sha256 gives the same digest
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 
 class CatalogError(ValueError):
@@ -181,7 +190,7 @@ def load_catalog(verify_hash: bool = True) -> Catalog:
         blob = (data_dir / "catalog.json").read_bytes()
         if verify_hash:
             manifest = json.loads((data_dir / "manifest.json").read_text())
-            digest = hashlib.sha256(blob).hexdigest()
+            digest = sha256(blob).hexdigest()
             if digest != manifest["catalog.json"]:
                 raise CatalogError(
                     f"catalog hash mismatch: {digest} != pinned {manifest['catalog.json']}"

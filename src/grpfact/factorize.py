@@ -57,6 +57,7 @@ from .grpcore import (
     GroupSpec,
     OrbitBudgetError,
     ProductSift,
+    Rattle,
     Tracked,
     TrackedGenerators,
     generator_perms,
@@ -75,6 +76,7 @@ from .linalg import (
     VECTOR,
     ActionPoint,
 )
+from .streams import Stream
 from . import sporadic
 
 
@@ -559,15 +561,18 @@ def _run_vector_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
 
 def _run_sample(claim, setup, rng, record, samples=50) -> StrategyResult:
     """Random-element product membership, sifted on permutations through
-    H's layered orbits of K's stages (``ProductSift``)."""
+    H's layered orbits of K's stages (``ProductSift``).  The elements come
+    from a product-replacement walk over G's generators, so G needs no
+    chain."""
     with _Timer(record) as tm:
         if setup.G is None:
-            return StrategyResult("sample", "skipped", details={"reason": "no ambient chain"})
+            return StrategyResult("sample", "skipped", details={"reason": "no ambient group"})
         stages = _stages_for(setup.H, setup.K.stabilizer_of)
-        gchain = setup.G.chain()
+        G, domain = setup.G, setup.G.home_domain()
         sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
-        drawn = (gchain.random_element(rng) for _ in range(samples))
-        ok = int(sift.contains(drawn, gchain.domain).sum())
+        walk = Rattle(G.tracked_generators(), Tracked(G.identity(), domain.identity_perm), rng)
+        drawn = (walk.sample() for _ in range(samples))
+        ok = int(sift.contains(drawn, domain).sum())
         verdict = "pass" if ok == samples else "fail"
     return StrategyResult(
         "sample", verdict, details={"samples": samples, "members": ok}, wall_ms=tm.ms,
@@ -615,7 +620,7 @@ def claim_seed(claim_id: str, base_seed: int) -> int:
 def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
                  record_timings: bool = False, max_orbit_points: int = 2**24) -> VerificationReport:
     seed = claim_seed(claim.claim_id, base_seed)
-    rng = np.random.default_rng(seed)
+    rng = Stream(seed)
     if claim.row == "10":
         return _verify_row10(claim, rng, seed, record_timings)
 

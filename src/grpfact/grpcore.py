@@ -67,6 +67,7 @@ from .linalg import (
     sl_compose,
     sl_inverse,
 )
+from .streams import Stream
 
 
 class GrpError(Exception):
@@ -382,7 +383,7 @@ class StabChain:
         in the deterministic Schreier generator check.
         """
         chain = cls(domain, base_hint)
-        rng = rng if rng is not None else np.random.default_rng(zlib.crc32(name.encode()) or 1)
+        rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
         chain.originals = list(tracked) if tracked is not None else [
             Tracked(g, domain.perm_of(g)) for g in generators
         ]
@@ -1158,7 +1159,7 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     parent, which has no permutation there, is composed to read its
     permutation off its matrix.
     """
-    rng = rng if rng is not None else np.random.default_rng(zlib.crc32(group.name.encode()) or 1)
+    rng = rng if rng is not None else Stream(zlib.crc32(group.name.encode()) or 1)
     derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
     domain = shared_domain(derived_tag, group.spec, group.n)
     if group.home_domain() is domain:

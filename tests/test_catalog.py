@@ -30,6 +30,21 @@ def test_tampered_catalog_rejected(monkeypatch):
     assert digest != json.loads((data_dir / "manifest.json").read_text())["catalog.json"]
 
 
+def test_loader_refuses_a_tampered_catalog(monkeypatch, tmp_path):
+    # the loader hashes with the interpreter's built-in sha256, not hashlib's
+    data_dir = resources.files("grpfact") / "data"
+    blob = (data_dir / "catalog.json").read_bytes()
+    assert cat.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "catalog.json").write_bytes(blob + b" ")
+    (tmp_path / "data" / "manifest.json").write_text((data_dir / "manifest.json").read_text())
+    monkeypatch.setattr(cat, "_CATALOG", None)
+    monkeypatch.setattr(cat.resources, "files", lambda package: tmp_path)
+    with pytest.raises(CatalogError, match="catalog hash mismatch"):
+        load_catalog()
+    assert load_catalog(verify_hash=False).raw == json.loads(blob)
+
+
 def test_fifteen_table1_rows(catalog):
     assert len(catalog.raw["table1"]) == 15
     assert len(catalog.table2) == 13

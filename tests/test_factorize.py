@@ -334,12 +334,13 @@ def test_sample_members_match_brute_force_without_a_factorization(catalog, seed)
     setup.H = grpcore.stabilizer_generators(setup.H, dom.point(int(hchain.levels[0].orbit[-1])))
     assert setup.H.order() < hchain.order()
     result = factorize._run_sample(claim, setup, np.random.default_rng(seed), False)
-    gchain = setup.G.chain()
-    assert gchain.domain is dom
+    assert setup.G.home_domain() is dom
     e1 = dom.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
     h_images = np.array([int(t.perm[e1]) for t in setup.H.chain().elements()])
-    rng = np.random.default_rng(seed)
-    draws = [gchain.random_element(rng) for _ in range(50)]
+    # the same draws: a product-replacement walk over G's generators
+    ident = grpcore.Tracked(setup.G.identity(), dom.identity_perm)
+    walk = grpcore.Rattle(setup.G.tracked_generators(), ident, np.random.default_rng(seed))
+    draws = [walk.sample() for _ in range(50)]
     expected = sum(bool((g.perm[h_images] == e1).any()) for g in draws)
     assert result.details == {"samples": 50, "members": expected}
     assert expected < 50
