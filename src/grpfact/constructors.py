@@ -12,7 +12,7 @@ import numpy as np
 
 from . import orders
 from .gf import FieldSpec, make_field, supported_fields
-from .grpcore import GroupSpec
+from .grpcore import GroupSpec, StabChain, shared_domain
 from .linalg import (
     PAIR,
     VECTOR,
@@ -24,6 +24,7 @@ from .linalg import (
     mat_product,
     mat_transpose,
     sl_compose,
+    sl_inverse,
 )
 
 
@@ -278,9 +279,6 @@ _PSI_GAMMA_CACHE: dict[tuple[int, int], GroupElement] = {}
 
 
 def _psi_gamma_element(n: int, q: int) -> GroupElement:
-    from .grpcore import StabChain, shared_domain
-    from .linalg import sl_inverse
-
     key = (n, q)
     if key in _PSI_GAMMA_CACHE:
         return _PSI_GAMMA_CACHE[key]
@@ -304,17 +302,7 @@ def _psi_gamma_element(n: int, q: int) -> GroupElement:
         mu = ext.power(ext.primitive_elem, mu_pow)
         scal = blowup(Mat(ext, np.diag([mu] * m).astype(np.int64)), 0, sub)
         x = sl_compose(psi, GroupElement(mat_product(Mat(sub, W), scal.mat), 0, 1))
-        xi = sl_inverse(x)
-        if not all(core.contains(sl_compose(sl_compose(xi, g), x)) for g in blown):
-            continue
-        power = x
-        good = True
-        for _ in range(1, 2 * f):
-            if not power.dual and core.contains(power):
-                good = False
-                break
-            power = sl_compose(power, x)
-        if good and not power.dual and core.contains(power):
+        if _adjoin_failure(core, blown, x, 2 * f) is None:
             _PSI_GAMMA_CACHE[key] = x
             return x
     raise ConstructionError(f"no adapted psi_gamma representative found for n={n}, q={q}")
@@ -400,22 +388,26 @@ def _certify_adjoin(blown_gens, extra, inner_order, index, spec, n, name):
     This is what makes the later known-order chain build sound: it pins the
     exact order of the extension before the chain ever sees it.
     """
-    from .grpcore import StabChain, shared_domain
-    from .linalg import sl_inverse
+    core = StabChain.build(shared_domain(VECTOR, spec, n), blown_gens, known_order=inner_order,
+                           name=name + "_core")
+    failure = _adjoin_failure(core, blown_gens, extra, index)
+    if failure is not None:
+        raise ConstructionError(f"{name}: {failure}")
 
-    has_dual = any(g.dual for g in blown_gens) or extra.dual
-    domain = shared_domain(PAIR if has_dual else VECTOR, spec, n)
-    chain = StabChain.build(domain, blown_gens, known_order=inner_order, name=name + "_core")
-    xinv = sl_inverse(extra)
-    for g in blown_gens:
-        conj = sl_compose(sl_compose(xinv, g), extra)
-        if not chain.contains(conj):
-            raise ConstructionError(f"{name}: adjoined element does not normalize the core")
-    power = extra
+
+def _adjoin_failure(core, blown_gens, x, index) -> str | None:
+    """Why x does not extend the linear core S = <blown_gens> with index
+    ``index`` (x normalizes S, x^index lies in S and no smaller power does),
+    or None.  The core's chain is on vectors; a power of x that carries the
+    duality bit lies outside the linear core without a sift."""
+    xinv = sl_inverse(x)
+    if not all(core.contains(sl_compose(sl_compose(xinv, g), x)) for g in blown_gens):
+        return "adjoined element does not normalize the core"
+    power = x
     for k in range(1, index):
-        # a power carrying the duality bit cannot lie in a linear core
-        if (not power.dual or domain.action.two_sided) and chain.contains(power):
-            raise ConstructionError(f"{name}: adjoined element power {k} already lies in the core")
-        power = sl_compose(power, extra)
-    if power.dual or not chain.contains(power):
-        raise ConstructionError(f"{name}: adjoined element power {index} leaves the core")
+        if not power.dual and core.contains(power):
+            return f"adjoined element power {k} already lies in the core"
+        power = sl_compose(power, x)
+    if power.dual or not core.contains(power):
+        return f"adjoined element power {index} leaves the core"
+    return None

@@ -419,24 +419,16 @@ def _projective_point_stabilizer(Z: GroupSpec) -> GroupSpec:
 
 def _row12_x(row, rng):
     if row == "12a":
-        # only two of the four S5 classes factorize: keep transitive witnesses
-        X, info = sporadic.locate_s5(rng, reject=_s5_not_transitive)
-        # also exhibit a non-factorizing witness (two of four classes fail)
-        try:
-            X_bad, bad_info = sporadic.locate_s5(rng, reject=lambda ch: not _s5_not_transitive(ch))
-            info["non_factorizing_witness"] = {"found": True, "tries": bad_info["tries"]}
-        except sporadic.SearchBudgetError:
-            info["non_factorizing_witness"] = {"found": False}
-        return X, info
+        # only two of the four S5 classes factorize: the witness is transitive
+        # on the 40 projective points, and a second literal S5 is not
+        X = sporadic.s5_from_literal(sporadic.S5_TRANSITIVE, "S5<PSL_4(3)", rng)
+        X_bad = sporadic.s5_from_literal(sporadic.S5_INTRANSITIVE, "S5'<PSL_4(3)", rng)
+        bad_orbit = orbit(X_bad, ActionPoint(PROJECTIVE, _e1(4))).size
+        return X, {"kind": "S5", "witnesses": "certified literals",
+                   "non_factorizing_witness": {"orbit_length": bad_orbit}}
     if row == "12b":
         return sporadic.locate_4xa5(rng)
     return sporadic.locate_2_4_a5(rng)
-
-
-def _s5_not_transitive(chain) -> bool:
-    if not chain.levels:
-        return True
-    return len(chain.levels[0].orbit) != chain.domain.size
 
 
 # ---------------------------------------------------------------------------

@@ -326,13 +326,13 @@ class StabChain:
 
     Every decision reads permutations only; the stored generators are
     Tracked, so their matrices are composed when a caller reads ``.elem``
-    (``suffix_generators``, derived subgroups, searched witnesses).
+    (derived subgroups, searched witnesses).
     """
 
     MAX_STALL = 4000
     QUIET_ROUNDS = 14
 
-    def __init__(self, domain: PermDomain, base_hint: list[int] | None = None):
+    def __init__(self, domain: PermDomain):
         self.domain = domain
         self.levels: list[_Level] = []
         self._arange = domain.identity_perm
@@ -340,11 +340,6 @@ class StabChain:
         self.ident = Tracked(identity_element(spec, domain.action.n), self._arange)
         self.originals: list[Tracked] = []
         self.verified = False
-        for b in base_hint or []:
-            lvl = _Level(int(b))
-            self.levels.append(lvl)
-        for li in range(len(self.levels) - 1, -1, -1):
-            self._recompute_orbit(li)
 
     # -- construction ---------------------------------------------------------
 
@@ -353,7 +348,6 @@ class StabChain:
         cls,
         domain: PermDomain,
         generators: list[GroupElement],
-        base_hint=None,
         known_order: int | None = None,
         rng=None,
         name: str = "",
@@ -382,7 +376,7 @@ class StabChain:
         Schreier pass: a chain below its bound, or built without one, ends
         in the deterministic Schreier generator check.
         """
-        chain = cls(domain, base_hint)
+        chain = cls(domain)
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
         chain.originals = list(tracked) if tracked is not None else [
             Tracked(g, domain.perm_of(g)) for g in generators
@@ -609,11 +603,6 @@ class StabChain:
 
     def contains_tracked(self, t: Tracked) -> bool:
         return self._sift(t)[0].is_identity()
-
-    def suffix_generators(self, from_level: int) -> list[GroupElement]:
-        """Generators of the pointwise stabilizer of the first base points."""
-        gens = [t.elem for lvl in self.levels[from_level:] for t in lvl.own]
-        return gens or [self.ident.elem]
 
     def random_element(self, rng) -> Tracked:
         acc = None

@@ -2,10 +2,13 @@
 
 Subgroups are located, not classified: randomized two-generator searches
 with explicit certificates (exact order via a stabilizer chain, exact
-element-order spectrum by enumeration), algebraic constructions where one
-exists (the scalar-extended icosahedral lift, the extraspecial normalizer),
-and brute-force conjugacy or module certificates for "two classes"
-claims.  Every search takes a seeded RNG and reports the tries it used.
+element-order spectrum by enumeration), literal witnesses certified on
+every use (row 12a's two S5, row 12c's normalizing elements, row 13's
+module), algebraic constructions where one exists (the scalar-extended
+icosahedral lift, the extraspecial normalizer), and brute-force conjugacy
+or module certificates for "two classes" claims.  Every search takes a
+seeded RNG and reports the tries it used; tests/provenance.py holds the
+derivations of the literals.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .linalg import (
     GroupElement,
     Mat,
     blowup,
+    det,
     mat_identity,
 )
 
@@ -96,22 +100,44 @@ def exact_spectrum(chain: StabChain) -> frozenset[int]:
     return frozenset(o for block in chain.element_perm_blocks() for o in element_orders(block))
 
 
+def certify_subgroup(domain, tracked: list[Tracked], kind: str, rng, name: str) -> StabChain:
+    """The chain of <tracked> on the domain, certified to be of the given kind:
+    exact order TARGET_ORDERS[kind] and exact element-order spectrum
+    SPECTRA[kind].  Raises CertificationError otherwise.
+
+    The generators come with no a-priori upper bound group, so the
+    known-order build alone is not a certificate: post_verify rejects proper
+    supergroups whose orbit products pass through the target on the way up.
+    """
+    sub = StabChain.build(
+        domain,
+        [],
+        known_order=TARGET_ORDERS[kind],
+        rng=rng,
+        name=name,
+        max_stall=250,
+        tracked=tracked,
+        post_verify=True,
+    )
+    if exact_spectrum(sub) != SPECTRA[kind]:
+        raise CertificationError(f"{name}: element orders are not those of {kind}")
+    return sub
+
+
 def two_generator_search(
     ambient: GroupSpec,
     kind: str,
     rng,
     max_tries: int = 4000,
     name: str | None = None,
-    reject=None,
 ) -> tuple[GroupSpec, dict]:
     """Find a subgroup of the given isomorphism certificate inside the ambient.
 
-    Certificate: exact chain order and exact element-order spectrum.  The
-    returned info dict records tries and the generator pattern used.
+    Certificate: ``certify_subgroup``.  The returned info dict records tries
+    and the generator pattern used.
     """
     chain = ambient.chain()
     domain = chain.domain
-    target = TARGET_ORDERS[kind]
     allowed = SPECTRA[kind]
     patterns = SEARCH_PATTERNS[kind]
     for attempt in range(max_tries):
@@ -125,32 +151,15 @@ def two_generator_search(
         if _walk_rejects(a, b, allowed, rng):
             continue
         try:
-            # searched candidates have no a-priori upper bound, so the
-            # known-order build alone is not a certificate: post_verify
-            # rejects proper supergroups whose orbit products pass through
-            # the target on the way up
-            sub = StabChain.build(
-                domain,
-                [],
-                known_order=target,
-                rng=rng,
-                name=f"{kind} candidate",
-                max_stall=250,
-                tracked=[a, b],
-                post_verify=True,
-            )
+            sub = certify_subgroup(domain, [a, b], kind, rng, f"{kind} candidate")
         except CertificationError:
-            continue
-        if exact_spectrum(sub) != allowed:
-            continue
-        if reject is not None and reject(sub):
             continue
         spec = GroupSpec(
             name or f"{kind}<{ambient.name}",
             ambient.n,
             ambient.spec,
             [a.elem, b.elem],
-            claimed_order=target,
+            claimed_order=TARGET_ORDERS[kind],
             provenance=f"two_generator_search({kind}) in {ambient.name}, try {attempt + 1}",
             action_tag=ambient.action_tag,
         )
@@ -272,9 +281,38 @@ def locate_pgl27_m10(rng, max_tries: int = 2500) -> dict:
     return report
 
 
-def locate_s5(rng, reject=None) -> tuple[GroupSpec, dict]:
-    Z = psl_n3_projective(4)
-    return two_generator_search(Z, "S5", rng, name="S5<PSL_4(3)", reject=reject)
+# Two S5 < PSL_4(3) for row 12a, each as the images of a pair of matrices of
+# SL_4(3): the first is transitive on the 40 projective points, the second
+# is not.  tests/provenance.py derives them; s5_from_literal certifies them
+# on every use.
+S5_TRANSITIVE = (
+    [[1, 0, 1, 2], [1, 0, 2, 2], [1, 2, 0, 0], [0, 2, 1, 2]],
+    [[1, 0, 2, 1], [1, 1, 0, 2], [2, 1, 0, 1], [2, 2, 0, 2]],
+)
+S5_INTRANSITIVE = (
+    [[2, 1, 2, 1], [0, 1, 1, 2], [2, 2, 0, 1], [2, 2, 1, 0]],
+    [[2, 0, 0, 2], [0, 1, 2, 2], [2, 0, 1, 2], [0, 2, 0, 0]],
+)
+
+
+def _sl4_3_elements(mats, name: str) -> list[GroupElement]:
+    F3 = make_field(3, 1)
+    elements = [GroupElement(Mat(F3, m)) for m in mats]
+    if any(det(g.mat) != 1 for g in elements):
+        raise CertificationError(f"{name}: a literal matrix is not in SL_4(3)")
+    return elements
+
+
+def s5_from_literal(mats, name: str, rng) -> GroupSpec:
+    """The projective image in PSL_4(3) of the group generated by the given
+    4x4 GF(3) matrices, certified to be S5: each matrix has determinant 1,
+    and the chain on the 40 projective points passes ``certify_subgroup``."""
+    gens = _sl4_3_elements(mats, name)
+    F3 = gens[0].spec
+    domain = shared_domain(PROJECTIVE, F3, 4)
+    spec = GroupSpec(name, 4, F3, gens, claimed_order=120, provenance="certified literal", action_tag=PROJECTIVE)
+    spec._chain = certify_subgroup(domain, [Tracked(g, domain.perm_of(g)) for g in gens], "S5", rng, name)
+    return spec
 
 
 def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
@@ -375,38 +413,49 @@ def require_minus_identity(group: GroupSpec) -> None:
                                  f"does not have half its order {group.order()}")
 
 
-def locate_2_4_a5(rng, max_tries: int = 60000) -> tuple[GroupSpec, dict]:
-    """2^4:A5 < PSL_4(3) as the extraspecial normalizer's solvable residual."""
+# Elements of SL_4(3) that normalize E = 2^(1+4) and, with E, generate a
+# group whose solvable residual is 2^(1+4).A5 of order 1920.
+# tests/provenance.py derives them; normalizer_residual certifies them on
+# every use.
+E_NORMALIZERS = (
+    [[2, 2, 1, 2], [1, 2, 1, 1], [0, 1, 1, 0], [1, 0, 0, 2]],
+    [[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 2], [1, 2, 2, 1]],
+)
+
+
+def normalizer_residual(mats, rng) -> GroupSpec:
+    """The solvable residual of <E, mats> for E = 2^(1+4) < SL_4(3),
+    certified to be 2^(1+4).A5: E's chain has order 32, each matrix lies in
+    SL_4(3) and normalizes E, the residual has order 1920 and contains -I."""
     F3 = make_field(3, 1)
     egens = _extraspecial_32(F3)
-    ambient = classical_generators("SL", 4, 3)
-    chain = ambient.chain()
-    echain = _extraspecial_chain(egens, chain.domain)
-    found: list[GroupElement] = []
-    residual = None
-    for tries in range(1, max_tries + 1):
-        t = chain.random_element(rng)
-        if _normalizes(echain, t):
-            found.append(t.elem)
-            candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + found, action_tag=VECTOR,
-                                  provenance=f"extraspecial normalizer closure, {tries} tries")
-            residual = solvable_residual(candidate, rng=rng)
-            if residual.order() == 1920:
-                break
-            residual = None
-    if residual is None:
-        raise SearchBudgetError(f"2^(1+4) normalizer search exhausted ({max_tries} tries)")
+    domain = shared_domain(VECTOR, F3, 4)
+    echain = _extraspecial_chain(egens, domain)
+    extra = _sl4_3_elements(mats, "2^(1+4) normalizer")
+    if not all(_normalizes(echain, Tracked(t, domain.perm_of(t))) for t in extra):
+        raise CertificationError("a literal element does not normalize 2^(1+4)")
+    candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + extra, action_tag=VECTOR,
+                          provenance=f"2^(1+4) extended by {len(extra)} normalizing elements")
+    residual = solvable_residual(candidate, rng=rng)
+    if residual.order() != 1920:
+        raise CertificationError(f"the normalizer's solvable residual has order {residual.order()}, not 1920")
     require_minus_identity(residual)
+    return residual
+
+
+def locate_2_4_a5(rng) -> tuple[GroupSpec, dict]:
+    """2^4:A5 < PSL_4(3) as the extraspecial normalizer's solvable residual."""
+    residual = normalizer_residual(E_NORMALIZERS, rng)
     projective = GroupSpec(
         "2^4:A5<PSL_4(3)",
         4,
-        F3,
+        residual.spec,
         residual.generators,
         claimed_order=960,
         provenance=residual.provenance + "; solvable residual, projective image",
         action_tag=PROJECTIVE,
     )
-    info = {"tries": tries, "normalizing_elements": len(found), "linear_order": 1920}
+    info = {"normalizing_elements": len(E_NORMALIZERS), "linear_order": 1920}
     return projective, info
 
 
@@ -448,44 +497,6 @@ def _sl2_13_group():
     return C, S, tmul, els, index, tree
 
 
-def _sl2_13_torus_module():
-    """156-dim GF(3) module induced from the order-2 character of the C14 torus."""
-    P = 13
-    C, S, tmul, elements, _, _ = _sl2_13_group()
-    ident = elements[0]
-    els = sorted(elements)
-    def torder(t):
-        k, x = 1, t
-        while x != ident:
-            x = tmul(x, t)
-            k += 1
-        return k
-    gen14 = next(t for t in els if torder(t) == 14)
-    torus, x = [], ident
-    for _ in range(14):
-        torus.append(x)
-        x = tmul(x, gen14)
-    tor_exp = {t: k for k, t in enumerate(torus)}
-    coset_rep: dict[tuple, tuple] = {}
-    cos_of: dict[tuple, int] = {}
-    for g in els:
-        key = min(tmul(t, g) for t in torus)
-        if key not in coset_rep:
-            coset_rep[key] = g
-            cos_of[key] = len(cos_of)
-    keys = sorted(cos_of, key=lambda k: cos_of[k])
-    reps = [coset_rep[k] for k in keys]
-    def module_matrix(h):
-        M = np.zeros((156, 156), dtype=np.int64)
-        for j, r in enumerate(reps):
-            gh = tmul(r, h)
-            i = cos_of[min(tmul(t, gh) for t in torus)]
-            t = tmul(gh, _inv2(reps[i]))
-            M[i, j] = 1 if tor_exp[t] % 2 == 0 else 2
-        return M
-    return module_matrix(C), module_matrix(S), (C, S, tmul)
-
-
 def _inv2(t):
     P = 13
     d = (t[0] * t[3] - t[1] * t[2]) % P
@@ -493,65 +504,9 @@ def _inv2(t):
     return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
 
 
-def derive_psl2_13_module(rng) -> tuple[np.ndarray, np.ndarray]:
-    """Provenance of the literal module: 6-dim GF(3) matrices for the SL_2(13)
-    generators C (order 13) and S (S^2 = -1) of ``_sl2_13_group``.
-
-    The faithful 6-dim module is a defect-zero constituent: it is carved out
-    of (14-dim faithful submodule) tensor (7-dim submodule of the signed
-    projective-line module) by three ``meataxe.chop_for_dimension`` hunts
-    for minimal-polynomial kernel spins, which draw from rng.  SL_2(13) has
-    two 6-dim modules over GF(3), swapped by the outer automorphism, and
-    the seed decides which one the hunts carve out; both have the same
-    image group.  The verify path does not run this: it certifies the
-    literal ``_PSL2_13_C6``, ``_PSL2_13_S6`` that this returns at
-    ``_PSL2_13_SEED``.
-    """
-    from . import meataxe as mx
-
-    MC, MS, (C2, S2, tmul) = _sl2_13_torus_module()
-    U14 = mx.chop_for_dimension([MC, MS], 14, 3, rng)
-    if U14 is None:
-        raise SearchBudgetError("no 14-dim faithful constituent found")
-    A14 = [mx.action_on(U14, g, 3) for g in (MC, MS)]
-    # signed projective-line module: quadratic character of the Borel
-    P = 13
-    def act(A, x):
-        if x == "inf":
-            num, den = A[0], A[2]
-        else:
-            num, den = (A[0] * x + A[1]) % P, (A[2] * x + A[3]) % P
-        return "inf" if den % P == 0 else num * pow(den, -1, P) % P
-    pts = list(range(P)) + ["inf"]
-    idx = {x: i for i, x in enumerate(pts)}
-    reps = {a: (a, 1, 1, 0) for a in range(P)}
-    reps["inf"] = (1, 0, 0, 1)
-    def signed_matrix(g):
-        M = np.zeros((14, 14), dtype=np.int64)
-        for x in pts:
-            gx = act(g, x)
-            b = tmul(_inv2(reps[gx]), tmul(g, reps[x]))
-            sgn = pow(b[0] % P, (P - 1) // 2, P)
-            M[idx[gx], idx[x]] = 1 if sgn == 1 else 2
-        return M
-    B14 = [signed_matrix(g) for g in (C2, S2)]
-    U7 = mx.chop_for_dimension(B14, 7, 3, rng)
-    if U7 is None:
-        raise SearchBudgetError("no 7-dim constituent in the signed line module")
-    A7 = [mx.action_on(U7, g, 3) for g in B14]
-    T = [np.kron(A14[k], A7[k]) % 3 for k in range(2)]
-    U6 = mx.chop_for_dimension(T, 6, 3, rng)
-    if U6 is None:
-        raise SearchBudgetError("no 6-dim constituent in the 14x7 tensor")
-    A6 = [mx.action_on(U6, g, 3) for g in T]
-    return A6[0], A6[1]
-
-
 # The images of _sl2_13_group's C and S in a 6-dim GF(3) module of
-# SL_2(13): derive_psl2_13_module(np.random.default_rng(_PSL2_13_SEED))
-# returns exactly these (seed 4).  Their certificate is
-# certify_psl2_13_module, run on every use.
-_PSL2_13_SEED = 4
+# SL_2(13).  tests/provenance.py derives them; certify_psl2_13_module
+# certifies them on every use.
 _PSL2_13_C6 = np.array([
     [0, 1, 0, 2, 2, 1],
     [0, 2, 2, 1, 0, 1],
@@ -605,7 +560,7 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     """Two PSL_2(13) < PSL_6(3), one per conjugacy class.
 
     The first witness is generated by the literal module matrices
-    ``_PSL2_13_C6``, ``_PSL2_13_S6`` (provenance: ``derive_psl2_13_module``).
+    ``_PSL2_13_C6``, ``_PSL2_13_S6`` (derived in tests/provenance.py).
     ``certify_psl2_13_module`` proves its projective order at most 1092,
     so a chain build that reaches 1092 is exact without a Schreier pass;
     the exact spectrum and a (2,3,13) generator pair are checked on top.

@@ -28,12 +28,14 @@ def test_verify_negative_controls_pass_by_failing(tmp_path):
         assert all(s["verdict"] == "fail" for s in report["strategies"])
 
 
-def test_byte_determinism(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_byte_determinism(tmp_path, jobs):
+    # each run is compared with a --jobs 1 run
+    rows = ["--row", "t1r09", "--row", "t1r03-n4q2", "--row", "suite-r1"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    for out in (out1, out2):
-        assert main(["verify", "--row", "t1r09", "--row", "t1r03-n4q2",
-                     "--seed", "99", "--out", str(out)]) == 0
-    for name in ("t1r09.json", "t1r03-n4q2.json", "summary.json"):
+    for out, j in ((out1, 1), (out2, jobs)):
+        assert main(["verify", *rows, "--seed", "99", "--jobs", str(j), "--out", str(out)]) == 0
+    for name in ("t1r09.json", "t1r03-n4q2.json", "suite-r1.json", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

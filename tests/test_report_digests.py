@@ -4,7 +4,7 @@ The digests are sha256 of ``json.dumps(report, sort_keys=True)`` for
 ``verify_claim`` at the default seed.  They cover claims whose chains are
 certified by tightness bounds, inherited from stabilizer computations
 (relabeled chain suffixes or sifted Schreier generators) or conjugated, or
-built from a certified literal module (row 13), so a performance change
+built from certified literals (rows 12a, 12c and 13), so a performance change
 that alters what a report says fails here.  A deliberate behaviour change must update a digest and say which
 report keys moved.
 """
@@ -42,10 +42,11 @@ DIGESTS = {
     "t1r05-m2": "a6db855748ff081111fe2bfd19d28260108717f5c64c6e7911d798240c0a49a2",
     "t1r08-q2": "96ea3d1bc9c8cafcd9cc5fabb76d155f298c1c9d95400520e7dac79817af4ed2",
     "neg-sl6-g2p": "d2fac69ee64b1eb1aac1758c360fc25dd65ca42a3823ad88e67b54159483149c",
-    # row 12c's seeded normalizer search: its tries and accept decisions
-    "t1r12-c": "0604a3b0cf4a93762c95b65c6b91ede2ed728dce32b966ab8454cdebaa62f31e",
-    # row 12a's residual reading and row 14's extended claim, both through build_setup
-    "t1r12-a": "ad5c7c6d91a1b3eebbd1ec156ca861c8b5170b7cfb4c75202a2392ff28009c1e",
+    # row 12c's literal normalizing elements and their residual
+    "t1r12-c": "dbb581136da8c669b1e9669553338d7d84505d46661c705c2e0982ab1e6aa304",
+    # row 12a's literal S5 witnesses and residual reading, and row 14's
+    # extended claim, both through build_setup
+    "t1r12-a": "0ea43f8b456713bb51f2b1e61371e943baf35fdbfb345cd7e055b7838ca3bb16",
     "t1r14-ext": "ec6ca6876457430634ae87ba409cc4027de6fa19a63e8f0fb6f395e65bac454f",
 }
 
