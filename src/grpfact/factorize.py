@@ -21,11 +21,10 @@ Strategies per claim:
 * ``product_identity``  the suites' product set identity, which for their
                  instances is the counting identity of the factorization.
 
-Every claim runs one path: ``build_setup`` constructs or locates the
-ambient order, the factors and the orbit point, one runner per entry of
-``claim.checks`` produces a strategy, and ``_finalize`` decides the claim.
-Row 10, which searches three ambients for its pair of factors, is the one
-bespoke verifier left.
+Every claim runs one path: ``build_setup`` constructs the ambient order,
+the factors and the orbit point, one runner per entry of ``claim.checks``
+produces a strategy, and ``_finalize`` decides the claim.  No set-up
+searches: the sporadic factors are certified literals.
 
 Claims carry an expectation; negative controls expect the identity to fail
 and pass exactly when it does.
@@ -359,12 +358,20 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
             orbit_seed=ActionPoint(VECTOR, _e1(12)), orbit_target=4**12 - 1,
         )
     if row == "9":
-        X, Y, info = sporadic.locate_two_a5_classes(rng)
+        X, Y = _two_a5(sporadic.psl2_9(), rng)
         return ClaimSetup(360, X, Y, notes={
-            "located": {"tries": [info["first"]["tries"], info["second"]["tries"]],
-                        "rejected_conjugates": info["rejected_conjugates"]},
-            "classes": "brute-force conjugacy over all 360 ambient elements",
+            "witnesses": "certified literals",
+            "classes": "distinct conjugate A5s meet in A4 (order 12), so an intersection of order 10 "
+                       "separates the classes",
         })
+    if row == "10":
+        # the literals lie in the phi_gamma extension of PSL_3(4); the report
+        # names it, and says nothing of the other two
+        Z = sporadic.psl3_4_ext("phi_gamma")
+        X = sporadic.subgroup_from_literal(Z, sporadic.PGL2_7, "PGL2_7", f"PGL_2(7)<{Z.name}", rng)
+        Y = sporadic.subgroup_from_literal(Z, sporadic.M10, "M10", f"M10<{Z.name}", rng)
+        return ClaimSetup(2 * orders.psl_order(3, 4), X, Y,
+                          notes={"extension": Z.name, "witnesses": "certified literals"})
     # the conjugation suites: H^x n K^y for random x, y of G, with H^x and
     # K^y on G's chain domain; suite 1 reads K^y as the stabilizer of y(e1)
     samples = {"samples": p.get("samples", 50)}
@@ -372,17 +379,17 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
         return _stab_setup("vector", 4, 2, ext_subgroup("SL", 2, 2, 2), G=classical_generators("SL", 4, 2),
                            conjugate_intersection=(4, frozenset({1, 2})), notes=samples)
     if row == "suite9":
-        X, Y, _ = sporadic.locate_two_a5_classes(rng)
-        return ClaimSetup(360, X, Y, G=sporadic.psl2_9(),
-                          conjugate_intersection=(10, frozenset({1, 2, 5})), notes=samples)
+        Z = sporadic.psl2_9()
+        X, Y = _two_a5(Z, rng)
+        return ClaimSetup(360, X, Y, G=Z, conjugate_intersection=(10, frozenset({1, 2, 5})), notes=samples)
     if row in ("11a", "11b"):
-        A7, info = sporadic.locate_a7(rng)
+        A7 = sporadic.subgroup_from_literal(classical_generators("SL", 4, 2), sporadic.A7, "A7", "A7<SL_4(2)", rng)
         kind = "antiflag" if row == "11a" else "vector"
-        return _stab_setup(kind, 4, 2, A7, notes={"a7_search": info})
+        return _stab_setup(kind, 4, 2, A7, notes={"witnesses": "certified literals"})
     if row in ("12a", "12b", "12c"):
         Z = sporadic.psl_n3_projective(4)
         Y = _projective_point_stabilizer(Z)
-        X, info = _row12_x(row, rng)
+        X, info = _row12_x(row, Z, rng)
         return ClaimSetup(
             Z.order(), X, Y,
             orbit_seed=ActionPoint(PROJECTIVE, _e1(4)), orbit_target=(3**4 - 1) // 2,
@@ -417,12 +424,18 @@ def _projective_point_stabilizer(Z: GroupSpec) -> GroupSpec:
     return Y
 
 
-def _row12_x(row, rng):
+def _two_a5(Z: GroupSpec, rng) -> tuple[GroupSpec, GroupSpec]:
+    """Row 9's two literal A5 < PSL_2(9), one from each class."""
+    return (sporadic.subgroup_from_literal(Z, sporadic.A5_FIRST, "A5", "A5 class 1", rng),
+            sporadic.subgroup_from_literal(Z, sporadic.A5_SECOND, "A5", "A5 class 2", rng))
+
+
+def _row12_x(row, Z, rng):
     if row == "12a":
         # only two of the four S5 classes factorize: the witness is transitive
         # on the 40 projective points, and a second literal S5 is not
-        X = sporadic.s5_from_literal(sporadic.S5_TRANSITIVE, "S5<PSL_4(3)", rng)
-        X_bad = sporadic.s5_from_literal(sporadic.S5_INTRANSITIVE, "S5'<PSL_4(3)", rng)
+        X = sporadic.subgroup_from_literal(Z, sporadic.S5_TRANSITIVE, "S5", "S5<PSL_4(3)", rng)
+        X_bad = sporadic.subgroup_from_literal(Z, sporadic.S5_INTRANSITIVE, "S5", "S5'<PSL_4(3)", rng)
         bad_orbit = orbit(X_bad, ActionPoint(PROJECTIVE, _e1(4))).size
         return X, {"kind": "S5", "witnesses": "certified literals",
                    "non_factorizing_witness": {"orbit_length": bad_orbit}}
@@ -613,9 +626,6 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
                  record_timings: bool = False, max_orbit_points: int = 2**24) -> VerificationReport:
     seed = claim_seed(claim.claim_id, base_seed)
     rng = Stream(seed)
-    if claim.row == "10":
-        return _verify_row10(claim, rng, seed, record_timings)
-
     strategies: list[StrategyResult] = []
     needs_setup = any(c != "identity" for c in claim.checks)
     setup = None
@@ -689,54 +699,6 @@ def _finalize(claim, strategies, notes) -> VerificationReport:
     if not agreement:
         notes["strategy_disagreement"] = sorted(inter_orders)
     return VerificationReport(claim.claim_id, claim.params, strategies, tight_result, overall, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# row 10: three candidate ambients
-
-
-def _verify_row10(claim, rng, seed, record) -> VerificationReport:
-    with _Timer(record) as tm:
-        candidates = sporadic.locate_pgl27_m10(rng, max_tries=900)
-        per_candidate = {}
-        any_pass = False
-        i_order_seen = None
-        for outer, entry in candidates.items():
-            if entry["pgl27"] is None or entry["m10"] is None:
-                per_candidate[outer] = {
-                    "pgl27": entry["pgl27"] is not None,
-                    "m10": entry["m10"] is not None,
-                    "verdict": "subgroups absent within search budget",
-                }
-                continue
-            X, xinfo = entry["pgl27"]
-            Y, yinfo = entry["m10"]
-            inter = intersect(X, Y, "enumerate_smaller")
-            i_order = inter.order()
-            lhs = 2 * orders.psl_order(3, 4) * i_order
-            rhs = X.order() * Y.order()
-            ok = lhs == rhs and i_order == 6
-            any_pass = any_pass or ok
-            i_order_seen = i_order if ok else i_order_seen
-            per_candidate[outer] = {
-                "pgl27": True,
-                "m10": True,
-                "intersection_order": i_order,
-                "intersection_hint": structure_hint(inter),
-                "verdict": "factorizes" if ok else "does not factorize",
-                "tries": {"pgl27": xinfo["tries"], "m10": yinfo["tries"]},
-            }
-    with _Timer(record) as tm_identity:
-        identity = identity_for_claim(claim)
-    strategies = [
-        StrategyResult("identity", "pass" if identity.ok else "fail",
-                       intersection_order=identity.intersection_order, wall_ms=tm_identity.ms, seed=seed),
-        StrategyResult("enumerate", "pass" if any_pass else "fail",
-                       intersection_order=i_order_seen, details={"extensions": per_candidate},
-                       wall_ms=tm.ms, seed=seed),
-    ]
-    notes = {"extension_resolution": "all three index-2 extensions tried; see strategy details"}
-    return _finalize(claim, strategies, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,12 @@
-"""Locators for the sporadic subgroups of the catalog's fixed rows.
+"""The sporadic subgroups of the catalog's fixed rows.
 
-Subgroups are located, not classified: randomized two-generator searches
-with explicit certificates (exact order via a stabilizer chain, exact
-element-order spectrum by enumeration), literal witnesses certified on
-every use (row 12a's two S5, row 12c's normalizing elements, row 13's
-module), algebraic constructions where one exists (the scalar-extended
-icosahedral lift, the extraspecial normalizer), and brute-force conjugacy
-or module certificates for "two classes" claims.  Every search takes a
-seeded RNG and reports the tries it used; tests/provenance.py holds the
-derivations of the literals.
+Subgroups are given, not classified: literal witnesses certified on every
+use (rows 9, 10, 11, 12a and 12b's SL_2(5) through ``subgroup_from_literal``,
+row 12c's normalizing elements, row 13's module), algebraic constructions
+where one exists (the scalar-extended icosahedral lift, the extraspecial
+normalizer), and module certificates for row 13's two classes.  The verify
+path searches nothing: tests/provenance.py holds the derivations of the
+literals, some of which call the seeded ``two_generator_search`` kept here.
 """
 
 from __future__ import annotations
@@ -124,6 +122,36 @@ def certify_subgroup(domain, tracked: list[Tracked], kind: str, rng, name: str) 
     return sub
 
 
+def literal_elements(spec, literal, name: str) -> list[GroupElement]:
+    """The elements of a literal over the field: each entry is a
+    ``(matrix, fa, dual)`` tuple or a bare matrix.  A singular matrix is
+    refused with CertificationError before any permutation is read."""
+    elements = []
+    for entry in literal:
+        mat, fa, dual = entry if isinstance(entry, tuple) else (entry, 0, 0)
+        m = Mat(spec, mat)
+        if det(m) == 0:
+            raise CertificationError(f"{name}: a literal matrix is singular")
+        elements.append(GroupElement(m, fa, dual))
+    return elements
+
+
+def subgroup_from_literal(Z: GroupSpec, literal, kind: str, name: str, rng) -> GroupSpec:
+    """The subgroup of the ambient Z generated by a literal, certified to be
+    of the given kind: no matrix is singular, each element sifts into Z's
+    certified chain, and the generated group passes ``certify_subgroup`` on
+    Z's domain.  tests/provenance.py derives the literals."""
+    gens = literal_elements(Z.spec, literal, name)
+    chain = Z.chain()
+    tracked = [Tracked(g, chain.domain.perm_of(g)) for g in gens]
+    if not all(chain.contains_tracked(t) for t in tracked):
+        raise CertificationError(f"{name}: a literal element is not in {Z.name}")
+    spec = GroupSpec(name, Z.n, Z.spec, gens, claimed_order=TARGET_ORDERS[kind],
+                     provenance=f"certified literal in {Z.name}", action_tag=Z.action_tag)
+    spec._chain = certify_subgroup(chain.domain, tracked, kind, rng, name)
+    return spec
+
+
 def two_generator_search(
     ambient: GroupSpec,
     kind: str,
@@ -167,24 +195,6 @@ def two_generator_search(
         info = {"tries": attempt + 1, "pattern": (oa, ob, oprod), "kind": kind}
         return spec, info
     raise SearchBudgetError(f"search budget exhausted locating {kind} in {ambient.name} ({max_tries} tries)")
-
-
-def subgroups_conjugate(ambient: GroupSpec, A: GroupSpec, B: GroupSpec) -> bool:
-    """Brute-force conjugacy decision on the ambient's permutation domain;
-    only for small ambient orders."""
-    if ambient.order() > 50000:
-        raise ConstructionError("brute-force conjugacy is desk scale only")
-    if A.order() != B.order():
-        return False
-    achain, bchain = ambient.chain(), B.chain()
-    if bchain.domain is not achain.domain:
-        raise ConstructionError("conjugacy test needs B on the ambient's domain")
-    gens = [Tracked(g, achain.domain.perm_of(g)) for g in A.generators]
-    for z in achain.elements():
-        zi = z.inverse()
-        if all(bchain.contains_tracked(t_compose(t_compose(zi, g), z)) for g in gens):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -235,56 +245,29 @@ def psl_n3_projective(n: int) -> GroupSpec:
 
 
 # ---------------------------------------------------------------------------
-# per-target locators
+# certified literals: tests/provenance.py derives them, and
+# subgroup_from_literal certifies each one on every use
 
+# row 9: two A5 < PSL_2(9), as pairs of SL_2(9) matrices in GF(9) encodings;
+# their intersection of order 10 shows the classes differ, since distinct
+# conjugate A5s in A6 meet in A4
+A5_FIRST = ([[7, 6], [2, 5]], [[5, 2], [2, 6]])
+A5_SECOND = ([[1, 3], [5, 2]], [[5, 3], [6, 8]])
 
-def locate_two_a5_classes(rng) -> tuple[GroupSpec, GroupSpec, dict]:
-    """Two non-conjugate A5 subgroups of PSL_2(9) ~ A6."""
-    Z = psl2_9()
-    first, info1 = two_generator_search(Z, "A5", rng, name="A5 class 1")
-    tries = [info1]
-    for k in range(40):
-        cand, info2 = two_generator_search(Z, "A5", rng, name="A5 class 2")
-        if not subgroups_conjugate(Z, first, cand):
-            info = {
-                "first": info1,
-                "second": info2,
-                "rejected_conjugates": k,
-            }
-            return first, cand, info
-    raise SearchBudgetError("could not find a second A5 class in PSL_2(9)")
+# row 10: PGL_2(7) and M10 in PSL_3(4).2[phi_gamma], as SL_3(4) matrices in
+# GF(4) encodings, meeting in order 6; an entry (matrix, 1, 1) carries
+# phi_gamma's field automorphism and duality
+PGL2_7 = (([[1, 2, 3], [3, 1, 0], [2, 0, 0]], 1, 1), [[0, 3, 1], [3, 3, 3], [2, 3, 3]])
+M10 = (([[2, 0, 1], [3, 1, 0], [3, 2, 2]], 1, 1), ([[1, 3, 1], [2, 3, 1], [1, 0, 3]], 1, 1))
 
+# row 11: A7 < SL_4(2)
+A7 = (
+    [[1, 0, 0, 0], [1, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 1]],
+    [[1, 1, 0, 1], [1, 0, 1, 0], [0, 0, 0, 1], [1, 1, 1, 0]],
+)
 
-def locate_a7(rng) -> tuple[GroupSpec, dict]:
-    Z = classical_generators("SL", 4, 2)
-    return two_generator_search(Z, "A7", rng, name="A7<SL_4(2)")
-
-
-def locate_pgl27_m10(rng, max_tries: int = 2500) -> dict:
-    """Try each index-2 extension of PSL_3(4); report which admit both subgroups."""
-    report = {}
-    for outer in ("gamma", "phi", "phi_gamma"):
-        Z = psl3_4_ext(outer)
-        Z.order()
-        entry = {"ambient": Z.name}
-        try:
-            x, info_x = two_generator_search(Z, "PGL2_7", rng, max_tries=max_tries, name=f"PGL2_7<{Z.name}")
-            entry["pgl27"] = (x, info_x)
-        except SearchBudgetError:
-            entry["pgl27"] = None
-        try:
-            y, info_y = two_generator_search(Z, "M10", rng, max_tries=max_tries, name=f"M10<{Z.name}")
-            entry["m10"] = (y, info_y)
-        except SearchBudgetError:
-            entry["m10"] = None
-        report[outer] = entry
-    return report
-
-
-# Two S5 < PSL_4(3) for row 12a, each as the images of a pair of matrices of
-# SL_4(3): the first is transitive on the 40 projective points, the second
-# is not.  tests/provenance.py derives them; s5_from_literal certifies them
-# on every use.
+# row 12a: two S5 < PSL_4(3), as pairs of SL_4(3) matrices: the first is
+# transitive on the 40 projective points, the second is not
 S5_TRANSITIVE = (
     [[1, 0, 1, 2], [1, 0, 2, 2], [1, 2, 0, 0], [0, 2, 1, 2]],
     [[1, 0, 2, 1], [1, 1, 0, 2], [2, 1, 0, 1], [2, 2, 0, 2]],
@@ -294,38 +277,21 @@ S5_INTRANSITIVE = (
     [[2, 0, 0, 2], [0, 1, 2, 2], [2, 0, 1, 2], [0, 2, 0, 0]],
 )
 
+# row 12b: SL_2(5) < SL_2(9), in GF(9) encodings
+SL2_5 = ([[0, 3], [7, 0]], [[4, 1], [6, 3]])
 
-def _sl4_3_elements(mats, name: str) -> list[GroupElement]:
-    F3 = make_field(3, 1)
-    elements = [GroupElement(Mat(F3, m)) for m in mats]
-    if any(det(g.mat) != 1 for g in elements):
-        raise CertificationError(f"{name}: a literal matrix is not in SL_4(3)")
-    return elements
-
-
-def s5_from_literal(mats, name: str, rng) -> GroupSpec:
-    """The projective image in PSL_4(3) of the group generated by the given
-    4x4 GF(3) matrices, certified to be S5: each matrix has determinant 1,
-    and the chain on the 40 projective points passes ``certify_subgroup``."""
-    gens = _sl4_3_elements(mats, name)
-    F3 = gens[0].spec
-    domain = shared_domain(PROJECTIVE, F3, 4)
-    spec = GroupSpec(name, 4, F3, gens, claimed_order=120, provenance="certified literal", action_tag=PROJECTIVE)
-    spec._chain = certify_subgroup(domain, [Tracked(g, domain.perm_of(g)) for g in gens], "S5", rng, name)
-    return spec
 
 
 def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
     """4 x A5 < PSL_4(3): scalar-extended icosahedral lift, blown up from GF(9).
 
-    SL_2(5) < SL_2(9) is located by search; blowing up to SL_4(3) and
-    adjoining the blown GF(9) scalar gives a group of linear order 480
-    whose projective image is 4 x A5 of order 240.
+    SL_2(5) < SL_2(9) is the certified literal ``SL2_5``; blowing it up to
+    SL_4(3) and adjoining the blown GF(9) scalar gives a group of linear
+    order 480 whose projective image is 4 x A5 of order 240.
     """
     F9 = make_field(3, 2)
     F3 = make_field(3, 1)
-    inner_ambient = classical_generators("SL", 2, 9)
-    icosa, info = two_generator_search(inner_ambient, "SL2_5", rng, name="SL_2(5)<SL_2(9)")
+    icosa = subgroup_from_literal(classical_generators("SL", 2, 9), SL2_5, "SL2_5", "SL_2(5)<SL_2(9)", rng)
     gens = [blowup(g.mat, 0, F3) for g in icosa.generators]
     scalar = Mat(F9, np.diag([F9.primitive_elem, F9.primitive_elem]))
     gens.append(blowup(scalar, 0, F3))
@@ -353,8 +319,7 @@ def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
     )
     pdomain = shared_domain(PROJECTIVE, F3, 4)
     projective._chain = StabChain.build(pdomain, gens, known_order=240, rng=rng, name=projective.name, post_verify=True)
-    info = dict(info, linear_order=480)
-    return projective, info
+    return projective, {"kind": "SL2_5", "witnesses": "certified literals", "linear_order": 480}
 
 
 def _tensor(a: Mat, b: Mat) -> Mat:
@@ -431,7 +396,9 @@ def normalizer_residual(mats, rng) -> GroupSpec:
     egens = _extraspecial_32(F3)
     domain = shared_domain(VECTOR, F3, 4)
     echain = _extraspecial_chain(egens, domain)
-    extra = _sl4_3_elements(mats, "2^(1+4) normalizer")
+    extra = literal_elements(F3, mats, "2^(1+4) normalizer")
+    if any(det(g.mat) != 1 for g in extra):
+        raise CertificationError("a literal 2^(1+4) normalizer is not in SL_4(3)")
     if not all(_normalizes(echain, Tracked(t, domain.perm_of(t))) for t in extra):
         raise CertificationError("a literal element does not normalize 2^(1+4)")
     candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + extra, action_tag=VECTOR,
@@ -601,14 +568,14 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         for k, found in of_order.items():
             found.append(block[orders == k].astype(narrow))
     if spectrum != SPECTRA["PSL2_13"]:
-        raise SearchBudgetError("PSL_2(13) witness has a wrong spectrum")
+        raise CertificationError("PSL_2(13) witness has a wrong spectrum")
     # presentation-style certificate: |a| = 2, |b| = 3, |ab| = 13, with the
     # b taken in blocks of at most BLOCK_ENTRIES entries
     threes = np.concatenate(of_order[3])
     step = max(1, BLOCK_ENTRIES // threes.shape[1])
     if not any(13 in element_orders(threes[lo : lo + step, a])
                for a in np.concatenate(of_order[2]) for lo in range(0, len(threes), step)):
-        raise SearchBudgetError("no (2,3,13) generator pair inside the witness")
+        raise CertificationError("no (2,3,13) generator pair inside the witness")
     # second class: conjugate by a determinant -1 matrix (2 is self-inverse mod 3)
     Tdiag = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)
     gens2 = [GroupElement(Mat(F3, (Tdiag @ g.mat.a @ Tdiag) % 3)) for g in gens1]
@@ -636,7 +603,7 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         "presentation_orders": (2, 3, 13),
     }
     if not info["classes_split_certified"]:
-        raise SearchBudgetError("class-split certificate failed for PSL_2(13)")
+        raise CertificationError("class-split certificate failed for PSL_2(13)")
     return X1, X2, info
 
 

@@ -1,5 +1,7 @@
 """Slow, direct reference computations that tests compare the package against."""
 
+import numpy as np
+
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
 
@@ -23,3 +25,29 @@ def field_norm(ext: FieldSpec, sub: FieldSpec, x: int) -> int:
     if any(int(c) for c in coords[1:]):
         raise FieldError("norm image fell outside the subfield")
     return int(coords[0])
+
+
+def perm_closure(perms: list[np.ndarray]) -> list[np.ndarray]:
+    """Every element of the permutation group the perms generate, by breadth-first closure."""
+    ident = np.arange(len(perms[0]))
+    seen = {ident.tobytes(): ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in perms:
+                y = g[x]
+                if y.tobytes() not in seen:
+                    seen[y.tobytes()] = y
+                    new.append(y)
+        frontier = new
+    return list(seen.values())
+
+
+def perm_order(p: np.ndarray) -> int:
+    """Order of a permutation, by composing it with itself until the identity."""
+    k, cur = 1, p
+    while (cur != np.arange(len(p))).any():
+        cur = p[cur]
+        k += 1
+    return k

@@ -1,13 +1,16 @@
 """Provenance of the package's literal witnesses: the derivations that found them.
 
 The verify path never runs these.  It certifies each literal on every use
-(``sporadic.s5_from_literal``, ``sporadic.normalizer_residual``,
+(``sporadic.subgroup_from_literal``, ``sporadic.normalizer_residual``,
 ``sporadic.certify_psl2_13_module``), and ``tests/test_sporadic.py``
 reruns each derivation at its seed and compares the result with the
 literal.  Rows 12a and 12c draw their candidates from a matrix-level walk
 driven by a seeded numpy Generator, not from a stabilizer chain, so a change
-to the chain internals cannot change which literal a derivation finds; each
-candidate is accepted by the package's own certificate.
+to the chain internals cannot change which literal a derivation finds.
+Rows 9, 10, 11 and 12b take ``sporadic.two_generator_search``'s pairs,
+which draw from the ambient's chain, so a change to the chain internals can
+change what those derivations find.  Each candidate is accepted by the
+package's own certificate.
 """
 
 import numpy as np
@@ -15,11 +18,13 @@ import numpy as np
 from grpfact import meataxe as mx
 from grpfact import sporadic
 from grpfact.constructors import classical_generators
+from grpfact.factorize import intersect
 from grpfact.grpcore import CertificationError, Tracked, element_order_perm, orbit, shared_domain
 from grpfact.linalg import PROJECTIVE, VECTOR, ActionPoint, GroupElement, Mat
 
 ROW12_SEED = 3
 PSL2_13_SEED = 4
+SEARCH_SEED = 5
 
 
 def matrix_walk(gens: list[np.ndarray], p: int, rng):
@@ -46,7 +51,7 @@ def _sl4_3():
 def derive_row12a_s5s(rng) -> tuple[tuple, tuple]:
     """Two S5 < PSL_4(3), one transitive on the 40 projective points and one
     not, each as a pair (a, b) of SL_4(3) matrices: a of projective order 2,
-    b of order 5, ab of order 4, accepted by ``sporadic.s5_from_literal``.
+    b of order 5, ab of order 4, accepted by ``sporadic.subgroup_from_literal``.
 
     a and b are powers of walk elements of projective order divisible by 2
     and 5; the first accepted pair of each kind is returned."""
@@ -64,6 +69,7 @@ def derive_row12a_s5s(rng) -> tuple[tuple, tuple]:
             if o % k == 0:
                 return _mat_power(m, o // k, 3)
 
+    Z = sporadic.psl_n3_projective(4)
     walk = matrix_walk(gens, 3, rng)
     found = {}
     while len(found) < 2:
@@ -71,7 +77,7 @@ def derive_row12a_s5s(rng) -> tuple[tuple, tuple]:
         if order(a @ b % 3) != 4:
             continue
         try:
-            X = sporadic.s5_from_literal((a, b), "S5 candidate", None)
+            X = sporadic.subgroup_from_literal(Z, (a, b), "S5", "S5 candidate", None)
         except CertificationError:
             continue
         found.setdefault(orbit(X, e1).size == 40, (a.tolist(), b.tolist()))
@@ -97,6 +103,55 @@ def derive_row12c_normalizers(rng) -> tuple:
         except CertificationError:
             continue
         return tuple(found)
+
+
+# ---------------------------------------------------------------------------
+# rows 9, 10, 11 and 12b: two-generator searches
+
+
+def _as_literal(group) -> tuple:
+    """A group's generators as a literal: a bare matrix for a linear
+    element, a (matrix, fa, dual) tuple otherwise."""
+    return tuple(g.mat.a.tolist() if g.is_linear() else (g.mat.a.tolist(), g.fa, g.dual)
+                 for g in group.generators)
+
+
+def derive_searched_literal(Z, kind: str, rng) -> tuple:
+    """The generators of ``sporadic.two_generator_search``'s first subgroup
+    of the given kind in Z, accepted by ``sporadic.subgroup_from_literal``."""
+    found, _ = sporadic.two_generator_search(Z, kind, rng)
+    literal = _as_literal(found)
+    sporadic.subgroup_from_literal(Z, literal, kind, f"{kind} candidate", None)
+    return literal
+
+
+def derive_pair_meeting_in(Z, kinds: tuple[str, str], order: int, rng) -> tuple[tuple, tuple]:
+    """The first pair of searched literals, one of each kind, whose
+    enumerated intersection has the given order."""
+    while True:
+        literals = [derive_searched_literal(Z, kind, rng) for kind in kinds]
+        X, Y = (sporadic.subgroup_from_literal(Z, lit, kind, kind, None) for lit, kind in zip(literals, kinds))
+        if intersect(X, Y, "enumerate_smaller").order() == order:
+            return tuple(literals)
+
+
+def derive_row9_a5s(rng) -> tuple[tuple, tuple]:
+    """Two A5 < PSL_2(9) ~ A6 from different classes: distinct conjugate A5s
+    meet in A4 (order 12), so an intersection of order 10 separates them."""
+    return derive_pair_meeting_in(sporadic.psl2_9(), ("A5", "A5"), 10, rng)
+
+
+def derive_row10_pair(rng) -> tuple[tuple, tuple]:
+    """PGL_2(7) and M10 in PSL_3(4).2[phi_gamma] that meet in order 6."""
+    return derive_pair_meeting_in(sporadic.psl3_4_ext("phi_gamma"), ("PGL2_7", "M10"), 6, rng)
+
+
+def derive_row11_a7(rng) -> tuple:
+    return derive_searched_literal(classical_generators("SL", 4, 2), "A7", rng)
+
+
+def derive_row12b_sl2_5(rng) -> tuple:
+    return derive_searched_literal(classical_generators("SL", 2, 9), "SL2_5", rng)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from grpfact.factorize import (
     structure_hint,
     verify_claim,
 )
-from grpfact.grpcore import GroupSpec
+from grpfact.grpcore import CertificationError, GroupSpec
 from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 
@@ -121,13 +121,14 @@ def test_row13_reports_structure_discrepancy(catalog):
 
 
 def test_row10_reports_which_extensions_succeed(catalog):
+    # row 10's witnesses are certified literals in the phi_gamma extension,
+    # the one the report names; the common loop decides the claim
     rep = verify_claim(catalog.claim_by_id("t1r10"))
     assert rep.overall == "pass"
-    enumerate_strategy = next(s for s in rep.strategies if s.name == "enumerate")
-    extensions = enumerate_strategy.details["extensions"]
-    assert set(extensions) == {"gamma", "phi", "phi_gamma"}
-    verdicts = {k: v["verdict"] for k, v in extensions.items()}
-    assert any(v == "factorizes" for v in verdicts.values())
+    assert rep.notes == {"extension": "PSL_3(4).2[phi_gamma]", "witnesses": "certified literals"}
+    assert [(s.name, s.verdict, s.intersection_order) for s in rep.strategies] == [
+        ("identity", "pass", 6), ("enumerate", "pass", 6)]
+    assert rep.strategies[1].details == {"intersection_hint": "S3"}
 
 
 def test_determinism_same_seed_same_report(catalog):
@@ -175,14 +176,14 @@ def test_row11_enumerate_strategy_enumerates(catalog, monkeypatch):
 
 
 def test_locator_budget_exhaustion_is_a_fail_report(catalog, monkeypatch):
-    def exhausted(rng):
-        raise sporadic.SearchBudgetError("search budget exhausted locating A7")
+    def refused(domain, tracked, kind, rng, name):
+        raise CertificationError(f"{name}: element orders are not those of {kind}")
 
-    monkeypatch.setattr(sporadic, "locate_a7", exhausted)
+    monkeypatch.setattr(sporadic, "certify_subgroup", refused)
     rep = verify_claim(catalog.claim_by_id("t1r11-a"))
     assert rep.overall == "fail"
     assert rep.strategies == []
-    assert "search budget exhausted" in rep.reason
+    assert "A7<SL_4(2): element orders are not those of A7" in rep.reason
 
 
 def test_row14_extended_orbit_covers_every_pair_point(catalog):
@@ -387,9 +388,7 @@ def test_verification_leaves_no_cyclic_element_garbage(catalog):
 @pytest.mark.extended
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="seed sweep is opt-in: set RUN_EXTENDED=1")
 def test_desk_results_do_not_depend_on_the_seed(catalog):
-    # t1r10 is left out: its verdict still depends on the seed, through one
-    # searched pair per extension (CHANGES.md, FOUND line 4)
-    claims = [c for c in catalog.desk_grid() if c.tier == "desk" and c.claim_id != "t1r10"]
+    claims = [c for c in catalog.desk_grid() if c.tier == "desk"]
 
     def results(base_seed):
         out = {}

@@ -478,7 +478,7 @@ def test_element_orders_batched_matches_one_at_a_time():
 
 def test_verifying_an_element_order_claim_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma (about 1 MB) on its first call in a process;
-    # t1r09's search takes element orders, which must not pay for it
+    # t1r09's literal certificates take element orders, which must not pay for it
     code = ("import sys\n"
             "from grpfact import catalog, factorize\n"
             "report = factorize.verify_claim(catalog.load_catalog().claim_by_id('t1r09'))\n"

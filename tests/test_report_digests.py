@@ -4,7 +4,7 @@ The digests are sha256 of ``json.dumps(report, sort_keys=True)`` for
 ``verify_claim`` at the default seed.  They cover claims whose chains are
 certified by tightness bounds, inherited from stabilizer computations
 (relabeled chain suffixes or sifted Schreier generators) or conjugated, or
-built from certified literals (rows 12a, 12c and 13), so a performance change
+built from certified literals (rows 9-13), so a performance change
 that alters what a report says fails here.  A deliberate behaviour change must update a digest and say which
 report keys moved.
 """
@@ -26,12 +26,18 @@ DIGESTS = {
     "t1r06-m2": "c5afa2049c9e9c7c346e4f156b72059ab1056de9df92dfaa296ee26f9b4eead4",
     "t1r07-m2": "026b4ef7c08a6505e5c515e55447eafe3c7c346cc5c6cefac49386c334bdacc2",
     "t1r08-q4-sp": "a96412d0a7918ce72353e64d87c26c31e0c91d66d1da50c19d23d22a94b840af",
-    "t1r09": "3aa4d9bf980db48de1bd12f8121722b6abfc09f438756ebc7c72dcaff67923c0",
-    "t1r11-a": "1b4c67edcec2d1e939886303312ebc9d05d23cec7eeaa1d35af623e3a88ac077",
-    "t1r11-b": "042f70f05f230c2f2ba47a7e91a09e25316575203bfbe79469a4f18d298810f1",
-    "t1r12-b": "d6fd51c4b66db21787e2a1f0e6d583ce5e43f64e03f46ae42fee9cd79d0cdd96",
+    # row 9's literals A5_FIRST and A5_SECOND
+    "t1r09": "5c519e52c1d84e09d6e41dc6e10fac5f4e106c42bed8e9a1aab0b7188bfd5db6",
+    # row 10's literals PGL2_7 and M10 in the phi_gamma extension
+    "t1r10": "cbb82e83505d8ec04e2f0ab267025ab2a568bd170e9fb0f7fa817f934e306f10",
+    # row 11's literal A7
+    "t1r11-a": "8f70e82e6d65173066b2c5c2ba6c973757038c6064c4cdd701924b95492900d4",
+    "t1r11-b": "4aaaebe6c82d09b7a98de94073ab8b3ebaa5630101985a3cf834862211951567",
+    # row 12b's literal SL2_5, blown up to 4 x A5
+    "t1r12-b": "735cb76ede8af78992cb79cd020aa7f601aeddebeb1802bf1e54e2e00efe2b13",
     "t1r13": "86a6fdd6cce5c94fa9db771378848eee6f27d5d492d1fcd427b88532ce76e37c",
     "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
+    # row 9's literals A5_FIRST and A5_SECOND; the report did not move
     "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
     # the enumerate_smaller path (t1r08-sp-q2, neg-sp6-g2p) and the rest of the desk grid
     "t1r08-sp-q2": "04d411fc442d4698917bc3ee6e9663bb2bca4f8dd3ad9975178072a82edde5b1",
