@@ -2,12 +2,15 @@
 
 Keys pack coordinate digits base q (bit-packed when q is a power of two),
 vector first, functional second for the two-sided kinds.  Batch application
-works on int64 key arrays.  In characteristic two the key map of vector,
-functional and pair points is GF(2)-linear on the key bits, so it never
-unpacks: one XOR table per run of at most 12 key bits, one lookup each.
-Offsets from an aligned block start (``apply_batch``'s ``base``) take one
-lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of an
-orbit walks its keyspace in such blocks of ``Action.block_bits``.
+takes and returns int64 key arrays.  In characteristic two the key map of
+vector, functional and pair points is GF(2)-linear on the key bits, so it
+never unpacks: one XOR table per run of at most 12 key bits, one lookup
+each.  Offsets from an aligned block start (``apply_batch``'s ``base``) take
+one lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of
+an orbit walks its keyspace in such blocks of ``Action.block_bits``.  The
+other kinds unpack to digits, kept in the narrowest unsigned type that
+holds q - 1 and widened only for a prime field's dot products and for
+packing.  A domain's key -> index table is int32.
 """
 
 from __future__ import annotations
@@ -65,6 +68,9 @@ class Action:
         # log2 of the keys per block of a base call: a linear block's offset
         # table stays cache-sized, and the digit path needs larger batches
         self.block_bits = 14 if self.linear else 16
+        # digits stay in the narrowest type that holds q - 1 (uint8 for
+        # every supported field): the field tables are uint8 as well
+        self.digit_type = np.min_scalar_type(self.q - 1)
         # an element's tables live as long as the element: a shared domain's
         # action outlives every claim that applied elements through it
         self._chunk_cache = weakref.WeakKeyDictionary()
@@ -86,8 +92,9 @@ class Action:
     # -- key digit helpers ----------------------------------------------------
 
     def _unpack_digits(self, keys: np.ndarray) -> np.ndarray:
+        """The keys' base-q digits, one row per key, in ``self.digit_type``."""
         q, w = self.q, self.width
-        out = np.empty((len(keys), w), dtype=np.int64)
+        out = np.empty((len(keys), w), dtype=self.digit_type)
         if self.spec.p == 2:
             bits = self.spec.f
             mask = q - 1
@@ -101,8 +108,13 @@ class Action:
         return out
 
     def _pack_digits(self, digits: np.ndarray) -> np.ndarray:
-        powers = self.q ** np.arange(self.width, dtype=np.int64)
-        return digits @ powers
+        """Keys of digit rows, by Horner's rule in int64, one column at a
+        time, so the digits are never widened as a whole."""
+        out = np.zeros(len(digits), dtype=np.int64)
+        for i in range(self.width - 1, -1, -1):
+            out *= self.q
+            out += digits[:, i]
+        return out
 
     # -- batch application ----------------------------------------------------
 
@@ -188,49 +200,46 @@ class Action:
         spec, n, q = self.spec, self.n, self.q
         D = self._unpack_digits(keys)
         if g.fa:
-            frob = np.arange(q, dtype=np.int64)
+            frob = np.arange(q)
             for _ in range(g.fa):
                 frob = spec.frob_table[frob]
-            D = frob[D]
+            D = frob.astype(self.digit_type)[D]
         out = np.empty_like(D)
         sides = [(0, g.mat.a)] + ([(n, g.dual_mat().a)] if self.two_sided else [])
         if self.tag == FUNCTIONAL:
             sides = [(0, g.dual_mat().a)]
         for offset, M in sides:
             block = D[:, offset : offset + n]
+            res = out[:, offset : offset + n]
             if spec.f == 1:
-                res = (block @ M.T.astype(np.int64)) % spec.p
-            else:
-                res = np.zeros_like(block)
-                for i in range(n):
-                    acc = res[:, i]
-                    for k in range(n):
-                        term = spec.mul_table[int(M[i, k]), block[:, k]].astype(np.int64)
-                        acc = spec.add_table[acc, term].astype(np.int64) if spec.p != 2 else acc ^ term
-                    res[:, i] = acc
-            out[:, offset : offset + n] = res
+                # the one widened step: int64 dot products, reduced mod p
+                res[:] = (block @ M.T.astype(np.int64)) % spec.p
+                continue
+            for i in range(n):
+                acc = spec.mul_table[int(M[i, 0]), block[:, 0]]
+                for k in range(1, n):
+                    term = spec.mul_table[int(M[i, k]), block[:, k]]
+                    acc = acc ^ term if spec.p == 2 else spec.add_table[acc, term]
+                res[:, i] = acc
         if self.tag in (PROJECTIVE, ANTIFLAG):
-            out = self._normalize_digits(out)
+            self._normalize_digits(out)
         return self._pack_digits(out)
 
-    def _normalize_digits(self, D: np.ndarray) -> np.ndarray:
+    def _normalize_digits(self, D: np.ndarray) -> None:
+        """Scale each row's vector to a leading 1 and, for antiflags, its
+        functional to w.v = 1, in place."""
         spec, n = self.spec, self.n
         v = D[:, :n]
         lead = (v != 0).argmax(axis=1)
-        rows = np.arange(len(D))
-        scale = spec.inv_table[v[rows, lead]].astype(np.int64)
-        v = spec.mul_table[scale[:, None], v].astype(np.int64)
-        D = D.copy()
-        D[:, :n] = v
+        scale = spec.inv_table[v[np.arange(len(D)), lead]]
+        v[:] = spec.mul_table[scale[:, None], v]
         if self.tag == ANTIFLAG:
             w = D[:, n:]
-            c = np.zeros(len(D), dtype=np.int64)
-            for i in range(n):
-                term = spec.mul_table[w[:, i], v[:, i]].astype(np.int64)
-                c = c ^ term if spec.p == 2 else spec.add_table[c, term].astype(np.int64)
-            wscale = spec.inv_table[c].astype(np.int64)
-            D[:, n:] = spec.mul_table[wscale[:, None], w]
-        return D
+            c = spec.mul_table[w[:, 0], v[:, 0]]
+            for i in range(1, n):
+                term = spec.mul_table[w[:, i], v[:, i]]
+                c = c ^ term if spec.p == 2 else spec.add_table[c, term]
+            w[:] = spec.mul_table[spec.inv_table[c][:, None], w]
 
     # -- domain enumeration ---------------------------------------------------
 
@@ -286,7 +295,11 @@ def _xor_table(cols: np.ndarray) -> np.ndarray:
 
 
 class PermDomain:
-    """Enumerated action domain with key -> index lookup and permutation images."""
+    """Enumerated action domain with key -> index lookup and permutation images.
+
+    The lookup is an int32 table over the whole keyspace (every index is
+    below the 200,000-point cap), or a dict past _DENSE_LOOKUP_LIMIT keys.
+    """
 
     def __init__(self, action: Action, max_size: int = 200_000):
         self.action = action
@@ -301,8 +314,8 @@ class PermDomain:
             raise ActionError(f"domain enumeration bug: {self.size} != {size}")
         keyspace = (action.q ** action.n) ** (2 if action.two_sided else 1)
         if keyspace <= _DENSE_LOOKUP_LIMIT:
-            self._dense = np.full(keyspace, -1, dtype=np.int64)
-            self._dense[self.keys] = np.arange(self.size, dtype=np.int64)
+            self._dense = np.full(keyspace, -1, dtype=np.int32)
+            self._dense[self.keys] = np.arange(self.size, dtype=np.int32)
             self._lookup = None
         else:
             self._dense = None
@@ -325,10 +338,15 @@ class PermDomain:
         return self.action.key_point(int(self.keys[idx]))
 
     def perm_of(self, g: GroupElement) -> np.ndarray:
+        """g's permutation of the domain indices, as int64."""
         imgs = self.action.apply_batch(g, self.keys)
         if self._dense is not None:
             perm = self._dense[imgs]
-            if (perm < 0).any():
-                raise ActionError("element does not preserve the domain")
-            return perm
-        return np.array([self._lookup[int(k)] for k in imgs], dtype=np.int64)
+        else:
+            lookup = self._lookup
+            perm = np.fromiter((lookup.get(k, -1) for k in imgs.tolist()), dtype=np.int32, count=len(imgs))
+        if (perm < 0).any():
+            raise ActionError("element does not preserve the domain")
+        # the int64 images are spent: their buffer takes the indices
+        imgs[:] = perm
+        return imgs

@@ -16,10 +16,12 @@ permutations.
 Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
 of an enumerated domain and keeps a Schreier vector; the chain levels, the
 samples' layered orbits, the transporter orbits of Schreier stabilizers
-(``orbit_with_transporters``) and the orbits of specs kept as permutations
-use it.  ``orbit`` runs over packed keys, with no enumerated domain, and
-keeps only the size and the seen keys, so it reaches orbits of millions of
-points.
+(``orbit_with_transporters``) use it, and so does ``orbit`` for a spec that
+already holds permutations of a domain of the seed's kind with the seed on
+it: its generators kept as permutations, or its certified chain's
+originals (the chain route).  Otherwise ``orbit`` runs over packed keys,
+with no enumerated domain, and keeps only the size and a mask of the seen
+keys, so it reaches orbits of millions of points.
 
 Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
 a partial chain, so its order is a lower bound on the group's order, and
@@ -125,6 +127,7 @@ def _force(node: _Lazy) -> GroupElement:
     return node.elem
 
 
+# one arange per size, shared with the domains of that size (shared_domain)
 _IDENTITY_PERMS: dict[int, np.ndarray] = {}
 
 
@@ -648,10 +651,12 @@ class StabChain:
             yield self._apply_prefixes(block, prefixes)
 
     def _transversal_stack(self, li: int) -> np.ndarray:
-        """Level li's transversals, in orbit order, as one (orbit, N) array
-        filled a row at a time, so no list of them is held beside it."""
+        """Level li's transversals, in orbit order, as one (orbit, N) int32
+        array filled a row at a time, so no list of them is held beside it
+        (domains stay far below 2^31 points; the blocks built from it are
+        int64, as they start from the identity)."""
         orbit = self.levels[li].orbit
-        out = np.empty((len(orbit), self.domain.size), dtype=np.int64)
+        out = np.empty((len(orbit), self.domain.size), dtype=np.int32)
         for row, b in zip(out, orbit.tolist()):
             row[:] = self._transversal(li, b).perm
         return out
@@ -692,7 +697,8 @@ _DOMAIN_CACHE: dict[tuple, PermDomain] = {}
 def shared_domain(tag: str, spec: FieldSpec, n: int, max_size: int = 200_000) -> PermDomain:
     key = (tag, spec.p, spec.f, n)
     if key not in _DOMAIN_CACHE:
-        _DOMAIN_CACHE[key] = PermDomain(Action(tag, spec, n), max_size)
+        domain = _DOMAIN_CACHE[key] = PermDomain(Action(tag, spec, n), max_size)
+        domain.identity_perm = _IDENTITY_PERMS.setdefault(domain.size, domain.identity_perm)
     return _DOMAIN_CACHE[key]
 
 
@@ -804,20 +810,23 @@ class GroupSpec:
 
 @dataclass
 class OrbitSet:
-    """Closure of a seed under the generators, over packed keys: its size
-    and the seen keys (a bool mask over the keyspace, or the key set of an
-    orbit taken on a chain domain)."""
+    """Closure of a seed under the generators: its size and the seen
+    points, a bool mask over the keyspace, or over the indices of
+    ``domain`` for an orbit taken on an enumerated domain."""
 
     tag: str
     seed_key: int
     size: int
-    seen_dense: np.ndarray | None = None
-    seen_set: set | None = None
+    seen: np.ndarray
+    domain: PermDomain | None = None
 
     def contains_key(self, key: int) -> bool:
-        if self.seen_dense is not None:
-            return 0 <= key < len(self.seen_dense) and bool(self.seen_dense[key])
-        return key in self.seen_set
+        if self.domain is None:
+            return 0 <= key < len(self.seen) and bool(self.seen[key])
+        try:
+            return bool(self.seen[self.domain.index_of_key(key)])
+        except ActionError:
+            return False  # not a point of the domain
 
 
 # bytes that an orbit budget buys per point; an orbit's masks are priced
@@ -843,19 +852,20 @@ def orbit(
     level is held, and the memory is the mask, a packed bit mask of the keys
     already applied, one block's arrays and the action's cached tables.
     Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
-    point of max_points before they are allocated.  A spec whose generators
-    are Tracked on a domain of the point's kind takes the orbit off their
-    permutations (``schreier_orbit``) and composes no matrix.
+    point of max_points before they are allocated.  A spec that already
+    has permutations of a domain of the point's kind, with the point on it
+    (its Tracked generators, or its certified chain's originals), takes the
+    orbit off them (``schreier_orbit``) and composes no matrix.
     ``keep_keys`` is accepted only as False, for callers that still pass it;
     ``orbit_with_transporters`` keeps the orbit points and a Schreier vector.
     """
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
     if isinstance(group_or_gens, GroupSpec):
-        gens = group_or_gens.generators
-        if isinstance(gens, TrackedGenerators) and gens.domain.action.tag == point.tag:
-            return _orbit_on_domain(gens, point, max_points)
-        gens = list(gens)
+        on_domain = _orbit_on_domain(group_or_gens, point, max_points)
+        if on_domain is not None:
+            return on_domain
+        gens = list(group_or_gens.generators)
         spec, n = group_or_gens.spec, group_or_gens.n
     else:
         gens = list(group_or_gens)
@@ -889,7 +899,7 @@ def orbit(
         total += frontier.size
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
-    return OrbitSet(point.tag, seed, total, seen_dense=seen)
+    return OrbitSet(point.tag, seed, total, seen)
 
 
 def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray, max_points: int) -> int:
@@ -927,15 +937,33 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray,
     return total
 
 
-def _orbit_on_domain(gens: TrackedGenerators, point: ActionPoint, max_points: int) -> OrbitSet:
-    """``orbit`` of a point of the domain that the generators are Tracked
-    on (same field and n as the spec): a BFS over their permutations."""
-    domain = gens.domain
+def _orbit_on_domain(group: GroupSpec, point: ActionPoint, max_points: int) -> OrbitSet | None:
+    """``orbit`` by a BFS over permutations the spec already holds, on a
+    domain of the point's kind in the spec's ambient with the point on it:
+    its Tracked generators', else its certified chain's originals, which
+    generate the same group.  None when it holds no such permutations."""
+    gens, chain = group.generators, group._chain
+    if isinstance(gens, TrackedGenerators) and _is_ambient_domain(group, gens.domain, point.tag):
+        domain, tracked = gens.domain, gens.tracked
+    elif chain is not None and chain.verified and _is_ambient_domain(group, chain.domain, point.tag):
+        domain, tracked = chain.domain, chain.originals
+    else:
+        return None
     seed = domain.action.point_key(point)
-    orb, _, _ = schreier_orbit([t.perm for t in gens.tracked], domain.index_of_key(seed), domain.size)
+    try:
+        base = domain.index_of_key(seed)
+    except ActionError:
+        return None  # not a point of the domain: the keyspace holds it
+    orb, seen, _ = schreier_orbit([t.perm for t in tracked], base, domain.size)
     if orb.size > max_points:
         raise OrbitBudgetError(f"orbit exceeded {max_points} points", orb.size)
-    return OrbitSet(point.tag, seed, orb.size, seen_set=set(domain.keys[orb].tolist()))
+    return OrbitSet(point.tag, seed, orb.size, seen, domain)
+
+
+def _is_ambient_domain(group: GroupSpec, domain: PermDomain, tag: str) -> bool:
+    """Whether the domain is the shared domain of tag in the group's (n, q)."""
+    action = domain.action
+    return (action.tag, action.spec.p, action.spec.f, action.n) == (tag, group.spec.p, group.spec.f, group.n)
 
 
 class TransporterOrbit(NamedTuple):
@@ -1002,9 +1030,7 @@ def stabilizer_generators(
 def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
     """The point's index on the domain of the group's certified chain when
     the point lies in its first basic orbit, else None."""
-    action = chain.domain.action
-    # the shared_domain key of the point's action in the group's ambient
-    if (action.tag, action.spec.p, action.spec.f, action.n) != (point.tag, group.spec.p, group.spec.f, group.n):
+    if not _is_ambient_domain(group, chain.domain, point.tag):
         return None
     if not (chain.verified and chain.levels):
         return None

@@ -94,7 +94,10 @@ def _walk_rejects(a: Tracked, b: Tracked, allowed, rng, samples: int = 16) -> bo
 
 
 def exact_spectrum(chain: StabChain) -> frozenset[int]:
-    """The set of element orders of a small group, by enumeration."""
+    """The set of element orders of a small group, by enumeration (the
+    trivial group's, {1}, needs none)."""
+    if chain.order() == 1:
+        return frozenset({1})
     return frozenset(o for block in chain.element_perm_blocks() for o in element_orders(block))
 
 

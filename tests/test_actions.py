@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from grpfact import gf
-from grpfact.actions import Action, domain_size
+from grpfact.actions import Action, ActionError, PermDomain, domain_size
 from grpfact.grpcore import shared_domain
 from grpfact.linalg import (
     ANTIFLAG,
@@ -29,30 +29,39 @@ def _random_element(rng, spec, n, fa, dual):
             return GroupElement(m, fa, dual)
 
 
-# (kind, f, n): every case packs at least 24 key bits, so at least two tables
+# (kind, p, f, n): every char-2 vector, functional and pair case packs at
+# least 24 key bits, so at least two XOR tables; the projective, antiflag
+# and odd-characteristic cases take the digit path on points of the domain
 _CASES = [
-    (VECTOR, 1, 24), (VECTOR, 2, 12), (VECTOR, 4, 6),
-    (FUNCTIONAL, 1, 25), (FUNCTIONAL, 2, 12), (FUNCTIONAL, 4, 7),
-    (PAIR, 1, 12), (PAIR, 2, 6), (PAIR, 4, 3),
+    (VECTOR, 2, 1, 24), (VECTOR, 2, 2, 12), (VECTOR, 2, 4, 6),
+    (FUNCTIONAL, 2, 1, 25), (FUNCTIONAL, 2, 2, 12), (FUNCTIONAL, 2, 4, 7),
+    (PAIR, 2, 1, 12), (PAIR, 2, 2, 6), (PAIR, 2, 4, 3),
+    (PROJECTIVE, 2, 2, 4), (ANTIFLAG, 2, 2, 4), (PROJECTIVE, 3, 2, 3), (ANTIFLAG, 3, 2, 3),
+    (PROJECTIVE, 3, 1, 5), (ANTIFLAG, 3, 1, 4), (PAIR, 3, 2, 3),
 ]
 
 
-@pytest.mark.parametrize("tag,f,n", _CASES, ids=lambda c: str(c))
-def test_apply_batch_matches_sl_apply(tag, f, n):
-    spec = gf.make_field(2, f)
+@pytest.mark.parametrize("tag,p,f,n", _CASES,
+                         ids=[f"{t}-{f}-{n}" if p == 2 else f"{t}-{p}^{f}-{n}" for t, p, f, n in _CASES])
+def test_apply_batch_matches_sl_apply(tag, p, f, n):
+    spec = gf.make_field(p, f)
     action = Action(tag, spec, n)
-    nbits = action.width * f
-    assert nbits >= 24
-    rng = np.random.default_rng(nbits * 31 + f)
-    keys = rng.integers(0, 1 << nbits, size=60, dtype=np.int64)
-    keys[:nbits] = 1 << np.arange(nbits, dtype=np.int64)  # every basis key
-    duals = (0, 1) if tag == PAIR else (0,)
+    if action.linear:
+        nbits = action.width * f
+        assert nbits >= 24
+        rng = np.random.default_rng(nbits * 31 + f)
+        keys = rng.integers(0, 1 << nbits, size=60, dtype=np.int64)
+        keys[:nbits] = 1 << np.arange(nbits, dtype=np.int64)  # every basis key
+    else:
+        rng = np.random.default_rng(action.width * 31 + p * 7 + f)
+        keys = rng.choice(action.all_keys(), size=60, replace=False)
+    duals = (0, 1) if action.two_sided else (0,)
     for fa in sorted({0, f - 1, f // 2}):
         for dual in duals:
             g = _random_element(rng, spec, n, fa, dual)
             got = action.apply_batch(g, keys)
             want = [action.point_key(action.apply_point(g, action.key_point(int(k)))) for k in keys]
-            assert got.tolist() == want, (fa, dual)
+            assert got.dtype == np.int64 and got.tolist() == want, (fa, dual)
             assert action.apply_batch(g, keys).tolist() == want  # from the cache
 
 
@@ -111,6 +120,31 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     assert (len(action._chunk_cache), len(action._block_cache)) == (before[0] + 1, before[1] + 1)
     del g
     assert (len(action._chunk_cache), len(action._block_cache)) == before
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 2, 3), (5, 3, 2)])
+def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
+    # the antiflags of GF(4)^3 (4^6 keys) take the dense int32 table; those
+    # of GF(125)^2 (125^4 keys, past _DENSE_LOOKUP_LIMIT) a dict over their
+    # 15,750 points.  Under the 200,000-point cap only antiflags of a plane
+    # over q >= 121 have a keyspace past the limit
+    spec = gf.make_field(p, f)
+    domain = PermDomain(Action(ANTIFLAG, spec, n))
+    assert (domain._dense is None) == (n == 2)
+    rng = np.random.default_rng(p * f)
+    for fa, dual in ((0, 0), (f - 1, 1)):
+        g = _random_element(rng, spec, n, fa, dual)
+        perm = domain.perm_of(g)
+        imgs = domain.action.apply_batch(g, domain.keys)
+        assert perm.dtype == np.int64 and np.array_equal(domain.keys[perm], imgs)
+        picks = rng.choice(domain.size, size=50, replace=False)
+        assert [domain.index_of_key(int(k)) for k in imgs[picks]] == perm[picks].tolist()
+    with pytest.raises(ActionError, match="not a point"):
+        domain.index_of_key(1)  # v = e1 and w = 0, so w(v) = 0
+    # an element whose image keys leave the domain (key 0 has v = 0)
+    monkeypatch.setattr(domain.action, "apply_batch", lambda g, keys: np.zeros_like(keys))
+    with pytest.raises(ActionError, match="does not preserve the domain"):
+        domain.perm_of(g)
 
 
 def test_duality_rejected_on_one_sided_kinds():

@@ -4,6 +4,7 @@ import gc
 import math
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from grpfact import gf, grpcore
+from grpfact import factorize, gf, grpcore
+from grpfact.catalog import load_catalog
 from grpfact.constructors import automorphism_element, classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.grpcore import (
     CertificationError,
@@ -789,7 +791,7 @@ def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch)
         orb = orbit(gens, point, action)
         assert orb.size == len(queue) > 3
         assert all(orb.contains_key(key) for key in queue)
-        assert int(orb.seen_dense.sum()) == len(queue)
+        assert int(orb.seen.sum()) == len(queue)
         # every orbit key is applied once per generator
         keys, counts = np.unique(np.concatenate(applied), return_counts=True)
         assert keys.tolist() == sorted(queue)
@@ -851,7 +853,7 @@ def test_contains_key_on_2_28_key_pair_orbit():
     action = Action(PAIR, F2, 14)
     gens = G.generators[1:2]
     orb = orbit(gens, omega, action)
-    assert orb.seen_dense.size == 1 << 28 and orb.seen_set is None
+    assert orb.seen.size == 1 << 28 and orb.domain is None
     queue, found = _queue_bfs(gens, omega, action)
     assert orb.size == len(queue) > 1
     assert all(orb.contains_key(key) for key in queue)
@@ -859,6 +861,77 @@ def test_contains_key_on_2_28_key_pair_orbit():
     seed = action.point_key(omega)
     assert orb.contains_key(seed)
     assert orb.contains_key(int(action.apply_batch(sl_inverse(gens[0]), np.array([seed]))[0]))
+
+
+@pytest.fixture(scope="module")
+def ordered_setups():
+    """t1r05-m2's and t1r07-m2's set-ups after their order strategy, which
+    leaves H, whose generators are matrices, a certified chain on the pair
+    domain."""
+    catalog = load_catalog()
+    out = {}
+    for claim_id in ("t1r05-m2", "t1r07-m2"):
+        claim = catalog.claim_by_id(claim_id)
+        rng = np.random.default_rng(factorize.claim_seed(claim_id, 20260810))
+        setup = factorize.build_setup(claim, rng)
+        factorize._run_order(claim, setup, rng, False)
+        out[claim_id] = claim, setup, rng
+    return out
+
+
+@pytest.mark.parametrize("claim_id", ["t1r05-m2", "t1r07-m2"])
+def test_orbit_on_a_certified_chain_matches_the_keyspace_orbit(ordered_setups, claim_id):
+    _, setup, _ = ordered_setups[claim_id]
+    H = setup.H
+    domain = H._chain.domain
+    assert not isinstance(H.generators, grpcore.TrackedGenerators) and domain.action.tag == PAIR
+    # H is transitive on the pair domain; a point stabilizer given by its
+    # matrices, with its chain, has domain points off its orbits
+    stab = stabilizer_generators(H, setup.orbit_seed)
+    S = GroupSpec("S", H.n, H.spec, list(stab.generators), action_tag=PAIR, _chain=stab._chain)
+    not_a_point = 1  # v = e1, w = 0, so w(v) = 0
+    for group, seed in ((H, setup.orbit_seed), (S, domain.point(domain.size - 1))):
+        on_chain = orbit(group, seed)
+        plain = orbit(list(group.generators), seed)
+        assert on_chain.domain is domain and plain.domain is None
+        assert on_chain.size == plain.size == int(plain.seen[domain.keys].sum())
+        inside = domain.keys[plain.seen[domain.keys]].tolist()
+        outside = domain.keys[~plain.seen[domain.keys]].tolist()
+        assert all(on_chain.contains_key(key) for key in inside[:: max(1, len(inside) // 200)])
+        assert not any(on_chain.contains_key(key) for key in outside[:: max(1, len(outside) // 200)])
+        assert not on_chain.contains_key(not_a_point) and not plain.contains_key(not_a_point)
+    assert outside  # the stabilizer's orbit leaves domain points out
+
+
+def test_orbit_on_a_certified_chain_holds_no_keyspace_tables(ordered_setups):
+    # t1r07-m2's H has its chain on the 16,320 pair points; a keyspace
+    # orbit builds a 2^14-entry int64 XOR table per generator (0.92 MiB)
+    claim, setup, rng = ordered_setups["t1r07-m2"]
+    tracemalloc.start()
+    try:
+        res = factorize._run_orbit(claim, setup, rng, False, 2**24)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.verdict == "pass" and res.orbit_sizes == [16320]
+    assert peak < 0.5 * 2**20
+
+
+def test_perm_of_on_the_digit_path_keeps_narrow_scratch(ordered_setups):
+    # a K generator of t1r07-m2 on the 5,440 antiflags of GF(4)^4; int64
+    # digit arrays peak at 1.81 MiB there
+    _, setup, _ = ordered_setups["t1r07-m2"]
+    g = setup.K.generators[0]
+    domain = shared_domain(ANTIFLAG, setup.K.spec, 4)
+    want = domain.perm_of(g)
+    tracemalloc.start()
+    try:
+        perm = domain.perm_of(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert perm.dtype == np.int64 and np.array_equal(perm, want)
+    assert peak < 0.75 * 2**20
 
 
 def test_orbit_keeps_no_keys():
