@@ -14,8 +14,10 @@ from . import orders
 from .gf import FieldSpec, make_field, supported_fields
 from .grpcore import GroupSpec, StabChain, shared_domain
 from .linalg import (
+    FUNCTIONAL,
     PAIR,
     VECTOR,
+    ActionPoint,
     GroupElement,
     Mat,
     blowup,
@@ -181,12 +183,12 @@ def stabilizer_subgroup(kind: str, n: int, q: int) -> GroupSpec:
         for c in _field_basis(spec):
             gens.append(GroupElement(_elementary(spec, n, 0, 1, c)))
         order = orders.vector_stab_order(n, q)
-        stab_of = [(VECTOR, e1)]
+        stab_of = [ActionPoint(VECTOR, e1)]
     elif kind == "antiflag":
         order = orders.sl_order(n - 1, q)
         if n == 2:
             gens.append(GroupElement(mat_identity(spec, n)))
-        stab_of = [(VECTOR, e1), ("functional", e1)]
+        stab_of = [ActionPoint(VECTOR, e1), ActionPoint(FUNCTIONAL, e1)]
     else:
         raise ConstructionError(f"unknown stabilizer kind {kind!r}")
     return GroupSpec(
@@ -218,7 +220,7 @@ def sp_pointwise_factor(n: int, q: int) -> GroupSpec:
         gens,
         claimed_order=orders.sp_order(n - 2, q),
         provenance=f"sp_pointwise_factor({n},{q})",
-        stabilizer_of=[(VECTOR, e1), (VECTOR, f1)],
+        stabilizer_of=[ActionPoint(VECTOR, e1), ActionPoint(VECTOR, f1)],
     )
 
 

@@ -184,34 +184,17 @@ def structure_hint(group: GroupSpec, cap: int = 10_000) -> str:
     return _HINTS.get((order, spectrum), f"order {order}, spectrum {sorted(spectrum)}")
 
 
-def _point(tag: str, data) -> ActionPoint:
-    if tag == PAIR:
-        return ActionPoint(PAIR, (tuple(data[0]), tuple(data[1])))
-    return ActionPoint(tag, tuple(data))
-
-
-def _stages_for(H: GroupSpec, stages: list) -> list[ActionPoint]:
+def _stages_for(H: GroupSpec, stages: list[ActionPoint]) -> list[ActionPoint]:
     """Adapt K's stabilizer stages to H's home action."""
-    points = []
-    for tag, data in stages:
-        if tag in (FUNCTIONAL, VECTOR, PROJECTIVE):
-            points.append(ActionPoint(tag, tuple(data)))
-        elif tag == PAIR:
-            points.append(_point(PAIR, data))
-        else:
-            raise VerifyError(f"unsupported stabilizer stage {tag!r}")
-    if H.has_duality:
-        # vector/functional stages are undefined under duality; merge
-        # a (vector, functional) pair of stages into the pair point
-        if len(points) == 2 and points[0].tag == VECTOR and points[1].tag == FUNCTIONAL:
-            return [ActionPoint(PAIR, (points[0].data, points[1].data))]
-        if any(pt.tag in (VECTOR, FUNCTIONAL) for pt in points):
-            raise VerifyError("duality subgroup cannot stabilize bare vectors")
-    else:
-        if len(points) == 1 and points[0].tag == PAIR:
-            v, w = points[0].data
-            return [ActionPoint(VECTOR, v), ActionPoint(FUNCTIONAL, w)]
-    return points
+    if not H.has_duality:
+        return stages
+    # vector/functional stages are undefined under duality; merge
+    # a (vector, functional) pair of stages into the pair point
+    if len(stages) == 2 and stages[0].tag == VECTOR and stages[1].tag == FUNCTIONAL:
+        return [ActionPoint(PAIR, (stages[0].data, stages[1].data))]
+    if any(pt.tag in (VECTOR, FUNCTIONAL) for pt in stages):
+        raise VerifyError("duality subgroup cannot stabilize bare vectors")
+    return stages
 
 
 def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> GroupSpec:
@@ -420,7 +403,7 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
 def _projective_point_stabilizer(Z: GroupSpec) -> GroupSpec:
     """The stabilizer Y of <e1> in a projective ambient, usable as K."""
     Y = stabilizer_generators(Z, ActionPoint(PROJECTIVE, _e1(Z.n)), name=f"stab_proj_{Z.name}")
-    Y.stabilizer_of = [(PROJECTIVE, _e1(Z.n))]
+    Y.stabilizer_of = [ActionPoint(PROJECTIVE, _e1(Z.n))]
     return Y
 
 

@@ -350,16 +350,17 @@ class StabChain:
     def build(
         cls,
         domain: PermDomain,
-        generators: list[GroupElement],
+        generators: Sequence[GroupElement | Tracked],
         known_order: int | None = None,
         rng=None,
         name: str = "",
         max_stall: int | None = None,
-        tracked: list["Tracked"] | None = None,
         post_verify: bool = False,
         bound: int | None = None,
     ) -> "StabChain":
-        """Chain construction, certified by one of three certificates.
+        """Chain construction, certified by one of three certificates.  Each
+        generator is a Tracked element of the domain or a matrix element,
+        whose permutation is read here.
 
         Known order: a known_order build is a certificate only when the
         caller has an a-priori upper bound group of that order containing
@@ -381,9 +382,7 @@ class StabChain:
         """
         chain = cls(domain)
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
-        chain.originals = list(tracked) if tracked is not None else [
-            Tracked(g, domain.perm_of(g)) for g in generators
-        ]
+        chain.originals = [g if isinstance(g, Tracked) else Tracked(g, domain.perm_of(g)) for g in generators]
         for t in chain.originals:
             chain._add(t)
         nontrivial = [t for t in chain.originals if not t.is_identity()]
@@ -739,7 +738,7 @@ class GroupSpec:
     claimed_order: int | None = None
     provenance: str = ""
     action_tag: str | None = None
-    stabilizer_of: list | None = None
+    stabilizer_of: list[ActionPoint] | None = None
     _chain: StabChain | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -774,14 +773,8 @@ class GroupSpec:
     def chain(self, rng=None) -> StabChain:
         """Build (once) the certified stabilizer chain on the home action."""
         if self._chain is None:
-            self._chain = StabChain.build(
-                self.home_domain(),
-                [],
-                known_order=self.claimed_order,
-                rng=rng,
-                name=self.name,
-                tracked=self.tracked_generators(),
-            )
+            self._chain = StabChain.build(self.home_domain(), self.tracked_generators(),
+                                          known_order=self.claimed_order, rng=rng, name=self.name)
         return self._chain
 
     def order(self) -> int:
@@ -1202,7 +1195,7 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
             wchain = None
     bound = parent_order if wchain is None else within.order()
     label = (name or group.name) + "'"
-    chain = StabChain.build(domain, [], rng=rng, name=label, tracked=tracked, bound=bound)
+    chain = StabChain.build(domain, tracked, rng=rng, name=label, bound=bound)
     current = [t for lvl in chain.levels for t in lvl.own]
     changed = True
     while changed:

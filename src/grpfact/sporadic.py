@@ -4,9 +4,11 @@ Subgroups are given, not classified: literal witnesses certified on every
 use (rows 9, 10, 11, 12a and 12b's SL_2(5) through ``subgroup_from_literal``,
 row 12c's normalizing elements, row 13's module), algebraic constructions
 where one exists (the scalar-extended icosahedral lift, the extraspecial
-normalizer), and module certificates for row 13's two classes.  The verify
-path searches nothing: tests/provenance.py holds the derivations of the
-literals, some of which call the seeded ``two_generator_search`` kept here.
+normalizer), and module certificates for row 13's two classes, which run
+on the core: ``schreier_orbit`` over the regular action of SL_2(13) on
+pairs stands in for an enumeration of the group.  The verify path searches
+nothing: tests/provenance.py holds the derivations of the literals, some of
+which call the seeded ``two_generator_search`` kept here.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import orders
+from .actions import Action, PermDomain
 from .constructors import ConstructionError, classical_generators
 from .gf import make_field
 from .grpcore import (
@@ -24,6 +27,7 @@ from .grpcore import (
     Tracked,
     element_order_perm,
     element_orders,
+    schreier_orbit,
     shared_domain,
     solvable_residual,
     t_compose,
@@ -31,13 +35,14 @@ from .grpcore import (
 )
 from .linalg import (
     ANTIFLAG,
+    PAIR,
     PROJECTIVE,
     VECTOR,
+    ActionPoint,
     GroupElement,
     Mat,
     blowup,
     det,
-    mat_identity,
 )
 
 SPECTRA = {
@@ -112,12 +117,11 @@ def certify_subgroup(domain, tracked: list[Tracked], kind: str, rng, name: str) 
     """
     sub = StabChain.build(
         domain,
-        [],
+        tracked,
         known_order=TARGET_ORDERS[kind],
         rng=rng,
         name=name,
         max_stall=250,
-        tracked=tracked,
         post_verify=True,
     )
     if exact_spectrum(sub) != SPECTRA[kind]:
@@ -325,32 +329,16 @@ def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
     return projective, {"kind": "SL2_5", "witnesses": "certified literals", "linear_order": 480}
 
 
-def _tensor(a: Mat, b: Mat) -> Mat:
-    spec = a.spec
-    n1, n2 = a.n, b.n
-    out = np.zeros((n1 * n2, n1 * n2), dtype=np.int64)
-    for i in range(n1):
-        for j in range(n1):
-            if a.a[i, j]:
-                block = spec.mul_table[int(a.a[i, j]), b.a].astype(np.int64)
-                out[i * n2 : (i + 1) * n2, j * n2 : (j + 1) * n2] = block
-    return Mat(spec, out)
-
-
 def _extraspecial_32(spec) -> list[GroupElement]:
-    """D8 o Q8 in its 4-dimensional representation over GF(3)."""
-    neg1 = spec.neg(1)
-    sigma = Mat(spec, [[0, 1], [1, 0]])
-    delta = Mat(spec, [[1, 0], [0, neg1]])
-    qi = Mat(spec, [[0, neg1], [1, 0]])
-    qj = Mat(spec, [[1, 1], [1, neg1]])
-    ident2 = mat_identity(spec, 2)
-    return [
-        GroupElement(_tensor(sigma, ident2)),
-        GroupElement(_tensor(delta, ident2)),
-        GroupElement(_tensor(ident2, qi)),
-        GroupElement(_tensor(ident2, qj)),
-    ]
+    """D8 o Q8 in its 4-dimensional representation over GF(3), as Kronecker
+    products of 2x2 matrices."""
+    sigma = [[0, 1], [1, 0]]
+    delta = [[1, 0], [0, 2]]
+    qi = [[0, 2], [1, 0]]
+    qj = [[1, 1], [1, 2]]
+    ident2 = np.eye(2, dtype=np.int64)
+    pairs = [(sigma, ident2), (delta, ident2), (ident2, qi), (ident2, qj)]
+    return [GroupElement(Mat(spec, np.kron(a, b) % 3)) for a, b in pairs]
 
 
 def _extraspecial_chain(gens: list[GroupElement], domain) -> StabChain:
@@ -429,54 +417,12 @@ def locate_2_4_a5(rng) -> tuple[GroupSpec, dict]:
     return projective, info
 
 
-def _sl2_13_group():
-    """SL_2(13) as 2x2 tuples, enumerated by BFS from the identity under
-    right multiplication by C (order 13) and S (S^2 = -1).
+# C (order 13) and S (S^2 = -1), generators of SL_2(13)
+_SL2_13_GENS = ([[1, 1], [0, 1]], [[0, 12], [1, 0]])
 
-    Returns C, S, tmul, the elements in BFS order, their index, and the
-    BFS tree: the levels as index arrays, and for each element i > 0 the
-    (parent, generator) edge with elements[i] = elements[parent] * gen.
-    """
-    P = 13
-    def tmul(a, b):
-        return (
-            (a[0] * b[0] + a[1] * b[2]) % P,
-            (a[0] * b[1] + a[1] * b[3]) % P,
-            (a[2] * b[0] + a[3] * b[2]) % P,
-            (a[2] * b[1] + a[3] * b[3]) % P,
-        )
-    C = (1, 1, 0, 1)
-    S = (0, P - 1, 1, 0)
-    els = [(1, 0, 0, 1)]
-    index = {els[0]: 0}
-    parent, gen, levels = [0], [0], [[0]]
-    while levels[-1]:
-        new = []
-        for i in levels[-1]:
-            for gi, h in enumerate((C, S)):
-                x = tmul(els[i], h)
-                if x not in index:
-                    index[x] = len(els)
-                    new.append(len(els))
-                    els.append(x)
-                    parent.append(i)
-                    gen.append(gi)
-        levels.append(new)
-    tree = ([np.array(lv, dtype=np.int64) for lv in levels[:-1]],
-            np.array(parent, dtype=np.int64), np.array(gen, dtype=np.int64))
-    return C, S, tmul, els, index, tree
-
-
-def _inv2(t):
-    P = 13
-    d = (t[0] * t[3] - t[1] * t[2]) % P
-    di = pow(d, -1, P)
-    return (t[3] * di % P, -t[1] * di % P, -t[2] * di % P, t[0] * di % P)
-
-
-# The images of _sl2_13_group's C and S in a 6-dim GF(3) module of
-# SL_2(13).  tests/provenance.py derives them; certify_psl2_13_module
-# certifies them on every use.
+# The images of C and S in a 6-dim GF(3) module of SL_2(13).
+# tests/provenance.py derives them; certify_psl2_13_module certifies them
+# on every use.
 _PSL2_13_C6 = np.array([
     [0, 1, 0, 2, 2, 1],
     [0, 2, 2, 1, 0, 1],
@@ -495,35 +441,59 @@ _PSL2_13_S6 = np.array([
 ], dtype=np.int64)
 
 
-def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray):
+def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray) -> list[np.ndarray]:
     """Certify that C -> c6, S -> s6 is a GF(3) representation rho of SL_2(13)
-    whose projective image has order at most |PSL_2(13)| = 1092.
+    whose projective image has order at most |PSL_2(13)| = 1092, and return
+    its outer twist.
 
-    rho is built on all 2184 elements along the BFS tree of
-    ``_sl2_13_group``, so rho(x g) = rho(x) rho(g) holds on the tree edges
-    by construction; checking it on every edge of the Cayley graph (every
-    x, both generators) proves rho a homomorphism.  With s6^2 = -I, the
-    image of the central -1 is the scalar -I, so the projective image is a
-    homomorphic image of PSL_2(13).  Returns rho as a (2184, 6, 6) int8
-    array (an entry of a product of two reduced matrices is at most
-    6 * 2 * 2 = 24 before its reduction), with the group data (C, S, tmul,
-    index) that indexes it.
+    SL_2(13) acts freely on the 2,184 pairs (v, w) of GF(13)^2 with
+    w(v) = 1: an element fixing (v, w) fixes v and, of determinant 1, acts
+    trivially on ker w.  So an orbit of p = (e1, e1*) under <C, S> that
+    covers all 2,184 = |SL_2(13)| pairs shows <C, S> = SL_2(13), and x -> xp
+    indexes the group by the pairs.  A generator's permutation is left
+    multiplication there, so rho filled along the orbit's BFS tree, one
+    wave at a time, has rho(g x) = rho(g) rho(x) on the tree edges by
+    construction; checking it on every edge of the Cayley graph (every x,
+    both generators) proves rho a homomorphism.  With s6^2 = -I, the image
+    of the central -1 is the scalar -I, so the projective image is a
+    homomorphic image of PSL_2(13).
+
+    rho is a (2184, 6, 6) int8 array (an entry of a product of two reduced
+    matrices is at most 6 * 2 * 2 = 24 before its reduction) that does not
+    outlive the call: the return value is copies of rho(d^-1 C d) and
+    rho(d^-1 S d) for d = diag(2, 1) in GL_2(13), the module twisted by the
+    outer automorphism.
     """
-    C, S, tmul, els, index, (levels, parent, gen) = _sl2_13_group()
-    if len(els) != 2184:
-        raise CertificationError(f"<C, S> has {len(els)} elements, not |SL_2(13)| = 2184")
+    F13 = make_field(13, 1)
+    domain = PermDomain(Action(PAIR, F13, 2))
+    p = ActionPoint(PAIR, ((1, 0), (1, 0)))
+    base = domain.index_of_point(p)
+    perms = [domain.perm_of(GroupElement(Mat(F13, g))) for g in _SL2_13_GENS]
+    orb, _, par = schreier_orbit(perms, base, domain.size)
+    if orb.size != 2184:
+        raise CertificationError(f"<C, S> has {orb.size} elements, not |SL_2(13)| = 2184")
     gens = (np.stack([c6, s6]) % 3).astype(np.int8)
-    rho = np.empty((len(els), 6, 6), dtype=np.int8)
-    rho[0] = np.eye(6, dtype=np.int8)
-    for level in levels[1:]:
-        rho[level] = rho[parent[level]] @ gens[gen[level]] % 3
-    for gi, h in enumerate((C, S)):
-        right = np.array([index[tmul(x, h)] for x in els], dtype=np.int64)
-        if not np.array_equal(rho[right], rho @ gens[gi] % 3):
+    rho = np.empty((domain.size, 6, 6), dtype=np.int8)
+    rho[base] = np.eye(6, dtype=np.int8)
+    wave = orb[:1]
+    while wave.size:
+        children = []
+        for gi, perm in enumerate(perms):
+            # the images that generator gi reached first are the wave's children
+            imgs = perm[wave]
+            tree = par[imgs] == gi
+            rho[imgs[tree]] = gens[gi] @ rho[wave[tree]] % 3
+            children.append(imgs[tree])
+        wave = np.concatenate(children)
+    for perm, gen in zip(perms, gens):
+        if not np.array_equal(rho[perm], gen @ rho % 3):
             raise CertificationError("the PSL_2(13) module matrices do not define a representation of SL_2(13)")
     if not np.array_equal(gens[1] @ gens[1] % 3, 2 * np.eye(6, dtype=np.int64)):
         raise CertificationError("s6^2 != -I: the central -1 of SL_2(13) does not map to -I")
-    return rho, (C, S, tmul, index)
+    # d^-1 = diag(7, 1), since 2 * 7 = 1 mod 13
+    d, d_inv = np.diag([2, 1]), np.diag([7, 1])
+    twist = [GroupElement(Mat(F13, d_inv @ np.array(g) @ d % 13)) for g in _SL2_13_GENS]
+    return [rho[domain.index_of_point(domain.action.apply_point(x, p))].copy() for x in twist]
 
 
 def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
@@ -548,7 +518,7 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
 
     F3 = make_field(3, 1)
     c6, s6 = _PSL2_13_C6, _PSL2_13_S6
-    rho, (C2, S2, tmul, index) = certify_psl2_13_module(c6, s6)
+    twisted = certify_psl2_13_module(c6, s6)
     gens1 = [GroupElement(Mat(F3, c6)), GroupElement(Mat(F3, s6))]
     X1 = GroupSpec(
         "PSL_2(13)a<PSL_6(3)",
@@ -594,9 +564,6 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     X2._chain = X1.chain().conjugate(GroupElement(Mat(F3, Tdiag)))
     # class-split certificate
     commutant = mx.commutant_dimension([c6, s6], [c6, s6], 3)
-    # outer twist: conjugation by diag(2,1) of GL_2(13), pushed through rho
-    delta = (2, 0, 0, 1)
-    twisted = [rho[index[tmul(_inv2(delta), tmul(g2, delta))]] for g2 in (C2, S2)]
     outer_hom = mx.commutant_dimension(twisted, [c6, s6], 3)
     info = {
         "strategy": "module chop + determinant class",

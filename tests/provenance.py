@@ -158,28 +158,57 @@ def derive_row12b_sl2_5(rng) -> tuple:
 # row 13: the 6-dim GF(3) module of SL_2(13)
 
 
+def _tmul(a, b):
+    """The product of two elements of SL_2(13) as 2x2 tuples (a, b, c, d)."""
+    return (
+        (a[0] * b[0] + a[1] * b[2]) % 13,
+        (a[0] * b[1] + a[1] * b[3]) % 13,
+        (a[2] * b[0] + a[3] * b[2]) % 13,
+        (a[2] * b[1] + a[3] * b[3]) % 13,
+    )
+
+
+def _inv2(t):
+    d = pow((t[0] * t[3] - t[1] * t[2]) % 13, -1, 13)
+    return (t[3] * d % 13, -t[1] * d % 13, -t[2] * d % 13, t[0] * d % 13)
+
+
+def _sl2_13_group():
+    """SL_2(13) as 2x2 tuples: C, S and all 2,184 elements, enumerated from
+    the identity under right multiplication by C and S."""
+    c, s = (tuple(x for row in g for x in row) for g in sporadic._SL2_13_GENS)
+    elements, seen = [(1, 0, 0, 1)], {(1, 0, 0, 1)}
+    for x in elements:
+        for h in (c, s):
+            y = _tmul(x, h)
+            if y not in seen:
+                seen.add(y)
+                elements.append(y)
+    assert len(elements) == 2184
+    return c, s, elements
+
+
 def _sl2_13_torus_module():
     """156-dim GF(3) module induced from the order-2 character of the C14 torus."""
-    P = 13
-    C, S, tmul, elements, _, _ = sporadic._sl2_13_group()
+    C, S, elements = _sl2_13_group()
     ident = elements[0]
     els = sorted(elements)
     def torder(t):
         k, x = 1, t
         while x != ident:
-            x = tmul(x, t)
+            x = _tmul(x, t)
             k += 1
         return k
     gen14 = next(t for t in els if torder(t) == 14)
     torus, x = [], ident
     for _ in range(14):
         torus.append(x)
-        x = tmul(x, gen14)
+        x = _tmul(x, gen14)
     tor_exp = {t: k for k, t in enumerate(torus)}
     coset_rep: dict[tuple, tuple] = {}
     cos_of: dict[tuple, int] = {}
     for g in els:
-        key = min(tmul(t, g) for t in torus)
+        key = min(_tmul(t, g) for t in torus)
         if key not in coset_rep:
             coset_rep[key] = g
             cos_of[key] = len(cos_of)
@@ -188,19 +217,19 @@ def _sl2_13_torus_module():
     def module_matrix(h):
         M = np.zeros((156, 156), dtype=np.int64)
         for j, r in enumerate(reps):
-            gh = tmul(r, h)
-            i = cos_of[min(tmul(t, gh) for t in torus)]
-            t = tmul(gh, sporadic._inv2(reps[i]))
+            gh = _tmul(r, h)
+            i = cos_of[min(_tmul(t, gh) for t in torus)]
+            t = _tmul(gh, _inv2(reps[i]))
             M[i, j] = 1 if tor_exp[t] % 2 == 0 else 2
         return M
-    return module_matrix(C), module_matrix(S), (C, S, tmul)
+    return module_matrix(C), module_matrix(S), (C, S, _tmul)
 
 
 
 
 def derive_psl2_13_module(rng) -> tuple[np.ndarray, np.ndarray]:
     """Provenance of the literal module: 6-dim GF(3) matrices for the SL_2(13)
-    generators C (order 13) and S (S^2 = -1) of ``sporadic._sl2_13_group``.
+    generators C (order 13) and S (S^2 = -1) of ``sporadic._SL2_13_GENS``.
 
     The faithful 6-dim module is a defect-zero constituent: it is carved out
     of (14-dim faithful submodule) tensor (7-dim submodule of the signed
@@ -232,7 +261,7 @@ def derive_psl2_13_module(rng) -> tuple[np.ndarray, np.ndarray]:
         M = np.zeros((14, 14), dtype=np.int64)
         for x in pts:
             gx = act(g, x)
-            b = tmul(sporadic._inv2(reps[gx]), tmul(g, reps[x]))
+            b = tmul(_inv2(reps[gx]), tmul(g, reps[x]))
             sgn = pow(b[0] % P, (P - 1) // 2, P)
             M[idx[gx], idx[x]] = 1 if sgn == 1 else 2
         return M

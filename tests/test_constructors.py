@@ -59,14 +59,13 @@ def test_stabilizer_subgroup_orders():
 
 def test_stabilizer_fixes_its_stages():
     from grpfact.actions import Action
-    from grpfact.linalg import FUNCTIONAL, ActionPoint
+    from grpfact.linalg import FUNCTIONAL
 
     K = stabilizer_subgroup("antiflag", 4, 2)
     a_v = Action(VECTOR, K.spec, 4)
     a_f = Action(FUNCTIONAL, K.spec, 4)
-    for (tag, data) in K.stabilizer_of:
-        pt = ActionPoint(tag, tuple(data))
-        action = a_v if tag == VECTOR else a_f
+    for pt in K.stabilizer_of:
+        action = a_v if pt.tag == VECTOR else a_f
         for g in K.generators:
             assert action.apply_point(g, pt) == pt
 
@@ -179,7 +178,7 @@ def test_algebra_automorphism_check_rejects_one_changed_entry():
     spec = gf.make_field(2, 2)
     auts = [g2._unimodular_automorphism(g.mat) for g in sl_generators(spec, 3)]
     auts.append(g2._half_swap())
-    auts += g2._family_elements(spec, g2._derivation_exp_candidates()[0][1])
+    auts += g2._family_elements(spec, g2._derivation_exp())
     for A in auts:
         assert g2._is_algebra_automorphism(spec, A)
         for r in range(8):
@@ -187,6 +186,17 @@ def test_algebra_automorphism_check_rejects_one_changed_entry():
                 B = A.copy()
                 B[r, c] ^= 1
                 assert not g2._is_algebra_automorphism(spec, B), (r, c)
+
+
+def test_g2_recipe_that_is_not_an_automorphism_is_refused(monkeypatch):
+    # one recipe and no loop over candidates: a derivation exponential that
+    # fails the algebra-automorphism check ends the construction
+    not_a_derivation = np.zeros((8, 8), dtype=np.int64)
+    not_a_derivation[0, 2] = 1
+    monkeypatch.setattr(g2, "_derivation_exp", lambda: [np.eye(8, dtype=np.int64), not_a_derivation])
+    monkeypatch.setattr(g2, "_G2_CACHE", {})
+    with pytest.raises(ConstructionError, match="algebra-automorphism"):
+        g2_generators(4)
 
 
 def test_g2_derived_index_two():

@@ -13,7 +13,7 @@ from grpfact.constructors import ConstructionError, classical_generators
 from grpfact.factorize import intersect
 from grpfact.gf import make_field
 from grpfact.grpcore import CertificationError, Tracked, shared_domain, t_compose
-from grpfact.linalg import VECTOR, GroupElement, Mat, mat_identity, sl_compose
+from grpfact.linalg import VECTOR, GroupElement, Mat, sl_compose
 from grpfact.sporadic import SPECTRA, exact_spectrum, locate_4xa5, sp4_2_derived, subgroup_from_literal
 
 
@@ -139,6 +139,32 @@ def test_module_needs_s_squared_minus_identity():
         sporadic.certify_psl2_13_module(ident, ident)
 
 
+def test_module_twist_conjugates_by_delta_inverse_on_the_left():
+    # d^-1 C d = C^7 in SL_2(13) for d = diag(2, 1) (2^-1 = 7 mod 13), while
+    # d C d^-1 = C^2: the twist of C must be c6^7, not c6^2
+    c6 = sporadic._PSL2_13_C6
+    twist_c, twist_s = sporadic.certify_psl2_13_module(c6, sporadic._PSL2_13_S6)
+    assert np.array_equal(twist_c, np.linalg.matrix_power(c6, 7) % 3)
+    assert not np.array_equal(twist_c, np.linalg.matrix_power(c6, 2) % 3)
+    assert twist_s.base is None
+
+
+def test_module_certificate_leaves_nothing_alive():
+    # the certificate's orbit, rho and domain are freed at return: a second
+    # call, its return value held, leaves under 0.05 MiB traced
+    mats = (sporadic._PSL2_13_C6, sporadic._PSL2_13_S6)
+    sporadic.certify_psl2_13_module(*mats)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = sporadic.certify_psl2_13_module(*mats)
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert left < 0.05 * 2**20
+
+
 def test_row13_setup_runs_no_module_hunt_and_no_schreier_pass(monkeypatch):
     from grpfact import grpcore, meataxe
     from grpfact.catalog import load_catalog
@@ -174,7 +200,7 @@ def _unipotent_in_second_factor(F3):
     """I_2 (x) [[1, 1], [0, 1]], of order 3: it centralizes the D8 factor and
     normalizes the Q8 factor (Q8 is normal in GL_2(3)), so it normalizes E
     without lying in it."""
-    return GroupElement(sporadic._tensor(mat_identity(F3, 2), Mat(F3, [[1, 1], [0, 1]])))
+    return GroupElement(Mat(F3, np.kron(np.eye(2, dtype=np.int64), [[1, 1], [0, 1]]) % 3))
 
 
 def test_extraspecial_build_refuses_a_group_not_of_order_32():
@@ -197,7 +223,7 @@ def test_normalizer_test_on_permutations_matches_the_matrix_test():
     u = _unipotent_in_second_factor(F3)
     u = Tracked(u, chain.domain.perm_of(u))
     # the same unipotent in the first factor does not normalize D8
-    v = GroupElement(sporadic._tensor(Mat(F3, [[1, 1], [0, 1]]), mat_identity(F3, 2)))
+    v = GroupElement(Mat(F3, np.kron([[1, 1], [0, 1]], np.eye(2, dtype=np.int64)) % 3))
     v = Tracked(v, chain.domain.perm_of(v))
     tries = [chain.random_element(rng) for _ in range(40)] + [u, v]
     tries += [t_compose(echain.random_element(rng), w) for w in (u, v, u.inverse()) for _ in range(3)]
