@@ -10,7 +10,8 @@ one lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of
 an orbit walks its keyspace in such blocks of ``Action.block_bits``.  The
 other kinds unpack to digits, kept in the narrowest unsigned type that
 holds q - 1 and widened only for a prime field's dot products and for
-packing.  A domain's key -> index table is int32.
+packing.  A domain's key -> index table is int32.  A vector domain reads an
+element back off its permutation (``PermDomain.element_of``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import (
     ActionPoint,
     GroupElement,
     LinAlgError,
+    Mat,
     pack_point,
     sl_apply,
     unpack_point,
@@ -350,3 +352,27 @@ class PermDomain:
         # the int64 images are spent: their buffer takes the indices
         imgs[:] = perm
         return imgs
+
+    def element_of(self, perm: np.ndarray) -> GroupElement:
+        """The semilinear element with this permutation of a vector domain:
+        the images of e_1, ..., e_n are its matrix's columns, and the image of
+        w.e_1 (w primitive) is w^(p^s) times the first, for Frobenius exponent
+        s.  Other kinds raise ActionError: projective and antiflag points fix
+        no scalar lift, and no caller reads functional or pair points."""
+        if self.action.tag != VECTOR:
+            raise ActionError(f"no element is read off a permutation of {self.action.tag} points")
+        spec, q = self.action.spec, self.action.q
+        probes = [self.index_of_key(k) for k in [q**i for i in range(self.action.n)] + [spec.primitive_elem]]
+        images = self.action._unpack_digits(self.keys[perm[probes]]).astype(np.int64)
+        j = int(np.flatnonzero(images[0])[0])
+        scale = spec.mul(int(images[-1, j]), spec.inv(int(images[0, j])))
+        fa = next(s for s in range(spec.f) if spec.frobenius(spec.primitive_elem, s) == scale)
+        return GroupElement(Mat(spec, images[:-1].T), fa)
+
+    def swaps_sides(self, perm: np.ndarray) -> bool:
+        """Whether perm, a permutation of pair or antiflag points, is a duality
+        element's: only a duality element moves (e1, e1) and (e1, e1 + e2),
+        which share their vector, to points with distinct vectors."""
+        qn = self.action.q ** self.action.n
+        first, second = (int(self.keys[perm[self.index_of_key(1 + qn * w)]]) % qn for w in (1, 1 + self.action.q))
+        return first != second

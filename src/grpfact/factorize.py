@@ -43,6 +43,7 @@ import numpy as np
 from . import orders
 from .catalog import FactorizationClaim, identity_for_claim
 from .constructors import (
+    ConstructionError,
     automorphism_element,
     adjoin,
     classical_generators,
@@ -216,15 +217,15 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         big_chain, small_chain = big.chain(), small.chain()
         mask = np.concatenate([big_chain.contains_block(b) for b in small_chain.element_perm_blocks()])
         members = list(itertools.compress(small_chain.elements(), mask)) or [small_chain.ident]
-        home = H.home_domain()
+        domain = small_chain.domain
         return GroupSpec(
             f"{H.name} n {K.name}",
             H.n,
             H.spec,
-            TrackedGenerators(members, home) if small_chain.domain is home else [t.elem for t in members],
+            TrackedGenerators(members, domain),
             claimed_order=len(members),
             provenance=f"enumerated intersection of {small.name} into {big.name}",
-            action_tag=H.action_tag,
+            action_tag=domain.action.tag,
         )
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
 
@@ -538,6 +539,8 @@ def _orbit_strategy(name, setup, groups, details, record, max_points) -> Strateg
 
 
 def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
+    if setup.orbit_seed is None:
+        return StrategyResult("orbit", "skipped", details={"reason": "no orbit seed"})
     details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
     return _orbit_strategy("orbit", setup, setup.witnesses, details, record, max_points)
 
@@ -558,7 +561,7 @@ def _run_sample(claim, setup, rng, record, samples=50) -> StrategyResult:
         stages = _stages_for(setup.H, setup.K.stabilizer_of)
         G, domain = setup.G, setup.G.home_domain()
         sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
-        walk = Rattle(G.tracked_generators(), Tracked(G.identity(), domain.identity_perm), rng)
+        walk = Rattle(G.tracked_generators(), Tracked(domain.identity_perm), rng)
         drawn = (walk.sample() for _ in range(samples))
         ok = int(sift.contains(drawn, domain).sum())
         verdict = "pass" if ok == samples else "fail"
@@ -615,9 +618,10 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
     if needs_setup:
         try:
             setup = build_setup(claim, rng)
-        except CertificationError as exc:
+        except (CertificationError, ConstructionError) as exc:
+            failed = "failed certification" if isinstance(exc, CertificationError) else "failed"
             return VerificationReport(claim.claim_id, claim.params, [], None,
-                                      "fail", reason=f"construction failed certification: {exc}")
+                                      "fail", reason=f"construction {failed}: {exc}")
     notes = setup.notes if setup is not None else {}
     if claim.notes:
         notes["claim"] = claim.notes

@@ -1,17 +1,17 @@
 """Generic group machinery on enumerated action domains.
 
 Groups are given by semilinear generators; every computation runs on the
-permutation image over a chosen action domain.  A ``Tracked`` element
-carries its permutation eagerly and its matrix form as a pending product
-DAG.  Sifts, random walks, transversals, Schreier generators, commutators
-and conjugates use permutations only; a matrix is composed when ``.elem``
-is read.  The specs the core returns (point stabilizers, derived
-subgroups, conjugates, enumerated intersections) keep their generators as
-the Tracked elements of their chains (``TrackedGenerators``), so a matrix
-is composed only when a caller reads a generator or an element to act on
-another domain.  Product-membership samples (``ProductSift``) and
-enumerated intersections (``StabChain.contains_block``) sift stacked
-permutations.
+permutation image over a chosen action domain.  A ``Tracked`` element is a
+permutation of a domain, and it holds a matrix only when it was built from
+one.  Sifts, random walks, transversals, Schreier generators, commutators
+and conjugates are permutation products, and no matrix is composed.  The
+specs the core returns (point stabilizers, derived subgroups, conjugates,
+enumerated intersections) keep their generators as the Tracked elements of
+their chains (``TrackedGenerators``).  A caller that needs such an
+element's matrix, to act on another domain, reads it off the element's
+permutation of a vector domain (``PermDomain.element_of``).
+Product-membership samples (``ProductSift``) and enumerated intersections
+(``StabChain.contains_block``) sift stacked permutations.
 
 Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
 of an enumerated domain and keeps a Schreier vector; the chain levels, the
@@ -54,6 +54,7 @@ import weakref
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -61,13 +62,12 @@ import numpy as np
 from .actions import Action, ActionError, PermDomain
 from .gf import FieldSpec
 from .linalg import (
+    FUNCTIONAL,
     PAIR,
     VECTOR,
     ActionPoint,
     GroupElement,
     identity_element,
-    sl_compose,
-    sl_inverse,
 )
 from .streams import Stream
 
@@ -87,44 +87,7 @@ class OrbitBudgetError(GrpError):
 
 
 # ---------------------------------------------------------------------------
-# tracked elements: eager permutation image + lazy matrix form
-
-
-class _Lazy:
-    """Matrix side of a Tracked element.
-
-    A leaf holds its GroupElement; otherwise args is (a, b) for "apply a,
-    then b" or (a,) for the inverse of a.  Nodes hold no permutations, so
-    unread history costs only these small objects.
-    """
-
-    __slots__ = ("elem", "args")
-
-    def __init__(self, elem: GroupElement | None = None, args: tuple = ()):
-        self.elem = elem
-        self.args = args
-
-
-def _force(node: _Lazy) -> GroupElement:
-    """Evaluate a node with an explicit stack; results are memoized and the
-    evaluated nodes drop their parents."""
-    stack = [node]
-    while stack:
-        top = stack[-1]
-        if top.elem is not None:
-            stack.pop()
-            continue
-        pending = [a for a in top.args if a.elem is None]
-        if pending:
-            stack.extend(pending)
-            continue
-        stack.pop()
-        if len(top.args) == 2:
-            top.elem = sl_compose(top.args[0].elem, top.args[1].elem)
-        else:
-            top.elem = sl_inverse(top.args[0].elem)
-        top.args = ()
-    return node.elem
+# tracked elements: permutations of a domain
 
 
 # one arange per size, shared with the domains of that size (shared_domain)
@@ -139,12 +102,11 @@ def _identity_perm(size: int) -> np.ndarray:
 
 
 class Tracked:
-    """Group element as a permutation of a domain, with its matrix on demand.
+    """Group element as a permutation of a domain.
 
-    ``perm`` is None for an element that does not act on the domain (a
-    duality element on vectors); only ``derived_subgroup`` makes such
-    placeholders, and it reads the permutation of any product containing
-    one off the product's matrix.
+    ``elem`` is the matrix the element was built from, or None for a
+    product, an inverse or a relabeled element; ``matrix`` reads such an
+    element's matrix off its permutation of a vector domain.
 
     An element holds its inverse once built, and the inverse refers back
     only weakly (``_inv_of``): a two-way link would be a reference cycle, and
@@ -153,28 +115,26 @@ class Tracked:
     of an orphaned inverse is built afresh.
     """
 
-    __slots__ = ("perm", "_node", "_inv", "_inv_of", "__weakref__")
+    __slots__ = ("perm", "elem", "_inv", "_inv_of", "__weakref__")
 
-    def __init__(self, elem: GroupElement | _Lazy, perm: np.ndarray | None):
-        self._node = elem if isinstance(elem, _Lazy) else _Lazy(elem)
+    def __init__(self, perm: np.ndarray, elem: GroupElement | None = None):
         self.perm = perm
+        self.elem = elem
         self._inv = None
         self._inv_of = None
 
-    @property
-    def elem(self) -> GroupElement:
-        node = self._node
-        return node.elem if node.elem is not None else _force(node)
+    def matrix(self, domain: PermDomain) -> GroupElement:
+        """The matrix the element was built from, else the one read off its
+        permutation of the domain (``PermDomain.element_of``)."""
+        return self.elem if self.elem is not None else domain.element_of(self.perm)
 
     def inverse(self) -> "Tracked":
         if self._inv is None:
             if self._inv_of is not None and (of := self._inv_of()) is not None:
                 return of
-            inv_perm = None
-            if self.perm is not None:
-                inv_perm = np.empty_like(self.perm)
-                inv_perm[self.perm] = _identity_perm(len(self.perm))
-            self._inv = Tracked(_Lazy(args=(self._node,)), inv_perm)
+            inv_perm = np.empty_like(self.perm)
+            inv_perm[self.perm] = _identity_perm(len(self.perm))
+            self._inv = Tracked(inv_perm)
             self._inv._inv_of = weakref.ref(self)
         return self._inv
 
@@ -183,8 +143,8 @@ class Tracked:
 
 
 def t_compose(a: Tracked, b: Tracked) -> Tracked:
-    """Apply a, then b; the matrix product waits until .elem is read."""
-    return Tracked(_Lazy(args=(a._node, b._node)), b.perm[a.perm])
+    """Apply a, then b."""
+    return Tracked(b.perm[a.perm])
 
 
 def _walk(transversals: list[list[Tracked]], i: int, acc: Tracked):
@@ -327,9 +287,8 @@ BLOCK_ENTRIES = 1 << 14
 class StabChain:
     """BSGS over a PermDomain.
 
-    Every decision reads permutations only; the stored generators are
-    Tracked, so their matrices are composed when a caller reads ``.elem``
-    (derived subgroups, searched witnesses).
+    Every decision reads permutations only, and the stored generators are
+    Tracked permutations of the domain.
     """
 
     MAX_STALL = 4000
@@ -340,7 +299,7 @@ class StabChain:
         self.levels: list[_Level] = []
         self._arange = domain.identity_perm
         spec = domain.action.spec
-        self.ident = Tracked(identity_element(spec, domain.action.n), self._arange)
+        self.ident = Tracked(self._arange, identity_element(spec, domain.action.n))
         self.originals: list[Tracked] = []
         self.verified = False
 
@@ -382,7 +341,7 @@ class StabChain:
         """
         chain = cls(domain)
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
-        chain.originals = [g if isinstance(g, Tracked) else Tracked(g, domain.perm_of(g)) for g in generators]
+        chain.originals = [g if isinstance(g, Tracked) else Tracked(domain.perm_of(g), g) for g in generators]
         for t in chain.originals:
             chain._add(t)
         nontrivial = [t for t in chain.originals if not t.is_identity()]
@@ -527,7 +486,7 @@ class StabChain:
     def add_element(self, g: GroupElement | Tracked) -> bool:
         """Incremental extension; invalidates prior verification."""
         self.verified = False
-        t = g if isinstance(g, Tracked) else Tracked(g, self.domain.perm_of(g))
+        t = g if isinstance(g, Tracked) else Tracked(self.domain.perm_of(g), g)
         self.originals.append(t)
         return self._add(t)
 
@@ -538,14 +497,14 @@ class StabChain:
 
         x maps base point b to the conjugate's base point x(b), and the
         orbits and Schreier vectors move the same way; each generator t
-        becomes x^-1 t x, whose matrix is composed only when read.  The
+        becomes x^-1 t x, a permutation relabeled through perm(x).  The
         levels from from_level on are a chain of G^(from_level), whose
         strong generators are the originals of the relabeled chain, so the
         relabeled chain carries this chain's certificate.  A trivial x
         relabels nothing and shares the generators.
         """
-        xt = x if isinstance(x, Tracked) else Tracked(x, self.domain.perm_of(x))
-        pi, x_inv = xt.perm, xt.inverse()
+        xt = x if isinstance(x, Tracked) else Tracked(self.domain.perm_of(x), x)
+        pi = xt.perm
         out = StabChain(self.domain)
         images: dict[int, Tracked] = {}
         trivial = xt.is_identity()
@@ -556,7 +515,7 @@ class StabChain:
             if id(t) not in images:
                 perm = np.empty_like(t.perm)
                 perm[pi] = pi[t.perm]
-                images[id(t)] = Tracked(_Lazy(args=(x_inv._node, _Lazy(args=(t._node, xt._node)))), perm)
+                images[id(t)] = Tracked(perm)
             return images[id(t)]
 
         def moved(a: np.ndarray) -> np.ndarray:
@@ -594,7 +553,7 @@ class StabChain:
         return [level.base for level in self.levels]
 
     def sift_residue(self, g: GroupElement) -> Tracked:
-        return self._sift(Tracked(g, self.domain.perm_of(g)))[0]
+        return self._sift(Tracked(self.domain.perm_of(g), g))[0]
 
     def contains(self, g: GroupElement) -> bool:
         """Membership of the permutation image (kernel classes are collapsed)."""
@@ -702,12 +661,9 @@ def shared_domain(tag: str, spec: FieldSpec, n: int, max_size: int = 200_000) ->
 
 
 class TrackedGenerators(Sequence):
-    """A spec's generators kept as Tracked elements of one domain.
-
-    Reading a generator composes its matrix (once; the product DAG is
-    memoized), so a group that is only sifted into, relabeled or used as a
-    parent of further permutation work never composes one.
-    """
+    """A spec's generators kept as Tracked elements of one domain; a read
+    gives the matrix a generator was built from, else the one read off its
+    permutation (``Tracked.matrix``), which a vector domain supports."""
 
     def __init__(self, tracked: list[Tracked], domain: PermDomain):
         self.tracked = list(tracked)
@@ -717,15 +673,15 @@ class TrackedGenerators(Sequence):
         return len(self.tracked)
 
     def __getitem__(self, i: int) -> GroupElement:
-        return self.tracked[i].elem
+        return self.tracked[i].matrix(self.domain)
 
 
 @dataclass
 class GroupSpec:
     """Named matrix group: generators, claimed order, provenance, home action.
 
-    generators is a list of matrices, or a ``TrackedGenerators`` that
-    composes each matrix when it is read.  stabilizer_of, when set, records
+    generators is a list of matrices, or a ``TrackedGenerators`` whose
+    matrices are read off their permutations.  stabilizer_of, when set, records
     that the group is the full ambient stabilizer of the listed points
     (applied in order); the intersection engine uses it to compute H n K as
     an iterated point stabilizer.
@@ -748,8 +704,10 @@ class GroupSpec:
     @property
     def has_duality(self) -> bool:
         gens = self.generators
-        if isinstance(gens, TrackedGenerators) and not gens.domain.action.two_sided:
-            return False  # a duality element does not act on one-sided points
+        if isinstance(gens, TrackedGenerators):
+            # read off the permutations; one-sided points carry no duality
+            domain = gens.domain
+            return domain.action.two_sided and any(domain.swaps_sides(t.perm) for t in gens.tracked)
         return any(g.dual for g in gens)
 
     @property
@@ -768,7 +726,7 @@ class GroupSpec:
         gens = self.generators
         if isinstance(gens, TrackedGenerators) and gens.domain is domain:
             return gens.tracked
-        return [Tracked(g, domain.perm_of(g)) for g in gens]
+        return [Tracked(domain.perm_of(g), g) for g in gens]
 
     def chain(self, rng=None) -> StabChain:
         """Build (once) the certified stabilizer chain on the home action."""
@@ -998,8 +956,8 @@ def stabilizer_generators(
     its first basic orbit) see ``_schreier_stabilizer``.
 
     Either way the returned spec keeps the certified chain, and its
-    generators are the chain's Tracked originals, whose matrices are
-    composed only when read.
+    generators are the chain's Tracked originals (``TrackedGenerators``),
+    permutations of the group's home domain.
     """
     stab_name = name or f"{group.name}_stab"
     chain = group.chain()
@@ -1131,10 +1089,11 @@ class ProductSift:
     def contains(self, elements: Iterable[Tracked], domain: PermDomain) -> np.ndarray:
         """Membership mask of Tracked elements of the given domain, which are
         read one at a time and not kept.  A point on another shared domain
-        reads the element's matrix there, once."""
+        takes the element's permutation there from its matrix
+        (``Tracked.matrix``), once."""
 
         def images(t: Tracked) -> list[int]:
-            on = {d: t.perm if d is domain else d.perm_of(t.elem) for d in dict.fromkeys(self.domains)}
+            on = {d: t.perm if d is domain else d.perm_of(t.matrix(domain)) for d in dict.fromkeys(self.domains)}
             return [int(np.argmax(on[d] == b)) for d, b in zip(self.domains, self.bases)]  # g^-1(w)
 
         x = np.array([images(t) for t in elements], dtype=np.int64).reshape(-1, len(self.domains)).T
@@ -1162,31 +1121,17 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     domain, and the commutators and every conjugate the closure adds sift
     into that chain.  The returned spec keeps the certified chain.
 
-    Commutators and conjugates are Tracked products on the derived domain,
-    so no matrix is composed; only a product with a duality generator of the
-    parent, which has no permutation there, is composed to read its
-    permutation off its matrix.
+    Commutators and conjugates are permutation products.  A parent on pairs
+    takes them on V - 0 and V* - 0 together (``_vector_functional_maps``),
+    lifting a derived element there through its matrix, read off its vector
+    permutation, and restricting each product, which has no duality, to V.
     """
     rng = rng if rng is not None else Stream(zlib.crc32(group.name.encode()) or 1)
     derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
     domain = shared_domain(derived_tag, group.spec, group.n)
-    if group.home_domain() is domain:
-        gens = group.tracked_generators()
-    else:
-        gens = [Tracked(g, None if g.dual else domain.perm_of(g)) for g in group.generators]
-
-    def product(*factors: Tracked) -> Tracked:
-        out = factors[0]
-        for f in factors[1:]:
-            if out.perm is None or f.perm is None:
-                out = Tracked(_Lazy(args=(out._node, f._node)), None)
-            else:
-                out = t_compose(out, f)
-        if out.perm is None:
-            out.perm = domain.perm_of(out.elem)
-        return out
-
-    tracked = [product(a.inverse(), b.inverse(), a, b) for a in gens for b in gens]
+    gens, lift, restrict = ((group.tracked_generators(), (lambda t: t), (lambda t: t))
+                            if group.home_domain() is domain else _vector_functional_maps(group, domain))
+    tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a in gens for b in gens]
     parent_order = group.order()
     wchain = None
     if within is not None and within.order() < parent_order:
@@ -1201,8 +1146,9 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     while changed:
         changed = False
         for t in list(current):
+            lifted = lift(t)
             for g in gens:
-                conj = product(g.inverse(), t, g)
+                conj = restrict(reduce(t_compose, (g.inverse(), lifted, g)))
                 if not chain.contains_tracked(conj):
                     # within bounds the closure while every conjugate sifts into it
                     if wchain is not None and not wchain.contains_tracked(conj):
@@ -1224,6 +1170,28 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
         action_tag=derived_tag,
         _chain=chain,
     )
+
+
+def _vector_functional_maps(group: GroupSpec, vector: PermDomain):
+    """The group's generators as permutations of the 2N points of V - 0 and
+    V* - 0 (a duality element (A, s) sends v to the functional A^-T phi^s(v)
+    and w to the vector A phi^s(w)), and maps of elements with no duality:
+    ``lift`` appends the functional permutation of the matrix read off a
+    vector permutation, and ``restrict`` keeps the vector half."""
+    functional, N = shared_domain(FUNCTIONAL, group.spec, group.n), vector.size
+
+    def both(g: GroupElement) -> Tracked:
+        linear = GroupElement(g.mat, g.fa) if g.dual else g
+        halves = [vector.perm_of(linear), functional.perm_of(linear) + N]
+        return Tracked(np.concatenate(halves[::-1] if g.dual else halves))
+
+    def lift(t: Tracked) -> Tracked:
+        return Tracked(np.concatenate([t.perm, functional.perm_of(t.matrix(vector)) + N]))
+
+    def restrict(t: Tracked) -> Tracked:
+        return Tracked(t.perm[:N])
+
+    return [both(g) for g in group.generators], lift, restrict
 
 
 def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = None) -> GroupSpec:
@@ -1266,9 +1234,7 @@ def tracked_power(t: Tracked, e: int) -> Tracked:
         e >>= 1
         if e:
             base = t_compose(base, base)
-    if out is None:
-        return Tracked(identity_element(t.elem.spec, t.elem.n), np.arange(len(t.perm), dtype=t.perm.dtype))
-    return out
+    return out if out is not None else Tracked(_identity_perm(len(t.perm)))
 
 
 def element_orders(perms: np.ndarray) -> list[int]:

@@ -150,7 +150,7 @@ def subgroup_from_literal(Z: GroupSpec, literal, kind: str, name: str, rng) -> G
     Z's domain.  tests/provenance.py derives the literals."""
     gens = literal_elements(Z.spec, literal, name)
     chain = Z.chain()
-    tracked = [Tracked(g, chain.domain.perm_of(g)) for g in gens]
+    tracked = [Tracked(chain.domain.perm_of(g), g) for g in gens]
     if not all(chain.contains_tracked(t) for t in tracked):
         raise CertificationError(f"{name}: a literal element is not in {Z.name}")
     spec = GroupSpec(name, Z.n, Z.spec, gens, claimed_order=TARGET_ORDERS[kind],
@@ -193,7 +193,7 @@ def two_generator_search(
             name or f"{kind}<{ambient.name}",
             ambient.n,
             ambient.spec,
-            [a.elem, b.elem],
+            [a.matrix(domain), b.matrix(domain)],
             claimed_order=TARGET_ORDERS[kind],
             provenance=f"two_generator_search({kind}) in {ambient.name}, try {attempt + 1}",
             action_tag=ambient.action_tag,
@@ -390,7 +390,7 @@ def normalizer_residual(mats, rng) -> GroupSpec:
     extra = literal_elements(F3, mats, "2^(1+4) normalizer")
     if any(det(g.mat) != 1 for g in extra):
         raise CertificationError("a literal 2^(1+4) normalizer is not in SL_4(3)")
-    if not all(_normalizes(echain, Tracked(t, domain.perm_of(t))) for t in extra):
+    if not all(_normalizes(echain, Tracked(domain.perm_of(t), t)) for t in extra):
         raise CertificationError("a literal element does not normalize 2^(1+4)")
     candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + extra, action_tag=VECTOR,
                           provenance=f"2^(1+4) extended by {len(extra)} normalizing elements")

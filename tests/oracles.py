@@ -1,9 +1,32 @@
 """Slow, direct reference computations that tests compare the package against."""
 
+import importlib
+import pkgutil
+
 import numpy as np
 
+import grpfact
+from grpfact import linalg
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
+
+
+def count_matrix_ops(monkeypatch) -> list:
+    """Count linalg.sl_compose and sl_inverse calls, in every grpfact module
+    that imports them, for the rest of the test: one list entry per call."""
+    calls = []
+    for name in ("sl_compose", "sl_inverse"):
+        real = getattr(linalg, name)
+
+        def counting(*args, real=real):
+            calls.append(real.__name__)
+            return real(*args)
+
+        for info in pkgutil.iter_modules(grpfact.__path__):
+            module = importlib.import_module(f"grpfact.{info.name}")
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def element_order(g: GroupElement, cap: int = 10**6) -> int:

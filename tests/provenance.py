@@ -13,14 +13,17 @@ change what those derivations find.  Each candidate is accepted by the
 package's own certificate.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 
+from grpfact import grpcore
 from grpfact import meataxe as mx
 from grpfact import sporadic
 from grpfact.constructors import classical_generators
 from grpfact.factorize import intersect
 from grpfact.grpcore import CertificationError, Tracked, element_order_perm, orbit, shared_domain
-from grpfact.linalg import PROJECTIVE, VECTOR, ActionPoint, GroupElement, Mat
+from grpfact.linalg import PROJECTIVE, VECTOR, ActionPoint, GroupElement, Mat, sl_compose, sl_inverse
 
 ROW12_SEED = 3
 PSL2_13_SEED = 4
@@ -95,7 +98,7 @@ def derive_row12c_normalizers(rng) -> tuple:
     found = []
     for m in matrix_walk(gens, 3, rng):
         g = GroupElement(Mat(F3, m))
-        if not sporadic._normalizes(echain, Tracked(g, domain.perm_of(g))):
+        if not sporadic._normalizes(echain, Tracked(domain.perm_of(g), g)):
             continue
         found.append(m.tolist())
         try:
@@ -116,10 +119,43 @@ def _as_literal(group) -> tuple:
                  for g in group.generators)
 
 
+@contextmanager
+def matrix_shadow():
+    """While the block runs, every product and inverse of elements that hold
+    their matrices holds its composed matrix too.
+
+    A permutation of projective points or antiflags fixes an element only up
+    to a scalar, so the package reads no matrix off one.  The literals of
+    rows 9 and 10 are the lifts that composing the factors' matrices gives,
+    and the searches that found them draw elements of projective and
+    antiflag chains; the shadow gives ``Tracked.matrix`` those lifts."""
+    compose, inverse = grpcore.t_compose, grpcore.Tracked.inverse
+
+    def shadow_compose(a, b):
+        out = compose(a, b)
+        if a.elem is not None and b.elem is not None:
+            out.elem = sl_compose(a.elem, b.elem)
+        return out
+
+    def shadow_inverse(t):
+        out = inverse(t)
+        if out.elem is None and t.elem is not None:
+            out.elem = sl_inverse(t.elem)
+        return out
+
+    grpcore.t_compose, grpcore.Tracked.inverse = shadow_compose, shadow_inverse
+    try:
+        yield
+    finally:
+        grpcore.t_compose, grpcore.Tracked.inverse = compose, inverse
+
+
 def derive_searched_literal(Z, kind: str, rng) -> tuple:
     """The generators of ``sporadic.two_generator_search``'s first subgroup
-    of the given kind in Z, accepted by ``sporadic.subgroup_from_literal``."""
-    found, _ = sporadic.two_generator_search(Z, kind, rng)
+    of the given kind in Z, accepted by ``sporadic.subgroup_from_literal``;
+    the search runs under ``matrix_shadow``."""
+    with matrix_shadow():
+        found, _ = sporadic.two_generator_search(Z, kind, rng)
     literal = _as_literal(found)
     sporadic.subgroup_from_literal(Z, literal, kind, f"{kind} candidate", None)
     return literal

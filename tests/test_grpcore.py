@@ -48,6 +48,7 @@ from grpfact.linalg import (
     sl_compose,
     sl_inverse,
 )
+from oracles import count_matrix_ops
 
 
 @pytest.fixture(scope="module")
@@ -167,9 +168,11 @@ def _brute_force_products(G, H, points):
     """The set HK, K the stabilizer in G of the points (read off matrices),
     as permutation bytes."""
     actions = [Action(pt.tag, G.spec, G.n) for pt in points]
+    dom = G.chain().domain
 
     def fixes(t):
-        return all(a.point_key(a.apply_point(t.elem, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
+        g = t.matrix(dom)
+        return all(a.point_key(a.apply_point(g, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
 
     els = list(G.chain().elements())
     k_els = [t for t in els if fixes(t)]
@@ -193,7 +196,7 @@ def test_product_membership_matches_brute_force():
     got = sift.contains(els, dom)
     assert got.tolist() == [t.perm.tobytes() in hk for t in els]
     assert 0 < got.sum() < len(els)
-    ident, swap = G.chain().ident, Tracked(w, dom.perm_of(w))
+    ident, swap = G.chain().ident, Tracked(dom.perm_of(w), w)
     assert sift.contains([ident, swap], dom).all()
 
 
@@ -286,7 +289,7 @@ def _conjugate_gens(gens, x):
 def _non_normalizing_element(G: GroupSpec, X: GroupSpec, rng) -> GroupElement:
     chain = G.chain()
     while True:
-        x = chain.random_element(rng).elem
+        x = chain.random_element(rng).matrix(chain.domain)
         if not all(X.contains(g) for g in _conjugate_gens(X.generators, x)):
             return x
 
@@ -342,7 +345,7 @@ def test_monte_carlo_short_of_its_bound_falls_back_to_the_schreier_pass(monkeypa
     dom = shared_domain(VECTOR, G.spec, 4)
     partial = StabChain(dom)
     for g in G.generators:
-        partial._add(Tracked(g, dom.perm_of(g)))
+        partial._add(Tracked(dom.perm_of(g), g))
     assert partial.order() < 20160  # the generators alone stop short
     monkeypatch.setattr(StabChain, "QUIET_ROUNDS", 0)
     chain = StabChain.build(dom, G.generators, bound=20160, name="short")
@@ -368,13 +371,13 @@ def test_conjugate_chain_matches_a_fresh_build():
     assert conj.verified and conj.order() == fresh.order() == 60
     for lvl in conj.levels:
         for t in lvl.own:
-            assert np.array_equal(dom.perm_of(t.elem), t.perm)
+            assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
     for _ in range(200):
         t = fresh.random_element(rng)
         assert conj.contains_tracked(t)
         u = conj.random_element(rng)
         assert fresh.contains_tracked(u)
-        assert np.array_equal(dom.perm_of(u.elem), u.perm)
+        assert np.array_equal(dom.perm_of(u.matrix(dom)), u.perm)
     gchain = G.chain()
     outside = 0
     while outside < 200:
@@ -407,7 +410,7 @@ def test_random_elements_are_members():
     for _ in range(10):
         t = chain.random_element(rng)
         assert chain.contains_tracked(t)
-        assert np.array_equal(chain.domain.perm_of(t.elem), t.perm)
+        assert np.array_equal(chain.domain.perm_of(t.matrix(chain.domain)), t.perm)
 
 
 def test_elements_enumeration_complete():
@@ -550,8 +553,7 @@ def test_contains_block_matches_contains_tracked(case):
     rng = np.random.default_rng(29 + case)
     members = [S.random_element(rng) for _ in range(40)]
     supergroup = [gchain.random_element(rng) for _ in range(40)]
-    # the matrix of these placeholders is never read
-    loose = [Tracked(G.identity(), rng.permutation(dom.size)) for _ in range(20)]
+    loose = [Tracked(rng.permutation(dom.size)) for _ in range(20)]
     tests = members + supergroup + loose + [S.ident]
     want = [S.contains_tracked(t) for t in tests]
     assert all(want[:40]) and want[-1] and not any(want[80:100])
@@ -583,33 +585,60 @@ def _semilinear_gens():
     return gens, shared_domain(PAIR, G.spec, 2)
 
 
-def test_lazy_product_of_many_factors_matches_eager():
-    gens, dom = _semilinear_gens()
-    tracked = [Tracked(g, dom.perm_of(g)) for g in gens]
+@pytest.mark.parametrize("q, outer", [(3, None), (5, None), (4, "phi"), (9, "phi")])
+def test_matrix_read_off_a_vector_permutation_matches_eager_composition(q, outer):
+    # long words over a prime field, and over GF(4) and GF(9) with the
+    # Frobenius automorphism; a vector domain carries no duality
+    G = classical_generators("SL", 3, q)
+    gens = list(G.generators) + ([automorphism_element(outer, 3, q)] if outer else [])
+    dom = shared_domain(VECTOR, G.spec, 3)
+    tracked = [Tracked(dom.perm_of(g), g) for g in gens]
     rng = np.random.default_rng(11)
-    word = rng.integers(len(gens), size=20_000)
+    word = rng.integers(len(gens), size=3000)
     left = right = tracked[word[0]]
     eager_left = eager_right = gens[word[0]]
-    for gi in word[1:]:
+    exponents = set()
+    for k, gi in enumerate(word[1:], 1):
         left = t_compose(left, tracked[gi])
         right = t_compose(tracked[gi], right)
         eager_left = sl_compose(eager_left, gens[gi])
         eager_right = sl_compose(gens[gi], eager_right)
-    assert left.elem == eager_left
-    assert right.elem == eager_right
-    assert np.array_equal(dom.perm_of(left.elem), left.perm)
-    assert np.array_equal(dom.perm_of(right.elem), right.perm)
+        if k % 300 == 0:
+            for t, eager in ((left, eager_left), (right, eager_right), (left.inverse(), sl_inverse(eager_left))):
+                read = t.matrix(dom)
+                assert t.elem is None and read == eager
+                assert np.array_equal(dom.perm_of(read), t.perm)
+                exponents.add(read.fa)
+    assert exponents == ({0, 1} if outer else {0})
     assert left.inverse().inverse() is left
-    assert left.inverse().elem == sl_inverse(eager_left)
 
 
-def test_lazy_inverse_chain_has_no_recursion_limit():
-    gens, dom = _semilinear_gens()
-    t = Tracked(gens[-2], dom.perm_of(gens[-2]))
-    acc = t
-    for _ in range(20_000):
-        acc = t_compose(acc, t).inverse()
-    assert np.array_equal(dom.perm_of(acc.elem), acc.perm)
+@pytest.mark.parametrize("tag", [PROJECTIVE, ANTIFLAG, PAIR, FUNCTIONAL])
+def test_no_matrix_is_read_off_other_kinds(tag):
+    G = classical_generators("SL", 2, 4)
+    dom = shared_domain(tag, G.spec, 2)
+    g = G.generators[0]
+    perm = dom.perm_of(g)
+    with pytest.raises(ActionError):
+        dom.element_of(perm)
+    with pytest.raises(ActionError):
+        Tracked(perm).matrix(dom)
+    assert Tracked(perm, g).matrix(dom) is g
+
+
+@pytest.mark.parametrize("tag", [PAIR, ANTIFLAG])
+def test_duality_is_read_off_two_sided_permutations(tag):
+    gens, _ = _semilinear_gens()
+    dom = shared_domain(tag, gens[0].spec, 2)
+    tracked = [Tracked(dom.perm_of(g), g) for g in gens]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        i, j = rng.integers(len(gens), size=2)
+        t = t_compose(tracked[i], tracked[j])
+        assert dom.swaps_sides(t.perm) == bool(gens[i].dual ^ gens[j].dual)
+    spec, linear = gens[0].spec, [t for t, g in zip(tracked, gens) if not g.dual]
+    assert GroupSpec("all", 2, spec, grpcore.TrackedGenerators(tracked, dom), action_tag=tag).has_duality
+    assert not GroupSpec("linear", 2, spec, grpcore.TrackedGenerators(linear, dom), action_tag=tag).has_duality
 
 
 def test_inverse_does_not_keep_its_element_alive():
@@ -619,32 +648,17 @@ def test_inverse_does_not_keep_its_element_alive():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        t = Tracked(g, perm.copy())
+        t = Tracked(perm.copy(), g)
         inv = t.inverse()
         ref = weakref.ref(t)
         del t
         assert ref() is None
         back = inv.inverse()
         assert np.array_equal(back.perm, perm)
-        assert back.elem == g
+        assert back.elem is None  # built afresh from the permutation
     finally:
         if enabled:
             gc.enable()
-
-
-def test_matrices_are_composed_only_when_read(monkeypatch):
-    gens, dom = _semilinear_gens()
-    calls = []
-    real = grpcore.sl_compose
-    monkeypatch.setattr(grpcore, "sl_compose", lambda g, h: calls.append(1) or real(g, h))
-    a, b = (Tracked(g, dom.perm_of(g)) for g in gens[:2])
-    ab = t_compose(a, b)
-    abab = t_compose(ab, ab)
-    assert not calls
-    assert abab.elem == sl_compose(sl_compose(gens[0], gens[1]), sl_compose(gens[0], gens[1]))
-    assert len(calls) == 2  # the shared factor ab is composed once
-    abab.elem
-    assert len(calls) == 2
 
 
 def _queue_bfs(gens, point, action):
@@ -825,9 +839,7 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     K = stabilizer_generators(G, canonical_point(VECTOR, (1, 0, 0)))
     assert isinstance(K.generators, grpcore.TrackedGenerators)
     point = canonical_point(VECTOR, (0, 1, 0))
-    calls = []
-    real = grpcore.sl_compose
-    monkeypatch.setattr(grpcore, "sl_compose", lambda g, h: calls.append(1) or real(g, h))
+    calls = count_matrix_ops(monkeypatch)
     orb = orbit(K, point)
     assert calls == []
     gens = list(K.generators)
@@ -1005,7 +1017,8 @@ def test_suffix_stabilizer_matches_the_schreier_loop(case, schreier_loop_calls):
         assert S.order() == loop.order() == gchain.order() // len(gchain.levels[0].orbit)
         assert S.chain().verified
         for t in S.generators.tracked:
-            assert np.array_equal(dom.perm_of(t.elem), t.perm)
+            if tag == VECTOR:
+                assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
             assert int(t.perm[x]) == x
         for _ in range(200):
             assert S.chain().contains_tracked(loop.random_element(rng))
@@ -1055,27 +1068,20 @@ def test_first_orbit_stabilizer_sifts_nothing(monkeypatch):
     assert adds == []
 
 
-def _count_matrix_ops(monkeypatch):
-    calls = []
-    for fn in ("sl_compose", "sl_inverse"):
-        real = getattr(grpcore, fn)
-        monkeypatch.setattr(grpcore, fn, lambda *a, real=real: calls.append(1) or real(*a))
-    return calls
-
-
 def test_stabilizer_generators_are_composed_only_when_read(monkeypatch):
+    # a generator's matrix is read off its permutation: nothing is composed,
+    # not even when it is read
     G = classical_generators("SL", 4, 2)
     gchain = G.chain()
     x = _points_of_first_orbit(gchain)[1]
-    calls = _count_matrix_ops(monkeypatch)
+    calls = count_matrix_ops(monkeypatch)
     S = stabilizer_generators(G, gchain.domain.point(x))
     S.order()
     sub = stabilizer_generators(S, gchain.domain.point(_points_of_first_orbit(S.chain())[1]))
     sub.order()
-    assert not calls
     g = S.generators[0]
-    assert calls
     assert np.array_equal(gchain.domain.perm_of(g), S.generators.tracked[0].perm)
+    assert not calls
 
 
 def _derived_by_matrices(group, rng, label):
@@ -1086,7 +1092,7 @@ def _derived_by_matrices(group, rng, label):
     gens = list(group.generators)
     comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b)) for a in gens for b in gens]
     chain = StabChain.build(dom, comms, rng=rng, name=label, bound=group.order())
-    current = [t.elem for lvl in chain.levels for t in lvl.own]
+    current = [t.matrix(dom) for lvl in chain.levels for t in lvl.own]
     changed = True
     while changed:
         changed = False
@@ -1098,7 +1104,7 @@ def _derived_by_matrices(group, rng, label):
                     current.append(conj)
                     changed = True
         if changed:
-            chain._build_monte_carlo([Tracked(e, dom.perm_of(e)) for e in current], rng)
+            chain._build_monte_carlo([Tracked(dom.perm_of(e), e) for e in current], rng)
             chain._certify(group.order(), label)
     return current, chain
 
@@ -1112,14 +1118,12 @@ def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkey
         assert G.has_duality and G.action_tag == PAIR
     G.order()
     current, ref = _derived_by_matrices(G, np.random.default_rng(9), f"{G.name}'")
-    calls = _count_matrix_ops(monkeypatch)
+    calls = count_matrix_ops(monkeypatch)
     D = derived_subgroup(G, rng=np.random.default_rng(9))
-    if parent == "Sp_4(2)":
-        assert not calls
-    else:
-        assert calls  # products with the duality generator are read off matrices
+    assert not calls  # products with a duality generator are taken on pair permutations
     assert D.order() == ref.order() == (360 if parent == "Sp_4(2)" else 60)
     assert D.chain().base_points() == ref.base_points()
     assert list(D.generators) == current
+    dom = D.chain().domain
     for t in D.generators.tracked:
-        assert np.array_equal(D.chain().domain.perm_of(t.elem), t.perm)
+        assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)

@@ -73,7 +73,7 @@ def test_search_rejects_supergroups():
     domain = Z.chain().domain
     A7 = subgroup_from_literal(Z, sporadic.A7, "A7", "A7<SL_4(2)", None)
     extra = next(g for g in Z.generators if not A7.contains(g))
-    tracked = [Tracked(g, domain.perm_of(g)) for g in (*A7.generators, extra)]
+    tracked = [Tracked(domain.perm_of(g), g) for g in (*A7.generators, extra)]
     with pytest.raises(CertificationError):
         sporadic.certify_subgroup(domain, tracked, "A7", None, "A7 and one more generator")
 
@@ -216,20 +216,21 @@ def test_normalizer_test_on_permutations_matches_the_matrix_test():
     F3 = make_field(3, 1)
     egens = sporadic._extraspecial_32(F3)
     chain = classical_generators("SL", 4, 3).chain()
-    echain = sporadic._extraspecial_chain(egens, chain.domain)
-    eset = {t.elem for t in echain.elements()}
+    dom = chain.domain
+    echain = sporadic._extraspecial_chain(egens, dom)
+    eset = {t.matrix(dom) for t in echain.elements()}
     assert len(eset) == 32
     rng = np.random.default_rng(20260810)
     u = _unipotent_in_second_factor(F3)
-    u = Tracked(u, chain.domain.perm_of(u))
+    u = Tracked(dom.perm_of(u), u)
     # the same unipotent in the first factor does not normalize D8
     v = GroupElement(Mat(F3, np.kron([[1, 1], [0, 1]], np.eye(2, dtype=np.int64)) % 3))
-    v = Tracked(v, chain.domain.perm_of(v))
+    v = Tracked(dom.perm_of(v), v)
     tries = [chain.random_element(rng) for _ in range(40)] + [u, v]
     tries += [t_compose(echain.random_element(rng), w) for w in (u, v, u.inverse()) for _ in range(3)]
     perm_verdicts = [sporadic._normalizes(echain, t) for t in tries]
     matrix_verdicts = [
-        all(sl_compose(sl_compose(t.inverse().elem, e), t.elem) in eset for e in egens) for t in tries
+        all(sl_compose(sl_compose(t.inverse().matrix(dom), e), t.matrix(dom)) in eset for e in egens) for t in tries
     ]
     assert perm_verdicts == matrix_verdicts
     assert True in perm_verdicts and False in perm_verdicts
