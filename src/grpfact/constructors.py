@@ -3,7 +3,8 @@ point/hyperplane stabilizers, automorphism elements, and extension-field
 subgroups obtained by blowing generators up to the ground field.
 
 Every construction returns a GroupSpec with a claimed order taken from the
-exact formulas; building the chain certifies the claim.
+exact formulas.  The generators lie in a group of that order, so the claim
+is a known order: the chain build takes it as its bound and must reach it.
 """
 
 from __future__ import annotations
@@ -147,7 +148,6 @@ def classical_generators(family: str, n: int, q: int) -> GroupSpec:
         spec,
         gens,
         claimed_order=order,
-        provenance=f"classical_generators({family},{n},{q})",
     )
 
 
@@ -197,7 +197,6 @@ def stabilizer_subgroup(kind: str, n: int, q: int) -> GroupSpec:
         spec,
         gens,
         claimed_order=order,
-        provenance=f"stabilizer_subgroup({kind},{n},{q})",
         stabilizer_of=stab_of,
     )
 
@@ -219,7 +218,6 @@ def sp_pointwise_factor(n: int, q: int) -> GroupSpec:
         spec,
         gens,
         claimed_order=orders.sp_order(n - 2, q),
-        provenance=f"sp_pointwise_factor({n},{q})",
         stabilizer_of=[ActionPoint(VECTOR, e1), ActionPoint(VECTOR, f1)],
     )
 
@@ -229,15 +227,14 @@ def sp_pointwise_factor(n: int, q: int) -> GroupSpec:
 
 
 def automorphism_element(kind: str, n: int, q: int) -> GroupElement:
-    """phi, gamma, phi_gamma, psi or psi_gamma in the ambient of SL_n(q).
+    """phi, gamma, phi_gamma or psi in the ambient of SL_n(q).
 
-    psi_gamma is returned as the coset representative adapted to the
-    extension-field structure: the raw product of the blown Frobenius with
-    the dual-basis duality neither normalizes the blown groups (the
-    transpose twists by the Gram matrix of the relative trace form) nor
-    squares into them (it picks up a blown scalar), so the representative
-    is corrected by that Gram matrix and a scanned scalar; the certificate
-    in ext_subgroup re-checks both properties for every construction.
+    psi_gamma has no representative of its own: the raw product of the
+    blown Frobenius with the dual-basis duality neither normalizes the blown
+    groups (the transpose twists by the Gram matrix of the relative trace
+    form) nor squares into them (it picks up a blown scalar), so
+    ext_subgroup corrects it by that Gram matrix and a scalar that it
+    chooses against the core it extends (``_psi_gamma_candidates``).
     """
     p, f = _split_prime_power(q)
     spec = make_field(p, f)
@@ -248,14 +245,10 @@ def automorphism_element(kind: str, n: int, q: int) -> GroupElement:
         return GroupElement(ident, 0, 1)
     if kind == "phi_gamma":
         return GroupElement(ident, 1, 1)
-    if kind in ("psi", "psi_gamma"):
+    if kind == "psi":
         if n % 2:
             raise ConstructionError("psi needs n = 2m")
-        ext = make_field(p, 2 * f)
-        psi = blowup(mat_identity(ext, n // 2), 1, spec)
-        if kind == "psi":
-            return psi
-        return _psi_gamma_element(n, q)
+        return blowup(mat_identity(make_field(p, 2 * f), n // 2), 1, spec)
     raise ConstructionError(f"unknown automorphism kind {kind!r}")
 
 
@@ -277,13 +270,10 @@ def _trace_gram(sub: FieldSpec, ext: FieldSpec) -> np.ndarray:
     return T
 
 
-_PSI_GAMMA_CACHE: dict[tuple[int, int], GroupElement] = {}
-
-
-def _psi_gamma_element(n: int, q: int) -> GroupElement:
-    key = (n, q)
-    if key in _PSI_GAMMA_CACHE:
-        return _PSI_GAMMA_CACHE[key]
+def _psi_gamma_candidates(n: int, q: int):
+    """The psi_gamma representatives psi * (W mu, gamma), for W the blown
+    Gram matrix of the relative trace form and mu each blown GF(q^2)
+    scalar in turn; ext_subgroup keeps the first that extends its core."""
     p, f = _split_prime_power(q)
     sub = make_field(p, f)
     ext = make_field(p, 2 * f)
@@ -292,22 +282,11 @@ def _psi_gamma_element(n: int, q: int) -> GroupElement:
     W = np.zeros((n, n), dtype=np.int64)
     for i in range(m):
         W[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = T
-    psi = blowup(mat_identity(ext, m), 1, sub)
-    blown = [blowup(g.mat, 0, sub) for g in sl_generators(ext, m)]
-    core = StabChain.build(
-        shared_domain(VECTOR, sub, n),
-        blown,
-        known_order=orders.sl_order(m, q**2),
-        name=f"psi_gamma core {n},{q}",
-    )
+    psi = automorphism_element("psi", n, q)
     for mu_pow in range(ext.q - 1):
         mu = ext.power(ext.primitive_elem, mu_pow)
         scal = blowup(Mat(ext, np.diag([mu] * m).astype(np.int64)), 0, sub)
-        x = sl_compose(psi, GroupElement(mat_product(Mat(sub, W), scal.mat), 0, 1))
-        if _adjoin_failure(core, blown, x, 2 * f) is None:
-            _PSI_GAMMA_CACHE[key] = x
-            return x
-    raise ConstructionError(f"no adapted psi_gamma representative found for n={n}, q={q}")
+        yield sl_compose(psi, GroupElement(mat_product(Mat(sub, W), scal.mat), 0, 1))
 
 
 def adjoin(base: GroupSpec, extra: list[GroupElement], name: str, order_factor: int) -> GroupSpec:
@@ -318,7 +297,6 @@ def adjoin(base: GroupSpec, extra: list[GroupElement], name: str, order_factor: 
         base.spec,
         base.generators + extra,
         claimed_order=base.claimed_order * order_factor,
-        provenance=f"{base.provenance} adjoined {len(extra)} outer elements",
         action_tag=PAIR if any(g.dual for g in extra) or base.has_duality else base.action_tag,
         stabilizer_of=base.stabilizer_of,
     )
@@ -333,9 +311,12 @@ def ext_subgroup(inner: str, a: int, b: int, q: int, adjoin_kind: str | None = N
     """Blow SL_a(q^b) / Sp_a(q^b) / G2(q^b) up to GF(q), optionally adjoining
     the blown Frobenius psi (or psi.gamma) when b = 2.
 
-    certify_adjoin=False skips the normalization/power certificate; callers
-    use it only where the core chain is beyond desk scale (the degree-16M
-    ambients), and the claimed order is then marked witness-grade.
+    The adjoin certificate (``_certify_adjoin``) builds the core's chain
+    once and, for psi_gamma, chooses the representative's scalar against
+    that core.  certify_adjoin=False skips the certificate, so it takes psi
+    only; callers use it only where the core chain is beyond desk scale (the
+    degree-16M ambients), and the claimed order is then marked
+    witness-grade.
     """
     p, f = _split_prime_power(q)
     spec = make_field(p, f)
@@ -366,9 +347,14 @@ def ext_subgroup(inner: str, a: int, b: int, q: int, adjoin_kind: str | None = N
     if adjoin_kind:
         if b != 2:
             raise ConstructionError("psi adjoins are defined for quadratic extensions")
-        extra = automorphism_element(adjoin_kind, n, q)
-        if certify_adjoin:
-            _certify_adjoin(gens, extra, inner_order, 2 * f, spec, n, name)
+        if adjoin_kind != "psi_gamma":
+            candidates = [automorphism_element(adjoin_kind, n, q)]
+        elif certify_adjoin:
+            candidates = _psi_gamma_candidates(n, q)
+        else:
+            raise ConstructionError("psi_gamma's scalar is chosen by the adjoin certificate")
+        extra = (_certify_adjoin(gens, candidates, inner_order, 2 * f, spec, n, name) if certify_adjoin
+                 else candidates[0])
         gens = gens + [extra]
         order *= 2 * f
         name = f"{inner}_{a}({q**b}).{2 * f}^{adjoin_kind}_in_SL_{n}({q})"
@@ -378,23 +364,28 @@ def ext_subgroup(inner: str, a: int, b: int, q: int, adjoin_kind: str | None = N
         spec,
         gens,
         claimed_order=order,
-        provenance=f"ext_subgroup({inner},{a},{b},{q},{adjoin_kind})",
         action_tag=PAIR if adjoin_kind == "psi_gamma" else VECTOR,
     )
 
 
-def _certify_adjoin(blown_gens, extra, inner_order, index, spec, n, name):
-    """Certificate that |<S, x>| = index * |S|: x normalizes S, x^index = 1,
-    and no smaller power of x falls into S.
+def _certify_adjoin(blown_gens, candidates, inner_order, index, spec, n, name) -> GroupElement:
+    """The first candidate x with |<S, x>| = index * |S|: x normalizes S,
+    x^index lies in S, and no smaller power of x does.  Raises
+    ConstructionError with the last candidate's failure when none passes.
 
-    This is what makes the later known-order chain build sound: it pins the
-    exact order of the extension before the chain ever sees it.
+    This is what makes the extension's claimed order a known order, so its
+    later chain build may take it as a bound: it pins the exact order of the
+    extension before the chain ever sees it.  The core's chain is built once,
+    with its known order, for every candidate.
     """
-    core = StabChain.build(shared_domain(VECTOR, spec, n), blown_gens, known_order=inner_order,
+    core = StabChain.build(shared_domain(VECTOR, spec, n), blown_gens, order=inner_order, bound=inner_order,
                            name=name + "_core")
-    failure = _adjoin_failure(core, blown_gens, extra, index)
-    if failure is not None:
-        raise ConstructionError(f"{name}: {failure}")
+    failure = "no candidate"
+    for x in candidates:
+        failure = _adjoin_failure(core, blown_gens, x, index)
+        if failure is None:
+            return x
+    raise ConstructionError(f"{name}: {failure}")
 
 
 def _adjoin_failure(core, blown_gens, x, index) -> str | None:

@@ -224,7 +224,6 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
             H.spec,
             TrackedGenerators(members, domain),
             claimed_order=len(members),
-            provenance=f"enumerated intersection of {small.name} into {big.name}",
             action_tag=domain.action.tag,
         )
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
@@ -698,8 +697,7 @@ def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
     chain's originals."""
     chain = G.chain().conjugate(x)
     return GroupSpec(name, G.n, G.spec, TrackedGenerators(chain.originals, chain.domain),
-                     claimed_order=G.claimed_order, provenance=f"{G.name} conjugated",
-                     action_tag=G.action_tag, _chain=chain)
+                     claimed_order=G.claimed_order, action_tag=G.action_tag, _chain=chain)
 
 
 def _run_conjugation(claim, setup, rng, record) -> StrategyResult:

@@ -130,10 +130,12 @@ def g2_generators(q: int) -> GroupSpec:
     """G2(q) < Sp_6(q) for even q in the catalog range {2, 4, 16}.
 
     A generator that is not an algebra automorphism raises
-    ConstructionError.  At q in {2, 4} the known-order chain build is part
-    of the construction, and its CertificationError propagates; at q = 16
-    the recipe is certified by the automorphism and form checks only (the
-    degree 16^6 - 1 chain is beyond desk scale).
+    ConstructionError.  At q in {2, 4} the chain build, with |G2(q)| as its
+    known order and bound (the generators are automorphisms of the
+    octonions, in G2(q)), is part of the construction, and its
+    CertificationError propagates; at q = 16 the recipe is certified by the
+    automorphism and form checks only (the degree 16^6 - 1 chain is beyond
+    desk scale).
     """
     if q in _G2_CACHE:
         return _G2_CACHE[q]
@@ -156,11 +158,10 @@ def g2_generators(q: int) -> GroupSpec:
         spec,
         gens6,
         claimed_order=target,
-        provenance=f"g2_generators({q}): octonion automorphisms, derivation exponentials",
     )
     if q in (2, 4):
         domain = shared_domain("vector", spec, 6)
-        group._chain = StabChain.build(domain, gens6, known_order=target, name=f"G2({q})")
+        group._chain = StabChain.build(domain, gens6, order=target, bound=target, name=f"G2({q})")
     _G2_CACHE[q] = group
     return group
 
@@ -175,13 +176,5 @@ def g2_derived(q: int) -> GroupSpec:
     der = derived_subgroup(base, name=f"G2({q})'")
     if der.order() != orders.g2_derived_order(q):
         raise CertificationError(f"G2({q})' has order {der.order()}")
-    out = GroupSpec(
-        f"G2({q})'",
-        6,
-        base.spec,
-        der.generators,
-        claimed_order=orders.g2_derived_order(q),
-        provenance=f"derived subgroup of {base.name}",
-    )
-    _G2_DERIVED_CACHE[q] = out
-    return out
+    _G2_DERIVED_CACHE[q] = der
+    return der

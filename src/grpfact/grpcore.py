@@ -25,17 +25,15 @@ keys, so it reaches orbits of millions of points.
 
 Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
 a partial chain, so its order is a lower bound on the group's order, and
-one of three certificates makes it exact:
+one of two certificates makes it exact (``StabChain.build``):
 
-* known order: the caller has an a-priori group of that order containing
-  the generators, the Las Vegas build reaches it, and the reached order is
-  the certificate (``post_verify`` adds a Schreier pass for searched
-  candidates, which have no such group);
 * bound: the certified order of a group known to contain the generated
   one, on the same action or with both actions faithful; a Monte Carlo
-  chain that reaches it is complete (sandwich), one above it is refused;
+  chain that reaches it is complete (sandwich), one above it is refused.
+  A known order is such a bound, and the chain must reach it;
 * Schreier pass: otherwise a deterministic Schreier generator check runs
-  after the Monte Carlo phase.
+  after the Monte Carlo phase.  A literal or searched candidate, which has
+  no containing group of its order, always takes it.
 
 Chains that follow from a certified chain are inherited rather than
 rebuilt.  ``StabChain.conjugate`` relabels a chain, or its suffix from some
@@ -291,7 +289,7 @@ class StabChain:
     Tracked permutations of the domain.
     """
 
-    MAX_STALL = 4000
+    MAX_STALL = 250
     QUIET_ROUNDS = 14
 
     def __init__(self, domain: PermDomain):
@@ -310,34 +308,30 @@ class StabChain:
         cls,
         domain: PermDomain,
         generators: Sequence[GroupElement | Tracked],
-        known_order: int | None = None,
+        order: int | None = None,
+        bound: int | None = None,
         rng=None,
         name: str = "",
-        max_stall: int | None = None,
-        post_verify: bool = False,
-        bound: int | None = None,
     ) -> "StabChain":
-        """Chain construction, certified by one of three certificates.  Each
-        generator is a Tracked element of the domain or a matrix element,
-        whose permutation is read here.
+        """Chain construction, certified by a bound or by the Schreier pass.
+        Each generator is a Tracked element of the domain or a matrix
+        element, whose permutation is read here.
 
-        Known order: a known_order build is a certificate only when the
-        caller has an a-priori upper bound group of that order containing
-        the generators (determinant/form/block-shape invariants, homomorphic
-        images, ...).  Without such a group - searched candidates in
-        particular - the generated group can exceed the claim while the
-        orbit-length product passes through it; post_verify=True closes that
-        hole by running the deterministic Schreier check and rejecting any
-        growth.
-
-        Bound: with an unknown order, ``bound`` is the certified order of a
-        group P known to contain the generated group S, on this action or
-        with both actions faithful.  The Monte Carlo chain's order is a
-        lower bound on |S|, so a chain that reaches |P| proves S = P and
-        needs no Schreier pass; a chain above it raises CertificationError.
+        Bound: ``bound`` is the certified order of a group P known to
+        contain the generated group S (determinant, form or block-shape
+        invariants, homomorphic images, ...), on this action or with both
+        actions faithful.  The Monte Carlo chain's order is a lower bound on
+        |S|, so a chain that reaches |P| proves S = P and needs no Schreier
+        pass (sandwich); a chain above it raises CertificationError.
 
         Schreier pass: a chain below its bound, or built without one, ends
         in the deterministic Schreier generator check.
+
+        ``order`` is the order S must have, checked after the certificate.
+        A known order is passed as both: ``order=X, bound=X``.  A literal or
+        searched candidate has no a-priori group, and passes ``order`` alone,
+        so the Schreier pass rejects a proper supergroup whose orbit
+        products pass through X on the way up.
         """
         chain = cls(domain)
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
@@ -345,69 +339,44 @@ class StabChain:
         for t in chain.originals:
             chain._add(t)
         nontrivial = [t for t in chain.originals if not t.is_identity()]
-        if not nontrivial:
-            chain.verified = True
-            if known_order is not None and known_order != 1:
-                raise CertificationError(f"{name}: trivial group, claimed order {known_order}")
-            return chain
-        if known_order is not None:
-            chain._build_to_order(nontrivial, known_order, rng, name, max_stall)
-            if post_verify:
-                chain._verify_loop()
-                if chain.order() != known_order:
-                    raise CertificationError(
-                        f"{name}: generated group has order {chain.order()}, "
-                        f"exceeding the claimed {known_order}"
-                    )
-        else:
-            chain._build_monte_carlo(nontrivial, rng)
-            chain._certify(bound, name)
+        chain._build_monte_carlo(nontrivial, rng, bound if order is None else order, required=order is not None)
+        chain._certify(bound, name)
+        if order is not None and chain.order() != order:
+            raise CertificationError(f"{name}: generated group has order {chain.order()}, not the claimed {order}")
         chain.verified = True
         return chain
 
-    def _build_to_order(self, gens, target, rng, name, max_stall=None):
-        cap = max_stall if max_stall is not None else self.MAX_STALL
-        if self.order() == target:
-            self._assert_originals_sift(name)
+    def _build_monte_carlo(self, gens, rng, target: int | None, required: bool = False):
+        """Sift random elements of <gens> until the chain reaches target, or
+        until a run of samples sifts: more than MAX_STALL below a required
+        order, QUIET_ROUNDS otherwise.  No walk starts when there is nothing
+        to sample or the target is already reached."""
+        if not gens or (target is not None and self.order() >= target):
             return
+        patience = self.MAX_STALL + 1 if required else self.QUIET_ROUNDS
         rat = Rattle(gens, self.ident, rng)
-        stall = 0
-        while self.order() < target:
-            if self._add(rat.sample()):
-                stall = 0
-            else:
-                stall += 1
-                if stall > cap:
-                    raise CertificationError(
-                        f"{name}: chain stalled at order {self.order()} (claimed {target})"
-                    )
-        if self.order() != target:
+        quiet = 0
+        while quiet < patience and (target is None or self.order() < target):
+            quiet = 0 if self._add(rat.sample()) else quiet + 1
+
+    def _certify(self, bound: int | None, name: str):
+        """Make a Monte Carlo chain exact: at its bound it is complete, once
+        its originals sift; below it (or without one) the Schreier pass
+        completes it."""
+        if bound is None or self.order() < bound:
+            self._verify_loop()
+        elif self.order() == bound:
+            self._assert_originals_sift(name)
+        if bound is not None and self.order() > bound:
             raise CertificationError(
-                f"{name}: computed order {self.order()} exceeds claimed {target}"
+                f"{name}: generated group has order {self.order()}, exceeding its bound {bound}"
             )
-        self._assert_originals_sift(name)
 
     def _assert_originals_sift(self, name):
         for t in self.originals:
             residue, _ = self._sift(t)
             if not residue.is_identity():
                 raise CertificationError(f"{name}: generator fails to sift after build")
-
-    def _build_monte_carlo(self, gens, rng):
-        rat = Rattle(gens, self.ident, rng)
-        quiet = 0
-        while quiet < self.QUIET_ROUNDS:
-            quiet = 0 if self._add(rat.sample()) else quiet + 1
-
-    def _certify(self, bound: int | None, name: str):
-        """Make a Monte Carlo chain exact: at its bound it is complete,
-        below it (or without one) the Schreier pass completes it."""
-        if bound is None or self.order() < bound:
-            self._verify_loop()
-        if bound is not None and self.order() > bound:
-            raise CertificationError(
-                f"{name}: generated group has order {self.order()}, exceeding its bound {bound}"
-            )
 
     def _verify_loop(self):
         while True:
@@ -549,16 +518,10 @@ class StabChain:
             out *= len(level.orbit)
         return out
 
-    def base_points(self) -> list[int]:
-        return [level.base for level in self.levels]
-
-    def sift_residue(self, g: GroupElement) -> Tracked:
-        return self._sift(Tracked(self.domain.perm_of(g), g))[0]
-
     def contains(self, g: GroupElement) -> bool:
         """Membership of the permutation image (kernel classes are collapsed)."""
         try:
-            return self.sift_residue(g).is_identity()
+            return self.contains_tracked(Tracked(self.domain.perm_of(g), g))
         except ActionError:
             return False
 
@@ -678,7 +641,7 @@ class TrackedGenerators(Sequence):
 
 @dataclass
 class GroupSpec:
-    """Named matrix group: generators, claimed order, provenance, home action.
+    """Named matrix group: generators, claimed order, home action.
 
     generators is a list of matrices, or a ``TrackedGenerators`` whose
     matrices are read off their permutations.  stabilizer_of, when set, records
@@ -692,7 +655,6 @@ class GroupSpec:
     spec: FieldSpec
     generators: Sequence[GroupElement]
     claimed_order: int | None = None
-    provenance: str = ""
     action_tag: str | None = None
     stabilizer_of: list[ActionPoint] | None = None
     _chain: StabChain | None = field(default=None, repr=False, compare=False)
@@ -710,29 +672,27 @@ class GroupSpec:
             return domain.action.two_sided and any(domain.swaps_sides(t.perm) for t in gens.tracked)
         return any(g.dual for g in gens)
 
-    @property
-    def q(self) -> int:
-        return self.spec.q
-
-    def identity(self) -> GroupElement:
-        return identity_element(self.spec, self.n)
-
     def home_domain(self) -> PermDomain:
         return shared_domain(self.action_tag, self.spec, self.n)
 
     def tracked_generators(self) -> list[Tracked]:
-        """The generators as Tracked elements of the home domain."""
+        """The generators as Tracked elements of the home domain: kept ones,
+        else the originals of a chain built there, which are the generators'
+        permutations in order, else read off each matrix."""
         domain = self.home_domain()
         gens = self.generators
         if isinstance(gens, TrackedGenerators) and gens.domain is domain:
             return gens.tracked
+        if self._chain is not None and self._chain.domain is domain:
+            return self._chain.originals
         return [Tracked(domain.perm_of(g), g) for g in gens]
 
-    def chain(self, rng=None) -> StabChain:
-        """Build (once) the certified stabilizer chain on the home action."""
+    def chain(self) -> StabChain:
+        """Build (once) the certified stabilizer chain on the home action; a
+        claimed order is a known order, so it is both the order and the bound."""
         if self._chain is None:
             self._chain = StabChain.build(self.home_domain(), self.tracked_generators(),
-                                          known_order=self.claimed_order, rng=rng, name=self.name)
+                                          order=self.claimed_order, bound=self.claimed_order, name=self.name)
         return self._chain
 
     def order(self) -> int:
@@ -751,7 +711,7 @@ class GroupSpec:
         return all(chain.contains(g) for g in gens)
 
     def with_name(self, name: str) -> "GroupSpec":
-        return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order, self.provenance,
+        return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order,
                          self.action_tag, self.stabilizer_of, self._chain)
 
 
@@ -972,7 +932,6 @@ def stabilizer_generators(
         group.spec,
         TrackedGenerators(stab.originals or [stab.ident], stab.domain),
         claimed_order=stab.order(),
-        provenance=f"stabilizer of {point.tag} point in {group.name}",
         action_tag=group.action_tag,
         _chain=stab,
     )
@@ -1157,7 +1116,7 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
                     current.append(conj)
                     changed = True
         if changed:
-            chain._build_monte_carlo(list(current), rng)
+            chain._build_monte_carlo(list(current), rng, bound)
             chain._certify(bound, label)
             chain.verified = True
     return GroupSpec(
@@ -1166,7 +1125,6 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
         group.spec,
         TrackedGenerators(current or [chain.ident], domain),
         claimed_order=chain.order(),
-        provenance=f"derived subgroup of {group.name}",
         action_tag=derived_tag,
         _chain=chain,
     )
@@ -1204,16 +1162,7 @@ def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = Non
         nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step + 1})", within=within)
         nxt_order = nxt.order()
         if nxt_order == cur_order:
-            return cur.with_name(f"{group.name}^(inf)") if step else GroupSpec(
-                f"{group.name}^(inf)",
-                group.n,
-                group.spec,
-                cur.generators,
-                claimed_order=cur_order,
-                provenance=f"solvable residual of {group.name}",
-                action_tag=group.action_tag,
-                _chain=cur.chain(),
-            )
+            return cur.with_name(f"{group.name}^(inf)")
         cur, cur_order = nxt, nxt_order
         step += 1
 

@@ -111,19 +111,12 @@ def certify_subgroup(domain, tracked: list[Tracked], kind: str, rng, name: str) 
     exact order TARGET_ORDERS[kind] and exact element-order spectrum
     SPECTRA[kind].  Raises CertificationError otherwise.
 
-    The generators come with no a-priori upper bound group, so the
-    known-order build alone is not a certificate: post_verify rejects proper
-    supergroups whose orbit products pass through the target on the way up.
+    The generators come with no a-priori upper bound group, so the target
+    order is no bound: the build takes it as the order alone, and its
+    Schreier pass rejects proper supergroups whose orbit products pass
+    through the target on the way up.
     """
-    sub = StabChain.build(
-        domain,
-        tracked,
-        known_order=TARGET_ORDERS[kind],
-        rng=rng,
-        name=name,
-        max_stall=250,
-        post_verify=True,
-    )
+    sub = StabChain.build(domain, tracked, order=TARGET_ORDERS[kind], rng=rng, name=name)
     if exact_spectrum(sub) != SPECTRA[kind]:
         raise CertificationError(f"{name}: element orders are not those of {kind}")
     return sub
@@ -153,8 +146,7 @@ def subgroup_from_literal(Z: GroupSpec, literal, kind: str, name: str, rng) -> G
     tracked = [Tracked(chain.domain.perm_of(g), g) for g in gens]
     if not all(chain.contains_tracked(t) for t in tracked):
         raise CertificationError(f"{name}: a literal element is not in {Z.name}")
-    spec = GroupSpec(name, Z.n, Z.spec, gens, claimed_order=TARGET_ORDERS[kind],
-                     provenance=f"certified literal in {Z.name}", action_tag=Z.action_tag)
+    spec = GroupSpec(name, Z.n, Z.spec, gens, claimed_order=TARGET_ORDERS[kind], action_tag=Z.action_tag)
     spec._chain = certify_subgroup(chain.domain, tracked, kind, rng, name)
     return spec
 
@@ -195,7 +187,6 @@ def two_generator_search(
             ambient.spec,
             [a.matrix(domain), b.matrix(domain)],
             claimed_order=TARGET_ORDERS[kind],
-            provenance=f"two_generator_search({kind}) in {ambient.name}, try {attempt + 1}",
             action_tag=ambient.action_tag,
         )
         spec._chain = sub
@@ -216,7 +207,6 @@ def psl2_9() -> GroupSpec:
         base.spec,
         base.generators,
         claimed_order=360,
-        provenance="projective image of SL_2(9) on the 10 projective points",
         action_tag=PROJECTIVE,
     )
 
@@ -233,7 +223,6 @@ def psl3_4_ext(outer: str) -> GroupSpec:
         base.spec,
         base.generators + [extra],
         claimed_order=2 * orders.psl_order(3, 4),
-        provenance=f"antiflag image of SL_3(4) extended by {outer}",
         action_tag=ANTIFLAG,
     )
 
@@ -246,7 +235,6 @@ def psl_n3_projective(n: int) -> GroupSpec:
         base.spec,
         base.generators,
         claimed_order=orders.psl_order(n, 3),
-        provenance=f"projective image of SL_{n}(3)",
         action_tag=PROJECTIVE,
     )
 
@@ -310,22 +298,20 @@ def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
         F3,
         gens,
         claimed_order=480,
-        provenance="blow-up of SL_2(5)<SL_2(9) with the blown GF(9) scalar",
         action_tag=VECTOR,
     )
     domain = shared_domain(VECTOR, F3, 4)
-    lift._chain = StabChain.build(domain, gens, known_order=480, rng=rng, name=lift.name, post_verify=True)
+    lift._chain = StabChain.build(domain, gens, order=480, rng=rng, name=lift.name)
     projective = GroupSpec(
         "4xA5<PSL_4(3)",
         4,
         F3,
         gens,
         claimed_order=240,
-        provenance=lift.provenance + "; projective image",
         action_tag=PROJECTIVE,
     )
     pdomain = shared_domain(PROJECTIVE, F3, 4)
-    projective._chain = StabChain.build(pdomain, gens, known_order=240, rng=rng, name=projective.name, post_verify=True)
+    projective._chain = StabChain.build(pdomain, gens, order=240, rng=rng, name=projective.name)
     return projective, {"kind": "SL2_5", "witnesses": "certified literals", "linear_order": 480}
 
 
@@ -392,8 +378,7 @@ def normalizer_residual(mats, rng) -> GroupSpec:
         raise CertificationError("a literal 2^(1+4) normalizer is not in SL_4(3)")
     if not all(_normalizes(echain, Tracked(domain.perm_of(t), t)) for t in extra):
         raise CertificationError("a literal element does not normalize 2^(1+4)")
-    candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + extra, action_tag=VECTOR,
-                          provenance=f"2^(1+4) extended by {len(extra)} normalizing elements")
+    candidate = GroupSpec("N(2^(1+4))", 4, F3, egens + extra, action_tag=VECTOR)
     residual = solvable_residual(candidate, rng=rng)
     if residual.order() != 1920:
         raise CertificationError(f"the normalizer's solvable residual has order {residual.order()}, not 1920")
@@ -410,7 +395,6 @@ def locate_2_4_a5(rng) -> tuple[GroupSpec, dict]:
         residual.spec,
         residual.generators,
         claimed_order=960,
-        provenance=residual.provenance + "; solvable residual, projective image",
         action_tag=PROJECTIVE,
     )
     info = {"normalizing_elements": len(E_NORMALIZERS), "linear_order": 1920}
@@ -526,11 +510,10 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         F3,
         gens1,
         claimed_order=1092,
-        provenance="certified literal 6-dim module of SL_2(13)",
         action_tag=PROJECTIVE,
     )
     pdom = shared_domain(PROJECTIVE, F3, 6)
-    X1._chain = StabChain.build(pdom, gens1, known_order=1092, rng=rng, name=X1.name)
+    X1._chain = StabChain.build(pdom, gens1, order=1092, bound=1092, rng=rng, name=X1.name)
     # the elements of order 2 and 3 are kept in the narrowest dtype that
     # holds a point of the 364-point domain
     narrow = np.min_scalar_type(pdom.size)
@@ -558,7 +541,6 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
         F3,
         gens2,
         claimed_order=1092,
-        provenance=X1.provenance + "; det(-1) conjugate",
         action_tag=PROJECTIVE,
     )
     X2._chain = X1.chain().conjugate(GroupElement(Mat(F3, Tdiag)))
@@ -585,11 +567,4 @@ def sp4_2_derived() -> GroupSpec:
     der = derived_subgroup(base, name="Sp_4(2)'")
     if der.order() != 360:
         raise CertificationError(f"Sp_4(2)' computed order {der.order()}")
-    return GroupSpec(
-        "Sp_4(2)'",
-        4,
-        base.spec,
-        der.generators,
-        claimed_order=360,
-        provenance="derived subgroup of Sp_4(2)",
-    )
+    return der

@@ -8,6 +8,7 @@ import numpy as np
 import grpfact
 from grpfact import linalg
 from grpfact.gf import FieldError, FieldSpec
+from grpfact.grpcore import StabChain
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
 
 
@@ -26,6 +27,20 @@ def count_matrix_ops(monkeypatch) -> list:
             module = importlib.import_module(f"grpfact.{info.name}")
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def count_chain_builds(monkeypatch) -> list:
+    """Count grpcore.StabChain.build calls for the rest of the test: one
+    list entry per call, the name it was given."""
+    calls = []
+    real = StabChain.build.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(kwargs.get("name", ""))
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(StabChain, "build", classmethod(counting))
     return calls
 
 

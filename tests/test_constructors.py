@@ -8,6 +8,8 @@ import pytest
 from grpfact import gf, orders
 from grpfact.constructors import (
     ConstructionError,
+    _certify_adjoin,
+    _psi_gamma_candidates,
     automorphism_element,
     classical_generators,
     ext_subgroup,
@@ -27,7 +29,7 @@ from grpfact.linalg import (
     canonical_point,
     det,
 )
-from oracles import element_order
+from oracles import count_chain_builds, element_order
 
 
 @pytest.mark.parametrize(
@@ -101,9 +103,33 @@ def test_psi_inside_sl_only_for_q2():
 
 def test_psi_gamma_has_extension_order():
     for q, f in [(2, 1), (4, 2)]:
-        x = automorphism_element("psi_gamma", 4, q)
+        x = ext_subgroup("SL", 2, 2, q, "psi_gamma").generators[-1]
         assert x.dual == 1
         assert element_order(x) == 2 * f
+
+
+@pytest.mark.parametrize(
+    "inner,m,q,pick",
+    [("SL", 2, 2, 1), ("Sp", 2, 2, 1), ("SL", 2, 4, 12), ("Sp", 2, 4, 12), ("SL", 4, 2, 1), ("Sp", 4, 2, 1),
+     ("Sp", 6, 2, 1)],
+)
+def test_psi_gamma_is_chosen_against_the_core_it_extends(inner, m, q, pick):
+    # the m = 2 and 4 picks are the ones a scan against the blown SL_m(q^2)
+    # gave; at m = 6, SL_6(4) holds the scalars omega*I and would keep the
+    # first candidate, whose square leaves Sp_6(4), so the Sp core refuses it
+    x = ext_subgroup(inner, m, 2, q, "psi_gamma").generators[-1]
+    assert x == list(_psi_gamma_candidates(2 * m, q))[pick]
+
+
+def test_psi_gamma_ext_subgroup_builds_one_core_chain(monkeypatch):
+    builds = count_chain_builds(monkeypatch)
+    ext_subgroup("Sp", 6, 2, 2, "psi_gamma")
+    assert builds == ["Sp_6(4)^in_SL_12(2)_core"]
+
+
+def test_psi_gamma_needs_its_adjoin_certificate():
+    with pytest.raises(ConstructionError, match="chosen by the adjoin certificate"):
+        ext_subgroup("SL", 2, 2, 2, "psi_gamma", certify_adjoin=False)
 
 
 @pytest.mark.parametrize(
@@ -131,15 +157,13 @@ def test_ext_subgroup_lands_in_sl():
 
 
 def test_adjoin_certificate_rejects_non_normalizing_element():
-    from grpfact.constructors import _certify_adjoin
-
     spec = gf.make_field(2, 1)
     blown = [g for g in ext_subgroup("SL", 2, 2, 2).generators]
     # a transvection that does not normalize the blown SL_2(4)
     rogue = GroupElement(Mat(spec, np.array(
         [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)))
     with pytest.raises(ConstructionError):
-        _certify_adjoin(blown, rogue, 60, 2, spec, 4, "rogue")
+        _certify_adjoin(blown, [rogue], 60, 2, spec, 4, "rogue")
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +228,15 @@ def test_g2_derived_index_two():
     assert d.order() == 6048
     G = g2_generators(2)
     assert all(G.contains(g) for g in d.generators)
+
+
+def test_g2_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
+    monkeypatch.setattr(g2, "_G2_DERIVED_CACHE", {})
+    g2_generators(2).chain()
+    builds = count_chain_builds(monkeypatch)
+    d = g2_derived(2)
+    assert d.chain().order() == 6048
+    assert builds == ["G2(2)''"]  # derived_subgroup's own build, and no second one
 
 
 def test_g2_derived_transitive_on_vectors():

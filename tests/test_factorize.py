@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from jsonschema import validate
 
-from grpfact import factorize, grpcore, orders, sporadic
+from grpfact import constructors, factorize, grpcore, orders, sporadic
 from grpfact.catalog import FactorizationClaim, load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
@@ -298,12 +298,15 @@ def test_orbit_without_a_seed_is_skipped(catalog):
     assert (orbit.verdict, orbit.details) == ("skipped", {"reason": "no orbit seed"})
 
 
-def test_construction_error_in_set_up_is_a_fail_report(catalog):
-    # the cause of this failure at m = 6 is still open; the report must
-    # carry it instead of a traceback
-    report = verify_claim(catalog.instantiate("5Sp", {"m": 6, "q": 2}))
+def test_construction_error_in_set_up_is_a_fail_report(catalog, monkeypatch):
+    # offered only the first psi_gamma candidate, whose square leaves the
+    # Sp_2(4) core, the set-up cannot construct H; the report must carry
+    # the reason instead of a traceback
+    first = next(constructors._psi_gamma_candidates(4, 2))
+    monkeypatch.setattr(constructors, "_psi_gamma_candidates", lambda n, q: [first])
+    report = verify_claim(catalog.instantiate("5Sp", {"m": 2, "q": 2}))
     assert (report.overall, report.strategies) == ("fail", [])
-    assert report.reason == "construction failed: Sp_6(4)^in_SL_12(2): adjoined element power 2 leaves the core"
+    assert report.reason == "construction failed: Sp_2(4)^in_SL_4(2): adjoined element power 2 leaves the core"
 
 
 @pytest.mark.parametrize("claim_id", ["t1r01-sl-a2b2q2", "t1r08-q4-sp"])

@@ -34,7 +34,7 @@ from grpfact.grpcore import (
     stabilizer_series,
     t_compose,
 )
-from grpfact.actions import Action, ActionError
+from grpfact.actions import Action, ActionError, PermDomain
 from grpfact.linalg import (
     ANTIFLAG,
     FUNCTIONAL,
@@ -45,6 +45,7 @@ from grpfact.linalg import (
     GroupElement,
     Mat,
     canonical_point,
+    identity_element,
     sl_compose,
     sl_inverse,
 )
@@ -79,7 +80,19 @@ def test_contains_generators_and_identity(sl32):
     chain = sl32.chain()
     for g in sl32.generators:
         assert chain.contains(g)
-    assert chain.contains(sl32.identity())
+    assert chain.contains(identity_element(sl32.spec, 3))
+
+
+def test_tracked_generators_reuse_a_built_chains_permutations(monkeypatch):
+    G = classical_generators("SL", 3, 4)
+    chain = G.chain()
+    calls = []
+    perm_of = PermDomain.perm_of
+    monkeypatch.setattr(PermDomain, "perm_of", lambda domain, g: calls.append(g) or perm_of(domain, g))
+    tracked = G.tracked_generators()
+    assert not calls
+    assert [t.elem for t in tracked] == list(G.generators)
+    assert all(np.array_equal(t.perm, perm_of(chain.domain, g)) for t, g in zip(tracked, G.generators))
 
 
 def test_contains_rejects_determinant_obstruction():
@@ -245,24 +258,43 @@ def test_transporters_transport():
         assert _walk_to_seed(orb, x) == orb.domain.index_of_point(pt)
 
 
-def test_known_order_build_rejects_wrong_claims():
-    G = classical_generators("SL", 2, 2)
+# ---------------------------------------------------------------------------
+# the certificate rule: a known order is a bound, a bare order takes the
+# Schreier pass
+
+
+def test_known_order_reached_at_its_bound_runs_no_schreier_pass(sl32, verify_loop_calls):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168,
+                            name="known")
+    assert chain.order() == 168 and chain.verified
+    assert verify_loop_calls == []
+
+
+def test_order_alone_always_runs_the_schreier_pass(sl32, verify_loop_calls):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, name="literal")
+    assert chain.order() == 168 and chain.verified
+    assert verify_loop_calls == [168]
+
+
+@pytest.mark.parametrize("with_bound", [True, False], ids=["order+bound", "order"])
+def test_wrong_order_is_refused_either_way(with_bound, verify_loop_calls):
+    # the random phase stalls below 12, and the Schreier pass completes the
+    # chain before the order check refuses it
+    G = classical_generators("SL", 2, 2)  # true order 6
     dom = shared_domain(VECTOR, G.spec, 2)
-    with pytest.raises(CertificationError):
-        StabChain.build(dom, G.generators, known_order=12, max_stall=50, name="bad")
+    with pytest.raises(CertificationError, match="order 6, not the claimed 12"):
+        StabChain.build(dom, G.generators, order=12, bound=12 if with_bound else None, name="bad")
+    assert verify_loop_calls
 
 
-def test_post_verify_rejects_supergroup_masquerade():
-    # claiming a proper divisor of the true order slips past the orbit
-    # product; the deterministic verification pass must catch it
-    G = classical_generators("SL", 3, 2)  # true order 168
+def test_order_alone_refuses_a_supergroup_masquerade(verify_loop_calls):
+    # a random chain of SL_3(2) can pass through order 24 on its way to 168;
+    # with no containing group of order 24, the Schreier pass must refuse it
+    G = classical_generators("SL", 3, 2)
     dom = shared_domain(VECTOR, G.spec, 3)
-    try:
-        chain = StabChain.build(dom, G.generators, known_order=24,
-                                max_stall=80, name="masquerade", post_verify=True)
-    except CertificationError:
-        return  # either failure mode is a correct rejection
-    pytest.fail(f"order-24 claim accepted for a group of order {chain.order()}")
+    with pytest.raises(CertificationError, match="168"):
+        StabChain.build(dom, G.generators, order=24, name="masquerade")
+    assert verify_loop_calls
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +560,7 @@ def _corrupt_first_level(chain):
 
 
 def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
-    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
     beta, u = _corrupt_first_level(chain)
     with pytest.raises(CertificationError, match="Schreier vector"):
         chain._transversal(0, beta)
@@ -537,7 +569,7 @@ def test_corrupt_schreier_vector_raises_instead_of_walking_forever(sl32):
 
 
 def test_corrupt_schreier_vector_stops_the_batched_sift(sl32):
-    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, known_order=168)
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
     beta, u = _corrupt_first_level(chain)
     block = np.stack([chain.ident.perm, u.perm, u.perm])
     with pytest.raises(CertificationError, match="Schreier vector of level 0"):
@@ -1104,7 +1136,7 @@ def _derived_by_matrices(group, rng, label):
                     current.append(conj)
                     changed = True
         if changed:
-            chain._build_monte_carlo([Tracked(dom.perm_of(e), e) for e in current], rng)
+            chain._build_monte_carlo([Tracked(dom.perm_of(e), e) for e in current], rng, group.order())
             chain._certify(group.order(), label)
     return current, chain
 
@@ -1122,7 +1154,7 @@ def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkey
     D = derived_subgroup(G, rng=np.random.default_rng(9))
     assert not calls  # products with a duality generator are taken on pair permutations
     assert D.order() == ref.order() == (360 if parent == "Sp_4(2)" else 60)
-    assert D.chain().base_points() == ref.base_points()
+    assert [lvl.base for lvl in D.chain().levels] == [lvl.base for lvl in ref.levels]
     assert list(D.generators) == current
     dom = D.chain().domain
     for t in D.generators.tracked:

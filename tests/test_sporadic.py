@@ -28,6 +28,13 @@ def test_sp42_derived():
     assert exact_spectrum(d.chain()) == frozenset({1, 2, 3, 4, 5})
 
 
+def test_sp42_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
+    builds = oracles.count_chain_builds(monkeypatch)
+    d = sp4_2_derived()
+    assert d.chain().order() == 360
+    assert builds == ["Sp_4(2)", "Sp_4(2)''"]  # the parent's chain and the derived one
+
+
 def test_exact_spectrum_scratch_is_bounded():
     # Sp_4(3), 51,840 elements on 80 vectors, enumerated in blocks of at
     # most 2^14 entries: element_orders' temporaries on one block stay well
@@ -300,7 +307,7 @@ def test_changed_s5_literal_entry_fails_its_certificate(literal, which, entry):
     Z, mats = ambient(), getattr(sporadic, literal)
     X = subgroup_from_literal(Z, mats, kind, literal, None)
     assert X.order() == sporadic.TARGET_ORDERS[kind]
-    changed = _change_entry(mats, which, entry, Z.q)
+    changed = _change_entry(mats, which, entry, Z.spec.q)
     if (literal, which, entry) not in STILL_OF_THE_KIND:
         with pytest.raises(CertificationError):
             subgroup_from_literal(Z, changed, kind, literal, None)
