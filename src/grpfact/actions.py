@@ -44,6 +44,14 @@ class ActionError(ValueError):
     pass
 
 
+class DomainCapError(ActionError):
+    """A domain past the cap on enumerated domains; size and cap say by how much."""
+
+    def __init__(self, tag: str, size: int, cap: int):
+        super().__init__(f"domain of {size} {tag} points exceeds the {cap} limit")
+        self.size, self.cap = size, cap
+
+
 def domain_size(tag: str, q: int, n: int) -> int:
     if tag in (VECTOR, FUNCTIONAL):
         return q**n - 1
@@ -307,9 +315,7 @@ class PermDomain:
         self.action = action
         size = domain_size(action.tag, action.q, action.n)
         if size > max_size:
-            raise ActionError(
-                f"domain of {size} {action.tag} points exceeds the {max_size} limit"
-            )
+            raise DomainCapError(action.tag, size, max_size)
         self.keys = action.all_keys()
         self.size = len(self.keys)
         if self.size != size:

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import orders
+from .actions import DomainCapError
 from .catalog import FactorizationClaim, identity_for_claim
 from .constructors import (
     ConstructionError,
@@ -481,22 +482,30 @@ def _run_identity(claim, setup, record_timings) -> StrategyResult:
 
 
 def _run_order(claim, setup, rng, record) -> StrategyResult:
-    """The counting identity for each witness; the first one's figures are reported."""
+    """The counting identity for each witness; the first one's figures are
+    reported.  A stage whose domain is past the enumeration cap decides
+    nothing, and the strategy is skipped with the domain size and the cap."""
     with _Timer(record) as tm:
         found = []
-        for H in setup.witnesses:
-            inter = intersect(H, setup.K, "stabilizer")
-            found.append({
-                "name": H.name,
-                "intersection_order": inter.order(),
-                "intersection_hint": structure_hint(inter),
-                "lhs": str(setup.g_order * inter.order()),
-                "rhs": str(H.order() * setup.K.order()),
-            })
-        verdict = "pass" if all(w["lhs"] == w["rhs"] for w in found) else "fail"
-        details = {k: found[0][k] for k in ("intersection_hint", "lhs", "rhs")}
-        if len(found) > 1:
-            details["witnesses"] = found
+        try:
+            for H in setup.witnesses:
+                inter = intersect(H, setup.K, "stabilizer")
+                found.append({
+                    "name": H.name,
+                    "intersection_order": inter.order(),
+                    "intersection_hint": structure_hint(inter),
+                    "lhs": str(setup.g_order * inter.order()),
+                    "rhs": str(H.order() * setup.K.order()),
+                })
+        except DomainCapError as exc:
+            found = None
+            details = {"reason": str(exc), "domain_size": exc.size, "max_size": exc.cap}
+    if found is None:
+        return StrategyResult("order", "skipped", details=details, wall_ms=tm.ms)
+    verdict = "pass" if all(w["lhs"] == w["rhs"] for w in found) else "fail"
+    details = {k: found[0][k] for k in ("intersection_hint", "lhs", "rhs")}
+    if len(found) > 1:
+        details["witnesses"] = found
     return StrategyResult("order", verdict, intersection_order=found[0]["intersection_order"],
                           details=details, wall_ms=tm.ms)
 

@@ -122,7 +122,8 @@ def _restrict_to_w(spec: FieldSpec, A, J: Mat) -> GroupElement:
     return g
 
 
-_G2_CACHE: dict[int, GroupSpec] = {}
+# G2(2)' is cached, since three desk claims use it; G2(q) and its chain
+# live only as long as a caller holds them
 _G2_DERIVED_CACHE: dict[int, GroupSpec] = {}
 
 
@@ -137,8 +138,6 @@ def g2_generators(q: int) -> GroupSpec:
     automorphism and form checks only (the degree 16^6 - 1 chain is beyond
     desk scale).
     """
-    if q in _G2_CACHE:
-        return _G2_CACHE[q]
     if q % 2 or q not in (2, 4, 16):
         raise ConstructionError("G2 construction supports even q in {2, 4, 16}")
     p, f = _split_prime_power(q)
@@ -162,7 +161,6 @@ def g2_generators(q: int) -> GroupSpec:
     if q in (2, 4):
         domain = shared_domain("vector", spec, 6)
         group._chain = StabChain.build(domain, gens6, order=target, bound=target, name=f"G2({q})")
-    _G2_CACHE[q] = group
     return group
 
 

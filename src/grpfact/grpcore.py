@@ -759,11 +759,12 @@ def orbit(
     keys are a bool mask over the keyspace, and a small level filters each
     generator's images against it.  Once a level reaches
     keyspace/_SCAN_SHARE images, the rest of the closure is swept
-    (``_sweep_closure``) in aligned blocks of the action's block width: no
-    level is held, and the memory is the mask, a packed bit mask of the keys
-    already applied, one block's arrays and the action's cached tables.
-    Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
-    point of max_points before they are allocated.  A spec that already
+    (``_sweep_closure``) in aligned blocks of the action's block width.
+    That level is dropped once a packed bit mask of the keys already
+    applied is built, so the sweep runs beside nothing but the two masks,
+    one block's arrays and the action's cached tables.  Those masks,
+    keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per point of
+    max_points before they are allocated.  A spec that already
     has permutations of a domain of the point's kind, with the point on it
     (its Tracked generators, or its certified chain's originals), takes the
     orbit off them (``schreier_orbit``) and composes no matrix.
@@ -796,28 +797,40 @@ def orbit(
     total = 1
     while frontier.size:
         if frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
-            total = _sweep_closure(action, gens, seen, frontier, max_points)
+            # the level's keys are seen and not yet applied; every other
+            # seen key is done, and the level goes before the sweep
+            seen[frontier] = False
+            done = np.packbits(seen)
+            seen[frontier] = True
+            del frontier
+            total = _sweep_closure(action, gens, seen, done, max_points)
             break
-        # a generator maps distinct keys to distinct keys, so marking each
-        # batch seen as it is filtered leaves the frontier no repeats
-        parts = []
-        for g in gens:
-            imgs = action.apply_batch(g, frontier)
-            imgs = imgs[~seen[imgs]]
-            seen[imgs] = True
-            parts.append(imgs)
-        frontier = np.concatenate(parts)
+        frontier = _unseen_images(action, gens, frontier, seen)
         total += frontier.size
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
     return OrbitSet(point.tag, seed, total, seen)
 
 
-def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray, max_points: int) -> int:
-    """Close the seen mask under the generators in place and return the
-    orbit size; the frontier's keys are seen and not yet applied.
+def _unseen_images(action: Action, gens, keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
+    """The generators' images of the keys that are not yet seen, now marked
+    seen.  A generator maps distinct keys to distinct keys, so marking each
+    batch seen as it is filtered leaves the result no repeats."""
+    parts = []
+    for g in gens:
+        imgs = action.apply_batch(g, keys)
+        imgs = imgs[~seen[imgs]]
+        seen[imgs] = True
+        parts.append(imgs)
+    return np.concatenate(parts)
 
-    A packed bit mask marks the keys whose images have been scattered.
+
+def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max_points: int) -> int:
+    """Close the seen mask under the generators in place and return the
+    orbit size.  done is a packed bit mask of the seen keys whose images
+    are already set; the sweep updates it, and the two masks are all it
+    keeps beyond one block's arrays.
+
     Each sweep walks the keyspace once in aligned blocks of
     2**action.block_bits keys (a multiple of 8, so a block starts on a byte
     of the bit mask).  A block's seen and not done keys are marked done, and
@@ -827,9 +840,6 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, frontier: np.ndarray,
     leaves every seen key done, which ends the closure, and every orbit key
     is applied once per generator.
     """
-    seen[frontier] = False
-    done = np.packbits(seen)
-    seen[frontier] = True
     block = 1 << action.block_bits
     total, grown = 0, int(np.count_nonzero(seen))
     while grown > total:

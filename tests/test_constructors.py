@@ -1,6 +1,7 @@
 """Certified constructions: classical groups, stabilizers, blow-ups, G2."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -218,7 +219,6 @@ def test_g2_recipe_that_is_not_an_automorphism_is_refused(monkeypatch):
     not_a_derivation = np.zeros((8, 8), dtype=np.int64)
     not_a_derivation[0, 2] = 1
     monkeypatch.setattr(g2, "_derivation_exp", lambda: [np.eye(8, dtype=np.int64), not_a_derivation])
-    monkeypatch.setattr(g2, "_G2_CACHE", {})
     with pytest.raises(ConstructionError, match="algebra-automorphism"):
         g2_generators(4)
 
@@ -232,11 +232,21 @@ def test_g2_derived_index_two():
 
 def test_g2_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
     monkeypatch.setattr(g2, "_G2_DERIVED_CACHE", {})
-    g2_generators(2).chain()
     builds = count_chain_builds(monkeypatch)
     d = g2_derived(2)
     assert d.chain().order() == 6048
-    assert builds == ["G2(2)''"]  # derived_subgroup's own build, and no second one
+    # G2(2)'s certificate, derived_subgroup's own build, and no third one
+    assert builds == ["G2(2)", "G2(2)''"]
+
+
+def test_g2_lives_only_as_long_as_a_caller_holds_it():
+    first = g2_generators(4)
+    second = g2_generators(4)
+    assert first is not second and first._chain is not second._chain
+    chain = weakref.ref(first._chain)
+    del first  # no reference cycle holds it: it dies with its last reference
+    assert chain() is None
+    assert second.chain().order() == orders.g2_order(4)
 
 
 def test_g2_derived_transitive_on_vectors():

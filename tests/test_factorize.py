@@ -7,8 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from jsonschema import validate
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import constructors, factorize, grpcore, orders, sporadic
+from grpfact.actions import domain_size
 from grpfact.catalog import FactorizationClaim, load_catalog
 from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
 from grpfact.factorize import (
@@ -321,14 +323,60 @@ def test_product_membership_samples_compose_no_matrix(catalog, claim_id, monkeyp
     assert not calls
 
 
-@pytest.mark.parametrize("row", ["4SL", "4Sp", "5SL", "5Sp", "6SL", "6Sp", "7SL", "7Sp"])
-def test_every_row_4_to_7_variant_factorizes(catalog, row):
+@pytest.mark.parametrize("row,m,orbit_size", [
+    *[pytest.param(row, 2, 120 if row[0] in "45" else 16_320, id=row)
+      for row in ["4SL", "4Sp", "5SL", "5Sp", "6SL", "6Sp", "7SL", "7Sp"]],
+    *[pytest.param(row, m, size, id=f"{row}-m{m}") for row, m, size in [
+        ("4SL", 3, 2_016), ("5SL", 3, 2_016),
+        ("4SL", 4, 32_640), ("4Sp", 4, 32_640), ("5SL", 4, 32_640), ("5Sp", 4, 32_640),
+        ("6SL", 4, None),  # its target, the 1,073,725,440 pairs of GF(4)^8, is past the budget
+    ]],
+])
+def test_every_row_4_to_7_variant_factorizes(catalog, row, m, orbit_size):
     # 5Sp, 6Sp and 7SL have no catalog claim; their setups run only here
-    report = verify_claim(catalog.instantiate(row, {"m": 2}))
+    report = verify_claim(catalog.instantiate(row, {"m": m}))
     assert report.overall == "pass"
     orbit = next(s for s in report.strategies if s.name == "orbit")
-    assert orbit.orbit_sizes == [120 if row[0] in "45" else 16_320]
-    assert {s.intersection_order for s in report.strategies if s.name != "orbit"} == {1}
+    if orbit_size is None:
+        assert (orbit.verdict, orbit.details["reason"]) == ("skipped", "orbit target exceeds the memory budget")
+    else:
+        assert (orbit.verdict, orbit.orbit_sizes) == ("pass", [orbit_size])
+    expected = orders.row_orders(row, {"m": m})[3]
+    assert {s.intersection_order for s in report.strategies if s.name != "orbit"} == {expected}
+
+
+_SET_UP_DESK_CLAIMS = [c.claim_id for c in load_catalog().desk_grid("desk") if set(c.checks) != {"identity"}]
+
+
+@pytest.mark.parametrize("claim_id", _SET_UP_DESK_CLAIMS)
+def test_formula_orders_match_sympy_at_desk_parameters(catalog, claim_id):
+    # a claimed order is a chain's known order and its bound, and the
+    # build accepts a bound at or below a partial chain's order; so each
+    # formula order on a home domain of at most 1,000 points is checked
+    # against sympy's order of the group's permutations there
+    claim = catalog.claim_by_id(claim_id)
+    setup = factorize.build_setup(claim, np.random.default_rng(claim_seed(claim_id, 20260810)))
+    checked = 0
+    for group in (setup.G, setup.H, setup.K):
+        if group is None or group.claimed_order is None:
+            continue
+        if domain_size(group.action_tag, group.spec.q, group.n) > 1000:
+            continue
+        perms = grpcore.generator_perms(group, group.home_domain())
+        assert PermutationGroup([Permutation(p.tolist()) for p in perms]).order() == group.claimed_order, group.name
+        checked += 1
+    assert checked or claim_id in ("t1r07-m2", "t1r08-q4-sp")  # their groups act on 4,095 or more points
+
+
+def test_domain_past_the_cap_skips_the_order_strategy(catalog):
+    # 5SL at m = 5 stabilizes a pair of GF(2)^10, a domain of 523,776
+    # points, past the 200,000-point cap on enumerated domains
+    report = verify_claim(catalog.instantiate("5SL", {"m": 5}))
+    order = next(s for s in report.strategies if s.name == "order")
+    assert (order.verdict, order.intersection_order) == ("skipped", None)
+    assert order.details == {"reason": "domain of 523776 pair points exceeds the 200000 limit",
+                             "domain_size": 523_776, "max_size": 200_000}
+    validate(report.as_dict(), REPORT_SCHEMA)
 
 
 def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):

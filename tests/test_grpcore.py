@@ -16,7 +16,13 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import factorize, gf, grpcore
 from grpfact.catalog import load_catalog
-from grpfact.constructors import automorphism_element, classical_generators, ext_subgroup, stabilizer_subgroup
+from grpfact.constructors import (
+    automorphism_element,
+    classical_generators,
+    ext_subgroup,
+    sl_generators,
+    stabilizer_subgroup,
+)
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
@@ -853,6 +859,31 @@ def test_orbit_budget_error_inside_a_sweep(monkeypatch):
     with pytest.raises(grpcore.OrbitBudgetError, match="exceeded 4 points") as exc:
         orbit(G, canonical_point(VECTOR, (1, 0, 0, 0)), max_points=4)
     assert sweeps == [1] and 4 < exc.value.partial_size <= 15
+
+
+def test_keyspace_sweep_runs_beside_nothing_but_its_masks(monkeypatch):
+    # SL_21(2) on the 2^21 vector keys leaves the BFS at a level of about
+    # 16,500 keys; that level and its filtered parts (0.25 MiB of int64)
+    # must be gone before the sweep starts
+    n, keyspace = 21, 1 << 21
+    gens = sl_generators(gf.make_field(2, 1), n)
+    action = Action(VECTOR, gens[0].spec, n)
+    sweeps = []
+    real = grpcore._sweep_closure
+    monkeypatch.setattr(grpcore, "_sweep_closure", lambda *args: sweeps.append(1) or real(*args))
+    tracemalloc.start()
+    try:
+        size = orbit(gens, canonical_point(VECTOR, (1,) + (0,) * (n - 1)), action).size
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (size, sweeps) == (keyspace - 1, [1])
+    masks = keyspace * 9 // 8  # the seen mask and the packed done mask
+    tables = sum(tab.nbytes for tabs in action._chunk_cache.values() for _, _, tab in tabs)
+    tables += sum(tab.nbytes for _, *tabs in action._block_cache.values() for tab in tabs)
+    # a block's keys and one generator's images of them, as int64
+    block_scratch = 2 * 8 << action.block_bits
+    assert peak <= masks + tables + block_scratch
 
 
 def test_orbit_prices_the_dense_masks_before_allocating():
