@@ -59,9 +59,8 @@ from .grpcore import (
     OrbitBudgetError,
     ProductSift,
     Rattle,
+    StabChain,
     Tracked,
-    TrackedGenerators,
-    generator_perms,
     orbit,
     same_subgroup,
     schreier_orbit,
@@ -218,15 +217,10 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         big_chain, small_chain = big.chain(), small.chain()
         mask = np.concatenate([big_chain.contains_block(b) for b in small_chain.element_perm_blocks()])
         members = list(itertools.compress(small_chain.elements(), mask)) or [small_chain.ident]
-        domain = small_chain.domain
-        return GroupSpec(
-            f"{H.name} n {K.name}",
-            H.n,
-            H.spec,
-            TrackedGenerators(members, domain),
-            claimed_order=len(members),
-            action_tag=domain.action.tag,
-        )
+        name = f"{H.name} n {K.name}"
+        # the members are the whole intersection, so its order is known
+        chain = StabChain.build(small_chain.domain, members, order=len(members), bound=len(members), name=name)
+        return GroupSpec.of_chain(name, chain)
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
 
 
@@ -704,9 +698,7 @@ def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
     """x^-1 G x, for x a permutation of G's chain domain, with G's certified
     chain relabeled rather than rebuilt; its generators are the relabeled
     chain's originals."""
-    chain = G.chain().conjugate(x)
-    return GroupSpec(name, G.n, G.spec, TrackedGenerators(chain.originals, chain.domain),
-                     claimed_order=G.claimed_order, action_tag=G.action_tag, _chain=chain)
+    return GroupSpec.of_chain(name, G.chain().conjugate(x))
 
 
 def _run_conjugation(claim, setup, rng, record) -> StrategyResult:
@@ -729,7 +721,7 @@ def _run_conjugation(claim, setup, rng, record) -> StrategyResult:
             Hx = _conjugate_group(setup.H, x, "H^x")
             if omega is not None:
                 y_omega = int(y.perm[dom.index_of_point(omega)])
-                orb, _, _ = schreier_orbit(generator_perms(Hx, dom), y_omega, dom.size)
+                orb, _, _ = schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)
                 inter = stabilizer_generators(Hx, dom.point(y_omega))
                 ok = orb.size == setup.orbit_target
             else:

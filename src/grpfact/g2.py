@@ -26,7 +26,7 @@ from .constructors import (
     standard_symplectic_form,
 )
 from .gf import FieldSpec, make_field
-from .grpcore import CertificationError, GroupSpec, StabChain, derived_subgroup, shared_domain
+from .grpcore import CertificationError, GroupSpec, derived_subgroup
 from .linalg import GroupElement, Mat, det, mat_inverse, mat_transpose
 
 # Zorn coordinates: (a, b, v1, v2, v3, w1, w2, w3) for [[a, v], [w, b]].
@@ -131,10 +131,10 @@ def g2_generators(q: int) -> GroupSpec:
     """G2(q) < Sp_6(q) for even q in the catalog range {2, 4, 16}.
 
     A generator that is not an algebra automorphism raises
-    ConstructionError.  At q in {2, 4} the chain build, with |G2(q)| as its
-    known order and bound (the generators are automorphisms of the
-    octonions, in G2(q)), is part of the construction, and its
-    CertificationError propagates; at q = 16 the recipe is certified by the
+    ConstructionError.  |G2(q)| is the claimed order, so the spec's first
+    ``chain()`` builds with it as known order and bound (the generators are
+    automorphisms of the octonions, in G2(q)) and raises its
+    CertificationError; at q = 16 the recipe is certified by the
     automorphism and form checks only (the degree 16^6 - 1 chain is beyond
     desk scale).
     """
@@ -143,7 +143,6 @@ def g2_generators(q: int) -> GroupSpec:
     p, f = _split_prime_power(q)
     spec = make_field(p, f)
     J = standard_symplectic_form(spec, 6)
-    target = orders.g2_order(q)
 
     auts8 = [_unimodular_automorphism(g.mat) for g in sl_generators(spec, 3)]
     auts8.append(_half_swap())
@@ -151,17 +150,7 @@ def g2_generators(q: int) -> GroupSpec:
     if not all(_is_algebra_automorphism(spec, A) for A in auts8):
         raise ConstructionError(f"a generator of G2({q}) failed the algebra-automorphism check")
     gens6 = [_restrict_to_w(spec, A, J) for A in auts8]
-    group = GroupSpec(
-        f"G2({q})",
-        6,
-        spec,
-        gens6,
-        claimed_order=target,
-    )
-    if q in (2, 4):
-        domain = shared_domain("vector", spec, 6)
-        group._chain = StabChain.build(domain, gens6, order=target, bound=target, name=f"G2({q})")
-    return group
+    return GroupSpec(f"G2({q})", 6, spec, gens6, claimed_order=orders.g2_order(q))
 
 
 def g2_derived(q: int) -> GroupSpec:

@@ -4,12 +4,13 @@ Groups are given by semilinear generators; every computation runs on the
 permutation image over a chosen action domain.  A ``Tracked`` element is a
 permutation of a domain, and it holds a matrix only when it was built from
 one.  Sifts, random walks, transversals, Schreier generators, commutators
-and conjugates are permutation products, and no matrix is composed.  The
-specs the core returns (point stabilizers, derived subgroups, conjugates,
-enumerated intersections) keep their generators as the Tracked elements of
-their chains (``TrackedGenerators``).  A caller that needs such an
-element's matrix, to act on another domain, reads it off the element's
-permutation of a vector domain (``PermDomain.element_of``).
+and conjugates are permutation products, and no matrix is composed.  Every
+spec that comes with a certified chain is made from it here
+(``GroupSpec.of_chain``) and keeps its generators as Tracked elements of
+the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
+generators as permutations of a domain, reading a matrix off a vector
+permutation (``PermDomain.element_of``) only for a domain they were not
+built on.
 Product-membership samples (``ProductSift``) and enumerated intersections
 (``StabChain.contains_block``) sift stacked permutations.
 
@@ -643,6 +644,12 @@ class TrackedGenerators(Sequence):
 class GroupSpec:
     """Named matrix group: generators, claimed order, home action.
 
+    A spec is one of two kinds.  One made by ``of_chain`` carries the
+    certificate of the chain its caller built, and its order is that
+    chain's.  One made with a formula order has ``chain()`` take that order
+    as a known order and the bound: a chain above it is refused, but a
+    wrong formula at or below a partial chain's order goes unnoticed.
+
     generators is a list of matrices, or a ``TrackedGenerators`` whose
     matrices are read off their permutations.  stabilizer_of, when set, records
     that the group is the full ambient stabilizer of the listed points
@@ -672,14 +679,26 @@ class GroupSpec:
             return domain.action.two_sided and any(domain.swaps_sides(t.perm) for t in gens.tracked)
         return any(g.dual for g in gens)
 
+    @classmethod
+    def of_chain(cls, name: str, chain: StabChain, tracked: list[Tracked] | None = None) -> "GroupSpec":
+        """The spec of a group whose certified chain its caller built: it
+        carries that certificate (``chain()`` returns the chain), its home
+        action, n, field and order are the chain's, and its generators are
+        the given Tracked elements of the chain's domain, else the chain's
+        originals."""
+        action = chain.domain.action
+        gens = TrackedGenerators(tracked or chain.originals or [chain.ident], chain.domain)
+        return cls(name, action.n, action.spec, gens, claimed_order=chain.order(), action_tag=action.tag, _chain=chain)
+
     def home_domain(self) -> PermDomain:
         return shared_domain(self.action_tag, self.spec, self.n)
 
-    def tracked_generators(self) -> list[Tracked]:
-        """The generators as Tracked elements of the home domain: kept ones,
-        else the originals of a chain built there, which are the generators'
-        permutations in order, else read off each matrix."""
-        domain = self.home_domain()
+    def tracked_generators(self, domain: PermDomain | None = None) -> list[Tracked]:
+        """The generators as Tracked elements of a domain, the home domain by
+        default: kept ones, else the originals of a chain built there, which
+        are the generators' permutations in order, else read off each
+        matrix."""
+        domain = self.home_domain() if domain is None else domain
         gens = self.generators
         if isinstance(gens, TrackedGenerators) and gens.domain is domain:
             return gens.tracked
@@ -703,12 +722,14 @@ class GroupSpec:
 
     def includes(self, other: "GroupSpec") -> bool:
         """Whether every generator of other lies in this group, sifted as
-        permutations when other's generators live on this chain's domain."""
+        permutations of this chain's domain (``tracked_generators``); a
+        generator that does not act there is not in it."""
         chain = self.chain()
-        gens = other.generators
-        if isinstance(gens, TrackedGenerators) and gens.domain is chain.domain:
-            return all(chain.contains_tracked(t) for t in gens.tracked)
-        return all(chain.contains(g) for g in gens)
+        try:
+            tracked = other.tracked_generators(chain.domain)
+        except ActionError:
+            return False
+        return all(chain.contains_tracked(t) for t in tracked)
 
     def with_name(self, name: str) -> "GroupSpec":
         return GroupSpec(name, self.n, self.spec, self.generators, self.claimed_order,
@@ -903,7 +924,7 @@ def orbit_with_transporters(group: GroupSpec, point: ActionPoint) -> Transporter
     """The point's orbit with a Schreier vector, by ``schreier_orbit`` over
     the generators' permutations of the point's shared domain."""
     domain = shared_domain(point.tag, group.spec, group.n)
-    perms = generator_perms(group, domain)
+    perms = [t.perm for t in group.tracked_generators(domain)]
     orb, _, par = schreier_orbit(perms, domain.index_of_point(point), domain.size)
     return TransporterOrbit(domain, perms, orb, par, len(orb))
 
@@ -925,9 +946,9 @@ def stabilizer_generators(
     Schreier loop: for any other point (off the chain's domain, or outside
     its first basic orbit) see ``_schreier_stabilizer``.
 
-    Either way the returned spec keeps the certified chain, and its
-    generators are the chain's Tracked originals (``TrackedGenerators``),
-    permutations of the group's home domain.
+    Either way the returned spec is made from the certified chain
+    (``GroupSpec.of_chain``), so its generators are the chain's Tracked
+    originals, permutations of the group's home domain.
     """
     stab_name = name or f"{group.name}_stab"
     chain = group.chain()
@@ -936,15 +957,7 @@ def stabilizer_generators(
         stab = _schreier_stabilizer(group, point, stab_name)
     else:
         stab = chain.conjugate(chain._transversal(0, x), from_level=1)
-    return GroupSpec(
-        stab_name,
-        group.n,
-        group.spec,
-        TrackedGenerators(stab.originals or [stab.ident], stab.domain),
-        claimed_order=stab.order(),
-        action_tag=group.action_tag,
-        _chain=stab,
-    )
+    return GroupSpec.of_chain(stab_name, stab)
 
 
 def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
@@ -1021,15 +1034,6 @@ def stabilizer_series(group: GroupSpec, points: Sequence[ActionPoint], name: str
     return series
 
 
-def generator_perms(group: GroupSpec, domain: PermDomain) -> list[np.ndarray]:
-    """The group's generators as permutations of a domain: free when they
-    are Tracked on it, read off each generator's matrix otherwise."""
-    gens = group.generators
-    if isinstance(gens, TrackedGenerators) and gens.domain is domain:
-        return [t.perm for t in gens.tracked]
-    return [domain.perm_of(g) for g in gens]
-
-
 class ProductSift:
     """Membership in HK, for K the full stabilizer of the points w_0, w_1,
     ... of the ambient, sifted on base images.
@@ -1050,7 +1054,7 @@ class ProductSift:
         self.bases = [d.index_of_point(pt) for d, pt in zip(self.domains, points)]
         self.layers = []
         for i, group in enumerate(series[: len(points)]):
-            perms = {d: generator_perms(group, d) for d in self.domains[i:]}
+            perms = {d: [t.perm for t in group.tracked_generators(d)] for d in self.domains[i:]}
             _, seen, par = schreier_orbit(perms[self.domains[i]], self.bases[i], self.domains[i].size)
             inv = {d: _inverse_perms(p, d.size) for d, p in perms.items()}
             self.layers.append((seen, par, [inv[d] for d in self.domains[i:]]))
@@ -1098,10 +1102,11 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     rng = rng if rng is not None else Stream(zlib.crc32(group.name.encode()) or 1)
     derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
     domain = shared_domain(derived_tag, group.spec, group.n)
+    # the parent's chain first, so its originals are the generators read here
+    parent_order = group.order()
     gens, lift, restrict = ((group.tracked_generators(), (lambda t: t), (lambda t: t))
                             if group.home_domain() is domain else _vector_functional_maps(group, domain))
     tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a in gens for b in gens]
-    parent_order = group.order()
     wchain = None
     if within is not None and within.order() < parent_order:
         wchain = within.chain()
@@ -1129,15 +1134,8 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
             chain._build_monte_carlo(list(current), rng, bound)
             chain._certify(bound, label)
             chain.verified = True
-    return GroupSpec(
-        name or f"{group.name}'",
-        group.n,
-        group.spec,
-        TrackedGenerators(current or [chain.ident], domain),
-        claimed_order=chain.order(),
-        action_tag=derived_tag,
-        _chain=chain,
-    )
+    # the strong generators, not the k^2 commutators, keep the next step small
+    return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
 
 
 def _vector_functional_maps(group: GroupSpec, vector: PermDomain):

@@ -6,9 +6,10 @@ row 12c's normalizing elements, row 13's module), algebraic constructions
 where one exists (the scalar-extended icosahedral lift, the extraspecial
 normalizer), and module certificates for row 13's two classes, which run
 on the core: ``schreier_orbit`` over the regular action of SL_2(13) on
-pairs stands in for an enumeration of the group.  The verify path searches
-nothing: tests/provenance.py holds the derivations of the literals, some of
-which call the seeded ``two_generator_search`` kept here.
+pairs stands in for an enumeration of the group.  Each subgroup's spec is
+made from the chain that certifies it (``GroupSpec.of_chain``).  The verify
+path searches nothing: tests/provenance.py holds the derivations of the
+literals, some of which call the seeded ``two_generator_search`` kept here.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ def subgroup_from_literal(Z: GroupSpec, literal, kind: str, name: str, rng) -> G
     tracked = [Tracked(chain.domain.perm_of(g), g) for g in gens]
     if not all(chain.contains_tracked(t) for t in tracked):
         raise CertificationError(f"{name}: a literal element is not in {Z.name}")
-    spec = GroupSpec(name, Z.n, Z.spec, gens, claimed_order=TARGET_ORDERS[kind], action_tag=Z.action_tag)
-    spec._chain = certify_subgroup(chain.domain, tracked, kind, rng, name)
-    return spec
+    return GroupSpec.of_chain(name, certify_subgroup(chain.domain, tracked, kind, rng, name))
 
 
 def two_generator_search(
@@ -181,17 +180,8 @@ def two_generator_search(
             sub = certify_subgroup(domain, [a, b], kind, rng, f"{kind} candidate")
         except CertificationError:
             continue
-        spec = GroupSpec(
-            name or f"{kind}<{ambient.name}",
-            ambient.n,
-            ambient.spec,
-            [a.matrix(domain), b.matrix(domain)],
-            claimed_order=TARGET_ORDERS[kind],
-            action_tag=ambient.action_tag,
-        )
-        spec._chain = sub
         info = {"tries": attempt + 1, "pattern": (oa, ob, oprod), "kind": kind}
-        return spec, info
+        return GroupSpec.of_chain(name or f"{kind}<{ambient.name}", sub), info
     raise SearchBudgetError(f"search budget exhausted locating {kind} in {ambient.name} ({max_tries} tries)")
 
 
@@ -291,28 +281,13 @@ def locate_4xa5(rng) -> tuple[GroupSpec, dict]:
     scalar = Mat(F9, np.diag([F9.primitive_elem, F9.primitive_elem]))
     gens.append(blowup(scalar, 0, F3))
     # the blown scalar is central here (it commutes with every blown GF(9)
-    # matrix), so |<S, c>| = |S| |c| / |S n <c>| = 120*8/2 exactly
-    lift = GroupSpec(
-        "(8oSL_2(5)) lift",
-        4,
-        F3,
-        gens,
-        claimed_order=480,
-        action_tag=VECTOR,
-    )
-    domain = shared_domain(VECTOR, F3, 4)
-    lift._chain = StabChain.build(domain, gens, order=480, rng=rng, name=lift.name)
-    projective = GroupSpec(
-        "4xA5<PSL_4(3)",
-        4,
-        F3,
-        gens,
-        claimed_order=240,
-        action_tag=PROJECTIVE,
-    )
-    pdomain = shared_domain(PROJECTIVE, F3, 4)
-    projective._chain = StabChain.build(pdomain, gens, order=240, rng=rng, name=projective.name)
-    return projective, {"kind": "SL2_5", "witnesses": "certified literals", "linear_order": 480}
+    # matrix), so |<S, c>| = |S| |c| / |S n <c>| = 120*8/2 exactly; the
+    # linear build certifies that order and is not kept
+    StabChain.build(shared_domain(VECTOR, F3, 4), gens, order=480, rng=rng, name="(8oSL_2(5)) lift")
+    name = "4xA5<PSL_4(3)"
+    projective = StabChain.build(shared_domain(PROJECTIVE, F3, 4), gens, order=240, rng=rng, name=name)
+    info = {"kind": "SL2_5", "witnesses": "certified literals", "linear_order": 480}
+    return GroupSpec.of_chain(name, projective), info
 
 
 def _extraspecial_32(spec) -> list[GroupElement]:
@@ -504,16 +479,9 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     c6, s6 = _PSL2_13_C6, _PSL2_13_S6
     twisted = certify_psl2_13_module(c6, s6)
     gens1 = [GroupElement(Mat(F3, c6)), GroupElement(Mat(F3, s6))]
-    X1 = GroupSpec(
-        "PSL_2(13)a<PSL_6(3)",
-        6,
-        F3,
-        gens1,
-        claimed_order=1092,
-        action_tag=PROJECTIVE,
-    )
     pdom = shared_domain(PROJECTIVE, F3, 6)
-    X1._chain = StabChain.build(pdom, gens1, order=1092, bound=1092, rng=rng, name=X1.name)
+    name1 = "PSL_2(13)a<PSL_6(3)"
+    X1 = GroupSpec.of_chain(name1, StabChain.build(pdom, gens1, order=1092, bound=1092, rng=rng, name=name1))
     # the elements of order 2 and 3 are kept in the narrowest dtype that
     # holds a point of the 364-point domain
     narrow = np.min_scalar_type(pdom.size)
@@ -532,18 +500,10 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     if not any(13 in element_orders(threes[lo : lo + step, a])
                for a in np.concatenate(of_order[2]) for lo in range(0, len(threes), step)):
         raise CertificationError("no (2,3,13) generator pair inside the witness")
-    # second class: conjugate by a determinant -1 matrix (2 is self-inverse mod 3)
+    # second class: conjugate by a determinant -1 matrix; its generators are
+    # the relabeled permutations, with no matrix
     Tdiag = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)
-    gens2 = [GroupElement(Mat(F3, (Tdiag @ g.mat.a @ Tdiag) % 3)) for g in gens1]
-    X2 = GroupSpec(
-        "PSL_2(13)b<PSL_6(3)",
-        6,
-        F3,
-        gens2,
-        claimed_order=1092,
-        action_tag=PROJECTIVE,
-    )
-    X2._chain = X1.chain().conjugate(GroupElement(Mat(F3, Tdiag)))
+    X2 = GroupSpec.of_chain("PSL_2(13)b<PSL_6(3)", X1.chain().conjugate(GroupElement(Mat(F3, Tdiag))))
     # class-split certificate
     commutant = mx.commutant_dimension([c6, s6], [c6, s6], 3)
     outer_hom = mx.commutant_dimension(twisted, [c6, s6], 3)

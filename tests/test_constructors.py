@@ -242,8 +242,9 @@ def test_g2_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
 def test_g2_lives_only_as_long_as_a_caller_holds_it():
     first = g2_generators(4)
     second = g2_generators(4)
-    assert first is not second and first._chain is not second._chain
-    chain = weakref.ref(first._chain)
+    # the construction builds no chain; the first read of the order does
+    assert first is not second and first._chain is None and second._chain is None
+    chain = weakref.ref(first.chain())
     del first  # no reference cycle holds it: it dies with its last reference
     assert chain() is None
     assert second.chain().order() == orders.g2_order(4)

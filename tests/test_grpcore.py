@@ -55,7 +55,7 @@ from grpfact.linalg import (
     sl_compose,
     sl_inverse,
 )
-from oracles import count_matrix_ops
+from oracles import count_chain_builds, count_matrix_ops
 
 
 @pytest.fixture(scope="module")
@@ -96,9 +96,28 @@ def test_tracked_generators_reuse_a_built_chains_permutations(monkeypatch):
     perm_of = PermDomain.perm_of
     monkeypatch.setattr(PermDomain, "perm_of", lambda domain, g: calls.append(g) or perm_of(domain, g))
     tracked = G.tracked_generators()
-    assert not calls
+    assert not calls and G.tracked_generators(chain.domain) is tracked is chain.originals
     assert [t.elem for t in tracked] == list(G.generators)
     assert all(np.array_equal(t.perm, perm_of(chain.domain, g)) for t, g in zip(tracked, G.generators))
+    # on another shared domain, each generator's matrix is read onto it
+    functional = shared_domain(FUNCTIONAL, G.spec, 3)
+    other = G.tracked_generators(functional)
+    assert len(calls) == len(G.generators)
+    assert all(np.array_equal(t.perm, perm_of(functional, g)) for t, g in zip(other, G.generators))
+
+
+def test_of_chain_carries_the_given_chain_with_no_build(monkeypatch):
+    G = classical_generators("SL", 3, 2)
+    domain = shared_domain(PROJECTIVE, G.spec, 3)
+    chain = StabChain.build(domain, G.generators, order=168, bound=168, name="PSL_3(2)")
+    builds = count_chain_builds(monkeypatch)
+    spec = GroupSpec.of_chain("PSL_3(2)", chain)
+    assert spec.chain() is chain and spec.home_domain() is domain
+    assert spec.order() == chain.order() == 168 and spec.claimed_order == 168
+    assert spec.action_tag == PROJECTIVE and (spec.n, spec.spec) == (3, G.spec)
+    # built from matrices, the originals read back as those matrices
+    assert list(spec.generators) == list(G.generators)
+    assert builds == []
 
 
 def test_contains_rejects_determinant_obstruction():

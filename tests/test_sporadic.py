@@ -185,6 +185,23 @@ def test_row13_setup_runs_no_module_hunt_and_no_schreier_pass(monkeypatch):
     assert setup.H.order() == setup.extra_witnesses[0].order() == 1092
 
 
+def test_row13_verifies_with_no_matrix_read_off_a_permutation(monkeypatch):
+    from grpfact.actions import ActionError
+    from grpfact.catalog import load_catalog
+    from grpfact.factorize import verify_claim
+
+    def refuse(domain, perm):
+        raise ActionError("no matrix is read off a permutation here")
+
+    monkeypatch.setattr(PermDomain, "element_of", refuse)
+    _, X2, _ = sporadic.locate_two_psl2_13(np.random.default_rng(1))
+    # the second witness holds the relabeled projective permutations only
+    assert X2.order() == 1092 and all(t.elem is None for t in X2.tracked_generators())
+    rep = verify_claim(load_catalog().claim_by_id("t1r13"))
+    assert rep.overall == "pass"
+    assert rep.strategies[1].details["witnesses"][1]["name"] == X2.name
+
+
 def test_row13_results_do_not_depend_on_the_seed():
     from grpfact.catalog import load_catalog
     from grpfact.factorize import verify_claim
