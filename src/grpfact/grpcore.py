@@ -681,11 +681,11 @@ class GroupSpec:
 
     @classmethod
     def of_chain(cls, name: str, chain: StabChain, tracked: list[Tracked] | None = None) -> "GroupSpec":
-        """The spec of a group whose certified chain its caller built: it
-        carries that certificate (``chain()`` returns the chain), its home
-        action, n, field and order are the chain's, and its generators are
-        the given Tracked elements of the chain's domain, else the chain's
-        originals."""
+        """The spec of a group whose certified chain its caller built: unlike
+        a spec with a formula order, it carries that chain's certificate
+        (``chain()`` returns the chain).  Its home action, n, field and order
+        are the chain's, and its generators are the given Tracked elements
+        of the chain's domain, else the chain's originals."""
         action = chain.domain.action
         gens = TrackedGenerators(tracked or chain.originals or [chain.ident], chain.domain)
         return cls(name, action.n, action.spec, gens, claimed_order=chain.order(), action_tag=action.tag, _chain=chain)
