@@ -24,9 +24,11 @@ originals (the chain route).  Otherwise ``orbit`` runs over packed keys,
 with no enumerated domain, and keeps only the size and a mask of the seen
 keys, so it reaches orbits of millions of points.
 
-Stabilizer chains use randomized Schreier-Sims.  A chain built this way is
-a partial chain, so its order is a lower bound on the group's order, and
-one of two certificates makes it exact (``StabChain.build``):
+Stabilizer chains use randomized Schreier-Sims; a level keeps one
+append-only generator list and rebuilds its Schreier tree only when its
+orbit grows.  A chain built this way is a partial chain, so its order is
+a lower bound on the group's order, and one of two certificates makes it
+exact (``StabChain.build``):
 
 * bound: the certified order of a group known to contain the generated
   one, on the same action or with both actions faithful; a Monte Carlo
@@ -266,16 +268,18 @@ def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.n
         todo = todo[walkers[0][todo] != base]
 
 
+@dataclass(slots=True, eq=False)
 class _Level:
-    __slots__ = ("base", "own", "eff", "orbit", "seen", "par")
+    """A chain level.  ``eff`` is every strong generator added at this level
+    or deeper, in the order added; ``orbit``, ``seen`` and ``par`` are the
+    BFS tree of the generators it had when its orbit last grew, replaced
+    and never edited in place."""
 
-    def __init__(self, base: int):
-        self.base = base
-        self.own: list[Tracked] = []
-        self.eff: list[Tracked] = []
-        self.orbit = None
-        self.seen = None
-        self.par = None
+    base: int
+    eff: list[Tracked] = field(default_factory=list)
+    orbit: np.ndarray | None = None
+    seen: np.ndarray | None = None
+    par: np.ndarray | None = None
 
 
 # entries of one block of stacked permutations: element_orders holds a few
@@ -287,7 +291,10 @@ class StabChain:
     """BSGS over a PermDomain.
 
     Every decision reads permutations only, and the stored generators are
-    Tracked permutations of the domain.
+    Tracked permutations of the domain.  A level's ``eff`` is every strong
+    generator added at it or deeper, in the order added, and its tree is
+    the BFS tree of the generators it had when its orbit last grew: a new
+    generator that keeps the orbit leaves the old tree valid.
     """
 
     MAX_STALL = 250
@@ -401,11 +408,6 @@ class StabChain:
 
     # -- internals -------------------------------------------------------------
 
-    def _recompute_orbit(self, li: int):
-        level = self.levels[li]
-        level.eff = [t for lvl in self.levels[li:] for t in lvl.own]
-        level.orbit, level.seen, level.par = schreier_orbit([t.perm for t in level.eff], level.base, self.domain.size)
-
     def _transversal(self, li: int, beta: int) -> Tracked:
         level = self.levels[li]
         path = []
@@ -446,11 +448,12 @@ class StabChain:
         if residue.is_identity():
             return False
         if li == len(self.levels):
-            moved = int(np.nonzero(residue.perm != self._arange)[0][0])
-            self.levels.append(_Level(moved))
-        self.levels[li].own.append(residue)
-        for j in range(li, -1, -1):
-            self._recompute_orbit(j)
+            self.levels.append(_Level(int(np.flatnonzero(residue.perm != self._arange)[0])))
+        N = self.domain.size
+        for level in self.levels[:li + 1]:
+            level.eff.append(residue)
+            if level.orbit is None or not level.seen[residue.perm[level.orbit]].all():
+                level.orbit, level.seen, level.par = schreier_orbit([g.perm for g in level.eff], level.base, N)
         return True
 
     def add_element(self, g: GroupElement | Tracked) -> bool:
@@ -471,7 +474,8 @@ class StabChain:
         levels from from_level on are a chain of G^(from_level), whose
         strong generators are the originals of the relabeled chain, so the
         relabeled chain carries this chain's certificate.  A trivial x
-        relabels nothing and shares the generators.
+        relabels nothing and shares the generators and the Schreier trees,
+        which a later ``_add`` replaces and never edits.
         """
         xt = x if isinstance(x, Tracked) else Tracked(self.domain.perm_of(x), x)
         pi = xt.perm
@@ -496,14 +500,8 @@ class StabChain:
             res[pi] = a
             return res
 
-        for level in self.levels[from_level:]:
-            new = _Level(int(pi[level.base]))
-            new.own = [conj(t) for t in level.own]
-            new.eff = [conj(t) for t in level.eff]
-            new.orbit = pi[level.orbit]
-            new.seen = moved(level.seen)
-            new.par = moved(level.par)
-            out.levels.append(new)
+        out.levels = [_Level(int(pi[lv.base]), [conj(t) for t in lv.eff], pi[lv.orbit], moved(lv.seen), moved(lv.par))
+                      for lv in self.levels[from_level:]]
         if from_level == 0:
             out.originals = [conj(t) for t in self.originals]
         else:
@@ -1115,7 +1113,7 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     bound = parent_order if wchain is None else within.order()
     label = (name or group.name) + "'"
     chain = StabChain.build(domain, tracked, rng=rng, name=label, bound=bound)
-    current = [t for lvl in chain.levels for t in lvl.own]
+    current = list(chain.levels[0].eff) if chain.levels else []
     changed = True
     while changed:
         changed = False

@@ -6,7 +6,7 @@ import pkgutil
 import numpy as np
 
 import grpfact
-from grpfact import linalg
+from grpfact import grpcore, linalg
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.grpcore import StabChain
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
@@ -41,6 +41,22 @@ def count_chain_builds(monkeypatch) -> list:
         return real(cls, *args, **kwargs)
 
     monkeypatch.setattr(StabChain, "build", classmethod(counting))
+    return calls
+
+
+def count_schreier_orbits(monkeypatch) -> list:
+    """Count grpcore.schreier_orbit calls made inside grpcore (the chain
+    levels among them) for the rest of the test: one list entry per call,
+    the size of the orbit it returned."""
+    calls = []
+    real = grpcore.schreier_orbit
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(grpcore, "schreier_orbit", counting)
     return calls
 
 

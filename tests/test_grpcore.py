@@ -55,7 +55,8 @@ from grpfact.linalg import (
     sl_compose,
     sl_inverse,
 )
-from oracles import count_chain_builds, count_matrix_ops
+from grpfact.orders import sl_order
+from oracles import count_chain_builds, count_matrix_ops, count_schreier_orbits
 
 
 @pytest.fixture(scope="module")
@@ -417,6 +418,60 @@ def test_chain_above_its_bound_is_refused():
         StabChain.build(dom, G.generators, bound=24, name="too big")
 
 
+def test_sl12_2_chain_rebuilds_few_schreier_trees(monkeypatch):
+    # a level's tree is rebuilt only when a new strong generator grows its
+    # orbit; rebuilding every level below each new one took 361 calls here
+    calls = count_schreier_orbits(monkeypatch)
+    assert classical_generators("SL", 12, 2).order() == sl_order(12, 2)
+    assert 0 < len(calls) <= 64
+
+
+def _sl3_2_adds():
+    """A chain of SL_3(2) on its 7 vectors holding one involution t (level 0
+    has base b and orbit {b, t(b)}), an element fixing b and t(b) that adds
+    a level and keeps level 0's orbit, and one that moves b off it."""
+    G = classical_generators("SL", 3, 2)
+    elements = list(G.chain().elements())
+    t = next(g for g in elements if not g.is_identity() and t_compose(g, g).is_identity())
+    chain = StabChain(shared_domain(VECTOR, G.spec, 3))
+    chain.add_element(t)
+    b = chain.levels[0].base
+    pair = {b, int(t.perm[b])}
+    keep = next(g for g in elements if not g.is_identity() and all(int(g.perm[p]) == p for p in pair))
+    grow = next(g for g in elements if int(g.perm[b]) not in pair)
+    return chain, keep, grow
+
+
+def test_a_level_keeps_its_tree_until_its_orbit_grows():
+    chain, keep, grow = _sl3_2_adds()
+    level = chain.levels[0]
+    orbit, par = level.orbit, level.par
+    assert chain.add_element(keep) and len(chain.levels) == 2
+    assert level.orbit is orbit and level.par is par and len(level.eff) == 2
+    assert chain.add_element(grow)
+    assert level.orbit is not orbit and level.par is not par and len(level.orbit) > len(orbit)
+    # level 0's eff is every strong generator, in the order added; each
+    # residue here is the element added, as neither sift walked a tree
+    assert [id(e) for e in level.eff] == [id(e) for e in chain.originals]
+    assert len(chain.levels[1].eff) == 1 and chain.levels[1].eff[0] is keep
+    assert all(chain.contains_tracked(g) for g in (keep, grow))
+
+
+def test_adding_to_a_trivial_conjugate_leaves_the_original_chain():
+    chain, keep, grow = _sl3_2_adds()
+    level = chain.levels[0]
+    seen, par, eff = level.seen.copy(), level.par.copy(), list(level.eff)
+    copy = chain.conjugate(chain.ident)
+    assert copy.levels[0].seen is level.seen and copy.levels[0].par is level.par
+    assert copy.add_element(keep)
+    # the kept tree is still the shared one
+    assert copy.levels[0].seen is level.seen and copy.levels[0].par is level.par
+    assert copy.add_element(grow)
+    assert len(copy.levels[0].orbit) > len(level.orbit)
+    assert np.array_equal(level.seen, seen) and np.array_equal(level.par, par)
+    assert level.eff == eff and len(chain.levels) == 1
+
+
 def test_conjugate_chain_matches_a_fresh_build():
     G = classical_generators("SL", 4, 2)
     X = ext_subgroup("SL", 2, 2, 2)
@@ -426,9 +481,8 @@ def test_conjugate_chain_matches_a_fresh_build():
     dom = conj.domain
     fresh = StabChain.build(dom, _conjugate_gens(X.generators, x), name="fresh")
     assert conj.verified and conj.order() == fresh.order() == 60
-    for lvl in conj.levels:
-        for t in lvl.own:
-            assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
+    for t in conj.levels[0].eff:
+        assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
     for _ in range(200):
         t = fresh.random_element(rng)
         assert conj.contains_tracked(t)
@@ -1174,7 +1228,7 @@ def _derived_by_matrices(group, rng, label):
     gens = list(group.generators)
     comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b)) for a in gens for b in gens]
     chain = StabChain.build(dom, comms, rng=rng, name=label, bound=group.order())
-    current = [t.matrix(dom) for lvl in chain.levels for t in lvl.own]
+    current = [t.matrix(dom) for t in chain.levels[0].eff] if chain.levels else []
     changed = True
     while changed:
         changed = False
