@@ -36,6 +36,7 @@ from .linalg import (
     unpack_point,
 )
 
+DOMAIN_CAP = 200_000  # the most points a PermDomain enumerates
 _DENSE_LOOKUP_LIMIT = 2**26
 _CHUNK_BITS = 12  # widest key run one XOR table covers
 
@@ -308,14 +309,14 @@ class PermDomain:
     """Enumerated action domain with key -> index lookup and permutation images.
 
     The lookup is an int32 table over the whole keyspace (every index is
-    below the 200,000-point cap), or a dict past _DENSE_LOOKUP_LIMIT keys.
+    below DOMAIN_CAP), or a dict past _DENSE_LOOKUP_LIMIT keys.
     """
 
-    def __init__(self, action: Action, max_size: int = 200_000):
+    def __init__(self, action: Action):
         self.action = action
         size = domain_size(action.tag, action.q, action.n)
-        if size > max_size:
-            raise DomainCapError(action.tag, size, max_size)
+        if size > DOMAIN_CAP:
+            raise DomainCapError(action.tag, size, DOMAIN_CAP)
         self.keys = action.all_keys()
         self.size = len(self.keys)
         if self.size != size:

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import orders
 from .gf import FieldSpec, make_field, supported_fields
-from .grpcore import GroupSpec, StabChain, shared_domain
+from .grpcore import GroupSpec
 from .linalg import (
     FUNCTIONAL,
     PAIR,
@@ -233,7 +233,7 @@ def automorphism_element(kind: str, n: int, q: int) -> GroupElement:
     blown Frobenius with the dual-basis duality neither normalizes the blown
     groups (the transpose twists by the Gram matrix of the relative trace
     form) nor squares into them (it picks up a blown scalar), so
-    ext_subgroup corrects it by that Gram matrix and a scalar that it
+    psi_extension corrects it by that Gram matrix and a scalar that it
     chooses against the core it extends (``_psi_gamma_candidates``).
     """
     p, f = _split_prime_power(q)
@@ -273,7 +273,7 @@ def _trace_gram(sub: FieldSpec, ext: FieldSpec) -> np.ndarray:
 def _psi_gamma_candidates(n: int, q: int):
     """The psi_gamma representatives psi * (W mu, gamma), for W the blown
     Gram matrix of the relative trace form and mu each blown GF(q^2)
-    scalar in turn; ext_subgroup keeps the first that extends its core."""
+    scalar in turn; psi_extension keeps the first that extends its core."""
     p, f = _split_prime_power(q)
     sub = make_field(p, f)
     ext = make_field(p, 2 * f)
@@ -306,22 +306,12 @@ def adjoin(base: GroupSpec, extra: list[GroupElement], name: str, order_factor: 
 # extension-field subgroups (blow-ups)
 
 
-def ext_subgroup(inner: str, a: int, b: int, q: int, adjoin_kind: str | None = None,
-                 certify_adjoin: bool = True) -> GroupSpec:
-    """Blow SL_a(q^b) / Sp_a(q^b) / G2(q^b) up to GF(q), optionally adjoining
-    the blown Frobenius psi (or psi.gamma) when b = 2.
-
-    The adjoin certificate (``_certify_adjoin``) builds the core's chain
-    once and, for psi_gamma, chooses the representative's scalar against
-    that core.  certify_adjoin=False skips the certificate, so it takes psi
-    only; callers use it only where the core chain is beyond desk scale (the
-    degree-16M ambients), and the claimed order is then marked
-    witness-grade.
-    """
+def ext_subgroup(inner: str, a: int, b: int, q: int) -> GroupSpec:
+    """Blow SL_a(q^b) / Sp_a(q^b) / G2(q^b) up to GF(q), a group of SL_(ab)(q)
+    with its known order on vectors; ``psi_extension`` extends it."""
     p, f = _split_prime_power(q)
     spec = make_field(p, f)
     ext = make_field(p, f * b)
-    n = a * b
     if inner == "SL":
         inner_gens = sl_generators(ext, a)
         inner_order = orders.sl_order(a, q**b)
@@ -342,50 +332,50 @@ def ext_subgroup(inner: str, a: int, b: int, q: int, adjoin_kind: str | None = N
     for g in gens:
         if det(g.mat) != 1:
             raise ConstructionError("blow-up left SL: norm-determinant broken")
-    order = inner_order
-    name = f"{inner}_{a}({q**b})^in_SL_{n}({q})"
-    if adjoin_kind:
-        if b != 2:
-            raise ConstructionError("psi adjoins are defined for quadratic extensions")
-        if adjoin_kind != "psi_gamma":
-            candidates = [automorphism_element(adjoin_kind, n, q)]
-        elif certify_adjoin:
-            candidates = _psi_gamma_candidates(n, q)
-        else:
-            raise ConstructionError("psi_gamma's scalar is chosen by the adjoin certificate")
-        extra = (_certify_adjoin(gens, candidates, inner_order, 2 * f, spec, n, name) if certify_adjoin
-                 else candidates[0])
-        gens = gens + [extra]
-        order *= 2 * f
-        name = f"{inner}_{a}({q**b}).{2 * f}^{adjoin_kind}_in_SL_{n}({q})"
-    return GroupSpec(
-        name,
-        n,
-        spec,
-        gens,
-        claimed_order=order,
-        action_tag=PAIR if adjoin_kind == "psi_gamma" else VECTOR,
-    )
+    return GroupSpec(f"{inner}_{a}({q**b})^in_SL_{a * b}({q})", a * b, spec, gens, claimed_order=inner_order)
 
 
-def _certify_adjoin(blown_gens, candidates, inner_order, index, spec, n, name) -> GroupElement:
-    """The first candidate x with |<S, x>| = index * |S|: x normalizes S,
-    x^index lies in S, and no smaller power of x does.  Raises
-    ConstructionError with the last candidate's failure when none passes.
+def psi_extension(core: GroupSpec, kind: str, certify: bool = True) -> GroupSpec:
+    """A blow-up of a quadratic extension (``ext_subgroup`` with b = 2)
+    extended by the blown Frobenius psi or by psi.gamma.
+
+    The adjoin certificate (``_certify_adjoin``) reads ``core.chain()``, so
+    a caller that keeps the core builds its chain once, and for psi_gamma
+    it chooses the representative's scalar against that core.
+    certify=False skips the certificate, so it takes psi only; callers use
+    it only where the core chain is beyond desk scale (the degree-16M
+    ambients), and the claimed order is then marked witness-grade.
+    """
+    n, q, index = core.n, core.spec.q, 2 * core.spec.f
+    if kind != "psi_gamma":
+        candidates = [automorphism_element(kind, n, q)]
+    elif certify:
+        candidates = _psi_gamma_candidates(n, q)
+    else:
+        raise ConstructionError("psi_gamma's scalar is chosen by the adjoin certificate")
+    extra = _certify_adjoin(core, candidates, index) if certify else candidates[0]
+    # SL_a(q^2)^in_SL_n(q) becomes SL_a(q^2).index^kind_in_SL_n(q)
+    return adjoin(core, [extra], core.name.replace("^in_", f".{index}^{kind}_in_"), index)
+
+
+def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
+    """The first candidate x with |<S, x>| = index * |S| for S = core: x
+    normalizes S, x^index lies in S, and no smaller power of x does.
+    Raises ConstructionError with the last candidate's failure when none
+    passes.
 
     This is what makes the extension's claimed order a known order, so its
     later chain build may take it as a bound: it pins the exact order of the
-    extension before the chain ever sees it.  The core's chain is built once,
-    with its known order, for every candidate.
+    extension before the chain ever sees it.  The core's chain, on vectors
+    with its known order, serves every candidate.
     """
-    core = StabChain.build(shared_domain(VECTOR, spec, n), blown_gens, order=inner_order, bound=inner_order,
-                           name=name + "_core")
+    chain = core.chain()
     failure = "no candidate"
     for x in candidates:
-        failure = _adjoin_failure(core, blown_gens, x, index)
+        failure = _adjoin_failure(chain, core.generators, x, index)
         if failure is None:
             return x
-    raise ConstructionError(f"{name}: {failure}")
+    raise ConstructionError(f"{core.name}: {failure}")
 
 
 def _adjoin_failure(core, blown_gens, x, index) -> str | None:

@@ -1,25 +1,24 @@
 """The verification engine: decide G = HK by independent strategies,
 compute H n K explicitly, and check tight containment.
 
-Strategies per claim:
+``STRATEGIES`` maps each check name to its runner and its role: a vote
+decides the claim, and a veto can only fail it.
 
-* ``identity``   exact integer identity |G| * |H n K| == |H| * |K| from the
-                 order formulas (with projective bookkeeping for rows whose
-                 ambient is stated modulo scalars);
-* ``order``      H n K computed as an iterated point stabilizer of H (K must
-                 be a constructed stabilizer), then the counting identity
-                 with chain-certified orders;
-* ``enumerate``  H n K by enumerating the smaller factor and sifting;
-* ``orbit``      transitivity: the H-orbit of K's defining point must cover
-                 the whole ambient orbit;
-* ``sample``     product membership of random ambient elements (smoke test);
-* ``tight``      solvable residuals agree, as subgroups, with the expected
-                 minimal factor;
-* ``vector_orbit``  the extended-tier big orbit witness;
-* ``conjugation``  the suites: H^x n K^y for random x, y of the ambient has
-                 the order and spectrum of H n K;
-* ``product_identity``  the suites' product set identity, which for their
-                 instances is the counting identity of the factorization.
+* ``identity``     (vote) exact integer identity |G| * |H n K| == |H| * |K|
+                   from the order formulas (with projective bookkeeping for
+                   rows whose ambient is stated modulo scalars);
+* ``order``        (vote) H n K computed as an iterated point stabilizer of H
+                   (K must be a constructed stabilizer), then the counting
+                   identity with chain-certified orders;
+* ``enumerate``    (vote) H n K by enumerating the smaller factor and sifting;
+* ``orbit``        (vote) transitivity: the H-orbit of K's defining point must
+                   cover the whole ambient orbit;
+* ``conjugation``  (vote) the suites: H^x n K^y for random x, y of the ambient
+                   has the order and spectrum of H n K;
+* ``sample``       (veto) product membership of random ambient elements;
+* ``tight``        (veto) solvable residuals agree, as subgroups, with the
+                   expected minimal factor;
+* ``vector_orbit`` (veto) the extended-tier big orbit witness.
 
 Every claim runs one path: ``build_setup`` constructs the ambient order,
 the factors and the orbit point, one runner per entry of ``claim.checks``
@@ -49,6 +48,7 @@ from .constructors import (
     adjoin,
     classical_generators,
     ext_subgroup,
+    psi_extension,
     sp_pointwise_factor,
     stabilizer_subgroup,
 )
@@ -302,8 +302,8 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
         m, inner = p["m"], row[1:]
         n = 2 * m
         q, h_extra, k_extra = _ANTIFLAG_ROWS[row[:1]]
-        H = ext_subgroup(inner, m, 2, q, h_extra)
-        setup = _stab_setup("antiflag", n, q, H, tight_target=ext_subgroup(inner, m, 2, q))
+        core = ext_subgroup(inner, m, 2, q)
+        setup = _stab_setup("antiflag", n, q, psi_extension(core, h_extra), tight_target=core)
         if k_extra is not None:
             suffix = "phi" if k_extra == "phi" else "2"
             setup.K = adjoin(setup.K, [automorphism_element(k_extra, n, q)],
@@ -326,11 +326,11 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
     if row == "neg_sl":
         return _stab_setup("antiflag", 6, 2, g2_derived(2))
     if row == "14":
-        return _stab_setup("antiflag", 12, 2, ext_subgroup("G2", 6, 2, 2, "psi"),
-                           tight_target=ext_subgroup("G2", 6, 2, 2))
+        core = ext_subgroup("G2", 6, 2, 2)
+        return _stab_setup("antiflag", 12, 2, psi_extension(core, "psi"), tight_target=core)
     if row == "15":
         # degree 16.7M ambient: generators only, witness-grade claimed order
-        H = ext_subgroup("G2", 6, 2, 4, "psi", certify_adjoin=False)
+        H = psi_extension(ext_subgroup("G2", 6, 2, 4), "psi", certify=False)
         return ClaimSetup(
             2 * orders.sl_order(12, 4), H, H,
             orbit_seed=ActionPoint(VECTOR, _e1(12)), orbit_target=4**12 - 1,
@@ -423,99 +423,65 @@ def _row12_x(row, Z, rng):
 
 
 # ---------------------------------------------------------------------------
-# strategy runners
+# strategy runners: each takes (claim, setup, rng, max_points) and returns an
+# untimed result; verify_claim looks them up in STRATEGIES and times them
 
 
-class _Timer:
-    """Wall time of a with-block in ms, frozen when the block exits.
-
-    It stays zero unless timing was requested, so default reports are
-    byte-reproducible.
-    """
-
-    def __init__(self, record: bool):
-        self.record = record
-        self.ms = 0
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        if self.record:
-            self.ms = int((time.perf_counter() - self.t0) * 1000)
-
-
-def _run_identity(claim, setup, record_timings) -> StrategyResult:
-    with _Timer(record_timings) as tm:
-        report = identity_for_claim(claim)
-        details = {}
-        verdict = "skipped"
-        if report is not None:
-            verdict = "pass" if report.ok else "fail"
-            details = {
-                "g_order": str(report.g_order),
-                "h_order": str(report.h_order),
-                "k_order": str(report.k_order),
-                "lhs": str(report.lhs),
-                "rhs": str(report.rhs),
-            }
-            if report.note:
-                details["note"] = report.note
-            if claim.template is not None and claim.template.z_label.startswith("P"):
-                # projective bookkeeping: the linear identity divides through
-                # by the scalar subgroup on both sides
-                details["projective"] = "ambient stated modulo scalars; linear lift identity shown"
-    return StrategyResult(
-        "identity",
-        verdict,
-        intersection_order=report.intersection_order if report else None,
-        details=details,
-        wall_ms=tm.ms,
-    )
+def _run_identity(claim, setup, rng, max_points) -> StrategyResult:
+    report = identity_for_claim(claim)
+    if report is None:
+        return StrategyResult("identity", "skipped")
+    details = {
+        "g_order": str(report.g_order),
+        "h_order": str(report.h_order),
+        "k_order": str(report.k_order),
+        "lhs": str(report.lhs),
+        "rhs": str(report.rhs),
+    }
+    if report.note:
+        details["note"] = report.note
+    if claim.template is not None and claim.template.z_label.startswith("P"):
+        # projective bookkeeping: the linear identity divides through
+        # by the scalar subgroup on both sides
+        details["projective"] = "ambient stated modulo scalars; linear lift identity shown"
+    return StrategyResult("identity", "pass" if report.ok else "fail",
+                          intersection_order=report.intersection_order, details=details)
 
 
-def _run_order(claim, setup, rng, record) -> StrategyResult:
+def _run_order(claim, setup, rng, max_points) -> StrategyResult:
     """The counting identity for each witness; the first one's figures are
     reported.  A stage whose domain is past the enumeration cap decides
     nothing, and the strategy is skipped with the domain size and the cap."""
-    with _Timer(record) as tm:
-        found = []
-        try:
-            for H in setup.witnesses:
-                inter = intersect(H, setup.K, "stabilizer")
-                found.append({
-                    "name": H.name,
-                    "intersection_order": inter.order(),
-                    "intersection_hint": structure_hint(inter),
-                    "lhs": str(setup.g_order * inter.order()),
-                    "rhs": str(H.order() * setup.K.order()),
-                })
-        except DomainCapError as exc:
-            found = None
-            details = {"reason": str(exc), "domain_size": exc.size, "max_size": exc.cap}
-    if found is None:
-        return StrategyResult("order", "skipped", details=details, wall_ms=tm.ms)
+    found = []
+    try:
+        for H in setup.witnesses:
+            inter = intersect(H, setup.K, "stabilizer")
+            found.append({
+                "name": H.name,
+                "intersection_order": inter.order(),
+                "intersection_hint": structure_hint(inter),
+                "lhs": str(setup.g_order * inter.order()),
+                "rhs": str(H.order() * setup.K.order()),
+            })
+    except DomainCapError as exc:
+        return StrategyResult("order", "skipped",
+                              details={"reason": str(exc), "domain_size": exc.size, "max_size": exc.cap})
     verdict = "pass" if all(w["lhs"] == w["rhs"] for w in found) else "fail"
     details = {k: found[0][k] for k in ("intersection_hint", "lhs", "rhs")}
     if len(found) > 1:
         details["witnesses"] = found
-    return StrategyResult("order", verdict, intersection_order=found[0]["intersection_order"],
-                          details=details, wall_ms=tm.ms)
+    return StrategyResult("order", verdict, intersection_order=found[0]["intersection_order"], details=details)
 
 
-def _run_enumerate(claim, setup, rng, record) -> StrategyResult:
-    with _Timer(record) as tm:
-        inter = intersect(setup.H, setup.K, "enumerate_smaller")
-        i_order = inter.order()
-        lhs = setup.g_order * i_order
-        rhs = setup.H.order() * setup.K.order()
-        verdict = "pass" if lhs == rhs else "fail"
-        details = {"intersection_hint": structure_hint(inter)}
-    return StrategyResult("enumerate", verdict, intersection_order=i_order, details=details, wall_ms=tm.ms)
+def _run_enumerate(claim, setup, rng, max_points) -> StrategyResult:
+    inter = intersect(setup.H, setup.K, "enumerate_smaller")
+    i_order = inter.order()
+    verdict = "pass" if setup.g_order * i_order == setup.H.order() * setup.K.order() else "fail"
+    return StrategyResult("enumerate", verdict, intersection_order=i_order,
+                          details={"intersection_hint": structure_hint(inter)})
 
 
-def _orbit_strategy(name, setup, groups, details, record, max_points) -> StrategyResult:
+def _orbit_strategy(name, setup, groups, details, max_points) -> StrategyResult:
     """Each group's orbit of the seed must reach the target.
 
     A target above the budget is skipped before any BFS, with the reason;
@@ -527,68 +493,60 @@ def _orbit_strategy(name, setup, groups, details, record, max_points) -> Strateg
     if setup.orbit_target > max_points:
         return StrategyResult(name, "skipped", details={
             **details, "reason": "orbit target exceeds the memory budget", "max_points": max_points})
-    with _Timer(record) as tm:
-        try:
-            sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size for H in groups]
-        except OrbitBudgetError as exc:
-            sizes = None
-            details.update(reason=str(exc), max_points=max_points)
-            verdict = "fail" if exc.partial_size > setup.orbit_target else "skipped"
-    if sizes is None:
-        return StrategyResult(name, verdict, details=details, wall_ms=tm.ms)
+    try:
+        sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size for H in groups]
+    except OrbitBudgetError as exc:
+        details.update(reason=str(exc), max_points=max_points)
+        return StrategyResult(name, "fail" if exc.partial_size > setup.orbit_target else "skipped",
+                              details=details)
     verdict = "pass" if all(size == setup.orbit_target for size in sizes) else "fail"
-    return StrategyResult(name, verdict, orbit_sizes=sizes, details=details, wall_ms=tm.ms)
+    return StrategyResult(name, verdict, orbit_sizes=sizes, details=details)
 
 
-def _run_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
+def _run_orbit(claim, setup, rng, max_points) -> StrategyResult:
     if setup.orbit_seed is None:
         return StrategyResult("orbit", "skipped", details={"reason": "no orbit seed"})
     details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
-    return _orbit_strategy("orbit", setup, setup.witnesses, details, record, max_points)
+    return _orbit_strategy("orbit", setup, setup.witnesses, details, max_points)
 
 
-def _run_vector_orbit(claim, setup, rng, record, max_points) -> StrategyResult:
+def _run_vector_orbit(claim, setup, rng, max_points) -> StrategyResult:
     details = {"target": setup.orbit_target, "witness_only": True}
-    return _orbit_strategy("vector_orbit", setup, (setup.H,), details, record, max_points)
+    return _orbit_strategy("vector_orbit", setup, (setup.H,), details, max_points)
 
 
-def _run_sample(claim, setup, rng, record, samples=50) -> StrategyResult:
-    """Random-element product membership, sifted on permutations through
-    H's layered orbits of K's stages (``ProductSift``).  The elements come
-    from a product-replacement walk over G's generators, so G needs no
-    chain."""
-    with _Timer(record) as tm:
-        if setup.G is None:
-            return StrategyResult("sample", "skipped", details={"reason": "no ambient group"})
-        stages = _stages_for(setup.H, setup.K.stabilizer_of)
-        G, domain = setup.G, setup.G.home_domain()
-        sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
-        walk = Rattle(G.tracked_generators(), Tracked(domain.identity_perm), rng)
-        drawn = (walk.sample() for _ in range(samples))
-        ok = int(sift.contains(drawn, domain).sum())
-        verdict = "pass" if ok == samples else "fail"
-    return StrategyResult(
-        "sample", verdict, details={"samples": samples, "members": ok}, wall_ms=tm.ms,
-        seed=None,
-    )
+def _run_sample(claim, setup, rng, max_points) -> StrategyResult:
+    """Random-element product membership of 50 draws, sifted on
+    permutations through H's layered orbits of K's stages
+    (``ProductSift``).  The elements come from a product-replacement walk
+    over G's generators, so G needs no chain."""
+    if setup.G is None:
+        return StrategyResult("sample", "skipped", details={"reason": "no ambient group"})
+    samples = 50
+    stages = _stages_for(setup.H, setup.K.stabilizer_of)
+    G, domain = setup.G, setup.G.home_domain()
+    sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
+    walk = Rattle(G.tracked_generators(), Tracked(domain.identity_perm), rng)
+    drawn = (walk.sample() for _ in range(samples))
+    ok = int(sift.contains(drawn, domain).sum())
+    return StrategyResult("sample", "pass" if ok == samples else "fail", details={"samples": samples, "members": ok})
 
 
-def _run_tight(claim, setup, rng, record) -> StrategyResult:
-    with _Timer(record) as tm:
-        if setup.residual_order is not None:
-            res = solvable_residual(setup.H, rng=rng)
-            ok = res.order() == setup.residual_order and setup.H.includes(res)
-            setup.notes["residual_reading"] = {
-                "x_residual_order": res.order(),
-                "matches_A5_entry": ok,
-            }
-            details = {"target": "A5 inside the S5 witness"}
-        elif setup.tight_target is None:
-            return StrategyResult("tight", "skipped", details={"reason": "no tightness target"})
-        else:
-            ok = check_tight(setup.H, setup.tight_target, rng=rng)
-            details = {"target": setup.tight_target.name}
-    return StrategyResult("tight", "pass" if ok else "fail", details=details, wall_ms=tm.ms)
+def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
+    if setup.residual_order is not None:
+        res = solvable_residual(setup.H, rng=rng)
+        ok = res.order() == setup.residual_order and setup.H.includes(res)
+        setup.notes["residual_reading"] = {
+            "x_residual_order": res.order(),
+            "matches_A5_entry": ok,
+        }
+        details = {"target": "A5 inside the S5 witness"}
+    elif setup.tight_target is None:
+        return StrategyResult("tight", "skipped", details={"reason": "no tightness target"})
+    else:
+        ok = check_tight(setup.H, setup.tight_target, rng=rng)
+        details = {"target": setup.tight_target.name}
+    return StrategyResult("tight", "pass" if ok else "fail", details=details)
 
 
 def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
@@ -602,6 +560,61 @@ def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
     return same_subgroup(res_h, res_x)
 
 
+def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
+    """x^-1 G x, for x a permutation of G's chain domain, with G's certified
+    chain relabeled rather than rebuilt; its generators are the relabeled
+    chain's originals."""
+    return GroupSpec.of_chain(name, G.chain().conjugate(x))
+
+
+def _run_conjugation(claim, setup, rng, max_points) -> StrategyResult:
+    """Conjugation stability over random x, y of G, on permutations: x and y
+    stay Tracked, and y(omega) and H^x's orbit are read off permutations."""
+    samples = claim.params.get("samples", 50)
+    base_inter, spectrum = setup.conjugate_intersection
+    omega = setup.orbit_seed
+    gchain = setup.G.chain()
+    dom = gchain.domain
+    # x and y are permutations of G's chain domain, so the chains they
+    # relabel must live on it
+    if any(g.chain().domain is not dom for g in ((setup.H,) if omega is not None else (setup.H, setup.K))):
+        raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
+    stable = spectra_ok = 0
+    for _ in range(samples):
+        x = gchain.random_element(rng)
+        y = gchain.random_element(rng)
+        Hx = _conjugate_group(setup.H, x, "H^x")
+        if omega is not None:
+            y_omega = int(y.perm[dom.index_of_point(omega)])
+            orb, _, _ = schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)
+            inter = stabilizer_generators(Hx, dom.point(y_omega))
+            ok = orb.size == setup.orbit_target
+        else:
+            Ky = _conjugate_group(setup.K, y, "K^y")
+            inter = intersect(Hx, Ky, "enumerate_smaller")
+            ok = setup.g_order * inter.order() == Hx.order() * Ky.order()
+        stable += ok and inter.order() == base_inter
+        spectra_ok += sporadic.exact_spectrum(inter.chain()) == spectrum
+    return StrategyResult("conjugation", "pass" if stable == samples else "fail", intersection_order=base_inter,
+                          details={"samples": samples, "stable": stable, "spectra_preserved": spectra_ok})
+
+
+# Each check's runner and its role.  A vote decides the claim: every vote
+# that ran must pass.  A veto can only fail it.  A check missing here is
+# reported skipped as unknown, and neither votes nor vetoes.
+VOTE, VETO = "vote", "veto"
+STRATEGIES = {
+    "identity": (_run_identity, VOTE),
+    "order": (_run_order, VOTE),
+    "enumerate": (_run_enumerate, VOTE),
+    "orbit": (_run_orbit, VOTE),
+    "conjugation": (_run_conjugation, VOTE),
+    "sample": (_run_sample, VETO),
+    "tight": (_run_tight, VETO),
+    "vector_orbit": (_run_vector_orbit, VETO),
+}
+
+
 # ---------------------------------------------------------------------------
 # claim-level verification
 
@@ -612,6 +625,9 @@ def claim_seed(claim_id: str, base_seed: int) -> int:
 
 def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
                  record_timings: bool = False, max_orbit_points: int = 2**24) -> VerificationReport:
+    """Run each of claim.checks from STRATEGIES on one set-up and one
+    stream; with record_timings, each strategy's wall_ms is its call's
+    wall time, else 0, so default reports are byte-reproducible."""
     seed = claim_seed(claim.claim_id, base_seed)
     rng = Stream(seed)
     strategies: list[StrategyResult] = []
@@ -628,28 +644,14 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
     if claim.notes:
         notes["claim"] = claim.notes
     for check in claim.checks:
-        if check == "identity":
-            strategies.append(_run_identity(claim, setup, record_timings))
-        elif check == "order":
-            strategies.append(_run_order(claim, setup, rng, record_timings))
-        elif check == "enumerate":
-            strategies.append(_run_enumerate(claim, setup, rng, record_timings))
-        elif check == "orbit":
-            strategies.append(_run_orbit(claim, setup, rng, record_timings, max_orbit_points))
-        elif check == "vector_orbit":
-            strategies.append(_run_vector_orbit(claim, setup, rng, record_timings, max_orbit_points))
-        elif check == "sample":
-            strategies.append(_run_sample(claim, setup, rng, record_timings))
-        elif check == "tight":
-            strategies.append(_run_tight(claim, setup, rng, record_timings))
-        elif check == "conjugation":
-            strategies.append(_run_conjugation(claim, setup, rng, record_timings))
-        elif check == "product_identity":
-            strategies.append(_run_product_identity(claim, setup, rng, record_timings))
-        elif check == "discrepancy":
-            pass  # row 13's structure discrepancy is a note of its setup
-        else:
+        if check not in STRATEGIES:
             strategies.append(StrategyResult(check, "skipped", details={"reason": "unknown check"}))
+            continue
+        t0 = time.perf_counter()
+        result = STRATEGIES[check][0](claim, setup, rng, max_orbit_points)
+        if record_timings:
+            result.wall_ms = int((time.perf_counter() - t0) * 1000)
+        strategies.append(result)
     for s in strategies:
         s.seed = seed
     return _finalize(claim, strategies, notes)
@@ -663,11 +665,11 @@ def _finalize(claim, strategies, notes) -> VerificationReport:
         if s.intersection_order is not None and s.verdict != "skipped"
     }
     agreement = len(inter_orders) <= 1
-    vote_names = ("identity", "order", "enumerate", "orbit", "conjugation", "product_identity")
-    factorization_votes = [s for s in strategies if s.name in vote_names and s.verdict != "skipped"]
-    holds = agreement and bool(factorization_votes) and all(s.verdict == "pass" for s in factorization_votes)
-    failed = any(s.verdict == "fail" for s in factorization_votes) or not agreement
-    support = [s for s in strategies if s.name in ("sample", "vector_orbit", "tight") and s.verdict == "fail"]
+    roles = [STRATEGIES.get(s.name, (None, None))[1] for s in strategies]
+    votes = [s for s, role in zip(strategies, roles) if role == VOTE and s.verdict != "skipped"]
+    vetoes = [s for s, role in zip(strategies, roles) if role == VETO and s.verdict == "fail"]
+    holds = agreement and bool(votes) and all(s.verdict == "pass" for s in votes)
+    failed = any(s.verdict == "fail" for s in votes) or not agreement
     if claim.expected_intersection is not None and inter_orders:
         if inter_orders != {claim.expected_intersection}:
             holds = False
@@ -680,7 +682,7 @@ def _finalize(claim, strategies, notes) -> VerificationReport:
         overall = "pass" if failed and not holds else "fail"
         notes["negative_control"] = "claim passes because the factorization fails, as required"
     else:
-        overall = "pass" if holds and not support else "fail"
+        overall = "pass" if holds and not vetoes else "fail"
     tight_result = None
     for s in strategies:
         if s.name == "tight" and s.verdict != "skipped":
@@ -688,59 +690,3 @@ def _finalize(claim, strategies, notes) -> VerificationReport:
     if not agreement:
         notes["strategy_disagreement"] = sorted(inter_orders)
     return VerificationReport(claim.claim_id, claim.params, strategies, tight_result, overall, notes=notes)
-
-
-# ---------------------------------------------------------------------------
-# conjugation stability / quotient bookkeeping suites
-
-
-def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
-    """x^-1 G x, for x a permutation of G's chain domain, with G's certified
-    chain relabeled rather than rebuilt; its generators are the relabeled
-    chain's originals."""
-    return GroupSpec.of_chain(name, G.chain().conjugate(x))
-
-
-def _run_conjugation(claim, setup, rng, record) -> StrategyResult:
-    """Conjugation stability over random x, y of G, on permutations: x and y
-    stay Tracked, and y(omega) and H^x's orbit are read off permutations."""
-    samples = claim.params.get("samples", 50)
-    base_inter, spectrum = setup.conjugate_intersection
-    omega = setup.orbit_seed
-    with _Timer(record) as tm:
-        gchain = setup.G.chain()
-        dom = gchain.domain
-        # x and y are permutations of G's chain domain, so the chains they
-        # relabel must live on it
-        if any(g.chain().domain is not dom for g in ((setup.H,) if omega is not None else (setup.H, setup.K))):
-            raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
-        stable = spectra_ok = 0
-        for _ in range(samples):
-            x = gchain.random_element(rng)
-            y = gchain.random_element(rng)
-            Hx = _conjugate_group(setup.H, x, "H^x")
-            if omega is not None:
-                y_omega = int(y.perm[dom.index_of_point(omega)])
-                orb, _, _ = schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)
-                inter = stabilizer_generators(Hx, dom.point(y_omega))
-                ok = orb.size == setup.orbit_target
-            else:
-                Ky = _conjugate_group(setup.K, y, "K^y")
-                inter = intersect(Hx, Ky, "enumerate_smaller")
-                ok = setup.g_order * inter.order() == Hx.order() * Ky.order()
-            stable += ok and inter.order() == base_inter
-            spectra_ok += sporadic.exact_spectrum(inter.chain()) == spectrum
-    return StrategyResult("conjugation", "pass" if stable == samples else "fail", intersection_order=base_inter,
-                          details={"samples": samples, "stable": stable, "spectra_preserved": spectra_ok},
-                          wall_ms=tm.ms)
-
-
-def _run_product_identity(claim, setup, rng, record) -> StrategyResult:
-    """The product set identity with both side products equal to the whole
-    group: the socle equals the ambient for the suites' instances, so the
-    identity degenerates to the factorization itself."""
-    with _Timer(record) as tm:
-        base_inter = setup.conjugate_intersection[0]
-        ok = setup.g_order * base_inter == setup.H.order() * setup.K.order()
-    return StrategyResult("product_identity", "pass" if ok else "fail",
-                          details={"socle_equals_ambient": True}, wall_ms=tm.ms)

@@ -614,10 +614,10 @@ class StabChain:
 _DOMAIN_CACHE: dict[tuple, PermDomain] = {}
 
 
-def shared_domain(tag: str, spec: FieldSpec, n: int, max_size: int = 200_000) -> PermDomain:
+def shared_domain(tag: str, spec: FieldSpec, n: int) -> PermDomain:
     key = (tag, spec.p, spec.f, n)
     if key not in _DOMAIN_CACHE:
-        domain = _DOMAIN_CACHE[key] = PermDomain(Action(tag, spec, n), max_size)
+        domain = _DOMAIN_CACHE[key] = PermDomain(Action(tag, spec, n))
         domain.identity_perm = _IDENTITY_PERMS.setdefault(domain.size, domain.identity_perm)
     return _DOMAIN_CACHE[key]
 

@@ -124,11 +124,9 @@ def test_criterion_4_negative_controls(claim_id):
 def test_criterion_5_section2_suites(claim_id):
     rep, elapsed = _report(claim_id)
     conj = next(s for s in rep.strategies if s.name == "conjugation")
-    prod = next(s for s in rep.strategies if s.name == "product_identity")
     ok = (rep.overall == "pass" and conj.details["stable"] == 50
-          and conj.details["spectra_preserved"] == 50 and prod.verdict == "pass")
-    _say(f"5 {claim_id}: 50/50 conjugations stable, spectra preserved, "
-         f"product identity holds, {'pass' if ok else 'FAIL'}")
+          and conj.details["spectra_preserved"] == 50)
+    _say(f"5 {claim_id}: 50/50 conjugations stable, spectra preserved, {'pass' if ok else 'FAIL'}")
     assert ok
 
 

@@ -15,6 +15,7 @@ from grpfact.constructors import (
     classical_generators,
     ext_subgroup,
     preserves_form,
+    psi_extension,
     sl_generators,
     sp_pointwise_factor,
     stabilizer_subgroup,
@@ -104,7 +105,7 @@ def test_psi_inside_sl_only_for_q2():
 
 def test_psi_gamma_has_extension_order():
     for q, f in [(2, 1), (4, 2)]:
-        x = ext_subgroup("SL", 2, 2, q, "psi_gamma").generators[-1]
+        x = psi_extension(ext_subgroup("SL", 2, 2, q), "psi_gamma").generators[-1]
         assert x.dual == 1
         assert element_order(x) == 2 * f
 
@@ -118,19 +119,23 @@ def test_psi_gamma_is_chosen_against_the_core_it_extends(inner, m, q, pick):
     # the m = 2 and 4 picks are the ones a scan against the blown SL_m(q^2)
     # gave; at m = 6, SL_6(4) holds the scalars omega*I and would keep the
     # first candidate, whose square leaves Sp_6(4), so the Sp core refuses it
-    x = ext_subgroup(inner, m, 2, q, "psi_gamma").generators[-1]
+    x = psi_extension(ext_subgroup(inner, m, 2, q), "psi_gamma").generators[-1]
     assert x == list(_psi_gamma_candidates(2 * m, q))[pick]
 
 
 def test_psi_gamma_ext_subgroup_builds_one_core_chain(monkeypatch):
     builds = count_chain_builds(monkeypatch)
-    ext_subgroup("Sp", 6, 2, 2, "psi_gamma")
-    assert builds == ["Sp_6(4)^in_SL_12(2)_core"]
+    core = ext_subgroup("Sp", 6, 2, 2)
+    psi_extension(core, "psi_gamma")
+    assert builds == ["Sp_6(4)^in_SL_12(2)"]
+    # the certificate read the core's own chain, which the core keeps
+    core.order()
+    assert len(builds) == 1
 
 
 def test_psi_gamma_needs_its_adjoin_certificate():
     with pytest.raises(ConstructionError, match="chosen by the adjoin certificate"):
-        ext_subgroup("SL", 2, 2, 2, "psi_gamma", certify_adjoin=False)
+        psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma", certify=False)
 
 
 @pytest.mark.parametrize(
@@ -146,12 +151,14 @@ def test_psi_gamma_needs_its_adjoin_certificate():
     ],
 )
 def test_ext_subgroup_orders(inner, a, b, q, adjoin_kind, expect):
-    g = ext_subgroup(inner, a, b, q, adjoin_kind)
+    g = ext_subgroup(inner, a, b, q)
+    if adjoin_kind:
+        g = psi_extension(g, adjoin_kind)
     assert g.order() == expect
 
 
 def test_ext_subgroup_lands_in_sl():
-    g = ext_subgroup("SL", 2, 2, 2, "psi")
+    g = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     for gen in g.generators:
         if gen.is_linear():
             assert det(gen.mat) == 1
@@ -159,12 +166,11 @@ def test_ext_subgroup_lands_in_sl():
 
 def test_adjoin_certificate_rejects_non_normalizing_element():
     spec = gf.make_field(2, 1)
-    blown = [g for g in ext_subgroup("SL", 2, 2, 2).generators]
     # a transvection that does not normalize the blown SL_2(4)
     rogue = GroupElement(Mat(spec, np.array(
         [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)))
-    with pytest.raises(ConstructionError):
-        _certify_adjoin(blown, [rogue], 60, 2, spec, 4, "rogue")
+    with pytest.raises(ConstructionError, match="does not normalize the core"):
+        _certify_adjoin(ext_subgroup("SL", 2, 2, 2), [rogue], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +297,7 @@ def test_g2_lives_inside_sp6():
 def test_tightness_targets_of_ext_rows():
     from grpfact.grpcore import same_subgroup
 
-    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     X = ext_subgroup("SL", 2, 2, 2)
     res = solvable_residual(H)
     assert same_subgroup(res, X)

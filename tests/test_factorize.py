@@ -1,5 +1,6 @@
 """Verification engine behavior: strategies, agreement, negative controls."""
 
+import dataclasses
 import gc
 import os
 import tracemalloc
@@ -12,7 +13,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from grpfact import constructors, factorize, grpcore, orders, sporadic
 from grpfact.actions import domain_size
 from grpfact.catalog import FactorizationClaim, load_catalog
-from grpfact.constructors import classical_generators, ext_subgroup, stabilizer_subgroup
+from grpfact.constructors import classical_generators, ext_subgroup, psi_extension, stabilizer_subgroup
 from grpfact.factorize import (
     REPORT_SCHEMA,
     check_tight,
@@ -74,7 +75,7 @@ def test_structure_hints():
 
 
 def test_check_tight_positive_and_negative():
-    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     X = ext_subgroup("SL", 2, 2, 2)
     assert check_tight(H, X)
     # SL_3(2)-block inside SL_4(2) vs the affine vector stabilizer: residual
@@ -151,9 +152,7 @@ def test_timings_cover_every_strategy(catalog, monkeypatch):
         claim = catalog.claim_by_id(cid)
         timed = verify_claim(claim, record_timings=True).as_dict()
         assert timed["overall"] == "pass"
-        if not claim.row.startswith("suite"):
-            names = [s["name"] for s in timed["strategies"]]
-            assert names == [c for c in claim.checks if c != "discrepancy"], cid
+        assert [s["name"] for s in timed["strategies"]] == claim.checks, cid
         for s in timed["strategies"]:
             assert s["wall_ms"] >= 1000, (cid, s["name"])
         untimed = verify_claim(claim).as_dict()
@@ -217,7 +216,7 @@ def test_orbit_strategy_on_tracked_witnesses_composes_no_matrix(catalog, claim_i
     setup = factorize.build_setup(claim, rng)
     assert any(isinstance(H.generators, grpcore.TrackedGenerators) for H in setup.witnesses)
     calls = count_matrix_ops(monkeypatch)
-    res = factorize._run_orbit(claim, setup, rng, False, max_points=2**20)
+    res = factorize._run_orbit(claim, setup, rng, 2**20)
     assert res.verdict == "pass" and res.orbit_sizes == [setup.orbit_target] * len(setup.witnesses)
     assert calls == []
 
@@ -260,15 +259,15 @@ def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
         orders.sl_order(4, 2), classical_generators("SL", 4, 2), stabilizer_subgroup("vector", 4, 2),
         orbit_seed=ActionPoint(VECTOR, (1, 0, 0, 0)), orbit_target=8,
     )
-    res = factorize._run_orbit(None, setup, None, False, max_points=10)
+    res = factorize._run_orbit(None, setup, None, 10)
     assert res.verdict == "fail"
     assert "exceeded" in res.details["reason"] and res.details["max_points"] == 10
-    res = factorize._run_orbit(None, setup, None, False, max_points=4)
+    res = factorize._run_orbit(None, setup, None, 4)
     assert res.verdict == "skipped" and res.details["target"] == 8
     # the 288 bytes of masks over the 256 pair keys of GF(2)^4 are over a
     # 10-point budget's 240: no point is closed, so nothing is decided
     setup.orbit_seed = ActionPoint(PAIR, ((1, 0, 0, 0), (1, 0, 0, 0)))
-    res = factorize._run_orbit(None, setup, None, False, max_points=10)
+    res = factorize._run_orbit(None, setup, None, 10)
     assert res.verdict == "skipped" and "need 288 bytes" in res.details["reason"]
 
 
@@ -317,7 +316,7 @@ def test_product_membership_samples_compose_no_matrix(catalog, claim_id, monkeyp
     rng = np.random.default_rng(claim_seed(claim_id, 20260810))
     setup = factorize.build_setup(claim, rng)
     calls = count_matrix_ops(monkeypatch)
-    result = factorize._run_sample(claim, setup, rng, False)
+    result = factorize._run_sample(claim, setup, rng, 2**24)
     assert result.verdict == "pass"
     assert result.details == {"samples": 50, "members": 50}
     assert not calls
@@ -383,7 +382,7 @@ def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):
     claim = catalog.claim_by_id("suite-r1")
     rng = np.random.default_rng(5)
     calls = count_matrix_ops(monkeypatch)
-    result = factorize._run_conjugation(claim, factorize.build_setup(claim, rng), rng, False)
+    result = factorize._run_conjugation(claim, factorize.build_setup(claim, rng), rng, 2**24)
     assert (result.details["stable"], result.details["spectra_preserved"]) == (50, 50)
     assert not calls
 
@@ -399,7 +398,7 @@ def test_sample_members_match_brute_force_without_a_factorization(catalog, seed)
     dom = hchain.domain
     setup.H = grpcore.stabilizer_generators(setup.H, dom.point(int(hchain.levels[0].orbit[-1])))
     assert setup.H.order() < hchain.order()
-    result = factorize._run_sample(claim, setup, np.random.default_rng(seed), False)
+    result = factorize._run_sample(claim, setup, np.random.default_rng(seed), 2**24)
     assert setup.G.home_domain() is dom
     e1 = dom.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
     h_images = np.array([int(t.perm[e1]) for t in setup.H.chain().elements()])
@@ -447,6 +446,64 @@ def test_verification_leaves_no_cyclic_element_garbage(catalog):
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def test_every_catalog_check_has_a_strategy(catalog):
+    checks = {c for claim in catalog.desk_grid(tier=None) for c in claim.checks}
+    checks |= set(catalog.instantiate("4SL", {"m": 2}).checks)
+    assert checks <= set(factorize.STRATEGIES)
+
+
+def test_strategy_roles():
+    roles = {name: role for name, (_, role) in factorize.STRATEGIES.items()}
+    assert {n for n, r in roles.items() if r == factorize.VOTE} == {
+        "identity", "order", "enumerate", "orbit", "conjugation"}
+    assert {n for n, r in roles.items() if r == factorize.VETO} == {"sample", "tight", "vector_orbit"}
+    assert set(roles.values()) == {factorize.VOTE, factorize.VETO}
+
+
+@pytest.mark.parametrize("check", ["order", "tight"])
+def test_a_failing_vote_or_veto_fails_the_claim(catalog, monkeypatch, check):
+    claim = catalog.claim_by_id("t1r04-m2")
+    assert verify_claim(claim).overall == "pass"
+    role = factorize.STRATEGIES[check][1]
+    monkeypatch.setitem(factorize.STRATEGIES, check,
+                        (lambda *args: factorize.StrategyResult(check, "fail"), role))
+    report = verify_claim(claim)
+    assert report.overall == "fail"
+    assert next(s for s in report.strategies if s.name == check).verdict == "fail"
+
+
+def test_an_unknown_check_is_skipped_and_does_not_vote(catalog):
+    claim = dataclasses.replace(catalog.claim_by_id("t1r04-m2"), checks=["identity", "no_such_check"])
+    report = verify_claim(claim)
+    assert report.overall == "pass"
+    unknown = report.strategies[1]
+    assert (unknown.name, unknown.verdict, unknown.details) == ("no_such_check", "skipped", {"reason": "unknown check"})
+
+
+@pytest.mark.parametrize("claim_id", ["t1r04-m2", "t1r04-sp-m4", "t1r05-m2", "t1r06-m2", "t1r07-m2"])
+def test_rows_4_to_7_build_each_blown_core_once(catalog, monkeypatch, claim_id):
+    # the adjoin certificate and the tight target read one chain of the
+    # blown core: count the builds on its domain from its generators
+    claim = catalog.claim_by_id(claim_id)
+    q = factorize._ANTIFLAG_ROWS[claim.row[:1]][0]
+    core = ext_subgroup(claim.row[1:], claim.params["m"], 2, q)
+    domain = core.home_domain()
+    core_perms = sorted(domain.perm_of(g).tobytes() for g in core.generators)
+    chains = []
+    real = grpcore.StabChain.build.__func__
+
+    def recording(cls, *args, **kwargs):
+        chains.append(real(cls, *args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(grpcore.StabChain, "build", classmethod(recording))
+    report = verify_claim(claim)
+    assert report.overall == "pass" and report.tight is True
+    core_builds = [c for c in chains if c.domain is domain
+                   and sorted(t.perm.tobytes() for t in c.originals) == core_perms]
+    assert len(core_builds) == 1
 
 
 @pytest.mark.extended

@@ -20,6 +20,7 @@ from grpfact.constructors import (
     automorphism_element,
     classical_generators,
     ext_subgroup,
+    psi_extension,
     sl_generators,
     stabilizer_subgroup,
 )
@@ -171,7 +172,7 @@ def test_solvable_residual_perfect_group(sl32):
 def test_solvable_residual_sigma_l24_vs_sympy():
     from grpfact.constructors import ext_subgroup
 
-    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     assert H.order() == 120
     res = solvable_residual(H)
     assert res.order() == 60
@@ -196,7 +197,7 @@ def test_residual_idempotent_and_inside_derived():
     from grpfact.constructors import ext_subgroup
     from grpfact.grpcore import derived_subgroup, same_subgroup
 
-    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     der = derived_subgroup(H)
     res = solvable_residual(H)
     assert all(der.contains(g) for g in res.generators)
@@ -356,7 +357,7 @@ def test_caller_bound_that_does_not_contain_the_derived_subgroup_does_not_certif
     # H = SL_2(4).2 blown into SL_4(2); H' = X = SL_2(4) has order 60 and the
     # parent bound |H| = 120 is never reached, so only a caller bound could
     # skip the Schreier pass
-    H = ext_subgroup("SL", 2, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     X = ext_subgroup("SL", 2, 2, 2)
     D = derived_subgroup(H, within=X)
     assert D.order() == 60 and verify_loop_calls == []
@@ -373,7 +374,7 @@ def test_normal_closure_keeps_the_caller_bound(monkeypatch, verify_loop_calls):
     # generators, the last core generator, and psi): their commutators do
     # not generate H' = X, so the normal-closure loop enlarges the chain,
     # and every conjugate it adds lies in X
-    H = ext_subgroup("G2", 6, 2, 2, "psi")
+    H = psi_extension(ext_subgroup("G2", 6, 2, 2), "psi")
     X = ext_subgroup("G2", 6, 2, 2)
     *core, psi = H.generators
     product = core[0]
@@ -1022,7 +1023,7 @@ def ordered_setups():
         claim = catalog.claim_by_id(claim_id)
         rng = np.random.default_rng(factorize.claim_seed(claim_id, 20260810))
         setup = factorize.build_setup(claim, rng)
-        factorize._run_order(claim, setup, rng, False)
+        factorize._run_order(claim, setup, rng, 2**24)
         out[claim_id] = claim, setup, rng
     return out
 
@@ -1057,7 +1058,7 @@ def test_orbit_on_a_certified_chain_holds_no_keyspace_tables(ordered_setups):
     claim, setup, rng = ordered_setups["t1r07-m2"]
     tracemalloc.start()
     try:
-        res = factorize._run_orbit(claim, setup, rng, False, 2**24)
+        res = factorize._run_orbit(claim, setup, rng, 2**24)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1114,7 +1115,7 @@ def _stabilizer_cases():
     sl42 = classical_generators("SL", 4, 2)
     sl33 = classical_generators("SL", 3, 3)
     psl33 = GroupSpec("PSL_3(3)", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PROJECTIVE)
-    gamma_l24 = ext_subgroup("SL", 2, 2, 2, "psi_gamma")  # has a duality generator
+    gamma_l24 = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma")  # has a duality generator
     return [(sl42, VECTOR), (psl33, PROJECTIVE), (gamma_l24, PAIR)]
 
 
@@ -1250,7 +1251,7 @@ def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkey
     if parent == "Sp_4(2)":
         G = classical_generators("Sp", 4, 2)
     else:
-        G = ext_subgroup("SL", 2, 2, 2, "psi_gamma")
+        G = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma")
         assert G.has_duality and G.action_tag == PAIR
     G.order()
     current, ref = _derived_by_matrices(G, np.random.default_rng(9), f"{G.name}'")

@@ -36,9 +36,10 @@ DIGESTS = {
     # row 12b's literal SL2_5, blown up to 4 x A5
     "t1r12-b": "735cb76ede8af78992cb79cd020aa7f601aeddebeb1802bf1e54e2e00efe2b13",
     "t1r13": "86a6fdd6cce5c94fa9db771378848eee6f27d5d492d1fcd427b88532ce76e37c",
-    "suite-r1": "c482c3ab0bc35b3a6dc98b20a3afad7e04533a3e280f666bf08357ff2ff2a617",
-    # row 9's literals A5_FIRST and A5_SECOND; the report did not move
-    "suite-r9": "c83dc3246cb5feaa268dd7e90d440588fca23803671b20b229d4bbf0cc0d4379",
+    # the suites vote on conjugation alone
+    "suite-r1": "1019e1089d075d70b49fdeeff266017669a7911ca05b9a009617ba19132ccb54",
+    # row 9's literals A5_FIRST and A5_SECOND
+    "suite-r9": "a919d70883eac3d03c8beaceee2a92468bba6d0e39d03e9f06fb830c150b5ad8",
     # the enumerate_smaller path (t1r08-sp-q2, neg-sp6-g2p) and the rest of the desk grid
     "t1r08-sp-q2": "04d411fc442d4698917bc3ee6e9663bb2bca4f8dd3ad9975178072a82edde5b1",
     "neg-sp6-g2p": "a90ce4cc23a3d1946352f84e315ab53d09fe081ef40e812bb30afbaac276f40f",
