@@ -31,7 +31,6 @@ and pass exactly when it does.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import zlib
@@ -215,8 +214,8 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         if small.order() > 10_000:
             raise VerifyError("enumerate strategy capped at 10^4 elements")
         big_chain, small_chain = big.chain(), small.chain()
-        mask = np.concatenate([big_chain.contains_block(b) for b in small_chain.element_perm_blocks()])
-        members = list(itertools.compress(small_chain.elements(), mask)) or [small_chain.ident]
+        members = [Tracked(row) for block in small_chain.element_perm_blocks()
+                   for row in block[big_chain.contains_block(block)]]
         name = f"{H.name} n {K.name}"
         # the members are the whole intersection, so its order is known
         chain = StabChain.build(small_chain.domain, members, order=len(members), bound=len(members), name=name)

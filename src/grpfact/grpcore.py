@@ -148,16 +148,6 @@ def t_compose(a: Tracked, b: Tracked) -> Tracked:
     return Tracked(b.perm[a.perm])
 
 
-def _walk(transversals: list[list[Tracked]], i: int, acc: Tracked):
-    """Every acc * t_i * ... * t_last, one transversal element per level;
-    module-level so that no generator closes over itself."""
-    if i == len(transversals):
-        yield acc
-        return
-    for t in transversals[i]:
-        yield from _walk(transversals, i + 1, t_compose(acc, t))
-
-
 class Rattle:
     """Product-replacement random walk over a fixed generating set."""
 
@@ -536,19 +526,14 @@ class StabChain:
             acc = u if acc is None else t_compose(acc, u)
         return acc if acc is not None else self.ident
 
-    def elements(self):
-        """Iterate the whole group (use only at small orders)."""
-        transversals = [[self._transversal(li, int(b)) for b in self.levels[li].orbit]
-                        for li in range(len(self.levels) - 1, -1, -1)]
-        yield from _walk(transversals, 0, self.ident)
-
     def element_perm_blocks(self, max_entries: int = BLOCK_ENTRIES):
-        """The group's elements as stacked (k, N) permutation arrays, in the
-        order of ``elements``, each of at most max_entries entries (or one
-        element).  The innermost levels of the walk are multiplied out as
-        one block by fancy indexing; the outer levels are walked one prefix
-        at a time, and as many consecutive prefixes as fit are applied to
-        that block together, so no matrix is composed."""
+        """The group's elements as stacked (k, N) permutation arrays, each of
+        at most max_entries entries (or one element): every product of one
+        transversal element per level, top level first, in the lexicographic
+        order of their orbit positions.  The innermost levels of the walk
+        are multiplied out as one block by fancy indexing; the outer levels
+        are walked one prefix at a time, and as many consecutive prefixes as
+        fit are applied to that block together, so no matrix is composed."""
         N = self.domain.size
         trans = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
         block, split = self._arange[None, :], len(trans)

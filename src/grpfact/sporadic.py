@@ -236,19 +236,19 @@ def psl_n3_projective(n: int) -> GroupSpec:
 # row 9: two A5 < PSL_2(9), as pairs of SL_2(9) matrices in GF(9) encodings;
 # their intersection of order 10 shows the classes differ, since distinct
 # conjugate A5s in A6 meet in A4
-A5_FIRST = ([[6, 2], [5, 3]], [[1, 6], [5, 0]])
-A5_SECOND = ([[6, 6], [8, 3]], [[4, 8], [2, 6]])
+A5_FIRST = ([[6, 5], [2, 3]], [[5, 4], [2, 8]])
+A5_SECOND = ([[7, 8], [7, 5]], [[1, 6], [5, 0]])
 
 # row 10: PGL_2(7) and M10 in PSL_3(4).2[phi_gamma], as SL_3(4) matrices in
 # GF(4) encodings, meeting in order 6; an entry (matrix, 1, 1) carries
 # phi_gamma's field automorphism and duality
-PGL2_7 = (([[0, 2, 1], [3, 0, 2], [1, 3, 0]], 1, 1), [[3, 2, 1], [0, 3, 3], [0, 3, 0]])
-M10 = (([[3, 3, 0], [2, 3, 0], [3, 3, 2]], 1, 1), [[2, 0, 0], [0, 1, 2], [0, 1, 1]])
+PGL2_7 = (([[0, 3, 3], [2, 1, 3], [2, 2, 1]], 1, 1), [[3, 0, 2], [0, 3, 0], [1, 1, 0]])
+M10 = (([[1, 3, 1], [1, 2, 0], [2, 2, 0]], 1, 1), [[1, 2, 0], [0, 3, 0], [3, 2, 2]])
 
 # row 11: A7 < SL_4(2)
 A7 = (
-    [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 1, 1], [0, 0, 0, 1]],
-    [[0, 0, 0, 1], [0, 1, 1, 0], [0, 1, 0, 0], [1, 0, 0, 1]],
+    [[0, 0, 1, 0], [1, 0, 1, 0], [0, 1, 0, 0], [0, 1, 1, 1]],
+    [[0, 0, 1, 1], [0, 0, 0, 1], [1, 1, 1, 0], [0, 1, 0, 1]],
 )
 
 # row 12a: two S5 < PSL_4(3), as pairs of SL_4(3) matrices: the first is
@@ -263,7 +263,7 @@ S5_INTRANSITIVE = (
 )
 
 # row 12b: SL_2(5) < SL_2(9), in GF(9) encodings
-SL2_5 = ([[3, 4], [3, 6]], [[6, 1], [3, 6]])
+SL2_5 = ([[0, 2], [1, 0]], [[4, 4], [2, 7]])
 
 
 

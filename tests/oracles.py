@@ -1,6 +1,8 @@
 """Slow, direct reference computations that tests compare the package against."""
 
+import functools
 import importlib
+import itertools
 import pkgutil
 
 import numpy as np
@@ -96,6 +98,16 @@ def perm_closure(perms: list[np.ndarray]) -> list[np.ndarray]:
                     new.append(y)
         frontier = new
     return list(seen.values())
+
+
+def chain_elements(chain: StabChain):
+    """Every element of the chain's group, each multiplied out on its own
+    from one transversal element per level, in ``element_perm_blocks``'
+    order: top level first, lexicographic in the orbit positions."""
+    transversals = [[chain._transversal(li, int(b)) for b in chain.levels[li].orbit]
+                    for li in range(len(chain.levels) - 1, -1, -1)]
+    for picks in itertools.product(*transversals):
+        yield functools.reduce(grpcore.t_compose, picks, chain.ident)
 
 
 def perm_order(p: np.ndarray) -> int:

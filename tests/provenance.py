@@ -8,8 +8,9 @@ literal.  Rows 12a and 12c draw their candidates from a matrix-level walk
 driven by a seeded numpy Generator, not from a stabilizer chain, so a change
 to the chain internals cannot change which literal a derivation finds.
 Rows 9, 10, 11 and 12b take ``sporadic.two_generator_search``'s pairs,
-which draw from the ambient's chain, so a change to the chain internals can
-change what those derivations find.  Each candidate is accepted by the
+which draw from the ambient's chain, so a change to the chain internals or
+to ``streams.Stream``, which seeds the chain's build by its name, can change
+what those derivations find.  Each candidate is accepted by the
 package's own certificate.
 """
 

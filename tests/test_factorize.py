@@ -25,7 +25,7 @@ from grpfact.factorize import (
 from grpfact.grpcore import CertificationError, GroupSpec
 from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
-from oracles import count_matrix_ops
+from oracles import chain_elements, count_matrix_ops
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,22 @@ def test_determinism_same_seed_same_report(catalog):
     assert claim_seed("t1r09", 123) == claim_seed("t1r09", 123)
 
 
+def test_desk_reports_differ_across_base_seeds_only_in_their_seeds(catalog):
+    # each verdict, order and note rests on a certificate, so no draw of a
+    # claim stream reaches a report byte; the opt-in sweep below compares
+    # only verdicts and orders, over more seeds
+    def reports(base_seed):
+        out = {}
+        for claim in catalog.desk_grid("desk"):
+            rep = verify_claim(claim, base_seed=base_seed).as_dict()
+            for s in rep["strategies"]:
+                del s["seed"]
+            out[claim.claim_id] = rep
+        return out
+
+    assert reports(7) == reports(20260810)
+
+
 def test_timings_cover_every_strategy(catalog, monkeypatch):
     # a fake clock that advances one second per reading: every timed block
     # reads at least 1000 ms, and an untimed strategy stays at 0
@@ -175,6 +191,17 @@ def test_row11_enumerate_strategy_enumerates(catalog, monkeypatch):
     assert rep.overall == "pass"
     assert [s.name for s in rep.strategies] == ["identity", "enumerate", "orbit"]
     assert routes == ["enumerate_smaller"]
+
+
+def test_big_orbit_setup_draws_nothing_from_its_rng(catalog):
+    # a benchmark prepares t1r14-ext's set-up on a numpy Generator, where
+    # verify_claim hands it a Stream; no draw means no number can differ
+    class NoDraws:
+        def integers(self, *args):
+            raise AssertionError(f"drew integers{args}")
+
+    setup = factorize.build_setup(catalog.claim_by_id("t1r14-ext"), NoDraws())
+    assert setup.orbit_target == (2**12 - 1) * 2**11  # the antiflags of GF(2)^12
 
 
 def test_locator_budget_exhaustion_is_a_fail_report(catalog, monkeypatch):
@@ -401,7 +428,7 @@ def test_sample_members_match_brute_force_without_a_factorization(catalog, seed)
     result = factorize._run_sample(claim, setup, np.random.default_rng(seed), 2**24)
     assert setup.G.home_domain() is dom
     e1 = dom.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
-    h_images = np.array([int(t.perm[e1]) for t in setup.H.chain().elements()])
+    h_images = np.array([int(t.perm[e1]) for t in chain_elements(setup.H.chain())])
     # the same draws: a product-replacement walk over G's generators
     ident = grpcore.Tracked(dom.identity_perm)
     walk = grpcore.Rattle(setup.G.tracked_generators(), ident, np.random.default_rng(seed))
