@@ -5,10 +5,15 @@ vector first, functional second for the two-sided kinds.  Batch application
 takes and returns int64 key arrays.  In characteristic two the key map of
 vector, functional and pair points is GF(2)-linear on the key bits, so it
 never unpacks: one XOR table per run of at most 12 key bits, one lookup
-each.  Offsets from an aligned block start (``apply_batch``'s ``base``) take
-one lookup each, since f(base + j) = f(base) XOR f(j) there; the sweep of
-an orbit walks its keyspace in such blocks of ``Action.block_bits``.  The
-other kinds unpack to digits, kept in the narrowest unsigned type that
+each.  ``apply_block`` takes offsets from an aligned block start of
+``Action.block_bits`` under a stack of generators at once, since
+f(base + j) = f(base) XOR f(j) there: the generators' offset tables and
+block-index tables are stacked one row per generator, so the whole (k, m)
+array of images is one lookup and one XOR with the block's column.  The
+sweep of an orbit walks its keyspace in such blocks, from worker threads
+on a large linear keyspace, and these two numpy calls release the GIL;
+on the digit path ``apply_block`` fills its rows one generator at a time.
+The other kinds unpack to digits, kept in the narrowest unsigned type that
 holds q - 1 and widened only for a prime field's dot products and for
 packing.  A domain's key -> index table is int32.  A vector domain reads an
 element back off its permutation (``PermDomain.element_of``).
@@ -76,16 +81,17 @@ class Action:
         self.two_sided = tag in (PAIR, ANTIFLAG)
         self.width = 2 * n if self.two_sided else n
         self.linear = spec.p == 2 and tag in (VECTOR, FUNCTIONAL, PAIR)
-        # log2 of the keys per block of a base call: a linear block's offset
-        # table stays cache-sized, and the digit path needs larger batches
+        # log2 of the keys per block of apply_block: a linear block's offset
+        # tables stay cache-sized, and the digit path needs larger batches
         self.block_bits = 14 if self.linear else 16
         # digits stay in the narrowest type that holds q - 1 (uint8 for
         # every supported field): the field tables are uint8 as well
         self.digit_type = np.min_scalar_type(self.q - 1)
-        # an element's tables live as long as the element: a shared domain's
-        # action outlives every claim that applied elements through it
+        # an element's tables live as long as the element, and a stack's as
+        # long as its first element: a shared domain's action outlives
+        # every claim that applied elements through it
         self._chunk_cache = weakref.WeakKeyDictionary()
-        self._block_cache = weakref.WeakKeyDictionary()
+        self._stack_cache = weakref.WeakKeyDictionary()
 
     # -- scalar interface ---------------------------------------------------
 
@@ -169,43 +175,56 @@ class Action:
             self._chunk_cache[g] = tables
         return tables
 
-    def _block_tables(self, g: GroupElement):
-        """XOR tables of a block offset (its low block_bits key bits) and of
-        a block index (the key bits above them)."""
+    def _stacked_tables(self, gens) -> tuple[np.ndarray, np.ndarray]:
+        """The generators' XOR tables of a block offset (its low block_bits
+        key bits) and of a block index (the key bits above them), stacked
+        one row per generator.  They are cached under the first generator's
+        weak key, for as long as it lives and the rest are the same."""
         bits = self.block_bits
-        tables = self._block_cache.get(g)
-        if tables is None or tables[0] != bits:
-            cols = self._columns(g)
-            tables = bits, _xor_table(cols[:bits]), _xor_table(cols[bits:])
-            self._block_cache[g] = tables
-        return tables[1:]
+        cached = self._stack_cache.get(gens[0])
+        if cached is None or cached[0] != bits or len(cached[1]) != len(gens) or any(
+                ref() is not g for ref, g in zip(cached[1], gens)):
+            cols = [self._columns(g) for g in gens]
+            low = np.stack([_xor_table(c[:bits]) for c in cols])
+            high = np.stack([_xor_table(c[bits:]) for c in cols])
+            cached = bits, [weakref.ref(g) for g in gens], low, high
+            self._stack_cache[gens[0]] = cached
+        return cached[2:]
 
-    def apply_batch(self, g: GroupElement, keys: np.ndarray, base: int | None = None) -> np.ndarray:
-        """Images of packed keys under g; canonicalizes normalized kinds.
-
-        With ``base``, the keys are offsets below 2**block_bits from base, a
-        multiple of 2**block_bits, and the images are those of base + keys:
-        a GF(2)-linear key map takes them as one lookup and one XOR each.
-        """
+    def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
+        """Images of packed keys under g; canonicalizes normalized kinds."""
         if g.dual and not self.two_sided:
             raise LinAlgError(f"duality does not act on {self.tag} points")
         if self.linear:
-            if base is not None:
-                low, high = self._block_tables(g)
-                out = low[keys]
-                out ^= high[base >> self.block_bits]
-                return out
             (lo, mask, tab), *rest = self._chunk_tables(g)
             out = tab[(keys >> lo) & mask]
             for lo, mask, tab in rest:
                 out ^= tab[(keys >> lo) & mask]
             return out
-        if base is not None:
-            keys = keys + base
         if g.dual:
             qn = self.q**self.n
             keys = (keys // qn) + (keys % qn) * qn
         return self._apply_batch_digits(g, keys)
+
+    def apply_block(self, gens, offsets: np.ndarray, base: int) -> np.ndarray:
+        """Images of base + offsets under each generator, one row per
+        generator, where base is a multiple of 2**block_bits and the
+        offsets lie below it.
+
+        A GF(2)-linear key map has f(base + j) = f(base) XOR f(j) there, so
+        the whole (k, m) array is one lookup in the stacked offset tables
+        and one XOR with the block's column of the stacked index tables.
+        The digit path fills the rows one generator at a time.
+        """
+        if not self.linear:
+            keys = offsets + base
+            return np.stack([self.apply_batch(g, keys) for g in gens])
+        if not self.two_sided and any(g.dual for g in gens):
+            raise LinAlgError(f"duality does not act on {self.tag} points")
+        low, high = self._stacked_tables(gens)
+        out = np.take(low, offsets, axis=1)
+        out ^= high[:, base >> self.block_bits, None]
+        return out
 
     def _apply_batch_digits(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
         spec, n, q = self.spec, self.n, self.q

@@ -639,6 +639,10 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
             failed = "failed certification" if isinstance(exc, CertificationError) else "failed"
             return VerificationReport(claim.claim_id, claim.params, [], None,
                                       "fail", reason=f"construction {failed}: {exc}")
+        except DomainCapError as exc:
+            # a set-up past the enumeration cap decides nothing
+            return VerificationReport(claim.claim_id, claim.params, [], None,
+                                      "skipped", reason=f"construction skipped: {exc}")
     notes = setup.notes if setup is not None else {}
     if claim.notes:
         notes["claim"] = claim.notes

@@ -9,9 +9,22 @@ import numpy as np
 
 import grpfact
 from grpfact import grpcore, linalg
+from grpfact.actions import ActionError
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.grpcore import StabChain
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
+
+
+def orbit_contains_key(orb: grpcore.OrbitSet, key: int) -> bool:
+    """Whether an orbit holds a packed key: a lookup in its keyspace mask,
+    or, for an orbit taken on an enumerated domain, in its mask over the
+    domain indices (a key off the domain is not held)."""
+    if orb.domain is None:
+        return 0 <= key < len(orb.seen) and bool(orb.seen[key])
+    try:
+        return bool(orb.seen[orb.domain.index_of_key(key)])
+    except ActionError:
+        return False
 
 
 def count_matrix_ops(monkeypatch) -> list:

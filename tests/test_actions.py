@@ -1,5 +1,5 @@
 """Action kernels against scalar references: the char-2 XOR-table
-apply_batch against sl_apply, its block offsets against whole keys, and the
+apply_batch against sl_apply, apply_block's offsets against whole keys, and the
 two-sided domain enumeration."""
 
 import numpy as np
@@ -73,16 +73,18 @@ _BLOCK_CASES = [
 ]
 
 
-def _block_offsets_match_whole_keys(action, g, rng):
+def _block_offsets_match_whole_keys(action, gens, rng):
     keyspace = action.q**action.width
     block = 1 << action.block_bits
     starts = range(0, keyspace, block)
     for lo in sorted({starts[0], starts[len(starts) // 2], starts[-1]}):
         size = min(block, keyspace - lo)
         offsets = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, size=200)]))
-        want = action.apply_batch(g, offsets + lo).tolist()
-        assert action.apply_batch(g, offsets, base=lo).tolist() == want, lo
-        assert action.apply_batch(g, offsets, base=lo).tolist() == want  # from the cache
+        want = [action.apply_batch(g, offsets + lo).tolist() for g in gens]
+        got = action.apply_block(gens, offsets, lo)
+        assert got.dtype == np.int64 and got.shape == (len(gens), len(offsets))
+        assert got.tolist() == want, lo
+        assert action.apply_block(gens, offsets, lo).tolist() == want  # from the cache
 
 
 @pytest.mark.parametrize("tag,f,n", _BLOCK_CASES, ids=lambda c: str(c))
@@ -92,9 +94,12 @@ def test_block_offsets_match_whole_keys(tag, f, n):
     assert action.linear and action.block_bits == 14
     rng = np.random.default_rng(action.width * 31 + f)
     duals = (0, 1) if tag == PAIR else (0,)
-    for fa in sorted({0, f - 1, f // 2}):
-        for dual in duals:
-            _block_offsets_match_whole_keys(action, _random_element(rng, spec, n, fa, dual), rng)
+    gens = [_random_element(rng, spec, n, fa, dual) for fa in sorted({0, f - 1, f // 2}) for dual in duals]
+    _block_offsets_match_whole_keys(action, gens, rng)
+    # one generator alone, and the same ones in another order, get their
+    # own stacked tables
+    _block_offsets_match_whole_keys(action, gens[-1:], rng)
+    _block_offsets_match_whole_keys(action, gens[::-1], rng)
 
 
 def test_block_offsets_on_the_digit_path():
@@ -104,8 +109,7 @@ def test_block_offsets_on_the_digit_path():
     action = Action(PAIR, spec, 6)
     assert not action.linear and action.block_bits == 16
     rng = np.random.default_rng(7)
-    for dual in (0, 1):
-        _block_offsets_match_whole_keys(action, _random_element(rng, spec, 6, 0, dual), rng)
+    _block_offsets_match_whole_keys(action, [_random_element(rng, spec, 6, 0, dual) for dual in (0, 1)], rng)
 
 
 def test_dead_element_tables_leave_the_shared_action_cache():
@@ -113,13 +117,15 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     # through it; the tables of an element go with the element
     domain = shared_domain(PAIR, gf.make_field(2, 2), 3)
     action = domain.action
-    before = len(action._chunk_cache), len(action._block_cache)
-    g = _random_element(np.random.default_rng(3), action.spec, 3, 1, 1)
+    before = len(action._chunk_cache), len(action._stack_cache)
+    rng = np.random.default_rng(3)
+    g, h = (_random_element(rng, action.spec, 3, 1, 1) for _ in range(2))
     domain.perm_of(g)
-    action.apply_batch(g, np.arange(8, dtype=np.int64), base=0)
-    assert (len(action._chunk_cache), len(action._block_cache)) == (before[0] + 1, before[1] + 1)
+    action.apply_block([g, h], np.arange(8, dtype=np.int64), 0)
+    assert (len(action._chunk_cache), len(action._stack_cache)) == (before[0] + 1, before[1] + 1)
     del g
-    assert (len(action._chunk_cache), len(action._block_cache)) == before
+    assert (len(action._chunk_cache), len(action._stack_cache)) == before
+    del h
 
 
 @pytest.mark.parametrize("p,f,n", [(2, 2, 3), (5, 3, 2)])
@@ -153,6 +159,8 @@ def test_duality_rejected_on_one_sided_kinds():
     for tag in (VECTOR, FUNCTIONAL):
         with pytest.raises(LinAlgError):
             Action(tag, spec, 3).apply_batch(g, np.array([1, 2], dtype=np.int64))
+        with pytest.raises(LinAlgError):
+            Action(tag, spec, 3).apply_block([g], np.array([1, 2], dtype=np.int64), 0)
 
 
 def _all_keys_reference(action: Action) -> list[int]:

@@ -405,6 +405,16 @@ def test_domain_past_the_cap_skips_the_order_strategy(catalog):
     validate(report.as_dict(), REPORT_SCHEMA)
 
 
+@pytest.mark.parametrize("row,m,size", [("6SL", 5, 4**10 - 1), ("7Sp", 6, 4**12 - 1)])
+def test_set_up_past_the_domain_cap_is_a_skipped_report(catalog, row, m, size):
+    # psi_extension's adjoin certificate needs the core's chain on the
+    # vectors of GF(4)^(2m), a domain past the cap
+    report = verify_claim(catalog.instantiate(row, {"m": m}))
+    assert (report.overall, report.strategies) == ("skipped", [])
+    assert report.reason == f"construction skipped: domain of {size} vector points exceeds the 200000 limit"
+    validate(report.as_dict(), REPORT_SCHEMA)
+
+
 def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):
     claim = catalog.claim_by_id("suite-r1")
     rng = np.random.default_rng(5)

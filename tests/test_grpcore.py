@@ -1,9 +1,12 @@
 """Chains, orbits, stabilizers and residuals, cross-checked against sympy."""
 
 import gc
+import importlib
 import math
+import pkgutil
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -14,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
+import grpfact
 from grpfact import factorize, gf, grpcore
 from grpfact.catalog import load_catalog
 from grpfact.constructors import (
@@ -57,7 +61,14 @@ from grpfact.linalg import (
     sl_inverse,
 )
 from grpfact.orders import sl_order
-from oracles import chain_elements, count_chain_builds, count_matrix_ops, count_schreier_orbits
+from oracles import (
+    chain_elements,
+    count_chain_builds,
+    count_matrix_ops,
+    count_schreier_orbits,
+    orbit_contains_key,
+)
+from test_trace_targets import _targets as tracing_targets
 
 
 @pytest.fixture(scope="module")
@@ -876,6 +887,8 @@ def _orbit_cases():
          canonical_point(PAIR, (1, 0, 0), (1, 0, 0), spec=F2)),
         ("pair-duality-odd", sl29 + [automorphism_element("phi_gamma", 2, 9)],
          canonical_point(PAIR, (1, 0), (1, 0), spec=F9)),
+        ("pair-duality-frobenius", sl34 + [automorphism_element("phi_gamma", 3, 4)],
+         canonical_point(PAIR, (1, 0, 0), (1, 0, 0), spec=F4)),
     ]
 
 
@@ -895,33 +908,42 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
     outside = next(k for k in range(10**6) if k not in found)
     plain = orbit(gens, point, action)
     assert plain.size == len(queue)
-    assert all(plain.contains_key(key) for key in queue)
-    assert not plain.contains_key(outside)
+    assert all(orbit_contains_key(plain, key) for key in queue)
+    assert not orbit_contains_key(plain, outside)
 
 
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
 def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch):
     # the first level goes to the sweep, which walks the keyspace in blocks
-    # of 8 and of 16 keys; the keyspaces of 27, 729 and 6561 keys end inside
-    # a byte of the packed done mask
+    # of 8 and of 16 keys, on one worker and on two; the keyspaces of 27,
+    # 729 and 6561 keys end inside a byte of the packed done mask
     monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
     _, gens, point = case
     action = Action(point.tag, gens[0].spec, gens[0].n)
     queue, _ = _queue_bfs(gens, point, action)
-    real = Action.apply_batch
-    for bits in (3, 4):
-        monkeypatch.setattr(action, "block_bits", bits)
-        applied = []
-        monkeypatch.setattr(Action, "apply_batch",
-                            lambda self, g, keys, base: applied.append(keys + base) or real(self, g, keys, base))
-        orb = orbit(gens, point, action)
-        assert orb.size == len(queue) > 3
-        assert all(orb.contains_key(key) for key in queue)
-        assert int(orb.seen.sum()) == len(queue)
-        # every orbit key is applied once per generator
-        keys, counts = np.unique(np.concatenate(applied), return_counts=True)
-        assert keys.tolist() == sorted(queue)
-        assert (counts == len(gens)).all()
+    real = Action.apply_block
+    applied = []
+    monkeypatch.setattr(Action, "apply_block", lambda self, gens, offsets, base:
+                        applied.append(np.tile(offsets + base, len(gens))) or real(self, gens, offsets, base))
+    for workers in (1, 2):
+        # two workers on the linear kinds by the rule itself, with its
+        # threshold lowered; on the digit path by fiat
+        monkeypatch.setattr(grpcore, "_PARALLEL_KEYS", 1)
+        monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: set(range(workers)))
+        if not action.linear:
+            monkeypatch.setattr(grpcore, "_sweep_workers", lambda action, keyspace: workers)
+        assert grpcore._sweep_workers(action, action.q**action.width) == workers
+        for bits in (3, 4):
+            monkeypatch.setattr(action, "block_bits", bits)
+            applied.clear()
+            orb = orbit(gens, point, action)
+            assert orb.size == len(queue) > 3
+            assert all(orbit_contains_key(orb, key) for key in queue)
+            assert int(orb.seen.sum()) == len(queue)
+            # every orbit key is applied once per generator
+            keys, counts = np.unique(np.concatenate(applied), return_counts=True)
+            assert keys.tolist() == sorted(queue)
+            assert (counts == len(gens)).all()
 
 
 def test_orbit_budget_error_inside_a_sweep(monkeypatch):
@@ -938,10 +960,12 @@ def test_orbit_budget_error_inside_a_sweep(monkeypatch):
 def test_keyspace_sweep_runs_beside_nothing_but_its_masks(monkeypatch):
     # SL_21(2) on the 2^21 vector keys leaves the BFS at a level of about
     # 16,500 keys; that level and its filtered parts (0.25 MiB of int64)
-    # must be gone before the sweep starts
+    # must be gone before the sweep starts, which runs on two workers
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
     n, keyspace = 21, 1 << 21
     gens = sl_generators(gf.make_field(2, 1), n)
     action = Action(VECTOR, gens[0].spec, n)
+    assert grpcore._sweep_workers(action, keyspace) == 2
     sweeps = []
     real = grpcore._sweep_closure
     monkeypatch.setattr(grpcore, "_sweep_closure", lambda *args: sweeps.append(1) or real(*args))
@@ -954,10 +978,147 @@ def test_keyspace_sweep_runs_beside_nothing_but_its_masks(monkeypatch):
     assert (size, sweeps) == (keyspace - 1, [1])
     masks = keyspace * 9 // 8  # the seen mask and the packed done mask
     tables = sum(tab.nbytes for tabs in action._chunk_cache.values() for _, _, tab in tabs)
-    tables += sum(tab.nbytes for _, *tabs in action._block_cache.values() for tab in tabs)
-    # a block's keys and one generator's images of them, as int64
-    block_scratch = 2 * 8 << action.block_bits
-    assert peak <= masks + tables + block_scratch
+    # the stacked offset and block-index tables of apply_block
+    tables += sum(tab.nbytes for _, _, *tabs in action._stack_cache.values() for tab in tabs)
+    # each worker's block scratch: every generator's images of a block's
+    # keys as int64, and one snapshot of the block's seen bytes
+    block = 1 << action.block_bits
+    worker_scratch = len(gens) * 8 * block + block
+    assert peak <= masks + tables + 2 * worker_scratch
+
+
+def _sl10_pair_orbit_case():
+    """SL_10(2) on the 2^20 pair keys of GF(2)^10, whose orbit is all
+    523,776 pairs (v, w) with w(v) = 1: a keyspace just at _PARALLEL_KEYS."""
+    n = 10
+    F2 = gf.make_field(2, 1)
+    e1 = (1,) + (0,) * (n - 1)
+    return sl_generators(F2, n), canonical_point(PAIR, e1, e1, spec=F2), Action(PAIR, F2, n)
+
+
+def test_two_sweep_workers_close_a_big_linear_orbit_as_one_does(monkeypatch):
+    gens, point, action = _sl10_pair_orbit_case()
+    used = []
+    real = grpcore._sweep_workers
+    monkeypatch.setattr(grpcore, "_sweep_workers", lambda *args: used.append(real(*args)) or used[-1])
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
+    two = orbit(gens, point, action)
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0})
+    one = orbit(gens, point, action)
+    assert used == [2, 1]
+    assert two.size == one.size == (2**10 - 1) * 2**9
+    assert np.array_equal(two.seen, one.seen)
+
+
+def test_sweep_stress_on_more_workers_than_cores(monkeypatch):
+    # four workers on blocks of 128 of the 2^16 pair keys of GF(2)^8,
+    # switching threads every microsecond: a key marked done but never
+    # applied would leave the orbit of all 32,640 pairs short (a worker
+    # that re-read seen for its done bits did so in most runs)
+    monkeypatch.setattr(grpcore, "_sweep_workers", lambda action, keyspace: 4)
+    n = 8
+    F2 = gf.make_field(2, 1)
+    e1 = (1,) + (0,) * (n - 1)
+    gens, point = sl_generators(F2, n), canonical_point(PAIR, e1, e1, spec=F2)
+    threads = _worker_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            action = Action(PAIR, F2, n)
+            action.block_bits = 7
+            orb = orbit(gens, point, action)
+            assert orb.size == int(orb.seen.sum()) == (2**n - 1) * 2 ** (n - 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) > 1
+
+
+def test_sweep_worker_rule(monkeypatch):
+    F2, F4 = gf.make_field(2, 1), gf.make_field(2, 2)
+    linear, digits = Action(PAIR, F2, 10), Action(PROJECTIVE, F4, 12)
+    big = grpcore._PARALLEL_KEYS
+    assert big == 1 << 20 and grpcore._SWEEP_WORKERS == 2
+    for cpus, want in (({0}, 1), ({0, 1}, 2), (set(range(8)), 2)):
+        monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        assert grpcore._sweep_workers(linear, big) == want
+        assert grpcore._sweep_workers(linear, big - 1) == 1
+        assert grpcore._sweep_workers(digits, 4**12) == 1
+
+
+def _worker_threads(monkeypatch) -> set:
+    """Record, for the rest of the test, each thread other than the main
+    one that calls Action.apply_block."""
+    threads = set()
+    real = Action.apply_block
+
+    def recording(self, gens, offsets, base):
+        if threading.current_thread() is not threading.main_thread():
+            threads.add(threading.current_thread())
+        return real(self, gens, offsets, base)
+
+    monkeypatch.setattr(Action, "apply_block", recording)
+    return threads
+
+
+def test_sweep_worker_threads_end_with_the_orbit(monkeypatch):
+    # a fork pool (verify --jobs) must never fork a live thread pool
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
+    gens, point, action = _sl10_pair_orbit_case()
+    threads = _worker_threads(monkeypatch)
+    before = threading.active_count()
+    assert orbit(gens, point, action).size == (2**10 - 1) * 2**9
+    assert len(threads) == 2
+    assert threading.active_count() == before
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_an_error_in_a_sweep_worker_leaves_the_orbit(monkeypatch):
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
+    gens, point, action = _sl10_pair_orbit_case()
+    real = Action.apply_block
+
+    def failing(self, gens, offsets, base):
+        if base >= 1 << 19:  # in the second worker's range only
+            raise RuntimeError("worker failed")
+        return real(self, gens, offsets, base)
+
+    monkeypatch.setattr(Action, "apply_block", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="worker failed"):
+        orbit(gens, point, action)
+    assert threading.active_count() == before
+
+
+def test_sweep_worker_threads_call_no_traced_function(monkeypatch):
+    # the benchmark's tracer keeps one span stack, which is not
+    # thread-safe: only the main thread may call what it wraps
+    off_main = []
+
+    def wrap(real, name):
+        def traced(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                off_main.append(name)
+            return real(*args, **kwargs)
+        return traced
+
+    modules = [importlib.import_module(f"grpfact.{info.name}") for info in pkgutil.iter_modules(grpfact.__path__)]
+    for module_name, attr, name, _ in tracing_targets():
+        owner = importlib.import_module(f"grpfact.{module_name}")
+        if "." in attr:
+            cls_name, meth = attr.split(".")
+            cls = getattr(owner, cls_name)
+            monkeypatch.setattr(cls, meth, wrap(vars(cls)[meth], name))
+        else:
+            real = getattr(owner, attr)
+            for holder in modules:
+                if getattr(holder, attr, None) is real:
+                    monkeypatch.setattr(holder, attr, wrap(real, name))
+    monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
+    gens, point, action = _sl10_pair_orbit_case()
+    threads = _worker_threads(monkeypatch)
+    assert grpcore.orbit(gens, point, action).size == (2**10 - 1) * 2**9
+    assert len(threads) == 2 and off_main == []
 
 
 def test_orbit_prices_the_dense_masks_before_allocating():
@@ -982,8 +1143,8 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     gens = list(K.generators)
     queue, found = _queue_bfs(gens, point, Action(VECTOR, G.spec, 3))
     assert orb.size == len(queue) == 24  # the vectors off <e1>
-    assert all(orb.contains_key(key) for key in queue)
-    assert not orb.contains_key(next(k for k in range(1, 27) if k not in found))
+    assert all(orbit_contains_key(orb, key) for key in queue)
+    assert not orbit_contains_key(orb, next(k for k in range(1, 27) if k not in found))
     with pytest.raises(grpcore.OrbitBudgetError):
         orbit(K, point, max_points=23)
     # a point of another kind is closed under the matrices
@@ -1005,11 +1166,11 @@ def test_contains_key_on_2_28_key_pair_orbit():
     assert orb.seen.size == 1 << 28 and orb.domain is None
     queue, found = _queue_bfs(gens, omega, action)
     assert orb.size == len(queue) > 1
-    assert all(orb.contains_key(key) for key in queue)
-    assert not orb.contains_key(next(k for k in range(10**6) if k not in found))
+    assert all(orbit_contains_key(orb, key) for key in queue)
+    assert not orbit_contains_key(orb, next(k for k in range(10**6) if k not in found))
     seed = action.point_key(omega)
-    assert orb.contains_key(seed)
-    assert orb.contains_key(int(action.apply_batch(sl_inverse(gens[0]), np.array([seed]))[0]))
+    assert orbit_contains_key(orb, seed)
+    assert orbit_contains_key(orb, int(action.apply_batch(sl_inverse(gens[0]), np.array([seed]))[0]))
 
 
 @pytest.fixture(scope="module")
@@ -1046,9 +1207,9 @@ def test_orbit_on_a_certified_chain_matches_the_keyspace_orbit(ordered_setups, c
         assert on_chain.size == plain.size == int(plain.seen[domain.keys].sum())
         inside = domain.keys[plain.seen[domain.keys]].tolist()
         outside = domain.keys[~plain.seen[domain.keys]].tolist()
-        assert all(on_chain.contains_key(key) for key in inside[:: max(1, len(inside) // 200)])
-        assert not any(on_chain.contains_key(key) for key in outside[:: max(1, len(outside) // 200)])
-        assert not on_chain.contains_key(not_a_point) and not plain.contains_key(not_a_point)
+        assert all(orbit_contains_key(on_chain, key) for key in inside[:: max(1, len(inside) // 200)])
+        assert not any(orbit_contains_key(on_chain, key) for key in outside[:: max(1, len(outside) // 200)])
+        assert not orbit_contains_key(on_chain, not_a_point) and not orbit_contains_key(plain, not_a_point)
     assert outside  # the stabilizer's orbit leaves domain points out
 
 
