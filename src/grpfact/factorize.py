@@ -60,9 +60,9 @@ from .grpcore import (
     Rattle,
     StabChain,
     Tracked,
+    element_orders,
     orbit,
     same_subgroup,
-    schreier_orbit,
     solvable_residual,
     stabilizer_generators,
     stabilizer_series,
@@ -173,9 +173,10 @@ _HINTS = {
     (4, frozenset({1, 2})): "2^2",
     (1, frozenset({1})): "1",
 }
+_ENUMERATION_CAP = 10_000
 
 
-def structure_hint(group: GroupSpec, cap: int = 10_000) -> str:
+def structure_hint(group: GroupSpec, cap: int = _ENUMERATION_CAP) -> str:
     """Order/spectrum-based isomorphism-type hint (labeled as a hint)."""
     order = group.order()
     if order > cap:
@@ -211,7 +212,7 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         return series[-1].with_name(f"{H.name} n {K.name}")
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
-        if small.order() > 10_000:
+        if small.order() > _ENUMERATION_CAP:
             raise VerifyError("enumerate strategy capped at 10^4 elements")
         big_chain, small_chain = big.chain(), small.chain()
         members = [Tracked(row) for block in small_chain.element_perm_blocks()
@@ -559,41 +560,49 @@ def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
     return same_subgroup(res_h, res_x)
 
 
-def _conjugate_group(G: GroupSpec, x: Tracked, name: str) -> GroupSpec:
-    """x^-1 G x, for x a permutation of G's chain domain, with G's certified
-    chain relabeled rather than rebuilt; its generators are the relabeled
-    chain's originals."""
-    return GroupSpec.of_chain(name, G.chain().conjugate(x))
+def _conjugate_intersections(setup, rng, samples: int):
+    """Per sample x, y of G: H^x's orbit size of y(omega) in suite 1, else
+    None, and the order and spectrum of H^x n K^y, from one factor's block
+    of elements and their orders (H in suite 1, else the smaller): x's image
+    of H_p, p = x^-1 y(omega), off column p, or of the h in H with
+    (y^-1 x) h (y^-1 x)^-1 in K, the block relabeled and sifted into K."""
+    gchain, omega, H, K = setup.G.chain(), setup.orbit_seed, setup.H, setup.K
+    dom = gchain.domain
+    small, big = (H, K) if omega is not None or H.order() <= K.order() else (K, H)
+    # x and y are permutations of G's chain domain, so the groups they
+    # conjugate must live on it
+    if any(g.chain().domain is not dom for g in ((H,) if omega is not None else (H, K))):
+        raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
+    if small.order() > _ENUMERATION_CAP:
+        raise VerifyError("enumerate strategy capped at 10^4 elements")
+    block = np.concatenate(list(small.chain().element_perm_blocks()))
+    block_orders = np.array(element_orders(block))
+    for _ in range(samples):
+        x, y = gchain.random_element(rng), gchain.random_element(rng)
+        if omega is not None:
+            p = int(x.inverse().perm[y.perm[dom.index_of_point(omega)]])
+            members = block[:, p] == p
+            size = len(set(block[:, p].tolist()))
+        else:
+            s, t = (x, y) if small is H else (y, x)
+            pi = t.inverse().perm[s.perm]
+            relabeled = np.empty_like(block)
+            relabeled[:, pi] = pi[block]
+            members, size = big.chain().contains_block(relabeled), None
+        yield size, int(members.sum()), frozenset(block_orders[members].tolist())
 
 
 def _run_conjugation(claim, setup, rng, max_points) -> StrategyResult:
-    """Conjugation stability over random x, y of G, on permutations: x and y
-    stay Tracked, and y(omega) and H^x's orbit are read off permutations."""
+    """Conjugation stability: each sampled H^x n K^y (``_conjugate_intersections``)
+    passes the orbit or product identity and has the order and spectrum of H n K."""
     samples = claim.params.get("samples", 50)
     base_inter, spectrum = setup.conjugate_intersection
-    omega = setup.orbit_seed
-    gchain = setup.G.chain()
-    dom = gchain.domain
-    # x and y are permutations of G's chain domain, so the chains they
-    # relabel must live on it
-    if any(g.chain().domain is not dom for g in ((setup.H,) if omega is not None else (setup.H, setup.K))):
-        raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
     stable = spectra_ok = 0
-    for _ in range(samples):
-        x = gchain.random_element(rng)
-        y = gchain.random_element(rng)
-        Hx = _conjugate_group(setup.H, x, "H^x")
-        if omega is not None:
-            y_omega = int(y.perm[dom.index_of_point(omega)])
-            orb, _, _ = schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)
-            inter = stabilizer_generators(Hx, dom.point(y_omega))
-            ok = orb.size == setup.orbit_target
-        else:
-            Ky = _conjugate_group(setup.K, y, "K^y")
-            inter = intersect(Hx, Ky, "enumerate_smaller")
-            ok = setup.g_order * inter.order() == Hx.order() * Ky.order()
-        stable += ok and inter.order() == base_inter
-        spectra_ok += sporadic.exact_spectrum(inter.chain()) == spectrum
+    for size, order, spec in _conjugate_intersections(setup, rng, samples):
+        ok = size == setup.orbit_target if size is not None else (
+            setup.g_order * order == setup.H.order() * setup.K.order())
+        stable += ok and order == base_inter
+        spectra_ok += spec == spectrum
     return StrategyResult("conjugation", "pass" if stable == samples else "fail", intersection_order=base_inter,
                           details={"samples": samples, "stable": stable, "spectra_preserved": spectra_ok})
 

@@ -13,8 +13,6 @@ lookup.  make_field rejects every other field.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # Moduli, coefficients low degree first, monic.  Most are the standard
@@ -174,14 +172,6 @@ class FieldSpec:
         for _ in range(s % self.f):
             a = int(self.frob_table[a])
         return a
-
-    def elem_order(self, a: int) -> int:
-        if a == 0:
-            raise FieldError("zero has no multiplicative order")
-        return (self.q - 1) // math.gcd(int(self.log[a]), self.q - 1)
-
-    def elements(self):
-        return range(self.q)
 
     def __repr__(self):
         return f"GF({self.p}^{self.f})" if self.f > 1 else f"GF({self.p})"

@@ -11,8 +11,8 @@ the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
 generators as permutations of a domain, reading a matrix off a vector
 permutation (``PermDomain.element_of``) only for a domain they were not
 built on.
-Product-membership samples (``ProductSift``) and enumerated intersections
-(``StabChain.contains_block``) sift stacked permutations.
+Product-membership samples (``ProductSift``), enumerated intersections
+(``StabChain.contains_block``) and the Schreier pass sift stacked permutations.
 
 Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
 of an enumerated domain and keeps a Schreier vector; the chain levels, the
@@ -228,37 +228,37 @@ def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
 
 
 def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """The inverses of permutations of size points, stacked as a (k, size)
-    int32 array (domains stay far below 2^31 points)."""
+    """The inverses of permutations of size points, one (k, size) int32 array (domains stay below 2^31 points)."""
     inv = np.empty((len(perms), size), dtype=np.int32)
-    ident = np.arange(size, dtype=np.int32)
-    for row, perm in zip(inv, perms):
-        row[perm] = ident
+    inv[np.arange(len(perms))[:, None], np.asarray(perms)] = np.arange(size, dtype=np.int32)
     return inv
 
 
 def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.ndarray, inv_gens,
                depth: int, what: str):
     """Transport the given rows along a Schreier vector, in place, until
-    walkers[0] reaches base.
+    their point reaches base.
 
-    walkers[0] holds one point per row, in the orbit at the given rows; each
-    step applies to every array of walkers, at the rows not yet home, the
-    inverse of the generator that reached their first point (inv_gens[j]
-    stacks those inverses on walkers[j]'s points).  A walk longer than the
-    orbit means a corrupt Schreier vector and raises CertificationError.
+    A row's point, in the orbit, is its entry of a 1-D walkers[0], or its
+    base column of a 2-D one; each step applies to every array of walkers,
+    at the rows not yet home, the inverse of the generator that reached
+    their point (inv_gens[j] stacks those inverses on walkers[j]'s points).
+    A walk longer than the orbit means a corrupt Schreier vector and raises
+    CertificationError.
     """
-    todo = rows[walkers[0][rows] != base]
+    points = walkers[0] if walkers[0].ndim == 1 else walkers[0][:, base]  # a view, walked with its array
+    todo = rows[points[rows] != base]
     steps = 0
     while todo.size:
         if steps == depth:
             raise CertificationError(f"Schreier vector of {what} does not lead a sift to its base")
         steps += 1
-        gi = par[walkers[0][todo]]
+        gi = par[points[todo]]
         for arr, inv in zip(walkers, inv_gens):
             sub = arr[todo]
-            arr[todo] = inv[gi[:, None], sub] if sub.ndim == 2 else inv[gi, sub]
-        todo = todo[walkers[0][todo] != base]
+            sub.T[...] += gi * inv.shape[1]  # one gather from the flattened stack, at each row's inverse
+            arr[todo] = inv.ravel()[sub]
+        todo = todo[points[todo] != base]
 
 
 @dataclass(slots=True, eq=False)
@@ -375,28 +375,36 @@ class StabChain:
 
     def _assert_originals_sift(self, name):
         for t in self.originals:
-            residue, _ = self._sift(t)
-            if not residue.is_identity():
+            if not self.contains_tracked(t):
                 raise CertificationError(f"{name}: generator fails to sift after build")
 
     def _verify_loop(self):
-        while True:
-            witness = self._schreier_witness()
-            if witness is None:
-                return
+        while (witness := self._schreier_witness()) is not None:
             self._add(witness)
 
     def _schreier_witness(self):
-        for li in range(len(self.levels) - 1, -1, -1):
-            level = self.levels[li]
-            for beta in map(int, level.orbit):
-                u_beta = self._transversal(li, beta)
-                for g in level.eff:
-                    target = int(g.perm[beta])
-                    s = t_compose(t_compose(u_beta, g), self._transversal(li, target).inverse())
-                    residue, _ = self._sift(s)
-                    if not residue.is_identity():
-                        return residue
+        """The residue of the first Schreier generator u_beta * g * u_g(beta)^-1
+        that does not sift (levels deepest first, beta in orbit order, g in
+        eff order), else None.  A level goes in chunks of orbit points of at
+        most BLOCK_ENTRIES entries of rows u_beta * g, each sifted from this
+        level on (``_sift_rows``): its walk home from g(beta) is u_g(beta)^-1."""
+        N = len(self._arange)
+        invs = [_inverse_perms([t.perm for t in level.eff], N) for level in self.levels]
+        for li, level in reversed(list(enumerate(self.levels))):
+            gens = np.stack([t.perm for t in level.eff])
+            step = max(1, BLOCK_ENTRIES // gens.size)
+            for lo in range(0, len(level.orbit), step):
+                betas = level.orbit[lo:lo + step].copy()
+                u_inv = np.tile(self._arange, (len(betas), 1))  # u_beta^-1, once walked home
+                _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, (invs[li],) * 2,
+                           len(level.orbit), f"level {li}")
+                u = _inverse_perms(u_inv, N)
+                # row i * len(gens) + j applies u_beta_i, then eff[j]
+                rows = gens[:, u].transpose(1, 0, 2).reshape(-1, N)
+                self._sift_rows(rows, li, invs)
+                bad = np.flatnonzero((rows != self._arange).any(axis=1))
+                if bad.size:
+                    return Tracked(rows[bad[0]].copy())
         return None
 
     # -- internals -------------------------------------------------------------
@@ -411,15 +419,11 @@ class StabChain:
             e = level.eff[int(level.par[b])]
             path.append(e)
             b = int(e.inverse().perm[b])
-        t = None
-        for e in reversed(path):
-            t = e if t is None else t_compose(t, e)
-        return t if t is not None else self.ident
+        return reduce(t_compose, reversed(path)) if path else self.ident
 
-    def _sift(self, t: Tracked, start: int = 0):
+    def _sift(self, t: Tracked):
         u = t
-        for li in range(start, len(self.levels)):
-            level = self.levels[li]
+        for li, level in enumerate(self.levels):
             beta = int(u.perm[level.base])
             if beta == level.base:
                 continue
@@ -430,8 +434,7 @@ class StabChain:
                 if steps == len(level.orbit):
                     raise CertificationError(f"Schreier vector of level {li} does not lead a sift to its base")
                 steps += 1
-                e = level.eff[int(level.par[beta])]
-                einv = e.inverse()
+                einv = level.eff[int(level.par[beta])].inverse()
                 u = t_compose(u, einv)
                 beta = int(einv.perm[beta])
         return u, len(self.levels)
@@ -560,13 +563,25 @@ class StabChain:
 
     def _transversal_stack(self, li: int) -> np.ndarray:
         """Level li's transversals, in orbit order, as one (orbit, N) int32
-        array filled a row at a time, so no list of them is held beside it
-        (domains stay far below 2^31 points; the blocks built from it are
-        int64, as they start from the identity)."""
-        orbit = self.levels[li].orbit
-        out = np.empty((len(orbit), self.domain.size), dtype=np.int32)
-        for row, b in zip(out, orbit.tolist()):
-            row[:] = self._transversal(li, b).perm
+        array (domains stay far below 2^31 points), by one gather per BFS
+        layer of the orbit: u_b = u_a * g for b = g(a), a in an earlier layer."""
+        level = self.levels[li]
+        orbit, N = level.orbit, len(self._arange)
+        gens = np.stack([t.perm for t in level.eff])
+        gi = level.par[orbit[1:]]
+        pos = np.full(N, len(orbit))
+        pos[orbit] = np.arange(len(orbit))
+        # src[i - 1]: the orbit position of the point orbit[i] was reached from
+        src = pos[_inverse_perms(gens, N)[gi, orbit[1:]]]
+        out = np.empty((len(orbit), N), dtype=np.int32)
+        out[0] = self._arange
+        lo = 1
+        while lo < len(orbit):
+            hi = lo + int(np.argmax(np.append(src[lo - 1:] >= lo, True)))
+            if hi == lo:
+                raise CertificationError(f"Schreier vector of level {li} does not lead its orbit to its base")
+            out[lo:hi] = gens[gi[lo - 1:hi - 1, None], out[src[lo - 1:hi - 1]]]
+            lo = hi
         return out
 
     @staticmethod
@@ -575,24 +590,24 @@ class StabChain:
         return block[:, np.stack(prefixes)].transpose(1, 0, 2).reshape(-1, block.shape[1])
 
     def contains_block(self, block: np.ndarray) -> np.ndarray:
-        """Membership mask of the stacked permutations block[i] (shape (k, N)).
-
-        All rows are sifted together, level by level: a row whose base
-        image leaves the basic orbit is out, and the others walk the
-        Schreier vector home by fancy indexing, with ``_sift``'s walk-length
-        check.  A row is a member when its residue is the identity.
-        """
+        """Membership mask of the stacked permutations block[i] (shape (k, N)):
+        a row is a member when its residue (``_sift_rows``) is the identity."""
         u = np.array(block, dtype=np.int64)
+        self._sift_rows(u)
+        return (u == self._arange).all(axis=1)
+
+    def _sift_rows(self, u: np.ndarray, start: int = 0, invs: list[np.ndarray] | None = None):
+        """Sift the int64 rows of u (shape (k, N)) in place from level start
+        on, each to its ``_sift`` residue, walking home together the rows
+        still in the basic orbits; invs[li] may stack level li's inverses."""
         alive = np.ones(len(u), dtype=bool)
-        for li, level in enumerate(self.levels):
-            beta = u[:, level.base].copy()  # walked beside u, not a view of it
-            alive &= level.seen[beta]
+        for li, level in enumerate(self.levels[start:], start):
+            alive &= level.seen[u[:, level.base]]
             rows = np.flatnonzero(alive)
             if not rows.size:
                 break
-            inv = _inverse_perms([t.perm for t in level.eff], len(self._arange))
-            _walk_home([beta, u], rows, level.base, level.par, (inv, inv), len(level.orbit), f"level {li}")
-        return alive & (u == self._arange).all(axis=1)
+            inv = invs[li] if invs is not None else _inverse_perms([t.perm for t in level.eff], len(self._arange))
+            _walk_home([u], rows, level.base, level.par, (inv,), len(level.orbit), f"level {li}")
 
 
 # ---------------------------------------------------------------------------

@@ -135,30 +135,24 @@ def _equal_degree_split(u, d, p, rng):
 
 
 def kernel_basis(M, p):
-    M = np.asarray(M, dtype=np.int64) % p
-    rows, n = M.shape
-    A = M.copy()
-    pivots = {}
-    r = 0
+    """Null space basis of M over GF(p), one vector per free column of its
+    RREF, each pivot column cleared in all other rows by one masked update."""
+    A = np.asarray(M, dtype=np.int64) % p
+    n, pivots = A.shape[1], []
     for c in range(n):
-        piv = next((i for i in range(r, rows) if A[i, c]), None)
-        if piv is None:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
-        for i in range(rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        pivots[c] = r
-        r += 1
-    out = []
-    for fc in (c for c in range(n) if c not in pivots):
-        v = np.zeros(n, dtype=np.int64)
-        v[fc] = 1
-        for c, rr in pivots.items():
-            v[c] = (-A[rr, fc]) % p
-        out.append(v)
-    return out
+        r = len(pivots)
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+            row = A[r] * pow(int(A[r, c]), -1, p) % p
+            A = (A - np.outer(A[:, c], row)) % p
+            A[r] = row
+            pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((len(free), n), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = -A[: len(pivots), free].T % p
+    return list(out)
 
 
 def spin(vector, gens, p):
@@ -274,16 +268,8 @@ def chop_for_dimension(gens, dim, p, rng, max_trials=300, max_factor_deg=8, max_
 
 
 def commutant_dimension(gens_a, gens_b, p):
-    """dim of {M : M g_a = g_b M for matching generators}; 0 means no intertwiner."""
-    n = gens_a[0].shape[0]
-    rows = []
-    for A, B in zip(gens_a, gens_b):
-        # M A = B M: entries linear in M
-        for i in range(n):
-            for j in range(n):
-                row = np.zeros(n * n, dtype=np.int64)
-                for k in range(n):
-                    row[i * n + k] = (row[i * n + k] + A[k, j]) % p
-                    row[k * n + j] = (row[k * n + j] - B[i, k]) % p
-                rows.append(row)
-    return len(kernel_basis(np.array(rows, dtype=np.int64), p))
+    """dim of {M : M g_a = g_b M for matching generators}; 0 means no intertwiner.
+    On M's row-major entries, M A - B M is (I kron A^T - B kron I)."""
+    eye = np.eye(len(gens_a[0]), dtype=np.int64)
+    system = [np.kron(eye, A.T) - np.kron(B, eye) for A, B in zip(gens_a, gens_b)]
+    return len(kernel_basis(np.concatenate(system) % p, p))

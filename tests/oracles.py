@@ -3,6 +3,7 @@
 import functools
 import importlib
 import itertools
+import math
 import pkgutil
 
 import numpy as np
@@ -130,3 +131,99 @@ def perm_order(p: np.ndarray) -> int:
         cur = p[cur]
         k += 1
     return k
+
+
+def schreier_witness(chain: StabChain):
+    """The residue of the first Schreier generator of the chain that does
+    not sift, one generator at a time: levels deepest first, beta in orbit
+    order, g in eff order; None when every one sifts."""
+    for li in range(len(chain.levels) - 1, -1, -1):
+        level = chain.levels[li]
+        for beta in map(int, level.orbit):
+            u_beta = chain._transversal(li, beta)
+            for g in level.eff:
+                target = int(g.perm[beta])
+                s = grpcore.t_compose(grpcore.t_compose(u_beta, g), chain._transversal(li, target).inverse())
+                residue, _ = chain._sift(s)
+                if not residue.is_identity():
+                    return residue
+    return None
+
+
+def kernel_basis(M, p):
+    """Null space basis of M over GF(p), by Gauss-Jordan elimination one row
+    at a time: one vector per free column of the reduced row echelon form."""
+    M = np.asarray(M, dtype=np.int64) % p
+    rows, n = M.shape
+    A = M.copy()
+    pivots = {}
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, rows) if A[i, c]), None)
+        if piv is None:
+            continue
+        A[[r, piv]] = A[[piv, r]]
+        A[r] = (A[r] * pow(int(A[r, c]), -1, p)) % p
+        for i in range(rows):
+            if i != r and A[i, c]:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots[c] = r
+        r += 1
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = np.zeros(n, dtype=np.int64)
+        v[fc] = 1
+        for c, rr in pivots.items():
+            v[c] = (-A[rr, fc]) % p
+        out.append(v)
+    return out
+
+
+def commutant_dimension(gens_a, gens_b, p):
+    """dim of {M : M A = B M for matching generators}, its linear system
+    written out one coefficient at a time (``kernel_basis``)."""
+    n = gens_a[0].shape[0]
+    rows = []
+    for A, B in zip(gens_a, gens_b):
+        for i in range(n):
+            for j in range(n):
+                row = np.zeros(n * n, dtype=np.int64)
+                for k in range(n):
+                    row[i * n + k] = (row[i * n + k] + A[k, j]) % p
+                    row[k * n + j] = (row[k * n + j] - B[i, k]) % p
+                rows.append(row)
+    return len(kernel_basis(np.array(rows, dtype=np.int64), p))
+
+
+def field_elem_order(F: FieldSpec, a: int) -> int:
+    """Multiplicative order of a nonzero field element, from its discrete log."""
+    if a == 0:
+        raise FieldError("zero has no multiplicative order")
+    return (F.q - 1) // math.gcd(int(F.log[a]), F.q - 1)
+
+
+def conjugate_intersection_samples(setup, rng, samples: int) -> list:
+    """Per sample of x, y drawn from G's chain as the conjugation suites
+    draw them: H^x's orbit size of y(omega) in suite 1 (else None), and the
+    order and spectrum of H^x n K^y, each computed on a relabeled chain: the
+    orbit by a BFS over H^x's generators, the intersection as a point
+    stabilizer of H^x or by ``intersect``'s enumeration of H^x against K^y."""
+    from grpfact import factorize, sporadic
+
+    gchain = setup.G.chain()
+    dom = gchain.domain
+    out = []
+    for _ in range(samples):
+        x = gchain.random_element(rng)
+        y = gchain.random_element(rng)
+        Hx = grpcore.GroupSpec.of_chain("H^x", setup.H.chain().conjugate(x))
+        size = None
+        if setup.orbit_seed is not None:
+            y_omega = int(y.perm[dom.index_of_point(setup.orbit_seed)])
+            size = len(grpcore.schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)[0])
+            inter = grpcore.stabilizer_generators(Hx, dom.point(y_omega))
+        else:
+            Ky = grpcore.GroupSpec.of_chain("K^y", setup.K.chain().conjugate(y))
+            inter = factorize.intersect(Hx, Ky, "enumerate_smaller")
+        out.append((size, inter.order(), sporadic.exact_spectrum(inter.chain())))
+    return out

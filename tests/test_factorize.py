@@ -25,6 +25,7 @@ from grpfact.factorize import (
 from grpfact.grpcore import CertificationError, GroupSpec
 from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
+import oracles
 from oracles import chain_elements, count_matrix_ops
 
 
@@ -422,6 +423,45 @@ def test_conjugation_suite_composes_no_matrix(catalog, monkeypatch):
     result = factorize._run_conjugation(claim, factorize.build_setup(claim, rng), rng, 2**24)
     assert (result.details["stable"], result.details["spectra_preserved"]) == (50, 50)
     assert not calls
+
+
+def _same_class_setup(catalog, seed):
+    # suite-r9's set-up with K a conjugate of H, in H's class of A5: two
+    # such A5s of PSL_2(9) are equal or meet in A4, so no sample factorizes
+    setup = factorize.build_setup(catalog.claim_by_id("suite-r9"), np.random.default_rng(seed))
+    z = setup.G.chain().random_element(np.random.default_rng(seed))
+    setup.K = GroupSpec.of_chain("A5 class 1'", setup.H.chain().conjugate(z))
+    return setup
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("variant", ["suite-r1", "suite-r9", "same-class"])
+def test_conjugate_intersections_match_relabeled_chains(catalog, variant, seed):
+    if variant == "same-class":
+        setup = _same_class_setup(catalog, seed)
+    else:
+        setup = factorize.build_setup(catalog.claim_by_id(variant), np.random.default_rng(seed))
+    got = list(factorize._conjugate_intersections(setup, np.random.default_rng(seed), 25))
+    want = oracles.conjugate_intersection_samples(setup, np.random.default_rng(seed), 25)
+    assert got == want
+    if variant == "same-class":
+        # the control reaches both intersections: H^x = K^y and A4
+        assert {order for _, order, _ in got} == {12, 60}
+
+
+def test_conjugation_fails_with_both_a5s_in_one_class(catalog):
+    claim = catalog.claim_by_id("suite-r9")
+    result = factorize._run_conjugation(claim, _same_class_setup(catalog, 4), np.random.default_rng(4), 2**24)
+    assert (result.verdict, result.details["stable"]) == ("fail", 0)
+
+
+def test_conjugation_refuses_a_factor_past_the_enumeration_cap(catalog):
+    # SL_4(2) as H: 20,160 elements, past the 10^4 that intersect enumerates
+    claim = catalog.claim_by_id("suite-r1")
+    setup = factorize.build_setup(claim, np.random.default_rng(0))
+    setup.H = setup.G
+    with pytest.raises(factorize.VerifyError, match="capped at 10\\^4"):
+        factorize._run_conjugation(claim, setup, np.random.default_rng(0), 2**24)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grpfact import gf
+from oracles import field_elem_order
 
 SMALL_FIELDS = [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (2, 4), (13, 1), (3, 4)]
 
@@ -48,7 +49,7 @@ def test_gf9_multiplicative_order():
     lam = F.primitive_elem
     assert F.power(lam, 8) == 1
     assert F.power(lam, 4) != 1
-    orders = sorted(F.elem_order(a) for a in range(1, 9))
+    orders = sorted(field_elem_order(F, a) for a in range(1, 9))
     assert orders == [1, 2, 4, 4, 8, 8, 8, 8]
 
 
@@ -56,7 +57,7 @@ def test_field_axioms_exhaustive(field):
     # associativity, distributivity, inverses on the full triple product
     # space, exhaustively for every field up to 81 elements
     F = field
-    els = list(F.elements())
+    els = list(range(F.q))
     assert F.q <= 81
     for a, b, c in itertools.product(els, repeat=3):
         assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
@@ -70,17 +71,17 @@ def test_field_axioms_exhaustive(field):
 
 def test_frobenius_is_automorphism(field):
     F = field
-    for a, b in itertools.product(F.elements(), repeat=2):
+    for a, b in itertools.product(range(F.q), repeat=2):
         assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
         assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
     # order divides f
-    for a in F.elements():
+    for a in range(F.q):
         assert F.frobenius(a, F.f) == a
 
 
 def test_frobenius_composes():
     F = gf.make_field(2, 4)
-    for a in F.elements():
+    for a in range(F.q):
         assert F.frobenius(F.frobenius(a, 1), 1) == F.frobenius(a, 2)
 
 
@@ -114,7 +115,7 @@ def test_embed_gf4_into_gf16():
     lam4 = F4.primitive_elem
     image = int(t[lam4])
     assert image == F16.power(F16.primitive_elem, 5)
-    assert F16.elem_order(image) == 3
+    assert field_elem_order(F16, image) == 3
     # ring homomorphism on the full domain
     for a, b in itertools.product(range(4), repeat=2):
         assert t[F4.add(a, b)] == F16.add(int(t[a]), int(t[b]))
@@ -166,7 +167,7 @@ def test_every_prime_power_up_to_256_builds():
         f = 1
         while p**f <= 256:
             F = gf.make_field(p, f)
-            assert F.q == p**f and F.elem_order(F.primitive_elem) == F.q - 1
+            assert F.q == p**f and field_elem_order(F, F.primitive_elem) == F.q - 1
             assert all(F.mul(a, F.inv(a)) == 1 for a in range(1, F.q))
             f += 1
     for (p, f), modulus in ADDED_MODULI.items():

@@ -67,6 +67,7 @@ from oracles import (
     count_matrix_ops,
     count_schreier_orbits,
     orbit_contains_key,
+    schreier_witness,
 )
 from test_trace_targets import _targets as tracing_targets
 
@@ -1425,3 +1426,83 @@ def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkey
     dom = D.chain().domain
     for t in D.generators.tracked:
         assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
+
+
+# ---------------------------------------------------------------------------
+# the Schreier pass and transversal stacks on blocks, against the scalar walk
+
+
+@pytest.fixture
+def checked_witnesses(monkeypatch):
+    """Every block Schreier witness, checked against the scalar reference:
+    one list entry per call, whether the chain was complete."""
+    calls = []
+    block = StabChain._schreier_witness
+
+    def checked(chain):
+        got, want = block(chain), schreier_witness(chain)
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got.perm, want.perm)
+        calls.append(got is None)
+        return got
+
+    monkeypatch.setattr(StabChain, "_schreier_witness", checked)
+    return calls
+
+
+def _chain_of(domain, tracked):
+    """The partial chain that sifting the given elements alone builds."""
+    chain = StabChain(domain)
+    for t in tracked:
+        chain._add(t)
+    return chain
+
+
+@pytest.mark.parametrize("block_entries", [1, grpcore.BLOCK_ENTRIES], ids=["one-point-chunks", "default"])
+@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+def test_block_schreier_pass_matches_the_scalar_pass(case, block_entries, checked_witnesses, monkeypatch):
+    monkeypatch.setattr(grpcore, "BLOCK_ENTRIES", block_entries)
+    G = _stabilizer_cases()[case][0]
+    if case == 2:
+        # the pair case of _stabilizer_cases is regular on its 120 pairs, so
+        # every chain of it is complete: SL_3(3) on its 234 pairs is not
+        sl33 = classical_generators("SL", 3, 3)
+        G = GroupSpec("SL_3(3) on pairs", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PAIR)
+    full = G.chain()
+    dom, order = full.domain, full.order()
+    # a Monte Carlo chain stopped after one sample, far below its order, and
+    # chains with one strong generator removed: the pass completes each to
+    # the chain of the group its elements generate
+    partial = [full.originals[:1] + [full.random_element(np.random.default_rng(41))]]
+    strong = full.levels[0].eff
+    partial += [strong[:drop] + strong[drop + 1:] for drop in (0, len(strong) - 1)]
+    for elements in partial:
+        chain = _chain_of(dom, elements)
+        chain._verify_loop()
+        assert order % chain.order() == 0 and checked_witnesses[-1]
+    assert checked_witnesses.count(False) > 0
+    assert full._schreier_witness() is None
+
+
+@pytest.mark.parametrize("claim_id", ["t1r09", "t1r11-a", "t1r12-b"])
+def test_block_schreier_pass_matches_on_the_literal_chains(claim_id, checked_witnesses):
+    claim = load_catalog().claim_by_id(claim_id)
+    factorize.build_setup(claim, np.random.default_rng(factorize.claim_seed(claim.claim_id, 20260810)))
+    assert checked_witnesses and checked_witnesses[-1]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+def test_transversal_stack_rows_are_the_transversals(case):
+    chain = _stabilizer_cases()[case][0].chain()
+    for li, level in enumerate(chain.levels):
+        stack = chain._transversal_stack(li)
+        assert stack.dtype == np.int32 and stack.shape == (len(level.orbit), chain.domain.size)
+        for row, b in zip(stack, level.orbit.tolist()):
+            assert np.array_equal(row, chain._transversal(li, b).perm)
+
+
+def test_corrupt_schreier_vector_stops_the_transversal_stack(sl32):
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
+    _corrupt_first_level(chain)
+    with pytest.raises(CertificationError, match="Schreier vector of level 0"):
+        chain._transversal_stack(0)

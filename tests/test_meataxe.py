@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grpfact import meataxe as mx
+import oracles
 
 
 @pytest.fixture
@@ -78,3 +79,38 @@ def test_action_on_rejects_non_invariant():
     bad = np.array([[1, 0, 0]], dtype=np.int64)
     with pytest.raises(mx.MeatAxeError):
         mx.action_on(bad, g, p)
+
+
+def _random_module(rng, p, n, k):
+    """k random n x n matrices over GF(p), and the same module relabeled by a
+    random permutation matrix, an isomorphic one."""
+    gens = [rng.integers(0, p, size=(n, n)) for _ in range(k)]
+    perm = np.eye(n, dtype=np.int64)[rng.permutation(n)]
+    return gens, [perm @ g @ perm.T for g in gens]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_basis_matches_the_row_loop(p):
+    rng = np.random.default_rng(p)
+    for trial in range(60):
+        rows, n, rank = (int(v) for v in rng.integers(1, 13, size=3))
+        M = rng.integers(0, p, size=(rows, n))
+        if trial % 2:  # a product through rank columns, often rank-deficient
+            M = rng.integers(0, p, size=(rows, rank)) @ rng.integers(0, p, size=(rank, n))
+        got, want = mx.kernel_basis(M, p), oracles.kernel_basis(M, p)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_commutant_dimension_matches_the_coefficient_loop(p):
+    rng = np.random.default_rng(10 + p)
+    dims = set()
+    for n in range(1, 7):
+        for k in (1, 2):
+            gens, relabeled = _random_module(rng, p, n, k)
+            other = _random_module(rng, p, n, k)[0]
+            for a, b in ((gens, gens), (gens, relabeled), (gens, other)):
+                dim = mx.commutant_dimension(a, b, p)
+                assert dim == oracles.commutant_dimension(a, b, p)
+                dims.add(dim)
+    assert 0 in dims and max(dims) > 1
