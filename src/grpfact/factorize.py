@@ -60,7 +60,6 @@ from .grpcore import (
     Rattle,
     StabChain,
     Tracked,
-    element_orders,
     orbit,
     same_subgroup,
     solvable_residual,
@@ -575,8 +574,9 @@ def _conjugate_intersections(setup, rng, samples: int):
         raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
     if small.order() > _ENUMERATION_CAP:
         raise VerifyError("enumerate strategy capped at 10^4 elements")
-    block = np.concatenate(list(small.chain().element_perm_blocks()))
-    block_orders = np.array(element_orders(block))
+    chain = small.chain()
+    block = np.concatenate(list(chain.element_perm_blocks()))
+    block_orders = chain.support().orders(np.concatenate(list(chain.words()), axis=1))
     for _ in range(samples):
         x, y = gchain.random_element(rng), gchain.random_element(rng)
         if omega is not None:

@@ -13,6 +13,8 @@ permutation (``PermDomain.element_of``) only for a domain they were not
 built on.
 Product-membership samples (``ProductSift``), enumerated intersections
 (``StabChain.contains_block``) and the Schreier pass sift stacked permutations.
+Element orders are read off transversal words on a chain's support
+(``StabChain.support``), with no element's permutation of the domain formed.
 
 Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
 of an enumerated domain and keeps a Schreier vector; the chain levels, the
@@ -51,7 +53,6 @@ the orbit-stabilizer certificate.  ``derived_subgroup`` and
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import os
 import weakref
@@ -275,8 +276,55 @@ class _Level:
     par: np.ndarray | None = None
 
 
-# entries of one block of stacked permutations: element_orders holds a few
-# intp arrays of a block's size, under 1 MiB at 2^14 entries
+def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int) -> np.ndarray:
+    """Level li's transversals in orbit order as one (orbit, n) int32 array,
+    from its generators gens (k, n) and Schreier vector par on n points: one
+    gather per BFS layer, u_b = u_a * g for b = g(a), a in an earlier layer,
+    with each a read off the generators' forward images of the orbit."""
+    m, n = len(orbit), gens.shape[1]
+    pos = np.full(n, m)
+    pos[orbit] = np.arange(m)
+    img = gens[:, orbit]
+    g_of, col = (par[img] == np.arange(len(gens))[:, None]).nonzero()  # g reached g(orbit[col])
+    src = np.full(m + 1, m)  # the position of each point's parent; m at the base and past the end
+    src[pos[img[g_of, col]]] = col
+    out = np.empty((m, n), dtype=np.int32)
+    out[0] = np.arange(n)
+    lo = 1
+    while lo < m:
+        hi = lo + int((src[lo:] >= lo).argmax())
+        if hi == lo:
+            raise CertificationError(f"Schreier vector of level {li} does not lead its orbit to its base")
+        out[lo:hi] = gens[par[orbit[lo:hi], None], out[src[lo:hi]]]
+        lo = hi
+    return out
+
+
+class Support(NamedTuple):
+    """A chain on its support Δ (``StabChain.support``): Δ's points, the base
+    points' positions in Δ, and the levels' transversals on Δ, top first."""
+
+    points: np.ndarray
+    base: np.ndarray
+    stacks: list[np.ndarray]
+
+    def orders(self, *words: np.ndarray) -> np.ndarray:
+        """Orders of the products of words (``StabChain.words``, or one word
+        for all rows), applied in turn, all rows walking the base points'
+        cycles at once: only the identity fixes a base, so |g| is their lcm."""
+        walk = [(T.ravel(), w[i, :, None] * len(self.points)) for w in words for i, T in enumerate(self.stacks)]
+        pts = self.base + np.zeros((max(w.shape[1] for w in words), 1), dtype=np.intp)
+        lengths, step = np.zeros_like(pts), 0
+        while not lengths.all():
+            step += 1
+            for flat, offsets in walk:
+                pts = flat[offsets + pts]
+            lengths[(lengths == 0) & (pts == self.base)] = step
+        return np.lcm.reduce(lengths, axis=1, initial=1)  # partial lcms divide |g|: no overflow
+
+
+# entries of a block of permutations (element_perm_blocks, the Schreier pass)
+# or of words times levels (Support.orders): a few intp arrays under 1 MiB
 BLOCK_ENTRIES = 1 << 14
 
 
@@ -532,62 +580,56 @@ class StabChain:
             acc = u if acc is None else t_compose(acc, u)
         return acc if acc is not None else self.ident
 
+    def words(self):
+        """The group's elements as words in (levels, k) chunks of at most
+        BLOCK_ENTRIES entries: element x's word is x's digits in the orbit
+        sizes, top level first, so the words run lexicographically."""
+        sizes = [len(lv.orbit) for lv in reversed(self.levels)]
+        total, rows = math.prod(sizes), max(1, BLOCK_ENTRIES // max(1, len(sizes)))
+        for lo in range(0, total, rows):
+            x = np.arange(lo, min(lo + rows, total))
+            out = np.empty((len(sizes), len(x)), dtype=np.intp)
+            for i, size in enumerate(sizes):
+                out[i] = x // math.prod(sizes[i + 1:]) % size
+            yield out
+
     def element_perm_blocks(self, max_entries: int = BLOCK_ENTRIES):
-        """The group's elements as stacked (k, N) permutation arrays, each of
-        at most max_entries entries (or one element): every product of one
-        transversal element per level, top level first, in the lexicographic
-        order of their orbit positions.  The innermost levels of the walk
-        are multiplied out as one block by fancy indexing; the outer levels
-        are walked one prefix at a time, and as many consecutive prefixes as
-        fit are applied to that block together, so no matrix is composed."""
-        N = self.domain.size
-        trans = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
-        block, split = self._arange[None, :], len(trans)
-        while split and len(block) * len(trans[split - 1]) * N <= max_entries:
-            split -= 1
-            # entry [i, j] applies transversal i, then block element j
-            block = block[np.arange(len(block))[None, :, None], trans[split][:, None, :]].reshape(-1, N)
-        outer = trans[:split]
-        per_block = max(1, max_entries // (len(block) * N))
-        prefixes = []
-        for idx in itertools.product(*(range(len(T)) for T in outer)):
-            prefix = self._arange
-            for T, i in zip(outer, idx):
-                prefix = T[i][prefix]
-            prefixes.append(prefix)
-            if len(prefixes) == per_block:
-                yield self._apply_prefixes(block, prefixes)
-                prefixes = []
-        if prefixes:
-            yield self._apply_prefixes(block, prefixes)
+        """The group's elements as stacked (k, N) permutation arrays of at most
+        max_entries entries (or one element), in ``words`` order.  A chunk's
+        words that share a prefix are consecutive, so each level takes one
+        gather over the distinct prefixes, and no matrix is composed."""
+        N = len(self._arange)
+        stacks = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
+        total, rows = math.prod(len(T) for T in stacks), max(1, max_entries // N)
+        for lo in range(0, total, rows):
+            # block[i] is prefix first + i; prefix p extends p // len(T) by p % len(T)
+            block, span, first = self._arange[None, :], total, 0
+            for T in stacks:
+                span //= len(T)
+                p = np.arange(lo // span, (min(lo + rows, total) - 1) // span + 1)
+                block = T.ravel()[(p % len(T) * N)[:, None] + block[p // len(T) - first]]
+                first = lo // span
+            yield block.astype(np.intp)
+
+    def support(self) -> Support:
+        """The chain relabeled onto its support Δ, the union of its base points'
+        orbits, on which the group acts faithfully: each level's generators,
+        orbit and Schreier vector are read at Δ's points and renumbered."""
+        N = len(self._arange)
+        inside = np.zeros(N, dtype=bool)
+        for level in self.levels:
+            if not inside[level.base]:
+                inside |= schreier_orbit([t.perm for t in self.levels[0].eff], level.base, N)[1]
+        points, rank = np.flatnonzero(inside), np.zeros(N, dtype=np.int32)
+        rank[points] = np.arange(len(points))  # each point's position in Δ
+        stacks = [_transversal_rows(rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit],
+                                    lv.par[points], li) for li, lv in reversed(list(enumerate(self.levels)))]
+        return Support(points, rank[[lv.base for lv in self.levels]], stacks)
 
     def _transversal_stack(self, li: int) -> np.ndarray:
-        """Level li's transversals, in orbit order, as one (orbit, N) int32
-        array (domains stay far below 2^31 points), by one gather per BFS
-        layer of the orbit: u_b = u_a * g for b = g(a), a in an earlier layer."""
+        """Level li's transversals on the whole domain (``_transversal_rows``)."""
         level = self.levels[li]
-        orbit, N = level.orbit, len(self._arange)
-        gens = np.stack([t.perm for t in level.eff])
-        gi = level.par[orbit[1:]]
-        pos = np.full(N, len(orbit))
-        pos[orbit] = np.arange(len(orbit))
-        # src[i - 1]: the orbit position of the point orbit[i] was reached from
-        src = pos[_inverse_perms(gens, N)[gi, orbit[1:]]]
-        out = np.empty((len(orbit), N), dtype=np.int32)
-        out[0] = self._arange
-        lo = 1
-        while lo < len(orbit):
-            hi = lo + int(np.argmax(np.append(src[lo - 1:] >= lo, True)))
-            if hi == lo:
-                raise CertificationError(f"Schreier vector of level {li} does not lead its orbit to its base")
-            out[lo:hi] = gens[gi[lo - 1:hi - 1, None], out[src[lo - 1:hi - 1]]]
-            lo = hi
-        return out
-
-    @staticmethod
-    def _apply_prefixes(block: np.ndarray, prefixes: list[np.ndarray]) -> np.ndarray:
-        # prefix-major: the rows of block[:, p] for each prefix p in turn
-        return block[:, np.stack(prefixes)].transpose(1, 0, 2).reshape(-1, block.shape[1])
+        return _transversal_rows(np.stack([t.perm for t in level.eff]), level.orbit, level.par, li)
 
     def contains_block(self, block: np.ndarray) -> np.ndarray:
         """Membership mask of the stacked permutations block[i] (shape (k, N)):

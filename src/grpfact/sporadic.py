@@ -21,13 +21,11 @@ from .actions import Action, PermDomain
 from .constructors import ConstructionError, classical_generators
 from .gf import make_field
 from .grpcore import (
-    BLOCK_ENTRIES,
     CertificationError,
     GroupSpec,
     StabChain,
     Tracked,
     element_order_perm,
-    element_orders,
     schreier_orbit,
     shared_domain,
     solvable_residual,
@@ -100,11 +98,10 @@ def _walk_rejects(a: Tracked, b: Tracked, allowed, rng, samples: int = 16) -> bo
 
 
 def exact_spectrum(chain: StabChain) -> frozenset[int]:
-    """The set of element orders of a small group, by enumeration (the
-    trivial group's, {1}, needs none)."""
-    if chain.order() == 1:
-        return frozenset({1})
-    return frozenset(o for block in chain.element_perm_blocks() for o in element_orders(block))
+    """The set of element orders of a small group, read off its elements'
+    words on its support (``Support.orders``)."""
+    support = chain.support()
+    return frozenset(o for words in chain.words() for o in support.orders(words).tolist())
 
 
 def certify_subgroup(domain, tracked: list[Tracked], kind: str, rng, name: str) -> StabChain:
@@ -482,23 +479,13 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     pdom = shared_domain(PROJECTIVE, F3, 6)
     name1 = "PSL_2(13)a<PSL_6(3)"
     X1 = GroupSpec.of_chain(name1, StabChain.build(pdom, gens1, order=1092, bound=1092, rng=rng, name=name1))
-    # the elements of order 2 and 3 are kept in the narrowest dtype that
-    # holds a point of the 364-point domain
-    narrow = np.min_scalar_type(pdom.size)
-    spectrum, of_order = set(), {2: [], 3: []}
-    for block in X1.chain().element_perm_blocks():
-        orders = np.array(element_orders(block))
-        spectrum.update(orders.tolist())
-        for k, found in of_order.items():
-            found.append(block[orders == k].astype(narrow))
-    if spectrum != SPECTRA["PSL2_13"]:
+    # the spectrum, and a presentation-style certificate: |a| = 2, |b| = 3,
+    # |ab| = 13, with ab walked as a's word, then b's, for every b at once
+    support, words = X1.chain().support(), np.concatenate(list(X1.chain().words()), axis=1)
+    orders = support.orders(words)
+    if set(orders.tolist()) != SPECTRA["PSL2_13"]:
         raise CertificationError("PSL_2(13) witness has a wrong spectrum")
-    # presentation-style certificate: |a| = 2, |b| = 3, |ab| = 13, with the
-    # b taken in blocks of at most BLOCK_ENTRIES entries
-    threes = np.concatenate(of_order[3])
-    step = max(1, BLOCK_ENTRIES // threes.shape[1])
-    if not any(13 in element_orders(threes[lo : lo + step, a])
-               for a in np.concatenate(of_order[2]) for lo in range(0, len(threes), step)):
+    if not any(13 in support.orders(a[:, None], words[:, orders == 3]) for a in words[:, orders == 2].T):
         raise CertificationError("no (2,3,13) generator pair inside the witness")
     # second class: conjugate by a determinant -1 matrix; its generators are
     # the relabeled permutations, with no matrix

@@ -600,3 +600,29 @@ def test_desk_results_do_not_depend_on_the_seed(catalog):
     for base_seed in range(2, 21):
         got = results(base_seed)
         assert {cid: r for cid, r in got.items() if r != first[cid]} == {}, f"base seed {base_seed}"
+
+
+def test_6sp_sweep_point_at_m4_reads_its_spectrum_on_the_support(catalog, monkeypatch):
+    # the intersection that structure_hint labels has 4,080 elements on
+    # 65,535 vectors and a support of 255 points; forming each element's
+    # permutation of the domain instead peaks above 100 MiB here, in the
+    # transversal stacks of the domain and one int64 row per element
+    peaks = []
+    spectrum = sporadic.exact_spectrum
+
+    def traced(chain):
+        tracemalloc.start()
+        try:
+            return spectrum(chain)
+        finally:
+            peaks.append((chain.order(), chain.domain.size, tracemalloc.get_traced_memory()[1]))
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sporadic, "exact_spectrum", traced)
+    report = verify_claim(catalog.instantiate("6Sp", {"m": 4}))
+    assert report.overall == "pass"
+    order = next(s for s in report.strategies if s.name == "order")
+    assert order.verdict == "pass" and order.intersection_order == 4080
+    assert order.details["intersection_hint"] == "order 4080, spectrum [1, 2, 3, 5, 15, 17]"
+    assert [peak[:2] for peak in peaks] == [(4080, 65535)]
+    assert peaks[0][2] < 2**20

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 import grpfact
-from grpfact import factorize, gf, grpcore
+from grpfact import factorize, gf, grpcore, sporadic
 from grpfact.catalog import load_catalog
 from grpfact.constructors import (
     automorphism_element,
@@ -699,6 +699,62 @@ def test_psl2_13_blocks_fill_max_entries():
     assert all(b.size <= max_entries for b in blocks)
     want = np.stack([t.perm for t in chain_elements(chain)])
     assert np.array_equal(np.concatenate(blocks), want)
+
+
+def _support_cases():
+    """One chain per domain kind, a trivial group and a one-level chain:
+    (chain, whether its support is a proper subset of its domain)."""
+    sl32 = classical_generators("SL", 3, 2)
+    stab_v = stabilizer_subgroup("vector", 3, 2)
+    stab_af = stabilizer_subgroup("antiflag", 3, 2)
+    antiflag = StabChain.build(shared_domain(ANTIFLAG, stab_af.spec, 3), stab_af.generators, order=6, bound=6)
+    sl42 = classical_generators("SL", 4, 2).chain()
+    rng = np.random.default_rng(5)
+    five = next(t for t in (sl42.random_element(rng) for _ in range(200)) if element_order_perm(t.perm) == 5)
+    return {
+        "vector": (stab_v.chain(), True),
+        "projective": (_stabilizer_cases()[1][0].chain(), False),
+        "pair": (_stabilizer_cases()[2][0].chain(), False),
+        "antiflag": (antiflag, True),
+        "trivial": (StabChain.build(shared_domain(VECTOR, sl32.spec, 3), [], order=1, bound=1), True),
+        "one-level": (StabChain.build(sl42.domain, [five], order=5), True),
+    }
+
+
+@pytest.mark.parametrize("case", ["vector", "projective", "pair", "antiflag", "trivial", "one-level"])
+def test_word_orders_on_the_support_match_the_domain(case, monkeypatch):
+    chain, proper = _support_cases()[case]
+    if case in ("trivial", "one-level"):
+        assert len(chain.levels) == ("trivial", "one-level").index(case)
+    perms = np.stack([t.perm for t in chain_elements(chain)])
+    want = grpcore.element_orders(perms)
+    support = chain.support()
+    # Δ is the union of the base points' orbits, read off every element
+    orbits = set(perms[:, [lv.base for lv in chain.levels]].ravel().tolist())
+    assert support.points.tolist() == sorted(orbits)
+    assert (len(support.points) < chain.domain.size) == proper
+    assert support.points[support.base].tolist() == [lv.base for lv in chain.levels]
+    assert [len(T) for T in support.stacks] == [len(lv.orbit) for lv in reversed(chain.levels)]
+    # each word's order, in chunks of any size, is its element's order on the domain
+    for entries in (7, grpcore.BLOCK_ENTRIES):
+        monkeypatch.setattr(grpcore, "BLOCK_ENTRIES", entries)
+        got = np.concatenate([support.orders(words) for words in chain.words()])
+        assert got.tolist() == want
+    assert sporadic.exact_spectrum(chain) == frozenset(want)
+    # the permutation blocks materialize the same words, so their rows line up
+    assert grpcore.element_orders(np.concatenate(list(chain.element_perm_blocks()))) == want
+
+
+@pytest.mark.parametrize("case", ["vector", "projective", "antiflag"])
+def test_orders_of_products_walk_one_word_then_the_other(case):
+    chain = _support_cases()[case][0]
+    perms = np.stack([t.perm for t in chain_elements(chain)])
+    words = np.concatenate(list(chain.words()), axis=1)
+    support = chain.support()
+    for i in (0, 1, len(perms) // 2, len(perms) - 1):
+        # a row applies a, then b
+        want = grpcore.element_orders(perms[:, perms[i]])
+        assert support.orders(words[:, i:i + 1], words).tolist() == want
 
 
 def _semilinear_gens():

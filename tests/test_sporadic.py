@@ -36,9 +36,9 @@ def test_sp42_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
 
 
 def test_exact_spectrum_scratch_is_bounded():
-    # Sp_4(3), 51,840 elements on 80 vectors, enumerated in blocks of at
-    # most 2^14 entries: element_orders' temporaries on one block stay well
-    # under 1 MiB, where blocks of 2^16 entries took 2.9 MiB
+    # Sp_4(3), 51,840 elements on 80 vectors, walked in chunks of at most
+    # 2^14 word entries: Support.orders' temporaries on one chunk stay under
+    # 1 MiB, where the whole group in one chunk takes several MiB
     chain = classical_generators("Sp", 4, 3).chain()
     tracemalloc.start()
     try:
