@@ -60,6 +60,7 @@ from .grpcore import (
     Rattle,
     StabChain,
     Tracked,
+    derived_series,
     orbit,
     same_subgroup,
     solvable_residual,
@@ -551,12 +552,20 @@ def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
 def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
     """Solvable residuals equal as subgroups (mutual membership), not just isomorphic.
 
-    X_catalog bounds H's derived series: a derived chain that sifts into X
-    and reaches |X| is certified without a Schreier pass.
+    H's derived series is walked with X_catalog as a bound on each step
+    (``derived_series``), so a derived chain that sifts into X and reaches
+    |X| is certified without a Schreier pass.  The walk stops at the first
+    derived term D of order |X| whose generators lie in X: then D = X
+    (sandwich), so H^inf = D^inf = X^inf, and neither X nor D takes a
+    derived step.  Only when no term reaches X are H's residual and X's
+    compared.
     """
-    res_h = solvable_residual(H_located, rng=rng, within=X_catalog)
-    res_x = solvable_residual(X_catalog, rng=rng)
-    return same_subgroup(res_h, res_x)
+    series = derived_series(H_located, rng=rng, within=X_catalog)
+    res_h = next(series)  # H itself: only its derived terms are matched with X
+    for res_h in series:
+        if res_h.order() == X_catalog.order() and X_catalog.includes(res_h):
+            return True
+    return same_subgroup(res_h, solvable_residual(X_catalog, rng=rng))
 
 
 def _conjugate_intersections(setup, rng, samples: int):

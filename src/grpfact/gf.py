@@ -13,6 +13,8 @@ lookup.  make_field rejects every other field.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 # Moduli, coefficients low degree first, monic.  Most are the standard
@@ -140,6 +142,13 @@ class FieldSpec:
         self.inv_table[1:] = exp[(q - 1 - log[nonzero]) % (q - 1)]
         self.frob_table = np.zeros(q, dtype=np.int64)
         self.frob_table[1:] = exp[log[nonzero] * p % (q - 1)]
+
+    @cached_property
+    def table_lists(self) -> tuple[list, list, list, list]:
+        """The add, mul, neg and inv tables as nested Python lists, for
+        loops that look up one element at a time (``linalg._gauss``)."""
+        return (self.add_table.tolist(), self.mul_table.tolist(), self.neg_table.tolist(),
+                self.inv_table.tolist())
 
     # -- element operations on integer indices -------------------------------
 

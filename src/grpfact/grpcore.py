@@ -4,7 +4,9 @@ Groups are given by semilinear generators; every computation runs on the
 permutation image over a chosen action domain.  A ``Tracked`` element is a
 permutation of a domain, and it holds a matrix only when it was built from
 one.  Sifts, random walks, transversals, Schreier generators, commutators
-and conjugates are permutation products, and no matrix is composed.  Every
+and conjugates are permutation products, and no matrix is composed; the
+chain's random walk (``Rattle``) and its sift (``StabChain._sift``) compose
+raw index arrays and wrap only a sample or a residue as Tracked.  Every
 spec that comes with a certified chain is made from it here
 (``GroupSpec.of_chain``) and keeps its generators as Tracked elements of
 the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
@@ -137,9 +139,7 @@ class Tracked:
         if self._inv is None:
             if self._inv_of is not None and (of := self._inv_of()) is not None:
                 return of
-            inv_perm = np.empty_like(self.perm)
-            inv_perm[self.perm] = _identity_perm(len(self.perm))
-            self._inv = Tracked(inv_perm)
+            self._inv = Tracked(_inverse_perm(self.perm))
             self._inv._inv_of = weakref.ref(self)
         return self._inv
 
@@ -152,31 +152,56 @@ def t_compose(a: Tracked, b: Tracked) -> Tracked:
     return Tracked(b.perm[a.perm])
 
 
+def _inverse_perm(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = _identity_perm(len(perm))
+    return inv
+
+
 class Rattle:
-    """Product-replacement random walk over a fixed generating set."""
+    """Product-replacement random walk over a fixed generating set.
+
+    The slots and the accumulator are raw permutation arrays, composed
+    with one gather a step, and a slot keeps its inverse until it is
+    replaced; only a sample is wrapped as a Tracked element.  A step draws
+    four integers: from a ``Stream`` through its bound ``random()``, which
+    gives what its ``integers`` would, and from any other stream (a numpy
+    Generator) through ``integers``.  Either way the draws, and so the
+    samples, are those of the same walk over Tracked products."""
 
     def __init__(self, gens: list[Tracked], ident: Tracked, rng, extra: int = 6, scramble: int = 50):
-        self.slots = list(gens) + [ident] * extra
-        self.accu = ident
-        self.rng = rng
+        self.slots = [t.perm for t in gens] + [ident.perm] * extra
+        self._invs: list[np.ndarray | None] = [None] * len(self.slots)
+        self.accu = ident.perm
+        if isinstance(rng, Stream):
+            def draws(n, random=rng.random):
+                return int(random() * n), int(random() * (n - 1)), int(random() * 2), int(random() * 2)
+        else:
+            def draws(n):
+                return int(rng.integers(n)), int(rng.integers(n - 1)), int(rng.integers(2)), int(rng.integers(2))
+        self._draws = draws
         for _ in range(max(scramble, 5 * len(self.slots))):
             self._stir()
 
-    def _stir(self) -> Tracked:
+    def _stir(self) -> np.ndarray:
+        slots, invs = self.slots, self._invs
+        i, j, invert, after = self._draws(len(slots))
         # i != j keeps <slots> invariant; allowing i == j can erase a slot
-        i = int(self.rng.integers(len(self.slots)))
-        j = int(self.rng.integers(len(self.slots) - 1))
         if j >= i:
             j += 1
-        s = self.slots[i]
-        if self.rng.integers(2):
-            s = s.inverse()
-        self.slots[j] = t_compose(self.slots[j], s) if self.rng.integers(2) else t_compose(s, self.slots[j])
-        self.accu = t_compose(self.accu, self.slots[j])
+        s = slots[i]
+        if invert:
+            if invs[i] is None:
+                invs[i] = _inverse_perm(s)
+            s = invs[i]
+        # s after slot j, else before it (a, then b, is b[a])
+        slots[j] = s[slots[j]] if after else slots[j][s]
+        invs[j] = None
+        self.accu = slots[j][self.accu]
         return self.accu
 
     def sample(self) -> Tracked:
-        return self._stir()
+        return Tracked(self._stir())
 
 
 # ---------------------------------------------------------------------------
@@ -470,22 +495,26 @@ class StabChain:
         return reduce(t_compose, reversed(path)) if path else self.ident
 
     def _sift(self, t: Tracked):
-        u = t
+        """The residue of t and the level where its sift stopped, walking a
+        raw permutation array home level by level; t itself when no level
+        moves it."""
+        perm = t.perm
         for li, level in enumerate(self.levels):
-            beta = int(u.perm[level.base])
-            if beta == level.base:
+            base = level.base
+            beta = int(perm[base])
+            if beta == base:
                 continue
             if not level.seen[beta]:
-                return u, li
-            steps = 0
-            while beta != level.base:
+                return (t if perm is t.perm else Tracked(perm)), li
+            eff, par, steps = level.eff, level.par, 0
+            while beta != base:
                 if steps == len(level.orbit):
                     raise CertificationError(f"Schreier vector of level {li} does not lead a sift to its base")
                 steps += 1
-                einv = level.eff[int(level.par[beta])].inverse()
-                u = t_compose(u, einv)
-                beta = int(einv.perm[beta])
-        return u, len(self.levels)
+                einv = eff[par[beta]].inverse().perm
+                perm = einv[perm]
+                beta = int(einv[beta])
+        return (t if perm is t.perm else Tracked(perm)), len(self.levels)
 
     def _add(self, t: Tracked) -> bool:
         residue, li = self._sift(t)
@@ -913,16 +942,19 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
 
     A pass walks the keyspace once in aligned blocks of
     2**action.block_bits keys (a multiple of 8, so a block starts on a byte
-    of the bit mask), split into ``_sweep_workers`` contiguous ranges, each
-    walked by its own thread.  A worker packs a block's seen bytes once,
-    and takes from that snapshot both the keys to apply (seen and not
-    done) and the done bits it stores, so a key that another worker sets
-    meanwhile is neither marked done nor lost: it waits for the next pass.
-    Each done byte lies in one worker's range, and seen only ever gets
-    stores of True, so the workers need no lock.  All generators' images
+    of the bit mask), grouped in spans of _SPAN_BLOCKS blocks that
+    ``_sweep_workers`` threads take in turn from one shared iterator of the
+    pass, so a worker with light spans takes more of them.  Taking the next
+    span is one call under the GIL, so each span has one owner per pass.
+    A worker packs a block's seen bytes once, and takes from that snapshot
+    both the keys to apply (seen and not done) and the done bits it
+    stores, so a key that another worker sets meanwhile is neither marked
+    done nor lost: it waits for the next pass.  Each done byte lies in one
+    span, so one worker per pass, and seen only ever gets stores of True,
+    so the workers need no lock.  All generators' images
     of a block's keys (``Action.apply_block``) are set in seen with no
     filter; images behind a walk wait for the next pass.  A pass, counted
-    after both workers finish, that sets no new key leaves every seen key
+    after every worker finishes, that sets no new key leaves every seen key
     done, which ends the closure: the mask and size are one worker's, and
     every orbit key is applied once per generator.  The last passes apply
     few keys, so a span of _SPAN_BLOCKS blocks with none is passed over
@@ -930,11 +962,9 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
     """
     block = 1 << action.block_bits
     span = block * _SPAN_BLOCKS
-    starts = range(0, seen.size, span)
     workers = _sweep_workers(action, seen.size)
-    ranges = [starts[i * len(starts) // workers : (i + 1) * len(starts) // workers] for i in range(workers)]
 
-    def sweep(spans: range) -> None:
+    def sweep(spans) -> None:
         for first in spans:
             unapplied = np.packbits(seen[first : first + span]) & ~done[first // 8 : (first + span) // 8]
             if not unapplied.any():
@@ -959,7 +989,8 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
         run = map if pool is None else pool.map
         while grown > total:
             total = grown
-            list(run(sweep, ranges))  # re-raises a worker's error
+            spans = iter(range(0, seen.size, span))
+            list(run(sweep, [spans] * workers))  # re-raises a worker's error
             grown = int(np.count_nonzero(seen))
             if grown > max_points:
                 raise OrbitBudgetError(f"orbit exceeded {max_points} points", grown)
@@ -1247,19 +1278,28 @@ def _vector_functional_maps(group: GroupSpec, vector: PermDomain):
     return [both(g) for g in group.generators], lift, restrict
 
 
-def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = None) -> GroupSpec:
-    """Limit of the derived series; ``within`` bounds each derived step
-    (see derived_subgroup), and the residual keeps its certified chain."""
-    cur = group
-    cur_order = cur.order()
+def derived_series(group: GroupSpec, rng=None, within: GroupSpec | None = None):
+    """group, then each derived subgroup (``derived_subgroup``, bounded by
+    ``within``) while the order falls: the last term is the solvable
+    residual.  Each term keeps its certified chain, and the step that shows
+    the last term perfect is built but not yielded."""
+    cur, cur_order = group, group.order()
     step = 0
+    yield cur
     while True:
-        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step + 1})", within=within)
-        nxt_order = nxt.order()
-        if nxt_order == cur_order:
-            return cur.with_name(f"{group.name}^(inf)")
-        cur, cur_order = nxt, nxt_order
         step += 1
+        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step})", within=within)
+        if nxt.order() == cur_order:
+            return
+        cur, cur_order = nxt, nxt.order()
+        yield cur
+
+
+def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = None) -> GroupSpec:
+    """Limit of the derived series (``derived_series``); the residual keeps
+    its certified chain."""
+    *_, last = derived_series(group, rng=rng, within=within)
+    return last.with_name(f"{group.name}^(inf)")
 
 
 def same_subgroup(a: GroupSpec, b: GroupSpec) -> bool:

@@ -110,56 +110,45 @@ def mat_vec(A: Mat, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gauss(spec: FieldSpec, work: np.ndarray, rhs: np.ndarray | None):
-    """In-place Gauss-Jordan; returns det (0 when singular)."""
-    n = work.shape[0]
+def _gauss(spec: FieldSpec, rows: list[list[int]]) -> int:
+    """In-place Gauss-Jordan on the n x n matrix in the first n columns of
+    n rows of field-element codes held as Python lists, any columns past n
+    (a right-hand side) carried along, by the field's tables as lists
+    (``FieldSpec.table_lists``); returns det (0 when singular)."""
+    add, mul, neg, inv = spec.table_lists
+    n = len(rows)
     det = 1
     for col in range(n):
-        piv = -1
-        for r in range(col, n):
-            if work[r, col]:
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if rows[r][col]), -1)
         if piv < 0:
             return 0
         if piv != col:
-            work[[col, piv]] = work[[piv, col]]
-            if rhs is not None:
-                rhs[[col, piv]] = rhs[[piv, col]]
-            det = spec.neg(det)
-        pivval = int(work[col, col])
-        det = spec.mul(det, pivval)
-        pivinv = spec.inv(pivval)
-        work[col] = spec.mul_table[work[col], pivinv]
-        if rhs is not None:
-            rhs[col] = spec.mul_table[rhs[col], pivinv]
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = neg[det]
+        pivval = rows[col][col]
+        det = mul[det][pivval]
+        scale = mul[inv[pivval]]
+        pivrow = rows[col] = [scale[x] for x in rows[col]]
         for r in range(n):
-            if r != col and work[r, col]:
-                c = spec.neg(int(work[r, col]))
-                contrib = spec.mul_table[work[col], c].astype(np.int64)
+            if r != col and rows[r][col]:
+                times = mul[neg[rows[r][col]]]
                 if spec.p == 2:
-                    work[r] ^= contrib
+                    rows[r] = [a ^ times[b] for a, b in zip(rows[r], pivrow)]
                 else:
-                    work[r] = spec.add_table[work[r], contrib].astype(np.int64)
-                if rhs is not None:
-                    contrib = spec.mul_table[rhs[col], c].astype(np.int64)
-                    if spec.p == 2:
-                        rhs[r] ^= contrib
-                    else:
-                        rhs[r] = spec.add_table[rhs[r], contrib].astype(np.int64)
+                    rows[r] = [add[a][times[b]] for a, b in zip(rows[r], pivrow)]
     return det
 
 
 def det(A: Mat) -> int:
-    return _gauss(A.spec, A.a.astype(np.int64).copy(), None)
+    return _gauss(A.spec, A.a.tolist())
 
 
 def mat_inverse(A: Mat) -> Mat:
-    work = A.a.astype(np.int64).copy()
-    rhs = np.eye(A.n, dtype=np.int64)
-    if _gauss(A.spec, work, rhs) == 0:
+    n = A.n
+    rows = [row + [int(i == j) for j in range(n)] for i, row in enumerate(A.a.tolist())]
+    if _gauss(A.spec, rows) == 0:
         raise LinAlgError("matrix is singular")
-    return Mat(A.spec, rhs)
+    return Mat(A.spec, [row[n:] for row in rows])
 
 
 def mat_transpose(A: Mat) -> Mat:

@@ -12,7 +12,7 @@ import grpfact
 from grpfact import grpcore, linalg
 from grpfact.actions import ActionError
 from grpfact.gf import FieldError, FieldSpec
-from grpfact.grpcore import StabChain
+from grpfact.grpcore import CertificationError, StabChain, Tracked
 from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
 
 
@@ -58,6 +58,13 @@ def count_chain_builds(monkeypatch) -> list:
 
     monkeypatch.setattr(StabChain, "build", classmethod(counting))
     return calls
+
+
+def check_tight_by_residuals(H, X, rng=None) -> bool:
+    """Tightness by both solvable residuals, compared as subgroups: H's
+    derived series walked to its end with X as a bound, then X's."""
+    res_h = grpcore.solvable_residual(H, rng=rng, within=X)
+    return grpcore.same_subgroup(res_h, grpcore.solvable_residual(X, rng=rng))
 
 
 def count_schreier_orbits(monkeypatch) -> list:
@@ -227,3 +234,94 @@ def conjugate_intersection_samples(setup, rng, samples: int) -> list:
             inter = factorize.intersect(Hx, Ky, "enumerate_smaller")
         out.append((size, inter.order(), sporadic.exact_spectrum(inter.chain())))
     return out
+
+
+class TrackedRattle:
+    """``grpcore.Rattle`` as a walk over Tracked products: every step
+    builds its slots and accumulator with ``grpcore.t_compose`` and
+    ``Tracked.inverse``, read at call time, and draws by ``integers``."""
+
+    def __init__(self, gens, ident, rng, extra: int = 6, scramble: int = 50):
+        self.slots = list(gens) + [ident] * extra
+        self.accu = ident
+        self.rng = rng
+        for _ in range(max(scramble, 5 * len(self.slots))):
+            self._stir()
+
+    def _stir(self) -> Tracked:
+        i = int(self.rng.integers(len(self.slots)))
+        j = int(self.rng.integers(len(self.slots) - 1))
+        if j >= i:
+            j += 1
+        s = self.slots[i]
+        if self.rng.integers(2):
+            s = s.inverse()
+        compose = grpcore.t_compose
+        self.slots[j] = compose(self.slots[j], s) if self.rng.integers(2) else compose(s, self.slots[j])
+        self.accu = compose(self.accu, self.slots[j])
+        return self.accu
+
+    def sample(self) -> Tracked:
+        return self._stir()
+
+
+def tracked_sift(chain: StabChain, t: Tracked):
+    """``StabChain._sift`` by Tracked products (``grpcore.t_compose``, read
+    at call time): the residue and the level where the sift stopped."""
+    u = t
+    for li, level in enumerate(chain.levels):
+        beta = int(u.perm[level.base])
+        if beta == level.base:
+            continue
+        if not level.seen[beta]:
+            return u, li
+        steps = 0
+        while beta != level.base:
+            if steps == len(level.orbit):
+                raise CertificationError(f"Schreier vector of level {li} does not lead a sift to its base")
+            steps += 1
+            einv = level.eff[int(level.par[beta])].inverse()
+            u = grpcore.t_compose(u, einv)
+            beta = int(einv.perm[beta])
+    return u, len(chain.levels)
+
+
+def gauss(spec: FieldSpec, work: np.ndarray, rhs: np.ndarray | None) -> int:
+    """Gauss-Jordan in place on int64 arrays, one numpy row operation at a
+    time through the field's dense tables; returns det (0 when singular)."""
+    n = work.shape[0]
+    det = 1
+    for col in range(n):
+        piv = -1
+        for r in range(col, n):
+            if work[r, col]:
+                piv = r
+                break
+        if piv < 0:
+            return 0
+        if piv != col:
+            work[[col, piv]] = work[[piv, col]]
+            if rhs is not None:
+                rhs[[col, piv]] = rhs[[piv, col]]
+            det = spec.neg(det)
+        pivval = int(work[col, col])
+        det = spec.mul(det, pivval)
+        pivinv = spec.inv(pivval)
+        work[col] = spec.mul_table[work[col], pivinv]
+        if rhs is not None:
+            rhs[col] = spec.mul_table[rhs[col], pivinv]
+        for r in range(n):
+            if r != col and work[r, col]:
+                c = spec.neg(int(work[r, col]))
+                contrib = spec.mul_table[work[col], c].astype(np.int64)
+                if spec.p == 2:
+                    work[r] ^= contrib
+                else:
+                    work[r] = spec.add_table[work[r], contrib].astype(np.int64)
+                if rhs is not None:
+                    contrib = spec.mul_table[rhs[col], c].astype(np.int64)
+                    if spec.p == 2:
+                        rhs[r] ^= contrib
+                    else:
+                        rhs[r] = spec.add_table[rhs[r], contrib].astype(np.int64)
+    return det

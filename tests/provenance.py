@@ -18,6 +18,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+import oracles
 from grpfact import grpcore
 from grpfact import meataxe as mx
 from grpfact import sporadic
@@ -129,8 +130,12 @@ def matrix_shadow():
     to a scalar, so the package reads no matrix off one.  The literals of
     rows 9 and 10 are the lifts that composing the factors' matrices gives,
     and the searches that found them draw elements of projective and
-    antiflag chains; the shadow gives ``Tracked.matrix`` those lifts."""
+    antiflag chains; the shadow gives ``Tracked.matrix`` those lifts.
+    The chain's random walk and sift compose raw permutation arrays, so the
+    shadow also swaps in their Tracked oracles (``oracles.TrackedRattle``,
+    ``oracles.tracked_sift``), which draw the same samples and residues."""
     compose, inverse = grpcore.t_compose, grpcore.Tracked.inverse
+    rattle, sift = grpcore.Rattle, grpcore.StabChain._sift
 
     def shadow_compose(a, b):
         out = compose(a, b)
@@ -145,10 +150,12 @@ def matrix_shadow():
         return out
 
     grpcore.t_compose, grpcore.Tracked.inverse = shadow_compose, shadow_inverse
+    grpcore.Rattle, grpcore.StabChain._sift = oracles.TrackedRattle, oracles.tracked_sift
     try:
         yield
     finally:
         grpcore.t_compose, grpcore.Tracked.inverse = compose, inverse
+        grpcore.Rattle, grpcore.StabChain._sift = rattle, sift
 
 
 def derive_searched_literal(Z, kind: str, rng) -> tuple:

@@ -262,6 +262,39 @@ def test_check_tight_needs_no_schreier_pass(catalog, claim_id, monkeypatch):
     assert calls == []
 
 
+ROWS_4_TO_7 = ["t1r04-m2", "t1r04-sp-m4", "t1r05-m2", "t1r06-m2", "t1r07-m2"]
+
+
+@pytest.mark.parametrize("claim_id", ROWS_4_TO_7)
+def test_check_tight_agrees_with_both_residuals(catalog, claim_id):
+    claim = catalog.claim_by_id(claim_id)
+    seed = claim_seed(claim_id, 20260810)
+    setup = factorize.build_setup(claim, np.random.default_rng(seed))
+    want = oracles.check_tight_by_residuals(setup.H, setup.tight_target, rng=np.random.default_rng(seed))
+    assert check_tight(setup.H, setup.tight_target, rng=np.random.default_rng(seed)) is want is True
+
+
+def test_check_tight_falls_back_to_the_residuals_when_no_term_reaches_x(monkeypatch):
+    # X = H = SL_2(4).2, not perfect: H's derived terms stay below |X|, so
+    # the residuals, SL_2(4) both, are compared
+    H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
+    compared = []
+    real = factorize.same_subgroup
+    monkeypatch.setattr(factorize, "same_subgroup", lambda a, b: compared.append((a.order(), b.order())) or real(a, b))
+    assert check_tight(H, H) and oracles.check_tight_by_residuals(H, H)
+    assert compared == [(60, 60)]
+
+
+@pytest.mark.parametrize("claim_id", ROWS_4_TO_7)
+def test_rows_4_to_7_build_four_chains(catalog, claim_id, monkeypatch):
+    # the core, H, K's stabilizer and H', which is the core: the tight check
+    # stops there, with no H'' and no derived step of the core
+    builds = oracles.count_chain_builds(monkeypatch)
+    report = verify_claim(catalog.claim_by_id(claim_id))
+    assert report.overall == "pass" and report.tight is True
+    assert len(builds) == 4 and builds[-1].endswith("^(1)'")
+
+
 @pytest.mark.parametrize("row, m, home, points", [
     ("7Sp", 2, ANTIFLAG, 5440),  # t1r07-m2: the duality extension
     ("6SL", 2, PROJECTIVE, 85),  # t1r06-m2: the Frobenius extension
@@ -559,7 +592,7 @@ def test_an_unknown_check_is_skipped_and_does_not_vote(catalog):
     assert (unknown.name, unknown.verdict, unknown.details) == ("no_such_check", "skipped", {"reason": "unknown check"})
 
 
-@pytest.mark.parametrize("claim_id", ["t1r04-m2", "t1r04-sp-m4", "t1r05-m2", "t1r06-m2", "t1r07-m2"])
+@pytest.mark.parametrize("claim_id", ROWS_4_TO_7)
 def test_rows_4_to_7_build_each_blown_core_once(catalog, monkeypatch, claim_id):
     # the adjoin certificate and the tight target read one chain of the
     # blown core: count the builds on its domain from its generators

@@ -61,13 +61,16 @@ from grpfact.linalg import (
     sl_inverse,
 )
 from grpfact.orders import sl_order
+from grpfact.streams import Stream
 from oracles import (
+    TrackedRattle,
     chain_elements,
     count_chain_builds,
     count_matrix_ops,
     count_schreier_orbits,
     orbit_contains_key,
     schreier_witness,
+    tracked_sift,
 )
 from test_trace_targets import _targets as tracing_targets
 
@@ -1067,6 +1070,38 @@ def test_two_sweep_workers_close_a_big_linear_orbit_as_one_does(monkeypatch):
     assert np.array_equal(two.seen, one.seen)
 
 
+def test_sweep_spans_close_a_reducible_orbit_on_two_workers_as_on_one(monkeypatch):
+    # SL_10(2) x SL_10(2) on the 2^20 vector keys of GF(2)^20: the orbit of
+    # e1 + e11 is the (2^10 - 1)^2 vectors with both halves nonzero.  The
+    # workers take spans from one shared iterator per pass; on two, as on
+    # one, the sweep applies each key it reaches once
+    F2, half = gf.make_field(2, 1), 10
+    gens = []
+    for g in sl_generators(F2, half):
+        for lo in (0, half):
+            m = np.eye(2 * half, dtype=np.int64)
+            m[lo:lo + half, lo:lo + half] = g.mat.a
+            gens.append(GroupElement(Mat(F2, m)))
+    point = canonical_point(VECTOR, (1,) + (0,) * (half - 1) + (1,) + (0,) * (half - 1))
+    real = Action.apply_block
+    applied = []
+    monkeypatch.setattr(Action, "apply_block", lambda self, gens, offsets, base:
+                        applied.append(offsets + base) or real(self, gens, offsets, base))
+    orbits = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        action = Action(VECTOR, F2, 2 * half)
+        assert grpcore._sweep_workers(action, 1 << 20) == len(cpus)
+        applied.clear()
+        orbits.append(orbit(gens, point, action))
+        assert orbits[-1].size == (2**half - 1) ** 2
+        # apply_block applies a key under every generator at once; the keys
+        # that the BFS levels applied before the sweep are not among these
+        keys, counts = np.unique(np.concatenate(applied), return_counts=True)
+        assert len(keys) > orbits[-1].size * 0.9 and (counts == 1).all()
+    assert np.array_equal(orbits[0].seen, orbits[1].seen)
+
+
 def test_sweep_stress_on_more_workers_than_cores(monkeypatch):
     # four workers on blocks of 128 of the 2^16 pair keys of GF(2)^8,
     # switching threads every microsecond: a key marked done but never
@@ -1512,6 +1547,32 @@ def _chain_of(domain, tracked):
     for t in tracked:
         chain._add(t)
     return chain
+
+
+@pytest.mark.parametrize("stream", [Stream, np.random.default_rng], ids=["Stream", "Generator"])
+@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+def test_raw_walk_and_sift_match_their_tracked_oracles(case, stream):
+    # the walk on raw arrays draws what the Tracked walk draws and gives the
+    # same samples; sifted through partial chains, which walk them and then
+    # stop some outside an orbit and let others through, and through the
+    # complete chain, they leave the same residues
+    G, _ = _stabilizer_cases()[case]
+    chain = G.chain()
+    gens = G.tracked_generators()
+    raw_rng, oracle_rng = stream(31 + case), stream(31 + case)
+    raw, oracle = grpcore.Rattle(gens, chain.ident, raw_rng), TrackedRattle(gens, chain.ident, oracle_rng)
+    samples = [raw.sample() for _ in range(60)]
+    assert all(np.array_equal(a.perm, oracle.sample().perm) for a in samples)
+    assert raw_rng.integers(10**9) == oracle_rng.integers(10**9)
+    stops = set()
+    for partial in [_chain_of(chain.domain, samples[:k]) for k in (1, 3, 6)] + [chain]:
+        for t in samples + [partial.ident]:
+            (got, got_level), (want, want_level) = partial._sift(t), tracked_sift(partial, t)
+            assert got_level == want_level and np.array_equal(got.perm, want.perm)
+            stops.add((got_level == len(partial.levels), got is not t))
+    # walked, then passed; and, below a chain of one level (the pair case's
+    # regular orbit), walked, then stopped inside
+    assert (True, True) in stops and ((False, True) in stops or len(chain.levels) == 1)
 
 
 @pytest.mark.parametrize("block_entries", [1, grpcore.BLOCK_ENTRIES], ids=["one-point-chunks", "default"])

@@ -25,6 +25,7 @@ from grpfact.linalg import (
     sl_compose,
     sl_inverse,
 )
+import oracles
 from oracles import element_order, field_norm
 
 
@@ -69,6 +70,30 @@ def test_singular_inverse_raises():
     F2 = gf.make_field(2, 1)
     with pytest.raises(linalg.LinAlgError):
         mat_inverse(Mat(F2, [[1, 1], [1, 1]]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 13, 16])
+def test_list_gauss_jordan_matches_the_numpy_oracle(q):
+    # random matrices, a third of them made singular by a repeated scaled
+    # row, with an identity, a random or no right-hand side carried in the
+    # rows: the same det and the same reduced rows, also where a singular
+    # matrix stops early
+    spec = gf.make_field(*{2: (2, 1), 3: (3, 1), 4: (2, 2), 9: (3, 2), 13: (13, 1), 16: (2, 4)}[q])
+    rng = np.random.default_rng(q)
+    for trial in range(90):
+        n = int(rng.integers(1, 9))
+        M = rng.integers(q, size=(n, n))
+        if trial % 3 == 0 and n > 1:
+            M[-1] = spec.mul_table[M[0], int(rng.integers(q))]
+        rhs = (None, np.eye(n, dtype=np.int64), rng.integers(q, size=(n, n)))[trial // 3 % 3]
+        rows = (M if rhs is None else np.hstack([M, rhs])).tolist()
+        work, want_rhs = M.astype(np.int64), None if rhs is None else rhs.astype(np.int64)
+        assert linalg._gauss(spec, rows) == oracles.gauss(spec, work, want_rhs)
+        assert rows == (work if rhs is None else np.hstack([work, want_rhs])).tolist()
+        A = Mat(spec, M)
+        assert det(A) == oracles.gauss(spec, M.astype(np.int64), None)
+        if det(A):
+            assert mat_product(A, mat_inverse(A)) == mat_identity(spec, n)
 
 
 def test_compose_associative_random_triples():
