@@ -15,7 +15,9 @@ on a large linear keyspace, and these two numpy calls release the GIL;
 on the digit path ``apply_block`` fills its rows one generator at a time.
 The other kinds unpack to digits, kept in the narrowest unsigned type that
 holds q - 1 and widened only for a prime field's dot products and for
-packing.  A domain's key -> index table is int32.  A vector domain reads an
+packing.  A domain's key -> index table is int32; a projective or antiflag
+table indexes every scalar multiple of its points, so the domain permutes
+through the vector or pair kind, unnormalized.  A vector domain reads an
 element back off its permutation (``PermDomain.element_of``).
 """
 
@@ -328,7 +330,9 @@ class PermDomain:
     """Enumerated action domain with key -> index lookup and permutation images.
 
     The lookup is an int32 table over the whole keyspace (every index is
-    below DOMAIN_CAP), or a dict past _DENSE_LOOKUP_LIMIT keys.
+    below DOMAIN_CAP), or a dict past _DENSE_LOOKUP_LIMIT keys.  A projective
+    or antiflag table also indexes lv, or (lv, w/l), for each scalar l != 1:
+    (q - 2) scaled copies of the keys, filled at build.
     """
 
     def __init__(self, action: Action):
@@ -341,9 +345,18 @@ class PermDomain:
         if self.size != size:
             raise ActionError(f"domain enumeration bug: {self.size} != {size}")
         keyspace = (action.q ** action.n) ** (2 if action.two_sided else 1)
+        self._applier = action  # the action perm_of applies
         if keyspace <= _DENSE_LOOKUP_LIMIT:
             self._dense = np.full(keyspace, -1, dtype=np.int32)
-            self._dense[self.keys] = np.arange(self.size, dtype=np.int32)
+            index = np.arange(self.size, dtype=np.int32)
+            self._dense[self.keys] = index
+            if action.tag in (PROJECTIVE, ANTIFLAG):
+                self._applier = Action(PAIR if action.two_sided else VECTOR, action.spec, action.n)
+                spec, digits = action.spec, action._unpack_digits(self.keys)
+                for lam in range(2, action.q):
+                    scale = np.full(action.width, lam)
+                    scale[action.n :] = spec.inv_table[lam]
+                    self._dense[action._pack_digits(spec.mul_table[scale, digits])] = index
             self._lookup = None
         else:
             self._dense = None
@@ -351,6 +364,7 @@ class PermDomain:
         self.identity_perm = np.arange(self.size, dtype=np.int64)
 
     def index_of_key(self, key: int) -> int:
+        """The index of a key's point; a table takes any scalar representative."""
         if self._dense is not None:
             idx = int(self._dense[key]) if 0 <= key < len(self._dense) else -1
         else:
@@ -366,8 +380,9 @@ class PermDomain:
         return self.action.key_point(int(self.keys[idx]))
 
     def perm_of(self, g: GroupElement) -> np.ndarray:
-        """g's permutation of the domain indices, as int64."""
-        imgs = self.action.apply_batch(g, self.keys)
+        """g's permutation of the domain indices, as int64.  A projective or
+        antiflag table takes g's images under the vector or pair kind."""
+        imgs = self._applier.apply_batch(g, self.keys)
         if self._dense is not None:
             perm = self._dense[imgs]
         else:

@@ -442,3 +442,36 @@ def blowup(M: Mat, s: int, sub: FieldSpec) -> GroupElement:
                 val = ext.mul(int(M.a[i, j]), lam_pc)
                 out[i * b : (i + 1) * b, j * b + c] = coords[val]
     return GroupElement(Mat(sub, out), s % sub.f, 0)
+
+
+# ---------------------------------------------------------------------------
+# linear algebra over a prime field GF(p), on int64 arrays
+
+
+def kernel_basis(M, p):
+    """Null space basis of M over GF(p), one vector per free column of its
+    RREF, each pivot column cleared in all other rows by one masked update."""
+    A = np.asarray(M, dtype=np.int64) % p
+    n, pivots = A.shape[1], []
+    for c in range(n):
+        r = len(pivots)
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size:
+            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
+            row = A[r] * pow(int(A[r, c]), -1, p) % p
+            A = (A - np.outer(A[:, c], row)) % p
+            A[r] = row
+            pivots.append(c)
+    free = [c for c in range(n) if c not in pivots]
+    out = np.zeros((len(free), n), dtype=np.int64)
+    out[np.arange(len(free)), free] = 1
+    out[:, pivots] = -A[: len(pivots), free].T % p
+    return list(out)
+
+
+def commutant_dimension(gens_a, gens_b, p):
+    """dim of {M : M g_a = g_b M for matching generators}; 0 means no intertwiner.
+    On M's row-major entries, M A - B M is (I kron A^T - B kron I)."""
+    eye = np.eye(len(gens_a[0]), dtype=np.int64)
+    system = [np.kron(eye, A.T) - np.kron(B, eye) for A, B in zip(gens_a, gens_b)]
+    return len(kernel_basis(np.concatenate(system) % p, p))

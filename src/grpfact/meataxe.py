@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import commutant_dimension, kernel_basis  # noqa: F401  (re-exported)
+
 
 class MeatAxeError(ValueError):
     pass
@@ -134,27 +136,6 @@ def _equal_degree_split(u, d, p, rng):
 # -- linear algebra over GF(p) ----------------------------------------------
 
 
-def kernel_basis(M, p):
-    """Null space basis of M over GF(p), one vector per free column of its
-    RREF, each pivot column cleared in all other rows by one masked update."""
-    A = np.asarray(M, dtype=np.int64) % p
-    n, pivots = A.shape[1], []
-    for c in range(n):
-        r = len(pivots)
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size:
-            A[[r, r + nz[0]]] = A[[r + nz[0], r]]
-            row = A[r] * pow(int(A[r, c]), -1, p) % p
-            A = (A - np.outer(A[:, c], row)) % p
-            A[r] = row
-            pivots.append(c)
-    free = [c for c in range(n) if c not in pivots]
-    out = np.zeros((len(free), n), dtype=np.int64)
-    out[np.arange(len(free)), free] = 1
-    out[:, pivots] = -A[: len(pivots), free].T % p
-    return list(out)
-
-
 def spin(vector, gens, p):
     """Echelonized basis of the submodule generated by the vector."""
     basis: list[tuple[int, np.ndarray]] = []
@@ -265,11 +246,3 @@ def chop_for_dimension(gens, dim, p, rng, max_trials=300, max_factor_deg=8, max_
                 if U.shape[0] == dim:
                     return U
     return None
-
-
-def commutant_dimension(gens_a, gens_b, p):
-    """dim of {M : M g_a = g_b M for matching generators}; 0 means no intertwiner.
-    On M's row-major entries, M A - B M is (I kron A^T - B kron I)."""
-    eye = np.eye(len(gens_a[0]), dtype=np.int64)
-    system = [np.kron(eye, A.T) - np.kron(B, eye) for A, B in zip(gens_a, gens_b)]
-    return len(kernel_basis(np.concatenate(system) % p, p))

@@ -41,6 +41,7 @@ from .linalg import (
     GroupElement,
     Mat,
     blowup,
+    commutant_dimension,
     det,
 )
 
@@ -470,8 +471,6 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     normalizing matrix has determinant 1, and the witnesses differ by a
     determinant -1 conjugation.
     """
-    from . import meataxe as mx
-
     F3 = make_field(3, 1)
     c6, s6 = _PSL2_13_C6, _PSL2_13_S6
     twisted = certify_psl2_13_module(c6, s6)
@@ -492,8 +491,8 @@ def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:
     Tdiag = np.diag([2, 1, 1, 1, 1, 1]).astype(np.int64)
     X2 = GroupSpec.of_chain("PSL_2(13)b<PSL_6(3)", X1.chain().conjugate(GroupElement(Mat(F3, Tdiag))))
     # class-split certificate
-    commutant = mx.commutant_dimension([c6, s6], [c6, s6], 3)
-    outer_hom = mx.commutant_dimension(twisted, [c6, s6], 3)
+    commutant = commutant_dimension([c6, s6], [c6, s6], 3)
+    outer_hom = commutant_dimension(twisted, [c6, s6], 3)
     info = {
         "strategy": "module chop + determinant class",
         "commutant_dimension": commutant,

@@ -1,6 +1,7 @@
 """Action kernels against scalar references: the char-2 XOR-table
-apply_batch against sl_apply, apply_block's offsets against whole keys, and the
-two-sided domain enumeration."""
+apply_batch against sl_apply, apply_block's offsets against whole keys, the
+two-sided domain enumeration, and the scalar-class lookup of projective and
+antiflag domains against the normalizing path."""
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from grpfact.linalg import (
     PAIR,
     PROJECTIVE,
     VECTOR,
+    ActionPoint,
     GroupElement,
     LinAlgError,
     Mat,
     det,
+    pack_point,
     unpack_point,
 )
 
@@ -147,10 +150,74 @@ def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
         assert [domain.index_of_key(int(k)) for k in imgs[picks]] == perm[picks].tolist()
     with pytest.raises(ActionError, match="not a point"):
         domain.index_of_key(1)  # v = e1 and w = 0, so w(v) = 0
-    # an element whose image keys leave the domain (key 0 has v = 0)
-    monkeypatch.setattr(domain.action, "apply_batch", lambda g, keys: np.zeros_like(keys))
+    # an element whose image keys leave the domain (key 0 has v = 0), put
+    # in the action perm_of applies: the pair kind beneath a dense domain,
+    # the domain's own normalizing action behind a dict
+    assert domain._applier.tag == (ANTIFLAG if n == 2 else PAIR)
+    monkeypatch.setattr(domain._applier, "apply_batch", lambda g, keys: np.zeros_like(keys))
     with pytest.raises(ActionError, match="does not preserve the domain"):
         domain.perm_of(g)
+
+
+# (kind, p, f, n): dense tables over GF(3), GF(4) and GF(9), on the digit
+# and the XOR path beneath, and the antiflags of GF(125)^2 behind a dict
+_CLASS_CASES = [
+    (PROJECTIVE, 3, 1, 4), (PROJECTIVE, 2, 2, 4), (PROJECTIVE, 3, 2, 3),
+    (ANTIFLAG, 3, 1, 3), (ANTIFLAG, 2, 2, 3), (ANTIFLAG, 5, 3, 2),
+]
+
+
+def _scaled_key(spec, tag, n, key, lam, mu=None):
+    """The key of (lam v, mu w) for the point (v, w) a key packs, one digit
+    at a time; mu defaults to lam^-1, and a projective point has no w."""
+    x = unpack_point(tag, key, spec.q, n)
+    if tag == PROJECTIVE:
+        return pack_point(ActionPoint(tag, tuple(spec.mul(lam, a) for a in x.data)), spec.q, n)
+    mu = spec.inv(lam) if mu is None else mu
+    v, w = x.data
+    data = (tuple(spec.mul(lam, a) for a in v), tuple(spec.mul(mu, a) for a in w))
+    return pack_point(ActionPoint(tag, data), spec.q, n)
+
+
+@pytest.mark.parametrize("tag,p,f,n", _CLASS_CASES)
+def test_scalar_class_lookup_matches_the_normalizing_path(tag, p, f, n):
+    spec = gf.make_field(p, f)
+    domain = PermDomain(Action(tag, spec, n))
+    assert (domain._dense is None) == (spec.q == 125)
+    where = {int(k): i for i, k in enumerate(domain.keys)}
+    rng = np.random.default_rng(p * f * n)
+    for fa in range(f):
+        for dual in (0, 1) if tag == ANTIFLAG else (0,):
+            g = _random_element(rng, spec, n, fa, dual)
+            want = [where[k] for k in domain.action.apply_batch(g, domain.keys).tolist()]
+            assert domain.perm_of(g).tolist() == want
+    if domain._dense is None:
+        return
+    # every scalar representative resolves to its point
+    for i, key in enumerate(domain.keys.tolist()):
+        assert {domain.index_of_key(_scaled_key(spec, tag, n, key, lam)) for lam in range(1, spec.q)} == {i}
+    if tag == ANTIFLAG:
+        # (v, 2w) has w(v) = 2, which is -1 in GF(3) and a generator of GF(4)
+        key = _scaled_key(spec, tag, n, int(domain.keys[-1]), 1, 2)
+        with pytest.raises(ActionError, match="not a point"):
+            domain.index_of_key(key)
+
+
+@pytest.mark.parametrize("tag,p,f,n", [case for case in _CLASS_CASES if case[1:] != (5, 3, 2)])
+def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n, monkeypatch):
+    spec = gf.make_field(p, f)
+    domain = PermDomain(Action(tag, spec, n))
+    g = _random_element(np.random.default_rng(5), spec, n, f - 1, tag == ANTIFLAG)
+    want = domain.perm_of(g)
+
+    def refuse(action, digits):
+        raise AssertionError("a dense domain normalized its images")
+
+    monkeypatch.setattr(Action, "_normalize_digits", refuse)
+    h = GroupElement(g.mat, g.fa, g.dual)  # no cached tables
+    assert np.array_equal(domain.perm_of(h), want)
+    with pytest.raises(AssertionError, match="normalized"):
+        domain.action.apply_batch(h, domain.keys[:1])
 
 
 def test_duality_rejected_on_one_sided_kinds():

@@ -1,6 +1,9 @@
 """Sporadic-row locators and their certificates."""
 
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import oracles
@@ -434,3 +437,16 @@ def test_row12_results_and_cost_do_not_depend_on_the_seed(claim_id):
             assert [(s.name, s.verdict, s.intersection_order, s.orbit_sizes) for s in rep.strategies] == strategies
             assert {k: rep.notes[k] for k in notes} == notes
         assert min(times) < bound, f"{claim_id} took {min(times):.3f} s at base seed {base_seed}"
+
+
+def test_verifying_row13_leaves_the_meataxe_unimported():
+    # the class-split certificate needs only linalg's commutant dimension;
+    # the chop machinery would be compiled inside the timed claim
+    code = ("import sys\n"
+            "from grpfact import catalog, factorize\n"
+            "report = factorize.verify_claim(catalog.load_catalog().claim_by_id('t1r13'))\n"
+            "print(report.overall, 'grpfact.meataxe' in sys.modules)\n")
+    src = str(Path(sporadic.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert done.stdout.split() == ["pass", "False"]
