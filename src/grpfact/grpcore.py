@@ -13,8 +13,10 @@ the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
 generators as permutations of a domain, reading a matrix off a vector
 permutation (``PermDomain.element_of``) only for a domain they were not
 built on.
-Product-membership samples (``ProductSift``), enumerated intersections
-(``StabChain.contains_block``) and the Schreier pass sift stacked permutations.
+Product-membership samples (``ProductSift``) walk Schreier vectors;
+enumerated intersections (``StabChain.contains_block``) and the Schreier pass
+sift stacked permutations, in one gather per chain level that caches its
+transversals (at most TABLE_ENTRIES entries), else by the same walk.
 Element orders are read off transversal words on a chain's support
 (``StabChain.support``), with no element's permutation of the domain formed.
 
@@ -287,18 +289,29 @@ def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.n
         todo = todo[points[todo] != base]
 
 
+class _Table(NamedTuple):
+    """A level's transversals: rows[i] is u_b for b = orbit[i], inv their
+    inverses flattened and at[b] = i * N, so inv[at[b] + x] is u_b^-1(x)."""
+
+    rows: np.ndarray
+    inv: np.ndarray
+    at: np.ndarray
+
+
 @dataclass(slots=True, eq=False)
 class _Level:
     """A chain level.  ``eff`` is every strong generator added at this level
     or deeper, in the order added; ``orbit``, ``seen`` and ``par`` are the
     BFS tree of the generators it had when its orbit last grew, replaced
-    and never edited in place."""
+    and never edited in place.  ``table`` caches that tree's transversals,
+    and goes with the tree."""
 
     base: int
     eff: list[Tracked] = field(default_factory=list)
     orbit: np.ndarray | None = None
     seen: np.ndarray | None = None
     par: np.ndarray | None = None
+    table: _Table | None = None
 
 
 def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int) -> np.ndarray:
@@ -351,6 +364,9 @@ class Support(NamedTuple):
 # entries of a block of permutations (element_perm_blocks, the Schreier pass)
 # or of words times levels (Support.orders): a few intp arrays under 1 MiB
 BLOCK_ENTRIES = 1 << 14
+# entries of one level's transversals that a chain caches (StabChain._table):
+# two int32 stacks of at most 256 KiB each
+TABLE_ENTRIES = 4 * BLOCK_ENTRIES
 
 
 class StabChain:
@@ -360,7 +376,8 @@ class StabChain:
     Tracked permutations of the domain.  A level's ``eff`` is every strong
     generator added at it or deeper, in the order added, and its tree is
     the BFS tree of the generators it had when its orbit last grew: a new
-    generator that keeps the orbit leaves the old tree valid.
+    generator that keeps the orbit leaves the old tree valid, and so does
+    the level's cached transversal table (``_table``), read off that tree.
     """
 
     MAX_STALL = 250
@@ -460,18 +477,25 @@ class StabChain:
         that does not sift (levels deepest first, beta in orbit order, g in
         eff order), else None.  A level goes in chunks of orbit points of at
         most BLOCK_ENTRIES entries of rows u_beta * g, each sifted from this
-        level on (``_sift_rows``): its walk home from g(beta) is u_g(beta)^-1."""
+        level on (``_sift_rows``), which takes u_g(beta)^-1 off.  u_beta is a
+        row of the level's table, or, past TABLE_ENTRIES, walked home."""
         N = len(self._arange)
-        invs = [_inverse_perms([t.perm for t in level.eff], N) for level in self.levels]
+        invs: list[np.ndarray | None] = [None] * len(self.levels)
         for li, level in reversed(list(enumerate(self.levels))):
             gens = np.stack([t.perm for t in level.eff])
+            table = self._table(li, len(level.orbit))
+            if table is None:
+                invs[li] = _inverse_perms(gens, N)
             step = max(1, BLOCK_ENTRIES // gens.size)
             for lo in range(0, len(level.orbit), step):
-                betas = level.orbit[lo:lo + step].copy()
-                u_inv = np.tile(self._arange, (len(betas), 1))  # u_beta^-1, once walked home
-                _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, (invs[li],) * 2,
-                           len(level.orbit), f"level {li}")
-                u = _inverse_perms(u_inv, N)
+                if table is not None:
+                    u = table.rows[lo:lo + step]
+                else:
+                    betas = level.orbit[lo:lo + step].copy()
+                    u_inv = np.tile(self._arange, (len(betas), 1))  # u_beta^-1, once walked home
+                    _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, (invs[li],) * 2,
+                               len(level.orbit), f"level {li}")
+                    u = _inverse_perms(u_inv, N)
                 # row i * len(gens) + j applies u_beta_i, then eff[j]
                 rows = gens[:, u].transpose(1, 0, 2).reshape(-1, N)
                 self._sift_rows(rows, li, invs)
@@ -527,6 +551,7 @@ class StabChain:
             level.eff.append(residue)
             if level.orbit is None or not level.seen[residue.perm[level.orbit]].all():
                 level.orbit, level.seen, level.par = schreier_orbit([g.perm for g in level.eff], level.base, N)
+                level.table = None
         return True
 
     def add_element(self, g: GroupElement | Tracked) -> bool:
@@ -548,7 +573,8 @@ class StabChain:
         strong generators are the originals of the relabeled chain, so the
         relabeled chain carries this chain's certificate.  A trivial x
         relabels nothing and shares the generators and the Schreier trees,
-        which a later ``_add`` replaces and never edits.
+        which a later ``_add`` replaces and never edits.  No transversal
+        table is carried over: the relabeled levels build their own.
         """
         xt = x if isinstance(x, Tracked) else Tracked(self.domain.perm_of(x), x)
         pi = xt.perm
@@ -601,13 +627,16 @@ class StabChain:
         return self._sift(t)[0].is_identity()
 
     def random_element(self, rng) -> Tracked:
-        acc = None
+        """The product of u_b for a uniform b of each basic orbit, deepest first,
+        off the levels' tables (built by the first draw), else walked home."""
+        perm = self._arange
         for li in range(len(self.levels) - 1, -1, -1):
             level = self.levels[li]
-            pick = int(level.orbit[int(rng.integers(len(level.orbit)))])
-            u = self._transversal(li, pick)
-            acc = u if acc is None else t_compose(acc, u)
-        return acc if acc is not None else self.ident
+            i = int(rng.integers(len(level.orbit)))
+            table = self._table(li, len(level.orbit))
+            u = table.rows[i] if table is not None else self._transversal(li, int(level.orbit[i])).perm
+            perm = u[perm]
+        return Tracked(perm.astype(np.intp, copy=False)) if self.levels else self.ident
 
     def words(self):
         """The group's elements as words in (levels, k) chunks of at most
@@ -651,14 +680,31 @@ class StabChain:
                 inside |= schreier_orbit([t.perm for t in self.levels[0].eff], level.base, N)[1]
         points, rank = np.flatnonzero(inside), np.zeros(N, dtype=np.int32)
         rank[points] = np.arange(len(points))  # each point's position in Δ
-        stacks = [_transversal_rows(rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit],
-                                    lv.par[points], li) for li, lv in reversed(list(enumerate(self.levels)))]
+        # on the whole domain Δ's numbering is the domain's, and a level's table holds its stack
+        stacks = [self._transversal_stack(li) if len(points) == N else _transversal_rows(
+            rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit], lv.par[points], li)
+            for li, lv in reversed(list(enumerate(self.levels)))]
         return Support(points, rank[[lv.base for lv in self.levels]], stacks)
 
     def _transversal_stack(self, li: int) -> np.ndarray:
-        """Level li's transversals on the whole domain (``_transversal_rows``)."""
+        """Level li's transversals on the whole domain: its table's rows
+        (``_table``), else built (``_transversal_rows``)."""
         level = self.levels[li]
+        if level.table is not None:
+            return level.table.rows
         return _transversal_rows(np.stack([t.perm for t in level.eff]), level.orbit, level.par, li)
+
+    def _table(self, li: int, uses: int) -> _Table | None:
+        """Level li's cached transversal table; built here when a caller
+        reads at least orbit-size (``uses``) of its rows and it fits
+        TABLE_ENTRIES, else None."""
+        level, N = self.levels[li], len(self._arange)
+        if level.table is None and uses >= len(level.orbit) and len(level.orbit) * N <= TABLE_ENTRIES:
+            rows = self._transversal_stack(li)
+            at = np.zeros(N, dtype=np.intp)
+            at[level.orbit] = np.arange(0, rows.size, N)
+            level.table = _Table(rows, _inverse_perms(rows, N).ravel(), at)
+        return level.table
 
     def contains_block(self, block: np.ndarray) -> np.ndarray:
         """Membership mask of the stacked permutations block[i] (shape (k, N)):
@@ -667,18 +713,26 @@ class StabChain:
         self._sift_rows(u)
         return (u == self._arange).all(axis=1)
 
-    def _sift_rows(self, u: np.ndarray, start: int = 0, invs: list[np.ndarray] | None = None):
+    def _sift_rows(self, u: np.ndarray, start: int = 0, invs: list[np.ndarray | None] | None = None):
         """Sift the int64 rows of u (shape (k, N)) in place from level start
-        on, each to its ``_sift`` residue, walking home together the rows
-        still in the basic orbits; invs[li] may stack level li's inverses."""
+        on, each to its ``_sift`` residue.  The rows that move a level's base
+        within its basic orbit take their u_beta^-1 in one gather from the
+        level's table (``_table``), else walk home together; invs[li] may
+        stack the inverses of a level with no table."""
         alive = np.ones(len(u), dtype=bool)
         for li, level in enumerate(self.levels[start:], start):
-            alive &= level.seen[u[:, level.base]]
-            rows = np.flatnonzero(alive)
+            beta = u[:, level.base]
+            alive &= level.seen[beta]
+            rows = np.flatnonzero(alive & (beta != level.base))
             if not rows.size:
-                break
-            inv = invs[li] if invs is not None else _inverse_perms([t.perm for t in level.eff], len(self._arange))
-            _walk_home([u], rows, level.base, level.par, (inv,), len(level.orbit), f"level {li}")
+                continue
+            table = self._table(li, len(rows))
+            if table is not None:
+                sub = u[rows]
+                u[rows] = table.inv[table.at[sub[:, level.base]][:, None] + sub]
+            else:
+                inv = invs[li] if invs else _inverse_perms([t.perm for t in level.eff], len(self._arange))
+                _walk_home([u], rows, level.base, level.par, (inv,), len(level.orbit), f"level {li}")
 
 
 # ---------------------------------------------------------------------------

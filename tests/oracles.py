@@ -286,6 +286,19 @@ def tracked_sift(chain: StabChain, t: Tracked):
     return u, len(chain.levels)
 
 
+def tracked_random_element(chain: StabChain, rng) -> Tracked:
+    """``StabChain.random_element`` by Tracked products: each level's u_b
+    walked home (``StabChain._transversal``) and multiplied out with
+    ``grpcore.t_compose``, read at call time; the same draws give the same
+    element."""
+    acc = None
+    for li in range(len(chain.levels) - 1, -1, -1):
+        level = chain.levels[li]
+        u = chain._transversal(li, int(level.orbit[int(rng.integers(len(level.orbit)))]))
+        acc = u if acc is None else grpcore.t_compose(acc, u)
+    return acc if acc is not None else chain.ident
+
+
 def gauss(spec: FieldSpec, work: np.ndarray, rhs: np.ndarray | None) -> int:
     """Gauss-Jordan in place on int64 arrays, one numpy row operation at a
     time through the field's dense tables; returns det (0 when singular)."""

@@ -131,11 +131,13 @@ def matrix_shadow():
     rows 9 and 10 are the lifts that composing the factors' matrices gives,
     and the searches that found them draw elements of projective and
     antiflag chains; the shadow gives ``Tracked.matrix`` those lifts.
-    The chain's random walk and sift compose raw permutation arrays, so the
-    shadow also swaps in their Tracked oracles (``oracles.TrackedRattle``,
-    ``oracles.tracked_sift``), which draw the same samples and residues."""
+    The chain's random walk, its sift and its random elements compose raw
+    permutation arrays, so the shadow also swaps in their Tracked oracles
+    (``oracles.TrackedRattle``, ``oracles.tracked_sift``,
+    ``oracles.tracked_random_element``), which draw the same samples,
+    residues and elements."""
     compose, inverse = grpcore.t_compose, grpcore.Tracked.inverse
-    rattle, sift = grpcore.Rattle, grpcore.StabChain._sift
+    rattle, sift, element = grpcore.Rattle, grpcore.StabChain._sift, grpcore.StabChain.random_element
 
     def shadow_compose(a, b):
         out = compose(a, b)
@@ -151,11 +153,13 @@ def matrix_shadow():
 
     grpcore.t_compose, grpcore.Tracked.inverse = shadow_compose, shadow_inverse
     grpcore.Rattle, grpcore.StabChain._sift = oracles.TrackedRattle, oracles.tracked_sift
+    grpcore.StabChain.random_element = oracles.tracked_random_element
     try:
         yield
     finally:
         grpcore.t_compose, grpcore.Tracked.inverse = compose, inverse
         grpcore.Rattle, grpcore.StabChain._sift = rattle, sift
+        grpcore.StabChain.random_element = element
 
 
 def derive_searched_literal(Z, kind: str, rng) -> tuple:

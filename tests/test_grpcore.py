@@ -70,6 +70,7 @@ from oracles import (
     count_schreier_orbits,
     orbit_contains_key,
     schreier_witness,
+    tracked_random_element,
     tracked_sift,
 )
 from test_trace_targets import _targets as tracing_targets
@@ -1623,3 +1624,164 @@ def test_corrupt_schreier_vector_stops_the_transversal_stack(sl32):
     _corrupt_first_level(chain)
     with pytest.raises(CertificationError, match="Schreier vector of level 0"):
         chain._transversal_stack(0)
+
+
+# ---------------------------------------------------------------------------
+# cached transversal tables, against the walks they replace
+
+
+def _table_cases():
+    """One group per domain kind; every level of the first three fits
+    TABLE_ENTRIES, and the first level of PSL_3(4) on its 336 antiflags
+    (336 x 336 entries) does not, so it keeps the walk."""
+    sl33, sl34 = classical_generators("SL", 3, 3), classical_generators("SL", 3, 4)
+    (vector, _), (projective, _), _ = _stabilizer_cases()
+    return [
+        vector,
+        projective,
+        GroupSpec("SL_3(3) on pairs", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PAIR),
+        GroupSpec("PSL_3(4) on antiflags", 3, sl34.spec, sl34.generators, claimed_order=20160, action_tag=ANTIFLAG),
+    ]
+
+
+def _build_tables(chain):
+    for li, level in enumerate(chain.levels):
+        chain._table(li, len(level.orbit))
+
+
+@pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "antiflag-past-the-budget"])
+def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
+    # random elements, block sifts through partial and complete chains and
+    # Schreier witnesses read the tables and give what the walks give; only
+    # the level past the budget walks
+    full = _table_cases()[case].chain()
+    dom = full.domain
+    walks = []
+    walk = grpcore._walk_home
+    monkeypatch.setattr(grpcore, "_walk_home", lambda *args: walks.append(args[2]) or walk(*args))
+    streams = Stream(61 + case), Stream(61 + case)
+    samples = [full.random_element(streams[0]) for _ in range(30)]
+    for t in samples:
+        want = tracked_random_element(full, streams[1])
+        assert t.perm.dtype == want.perm.dtype and np.array_equal(t.perm, want.perm)
+    assert streams[0].integers(10**9) == streams[1].integers(10**9)
+    fits = [len(level.orbit) * dom.size <= grpcore.TABLE_ENTRIES for level in full.levels]
+    assert [level.table is not None for level in full.levels] == fits
+    assert fits.count(False) == (case == 3)
+    rng = np.random.default_rng(67 + case)
+    loose = [Tracked(rng.permutation(dom.size)) for _ in range(10)]
+    witnessed = []
+    for partial in [_chain_of(dom, samples[:k]) for k in (1, 3)] + [full]:
+        _build_tables(partial)
+        tests = samples + loose + [partial.ident]
+        rows = np.stack([t.perm for t in tests]).astype(np.int64)
+        partial._sift_rows(rows)
+        for row, t in zip(rows, tests):
+            assert np.array_equal(row, tracked_sift(partial, t)[0].perm)
+        got, want = partial._schreier_witness(), schreier_witness(partial)
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got.perm, want.perm))
+        witnessed.append(got is not None)
+    assert witnessed[-1] is False and any(witnessed)
+    assert walks if case == 3 else not walks
+
+
+def test_add_drops_the_table_of_a_level_whose_orbit_grows():
+    full = _table_cases()[0].chain()
+    dom = full.domain
+    rng = np.random.default_rng(71)
+    elements = [full.random_element(rng) for _ in range(8)]
+    chain, grown = _chain_of(dom, elements[:1]), 0
+    for t in elements[1:]:
+        _build_tables(chain)
+        before = [(level.orbit, level.table) for level in chain.levels]
+        chain._add(t)
+        for (orbit, table), level in zip(before, chain.levels):
+            assert level.table is (table if level.orbit is orbit else None)
+            grown += level.orbit is not orbit
+    assert grown
+    fresh = _chain_of(dom, elements)
+    _build_tables(chain)
+    _build_tables(fresh)
+    for level, ref in zip(chain.levels, fresh.levels, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(level.table, ref.table, strict=True))
+
+
+def test_a_relabeled_chain_builds_its_own_tables():
+    chain = _table_cases()[1].chain()
+    _build_tables(chain)
+    parent = [level.table for level in chain.levels]
+    x = chain.random_element(np.random.default_rng(73))
+    assert not x.is_identity()
+    for conj in (chain.conjugate(x), chain.conjugate(chain.ident), chain.conjugate(x, from_level=1)):
+        assert all(level.table is None for level in conj.levels)
+        streams = Stream(5), Stream(5)
+        assert np.array_equal(conj.random_element(streams[0]).perm, tracked_random_element(conj, streams[1]).perm)
+        for li, level in enumerate(conj.levels):
+            assert level.table is not None and all(level.table is not t for t in parent)
+            for row, b in zip(level.table.rows, level.orbit.tolist()):
+                assert np.array_equal(row, conj._transversal(li, b).perm)
+    assert all(level.table is t for level, t in zip(chain.levels, parent))
+
+
+def test_corrupt_schreier_vector_stops_the_table_path(sl32):
+    # the table is read off the Schreier vector by _transversal_rows, whose
+    # check raises where the walk would have
+    chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
+    _, u = _corrupt_first_level(chain)
+    assert chain.levels[0].table is None
+    block = np.stack([u.perm] * len(chain.levels[0].orbit))
+    calls = [lambda: chain.contains_block(block), lambda: chain.random_element(np.random.default_rng(1)),
+             chain._schreier_witness]
+    for call in calls:
+        with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead its orbit"):
+            call()
+    assert chain.levels[0].table is None
+
+
+def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
+    # suite-r9 draws x and y from G's chain and sifts each relabeled block
+    # into K's chain, all through tables
+    walks, running = [], []
+    walk = grpcore._walk_home
+    monkeypatch.setattr(grpcore, "_walk_home", lambda *args: walks.append(bool(running)) or walk(*args))
+    run, role = factorize.STRATEGIES["conjugation"]
+
+    def conjugation(*args):
+        running.append(True)
+        try:
+            return run(*args)
+        finally:
+            running.clear()
+
+    monkeypatch.setitem(factorize.STRATEGIES, "conjugation", (conjugation, role))
+    report = factorize.verify_claim(load_catalog().claim_by_id("suite-r9"))
+    assert report.overall == "pass" and "conjugation" in [s.name for s in report.strategies]
+    assert True not in walks
+
+
+def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
+    made = []
+    init = StabChain.__init__
+
+    def recording(self, domain):
+        init(self, domain)
+        made.append(self)
+
+    monkeypatch.setattr(StabChain, "__init__", recording)
+    assert factorize.verify_claim(load_catalog().claim_by_id("t1r07-m2")).overall == "pass"
+    chain = next(c for c in made if c.domain.size == 16320 and c.levels)
+    level, N = chain.levels[0], chain.domain.size
+    assert len(level.orbit) * N > grpcore.TABLE_ENTRIES
+    chain.random_element(np.random.default_rng(3))  # reads a row of every level
+    assert all(lv.table is None or lv.table.rows.size <= grpcore.TABLE_ENTRIES for c in made for lv in c.levels)
+    block = np.stack([t.perm for t in chain.originals])
+    tracemalloc.start()
+    try:
+        members = chain.contains_block(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert members.all() and level.table is None
+    # the walk's copies of the block and of the stacked generators and their
+    # inverses; one table of this level would take orbit x N entries (2 GiB)
+    assert peak <= 2 * (block.nbytes + len(level.eff) * N * 8)
