@@ -13,7 +13,7 @@ import numpy as np
 
 from . import orders
 from .gf import FieldSpec, make_field, supported_fields
-from .grpcore import GroupSpec
+from .grpcore import GroupSpec, Tracked, _vector_functional_maps
 from .linalg import (
     FUNCTIONAL,
     PAIR,
@@ -26,8 +26,8 @@ from .linalg import (
     mat_identity,
     mat_product,
     mat_transpose,
+    mat_vec,
     sl_compose,
-    sl_inverse,
 )
 
 
@@ -84,18 +84,8 @@ def preserves_form(g: GroupElement, J: Mat) -> bool:
 
 def _symplectic_transvection(spec: FieldSpec, n: int, u: np.ndarray, c: int, J: Mat) -> Mat:
     """x -> x + c <x, u> u with <x, u> = x^T J u."""
-    Ju = np.zeros(n, dtype=np.int64)
-    for r in range(n):
-        acc = 0
-        for k in range(n):
-            acc = spec.add(acc, spec.mul(int(J.a[r, k]), int(u[k])))
-        Ju[r] = acc
-    m = np.eye(n, dtype=np.int64)
-    for r in range(n):
-        for col in range(n):
-            bump = spec.mul(c, spec.mul(int(Ju[col]), int(u[r])))
-            m[r, col] = spec.add(int(m[r, col]), bump)
-    return Mat(spec, m)
+    bump = spec.mul_table[spec.mul_table[c, mat_vec(J, u)][None, :], u[:, None]]
+    return Mat(spec, spec.add_table[np.eye(n, dtype=np.int64), bump])
 
 
 def sp_generators(spec: FieldSpec, n: int) -> list[GroupElement]:
@@ -341,7 +331,8 @@ def psi_extension(core: GroupSpec, kind: str, certify: bool = True) -> GroupSpec
 
     The adjoin certificate (``_certify_adjoin``) reads ``core.chain()``, so
     a caller that keeps the core builds its chain once, and for psi_gamma
-    it chooses the representative's scalar against that core.
+    it chooses the representative's scalar against that core; it sifts
+    permutation products in that chain and composes no matrix.
     certify=False skips the certificate, so it takes psi only; callers use
     it only where the core chain is beyond desk scale (the degree-16M
     ambients), and the claimed order is then marked witness-grade.
@@ -366,31 +357,36 @@ def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
 
     This is what makes the extension's claimed order a known order, so its
     later chain build may take it as a bound: it pins the exact order of the
-    extension before the chain ever sees it.  The core's chain, on vectors
-    with its known order, serves every candidate.
+    extension before the chain ever sees it.  The core's chain, on its N
+    vectors with its known order, serves every candidate, and each check
+    sifts there a product of permutations, with no matrix composed: psi's
+    and the chain originals' of the vectors, or psi gamma's and the core
+    generators' of V - 0 and V* - 0 (``grpcore._vector_functional_maps``),
+    where a product that swaps the halves carries the duality, outside S.
     """
     chain = core.chain()
-    failure = "no candidate"
+    N = chain.domain.size
+    both, paired = _vector_functional_maps(chain.domain)[0], None
+
+    def member(perm):
+        return perm[0] < N and chain.contains_tracked(Tracked(perm[:N]))
+
+    def failure(gens, x):
+        xp, xinv = x.perm, x.inverse().perm
+        if not all(member(xp[g.perm[xinv]]) for g in gens):
+            return "adjoined element does not normalize the core"
+        power = xp
+        for k in range(1, index):
+            if member(power):
+                return f"adjoined element power {k} already lies in the core"
+            power = xp[power]
+        return None if member(power) else f"adjoined element power {index} leaves the core"
+
+    why = "no candidate"
     for x in candidates:
-        failure = _adjoin_failure(chain, core.generators, x, index)
-        if failure is None:
+        if x.dual:
+            paired = paired or [both(g) for g in core.generators]
+        why = failure(paired, both(x)) if x.dual else failure(chain.originals, Tracked(chain.domain.perm_of(x)))
+        if why is None:
             return x
-    raise ConstructionError(f"{core.name}: {failure}")
-
-
-def _adjoin_failure(core, blown_gens, x, index) -> str | None:
-    """Why x does not extend the linear core S = <blown_gens> with index
-    ``index`` (x normalizes S, x^index lies in S and no smaller power does),
-    or None.  The core's chain is on vectors; a power of x that carries the
-    duality bit lies outside the linear core without a sift."""
-    xinv = sl_inverse(x)
-    if not all(core.contains(sl_compose(sl_compose(xinv, g), x)) for g in blown_gens):
-        return "adjoined element does not normalize the core"
-    power = x
-    for k in range(1, index):
-        if not power.dual and core.contains(power):
-            return f"adjoined element power {k} already lies in the core"
-        power = sl_compose(power, x)
-    if power.dual or not core.contains(power):
-        return f"adjoined element power {index} leaves the core"
-    return None
+    raise ConstructionError(f"{core.name}: {why}")

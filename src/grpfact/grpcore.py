@@ -35,7 +35,8 @@ Stabilizer chains use randomized Schreier-Sims; a level keeps one
 append-only generator list and rebuilds its Schreier tree only when its
 orbit grows.  A chain built this way is a partial chain, so its order is
 a lower bound on the group's order, and one of two certificates makes it
-exact (``StabChain.build``):
+exact (``StabChain.build``), after which each generator the build did not
+add, as the chain reached its target first, is sifted once:
 
 * bound: the certified order of a group known to contain the generated
   one, on the same action or with both actions faithful; a Monte Carlo
@@ -64,6 +65,7 @@ import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -405,8 +407,10 @@ class StabChain:
         name: str = "",
     ) -> "StabChain":
         """Chain construction, certified by a bound or by the Schreier pass.
-        Each generator is a Tracked element of the domain or a matrix
-        element, whose permutation is read here.
+        Each generator (original) is a Tracked element of the domain or a
+        matrix element, whose permutation is read here.  Originals are added,
+        and so are members, while the chain is short of its target (``order``,
+        else ``bound``); each other one is sifted once after the certificate.
 
         Bound: ``bound`` is the certified order of a group P known to
         contain the generated group S (determinant, form or block-shape
@@ -427,11 +431,15 @@ class StabChain:
         chain = cls(domain)
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
         chain.originals = [g if isinstance(g, Tracked) else Tracked(domain.perm_of(g), g) for g in generators]
-        for t in chain.originals:
-            chain._add(t)
+        target, added = bound if order is None else order, 0
+        while added < len(chain.originals) and (target is None or chain.order() < target):
+            chain._add(chain.originals[added])
+            added += 1
         nontrivial = [t for t in chain.originals if not t.is_identity()]
-        chain._build_monte_carlo(nontrivial, rng, bound if order is None else order, required=order is not None)
+        chain._build_monte_carlo(nontrivial, rng, target, required=order is not None)
         chain._certify(bound, name)
+        if not all(chain.contains_tracked(t) for t in chain.originals[added:]):
+            raise CertificationError(f"{name}: a generator the chain did not add fails to sift")
         if order is not None and chain.order() != order:
             raise CertificationError(f"{name}: generated group has order {chain.order()}, not the claimed {order}")
         chain.verified = True
@@ -451,26 +459,19 @@ class StabChain:
             quiet = 0 if self._add(rat.sample()) else quiet + 1
 
     def _certify(self, bound: int | None, name: str):
-        """Make a Monte Carlo chain exact: at its bound it is complete, once
-        its originals sift; below it (or without one) the Schreier pass
-        completes it."""
+        """Make a Monte Carlo chain exact for the group of its strong
+        generators: complete at its bound (sandwich), else by the Schreier pass."""
         if bound is None or self.order() < bound:
             self._verify_loop()
-        elif self.order() == bound:
-            self._assert_originals_sift(name)
         if bound is not None and self.order() > bound:
             raise CertificationError(
                 f"{name}: generated group has order {self.order()}, exceeding its bound {bound}"
             )
 
-    def _assert_originals_sift(self, name):
-        for t in self.originals:
-            if not self.contains_tracked(t):
-                raise CertificationError(f"{name}: generator fails to sift after build")
-
     def _verify_loop(self):
         while (witness := self._schreier_witness()) is not None:
-            self._add(witness)
+            if not self._add(witness):
+                raise CertificationError("a Schreier witness sifts into the chain it was found against")
 
     def _schreier_witness(self):
         """The residue of the first Schreier generator u_beta * g * u_g(beta)^-1
@@ -773,8 +774,9 @@ class GroupSpec:
     A spec is one of two kinds.  One made by ``of_chain`` carries the
     certificate of the chain its caller built, and its order is that
     chain's.  One made with a formula order has ``chain()`` take that order
-    as a known order and the bound: a chain above it is refused, but a
-    wrong formula at or below a partial chain's order goes unnoticed.
+    as a known order and the bound (sandwich, each generator the chain did
+    not add sifted once): a chain above it is refused, but a wrong formula
+    at or below a partial chain's order goes unnoticed.
 
     generators is a list of matrices, or a ``TrackedGenerators`` whose
     matrices are read off their permutations.  stabilizer_of, when set, records
@@ -1255,7 +1257,7 @@ class ProductSift:
 
 def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
                      within: GroupSpec | None = None) -> GroupSpec:
-    """Normal closure of generator commutators, with verified closure fixpoint.
+    """Normal closure of the commutators [a_i, a_j], i < j, verified at its fixpoint.
 
     Commutators and their conjugates always have trivial duality bit, so the
     derived subgroup acts on bare vectors even when the parent does not; the
@@ -1276,9 +1278,11 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     domain = shared_domain(derived_tag, group.spec, group.n)
     # the parent's chain first, so its originals are the generators read here
     parent_order = group.order()
-    gens, lift, restrict = ((group.tracked_generators(), (lambda t: t), (lambda t: t))
-                            if group.home_domain() is domain else _vector_functional_maps(group, domain))
-    tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a in gens for b in gens]
+    same = group.home_domain() is domain
+    both, lift, restrict = (None, (lambda t: t), (lambda t: t)) if same else _vector_functional_maps(domain)
+    gens = group.tracked_generators() if same else [both(g) for g in group.generators]
+    # [a, a] = 1 and [b, a] = [a, b]^-1, so the pairs i < j give the normal closure
+    tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a, b in combinations(gens, 2)]
     wchain = None
     if within is not None and within.order() < parent_order:
         wchain = within.chain()
@@ -1306,17 +1310,17 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
             chain._build_monte_carlo(list(current), rng, bound)
             chain._certify(bound, label)
             chain.verified = True
-    # the strong generators, not the k^2 commutators, keep the next step small
+    # the strong generators, not the k(k-1)/2 commutators, keep the next step small
     return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
 
 
-def _vector_functional_maps(group: GroupSpec, vector: PermDomain):
-    """The group's generators as permutations of the 2N points of V - 0 and
-    V* - 0 (a duality element (A, s) sends v to the functional A^-T phi^s(v)
-    and w to the vector A phi^s(w)), and maps of elements with no duality:
-    ``lift`` appends the functional permutation of the matrix read off a
-    vector permutation, and ``restrict`` keeps the vector half."""
-    functional, N = shared_domain(FUNCTIONAL, group.spec, group.n), vector.size
+def _vector_functional_maps(vector: PermDomain):
+    """Maps onto and off the 2N points of V - 0 and V* - 0: ``both`` takes a
+    matrix element there (a duality element (A, s) sends v to the functional
+    A^-T phi^s(v) and w to the vector A phi^s(w)); ``lift`` appends the
+    functional permutation of the matrix read off a vector permutation, and
+    ``restrict`` keeps the vector half of an element with no duality."""
+    functional, N = shared_domain(FUNCTIONAL, vector.action.spec, vector.action.n), vector.size
 
     def both(g: GroupElement) -> Tracked:
         linear = GroupElement(g.mat, g.fa) if g.dual else g
@@ -1329,7 +1333,7 @@ def _vector_functional_maps(group: GroupSpec, vector: PermDomain):
     def restrict(t: Tracked) -> Tracked:
         return Tracked(t.perm[:N])
 
-    return [both(g) for g in group.generators], lift, restrict
+    return both, lift, restrict
 
 
 def derived_series(group: GroupSpec, rng=None, within: GroupSpec | None = None):

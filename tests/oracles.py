@@ -13,7 +13,7 @@ from grpfact import grpcore, linalg
 from grpfact.actions import ActionError
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.grpcore import CertificationError, StabChain, Tracked
-from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, subfield_coords
+from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, sl_inverse, subfield_coords
 
 
 def orbit_contains_key(orb: grpcore.OrbitSet, key: int) -> bool:
@@ -44,6 +44,25 @@ def count_matrix_ops(monkeypatch) -> list:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def adjoin_failure(core: StabChain, blown_gens, x: GroupElement, index: int) -> str | None:
+    """Why x does not extend the linear core S = <blown_gens>, whose chain is
+    on vectors, with index ``index`` (x normalizes S, x^index lies in S and
+    no smaller power does), or None; every conjugate and power is composed
+    as a matrix, and one that carries the duality bit lies outside S
+    without a sift.  The reference for ``constructors._certify_adjoin``."""
+    xinv = sl_inverse(x)
+    if not all(core.contains(sl_compose(sl_compose(xinv, g), x)) for g in blown_gens):
+        return "adjoined element does not normalize the core"
+    power = x
+    for k in range(1, index):
+        if not power.dual and core.contains(power):
+            return f"adjoined element power {k} already lies in the core"
+        power = sl_compose(power, x)
+    if power.dual or not core.contains(power):
+        return f"adjoined element power {index} leaves the core"
+    return None
 
 
 def count_chain_builds(monkeypatch) -> list:

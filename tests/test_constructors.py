@@ -30,8 +30,9 @@ from grpfact.linalg import (
     Mat,
     canonical_point,
     det,
+    sl_compose,
 )
-from oracles import count_chain_builds, element_order
+from oracles import adjoin_failure, count_chain_builds, count_matrix_ops, element_order
 
 
 @pytest.mark.parametrize(
@@ -171,6 +172,41 @@ def test_adjoin_certificate_rejects_non_normalizing_element():
         [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=np.int64)))
     with pytest.raises(ConstructionError, match="does not normalize the core"):
         _certify_adjoin(ext_subgroup("SL", 2, 2, 2), [rogue], 2)
+
+
+def _adjoin_failure_on_permutations(core, x, index):
+    """The permutation route's failure for the one candidate x, or None."""
+    try:
+        _certify_adjoin(core, [x], index)
+    except ConstructionError as err:
+        return str(err).removeprefix(f"{core.name}: ")
+    return None
+
+
+# every desk psi or psi_gamma core: rows 4-7 at m = 2, 4Sp at m = 4, row 14
+@pytest.mark.parametrize("inner, a, q, kind", [
+    ("SL", 2, 2, "psi"), ("SL", 2, 2, "psi_gamma"), ("SL", 2, 4, "psi"), ("SL", 2, 4, "psi_gamma"),
+    ("Sp", 4, 2, "psi"), ("G2", 6, 2, "psi"),
+], ids=["row4", "row5", "row6", "row7", "row4Sp-m4", "row14"])
+def test_adjoin_certificate_on_permutations_matches_the_matrix_oracle(inner, a, q, kind, monkeypatch):
+    # the identity, a transvection, psi^2 and the raw psi.gamma go first:
+    # they fail, in the ways the matrix oracle says, before the candidates
+    # that psi_extension tries
+    core = ext_subgroup(inner, a, 2, q)
+    n, index, spec = core.n, 2 * core.spec.f, core.spec
+    transvection = np.eye(n, dtype=np.int64)
+    transvection[0, n - 1] = 1
+    psi = automorphism_element("psi", n, q)
+    candidates = [GroupElement(Mat(spec, np.eye(n, dtype=np.int64))), GroupElement(Mat(spec, transvection)),
+                  sl_compose(psi, psi), sl_compose(psi, automorphism_element("gamma", n, q))]
+    candidates += list(_psi_gamma_candidates(n, q)) if kind == "psi_gamma" else [automorphism_element(kind, n, q)]
+    want = [adjoin_failure(core.chain(), core.generators, x, index) for x in candidates]
+    calls = count_matrix_ops(monkeypatch)
+    assert [_adjoin_failure_on_permutations(core, x, index) for x in candidates] == want
+    assert _certify_adjoin(core, candidates, index) is candidates[want.index(None)]
+    assert not calls
+    assert want[0] == "adjoined element power 1 already lies in the core"
+    assert want[1] == "adjoined element does not normalize the core"
 
 
 # ---------------------------------------------------------------------------

@@ -435,6 +435,54 @@ def test_chain_above_its_bound_is_refused():
         StabChain.build(dom, G.generators, bound=24, name="too big")
 
 
+# ---------------------------------------------------------------------------
+# sift-once: originals are added while the chain is short of its target,
+# and every other one is sifted once, after the certificate
+
+
+def test_order_reached_before_the_last_original_is_refused():
+    # the chain of a alone reaches |<a>| = 2; b is never added, and its
+    # sift refuses the claim
+    a, b = classical_generators("SL", 4, 2).generators
+    dom = shared_domain(VECTOR, a.spec, 4)
+    assert element_order_perm(dom.perm_of(a)) == 2
+    with pytest.raises(CertificationError, match="did not add fails to sift"):
+        StabChain.build(dom, [a, b], order=2, name="<a>")
+
+
+def test_bound_reached_before_an_original_outside_it_is_refused():
+    a, b = classical_generators("SL", 4, 2).generators
+    dom = shared_domain(VECTOR, a.spec, 4)
+    with pytest.raises(CertificationError, match="did not add fails to sift"):
+        StabChain.build(dom, [a, b], bound=2, name="bounded")
+
+
+@pytest.mark.parametrize("originals", ["generators", "elements"])
+def test_known_order_build_sifts_each_original_once(sl32, originals, monkeypatch):
+    # SL_3(2)'s generators are all added; of its 168 elements (as an
+    # enumerated intersection passes them), the chain adds those before it
+    # reaches 168 and sifts the rest
+    full = sl32.chain()
+    tracked = list(sl32.tracked_generators() if originals == "generators" else chain_elements(full))
+    sifted, added = [], []
+    real_sift, real_add = StabChain._sift, StabChain._add
+    monkeypatch.setattr(StabChain, "_sift", lambda chain, t: sifted.append(id(t)) or real_sift(chain, t))
+    monkeypatch.setattr(StabChain, "_add", lambda chain, t: added.append(id(t)) or real_add(chain, t))
+    chain = StabChain.build(full.domain, tracked, order=168, bound=168, name="once")
+    assert chain.order() == 168
+    assert [sifted.count(id(t)) for t in tracked] == [1] * len(tracked)
+    ids = {id(t) for t in tracked}
+    assert (sum(i in ids for i in added) < len(tracked)) == (originals == "elements")
+
+
+def test_schreier_pass_refuses_a_witness_that_does_not_grow_the_chain(sl32, monkeypatch):
+    # a witness that sifts leaves the chain as it was, so the pass would
+    # find it again forever: it raises instead
+    monkeypatch.setattr(StabChain, "_schreier_witness", lambda chain: chain.originals[0])
+    with pytest.raises(CertificationError, match="sifts into the chain"):
+        StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, name="stuck")
+
+
 def test_sl12_2_chain_rebuilds_few_schreier_trees(monkeypatch):
     # a level's tree is rebuilt only when a new strong generator grows its
     # orbit; rebuilding every level below each new one took 361 calls here
@@ -1477,11 +1525,13 @@ def test_stabilizer_generators_are_composed_only_when_read(monkeypatch):
 
 def _derived_by_matrices(group, rng, label):
     """The normal-closure loop with every commutator and conjugate composed
-    as a matrix, as a reference for the permutation route."""
+    as a matrix, as a reference for the permutation route; it seeds the
+    chain with the same commutators [a_i, a_j], i < j."""
     tag = VECTOR if group.action_tag == PAIR else group.action_tag
     dom = shared_domain(tag, group.spec, group.n)
     gens = list(group.generators)
-    comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b)) for a in gens for b in gens]
+    comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b))
+             for i, a in enumerate(gens) for b in gens[i + 1:]]
     chain = StabChain.build(dom, comms, rng=rng, name=label, bound=group.order())
     current = [t.matrix(dom) for t in chain.levels[0].eff] if chain.levels else []
     changed = True
