@@ -364,9 +364,8 @@ def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
     generators' of V - 0 and V* - 0 (``grpcore._vector_functional_maps``),
     where a product that swaps the halves carries the duality, outside S.
     """
-    chain = core.chain()
+    chain, paired = core.chain(), None
     N = chain.domain.size
-    both, paired = _vector_functional_maps(chain.domain)[0], None
 
     def member(perm):
         return perm[0] < N and chain.contains_tracked(Tracked(perm[:N]))
@@ -384,8 +383,9 @@ def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
 
     why = "no candidate"
     for x in candidates:
-        if x.dual:
-            paired = paired or [both(g) for g in core.generators]
+        if x.dual and paired is None:
+            both = _vector_functional_maps(chain.domain)[0]
+            paired = [both(g) for g in core.generators]
         why = failure(paired, both(x)) if x.dual else failure(chain.originals, Tracked(chain.domain.perm_of(x)))
         if why is None:
             return x
