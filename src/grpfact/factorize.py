@@ -176,10 +176,10 @@ _HINTS = {
 _ENUMERATION_CAP = 10_000
 
 
-def structure_hint(group: GroupSpec, cap: int = _ENUMERATION_CAP) -> str:
+def structure_hint(group: GroupSpec) -> str:
     """Order/spectrum-based isomorphism-type hint (labeled as a hint)."""
     order = group.order()
-    if order > cap:
+    if order > _ENUMERATION_CAP:
         return f"order {order}"
     spectrum = sporadic.exact_spectrum(group.chain())
     return _HINTS.get((order, spectrum), f"order {order}, spectrum {sorted(spectrum)}")

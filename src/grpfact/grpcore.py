@@ -173,8 +173,8 @@ class Rattle:
     Generator) through ``integers``.  Either way the draws, and so the
     samples, are those of the same walk over Tracked products."""
 
-    def __init__(self, gens: list[Tracked], ident: Tracked, rng, extra: int = 6, scramble: int = 50):
-        self.slots = [t.perm for t in gens] + [ident.perm] * extra
+    def __init__(self, gens: list[Tracked], ident: Tracked, rng):
+        self.slots = [t.perm for t in gens] + [ident.perm] * 6
         self._invs: list[np.ndarray | None] = [None] * len(self.slots)
         self.accu = ident.perm
         if isinstance(rng, Stream):
@@ -184,7 +184,7 @@ class Rattle:
             def draws(n):
                 return int(rng.integers(n)), int(rng.integers(n - 1)), int(rng.integers(2)), int(rng.integers(2))
         self._draws = draws
-        for _ in range(max(scramble, 5 * len(self.slots))):
+        for _ in range(max(50, 5 * len(self.slots))):
             self._stir()
 
     def _stir(self) -> np.ndarray:

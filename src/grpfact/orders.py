@@ -279,13 +279,3 @@ def sweep_grid(qmax: int = 16, nmax: int = 16):
 def sweep(qmax: int = 16, nmax: int = 16) -> list[IdentityReport]:
     return [identity_check(row, params) for row, params in sweep_grid(qmax, nmax)]
 
-
-def sweep_csv(reports: list[IdentityReport]) -> str:
-    lines = ["row,params,g_order,h_order,k_order,intersection,lhs,rhs,verdict"]
-    for r in reports:
-        params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-        lines.append(
-            f"{r.row},{params},{r.g_order},{r.h_order},{r.k_order},"
-            f"{r.intersection_order},{r.lhs},{r.rhs},{'ok' if r.ok else 'FAIL'}"
-        )
-    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Certified constructions: classical groups, stabilizers, blow-ups, G2."""
 
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -43,6 +44,18 @@ from oracles import adjoin_failure, count_chain_builds, count_matrix_ops, elemen
 def test_classical_orders_certified(family, n, q):
     g = classical_generators(family, n, q)
     assert g.order() == orders.group_order(family, n, q)
+
+
+@pytest.mark.parametrize("build, args, reason", [
+    (classical_generators, ("SL", 2, 289), "q = 289 is not a supported field size"),  # 17^2
+    (classical_generators, ("SL", 2, 0), "q = 0 is not a supported field size"),
+    (classical_generators, ("SL", 2, 512), "GF(2^9) is not a supported field"),  # 2^9 > 256
+    (classical_generators, ("Sp", 3, 2), "Sp needs even n"),
+    (g2_generators, (8,), "G2 construction supports even q"),
+], ids=["SL-2-289", "SL-2-0", "SL-2-512", "Sp-3-2", "G2-8"])
+def test_unsupported_groups_are_refused_with_the_reason(build, args, reason):
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        build(*args)
 
 
 def test_sp_generators_preserve_form():

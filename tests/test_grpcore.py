@@ -20,6 +20,7 @@ from sympy.combinatorics import Permutation, PermutationGroup
 import grpfact
 from grpfact import factorize, gf, grpcore, sporadic
 from grpfact.catalog import load_catalog
+from grpfact.cli import _max_orbit_points
 from grpfact.constructors import (
     automorphism_element,
     classical_generators,
@@ -328,6 +329,17 @@ def test_wrong_order_is_refused_either_way(with_bound, verify_loop_calls):
     with pytest.raises(CertificationError, match="order 6, not the claimed 12"):
         StabChain.build(dom, G.generators, order=12, bound=12 if with_bound else None, name="bad")
     assert verify_loop_calls
+
+
+@pytest.mark.xfail(strict=True, reason="a bound at or below a partial chain's order is trusted "
+                   "(the originals sift through it); the guard is open with the containers")
+def test_known_order_below_the_true_order_is_refused():
+    # SL_2(2) has order 6; its partial chain reaches order 3 before the
+    # random phase runs, and its originals sift through it (in reverse
+    # order the generators reach 6 and the build raises)
+    G = classical_generators("SL", 2, 2)
+    with pytest.raises(CertificationError):
+        StabChain.build(shared_domain(VECTOR, G.spec, 2), G.generators, order=3, bound=3)
 
 
 def test_order_alone_refuses_a_supergroup_masquerade(verify_loop_calls):
@@ -1271,6 +1283,34 @@ def test_orbit_prices_the_dense_masks_before_allocating():
         orbit(G, point, max_points=0)
     with pytest.raises(grpcore.OrbitBudgetError, match="exceeded 1 points"):
         orbit(G, point, max_points=1)
+
+
+@pytest.mark.parametrize("n, q, tag, size", [
+    (4, 2, VECTOR, 15),
+    (4, 2, PAIR, 120),
+    (2, 243, VECTOR, 59048),  # the largest odd table field, on its digit path
+])
+def test_orbit_of_e1_under_sl(n, q, tag, size):
+    G = classical_generators("SL", n, q)
+    e1 = tuple(int(i == 0) for i in range(n))
+    point = canonical_point(tag, e1, e1 if tag == PAIR else None, spec=G.spec)
+    assert orbit(G, point).size == size
+
+
+def test_orbit_refuses_masks_past_the_budget_before_allocating():
+    # a 16 MB budget prices 699,050 points; the masks over the 2^26 pair
+    # keys of GF(2)^13 need 72 MiB, so the orbit stops before it allocates them
+    G = classical_generators("SL", 13, 2)
+    e1 = tuple(int(i == 0) for i in range(13))
+    point = canonical_point(PAIR, e1, e1, spec=G.spec)
+    tracemalloc.start()
+    try:
+        with pytest.raises(grpcore.OrbitBudgetError):
+            orbit(G, point, max_points=_max_orbit_points(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):

@@ -269,8 +269,10 @@ def test_canonical_point_rejects_degenerate():
     spec = gf.make_field(2, 1)
     with pytest.raises(linalg.LinAlgError):
         canonical_point(VECTOR, (0, 0))
-    with pytest.raises(linalg.LinAlgError):
+    with pytest.raises(linalg.LinAlgError, match="not an antiflag"):
         canonical_point(ANTIFLAG, (1, 0), (0, 1), spec=spec)
+    with pytest.raises(linalg.LinAlgError, match="not a pair"):
+        canonical_point(PAIR, (1, 0), (0, 1), spec=spec)
 
 
 def test_pair_normalizes_functional_value():

@@ -1,5 +1,6 @@
 """Order formulas and the full identity sweep."""
 
+import re
 import time
 from math import gcd
 
@@ -107,6 +108,15 @@ def test_sweep_respects_side_conditions():
             assert params["n"] % 2 == 0
 
 
+@pytest.mark.parametrize("family, q, reason", [
+    ("XX", 2, "unknown family 'XX'"),
+    ("SL", 6, "q = 6 is not a prime power"),
+])
+def test_group_order_refuses_bad_input(family, q, reason):
+    with pytest.raises(orders.OrderError, match=re.escape(reason)):
+        orders.group_order(family, 3, q)
+
+
 def test_exceptional_sp_branch_boundary():
     # only (4,1,2) uses the exceptional order; neighbours take the generic one
     generic = orders.identity_check("1Sp", {"a": 4, "b": 1, "q": 3})
@@ -115,11 +125,3 @@ def test_exceptional_sp_branch_boundary():
     exceptional = orders.identity_check("1Sp", {"a": 4, "b": 1, "q": 2})
     assert "exceptional" in exceptional.note
 
-
-def test_csv_export():
-    reports = orders.sweep(qmax=3, nmax=6)
-    csv = orders.sweep_csv(reports)
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("row,params")
-    assert len(lines) == len(reports) + 1
-    assert all(line.endswith("ok") for line in lines[1:])
