@@ -1,5 +1,5 @@
 """Machine-readable factorization catalog: both tables, side conditions,
-and the default desk verification grid.
+the default desk verification grid and the legal sweep grid of Table 1.
 
 The catalog ships as a hash-pinned JSON data file; the loader refuses a
 file whose digest disagrees with the manifest.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import product
 
 from . import orders
 
@@ -44,6 +45,21 @@ _CONDITIONS = {
     "x_nonsolvable_sp": lambda p: not (p["a"] == 2 and p["q"] ** p["b"] <= 3),
 }
 
+# the variants of Table 1 that take parameters: their parameter names and
+# the dimension n of the ambient SL_n(q) at a point
+_VARIANTS = {
+    "1SL": (("a", "b", "q"), lambda p: p["a"] * p["b"]),
+    "1Sp": (("a", "b", "q"), lambda p: p["a"] * p["b"]),
+    "2": (("b", "q"), lambda p: 6 * p["b"]),
+    "3": (("n", "q"), lambda p: p["n"]),
+    **{f"{r}{kind}": (("m",), lambda p: 2 * p["m"]) for r in "4567" for kind in ("SL", "Sp")},
+    "8": (("q",), lambda p: 6),
+    "8Sp": (("q",), lambda p: 6),
+}
+# the values the sweep grid tries for each parameter; it keeps n <= 16
+_SWEEP_VALUES = {"a": range(1, 17), "b": range(1, 17), "n": range(1, 17),
+                 "m": range(1, 9), "q": orders.PRIME_POWERS_16}
+
 
 @dataclass
 class ClaimTemplate:
@@ -55,15 +71,6 @@ class ClaimTemplate:
     conditions: list[str]
     lemmas: list[str]
     structure_discrepancy: dict | None = None
-
-    def check_conditions(self, params: dict) -> None:
-        for cond in self.conditions:
-            try:
-                ok = _CONDITIONS[cond](params)
-            except KeyError as missing:
-                raise CatalogError(f"row {self.row}: parameter {missing} required by {cond!r}")
-            if not ok:
-                raise CatalogError(f"row {self.row}: condition {cond!r} violated by {params}")
 
 
 @dataclass
@@ -112,12 +119,27 @@ class Catalog:
         ]
         self.lemma_tags = list(raw["lemma_tags"])
 
+    def point_error(self, row: str, params: dict) -> str | None:
+        """Why (row, params) is no point of Table 1, or None if it is one:
+        the row must take parameters, exactly its own, under its side
+        conditions."""
+        if row not in self.templates:
+            return f"unknown catalog row {row!r}"
+        if row not in _VARIANTS:
+            ids = [e["claim_id"] for e in self.raw["desk_grid"] if e["row"] == row]
+            return f"row {row} takes no parameters; its catalog claims are {', '.join(ids)}"
+        names = _VARIANTS[row][0]
+        if sorted(params) != sorted(names):
+            return f"row {row} takes exactly the parameters {list(names)}; got {sorted(params)}"
+        for cond in self.templates[row].conditions:
+            if not _CONDITIONS[cond](params):
+                return f"row {row}: condition {cond!r} violated by {params}"
+        return None
+
     def instantiate(self, row: str, params: dict) -> FactorizationClaim:
         """Bind a template to concrete parameters, validating side conditions."""
-        if row not in self.templates:
-            raise CatalogError(f"unknown catalog row {row!r}")
-        template = self.templates[row]
-        template.check_conditions(params)
+        if (error := self.point_error(row, params)) is not None:
+            raise CatalogError(error)
         params_id = "".join(f"{k}{v}" for k, v in sorted(params.items()))
         return FactorizationClaim(
             claim_id=f"adhoc-{row}-{params_id}" if params_id else f"adhoc-{row}",
@@ -126,7 +148,7 @@ class Catalog:
             tier="desk",
             expect="factorization",
             checks=["identity", "order", "orbit"],
-            template=template,
+            template=self.templates[row],
         )
 
     def desk_grid(self, tier: str | None = "desk") -> list[FactorizationClaim]:
@@ -147,10 +169,21 @@ class Catalog:
                 notes=entry.get("notes", ""),
                 template=self.templates.get(entry["row"]),
             )
-            if claim.template is not None:
-                claim.template.check_conditions(claim.params)
+            if claim.row in _VARIANTS and (error := self.point_error(claim.row, claim.params)):
+                raise CatalogError(f"{claim.claim_id}: {error}")
             out.append(claim)
         return out
+
+    def sweep_grid(self) -> list[tuple[str, dict]]:
+        """Every point of Table 1 with n <= 16 and q <= 16: each variant's
+        points that pass its side conditions, then rows 9-15 at {}."""
+        out = []
+        for row, (names, dim) in _VARIANTS.items():
+            for values in product(*(_SWEEP_VALUES[k] for k in names)):
+                params = dict(zip(names, values))
+                if dim(params) <= 16 and self.point_error(row, params) is None:
+                    out.append((row, params))
+        return out + [(row, {}) for row in self.templates if row not in _VARIANTS]
 
     def claim_by_id(self, claim_id: str) -> FactorizationClaim:
         for claim in self.desk_grid(tier=None):

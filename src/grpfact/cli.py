@@ -21,21 +21,10 @@ from pathlib import Path
 
 from .catalog import CatalogError, load_catalog
 from .factorize import verify_claim
-from .grpcore import ORBIT_POINT_BYTES
+from .grpcore import DEFAULT_BUDGET_MB, budget_points
 
 DEFAULT_SEED = 20260810
-DEFAULT_BUDGET_MB = 2048
 _POINT_FORM = "ROW:k=v,... with integer values"
-
-
-def _max_orbit_points(budget_mb: int) -> int:
-    # the budget buys ORBIT_POINT_BYTES per point.  An orbit holds a
-    # byte mask and a bit mask over its keyspace (9/8 bytes per key, 18 MiB
-    # for t1r14-ext's 8.4M points), one sweep block's arrays and the action's
-    # cached block tables (128 KiB per generator in characteristic two), and
-    # grpcore.orbit refuses masks over that price before it allocates them,
-    # whatever the size of the keyspace
-    return max(1 << 16, budget_mb * (1 << 20) // ORBIT_POINT_BYTES)
 
 
 def _claim_worker(args):
@@ -95,7 +84,7 @@ def cmd_verify(args) -> int:
     if not claims:
         print("no claims selected", file=sys.stderr)
         return 2
-    max_points = _max_orbit_points(args.memory_budget)
+    max_points = budget_points(args.memory_budget)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(c, args.seed, args.timings, max_points) for c in claims]

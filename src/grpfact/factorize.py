@@ -53,6 +53,7 @@ from .constructors import (
 )
 from .g2 import g2_derived, g2_generators
 from .grpcore import (
+    DEFAULT_MAX_POINTS,
     CertificationError,
     GroupSpec,
     OrbitBudgetError,
@@ -641,7 +642,7 @@ def claim_seed(claim_id: str, base_seed: int) -> int:
 
 
 def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
-                 record_timings: bool = False, max_orbit_points: int = 2**24) -> VerificationReport:
+                 record_timings: bool = False, max_orbit_points: int = DEFAULT_MAX_POINTS) -> VerificationReport:
     """Run each of claim.checks from STRATEGIES on one set-up and one
     stream; with record_timings, each strategy's wall_ms is its call's
     wall time, else 0, so default reports are byte-reproducible."""

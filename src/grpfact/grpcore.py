@@ -881,9 +881,6 @@ class OrbitSet:
     domain: PermDomain | None = None
 
 
-# bytes that an orbit budget buys per point; an orbit's masks are priced
-# in them before they are allocated
-ORBIT_POINT_BYTES = 24
 _SCAN_SHARE = 64
 # a GF(2)-linear keyspace of at least _PARALLEL_KEYS keys is swept by up
 # to _SWEEP_WORKERS threads, and a sweep passes over a span of _SPAN_BLOCKS
@@ -891,13 +888,30 @@ _SCAN_SHARE = 64
 _PARALLEL_KEYS = 1 << 20
 _SWEEP_WORKERS = 2
 _SPAN_BLOCKS = 8
+# bytes that an orbit budget buys per point; an orbit's masks are priced
+# in them before they are allocated
+ORBIT_POINT_BYTES = 24
+# the orbit budget in MiB of orbit, factorize.verify_claim and grpfact verify
+DEFAULT_BUDGET_MB = 2048
+
+
+def budget_points(budget_mb: int) -> int:
+    # an orbit holds a byte mask and a bit mask over its keyspace (9/8 bytes
+    # per key, 18 MiB for t1r14-ext's 8.4M points), one sweep block's arrays
+    # and the action's cached block tables (128 KiB per generator in
+    # characteristic two), and orbit refuses masks over the budget's price
+    # before it allocates them, whatever the size of the keyspace
+    return max(1 << 16, budget_mb * (1 << 20) // ORBIT_POINT_BYTES)
+
+
+DEFAULT_MAX_POINTS = budget_points(DEFAULT_BUDGET_MB)
 
 
 def orbit(
     group_or_gens,
     point: ActionPoint,
     action: Action | None = None,
-    max_points: int = 2**24,
+    max_points: int = DEFAULT_MAX_POINTS,
     keep_keys: bool = False,
 ) -> OrbitSet:
     """BFS closure of the point under the generators, vectorized over keys.

@@ -224,58 +224,3 @@ def identity_check(row: str, params: dict) -> IdentityReport:
     g, h, k, inter, note = row_orders(row, params)
     return IdentityReport(row, dict(params), g, h, k, inter, g * inter == h * k, note)
 
-
-# ---------------------------------------------------------------------------
-# the legal sweep grid (q <= 16, n <= 16)
-
-
-def _solvable_sl(a: int, q: int) -> bool:
-    return a <= 1 or (a, q) in ((2, 2), (2, 3))
-
-
-def sweep_grid(qmax: int = 16, nmax: int = 16):
-    """Every (row, params) tuple on the legal grid; hundreds of entries."""
-    out = []
-    for q in [x for x in PRIME_POWERS_16 if x <= qmax]:
-        for b in range(2, nmax + 1):
-            for a in range(2, nmax + 1):
-                if a * b > nmax:
-                    continue
-                if not _solvable_sl(a, q**b):
-                    out.append(("1SL", {"a": a, "b": b, "q": q}))
-        for b in range(1, nmax + 1):
-            for a in range(2, nmax + 1, 2):
-                n = a * b
-                if n > nmax or n < 4:
-                    continue
-                if b == 1 and a == n and a == 2:
-                    continue  # X would be the whole ambient
-                if a == 2 and (b == 1 or _solvable_sl(2, q**b)):
-                    continue  # solvable or duplicate of the ambient
-                out.append(("1Sp", {"a": a, "b": b, "q": q}))
-        if q % 2 == 0:
-            for b in (1, 2):
-                if 6 * b <= nmax:
-                    out.append(("2", {"b": b, "q": q}))
-            out.append(("8", {"q": q}))
-            out.append(("8Sp", {"q": q}))
-        for n in range(4, nmax + 1, 2):
-            out.append(("3", {"n": n, "q": q}))
-    for m in range(2, 9):
-        out.append(("4SL", {"m": m}))
-        out.append(("5SL", {"m": m}))
-        out.append(("6SL", {"m": m}))
-        out.append(("7SL", {"m": m}))
-        if m % 2 == 0:
-            out.append(("4Sp", {"m": m}))
-            out.append(("5Sp", {"m": m}))
-            out.append(("6Sp", {"m": m}))
-            out.append(("7Sp", {"m": m}))
-    for row in ("9", "10", "11a", "11b", "12a", "12b", "12c", "13", "14", "15"):
-        out.append((row, {}))
-    return out
-
-
-def sweep(qmax: int = 16, nmax: int = 16) -> list[IdentityReport]:
-    return [identity_check(row, params) for row, params in sweep_grid(qmax, nmax)]
-

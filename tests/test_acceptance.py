@@ -38,13 +38,13 @@ def _say(line):
 
 def test_criterion_1_order_identity_sweep():
     t0 = time.perf_counter()
-    reports = orders.sweep(qmax=16, nmax=16)
+    reports = [orders.identity_check(r, p) for r, p in load_catalog().sweep_grid()]
     elapsed = time.perf_counter() - t0
-    ok = all(r.ok for r in reports) and len(reports) >= 300 and elapsed < 1.0
+    ok = all(r.ok for r in reports) and len(reports) == 520 and elapsed < 1.0
     _say(f"1 order-identity sweep: {len(reports)} tuples, {elapsed * 1000:.0f} ms, "
          f"{'pass' if ok else 'FAIL'}")
     assert all(r.ok for r in reports)
-    assert len(reports) >= 300
+    assert len(reports) == 520
     assert elapsed < 1.0
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -61,6 +63,16 @@ def test_instantiate_validates_conditions(catalog):
         catalog.instantiate("1Sp", {"a": 3, "b": 2, "q": 2})  # a even
     with pytest.raises(CatalogError):
         catalog.instantiate("nope", {})
+    # rows 9-15 take no parameters, and the refusal names their catalog
+    # claims; an adhoc claim of row 9 or 10 had no stabilizer for its order check
+    for row, ids in (("9", "t1r09"), ("10", "t1r10")):
+        with pytest.raises(CatalogError, match=f"takes no parameters; its catalog claims are {ids}"):
+            catalog.instantiate(row, {})
+    exactly = "takes exactly the parameters ['a', 'b', 'q']; got "
+    with pytest.raises(CatalogError, match=re.escape(exactly + "['a', 'b', 'n', 'q']")):
+        catalog.instantiate("1SL", {"a": 2, "b": 2, "q": 2, "n": 4})
+    with pytest.raises(CatalogError, match=re.escape(exactly + "['a', 'q']")):
+        catalog.instantiate("1Sp", {"a": 4, "q": 2})  # b missing
 
 
 def test_row6_divisor_condition(catalog):
@@ -68,6 +80,32 @@ def test_row6_divisor_condition(catalog):
     from math import gcd
 
     assert gcd(claim.params["m"], 3) == 3  # d = (m,3) recorded via params
+
+
+def test_sweep_grid_is_every_legal_point(catalog):
+    grid = catalog.sweep_grid()
+    counts = Counter(row for row, _ in grid)
+    assert len(grid) == 520
+    assert counts == {
+        "1SL": 190, "1Sp": 190, "2": 8, "3": 70,
+        **{f"{r}SL": 7 for r in "4567"}, **{f"{r}Sp": 4 for r in "4567"},
+        "8": 4, "8Sp": 4,
+        **{row: 1 for row in ("9", "10", "11a", "11b", "12a", "12b", "12c", "13", "14", "15")},
+    }
+    for row, params in grid:
+        if catalog.templates[row].table_row <= 8:
+            assert catalog.instantiate(row, params).params == params
+        else:
+            assert params == {}
+
+
+def test_condition_and_variant_tables_match_the_catalog(catalog):
+    # a side condition or a parameterized variant added to catalog.json
+    # must be wired into _CONDITIONS and _VARIANTS
+    used = {c for e in catalog.raw["table1"] for v in e["variants"].values() for c in v["conditions"]}
+    assert used == set(cat._CONDITIONS) and len(used) == 13
+    with_params = {row for row, t in catalog.templates.items() if t.conditions}
+    assert with_params == set(cat._VARIANTS) and len(with_params) == 14
 
 
 def test_desk_grid_contents(catalog):

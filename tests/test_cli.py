@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grpfact.catalog import load_catalog
-from grpfact.cli import DEFAULT_BUDGET_MB, DEFAULT_SEED, _max_orbit_points, main
+from grpfact.cli import DEFAULT_SEED, main
 from grpfact.factorize import verify_claim
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -70,9 +70,9 @@ def test_row_number_selection(tmp_path):
 
 def test_template_point_is_verified_like_a_catalog_claim(tmp_path, capsys):
     assert main(["verify", "--row", "6Sp:m=4", "--out", str(tmp_path)]) == 0
+    # verify_claim's own orbit budget is the CLI's default
     claim = load_catalog().instantiate("6Sp", {"m": 4})
-    report = verify_claim(claim, base_seed=DEFAULT_SEED,
-                          max_orbit_points=_max_orbit_points(DEFAULT_BUDGET_MB))
+    report = verify_claim(claim, base_seed=DEFAULT_SEED)
     written = (tmp_path / "adhoc-6Sp-m4.json").read_text()
     assert written == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
     assert report.overall == "pass"
@@ -86,6 +86,7 @@ def test_template_point_is_verified_like_a_catalog_claim(tmp_path, capsys):
     "6Sp:m=x",  # a value that is no integer
     "6Sp:q=4",  # m missing
     "6Sp:m=3",  # violates m_even
+    "6Sp:m=4,q=3",  # q is not read by the row
 ])
 def test_bad_template_point_is_a_usage_error(tmp_path, capsys, point):
     assert main(["verify", "--row", point, "--out", str(tmp_path)]) == 2

@@ -366,7 +366,7 @@ def test_construction_error_in_set_up_is_a_fail_report(catalog, monkeypatch):
     # the reason instead of a traceback
     first = next(constructors._psi_gamma_candidates(4, 2))
     monkeypatch.setattr(constructors, "_psi_gamma_candidates", lambda n, q: [first])
-    report = verify_claim(catalog.instantiate("5Sp", {"m": 2, "q": 2}))
+    report = verify_claim(catalog.instantiate("5Sp", {"m": 2}))
     assert (report.overall, report.strategies) == ("fail", [])
     assert report.reason == "construction failed: Sp_2(4)^in_SL_4(2): adjoined element power 2 leaves the core"
 

@@ -20,7 +20,6 @@ from sympy.combinatorics import Permutation, PermutationGroup
 import grpfact
 from grpfact import factorize, gf, grpcore, sporadic
 from grpfact.catalog import load_catalog
-from grpfact.cli import _max_orbit_points
 from grpfact.constructors import (
     automorphism_element,
     classical_generators,
@@ -1306,7 +1305,7 @@ def test_orbit_refuses_masks_past_the_budget_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(grpcore.OrbitBudgetError):
-            orbit(G, point, max_points=_max_orbit_points(16))
+            orbit(G, point, max_points=grpcore.budget_points(16))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

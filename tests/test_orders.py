@@ -7,6 +7,11 @@ from math import gcd
 import pytest
 
 from grpfact import orders
+from grpfact.catalog import load_catalog
+
+
+def _sweep():
+    return [orders.identity_check(r, p) for r, p in load_catalog().sweep_grid()]
 
 
 def test_formula_values():
@@ -80,15 +85,15 @@ def test_row2_identity_matches_index_count():
 
 def test_sweep_full_grid_fast_and_clean():
     t0 = time.perf_counter()
-    reports = orders.sweep()
+    reports = _sweep()
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    assert len(reports) >= 300
+    assert len(reports) == 520
     assert all(r.ok for r in reports)
 
 
 def test_sweep_covers_every_row():
-    rows = {r.row for r in orders.sweep()}
+    rows = {r.row for r in _sweep()}
     for row in ("1SL", "1Sp", "2", "3", "4SL", "4Sp", "5SL", "5Sp", "6SL", "6Sp",
                 "7SL", "7Sp", "8", "8Sp", "9", "10", "11a", "11b", "12a", "12b",
                 "12c", "13", "14", "15"):
@@ -96,7 +101,7 @@ def test_sweep_covers_every_row():
 
 
 def test_sweep_respects_side_conditions():
-    for row, params in orders.sweep_grid():
+    for row, params in load_catalog().sweep_grid():
         if row == "1SL":
             assert params["b"] >= 2 and params["a"] >= 2
         if row == "1Sp":
