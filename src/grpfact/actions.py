@@ -1,24 +1,25 @@
 """Point domains and batched application of group elements to packed keys.
 
 Keys pack coordinate digits base q (bit-packed when q is a power of two),
-vector first, functional second for the two-sided kinds.  Batch application
-takes and returns int64 key arrays.  In characteristic two the key map of
-vector, functional and pair points is GF(2)-linear on the key bits, so it
-never unpacks: one XOR table per run of at most 12 key bits, one lookup
-each.  ``apply_block`` takes offsets from an aligned block start of
-``Action.block_bits`` under a stack of generators at once, since
+vector first, functional second for pairs.  Batch application acts on
+vector, functional and pair keys only, and takes and returns int64 key
+arrays.  In characteristic two the key map is GF(2)-linear on the key
+bits, so it never unpacks: one XOR table per run of at most 12 key bits,
+one lookup each.  ``apply_block`` takes offsets from an aligned block
+start of ``Action.block_bits`` under a stack of generators at once, since
 f(base + j) = f(base) XOR f(j) there: the generators' offset tables and
 block-index tables are stacked one row per generator, so the whole (k, m)
 array of images is one lookup and one XOR with the block's column.  The
 sweep of an orbit walks its keyspace in such blocks, from worker threads
 on a large linear keyspace, and these two numpy calls release the GIL;
 on the digit path ``apply_block`` fills its rows one generator at a time.
-The other kinds unpack to digits, kept in the narrowest unsigned type that
-holds q - 1 and widened only for a prime field's dot products and for
-packing.  A domain's key -> index table is int32; a projective or antiflag
-table indexes every scalar multiple of its points, so the domain permutes
-through the vector or pair kind, unnormalized.  A vector domain reads an
-element back off its permutation (``PermDomain.element_of``).
+The digit path unpacks keys to digits, kept in the narrowest unsigned type
+that holds q - 1 and widened only for a prime field's dot products and for
+packing.  Projective and antiflag points are acted on only through their
+enumerated domain (``PermDomain``): its int32 key -> index table indexes
+every scalar multiple of its points, so the domain permutes through the
+vector or pair kind beneath, and no image is normalized.  A vector domain
+reads an element back off its permutation (``PermDomain.element_of``).
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ from .linalg import (
     LinAlgError,
     Mat,
     pack_point,
-    sl_apply,
-    unpack_point,
 )
 
 DOMAIN_CAP = 200_000  # the most points a PermDomain enumerates
@@ -53,10 +52,10 @@ class ActionError(ValueError):
 
 
 class DomainCapError(ActionError):
-    """A domain past the cap on enumerated domains; size and cap say by how much."""
+    """A domain past a limit on enumerated domains; size and cap say by how much."""
 
-    def __init__(self, tag: str, size: int, cap: int):
-        super().__init__(f"domain of {size} {tag} points exceeds the {cap} limit")
+    def __init__(self, what: str, size: int, cap: int):
+        super().__init__(f"{what} exceeds the {cap} limit")
         self.size, self.cap = size, cap
 
 
@@ -101,12 +100,6 @@ class Action:
         if x.tag != self.tag:
             raise ActionError(f"point of kind {x.tag} in {self.tag} action")
         return pack_point(x, self.q, self.n)
-
-    def key_point(self, key: int) -> ActionPoint:
-        return unpack_point(self.tag, int(key), self.q, self.n)
-
-    def apply_point(self, g: GroupElement, x: ActionPoint) -> ActionPoint:
-        return sl_apply(g, x)
 
     # -- key digit helpers ----------------------------------------------------
 
@@ -194,7 +187,9 @@ class Action:
         return cached[2:]
 
     def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
-        """Images of packed keys under g; canonicalizes normalized kinds."""
+        """Images of packed vector, functional or pair keys under g."""
+        if self.tag in (PROJECTIVE, ANTIFLAG):
+            raise ActionError(f"{self.tag} points are acted on only through their enumerated domain")
         if g.dual and not self.two_sided:
             raise LinAlgError(f"duality does not act on {self.tag} points")
         if self.linear:
@@ -253,25 +248,7 @@ class Action:
                     term = spec.mul_table[int(M[i, k]), block[:, k]]
                     acc = acc ^ term if spec.p == 2 else spec.add_table[acc, term]
                 res[:, i] = acc
-        if self.tag in (PROJECTIVE, ANTIFLAG):
-            self._normalize_digits(out)
         return self._pack_digits(out)
-
-    def _normalize_digits(self, D: np.ndarray) -> None:
-        """Scale each row's vector to a leading 1 and, for antiflags, its
-        functional to w.v = 1, in place."""
-        spec, n = self.spec, self.n
-        v = D[:, :n]
-        lead = (v != 0).argmax(axis=1)
-        scale = spec.inv_table[v[np.arange(len(D)), lead]]
-        v[:] = spec.mul_table[scale[:, None], v]
-        if self.tag == ANTIFLAG:
-            w = D[:, n:]
-            c = spec.mul_table[w[:, 0], v[:, 0]]
-            for i in range(1, n):
-                term = spec.mul_table[w[:, i], v[:, i]]
-                c = c ^ term if spec.p == 2 else spec.add_table[c, term]
-            w[:] = spec.mul_table[spec.inv_table[c][:, None], w]
 
     # -- domain enumeration ---------------------------------------------------
 
@@ -329,46 +306,43 @@ def _xor_table(cols: np.ndarray) -> np.ndarray:
 class PermDomain:
     """Enumerated action domain with key -> index lookup and permutation images.
 
-    The lookup is an int32 table over the whole keyspace (every index is
-    below DOMAIN_CAP), or a dict past _DENSE_LOOKUP_LIMIT keys.  A projective
-    or antiflag table also indexes lv, or (lv, w/l), for each scalar l != 1:
-    (q - 2) scaled copies of the keys, filled at build.
+    The lookup is one int32 table over the whole keyspace (every index is
+    below DOMAIN_CAP), and a keyspace past _DENSE_LOOKUP_LIMIT keys is
+    refused.  A projective or antiflag table also indexes lv, or (lv, w/l),
+    for each scalar l != 1: (q - 2) scaled copies of the keys, filled at
+    build, so the domain takes its images under the vector or pair kind
+    beneath, unnormalized.  This is the only way those points are acted on.
     """
 
     def __init__(self, action: Action):
         self.action = action
         size = domain_size(action.tag, action.q, action.n)
         if size > DOMAIN_CAP:
-            raise DomainCapError(action.tag, size, DOMAIN_CAP)
+            raise DomainCapError(f"domain of {size} {action.tag} points", size, DOMAIN_CAP)
+        keyspace = (action.q ** action.n) ** (2 if action.two_sided else 1)
+        if keyspace > _DENSE_LOOKUP_LIMIT:
+            raise DomainCapError(f"lookup table over the {keyspace} keys of {action.tag} points",
+                                 keyspace, _DENSE_LOOKUP_LIMIT)
         self.keys = action.all_keys()
         self.size = len(self.keys)
         if self.size != size:
             raise ActionError(f"domain enumeration bug: {self.size} != {size}")
-        keyspace = (action.q ** action.n) ** (2 if action.two_sided else 1)
+        self._dense = np.full(keyspace, -1, dtype=np.int32)
+        index = np.arange(self.size, dtype=np.int32)
+        self._dense[self.keys] = index
         self._applier = action  # the action perm_of applies
-        if keyspace <= _DENSE_LOOKUP_LIMIT:
-            self._dense = np.full(keyspace, -1, dtype=np.int32)
-            index = np.arange(self.size, dtype=np.int32)
-            self._dense[self.keys] = index
-            if action.tag in (PROJECTIVE, ANTIFLAG):
-                self._applier = Action(PAIR if action.two_sided else VECTOR, action.spec, action.n)
-                spec, digits = action.spec, action._unpack_digits(self.keys)
-                for lam in range(2, action.q):
-                    scale = np.full(action.width, lam)
-                    scale[action.n :] = spec.inv_table[lam]
-                    self._dense[action._pack_digits(spec.mul_table[scale, digits])] = index
-            self._lookup = None
-        else:
-            self._dense = None
-            self._lookup = {int(k): i for i, k in enumerate(self.keys)}
+        if action.tag in (PROJECTIVE, ANTIFLAG):
+            self._applier = Action(PAIR if action.two_sided else VECTOR, action.spec, action.n)
+            spec, digits = action.spec, action._unpack_digits(self.keys)
+            for lam in range(2, action.q):
+                scale = np.full(action.width, lam)
+                scale[action.n :] = spec.inv_table[lam]
+                self._dense[action._pack_digits(spec.mul_table[scale, digits])] = index
         self.identity_perm = np.arange(self.size, dtype=np.int64)
 
     def index_of_key(self, key: int) -> int:
         """The index of a key's point; a table takes any scalar representative."""
-        if self._dense is not None:
-            idx = int(self._dense[key]) if 0 <= key < len(self._dense) else -1
-        else:
-            idx = self._lookup.get(int(key), -1)
+        idx = int(self._dense[key]) if 0 <= key < len(self._dense) else -1
         if idx < 0:
             raise ActionError(f"key {key} is not a point of this domain")
         return idx
@@ -376,18 +350,11 @@ class PermDomain:
     def index_of_point(self, x: ActionPoint) -> int:
         return self.index_of_key(self.action.point_key(x))
 
-    def point(self, idx: int) -> ActionPoint:
-        return self.action.key_point(int(self.keys[idx]))
-
     def perm_of(self, g: GroupElement) -> np.ndarray:
         """g's permutation of the domain indices, as int64.  A projective or
         antiflag table takes g's images under the vector or pair kind."""
         imgs = self._applier.apply_batch(g, self.keys)
-        if self._dense is not None:
-            perm = self._dense[imgs]
-        else:
-            lookup = self._lookup
-            perm = np.fromiter((lookup.get(k, -1) for k in imgs.tolist()), dtype=np.int32, count=len(imgs))
+        perm = self._dense[imgs]
         if (perm < 0).any():
             raise ActionError("element does not preserve the domain")
         # the int64 images are spent: their buffer takes the indices

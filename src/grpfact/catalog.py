@@ -121,8 +121,8 @@ class Catalog:
 
     def point_error(self, row: str, params: dict) -> str | None:
         """Why (row, params) is no point of Table 1, or None if it is one:
-        the row must take parameters, exactly its own, under its side
-        conditions."""
+        the row must take parameters, exactly its own, with q a prime power,
+        under its side conditions."""
         if row not in self.templates:
             return f"unknown catalog row {row!r}"
         if row not in _VARIANTS:
@@ -131,6 +131,8 @@ class Catalog:
         names = _VARIANTS[row][0]
         if sorted(params) != sorted(names):
             return f"row {row} takes exactly the parameters {list(names)}; got {sorted(params)}"
+        if "q" in params and not orders._is_prime_power(params["q"]):
+            return f"row {row}: q = {params['q']} is not a prime power"
         for cond in self.templates[row].conditions:
             if not _CONDITIONS[cond](params):
                 return f"row {row}: condition {cond!r} violated by {params}"

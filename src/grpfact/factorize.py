@@ -489,13 +489,17 @@ def _orbit_strategy(name, setup, groups, details, max_points) -> StrategyResult:
     an orbit that outgrows a target the budget holds cannot equal it, so
     that strategy fails with the budget error as its reason.  An orbit
     stopped before it passed the target (its keyspace masks priced over
-    the budget) decides nothing and is skipped with that reason.
+    the budget) decides nothing and is skipped with that reason, as is a
+    projective or antiflag orbit on a domain past the cap, with its size.
     """
     if setup.orbit_target > max_points:
         return StrategyResult(name, "skipped", details={
             **details, "reason": "orbit target exceeds the memory budget", "max_points": max_points})
     try:
         sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size for H in groups]
+    except DomainCapError as exc:
+        details.update(reason=str(exc), domain_size=exc.size, max_size=exc.cap)
+        return StrategyResult(name, "skipped", details=details)
     except OrbitBudgetError as exc:
         details.update(reason=str(exc), max_points=max_points)
         return StrategyResult(name, "fail" if exc.partial_size > setup.orbit_target else "skipped",

@@ -158,9 +158,6 @@ class FieldSpec:
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
 

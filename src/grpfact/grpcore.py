@@ -22,14 +22,16 @@ Element orders are read off transversal words on a chain's support
 
 Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
 of an enumerated domain and keeps a Schreier vector; the chain levels, the
-samples' layered orbits, the transporter orbits of Schreier stabilizers
-(``orbit_with_transporters``) use it, and so does ``orbit`` for a spec that
-already holds permutations of a domain of the seed's kind with the seed on
-it: its generators kept as permutations, or its certified chain's
-originals (the chain route).  Otherwise ``orbit`` runs over packed keys,
-with no enumerated domain, and keeps only the size and a mask of the seen
-keys, so it reaches orbits of millions of points; it sweeps a large
-GF(2)-linear keyspace on two threads, which it starts and joins itself.
+samples' layered orbits and the transporter orbits of Schreier stabilizers
+(``orbit_with_transporters``) use it.  ``orbit`` takes the seed's shared
+domain through ``orbit_with_transporters`` for a spec that already holds
+permutations of it (its generators kept as permutations, or its certified
+chain's originals), and for every projective or antiflag seed: those
+points are acted on only through their enumerated domain.  Otherwise
+``orbit`` runs over packed keys, with no enumerated domain, and keeps only
+the size and a mask of the seen keys, so it reaches orbits of millions of
+points; it sweeps a large GF(2)-linear keyspace on two threads, which it
+starts and joins itself.
 
 Stabilizer chains use randomized Schreier-Sims; a level keeps one
 append-only generator list and rebuilds its Schreier tree only when its
@@ -73,8 +75,10 @@ import numpy as np
 from .actions import Action, ActionError, PermDomain
 from .gf import FieldSpec
 from .linalg import (
+    ANTIFLAG,
     FUNCTIONAL,
     PAIR,
+    PROJECTIVE,
     VECTOR,
     ActionPoint,
     GroupElement,
@@ -258,9 +262,11 @@ def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
 
 
 def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """The inverses of permutations of size points, one (k, size) int32 array (domains stay below 2^31 points)."""
+    """The inverses as one (k, size) int32 array (domains stay below 2^31 points), scattered row by row."""
     inv = np.empty((len(perms), size), dtype=np.int32)
-    inv[np.arange(len(perms))[:, None], np.asarray(perms)] = np.arange(size, dtype=np.int32)
+    points = np.arange(size, dtype=np.int32)
+    for row, perm in zip(inv, perms):
+        row[perm] = points
     return inv
 
 
@@ -744,11 +750,16 @@ _DOMAIN_CACHE: dict[tuple, PermDomain] = {}
 
 
 def shared_domain(tag: str, spec: FieldSpec, n: int) -> PermDomain:
-    key = (tag, spec.p, spec.f, n)
-    if key not in _DOMAIN_CACHE:
-        domain = _DOMAIN_CACHE[key] = PermDomain(Action(tag, spec, n))
+    domain = _cached_domain(tag, spec, n)
+    if domain is None:
+        domain = _DOMAIN_CACHE[tag, spec.p, spec.f, n] = PermDomain(Action(tag, spec, n))
         domain.identity_perm = _IDENTITY_PERMS.setdefault(domain.size, domain.identity_perm)
-    return _DOMAIN_CACHE[key]
+    return domain
+
+
+def _cached_domain(tag: str, spec: FieldSpec, n: int) -> PermDomain | None:
+    """The shared domain of tag in (n, q) if it was built, else None."""
+    return _DOMAIN_CACHE.get((tag, spec.p, spec.f, n))
 
 
 class TrackedGenerators(Sequence):
@@ -931,21 +942,29 @@ def orbit(
     sweep runs beside nothing but the two masks, each worker's block
     arrays and the action's cached tables.  Those masks,
     keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per point of
-    max_points before they are allocated.  A spec that already
-    has permutations of a domain of the point's kind, with the point on it
+    max_points before they are allocated.  A projective or antiflag seed,
+    or a spec that already holds permutations of the seed's shared domain
     (its Tracked generators, or its certified chain's originals), takes the
-    orbit off them (``schreier_orbit``) and composes no matrix.
+    orbit on that domain (``orbit_with_transporters``), which past the cap
+    raises ``DomainCapError``, and composes no matrix.
     ``keep_keys`` is accepted only as False, for callers that still pass it;
     ``orbit_with_transporters`` keeps the orbit points and a Schreier vector.
     """
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
     if isinstance(group_or_gens, GroupSpec):
-        on_domain = _orbit_on_domain(group_or_gens, point, max_points)
-        if on_domain is not None:
-            return on_domain
-        gens = list(group_or_gens.generators)
-        spec, n = group_or_gens.spec, group_or_gens.n
+        group = group_or_gens
+        domain = _cached_domain(point.tag, group.spec, group.n)
+        held = (getattr(group.generators, "domain", None), getattr(group._chain, "domain", None))
+        if point.tag in (PROJECTIVE, ANTIFLAG) or (domain is not None and domain in held):
+            orb = orbit_with_transporters(group, point)
+            if orb.size > max_points:
+                raise OrbitBudgetError(f"orbit exceeded {max_points} points", orb.size)
+            seen = np.zeros(orb.domain.size, dtype=bool)
+            seen[orb.orbit] = True
+            return OrbitSet(point.tag, orb.domain.action.point_key(point), orb.size, seen, orb.domain)
+        gens = list(group.generators)
+        spec, n = group.spec, group.n
     else:
         gens = list(group_or_gens)
         spec, n = gens[0].spec, gens[0].n
@@ -1067,35 +1086,6 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
     return total
 
 
-def _orbit_on_domain(group: GroupSpec, point: ActionPoint, max_points: int) -> OrbitSet | None:
-    """``orbit`` by a BFS over permutations the spec already holds, on a
-    domain of the point's kind in the spec's ambient with the point on it:
-    its Tracked generators', else its certified chain's originals, which
-    generate the same group.  None when it holds no such permutations."""
-    gens, chain = group.generators, group._chain
-    if isinstance(gens, TrackedGenerators) and _is_ambient_domain(group, gens.domain, point.tag):
-        domain, tracked = gens.domain, gens.tracked
-    elif chain is not None and chain.verified and _is_ambient_domain(group, chain.domain, point.tag):
-        domain, tracked = chain.domain, chain.originals
-    else:
-        return None
-    seed = domain.action.point_key(point)
-    try:
-        base = domain.index_of_key(seed)
-    except ActionError:
-        return None  # not a point of the domain: the keyspace holds it
-    orb, seen, _ = schreier_orbit([t.perm for t in tracked], base, domain.size)
-    if orb.size > max_points:
-        raise OrbitBudgetError(f"orbit exceeded {max_points} points", orb.size)
-    return OrbitSet(point.tag, seed, orb.size, seen, domain)
-
-
-def _is_ambient_domain(group: GroupSpec, domain: PermDomain, tag: str) -> bool:
-    """Whether the domain is the shared domain of tag in the group's (n, q)."""
-    action = domain.action
-    return (action.tag, action.spec.p, action.spec.f, action.n) == (tag, group.spec.p, group.spec.f, group.n)
-
-
 class TransporterOrbit(NamedTuple):
     """A point's orbit over the indices of its shared domain, in
     ``schreier_orbit``'s order (the point first), with the generators'
@@ -1151,9 +1141,7 @@ def stabilizer_generators(
 def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
     """The point's index on the domain of the group's certified chain when
     the point lies in its first basic orbit, else None."""
-    if not _is_ambient_domain(group, chain.domain, point.tag):
-        return None
-    if not (chain.verified and chain.levels):
+    if chain.domain is not _cached_domain(point.tag, group.spec, group.n) or not (chain.verified and chain.levels):
         return None
     try:
         x = chain.domain.index_of_point(point)

@@ -362,26 +362,11 @@ def pack_vector(v, q: int) -> int:
     return key
 
 
-def unpack_vector(key: int, q: int, n: int) -> tuple:
-    out = []
-    for _ in range(n):
-        out.append(key % q)
-        key //= q
-    return tuple(out)
-
-
 def pack_point(x: ActionPoint, q: int, n: int) -> int:
     if x.tag in (VECTOR, FUNCTIONAL, PROJECTIVE):
         return pack_vector(x.data, q)
     v, w = x.data
     return pack_vector(v, q) + q**n * pack_vector(w, q)
-
-
-def unpack_point(tag: str, key: int, q: int, n: int) -> ActionPoint:
-    if tag in (VECTOR, FUNCTIONAL, PROJECTIVE):
-        return ActionPoint(tag, unpack_vector(key, q, n))
-    qn = q**n
-    return ActionPoint(tag, (unpack_vector(key % qn, q, n), unpack_vector(key // qn, q, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -450,7 +450,7 @@ def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray) -> list[np.ndarray]:
     # d^-1 = diag(7, 1), since 2 * 7 = 1 mod 13
     d, d_inv = np.diag([2, 1]), np.diag([7, 1])
     twist = [GroupElement(Mat(F13, d_inv @ np.array(g) @ d % 13)) for g in _SL2_13_GENS]
-    return [rho[domain.index_of_point(domain.action.apply_point(x, p))].copy() for x in twist]
+    return [rho[domain.perm_of(x)[base]].copy() for x in twist]
 
 
 def locate_two_psl2_13(rng) -> tuple[GroupSpec, GroupSpec, dict]:

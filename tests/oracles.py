@@ -13,7 +13,42 @@ from grpfact import grpcore, linalg
 from grpfact.actions import ActionError
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.grpcore import CertificationError, StabChain, Tracked
-from grpfact.linalg import GroupElement, LinAlgError, identity_element, sl_compose, sl_inverse, subfield_coords
+from grpfact.linalg import (
+    FUNCTIONAL,
+    PROJECTIVE,
+    VECTOR,
+    ActionPoint,
+    GroupElement,
+    LinAlgError,
+    identity_element,
+    sl_compose,
+    sl_inverse,
+    subfield_coords,
+)
+
+
+def unpack_vector(key: int, q: int, n: int) -> tuple:
+    """The base-q digits of a packed vector key, lowest first."""
+    out = []
+    for _ in range(n):
+        out.append(key % q)
+        key //= q
+    return tuple(out)
+
+
+def unpack_point(tag: str, key: int, q: int, n: int) -> ActionPoint:
+    """The point a key packs, one digit at a time: the inverse of
+    ``linalg.pack_point``."""
+    if tag in (VECTOR, FUNCTIONAL, PROJECTIVE):
+        return ActionPoint(tag, unpack_vector(key, q, n))
+    qn = q**n
+    return ActionPoint(tag, (unpack_vector(key % qn, q, n), unpack_vector(key // qn, q, n)))
+
+
+def domain_point(domain, idx: int) -> ActionPoint:
+    """The point at an index of an enumerated domain."""
+    action = domain.action
+    return unpack_point(action.tag, int(domain.keys[idx]), action.q, action.n)
 
 
 def orbit_contains_key(orb: grpcore.OrbitSet, key: int) -> bool:
@@ -247,7 +282,7 @@ def conjugate_intersection_samples(setup, rng, samples: int) -> list:
         if setup.orbit_seed is not None:
             y_omega = int(y.perm[dom.index_of_point(setup.orbit_seed)])
             size = len(grpcore.schreier_orbit([t.perm for t in Hx.tracked_generators(dom)], y_omega, dom.size)[0])
-            inter = grpcore.stabilizer_generators(Hx, dom.point(y_omega))
+            inter = grpcore.stabilizer_generators(Hx, domain_point(dom, y_omega))
         else:
             Ky = grpcore.GroupSpec.of_chain("K^y", setup.K.chain().conjugate(y))
             inter = factorize.intersect(Hx, Ky, "enumerate_smaller")

@@ -1,13 +1,14 @@
-"""Action kernels against scalar references: the char-2 XOR-table
-apply_batch against sl_apply, apply_block's offsets against whole keys, the
-two-sided domain enumeration, and the scalar-class lookup of projective and
-antiflag domains against the normalizing path."""
+"""Action kernels against scalar references: apply_batch, and the
+permutations of projective and antiflag domains, against sl_apply,
+apply_block's offsets against whole keys, the two-sided domain
+enumeration, and the scalar-class lookup of projective and antiflag
+domains against sl_apply with canonical_point."""
 
 import numpy as np
 import pytest
 
 from grpfact import gf
-from grpfact.actions import Action, ActionError, PermDomain, domain_size
+from grpfact.actions import Action, ActionError, DomainCapError, PermDomain, domain_size
 from grpfact.grpcore import shared_domain
 from grpfact.linalg import (
     ANTIFLAG,
@@ -21,8 +22,9 @@ from grpfact.linalg import (
     Mat,
     det,
     pack_point,
-    unpack_point,
+    sl_apply,
 )
+from oracles import unpack_point
 
 
 def _random_element(rng, spec, n, fa, dual):
@@ -33,8 +35,9 @@ def _random_element(rng, spec, n, fa, dual):
 
 
 # (kind, p, f, n): every char-2 vector, functional and pair case packs at
-# least 24 key bits, so at least two XOR tables; the projective, antiflag
-# and odd-characteristic cases take the digit path on points of the domain
+# least 24 key bits, so at least two XOR tables; the odd-characteristic
+# cases take the digit path on points of the domain, and the projective and
+# antiflag cases permute their domain through the kind beneath
 _CASES = [
     (VECTOR, 2, 1, 24), (VECTOR, 2, 2, 12), (VECTOR, 2, 4, 6),
     (FUNCTIONAL, 2, 1, 25), (FUNCTIONAL, 2, 2, 12), (FUNCTIONAL, 2, 4, 7),
@@ -58,12 +61,17 @@ def test_apply_batch_matches_sl_apply(tag, p, f, n):
     else:
         rng = np.random.default_rng(action.width * 31 + p * 7 + f)
         keys = rng.choice(action.all_keys(), size=60, replace=False)
+    domain = PermDomain(action) if tag in (PROJECTIVE, ANTIFLAG) else None
     duals = (0, 1) if action.two_sided else (0,)
     for fa in sorted({0, f - 1, f // 2}):
         for dual in duals:
             g = _random_element(rng, spec, n, fa, dual)
+            want = [action.point_key(sl_apply(g, unpack_point(tag, int(k), spec.q, n))) for k in keys]
+            if domain is not None:
+                at = [domain.index_of_key(int(k)) for k in keys]
+                assert domain.keys[domain.perm_of(g)[at]].tolist() == want, (fa, dual)
+                continue
             got = action.apply_batch(g, keys)
-            want = [action.point_key(action.apply_point(g, action.key_point(int(k)))) for k in keys]
             assert got.dtype == np.int64 and got.tolist() == want, (fa, dual)
             assert action.apply_batch(g, keys).tolist() == want  # from the cache
 
@@ -131,39 +139,44 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     del h
 
 
-@pytest.mark.parametrize("p,f,n", [(2, 2, 3), (5, 3, 2)])
+@pytest.mark.parametrize("p,f,n", [(2, 2, 3)])
 def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
-    # the antiflags of GF(4)^3 (4^6 keys) take the dense int32 table; those
-    # of GF(125)^2 (125^4 keys, past _DENSE_LOOKUP_LIMIT) a dict over their
-    # 15,750 points.  Under the 200,000-point cap only antiflags of a plane
-    # over q >= 121 have a keyspace past the limit
+    # the antiflags of GF(4)^3 (4^6 keys) take the int32 table, which
+    # their pair images under the kind beneath look up
     spec = gf.make_field(p, f)
     domain = PermDomain(Action(ANTIFLAG, spec, n))
-    assert (domain._dense is None) == (n == 2)
+    assert domain._applier.tag == PAIR
     rng = np.random.default_rng(p * f)
     for fa, dual in ((0, 0), (f - 1, 1)):
         g = _random_element(rng, spec, n, fa, dual)
         perm = domain.perm_of(g)
-        imgs = domain.action.apply_batch(g, domain.keys)
-        assert perm.dtype == np.int64 and np.array_equal(domain.keys[perm], imgs)
+        imgs = domain._applier.apply_batch(g, domain.keys)
+        assert perm.dtype == np.int64 and np.array_equal(domain._dense[imgs], perm)
         picks = rng.choice(domain.size, size=50, replace=False)
         assert [domain.index_of_key(int(k)) for k in imgs[picks]] == perm[picks].tolist()
     with pytest.raises(ActionError, match="not a point"):
         domain.index_of_key(1)  # v = e1 and w = 0, so w(v) = 0
-    # an element whose image keys leave the domain (key 0 has v = 0), put
-    # in the action perm_of applies: the pair kind beneath a dense domain,
-    # the domain's own normalizing action behind a dict
-    assert domain._applier.tag == (ANTIFLAG if n == 2 else PAIR)
+    # an element whose image keys leave the domain (key 0 has v = 0)
     monkeypatch.setattr(domain._applier, "apply_batch", lambda g, keys: np.zeros_like(keys))
     with pytest.raises(ActionError, match="does not preserve the domain"):
         domain.perm_of(g)
 
 
-# (kind, p, f, n): dense tables over GF(3), GF(4) and GF(9), on the digit
-# and the XOR path beneath, and the antiflags of GF(125)^2 behind a dict
+def test_a_keyspace_past_the_lookup_limit_is_refused():
+    # the 15,750 antiflags of GF(125)^2 lie under the point cap, but their
+    # 125^4 keys pass _DENSE_LOOKUP_LIMIT; under the cap only the antiflags
+    # of a plane over q >= 121 do
+    with pytest.raises(DomainCapError, match=f"{125**4} keys of antiflag points exceeds the {2**26} limit") as exc:
+        PermDomain(Action(ANTIFLAG, gf.make_field(5, 3), 2))
+    assert (exc.value.size, exc.value.cap) == (125**4, 2**26)
+    assert domain_size(ANTIFLAG, 125, 2) == 15750
+
+
+# (kind, p, f, n): tables over GF(3), GF(4) and GF(9), on the digit and the
+# XOR path beneath
 _CLASS_CASES = [
     (PROJECTIVE, 3, 1, 4), (PROJECTIVE, 2, 2, 4), (PROJECTIVE, 3, 2, 3),
-    (ANTIFLAG, 3, 1, 3), (ANTIFLAG, 2, 2, 3), (ANTIFLAG, 5, 3, 2),
+    (ANTIFLAG, 3, 1, 3), (ANTIFLAG, 2, 2, 3),
 ]
 
 
@@ -181,18 +194,17 @@ def _scaled_key(spec, tag, n, key, lam, mu=None):
 
 @pytest.mark.parametrize("tag,p,f,n", _CLASS_CASES)
 def test_scalar_class_lookup_matches_the_normalizing_path(tag, p, f, n):
+    # the normalizing path is sl_apply, whose images canonical_point scales
     spec = gf.make_field(p, f)
     domain = PermDomain(Action(tag, spec, n))
-    assert (domain._dense is None) == (spec.q == 125)
     where = {int(k): i for i, k in enumerate(domain.keys)}
     rng = np.random.default_rng(p * f * n)
     for fa in range(f):
         for dual in (0, 1) if tag == ANTIFLAG else (0,):
             g = _random_element(rng, spec, n, fa, dual)
-            want = [where[k] for k in domain.action.apply_batch(g, domain.keys).tolist()]
+            want = [where[pack_point(sl_apply(g, unpack_point(tag, k, spec.q, n)), spec.q, n)]
+                    for k in domain.keys.tolist()]
             assert domain.perm_of(g).tolist() == want
-    if domain._dense is None:
-        return
     # every scalar representative resolves to its point
     for i, key in enumerate(domain.keys.tolist()):
         assert {domain.index_of_key(_scaled_key(spec, tag, n, key, lam)) for lam in range(1, spec.q)} == {i}
@@ -203,21 +215,20 @@ def test_scalar_class_lookup_matches_the_normalizing_path(tag, p, f, n):
             domain.index_of_key(key)
 
 
-@pytest.mark.parametrize("tag,p,f,n", [case for case in _CLASS_CASES if case[1:] != (5, 3, 2)])
-def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n, monkeypatch):
+@pytest.mark.parametrize("tag,p,f,n", _CLASS_CASES)
+def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n):
+    # the domain permutes through the vector or pair kind beneath, and its
+    # own kind has no batch action, which would have to normalize
     spec = gf.make_field(p, f)
     domain = PermDomain(Action(tag, spec, n))
+    assert domain._applier.tag == (PAIR if tag == ANTIFLAG else VECTOR)
     g = _random_element(np.random.default_rng(5), spec, n, f - 1, tag == ANTIFLAG)
-    want = domain.perm_of(g)
-
-    def refuse(action, digits):
-        raise AssertionError("a dense domain normalized its images")
-
-    monkeypatch.setattr(Action, "_normalize_digits", refuse)
-    h = GroupElement(g.mat, g.fa, g.dual)  # no cached tables
-    assert np.array_equal(domain.perm_of(h), want)
-    with pytest.raises(AssertionError, match="normalized"):
-        domain.action.apply_batch(h, domain.keys[:1])
+    perm = domain.perm_of(g)
+    assert np.array_equal(domain._dense[domain._applier.apply_batch(g, domain.keys)], perm)
+    with pytest.raises(ActionError, match="only through their enumerated domain"):
+        domain.action.apply_batch(g, domain.keys[:1])
+    with pytest.raises(ActionError, match="only through their enumerated domain"):
+        domain.action.apply_block([g], np.arange(4, dtype=np.int64), 0)
 
 
 def test_duality_rejected_on_one_sided_kinds():

@@ -87,6 +87,9 @@ def test_template_point_is_verified_like_a_catalog_claim(tmp_path, capsys):
     "6Sp:q=4",  # m missing
     "6Sp:m=3",  # violates m_even
     "6Sp:m=4,q=3",  # q is not read by the row
+    "3:n=4,q=6",  # q is not a prime power
+    "1SL:a=2,b=2,q=6",
+    "8:q=6",
 ])
 def test_bad_template_point_is_a_usage_error(tmp_path, capsys, point):
     assert main(["verify", "--row", point, "--out", str(tmp_path)]) == 2

@@ -26,7 +26,7 @@ from grpfact.grpcore import CertificationError, GroupSpec
 from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 import oracles
-from oracles import chain_elements, count_matrix_ops
+from oracles import chain_elements, count_matrix_ops, domain_point
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +332,21 @@ def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
     assert res.verdict == "skipped" and "need 288 bytes" in res.details["reason"]
 
 
+def test_orbit_on_a_projective_domain_past_the_cap_is_skipped():
+    # the projective points of GF(3)^12 are acted on only through their
+    # domain, of 265,720 points: past the cap, the orbit decides nothing
+    G = classical_generators("SL", 12, 3)
+    setup = factorize.ClaimSetup(
+        orders.sl_order(12, 3), G, G,
+        orbit_seed=ActionPoint(PROJECTIVE, (1,) + (0,) * 11), orbit_target=(3**12 - 1) // 2,
+    )
+    res = factorize._run_orbit(None, setup, None, grpcore.DEFAULT_MAX_POINTS)
+    assert res.verdict == "skipped" and res.orbit_sizes == []
+    assert (res.details["domain_size"], res.details["max_size"]) == (265720, 200000)
+    assert res.details["reason"] == "domain of 265720 projective points exceeds the 200000 limit"
+    assert res.details["target"] == 265720 and res.details["seed"] == PROJECTIVE
+
+
 @pytest.mark.parametrize("claim_id, path", [
     ("t1r04-sp-m4", "_schreier_stabilizer"),  # the Schreier loop onto functional stages
     ("t1r05-m2", "_vector_functional_maps"),  # the derived subgroup of a duality parent
@@ -506,7 +521,7 @@ def test_sample_members_match_brute_force_without_a_factorization(catalog, seed)
     setup = factorize.build_setup(claim, np.random.default_rng(seed))
     hchain = setup.H.chain()
     dom = hchain.domain
-    setup.H = grpcore.stabilizer_generators(setup.H, dom.point(int(hchain.levels[0].orbit[-1])))
+    setup.H = grpcore.stabilizer_generators(setup.H, domain_point(dom, int(hchain.levels[0].orbit[-1])))
     assert setup.H.order() < hchain.order()
     result = factorize._run_sample(claim, setup, np.random.default_rng(seed), 2**24)
     assert setup.G.home_domain() is dom

@@ -57,6 +57,7 @@ from grpfact.linalg import (
     Mat,
     canonical_point,
     identity_element,
+    sl_apply,
     sl_compose,
     sl_inverse,
 )
@@ -68,6 +69,7 @@ from oracles import (
     count_chain_builds,
     count_matrix_ops,
     count_schreier_orbits,
+    domain_point,
     orbit_contains_key,
     schreier_witness,
     tracked_random_element,
@@ -228,7 +230,7 @@ def _brute_force_products(G, H, points):
 
     def fixes(t):
         g = t.matrix(dom)
-        return all(a.point_key(a.apply_point(g, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
+        return all(a.point_key(sl_apply(g, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
 
     els = list(chain_elements(G.chain()))
     k_els = [t for t in els if fixes(t)]
@@ -736,7 +738,7 @@ def test_contains_block_matches_contains_tracked(case):
     G, _ = _stabilizer_cases()[case]
     gchain = G.chain()
     dom = gchain.domain
-    S = stabilizer_generators(G, dom.point(_points_of_first_orbit(gchain)[1])).chain()
+    S = stabilizer_generators(G, domain_point(dom, _points_of_first_orbit(gchain)[1])).chain()
     rng = np.random.default_rng(29 + case)
     members = [S.random_element(rng) for _ in range(40)]
     supergroup = [gchain.random_element(rng) for _ in range(40)]
@@ -904,19 +906,40 @@ def test_inverse_does_not_keep_its_element_alive():
             gc.enable()
 
 
+def test_inverse_perms_scatter_beside_nothing_of_their_size():
+    # six permutations of 16,320 points, the size of t1r07-m2's generators
+    # on its pair domain: the int32 result takes 391,680 bytes, and a
+    # stacked int64 copy of the input would take twice that
+    rng = np.random.default_rng(11)
+    perms = [rng.permutation(16320) for _ in range(6)]
+    tracemalloc.start()
+    try:
+        inv = grpcore._inverse_perms(perms, 16320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.empty((6, 16320), dtype=np.int32)
+    want[np.arange(6)[:, None], np.asarray(perms)] = np.arange(16320, dtype=np.int32)
+    assert inv.dtype == np.int32 and np.array_equal(inv, want)
+    assert peak < 1.5 * inv.nbytes
+
+
 def _queue_bfs(gens, point, action):
-    """Scalar reference: queue BFS trying the generators in order at each point."""
-    seed = action.point_key(point)
-    found = {seed: None}
-    queue = [seed]
-    for key in queue:
-        x = action.key_point(key)
+    """Scalar reference: queue BFS trying the generators in order at each
+    point, by sl_apply, which normalizes projective and antiflag images
+    (canonical_point); the keys in BFS order, and each key's (generator,
+    parent key)."""
+    found = {action.point_key(point): None}
+    queue = [point]
+    for x in queue:
+        key = action.point_key(x)
         for gi, g in enumerate(gens):
-            img = action.point_key(action.apply_point(g, x))
+            y = sl_apply(g, x)
+            img = action.point_key(y)
             if img not in found:
                 found[img] = (gi, key)
-                queue.append(img)
-    return queue, found
+                queue.append(y)
+    return [action.point_key(x) for x in queue], found
 
 
 def _schreier_orbit_reference(perms, base, size):
@@ -1026,7 +1049,16 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
     for x in map(int, orb.orbit):
         assert _walk_to_seed(orb, x) == int(orb.orbit[0])
     outside = next(k for k in range(10**6) if k not in found)
-    plain = orbit(gens, point, action)
+    if point.tag in (PROJECTIVE, ANTIFLAG):
+        # these points are acted on only through their domain, which the
+        # spec's orbit takes
+        with pytest.raises(ActionError, match="enumerated domain"):
+            orbit(gens, point, action)
+        plain = orbit(GroupSpec("case", n, spec, gens), point)
+        assert plain.domain is orb.domain
+    else:
+        plain = orbit(gens, point, action)
+        assert plain.domain is None
     assert plain.size == len(queue)
     assert all(orbit_contains_key(plain, key) for key in queue)
     assert not orbit_contains_key(plain, outside)
@@ -1036,9 +1068,12 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
 def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch):
     # the first level goes to the sweep, which walks the keyspace in blocks
     # of 8 and of 16 keys, on one worker and on two; the keyspaces of 27,
-    # 729 and 6561 keys end inside a byte of the packed done mask
+    # 729 and 6561 keys end inside a byte of the packed done mask.  A
+    # projective or antiflag case sweeps the vector or pair keyspace beneath
+    # it, which its domain permutes through
     monkeypatch.setattr(grpcore, "_SCAN_SHARE", 10**12)
     _, gens, point = case
+    point = ActionPoint({PROJECTIVE: VECTOR, ANTIFLAG: PAIR}.get(point.tag, point.tag), point.data)
     action = Action(point.tag, gens[0].spec, gens[0].n)
     queue, _ = _queue_bfs(gens, point, action)
     real = Action.apply_block
@@ -1327,9 +1362,13 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     assert not orbit_contains_key(orb, next(k for k in range(1, 27) if k not in found))
     with pytest.raises(grpcore.OrbitBudgetError):
         orbit(K, point, max_points=23)
-    # a point of another kind is closed under the matrices
+    # a projective point is closed on its shared domain, under permutations
+    # of the matrices read off the vector domain
     proj = canonical_point(PROJECTIVE, (0, 1, 0), spec=G.spec)
-    assert orbit(K, proj).size == len(_queue_bfs(gens, proj, Action(PROJECTIVE, G.spec, 3))[0]) == 12
+    orb = orbit(K, proj)
+    assert orb.domain is shared_domain(PROJECTIVE, G.spec, 3)
+    assert orb.size == len(_queue_bfs(gens, proj, Action(PROJECTIVE, G.spec, 3))[0]) == 12
+    assert calls == []
 
 
 def test_contains_key_on_2_28_key_pair_orbit():
@@ -1380,7 +1419,7 @@ def test_orbit_on_a_certified_chain_matches_the_keyspace_orbit(ordered_setups, c
     stab = stabilizer_generators(H, setup.orbit_seed)
     S = GroupSpec("S", H.n, H.spec, list(stab.generators), action_tag=PAIR, _chain=stab._chain)
     not_a_point = 1  # v = e1, w = 0, so w(v) = 0
-    for group, seed in ((H, setup.orbit_seed), (S, domain.point(domain.size - 1))):
+    for group, seed in ((H, setup.orbit_seed), (S, domain_point(domain, domain.size - 1))):
         on_chain = orbit(group, seed)
         plain = orbit(list(group.generators), seed)
         assert on_chain.domain is domain and plain.domain is None
@@ -1487,7 +1526,7 @@ def test_suffix_stabilizer_matches_the_schreier_loop(case, schreier_loop_calls):
     assert dom.action.tag == tag
     rng = np.random.default_rng(17 + case)
     for x in _points_of_first_orbit(gchain):
-        pt = dom.point(x)
+        pt = domain_point(dom, x)
         S = stabilizer_generators(G, pt)
         assert not schreier_loop_calls, "a first-orbit point took the Schreier loop"
         loop = grpcore._schreier_stabilizer(G, pt, "loop")
@@ -1528,7 +1567,7 @@ def test_off_domain_and_outside_first_orbit_points_take_the_schreier_loop(schrei
     assert schreier_loop_calls == [e1]
     # a point in the other orbit of 7
     other = next(i for i in range(kchain.domain.size) if not kchain.levels[0].seen[i] and i != x)
-    pt = kchain.domain.point(other)
+    pt = domain_point(kchain.domain, other)
     schreier_loop_calls.clear()
     S = stabilizer_generators(K, pt)
     assert schreier_loop_calls == [pt]
@@ -1553,9 +1592,9 @@ def test_stabilizer_generators_are_composed_only_when_read(monkeypatch):
     gchain = G.chain()
     x = _points_of_first_orbit(gchain)[1]
     calls = count_matrix_ops(monkeypatch)
-    S = stabilizer_generators(G, gchain.domain.point(x))
+    S = stabilizer_generators(G, domain_point(gchain.domain, x))
     S.order()
-    sub = stabilizer_generators(S, gchain.domain.point(_points_of_first_orbit(S.chain())[1]))
+    sub = stabilizer_generators(S, domain_point(gchain.domain, _points_of_first_orbit(S.chain())[1]))
     sub.order()
     g = S.generators[0]
     assert np.array_equal(gchain.domain.perm_of(g), S.generators.tracked[0].perm)

@@ -287,13 +287,13 @@ def test_packing_roundtrip():
     for q, n in [(2, 5), (3, 4), (4, 6)]:
         for _ in range(30):
             v = tuple(rng.randrange(q) for _ in range(n))
-            assert linalg.unpack_vector(linalg.pack_vector(v, q), q, n) == v
+            assert oracles.unpack_vector(linalg.pack_vector(v, q), q, n) == v
         spec = gf.make_field(2, 2) if q == 4 else gf.make_field(q, 1)
         v = tuple([1] + [rng.randrange(q) for _ in range(n - 1)])
         w = tuple([1] + [0] * (n - 1))
         x = canonical_point(PAIR, v, w, spec=spec)
         key = linalg.pack_point(x, q, n)
-        assert linalg.unpack_point(PAIR, key, q, n) == x
+        assert oracles.unpack_point(PAIR, key, q, n) == x
 
 
 # ---------------------------------------------------------------------------
