@@ -139,11 +139,21 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     del h
 
 
-@pytest.mark.parametrize("p,f,n", [(2, 2, 3)])
+@pytest.mark.parametrize("p,f,n", [(2, 2, 3), (5, 3, 2)])
 def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
     # the antiflags of GF(4)^3 (4^6 keys) take the int32 table, which
-    # their pair images under the kind beneath look up
+    # their pair images under the kind beneath look up; the 15,750
+    # antiflags of GF(125)^2 lie under the point cap, but their 125^4 keys
+    # pass _DENSE_LOOKUP_LIMIT, so the domain is refused (under the cap
+    # only the antiflags of a plane over q >= 121 are)
     spec = gf.make_field(p, f)
+    keyspace = spec.q ** (2 * n)
+    if keyspace > 2**26:
+        with pytest.raises(DomainCapError, match=f"{keyspace} keys of antiflag points exceeds the {2**26} limit") as exc:
+            PermDomain(Action(ANTIFLAG, spec, n))
+        assert (exc.value.size, exc.value.cap) == (keyspace, 2**26)
+        assert domain_size(ANTIFLAG, spec.q, n) == 15750
+        return
     domain = PermDomain(Action(ANTIFLAG, spec, n))
     assert domain._applier.tag == PAIR
     rng = np.random.default_rng(p * f)
@@ -160,16 +170,6 @@ def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
     monkeypatch.setattr(domain._applier, "apply_batch", lambda g, keys: np.zeros_like(keys))
     with pytest.raises(ActionError, match="does not preserve the domain"):
         domain.perm_of(g)
-
-
-def test_a_keyspace_past_the_lookup_limit_is_refused():
-    # the 15,750 antiflags of GF(125)^2 lie under the point cap, but their
-    # 125^4 keys pass _DENSE_LOOKUP_LIMIT; under the cap only the antiflags
-    # of a plane over q >= 121 do
-    with pytest.raises(DomainCapError, match=f"{125**4} keys of antiflag points exceeds the {2**26} limit") as exc:
-        PermDomain(Action(ANTIFLAG, gf.make_field(5, 3), 2))
-    assert (exc.value.size, exc.value.cap) == (125**4, 2**26)
-    assert domain_size(ANTIFLAG, 125, 2) == 15750
 
 
 # (kind, p, f, n): tables over GF(3), GF(4) and GF(9), on the digit and the
