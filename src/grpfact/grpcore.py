@@ -20,18 +20,21 @@ transversals (at most TABLE_ENTRIES entries), else by the same walk.
 Element orders are read off transversal words on a chain's support
 (``StabChain.support``), with no element's permutation of the domain formed.
 
-Two BFS kernels compute orbits.  ``schreier_orbit`` runs over the indices
-of an enumerated domain and keeps a Schreier vector; the chain levels, the
-samples' layered orbits and the transporter orbits of Schreier stabilizers
-(``orbit_with_transporters``) use it.  ``orbit`` takes the seed's shared
-domain through ``orbit_with_transporters`` for a spec that already holds
-permutations of it (its generators kept as permutations, or its certified
-chain's originals), and for every projective or antiflag seed: those
-points are acted on only through their enumerated domain.  Otherwise
-``orbit`` runs over packed keys, with no enumerated domain, and keeps only
-the size and a mask of the seen keys, so it reaches orbits of millions of
-points; it sweeps a large GF(2)-linear keyspace on two threads, which it
-starts and joins itself.
+One BFS kernel computes orbits.  ``frontier_levels`` yields a frontier
+BFS level by level, under each generator's images of an index array: a
+gather from its permutation of an enumerated domain, or its
+``Action.apply_batch`` on packed keys.  ``schreier_orbit`` concatenates
+the levels of a domain orbit and keeps a Schreier vector; the chain
+levels, chain supports, the samples' layered orbits and the transporter
+orbits of Schreier stabilizers (``orbit_with_transporters``) use it, and
+row 13's module certificate fills its matrices along the levels.
+``orbit`` keeps only the size and a seen mask.  It runs over the seed's
+shared domain for a spec that already holds permutations of it, and for
+every projective or antiflag seed: those points are acted on only through
+their enumerated domain.  Otherwise it runs over packed keys, with no
+enumerated domain, so it reaches orbits of millions of points; once a
+level is large it sweeps the rest of the keyspace, a large GF(2)-linear
+one on two threads, which it starts and joins itself.
 
 Stabilizer chains use randomized Schreier-Sims; a level keeps one
 append-only generator list and rebuilds its Schreier tree only when its
@@ -66,7 +69,7 @@ import weakref
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from itertools import combinations
 from typing import NamedTuple
 
@@ -216,49 +219,42 @@ class Rattle:
 # stabilizer chains
 
 
-def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
-    """Orbit of a domain index under permutations, with a Schreier vector.
-
-    A frontier BFS: each level takes every generator in turn and keeps its
-    unseen images in increasing order.  Returns the orbit in that order,
-    the seen mask and par, where par[x] is the index of the generator that
-    reached x (-1 off the orbit and at the base), over all ``size`` points.
-    """
-    unseen = np.ones(size, dtype=bool)
-    unseen[base] = False
-    par = np.full(size, -1, dtype=np.int32)
-    frontier = np.array([base], dtype=np.int64)
-    chunks = [frontier]
-    while True:
+def frontier_levels(images, seen: np.ndarray, base: int, par: np.ndarray | None = None):
+    """Frontier BFS from base, yielding each level, base first; a level is
+    applied only when the next one is asked for.  images[i](xs) gives
+    generator i's images of an index array, and seen is the caller's mask,
+    marked as points are reached, between generators, so a level has no
+    repeats.  With par, each generator's new images are sorted and par[y]
+    is set to the index of the generator that reached y.  Between yields
+    only the current level is held, so a caller that stops early and
+    closes the generator keeps nothing else of the BFS."""
+    seen[base] = True
+    level = np.array([base], dtype=np.int64)
+    while level.size:
+        yield level
         parts = []
-        if frontier.size == 1:
-            # scalar steps: each generator adds at most the one image
-            x = frontier[0]
-            for gi, perm in enumerate(perms):
-                y = perm[x]
-                if unseen[y]:
-                    unseen[y] = False
-                    par[y] = gi
-                    parts.append(y)
-            if parts:
-                parts = [np.array(parts, dtype=np.int64)]
-        else:
-            for gi, perm in enumerate(perms):
-                imgs = perm[frontier]
-                # frontier points are distinct and unseen is updated between
-                # generators, so the new images have no repeats; boolean
-                # indexing copies, so the sort may run in place
-                new = imgs[unseen[imgs]]
-                if new.size:
+        for gi, image in enumerate(images):
+            new = image(level)
+            new = new[~seen[new]]  # a copy, so the sort may run in place
+            if new.size:
+                if par is not None:
                     new.sort()
-                    unseen[new] = False
                     par[new] = gi
-                    parts.append(new)
-        if not parts:
-            break
-        frontier = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        chunks.append(frontier)
-    return np.concatenate(chunks), np.logical_not(unseen, out=unseen), par
+                seen[new] = True
+                parts.append(new)
+        level = np.concatenate(parts) if len(parts) > 1 else parts[0] if parts else level[:0]
+        parts = new = None  # only the level outlives the next yield
+
+
+def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
+    """Orbit of a domain index under permutations, with a Schreier vector:
+    the levels of ``frontier_levels`` concatenated, the seen mask and par,
+    where par[x] is the index of the generator that reached x (-1 off the
+    orbit and at the base), over all ``size`` points."""
+    seen = np.zeros(size, dtype=bool)
+    par = np.full(size, -1, dtype=np.int32)
+    orbit = np.concatenate(list(frontier_levels([p.__getitem__ for p in perms], seen, base, par)))
+    return orbit, seen, par
 
 
 def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
@@ -925,90 +921,79 @@ def orbit(
     max_points: int = DEFAULT_MAX_POINTS,
     keep_keys: bool = False,
 ) -> OrbitSet:
-    """BFS closure of the point under the generators, vectorized over keys.
+    """BFS closure of the point under the generators, by
+    ``frontier_levels``, keeping only the size and a seen mask.
 
-    Only the size and membership are kept, and no level sorts.  The seen
-    keys are a bool mask over the keyspace, and a small level filters each
-    generator's images against it.  Once a level reaches
-    keyspace/_SCAN_SHARE images, the rest of the closure is swept
+    A projective or antiflag seed, or a spec that already holds
+    permutations of the seed's shared domain (its Tracked generators, or
+    its certified chain's originals), takes the orbit over that domain's
+    indices, under gathers from those permutations: past the cap the
+    domain raises ``DomainCapError``, and no matrix is composed.  Any
+    other orbit runs over packed keys, with no enumerated domain, and no
+    level sorts.  Its seen mask spans the keyspace, and once a level
+    reaches keyspace/_SCAN_SHARE images, the rest of the closure is swept
     (``_sweep_closure``) in aligned blocks of the action's block width,
     each block's keys applied under every generator at once
     (``Action.apply_block``).  A GF(2)-linear keyspace of at least
     _PARALLEL_KEYS keys is swept by two threads when the process may run
     on two CPUs (``_sweep_workers``); the digit path stays on one, since
     its many small numpy calls per block would wait on the GIL.  Either
-    way the mask and size are those of one thread.  The level is dropped
-    once a packed bit mask of the keys already applied is built, so the
-    sweep runs beside nothing but the two masks, each worker's block
-    arrays and the action's cached tables.  Those masks,
-    keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per point of
-    max_points before they are allocated.  A projective or antiflag seed,
-    or a spec that already holds permutations of the seed's shared domain
-    (its Tracked generators, or its certified chain's originals), takes the
-    orbit on that domain (``orbit_with_transporters``), which past the cap
-    raises ``DomainCapError``, and composes no matrix.
-    ``keep_keys`` is accepted only as False, for callers that still pass it;
-    ``orbit_with_transporters`` keeps the orbit points and a Schreier vector.
+    way the mask and size are those of one thread.  The BFS holds only its
+    current level, which is dropped once a packed bit mask of the keys
+    already applied is built, so the sweep runs beside nothing but the two
+    masks, each worker's block arrays and the action's cached tables.
+    Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
+    point of max_points before they are allocated.  Either route checks
+    max_points after each level.  ``keep_keys`` is accepted only as False,
+    for callers that still pass it; ``orbit_with_transporters`` keeps the
+    orbit points and a Schreier vector.
     """
     if keep_keys:
         raise ValueError("orbit keeps no keys; use orbit_with_transporters")
+    domain = None
     if isinstance(group_or_gens, GroupSpec):
         group = group_or_gens
-        domain = _cached_domain(point.tag, group.spec, group.n)
-        held = (getattr(group.generators, "domain", None), getattr(group._chain, "domain", None))
-        if point.tag in (PROJECTIVE, ANTIFLAG) or (domain is not None and domain in held):
-            orb = orbit_with_transporters(group, point)
-            if orb.size > max_points:
-                raise OrbitBudgetError(f"orbit exceeded {max_points} points", orb.size)
-            seen = np.zeros(orb.domain.size, dtype=bool)
-            seen[orb.orbit] = True
-            return OrbitSet(point.tag, orb.domain.action.point_key(point), orb.size, seen, orb.domain)
-        gens = list(group.generators)
         spec, n = group.spec, group.n
+        cached = _cached_domain(point.tag, spec, n)
+        held = (getattr(group.generators, "domain", None), getattr(group._chain, "domain", None))
+        if point.tag in (PROJECTIVE, ANTIFLAG) or (cached is not None and cached in held):
+            domain = shared_domain(point.tag, spec, n)
+        else:
+            gens = list(group.generators)
     else:
         gens = list(group_or_gens)
         spec, n = gens[0].spec, gens[0].n
-    if action is None:
-        action = Action(point.tag, spec, n)
-    seed = action.point_key(point)
-    keyspace = (spec.q**n) ** (2 if action.two_sided else 1)
-    mask_bytes = keyspace + (keyspace + 7) // 8
-    if mask_bytes > ORBIT_POINT_BYTES * max_points:
-        raise OrbitBudgetError(
-            f"orbit masks over {keyspace} keys need {mask_bytes} bytes, "
-            f"more than the {ORBIT_POINT_BYTES * max_points} bytes of a {max_points}-point budget", 1)
+    if domain is not None:
+        action, keyspace = domain.action, domain.size
+        images = [t.perm.__getitem__ for t in group.tracked_generators(domain)]
+        start = domain.index_of_point(point)
+    else:
+        action = Action(point.tag, spec, n) if action is None else action
+        keyspace = (spec.q**n) ** (2 if action.two_sided else 1)
+        mask_bytes = keyspace + (keyspace + 7) // 8
+        if mask_bytes > ORBIT_POINT_BYTES * max_points:
+            raise OrbitBudgetError(
+                f"orbit masks over {keyspace} keys need {mask_bytes} bytes, "
+                f"more than the {ORBIT_POINT_BYTES * max_points} bytes of a {max_points}-point budget", 1)
+        images = [partial(action.apply_batch, g) for g in gens]
+        start = action.point_key(point)
     seen = np.zeros(keyspace, dtype=bool)
-    seen[seed] = True
-    frontier = np.array([seed], dtype=np.int64)
-    total = 1
-    while frontier.size:
-        if frontier.size * len(gens) * _SCAN_SHARE >= keyspace:
-            # the level's keys are seen and not yet applied; every other
-            # seen key is done, and the level goes before the sweep
-            seen[frontier] = False
-            done = np.packbits(seen)
-            seen[frontier] = True
-            del frontier
-            total = _sweep_closure(action, gens, seen, done, max_points)
-            break
-        frontier = _unseen_images(action, gens, frontier, seen)
-        total += frontier.size
+    total, levels = 0, frontier_levels(images, seen, start)
+    for level in levels:
+        total += level.size
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
-    return OrbitSet(point.tag, seed, total, seen)
-
-
-def _unseen_images(action: Action, gens, keys: np.ndarray, seen: np.ndarray) -> np.ndarray:
-    """The generators' images of the keys that are not yet seen, now marked
-    seen.  A generator maps distinct keys to distinct keys, so marking each
-    batch seen as it is filtered leaves the result no repeats."""
-    parts = []
-    for g in gens:
-        imgs = action.apply_batch(g, keys)
-        imgs = imgs[~seen[imgs]]
-        seen[imgs] = True
-        parts.append(imgs)
-    return np.concatenate(parts)
+        if domain is None and level.size * len(images) * _SCAN_SHARE >= keyspace:
+            # the level's keys are seen and not yet applied; every other
+            # seen key is done, and the level goes before the sweep
+            seen[level] = False
+            done = np.packbits(seen)
+            seen[level] = True
+            levels.close()
+            del level
+            total = _sweep_closure(action, gens, seen, done, max_points)
+            break
+    return OrbitSet(point.tag, action.point_key(point), total, seen, domain)
 
 
 def _sweep_workers(action: Action, keyspace: int) -> int:

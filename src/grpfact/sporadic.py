@@ -5,7 +5,7 @@ use (rows 9, 10, 11, 12a and 12b's SL_2(5) through ``subgroup_from_literal``,
 row 12c's normalizing elements, row 13's module), algebraic constructions
 where one exists (the scalar-extended icosahedral lift, the extraspecial
 normalizer), and module certificates for row 13's two classes, which run
-on the core: ``schreier_orbit`` over the regular action of SL_2(13) on
+on the core: ``frontier_levels`` over the regular action of SL_2(13) on
 pairs stands in for an enumeration of the group.  Each subgroup's spec is
 made from the chain that certifies it (``GroupSpec.of_chain``).  The verify
 path searches nothing: tests/provenance.py holds the derivations of the
@@ -26,7 +26,7 @@ from .grpcore import (
     StabChain,
     Tracked,
     element_order_perm,
-    schreier_orbit,
+    frontier_levels,
     shared_domain,
     solvable_residual,
     t_compose,
@@ -426,22 +426,19 @@ def certify_psl2_13_module(c6: np.ndarray, s6: np.ndarray) -> list[np.ndarray]:
     p = ActionPoint(PAIR, ((1, 0), (1, 0)))
     base = domain.index_of_point(p)
     perms = [domain.perm_of(GroupElement(Mat(F13, g))) for g in _SL2_13_GENS]
-    orb, _, par = schreier_orbit(perms, base, domain.size)
-    if orb.size != 2184:
-        raise CertificationError(f"<C, S> has {orb.size} elements, not |SL_2(13)| = 2184")
+    seen, par = np.zeros(domain.size, dtype=bool), np.full(domain.size, -1, dtype=np.int32)
+    waves = list(frontier_levels([perm.__getitem__ for perm in perms], seen, base, par))
+    if (size := int(seen.sum())) != 2184:
+        raise CertificationError(f"<C, S> has {size} elements, not |SL_2(13)| = 2184")
     gens = (np.stack([c6, s6]) % 3).astype(np.int8)
+    inv = np.argsort(perms, axis=1)  # the generators' inverse permutations
     rho = np.empty((domain.size, 6, 6), dtype=np.int8)
     rho[base] = np.eye(6, dtype=np.int8)
-    wave = orb[:1]
-    while wave.size:
-        children = []
-        for gi, perm in enumerate(perms):
-            # the images that generator gi reached first are the wave's children
-            imgs = perm[wave]
-            tree = par[imgs] == gi
-            rho[imgs[tree]] = gens[gi] @ rho[wave[tree]] % 3
-            children.append(imgs[tree])
-        wave = np.concatenate(children)
+    for wave in waves[1:]:
+        # a point of a wave is the image of its tree parent, one wave back,
+        # under the generator that reached it first
+        gi = par[wave]
+        rho[wave] = gens[gi] @ rho[inv[gi, wave]] % 3
     for perm, gen in zip(perms, gens):
         if not np.array_equal(rho[perm], gen @ rho % 3):
             raise CertificationError("the PSL_2(13) module matrices do not define a representation of SL_2(13)")

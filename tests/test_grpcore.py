@@ -1017,8 +1017,14 @@ def _orbit_cases():
     sl32 = classical_generators("SL", 3, 2).generators
     sl29 = classical_generators("SL", 2, 9).generators
     F3, F4, F2, F9 = gf.make_field(3, 1), gf.make_field(2, 2), gf.make_field(2, 1), gf.make_field(3, 2)
+    # SL_2(3) on the first two coordinates of GF(3)^3, the one intransitive
+    # case: the orbit of e1 is the 8 nonzero vectors of that plane, and the
+    # 18 vectors off it are real points outside the orbit
+    plane = [GroupElement(Mat(F3, np.block([[g.mat.a, np.zeros((2, 1), dtype=np.int64)], [0, 0, 1]])))
+             for g in classical_generators("SL", 2, 3).generators]
     return [
         ("vector", sl33, canonical_point(VECTOR, (0, 1, 2))),
+        ("vector-intransitive", plane, canonical_point(VECTOR, (1, 0, 0))),
         ("vector-frobenius", sl34 + [automorphism_element("phi", 3, 4)], canonical_point(VECTOR, (1, 0, 0))),
         ("projective", sl34 + [automorphism_element("phi", 3, 4)],
          canonical_point(PROJECTIVE, (0, 1, 3), spec=F4)),
@@ -1037,7 +1043,7 @@ def _orbit_cases():
 
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
 def test_orbit_with_transporters_matches_queue_bfs(case):
-    _, gens, point = case
+    name, gens, point = case
     spec, n = gens[0].spec, gens[0].n
     action = Action(point.tag, spec, n)
     queue, found = _queue_bfs(gens, point, action)
@@ -1048,20 +1054,29 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
     assert (orb.par[orb.orbit[1:]] >= 0).all() and orb.par[orb.orbit[0]] == -1
     for x in map(int, orb.orbit):
         assert _walk_to_seed(orb, x) == int(orb.orbit[0])
-    outside = next(k for k in range(10**6) if k not in found)
+    # the real points of the kind off the orbit: those of the one
+    # intransitive case
+    outside = [key for key in orb.domain.keys.tolist() if key not in found]
+    assert bool(outside) == name.endswith("intransitive")
+    # the domain route, for a spec that holds permutations of the domain
+    held = GroupSpec("held", n, spec, grpcore.TrackedGenerators([Tracked(p, g) for p, g in zip(orb.perms, gens)],
+                                                                  orb.domain))
+    routes = [orbit(held, point)]
+    assert routes[0].domain is orb.domain
     if point.tag in (PROJECTIVE, ANTIFLAG):
         # these points are acted on only through their domain, which the
         # spec's orbit takes
         with pytest.raises(ActionError, match="enumerated domain"):
             orbit(gens, point, action)
-        plain = orbit(GroupSpec("case", n, spec, gens), point)
-        assert plain.domain is orb.domain
+        routes.append(orbit(GroupSpec("case", n, spec, gens), point))
+        assert routes[1].domain is orb.domain
     else:
-        plain = orbit(gens, point, action)
-        assert plain.domain is None
-    assert plain.size == len(queue)
-    assert all(orbit_contains_key(plain, key) for key in queue)
-    assert not orbit_contains_key(plain, outside)
+        routes.append(orbit(gens, point, action))
+        assert routes[1].domain is None
+    for got in routes:
+        assert got.size == len(queue)
+        assert all(orbit_contains_key(got, key) for key in queue)
+        assert not any(orbit_contains_key(got, key) for key in outside)
 
 
 @pytest.mark.parametrize("case", _orbit_cases(), ids=lambda c: c[0])
@@ -1308,6 +1323,25 @@ def test_sweep_worker_threads_call_no_traced_function(monkeypatch):
     assert len(threads) == 2 and off_main == []
 
 
+def test_orbit_budget_stops_a_one_point_level(monkeypatch):
+    # one generator, g = a * b of SL_10(2), takes e1 round a cycle of 889
+    # of the 1,024 vector keys, one point a level: no level nears
+    # keyspace/_SCAN_SHARE, so only the per-level check can stop it.  48
+    # points is the least budget that prices in the 1,152 bytes of masks
+    sweeps = []
+    real = grpcore._sweep_closure
+    monkeypatch.setattr(grpcore, "_sweep_closure", lambda *args: sweeps.append(1) or real(*args))
+    gens = [sl_compose(*classical_generators("SL", 10, 2).generators)]
+    e1 = canonical_point(VECTOR, (1,) + (0,) * 9)
+    assert orbit(gens, e1).size == 889
+    with pytest.raises(grpcore.OrbitBudgetError, match="need 1152 bytes"):
+        orbit(gens, e1, max_points=47)
+    with pytest.raises(grpcore.OrbitBudgetError) as exc:
+        orbit(gens, e1, max_points=48)
+    assert str(exc.value) == "orbit exceeded 48 points" and exc.value.partial_size == 49
+    assert sweeps == []
+
+
 def test_orbit_prices_the_dense_masks_before_allocating():
     # 16 + 2 bytes of masks over the 16 vector keys of GF(2)^4; a budget
     # of 24 bytes a point holds them at one point but not at none
@@ -1353,8 +1387,13 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     assert isinstance(K.generators, grpcore.TrackedGenerators)
     point = canonical_point(VECTOR, (0, 1, 0))
     calls = count_matrix_ops(monkeypatch)
+    # both orbits take the shared domain's indices, with no transporters
+    transporter_orbits = []
+    real = grpcore.orbit_with_transporters
+    monkeypatch.setattr(grpcore, "orbit_with_transporters",
+                        lambda *args: transporter_orbits.append(args) or real(*args))
     orb = orbit(K, point)
-    assert calls == []
+    assert calls == [] and transporter_orbits == []
     gens = list(K.generators)
     queue, found = _queue_bfs(gens, point, Action(VECTOR, G.spec, 3))
     assert orb.size == len(queue) == 24  # the vectors off <e1>
@@ -1368,7 +1407,7 @@ def test_orbit_of_tracked_spec_composes_no_matrix(monkeypatch):
     orb = orbit(K, proj)
     assert orb.domain is shared_domain(PROJECTIVE, G.spec, 3)
     assert orb.size == len(_queue_bfs(gens, proj, Action(PROJECTIVE, G.spec, 3))[0]) == 12
-    assert calls == []
+    assert calls == [] and transporter_orbits == []
 
 
 def test_contains_key_on_2_28_key_pair_orbit():
@@ -1386,7 +1425,10 @@ def test_contains_key_on_2_28_key_pair_orbit():
     queue, found = _queue_bfs(gens, omega, action)
     assert orb.size == len(queue) > 1
     assert all(orbit_contains_key(orb, key) for key in queue)
-    assert not orbit_contains_key(orb, next(k for k in range(10**6) if k not in found))
+    # a real pair off the orbit, (e1, e1 + e2), with w(v) = 1: the
+    # generator moves (e1, e1) through the pairs (e_i, e_i)
+    outside = action.point_key(canonical_point(PAIR, e1, (1, 1) + (0,) * 12, spec=F2))
+    assert outside not in found and not orbit_contains_key(orb, outside)
     seed = action.point_key(omega)
     assert orbit_contains_key(orb, seed)
     assert orbit_contains_key(orb, int(action.apply_batch(sl_inverse(gens[0]), np.array([seed]))[0]))
