@@ -1,11 +1,12 @@
 """Point domains and batched application of group elements to packed keys.
 
 Keys pack coordinate digits base q (bit-packed when q is a power of two),
-vector first, functional second for pairs.  Batch application acts on
-vector, functional and pair keys only, and takes and returns int64 key
-arrays.  In characteristic two the key map is GF(2)-linear on the key
-bits, so it never unpacks: one XOR table per run of at most 12 key bits,
-one lookup each.  ``apply_block`` takes offsets from an aligned block
+vector first, functional second for pairs; a duality key is a vector's key,
+or q^n plus a functional's.  Batch application acts on vector, functional,
+pair and duality keys only, and takes and returns int64 key arrays.  In
+characteristic two the key map of the first three is GF(2)-linear on the
+key bits, so it never unpacks: one XOR table per run of at most 12 key
+bits, one lookup each.  ``apply_block`` takes offsets from an aligned block
 start of ``Action.block_bits`` under a stack of generators at once, since
 f(base + j) = f(base) XOR f(j) there: the generators' offset tables and
 block-index tables are stacked one row per generator, so the whole (k, m)
@@ -15,10 +16,12 @@ on a large linear keyspace, and these two numpy calls release the GIL;
 on the digit path ``apply_block`` fills its rows one generator at a time.
 The digit path unpacks keys to digits, kept in the narrowest unsigned type
 that holds q - 1 and widened only for a prime field's dot products and for
-packing.  Projective and antiflag points are acted on only through their
-enumerated domain (``PermDomain``): its int32 key -> index table indexes
-every scalar multiple of its points, so the domain permutes through the
-vector or pair kind beneath, and no image is normalized.  A vector domain
+packing.  A duality key map applies the linear part on each side, and a
+duality element lands each side on the other.  Projective and antiflag
+points are acted on only through their enumerated domain
+(``PermDomain``): its int32 key -> index table indexes every scalar
+multiple of its points, so the domain permutes through the vector or pair
+kind beneath, and no image is normalized.  A vector or duality domain
 reads an element back off its permutation (``PermDomain.element_of``).
 """
 
@@ -31,6 +34,7 @@ import numpy as np
 from .gf import FieldSpec
 from .linalg import (
     ANTIFLAG,
+    DUALITY,
     FUNCTIONAL,
     PAIR,
     PROJECTIVE,
@@ -60,8 +64,8 @@ class DomainCapError(ActionError):
 
 
 def domain_size(tag: str, q: int, n: int) -> int:
-    if tag in (VECTOR, FUNCTIONAL):
-        return q**n - 1
+    if tag in (VECTOR, FUNCTIONAL, DUALITY):
+        return (2 if tag == DUALITY else 1) * (q**n - 1)
     if tag == PROJECTIVE:
         return (q**n - 1) // (q - 1)
     if tag == PAIR:
@@ -81,6 +85,8 @@ class Action:
         self.q = spec.q
         self.two_sided = tag in (PAIR, ANTIFLAG)
         self.width = 2 * n if self.two_sided else n
+        self.keyspace = 2 * self.q**n if tag == DUALITY else self.q**self.width
+        self._sides = (Action(VECTOR, spec, n), Action(FUNCTIONAL, spec, n)) if tag == DUALITY else None
         self.linear = spec.p == 2 and tag in (VECTOR, FUNCTIONAL, PAIR)
         # log2 of the keys per block of apply_block: a linear block's offset
         # tables stay cache-sized, and the digit path needs larger batches
@@ -97,6 +103,8 @@ class Action:
     # -- scalar interface ---------------------------------------------------
 
     def point_key(self, x: ActionPoint) -> int:
+        if self.tag == DUALITY and x.tag in (VECTOR, FUNCTIONAL):
+            return pack_point(x, self.q, self.n) + (self.q**self.n if x.tag == FUNCTIONAL else 0)
         if x.tag != self.tag:
             raise ActionError(f"point of kind {x.tag} in {self.tag} action")
         return pack_point(x, self.q, self.n)
@@ -187,9 +195,17 @@ class Action:
         return cached[2:]
 
     def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
-        """Images of packed vector, functional or pair keys under g."""
+        """Images of packed vector, functional, pair or duality keys under g."""
         if self.tag in (PROJECTIVE, ANTIFLAG):
             raise ActionError(f"{self.tag} points are acted on only through their enumerated domain")
+        if self.tag == DUALITY:
+            # side i lands on side i ^ dual, under that side's action of the linear part
+            qn, linear = self.q**self.n, GroupElement(g.mat, g.fa) if g.dual else g
+            out = np.empty_like(keys)
+            for side in (0, 1):
+                at, dest = (keys >= qn) == side, side ^ g.dual
+                out[at] = self._sides[dest].apply_batch(linear, keys[at] - side * qn) + dest * qn
+            return out
         if g.dual and not self.two_sided:
             raise LinAlgError(f"duality does not act on {self.tag} points")
         if self.linear:
@@ -254,8 +270,9 @@ class Action:
 
     def all_keys(self) -> np.ndarray:
         q, n = self.q, self.n
-        if self.tag in (VECTOR, FUNCTIONAL):
-            return np.arange(1, q**n, dtype=np.int64)
+        if self.tag in (VECTOR, FUNCTIONAL, DUALITY):
+            keys = np.arange(1, q**n, dtype=np.int64)
+            return np.concatenate([keys, keys + q**n]) if self.tag == DUALITY else keys
         if self.tag == PROJECTIVE:
             parts = []
             for lead in range(n):
@@ -312,6 +329,7 @@ class PermDomain:
     for each scalar l != 1: (q - 2) scaled copies of the keys, filled at
     build, so the domain takes its images under the vector or pair kind
     beneath, unnormalized.  This is the only way those points are acted on.
+    A duality domain's points are V - 0, then V* - 0.
     """
 
     def __init__(self, action: Action):
@@ -319,7 +337,7 @@ class PermDomain:
         size = domain_size(action.tag, action.q, action.n)
         if size > DOMAIN_CAP:
             raise DomainCapError(f"domain of {size} {action.tag} points", size, DOMAIN_CAP)
-        keyspace = (action.q ** action.n) ** (2 if action.two_sided else 1)
+        keyspace = action.keyspace
         if keyspace > _DENSE_LOOKUP_LIMIT:
             raise DomainCapError(f"lookup table over the {keyspace} keys of {action.tag} points",
                                  keyspace, _DENSE_LOOKUP_LIMIT)
@@ -362,25 +380,20 @@ class PermDomain:
         return imgs
 
     def element_of(self, perm: np.ndarray) -> GroupElement:
-        """The semilinear element with this permutation of a vector domain:
-        the images of e_1, ..., e_n are its matrix's columns, and the image of
-        w.e_1 (w primitive) is w^(p^s) times the first, for Frobenius exponent
-        s.  Other kinds raise ActionError: projective and antiflag points fix
-        no scalar lift, and no caller reads functional or pair points."""
-        if self.action.tag != VECTOR:
-            raise ActionError(f"no element is read off a permutation of {self.action.tag} points")
-        spec, q = self.action.spec, self.action.q
-        probes = [self.index_of_key(k) for k in [q**i for i in range(self.action.n)] + [spec.primitive_elem]]
+        """The semilinear element with this permutation of a vector or
+        duality domain: the images of e_1, ..., e_n are its matrix's
+        columns, and the image of w.e_1 (w primitive) is w^(p^s) times the
+        first, for Frobenius exponent s; a duality element, which sends e_1
+        to a functional, sends those functionals to vectors.  Other kinds
+        raise ActionError: projective and antiflag points fix no scalar
+        lift, and no caller reads functional or pair points."""
+        tag, spec, q, n = self.action.tag, self.action.spec, self.action.q, self.action.n
+        if tag not in (VECTOR, DUALITY):
+            raise ActionError(f"no element is read off a permutation of {tag} points")
+        dual = int(tag == DUALITY and perm[0] >= q**n - 1)
+        probes = [self.index_of_key(k) + dual * (q**n - 1) for k in [q**i for i in range(n)] + [spec.primitive_elem]]
         images = self.action._unpack_digits(self.keys[perm[probes]]).astype(np.int64)
         j = int(np.flatnonzero(images[0])[0])
         scale = spec.mul(int(images[-1, j]), spec.inv(int(images[0, j])))
         fa = next(s for s in range(spec.f) if spec.frobenius(spec.primitive_elem, s) == scale)
-        return GroupElement(Mat(spec, images[:-1].T), fa)
-
-    def swaps_sides(self, perm: np.ndarray) -> bool:
-        """Whether perm, a permutation of pair or antiflag points, is a duality
-        element's: only a duality element moves (e1, e1) and (e1, e1 + e2),
-        which share their vector, to points with distinct vectors."""
-        qn = self.action.q ** self.action.n
-        first, second = (int(self.keys[perm[self.index_of_key(1 + qn * w)]]) % qn for w in (1, 1 + self.action.q))
-        return first != second
+        return GroupElement(Mat(spec, images[:-1].T), fa, dual)

@@ -88,8 +88,9 @@ def cmd_verify(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     jobs = [(c, args.seed, args.timings, max_points) for c in claims]
-    if args.jobs > 1:
-        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = dict(pool.map(_claim_worker, jobs))
     else:
         results = dict(_claim_worker(j) for j in jobs)
@@ -132,13 +133,15 @@ def main(argv=None) -> int:
     pv.add_argument("--tier", choices=["desk", "extended", "all"], default="desk")
     pv.add_argument("--negative-controls", action="store_true")
     pv.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    pv.add_argument("--jobs", type=int, default=1)
+    pv.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per claim")
     pv.add_argument("--timings", action="store_true",
                     help="record wall-clock times (waives byte-reproducibility)")
     pv.add_argument("--memory-budget", type=int, default=DEFAULT_BUDGET_MB, metavar="MB")
     pv.add_argument("--out", default="reports")
 
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        pv.error(f"argument --jobs: must be at least 1, got {args.jobs}")
     try:
         return cmd_verify(args)
     except CatalogError as exc:

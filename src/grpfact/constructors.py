@@ -13,10 +13,10 @@ import numpy as np
 
 from . import orders
 from .gf import FieldSpec, make_field, supported_fields
-from .grpcore import GroupSpec, Tracked, _vector_functional_maps
+from .grpcore import GroupSpec, Tracked, shared_domain
 from .linalg import (
+    DUALITY,
     FUNCTIONAL,
-    PAIR,
     VECTOR,
     ActionPoint,
     GroupElement,
@@ -287,7 +287,7 @@ def adjoin(base: GroupSpec, extra: list[GroupElement], name: str, order_factor: 
         base.spec,
         base.generators + extra,
         claimed_order=base.claimed_order * order_factor,
-        action_tag=PAIR if any(g.dual for g in extra) or base.has_duality else base.action_tag,
+        action_tag=DUALITY if any(g.dual for g in extra) else base.action_tag,
         stabilizer_of=base.stabilizer_of,
     )
 
@@ -361,10 +361,10 @@ def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
     vectors with its known order, serves every candidate, and each check
     sifts there a product of permutations, with no matrix composed: psi's
     and the chain originals' of the vectors, or psi gamma's and the core
-    generators' of V - 0 and V* - 0 (``grpcore._vector_functional_maps``),
-    where a product that swaps the halves carries the duality, outside S.
+    generators' of V - 0 and V* - 0, where a product that swaps the halves
+    carries the duality, outside S, and any other keeps its vector half.
     """
-    chain, paired = core.chain(), None
+    chain, perms = core.chain(), {}
     N = chain.domain.size
 
     def member(perm):
@@ -383,10 +383,10 @@ def _certify_adjoin(core: GroupSpec, candidates, index) -> GroupElement:
 
     why = "no candidate"
     for x in candidates:
-        if x.dual and paired is None:
-            both = _vector_functional_maps(chain.domain)[0]
-            paired = [both(g) for g in core.generators]
-        why = failure(paired, both(x)) if x.dual else failure(chain.originals, Tracked(chain.domain.perm_of(x)))
+        domain = shared_domain(DUALITY, core.spec, core.n) if x.dual else chain.domain
+        if domain not in perms:
+            perms[domain] = core.tracked_generators(domain)
+        why = failure(perms[domain], Tracked(domain.perm_of(x)))
         if why is None:
             return x
     raise ConstructionError(f"{core.name}: {why}")

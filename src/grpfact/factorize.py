@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -67,15 +67,10 @@ from .grpcore import (
     solvable_residual,
     stabilizer_generators,
     stabilizer_series,
+    t_compose,
+    transporter,
 )
-from .linalg import (
-    ANTIFLAG,
-    FUNCTIONAL,
-    PAIR,
-    PROJECTIVE,
-    VECTOR,
-    ActionPoint,
-)
+from .linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from .streams import Stream
 from . import sporadic
 
@@ -94,17 +89,6 @@ class StrategyResult:
     seed: int | None = None
     details: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "verdict": self.verdict,
-            "intersection_order": self.intersection_order,
-            "orbit_sizes": self.orbit_sizes,
-            "wall_ms": self.wall_ms,
-            "seed": self.seed,
-            "details": self.details,
-        }
-
 
 @dataclass
 class VerificationReport:
@@ -117,18 +101,8 @@ class VerificationReport:
     notes: dict = field(default_factory=dict)
 
     def as_dict(self):
-        out = {
-            "claim_id": self.claim_id,
-            "params": self.params,
-            "strategies": [s.as_dict() for s in self.strategies],
-            "tight": self.tight,
-            "overall": self.overall,
-        }
-        if self.reason:
-            out["reason"] = self.reason
-        if self.notes:
-            out["notes"] = self.notes
-        return out
+        # a report names a reason and notes only when it has them
+        return {k: v for k, v in asdict(self).items() if v or k not in ("reason", "notes")}
 
 
 REPORT_SCHEMA = {
@@ -186,30 +160,20 @@ def structure_hint(group: GroupSpec) -> str:
     return _HINTS.get((order, spectrum), f"order {order}, spectrum {sorted(spectrum)}")
 
 
-def _stages_for(H: GroupSpec, stages: list[ActionPoint]) -> list[ActionPoint]:
-    """Adapt K's stabilizer stages to H's home action."""
-    if not H.has_duality:
-        return stages
-    # vector/functional stages are undefined under duality; merge
-    # a (vector, functional) pair of stages into the pair point
-    if len(stages) == 2 and stages[0].tag == VECTOR and stages[1].tag == FUNCTIONAL:
-        return [ActionPoint(PAIR, (stages[0].data, stages[1].data))]
-    if any(pt.tag in (VECTOR, FUNCTIONAL) for pt in stages):
-        raise VerifyError("duality subgroup cannot stabilize bare vectors")
-    return stages
-
-
 def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> GroupSpec:
     """Generators and exact order of H n K.
 
     'stabilizer' requires K to be a constructed full stabilizer (its
-    stabilizer_of stages are intersected out of H); 'enumerate_smaller'
-    requires the smaller factor to have at most 10^4 elements.
+    stabilizer_of stages are intersected out of H, as a set when both have
+    dualities); 'enumerate_smaller' requires at most 10^4 elements in the
+    smaller factor.
     """
     if strategy == "stabilizer":
         if not K.stabilizer_of:
             raise VerifyError("stabilizer strategy needs a constructed stabilizer K")
-        series = stabilizer_series(H, _stages_for(H, K.stabilizer_of), name=f"{H.name}_cap_{K.name}")
+        series = stabilizer_series(H, K.stabilizer_of, name=f"{H.name}_cap_{K.name}")
+        if H.action_tag == DUALITY == K.action_tag:
+            return _swap_extension(H, K, series)
         return series[-1].with_name(f"{H.name} n {K.name}")
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
@@ -223,6 +187,25 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
         chain = StabChain.build(small_chain.domain, members, order=len(members), bound=len(members), name=name)
         return GroupSpec.of_chain(name, chain)
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
+
+
+def _swap_extension(H: GroupSpec, K: GroupSpec, series: list[GroupSpec]) -> GroupSpec:
+    """H n K for H and K with duality elements, K the stabilizer of the
+    antiflag (v, w): the setwise stabilizer of {v, w} on V - 0 and V* - 0,
+    which is H_(v,w) = series[-1] (series is H, H_v, H_(v,w)), or twice it
+    when H swaps v and w.  Any swap is s followed by u, for u in H mapping
+    v to w (``transporter``) and s in H_v mapping w to u^-1(v); twice
+    |H_(v,w)| is then a known order, which the chain takes as its bound."""
+    v, w = K.stabilizer_of
+    name, home, pointwise = f"{H.name} n {K.name}", H.home_domain(), series[-1]
+    u = transporter(H, v, home.index_of_point(w))
+    s = None if u is None else transporter(series[1], w, int(u.inverse().perm[home.index_of_point(v)]))
+    if s is None:
+        return pointwise.with_name(name)
+    order = 2 * pointwise.order()
+    chain = StabChain.build(home, pointwise.tracked_generators() + [t_compose(s, u)], order=order, bound=order,
+                            name=name)
+    return GroupSpec.of_chain(name, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +261,6 @@ _ANTIFLAG_ROWS = {
     "6": (4, "psi", "phi"),
     "7": (4, "psi_gamma", "phi_gamma"),
 }
-# the projective form of a home action, where scalars act trivially
-_PROJECTIVE_FORM = {VECTOR: PROJECTIVE, PAIR: ANTIFLAG}
 
 
 def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
@@ -309,12 +290,13 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
             suffix = "phi" if k_extra == "phi" else "2"
             setup.K = adjoin(setup.K, [automorphism_element(k_extra, n, q)],
                              f"stab_antiflag_SL_{n}({q}).{suffix}", 2)
-            if q > 2 and math.gcd(n, q - 1) == 1:
+            if setup.K.action_tag == VECTOR and q > 2 and math.gcd(n, q - 1) == 1:
                 # K's linear elements lie in SL_n(q), whose scalars are
                 # mu_gcd(n, q-1), here trivial: the known-order chain on the
                 # q - 1 times smaller projective domain certifies the same |K|.
                 # Only K's order reads that chain; intersect uses stabilizer_of.
-                setup.K.action_tag = _PROJECTIVE_FORM[setup.K.action_tag]
+                # A duality K keeps V - 0 and V* - 0, which are smaller still.
+                setup.K.action_tag = PROJECTIVE
             setup.g_order *= 2
         return setup
     if row == "8":
@@ -528,7 +510,7 @@ def _run_sample(claim, setup, rng, max_points) -> StrategyResult:
     if setup.G is None:
         return StrategyResult("sample", "skipped", details={"reason": "no ambient group"})
     samples = 50
-    stages = _stages_for(setup.H, setup.K.stabilizer_of)
+    stages = setup.K.stabilizer_of
     G, domain = setup.G, setup.G.home_domain()
     sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
     walk = Rattle(G.tracked_generators(), Tracked(domain.identity_perm), rng)

@@ -10,9 +10,11 @@ raw index arrays and wrap only a sample or a residue as Tracked.  Every
 spec that comes with a certified chain is made from it here
 (``GroupSpec.of_chain``) and keeps its generators as Tracked elements of
 the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
-generators as permutations of a domain, reading a matrix off a vector
-permutation (``PermDomain.element_of``) only for a domain they were not
-built on.
+generators as permutations of a domain, reading a matrix off a vector or
+duality permutation (``PermDomain.element_of``) only for a domain they
+were not built on.  A spec with a duality element has V - 0 and V* - 0
+(the duality domain) as its home, for its chain, its point stabilizers
+and its commutators; its derived subgroup lives on the vector half.
 Product-membership samples (``ProductSift``) walk Schreier vectors;
 enumerated intersections (``StabChain.contains_block``) and the Schreier pass
 sift stacked permutations, in one gather per chain level that caches its
@@ -79,8 +81,8 @@ from .actions import Action, ActionError, PermDomain
 from .gf import FieldSpec
 from .linalg import (
     ANTIFLAG,
+    DUALITY,
     FUNCTIONAL,
-    PAIR,
     PROJECTIVE,
     VECTOR,
     ActionPoint,
@@ -803,16 +805,8 @@ class GroupSpec:
 
     def __post_init__(self):
         if self.action_tag is None:
-            self.action_tag = PAIR if self.has_duality else VECTOR
-
-    @property
-    def has_duality(self) -> bool:
-        gens = self.generators
-        if isinstance(gens, TrackedGenerators):
-            # read off the permutations; one-sided points carry no duality
-            domain = gens.domain
-            return domain.action.two_sided and any(domain.swaps_sides(t.perm) for t in gens.tracked)
-        return any(g.dual for g in gens)
+            # V - 0 and V* - 0 together are faithful for a duality element
+            self.action_tag = DUALITY if any(g.dual for g in self.generators) else VECTOR
 
     @classmethod
     def of_chain(cls, name: str, chain: StabChain, tracked: list[Tracked] | None = None) -> "GroupSpec":
@@ -827,6 +821,13 @@ class GroupSpec:
 
     def home_domain(self) -> PermDomain:
         return shared_domain(self.action_tag, self.spec, self.n)
+
+    def point_domain(self, point: ActionPoint) -> PermDomain:
+        """The home if it holds the point (a duality home holds vectors and
+        functionals), else the point's shared domain."""
+        if self.action_tag == DUALITY and point.tag in (VECTOR, FUNCTIONAL):
+            return self.home_domain()
+        return shared_domain(point.tag, self.spec, self.n)
 
     def tracked_generators(self, domain: PermDomain | None = None) -> list[Tracked]:
         """The generators as Tracked elements of a domain, the home domain by
@@ -936,8 +937,7 @@ def orbit(
     each block's keys applied under every generator at once
     (``Action.apply_block``).  A GF(2)-linear keyspace of at least
     _PARALLEL_KEYS keys is swept by two threads when the process may run
-    on two CPUs (``_sweep_workers``); the digit path stays on one, since
-    its many small numpy calls per block would wait on the GIL.  Either
+    on two CPUs (``_sweep_workers``); the digit path stays on one.  Either
     way the mask and size are those of one thread.  The BFS holds only its
     current level, which is dropped once a packed bit mask of the keys
     already applied is built, so the sweep runs beside nothing but the two
@@ -969,7 +969,7 @@ def orbit(
         start = domain.index_of_point(point)
     else:
         action = Action(point.tag, spec, n) if action is None else action
-        keyspace = (spec.q**n) ** (2 if action.two_sided else 1)
+        keyspace = action.keyspace
         mask_bytes = keyspace + (keyspace + 7) // 8
         if mask_bytes > ORBIT_POINT_BYTES * max_points:
             raise OrbitBudgetError(
@@ -1000,9 +1000,10 @@ def _sweep_workers(action: Action, keyspace: int) -> int:
     """Threads that sweep a keyspace: two on a GF(2)-linear one of at
     least _PARALLEL_KEYS keys, when the process may run on two CPUs, else
     one.  A linear block is one stacked lookup and one scatter, numpy
-    calls that release the GIL; the digit path's many small calls per
-    block would mostly wait on it (the 597,780 antiflags of Sp_4(9), on a
-    2-core machine: 2.2 s on one worker, 3.1 s on two)."""
+    calls that release the GIL.  On the digit path two workers are no
+    steady gain (2-core machine, best of 3: SL_4(9) on its 9^8 pair keys,
+    5.8 s on one worker and 6.6 s on two; Sp_8(3) on its 3^16 pair keys,
+    17.0 s and 10.3 s), so it stays on one."""
     if action.linear and keyspace >= _PARALLEL_KEYS:
         return min(_SWEEP_WORKERS, len(os.sched_getaffinity(0)))
     return 1
@@ -1085,11 +1086,41 @@ class TransporterOrbit(NamedTuple):
 
 def orbit_with_transporters(group: GroupSpec, point: ActionPoint) -> TransporterOrbit:
     """The point's orbit with a Schreier vector, by ``schreier_orbit`` over
-    the generators' permutations of the point's shared domain."""
-    domain = shared_domain(point.tag, group.spec, group.n)
+    the generators' permutations of the point's domain
+    (``GroupSpec.point_domain``)."""
+    domain = group.point_domain(point)
     perms = [t.perm for t in group.tracked_generators(domain)]
     orb, _, par = schreier_orbit(perms, domain.index_of_point(point), domain.size)
     return TransporterOrbit(domain, perms, orb, par, len(orb))
+
+
+def _orbit_transversal(orb: TransporterOrbit, gens: list[Tracked], ident: Tracked):
+    """rep(x): the product of gens along the orbit's Schreier vector, which
+    maps its first point to x, composed once per point on the way back."""
+    inv = _inverse_perms(orb.perms, orb.domain.size)
+    reps = {int(orb.orbit[0]): ident}
+
+    def rep(x: int) -> Tracked:
+        path = []
+        while x not in reps:
+            path.append(x)
+            x = int(inv[orb.par[x], x])
+        for y in reversed(path):
+            reps[y] = t_compose(reps[x], gens[int(orb.par[y])])
+            x = y
+        return reps[x]
+
+    return rep
+
+
+def transporter(group: GroupSpec, point: ActionPoint, y: int) -> Tracked | None:
+    """An element of the group, Tracked on its home, that maps the point
+    to index y of the point's domain (``GroupSpec.point_domain``), else
+    None when y is off the point's orbit."""
+    orb = orbit_with_transporters(group, point)
+    if y != orb.orbit[0] and orb.par[y] < 0:
+        return None
+    return _orbit_transversal(orb, group.tracked_generators(), group.chain().ident)(y)
 
 
 def stabilizer_generators(
@@ -1126,7 +1157,7 @@ def stabilizer_generators(
 def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
     """The point's index on the domain of the group's certified chain when
     the point lies in its first basic orbit, else None."""
-    if chain.domain is not _cached_domain(point.tag, group.spec, group.n) or not (chain.verified and chain.levels):
+    if chain.domain is not group.point_domain(point) or not (chain.verified and chain.levels):
         return None
     try:
         x = chain.domain.index_of_point(point)
@@ -1138,12 +1169,13 @@ def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -
 def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -> StabChain:
     """The stabilizer's chain from sifted Schreier generators.
 
-    The point's orbit and Schreier vector live on its shared domain
+    The point's orbit and Schreier vector live on its domain
     (``orbit_with_transporters``).  Transversals are walked back through
     the inverse generator permutations there and composed as Tracked
     elements of the home domain, only for the orbit points the loop
-    reaches.  The Schreier generators lie in the stabilizer, whose
-    order is |G|/|orbit|, so the chain that reaches that order is complete.
+    reaches (``_orbit_transversal``).  The Schreier generators lie in the
+    stabilizer, whose order is |G|/|orbit|, so the chain that reaches that
+    order is complete.
     """
     orb = orbit_with_transporters(group, point)
     total = group.order()
@@ -1153,19 +1185,7 @@ def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -
     chain = StabChain(group.home_domain())
     if target > 1:
         gens = group.tracked_generators()
-        inv = _inverse_perms(orb.perms, orb.domain.size)
-        reps = {int(orb.orbit[0]): chain.ident}
-
-        def rep(x: int) -> Tracked:
-            path = []
-            while x not in reps:
-                path.append(x)
-                x = int(inv[orb.par[x], x])
-            for y in reversed(path):
-                reps[y] = t_compose(reps[x], gens[int(orb.par[y])])
-                x = y
-            return reps[x]
-
+        rep = _orbit_transversal(orb, gens, chain.ident)
         schreier = (t_compose(t_compose(rep(x), g), rep(int(orb.perms[gi][x])).inverse())
                     for x in map(int, orb.orbit) for gi, g in enumerate(gens))
         for s in schreier:
@@ -1246,28 +1266,28 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
                      within: GroupSpec | None = None) -> GroupSpec:
     """Normal closure of the commutators [a_i, a_j], i < j, verified at its fixpoint.
 
-    Commutators and their conjugates always have trivial duality bit, so the
-    derived subgroup acts on bare vectors even when the parent does not; the
-    vector domain is faithful for it and much smaller than a pair domain.
-    The pair domain is faithful for the parent, so the parent's order bounds
-    the derived subgroup's on either domain (D <= parent).  ``within``'s
-    order is a second bound when it is smaller, its chain is on the same
-    domain, and the commutators and every conjugate the closure adds sift
-    into that chain.  The returned spec keeps the certified chain.
+    Commutators and their conjugates always have trivial duality bit, so
+    the derived subgroup of a parent on V - 0 and V* - 0 (a duality home)
+    acts on bare vectors, faithfully and on half the points.  The parent's
+    home is faithful for it, so the parent's order bounds the derived
+    subgroup's on either domain (D <= parent).  ``within``'s order is a
+    second bound when it is smaller, its chain is on the same domain, and
+    the commutators and every conjugate the closure adds sift into that
+    chain.  The returned spec keeps the certified chain.
 
-    Commutators and conjugates are permutation products.  A parent on pairs
-    takes them on V - 0 and V* - 0 together (``_vector_functional_maps``),
-    lifting a derived element there through its matrix, read off its vector
-    permutation, and restricting each product, which has no duality, to V.
+    Commutators and conjugates are permutation products on the parent's
+    home.  On a duality home each product, which has no duality, keeps its
+    vector half, and a derived element is lifted there through its matrix,
+    read off its vector permutation.
     """
     rng = rng if rng is not None else Stream(zlib.crc32(group.name.encode()) or 1)
-    derived_tag = VECTOR if group.action_tag == PAIR else group.action_tag
-    domain = shared_domain(derived_tag, group.spec, group.n)
+    home = group.home_domain()
+    domain = shared_domain(VECTOR, group.spec, group.n) if group.action_tag == DUALITY else home
     # the parent's chain first, so its originals are the generators read here
     parent_order = group.order()
-    same = group.home_domain() is domain
-    both, lift, restrict = (None, (lambda t: t), (lambda t: t)) if same else _vector_functional_maps(domain)
-    gens = group.tracked_generators() if same else [both(g) for g in group.generators]
+    gens, N = group.tracked_generators(), domain.size
+    lift, restrict = ((lambda t: t),) * 2 if home is domain else (
+        (lambda t: Tracked(home.perm_of(t.matrix(domain)))), (lambda t: Tracked(t.perm[:N])))
     # [a, a] = 1 and [b, a] = [a, b]^-1, so the pairs i < j give the normal closure
     tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a, b in combinations(gens, 2)]
     wchain = None
@@ -1299,28 +1319,6 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
             chain.verified = True
     # the strong generators, not the k(k-1)/2 commutators, keep the next step small
     return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
-
-
-def _vector_functional_maps(vector: PermDomain):
-    """Maps onto and off the 2N points of V - 0 and V* - 0: ``both`` takes a
-    matrix element there (a duality element (A, s) sends v to the functional
-    A^-T phi^s(v) and w to the vector A phi^s(w)); ``lift`` appends the
-    functional permutation of the matrix read off a vector permutation, and
-    ``restrict`` keeps the vector half of an element with no duality."""
-    functional, N = shared_domain(FUNCTIONAL, vector.action.spec, vector.action.n), vector.size
-
-    def both(g: GroupElement) -> Tracked:
-        linear = GroupElement(g.mat, g.fa) if g.dual else g
-        halves = [vector.perm_of(linear), functional.perm_of(linear) + N]
-        return Tracked(np.concatenate(halves[::-1] if g.dual else halves))
-
-    def lift(t: Tracked) -> Tracked:
-        return Tracked(np.concatenate([t.perm, functional.perm_of(t.matrix(vector)) + N]))
-
-    def restrict(t: Tracked) -> Tracked:
-        return Tracked(t.perm[:N])
-
-    return both, lift, restrict
 
 
 def derived_series(group: GroupSpec, rng=None, within: GroupSpec | None = None):

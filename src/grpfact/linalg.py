@@ -20,6 +20,8 @@ Point kinds:
 * ``projective``  1-space, normalized so the first nonzero coordinate is 1;
 * ``antiflag``    scalar-normalized pair: projectively normalized v, then w
                   rescaled so w(v) = 1.  Scalars act trivially here.
+
+The ``duality`` domain, V - 0 then V* - 0, holds vector and functional points.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ FUNCTIONAL = "functional"
 PAIR = "pair"
 PROJECTIVE = "projective"
 ANTIFLAG = "antiflag"
+DUALITY = "duality"
 
 
 class LinAlgError(ValueError):

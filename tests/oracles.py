@@ -14,6 +14,7 @@ from grpfact.actions import ActionError
 from grpfact.gf import FieldError, FieldSpec
 from grpfact.grpcore import CertificationError, StabChain, Tracked
 from grpfact.linalg import (
+    DUALITY,
     FUNCTIONAL,
     PROJECTIVE,
     VECTOR,
@@ -46,9 +47,13 @@ def unpack_point(tag: str, key: int, q: int, n: int) -> ActionPoint:
 
 
 def domain_point(domain, idx: int) -> ActionPoint:
-    """The point at an index of an enumerated domain."""
-    action = domain.action
-    return unpack_point(action.tag, int(domain.keys[idx]), action.q, action.n)
+    """The point at an index of an enumerated domain; a duality domain's
+    points are vectors, then functionals."""
+    action, key = domain.action, int(domain.keys[idx])
+    if action.tag == DUALITY:
+        qn = action.q**action.n
+        return unpack_point(FUNCTIONAL if key > qn else VECTOR, key % qn, action.q, action.n)
+    return unpack_point(action.tag, key, action.q, action.n)
 
 
 def orbit_contains_key(orb: grpcore.OrbitSet, key: int) -> bool:

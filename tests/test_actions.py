@@ -1,6 +1,6 @@
 """Action kernels against scalar references: apply_batch, and the
-permutations of projective and antiflag domains, against sl_apply,
-apply_block's offsets against whole keys, the two-sided domain
+permutations of projective, antiflag and duality domains, against
+sl_apply, apply_block's offsets against whole keys, the two-sided domain
 enumeration, and the scalar-class lookup of projective and antiflag
 domains against sl_apply with canonical_point."""
 
@@ -12,6 +12,7 @@ from grpfact.actions import Action, ActionError, DomainCapError, PermDomain, dom
 from grpfact.grpcore import shared_domain
 from grpfact.linalg import (
     ANTIFLAG,
+    DUALITY,
     FUNCTIONAL,
     PAIR,
     PROJECTIVE,
@@ -229,6 +230,32 @@ def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n):
         domain.action.apply_batch(g, domain.keys[:1])
     with pytest.raises(ActionError, match="only through their enumerated domain"):
         domain.action.apply_block([g], np.arange(4, dtype=np.int64), 0)
+
+
+@pytest.mark.parametrize("p,f,n", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (3, 2, 2)])
+def test_duality_domain_matches_sl_apply(p, f, n):
+    # V - 0, then V* - 0: sl_apply on the pair (x, x) gives the vector x's
+    # image as its functional part under a duality element, else as its
+    # vector part, and the functional x's the other way round
+    spec = gf.make_field(p, f)
+    domain, qn = PermDomain(Action(DUALITY, spec, n)), spec.q**n
+    assert domain.size == domain_size(DUALITY, spec.q, n) == 2 * (qn - 1)
+    e1 = (1,) + (0,) * (n - 1)
+    assert [domain.index_of_point(ActionPoint(tag, e1)) for tag in (VECTOR, FUNCTIONAL)] == [0, qn - 1]
+    rng = np.random.default_rng(p * f * n)
+    for fa in range(f):
+        for dual in (0, 1):
+            g = _random_element(rng, spec, n, fa, dual)
+            want = []
+            for key in domain.keys.tolist():
+                side, x = divmod(key, qn)
+                x = unpack_point(VECTOR, x, spec.q, n).data
+                v, w = sl_apply(g, ActionPoint(PAIR, (x, x))).data
+                image = ActionPoint(VECTOR, v) if side == dual else ActionPoint(FUNCTIONAL, w)
+                want.append(domain.index_of_point(image))
+            perm = domain.perm_of(g)
+            assert perm.tolist() == want
+            assert domain.element_of(perm) == g
 
 
 def test_duality_rejected_on_one_sided_kinds():

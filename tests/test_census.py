@@ -76,8 +76,6 @@ ALLOWLIST = {
                      "gf.supported_fields"], ERROR),
     **dict.fromkeys(["gf.FieldSpec.__repr__", "linalg.Mat.__repr__", "linalg.GroupElement.__repr__",
                      "linalg.ActionPoint.__repr__"], REPR),
-    "actions.PermDomain.swaps_sides": "branch no claim reaches: GroupSpec.has_duality on Tracked generators "
-                                      "of a pair or antiflag domain",
     "grpcore.Rattle.__init__.draws[2]": "branch no claim reaches: a Rattle that draws from a numpy Generator",
     "grpcore.same_subgroup": "branch no claim reaches: check_tight's residual comparison when no derived "
                              "term of H reaches X",

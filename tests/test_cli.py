@@ -4,9 +4,11 @@ import json
 import re
 import shlex
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from grpfact import cli
 from grpfact.catalog import load_catalog
 from grpfact.cli import DEFAULT_SEED, main
 from grpfact.factorize import verify_claim
@@ -55,6 +57,44 @@ def test_memory_budget_below_the_orbit_target_skips_the_orbit(tmp_path):
     assert "memory budget" in orbit["details"]["reason"]
     # a skipped certificate is left out of the vote; the others decide
     assert rc == 0 and report["overall"] == "pass"
+
+
+@pytest.mark.parametrize("jobs, why", [("0", "must be at least 1, got 0"), ("-2", "must be at least 1, got -2"),
+                                       ("two", "invalid int value: 'two'")])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs, why):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--row", "t1r09", "--jobs", jobs, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: grpfact verify") and f"argument --jobs: {why}" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("jobs, rows, workers", [
+    (8, ["t1r09", "t1r03-n4q2", "suite-r1"], 3), (2, ["t1r09", "t1r03-n4q2", "suite-r1"], 2), (4, ["t1r09"], None),
+])
+def test_one_worker_per_claim_at_most(tmp_path, monkeypatch, jobs, rows, workers):
+    # a stub pool records its size and maps in this process: no worker starts
+    sizes = []
+
+    class Pool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(cli.multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    selected = [arg for row in rows for arg in ("--row", row)]
+    assert main(["verify", *selected, "--jobs", str(jobs), "--out", str(tmp_path)]) == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert len(json.loads((tmp_path / "summary.json").read_text())["claims"]) == len(rows)
 
 
 def test_bad_claim_id_errors(tmp_path):

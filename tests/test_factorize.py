@@ -2,7 +2,11 @@
 
 import dataclasses
 import gc
+import json
 import os
+import subprocess
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -23,7 +27,7 @@ from grpfact.factorize import (
     verify_claim,
 )
 from grpfact.grpcore import CertificationError, GroupSpec
-from grpfact.linalg import ANTIFLAG, PAIR, PROJECTIVE, VECTOR, ActionPoint
+from grpfact.linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from grpfact.sporadic import sp4_2_derived
 import oracles
 from oracles import chain_elements, count_matrix_ops, domain_point
@@ -295,22 +299,85 @@ def test_rows_4_to_7_build_four_chains(catalog, claim_id, monkeypatch):
     assert len(builds) == 4 and builds[-1].endswith("^(1)'")
 
 
+def _duality_setup(catalog, claim_id):
+    """A row 5 or 7 claim's set-up, and its ambient SL_n(q).2, extended by
+    K's duality element."""
+    setup = factorize.build_setup(catalog.claim_by_id(claim_id), np.random.default_rng(0))
+    n, spec = setup.H.n, setup.H.spec
+    outer = [g for g in setup.K.generators if g.dual]
+    return setup, GroupSpec("SL.2", n, spec, classical_generators("SL", n, spec.q).generators + outer,
+                            claimed_order=setup.g_order)
+
+
+@pytest.mark.parametrize("claim_id", ["t1r05-m2", "t1r07-m2"])
+def test_duality_groups_on_pairs_agree(catalog, claim_id):
+    # H and K of rows 5 and 7 on V - 0 and V* - 0 and on the pair domain:
+    # the same order, and the same answer for 200 members and for 200
+    # elements of the ambient SL_n(q).2 outside the group
+    setup, ambient = _duality_setup(catalog, claim_id)
+    rng = np.random.default_rng(7)
+    for X in (setup.H, setup.K):
+        pairs = dataclasses.replace(X, action_tag=PAIR, _chain=None)
+        chain, pair_chain = X.chain(), pairs.chain()
+        assert (chain.domain.action.tag, pair_chain.domain.action.tag) == (DUALITY, PAIR)
+        assert chain.order() == pair_chain.order() == X.claimed_order
+        outside = []
+        while len(outside) < 200:
+            t = ambient.chain().random_element(rng)
+            if not chain.contains_tracked(t):
+                outside.append(t)
+        inside = [chain.random_element(rng) for _ in range(200)]
+        for t, member in [(t, True) for t in inside] + [(t, False) for t in outside]:
+            g = t.matrix(chain.domain)
+            assert chain.contains(g) is pair_chain.contains(g) is member
+
+
+@pytest.mark.parametrize("claim_id", ["t1r05-m2", "t1r07-m2"])
+def test_duality_intersection_is_the_pair_stabilizer(catalog, claim_id):
+    # for K the antiflag stabilizer with its duality, H n K is the setwise
+    # stabilizer of {e1, e1*} on V - 0 and V* - 0, as the pair (e1, e1*)'s
+    # stabilizer on pairs is: the claim's H has no element swapping them,
+    # while K and the ambient have phi_gamma, which doubles H_(e1, e1*)
+    setup, ambient = _duality_setup(catalog, claim_id)
+    e1 = (1,) + (0,) * (setup.H.n - 1)
+    for H, swaps in ((setup.H, False), (setup.K, True), (ambient, True)):
+        inter = factorize.intersect(H, setup.K)
+        if H is not setup.K:  # K n K is K
+            on_pairs = dataclasses.replace(H, action_tag=PAIR, _chain=None)
+            assert inter.order() == grpcore.stabilizer_generators(on_pairs, ActionPoint(PAIR, (e1, e1))).order()
+        assert any(g.dual for g in inter.generators) is swaps
+        assert setup.K.includes(inter) and (inter.order() == setup.K.order()) is swaps
+
+
+def test_forced_schreier_pass_on_a_duality_home(catalog):
+    # with no bound the chain of t1r07-m2's H ends in the deterministic
+    # Schreier pass, on its 510 vectors and functionals rather than its
+    # 16,320 pairs (about 0.05 s on a 2-core host)
+    H = factorize.build_setup(catalog.claim_by_id("t1r07-m2"), np.random.default_rng(0)).H
+    t0 = time.perf_counter()
+    chain = grpcore.StabChain.build(H.home_domain(), H.tracked_generators(), name=H.name)
+    assert time.perf_counter() - t0 < 1.0
+    assert chain.domain.size == 510 and chain.order() == H.claimed_order == 4 * orders.sp_order(2, 16)
+
+
 @pytest.mark.parametrize("row, m, home, points", [
-    ("7Sp", 2, ANTIFLAG, 5440),  # t1r07-m2: the duality extension
+    ("7Sp", 2, DUALITY, 510),  # t1r07-m2: the duality extension
     ("6SL", 2, PROJECTIVE, 85),  # t1r06-m2: the Frobenius extension
-    ("5SL", 2, PAIR, None),  # t1r05-m2: q = 2
+    ("5SL", 2, DUALITY, 30),  # t1r05-m2: q = 2
     ("6SL", 3, VECTOR, None),  # gcd(6, 4 - 1) = 3: SL_6(4) has scalars
 ])
 def test_extended_antiflag_stabilizer_home(row, m, home, points):
-    # with q > 2 and gcd(n, q - 1) = 1 the extended stabilizer K is certified
-    # on the projective form of its action, with the same order
+    # a duality extension of the stabilizer K is certified on V - 0 and
+    # V* - 0; with q > 2 and gcd(n, q - 1) = 1 any other on the projective
+    # form of its action, with the same order
     claim = FactorizationClaim(f"row{row}-m{m}", row, {"m": m}, "desk", "pass", [])
     K = factorize.build_setup(claim, np.random.default_rng(0)).K
     assert K.action_tag == home
     if points is not None:
         chain = K.chain()
         assert chain.domain.size == points
-        assert chain.order() == K.claimed_order == 2 * orders.sl_order(3, 4) == 120960
+        q = 2 if row.startswith("5") else 4
+        assert chain.order() == K.claimed_order == 2 * orders.sl_order(3, q)
 
 
 def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
@@ -349,12 +416,13 @@ def test_orbit_on_a_projective_domain_past_the_cap_is_skipped():
 
 @pytest.mark.parametrize("claim_id, path", [
     ("t1r04-sp-m4", "_schreier_stabilizer"),  # the Schreier loop onto functional stages
-    ("t1r05-m2", "_vector_functional_maps"),  # the derived subgroup of a duality parent
+    ("t1r05-m2", "derived_subgroup"),  # the derived subgroup of a duality parent, on its vector half
 ])
 def test_strategies_after_set_up_compose_no_matrix(catalog, claim_id, path, monkeypatch):
     ran = []
     real_path = getattr(grpcore, path)
-    monkeypatch.setattr(grpcore, path, lambda *args: ran.append(path) or real_path(*args))
+    monkeypatch.setattr(grpcore, path,
+                        lambda group, *args, **kw: ran.append(group.action_tag) or real_path(group, *args, **kw))
     build, counts = factorize.build_setup, []
 
     def set_up_then_count(*args):
@@ -364,7 +432,7 @@ def test_strategies_after_set_up_compose_no_matrix(catalog, claim_id, path, monk
 
     monkeypatch.setattr(factorize, "build_setup", set_up_then_count)
     report = verify_claim(catalog.claim_by_id(claim_id))
-    assert report.overall == "pass" and path in ran
+    assert report.overall == "pass" and (DUALITY if claim_id == "t1r05-m2" else VECTOR) in ran
     [calls] = counts
     assert (calls.count("sl_compose"), calls.count("sl_inverse")) == (0, 0)
 
@@ -444,13 +512,13 @@ def test_formula_orders_match_sympy_at_desk_parameters(catalog, claim_id):
 
 
 def test_domain_past_the_cap_skips_the_order_strategy(catalog):
-    # 5SL at m = 5 stabilizes a pair of GF(2)^10, a domain of 523,776
-    # points, past the 200,000-point cap on enumerated domains
-    report = verify_claim(catalog.instantiate("5SL", {"m": 5}))
+    # row 3 at (n, q) = (12, 3) intersects Sp_12(3) on the 531,440 vectors
+    # of GF(3)^12, past the 200,000-point cap on enumerated domains
+    report = verify_claim(catalog.instantiate("3", {"n": 12, "q": 3}))
     order = next(s for s in report.strategies if s.name == "order")
     assert (order.verdict, order.intersection_order) == ("skipped", None)
-    assert order.details == {"reason": "domain of 523776 pair points exceeds the 200000 limit",
-                             "domain_size": 523_776, "max_size": 200_000}
+    assert order.details == {"reason": "domain of 531440 vector points exceeds the 200000 limit",
+                             "domain_size": 531_440, "max_size": 200_000}
     validate(report.as_dict(), REPORT_SCHEMA)
 
 
@@ -648,6 +716,28 @@ def test_desk_results_do_not_depend_on_the_seed(catalog):
     for base_seed in range(2, 21):
         got = results(base_seed)
         assert {cid: r for cid, r in got.items() if r != first[cid]} == {}, f"base seed {base_seed}"
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="duality sweep points are opt-in: set RUN_EXTENDED=1")
+@pytest.mark.parametrize("row, m", [("7SL", 4), ("7Sp", 4), ("5SL", 7), ("5SL", 8), ("5Sp", 8)])
+def test_duality_sweep_points_certify_the_intersection(tmp_path, row, m):
+    # their pair domains are past the cap, V - 0 and V* - 0 are not: the
+    # order strategy passes with the closed-form |H n K|; each point runs
+    # through verify --row in a fresh process, which reports its wall time
+    # and peak RSS
+    script = ("import resource, sys, time; from grpfact.cli import main; t = time.perf_counter(); "
+              f"rc = main(['verify', '--row', '{row}:m={m}', '--out', sys.argv[1]]); "
+              "print(rc, time.perf_counter() - t, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    run = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True, check=True,
+                         timeout=900)
+    rc, wall, rss_kib = run.stdout.split()[-3:]
+    order = next(s for s in json.loads((tmp_path / f"adhoc-{row}-m{m}.json").read_text())["strategies"]
+                 if s["name"] == "order")
+    print(f"\n{row}:m={m}: order {order['verdict']}, |H n K| = {order['intersection_order']}, "
+          f"{float(wall):.2f} s, peak RSS {int(rss_kib) / 1024:.0f} MiB")
+    assert rc == "0" and order["verdict"] == "pass"
+    assert order["intersection_order"] == orders.identity_check(row, {"m": m}).intersection_order
 
 
 def test_6sp_sweep_point_at_m4_reads_its_spectrum_on_the_support(catalog, monkeypatch):

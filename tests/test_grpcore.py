@@ -1,5 +1,6 @@
 """Chains, orbits, stabilizers and residuals, cross-checked against sympy."""
 
+import dataclasses
 import gc
 import importlib
 import math
@@ -9,6 +10,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,7 @@ from grpfact.grpcore import (
 from grpfact.actions import Action, ActionError, PermDomain
 from grpfact.linalg import (
     ANTIFLAG,
+    DUALITY,
     FUNCTIONAL,
     PAIR,
     PROJECTIVE,
@@ -871,19 +874,27 @@ def test_no_matrix_is_read_off_other_kinds(tag):
     assert Tracked(perm, g).matrix(dom) is g
 
 
-@pytest.mark.parametrize("tag", [PAIR, ANTIFLAG])
-def test_duality_is_read_off_two_sided_permutations(tag):
+def test_duality_is_read_off_duality_domain_permutations():
+    # products of SL_2(4) generators, phi_gamma and phi on V - 0 and V* - 0:
+    # the element read off a product's permutation, its duality bit
+    # included, is the eagerly composed one
     gens, _ = _semilinear_gens()
-    dom = shared_domain(tag, gens[0].spec, 2)
+    spec = gens[0].spec
+    dom = shared_domain(DUALITY, spec, 2)
     tracked = [Tracked(dom.perm_of(g), g) for g in gens]
     rng = np.random.default_rng(5)
+    duals = set()
     for _ in range(50):
-        i, j = rng.integers(len(gens), size=2)
-        t = t_compose(tracked[i], tracked[j])
-        assert dom.swaps_sides(t.perm) == bool(gens[i].dual ^ gens[j].dual)
-    spec, linear = gens[0].spec, [t for t, g in zip(tracked, gens) if not g.dual]
-    assert GroupSpec("all", 2, spec, grpcore.TrackedGenerators(tracked, dom), action_tag=tag).has_duality
-    assert not GroupSpec("linear", 2, spec, grpcore.TrackedGenerators(linear, dom), action_tag=tag).has_duality
+        word = rng.integers(len(gens), size=int(rng.integers(1, 8))).tolist()
+        t = reduce(t_compose, [tracked[i] for i in word])
+        read = Tracked(t.perm).matrix(dom)
+        assert read == reduce(sl_compose, [gens[i] for i in word])
+        assert np.array_equal(dom.perm_of(read), t.perm)
+        duals.add(read.dual)
+    assert duals == {0, 1}
+    # a spec with a duality generator makes its home there
+    assert GroupSpec("all", 2, spec, gens).action_tag == DUALITY
+    assert GroupSpec("linear", 2, spec, [g for g in gens if not g.dual]).action_tag == VECTOR
 
 
 def test_inverse_does_not_keep_its_element_alive():
@@ -1436,16 +1447,17 @@ def test_contains_key_on_2_28_key_pair_orbit():
 
 @pytest.fixture(scope="module")
 def ordered_setups():
-    """t1r05-m2's and t1r07-m2's set-ups after their order strategy, which
-    leaves H, whose generators are matrices, a certified chain on the pair
-    domain."""
+    """t1r05-m2's and t1r07-m2's set-ups with H, whose generators are
+    matrices, moved from V - 0 and V* - 0 to the pair domain, where its
+    certified chain is built."""
     catalog = load_catalog()
     out = {}
     for claim_id in ("t1r05-m2", "t1r07-m2"):
         claim = catalog.claim_by_id(claim_id)
         rng = np.random.default_rng(factorize.claim_seed(claim_id, 20260810))
         setup = factorize.build_setup(claim, rng)
-        factorize._run_order(claim, setup, rng, 2**24)
+        setup.H = dataclasses.replace(setup.H, action_tag=PAIR)
+        setup.H.order()
         out[claim_id] = claim, setup, rng
     return out
 
@@ -1533,12 +1545,14 @@ def test_with_name_keeps_stabilizer_stages_and_chain():
 
 
 def _stabilizer_cases():
-    """(group, point kind) on vector, projective and pair home domains."""
+    """(group, point kind) on vector, projective, pair and duality home
+    domains; the last two are one group with a duality generator."""
     sl42 = classical_generators("SL", 4, 2)
     sl33 = classical_generators("SL", 3, 3)
     psl33 = GroupSpec("PSL_3(3)", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PROJECTIVE)
-    gamma_l24 = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma")  # has a duality generator
-    return [(sl42, VECTOR), (psl33, PROJECTIVE), (gamma_l24, PAIR)]
+    gamma_l24 = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma")
+    return [(sl42, VECTOR), (psl33, PROJECTIVE), (dataclasses.replace(gamma_l24, action_tag=PAIR), PAIR),
+            (gamma_l24, DUALITY)]
 
 
 def _points_of_first_orbit(chain):
@@ -1560,7 +1574,7 @@ def schreier_loop_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
+@pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "duality"])
 def test_suffix_stabilizer_matches_the_schreier_loop(case, schreier_loop_calls):
     G, tag = _stabilizer_cases()[case]
     gchain = G.chain()
@@ -1647,7 +1661,7 @@ def _derived_by_matrices(group, rng, label):
     """The normal-closure loop with every commutator and conjugate composed
     as a matrix, as a reference for the permutation route; it seeds the
     chain with the same commutators [a_i, a_j], i < j."""
-    tag = VECTOR if group.action_tag == PAIR else group.action_tag
+    tag = VECTOR if group.action_tag == DUALITY else group.action_tag
     dom = shared_domain(tag, group.spec, group.n)
     gens = list(group.generators)
     comms = [sl_compose(sl_compose(sl_inverse(a), sl_inverse(b)), sl_compose(a, b))
@@ -1676,12 +1690,12 @@ def test_derived_subgroup_on_permutations_matches_the_matrix_path(parent, monkey
         G = classical_generators("Sp", 4, 2)
     else:
         G = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi_gamma")
-        assert G.has_duality and G.action_tag == PAIR
+        assert G.action_tag == DUALITY
     G.order()
     current, ref = _derived_by_matrices(G, np.random.default_rng(9), f"{G.name}'")
     calls = count_matrix_ops(monkeypatch)
     D = derived_subgroup(G, rng=np.random.default_rng(9))
-    assert not calls  # products with a duality generator are taken on pair permutations
+    assert not calls  # products with a duality generator are taken on V - 0 and V* - 0
     assert D.order() == ref.order() == (360 if parent == "Sp_4(2)" else 60)
     assert [lvl.base for lvl in D.chain().levels] == [lvl.base for lvl in ref.levels]
     assert list(D.generators) == current
@@ -1805,7 +1819,7 @@ def _table_cases():
     TABLE_ENTRIES, and the first level of PSL_3(4) on its 336 antiflags
     (336 x 336 entries) does not, so it keeps the walk."""
     sl33, sl34 = classical_generators("SL", 3, 3), classical_generators("SL", 3, 4)
-    (vector, _), (projective, _), _ = _stabilizer_cases()
+    (vector, _), (projective, _), *_ = _stabilizer_cases()
     return [
         vector,
         projective,
@@ -1938,8 +1952,12 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
         made.append(self)
 
     monkeypatch.setattr(StabChain, "__init__", recording)
-    assert factorize.verify_claim(load_catalog().claim_by_id("t1r07-m2")).overall == "pass"
-    chain = next(c for c in made if c.domain.size == 16320 and c.levels)
+    claim = load_catalog().claim_by_id("t1r07-m2")
+    assert factorize.verify_claim(claim).overall == "pass"
+    # H on its 16,320 pairs rather than its 510 vectors and functionals
+    H = factorize.build_setup(claim, np.random.default_rng(0)).H
+    chain = dataclasses.replace(H, action_tag=PAIR).chain()
+    assert chain.domain.size == 16320 and chain in made
     level, N = chain.levels[0], chain.domain.size
     assert len(level.orbit) * N > grpcore.TABLE_ENTRIES
     chain.random_element(np.random.default_rng(3))  # reads a row of every level
