@@ -1,29 +1,32 @@
 """The verification engine: decide G = HK by independent strategies,
 compute H n K explicitly, and check tight containment.
 
-``STRATEGIES`` maps each check name to its runner and its role: a vote
-decides the claim, and a veto can only fail it.
+``STRATEGIES`` maps each check name to its runner, its role and its needs:
+a vote decides the claim, and a veto can only fail it.
 
 * ``identity``     (vote) exact integer identity |G| * |H n K| == |H| * |K|
                    from the order formulas (with projective bookkeeping for
                    rows whose ambient is stated modulo scalars);
-* ``order``        (vote) H n K computed as an iterated point stabilizer of H
-                   (K must be a constructed stabilizer), then the counting
-                   identity with chain-certified orders;
+* ``order``        (vote) H n K computed as an iterated point stabilizer of H,
+                   then the counting identity with chain-certified orders;
+                   needs a K that is a constructed stabilizer;
 * ``enumerate``    (vote) H n K by enumerating the smaller factor and sifting;
 * ``orbit``        (vote) transitivity: the H-orbit of K's defining point must
-                   cover the whole ambient orbit;
+                   cover the whole ambient orbit; needs an orbit seed;
 * ``conjugation``  (vote) the suites: H^x n K^y for random x, y of the ambient
-                   has the order and spectrum of H n K;
-* ``sample``       (veto) product membership of random ambient elements;
+                   has the order and spectrum of H n K; needs a suite;
+* ``sample``       (veto) membership in HK of random elements of G; needs G
+                   and a constructed stabilizer K with no duality element;
 * ``tight``        (veto) solvable residuals agree, as subgroups, with the
-                   expected minimal factor;
-* ``vector_orbit`` (veto) the extended-tier big orbit witness.
+                   expected minimal factor; needs a tightness target;
+* ``vector_orbit`` (veto) the extended tier's big orbit; needs an orbit seed.
 
 Every claim runs one path: ``build_setup`` constructs the ambient order,
 the factors and the orbit point, one runner per entry of ``claim.checks``
 produces a strategy, and ``_finalize`` decides the claim.  No set-up
-searches: the sporadic factors are certified literals.
+searches: the sporadic factors are certified literals.  Only ``verify_claim``
+skips a check for an unmet need, before its runner, or for a domain or an
+enumeration past its cap (``DomainCapError``); no other exception is caught.
 
 Claims carry an expectation; negative controls expect the identity to fail
 and pass exactly when it does.
@@ -178,7 +181,7 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
         if small.order() > _ENUMERATION_CAP:
-            raise VerifyError("enumerate strategy capped at 10^4 elements")
+            raise DomainCapError(f"enumeration of {small.order()} elements", small.order(), _ENUMERATION_CAP)
         big_chain, small_chain = big.chain(), small.chain()
         members = [Tracked(row) for block in small_chain.element_perm_blocks()
                    for row in block[big_chain.contains_block(block)]]
@@ -432,23 +435,17 @@ def _run_identity(claim, setup, rng, max_points) -> StrategyResult:
 
 
 def _run_order(claim, setup, rng, max_points) -> StrategyResult:
-    """The counting identity for each witness; the first one's figures are
-    reported.  A stage whose domain is past the enumeration cap decides
-    nothing, and the strategy is skipped with the domain size and the cap."""
+    """The counting identity for each witness; the first one's figures are reported."""
     found = []
-    try:
-        for H in setup.witnesses:
-            inter = intersect(H, setup.K, "stabilizer")
-            found.append({
-                "name": H.name,
-                "intersection_order": inter.order(),
-                "intersection_hint": structure_hint(inter),
-                "lhs": str(setup.g_order * inter.order()),
-                "rhs": str(H.order() * setup.K.order()),
-            })
-    except DomainCapError as exc:
-        return StrategyResult("order", "skipped",
-                              details={"reason": str(exc), "domain_size": exc.size, "max_size": exc.cap})
+    for H in setup.witnesses:
+        inter = intersect(H, setup.K, "stabilizer")
+        found.append({
+            "name": H.name,
+            "intersection_order": inter.order(),
+            "intersection_hint": structure_hint(inter),
+            "lhs": str(setup.g_order * inter.order()),
+            "rhs": str(H.order() * setup.K.order()),
+        })
     verdict = "pass" if all(w["lhs"] == w["rhs"] for w in found) else "fail"
     details = {k: found[0][k] for k in ("intersection_hint", "lhs", "rhs")}
     if len(found) > 1:
@@ -471,17 +468,13 @@ def _orbit_strategy(name, setup, groups, details, max_points) -> StrategyResult:
     an orbit that outgrows a target the budget holds cannot equal it, so
     that strategy fails with the budget error as its reason.  An orbit
     stopped before it passed the target (its keyspace masks priced over
-    the budget) decides nothing and is skipped with that reason, as is a
-    projective or antiflag orbit on a domain past the cap, with its size.
+    the budget) decides nothing and is skipped with that reason.
     """
     if setup.orbit_target > max_points:
         return StrategyResult(name, "skipped", details={
             **details, "reason": "orbit target exceeds the memory budget", "max_points": max_points})
     try:
         sizes = [orbit(H, setup.orbit_seed, max_points=max_points).size for H in groups]
-    except DomainCapError as exc:
-        details.update(reason=str(exc), domain_size=exc.size, max_size=exc.cap)
-        return StrategyResult(name, "skipped", details=details)
     except OrbitBudgetError as exc:
         details.update(reason=str(exc), max_points=max_points)
         return StrategyResult(name, "fail" if exc.partial_size > setup.orbit_target else "skipped",
@@ -491,8 +484,6 @@ def _orbit_strategy(name, setup, groups, details, max_points) -> StrategyResult:
 
 
 def _run_orbit(claim, setup, rng, max_points) -> StrategyResult:
-    if setup.orbit_seed is None:
-        return StrategyResult("orbit", "skipped", details={"reason": "no orbit seed"})
     details = {"target": setup.orbit_target, "seed": setup.orbit_seed.tag}
     return _orbit_strategy("orbit", setup, setup.witnesses, details, max_points)
 
@@ -507,8 +498,6 @@ def _run_sample(claim, setup, rng, max_points) -> StrategyResult:
     permutations through H's layered orbits of K's stages
     (``ProductSift``).  The elements come from a product-replacement walk
     over G's generators, so G needs no chain."""
-    if setup.G is None:
-        return StrategyResult("sample", "skipped", details={"reason": "no ambient group"})
     samples = 50
     stages = setup.K.stabilizer_of
     G, domain = setup.G, setup.G.home_domain()
@@ -528,8 +517,6 @@ def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
             "matches_A5_entry": ok,
         }
         details = {"target": "A5 inside the S5 witness"}
-    elif setup.tight_target is None:
-        return StrategyResult("tight", "skipped", details={"reason": "no tightness target"})
     else:
         ok = check_tight(setup.H, setup.tight_target, rng=rng)
         details = {"target": setup.tight_target.name}
@@ -569,7 +556,7 @@ def _conjugate_intersections(setup, rng, samples: int):
     if any(g.chain().domain is not dom for g in ((H,) if omega is not None else (H, K))):
         raise VerifyError("conjugation suite: the conjugated groups must share G's chain domain")
     if small.order() > _ENUMERATION_CAP:
-        raise VerifyError("enumerate strategy capped at 10^4 elements")
+        raise DomainCapError(f"enumeration of {small.order()} elements", small.order(), _ENUMERATION_CAP)
     chain = small.chain()
     block = np.concatenate(list(chain.element_perm_blocks()))
     block_orders = chain.support().orders(np.concatenate(list(chain.words()), axis=1))
@@ -603,19 +590,26 @@ def _run_conjugation(claim, setup, rng, max_points) -> StrategyResult:
                           details={"samples": samples, "stable": stable, "spectra_preserved": spectra_ok})
 
 
-# Each check's runner and its role.  A vote decides the claim: every vote
-# that ran must pass.  A veto can only fail it.  A check missing here is
-# reported skipped as unknown, and neither votes nor vetoes.
+# Each check's runner, its role and its needs.  A vote decides the claim:
+# every vote that ran must pass.  A veto can only fail it.  A need is a
+# set-up fact the runner reads, and the reason the check is skipped without
+# it.  A check missing here is reported skipped as unknown, and neither
+# votes nor vetoes.
 VOTE, VETO = "vote", "veto"
+_SEED = ("no orbit seed", lambda s: s.orbit_seed is not None)
+_STABILIZER_K = ("K is not a constructed stabilizer", lambda s: bool(s.K.stabilizer_of))
 STRATEGIES = {
-    "identity": (_run_identity, VOTE),
-    "order": (_run_order, VOTE),
-    "enumerate": (_run_enumerate, VOTE),
-    "orbit": (_run_orbit, VOTE),
-    "conjugation": (_run_conjugation, VOTE),
-    "sample": (_run_sample, VETO),
-    "tight": (_run_tight, VETO),
-    "vector_orbit": (_run_vector_orbit, VETO),
+    "identity": (_run_identity, VOTE, []),
+    "order": (_run_order, VOTE, [_STABILIZER_K]),
+    "enumerate": (_run_enumerate, VOTE, []),
+    "orbit": (_run_orbit, VOTE, [_SEED]),
+    "conjugation": (_run_conjugation, VOTE, [("no conjugation suite", lambda s: s.conjugate_intersection is not None)]),
+    # a duality K stabilizes {e1, e1*} as a set, which K's ordered stages cannot sift
+    "sample": (_run_sample, VETO, [("no ambient group", lambda s: s.G is not None), _STABILIZER_K,
+                                   ("K has a duality element", lambda s: s.K.action_tag != DUALITY)]),
+    "tight": (_run_tight, VETO, [("no tightness target",
+                                  lambda s: s.tight_target is not None or s.residual_order is not None)]),
+    "vector_orbit": (_run_vector_orbit, VETO, [_SEED]),
 }
 
 
@@ -631,13 +625,13 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
                  record_timings: bool = False, max_orbit_points: int = DEFAULT_MAX_POINTS) -> VerificationReport:
     """Run each of claim.checks from STRATEGIES on one set-up and one
     stream; with record_timings, each strategy's wall_ms is its call's
-    wall time, else 0, so default reports are byte-reproducible."""
+    wall time, else 0, so default reports are byte-reproducible.  A check
+    is skipped here: unknown, with an unmet need, or past a cap."""
     seed = claim_seed(claim.claim_id, base_seed)
     rng = Stream(seed)
     strategies: list[StrategyResult] = []
-    needs_setup = any(c != "identity" for c in claim.checks)
     setup = None
-    if needs_setup:
+    if any(c != "identity" for c in claim.checks):
         try:
             setup = build_setup(claim, rng)
         except (CertificationError, ConstructionError) as exc:
@@ -652,11 +646,15 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
     if claim.notes:
         notes["claim"] = claim.notes
     for check in claim.checks:
-        if check not in STRATEGIES:
-            strategies.append(StrategyResult(check, "skipped", details={"reason": "unknown check"}))
-            continue
         t0 = time.perf_counter()
-        result = STRATEGIES[check][0](claim, setup, rng, max_orbit_points)
+        run, _, needs = STRATEGIES.get(check, (None, None, []))
+        unmet = "unknown check" if run is None else next((why for why, met in needs if not met(setup)), None)
+        try:
+            result = (StrategyResult(check, "skipped", details={"reason": unmet}) if unmet is not None
+                      else run(claim, setup, rng, max_orbit_points))
+        except DomainCapError as exc:
+            result = StrategyResult(check, "skipped",
+                                    details={"reason": str(exc), "domain_size": exc.size, "max_size": exc.cap})
         if record_timings:
             result.wall_ms = int((time.perf_counter() - t0) * 1000)
         strategies.append(result)

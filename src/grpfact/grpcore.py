@@ -1299,6 +1299,7 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
     label = (name or group.name) + "'"
     chain = StabChain.build(domain, tracked, rng=rng, name=label, bound=bound)
     current = list(chain.levels[0].eff) if chain.levels else []
+    # a Monte Carlo chain never takes a non-member for a member: the rounds' fixpoint is the closure
     changed = True
     while changed:
         changed = False
@@ -1315,8 +1316,9 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
                     changed = True
         if changed:
             chain._build_monte_carlo(list(current), rng, bound)
-            chain._certify(bound, label)
-            chain.verified = True
+    if not chain.verified:  # a round added a conjugate
+        chain._certify(bound, label)
+        chain.verified = True
     # the strong generators, not the k(k-1)/2 commutators, keep the next step small
     return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
 

@@ -399,19 +399,25 @@ def test_orbit_outgrowing_its_budget_is_a_fail(catalog):
     assert res.verdict == "skipped" and "need 288 bytes" in res.details["reason"]
 
 
-def test_orbit_on_a_projective_domain_past_the_cap_is_skipped():
+def _verify_on(setup, checks, monkeypatch):
+    """verify_claim's strategies for checks, run on the given set-up."""
+    monkeypatch.setattr(factorize, "build_setup", lambda claim, rng: setup)
+    return verify_claim(FactorizationClaim("given-setup", "3", {}, "desk", "pass", checks)).strategies
+
+
+def test_orbit_on_a_projective_domain_past_the_cap_is_skipped(monkeypatch):
     # the projective points of GF(3)^12 are acted on only through their
-    # domain, of 265,720 points: past the cap, the orbit decides nothing
+    # domain, of 265,720 points: past the cap, the orbit decides nothing,
+    # and verify_claim's one cap handler skips it with the size and the cap
     G = classical_generators("SL", 12, 3)
     setup = factorize.ClaimSetup(
         orders.sl_order(12, 3), G, G,
         orbit_seed=ActionPoint(PROJECTIVE, (1,) + (0,) * 11), orbit_target=(3**12 - 1) // 2,
     )
-    res = factorize._run_orbit(None, setup, None, grpcore.DEFAULT_MAX_POINTS)
+    [res] = _verify_on(setup, ["orbit"], monkeypatch)
     assert res.verdict == "skipped" and res.orbit_sizes == []
-    assert (res.details["domain_size"], res.details["max_size"]) == (265720, 200000)
-    assert res.details["reason"] == "domain of 265720 projective points exceeds the 200000 limit"
-    assert res.details["target"] == 265720 and res.details["seed"] == PROJECTIVE
+    assert res.details == {"reason": "domain of 265720 projective points exceeds the 200000 limit",
+                           "domain_size": 265720, "max_size": 200000}
 
 
 @pytest.mark.parametrize("claim_id, path", [
@@ -571,13 +577,14 @@ def test_conjugation_fails_with_both_a5s_in_one_class(catalog):
     assert (result.verdict, result.details["stable"]) == ("fail", 0)
 
 
-def test_conjugation_refuses_a_factor_past_the_enumeration_cap(catalog):
+def test_conjugation_refuses_a_factor_past_the_enumeration_cap(catalog, monkeypatch):
     # SL_4(2) as H: 20,160 elements, past the 10^4 that intersect enumerates
-    claim = catalog.claim_by_id("suite-r1")
-    setup = factorize.build_setup(claim, np.random.default_rng(0))
+    setup = factorize.build_setup(catalog.claim_by_id("suite-r1"), np.random.default_rng(0))
     setup.H = setup.G
-    with pytest.raises(factorize.VerifyError, match="capped at 10\\^4"):
-        factorize._run_conjugation(claim, setup, np.random.default_rng(0), 2**24)
+    [res] = _verify_on(setup, ["conjugation"], monkeypatch)
+    assert (res.verdict, res.intersection_order) == ("skipped", None)
+    assert res.details == {"reason": "enumeration of 20160 elements exceeds the 10000 limit",
+                           "domain_size": 20160, "max_size": 10000}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -648,7 +655,7 @@ def test_every_catalog_check_has_a_strategy(catalog):
 
 
 def test_strategy_roles():
-    roles = {name: role for name, (_, role) in factorize.STRATEGIES.items()}
+    roles = {name: role for name, (_, role, _) in factorize.STRATEGIES.items()}
     assert {n for n, r in roles.items() if r == factorize.VOTE} == {
         "identity", "order", "enumerate", "orbit", "conjugation"}
     assert {n for n, r in roles.items() if r == factorize.VETO} == {"sample", "tight", "vector_orbit"}
@@ -659,9 +666,9 @@ def test_strategy_roles():
 def test_a_failing_vote_or_veto_fails_the_claim(catalog, monkeypatch, check):
     claim = catalog.claim_by_id("t1r04-m2")
     assert verify_claim(claim).overall == "pass"
-    role = factorize.STRATEGIES[check][1]
+    _, role, needs = factorize.STRATEGIES[check]
     monkeypatch.setitem(factorize.STRATEGIES, check,
-                        (lambda *args: factorize.StrategyResult(check, "fail"), role))
+                        (lambda *args: factorize.StrategyResult(check, "fail"), role, needs))
     report = verify_claim(claim)
     assert report.overall == "fail"
     assert next(s for s in report.strategies if s.name == check).verdict == "fail"

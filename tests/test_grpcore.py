@@ -423,7 +423,8 @@ def test_normal_closure_keeps_the_caller_bound(monkeypatch, verify_loop_calls):
 
     monkeypatch.setattr(StabChain, "_certify", spy)
     D = derived_subgroup(H2, within=X)
-    assert len(bounds) > 1, "the normal-closure loop did not enlarge the chain"
+    # the build, then the fixpoint: the loop enlarged the chain, and certifies it once
+    assert len(bounds) == 2
     assert bounds == [X.order()] * len(bounds)
     assert D.order() == X.order()
     # only the small intermediate chains get a Schreier pass, never the
@@ -1928,7 +1929,7 @@ def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
     walks, running = [], []
     walk = grpcore._walk_home
     monkeypatch.setattr(grpcore, "_walk_home", lambda *args: walks.append(bool(running)) or walk(*args))
-    run, role = factorize.STRATEGIES["conjugation"]
+    run, role, needs = factorize.STRATEGIES["conjugation"]
 
     def conjugation(*args):
         running.append(True)
@@ -1937,7 +1938,7 @@ def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
         finally:
             running.clear()
 
-    monkeypatch.setitem(factorize.STRATEGIES, "conjugation", (conjugation, role))
+    monkeypatch.setitem(factorize.STRATEGIES, "conjugation", (conjugation, role, needs))
     report = factorize.verify_claim(load_catalog().claim_by_id("suite-r9"))
     assert report.overall == "pass" and "conjugation" in [s.name for s in report.strategies]
     assert True not in walks

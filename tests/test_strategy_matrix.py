@@ -1,0 +1,104 @@
+"""Every strategy at points it was not written for: each check of
+``factorize.STRATEGIES`` ends in a verdict, or in ``skipped`` with the
+reason, and never raises."""
+
+import dataclasses
+import os
+
+import pytest
+
+from grpfact import factorize
+from grpfact.catalog import _VARIANTS, load_catalog
+from grpfact.constructors import classical_generators
+from grpfact.factorize import STRATEGIES, verify_claim
+
+_FIXED = ["t1r09", "t1r10", "t1r11-a", "t1r11-b", "t1r12-a", "t1r12-b", "t1r12-c", "t1r13",
+          "suite-r1", "suite-r9", "neg-sp6-g2p", "neg-sl6-g2p"]
+
+
+def _first_points():
+    """The first legal sweep point of each row 1-8 variant."""
+    first = {}
+    for row, params in load_catalog().sweep_grid():
+        if row in _VARIANTS:
+            first.setdefault(row, params)
+    return list(first.items())
+
+
+def _every_check(claim, **kw):
+    """claim's report with every strategy as its checks; each one must end
+    in a verdict."""
+    report = verify_claim(dataclasses.replace(claim, checks=list(STRATEGIES)), **kw)
+    results = {s.name: s for s in report.strategies}
+    assert list(results) == list(STRATEGIES)
+    assert {s.verdict for s in results.values()} <= {"pass", "fail", "skipped"}
+    return results
+
+
+# (row or claim id, check) -> the skip's details
+_PINNED = {
+    ("6SL", "enumerate"): {"reason": "enumeration of 16320 elements exceeds the 10000 limit",
+                           "domain_size": 16320, "max_size": 10000},
+    ("8Sp", "vector_orbit"): {"reason": "no orbit seed"},
+    ("t1r09", "order"): {"reason": "K is not a constructed stabilizer"},
+}
+
+
+@pytest.mark.parametrize("where, params", [
+    *[pytest.param(row, params, id=row) for row, params in _first_points()],
+    *[pytest.param(claim_id, None, id=claim_id) for claim_id in _FIXED],
+])
+def test_every_strategy_answers(where, params):
+    catalog = load_catalog()
+    claim = catalog.claim_by_id(where) if params is None else catalog.instantiate(where, params)
+    results = _every_check(claim)
+    if not claim.row.startswith("suite"):
+        assert results["conjugation"].details == {"reason": "no conjugation suite"}
+    for (pinned, check), details in _PINNED.items():
+        if pinned == where:
+            assert (results[check].verdict, results[check].details) == ("skipped", details)
+
+
+def test_sample_skips_a_duality_k(monkeypatch):
+    # t1r05-m2's K stabilizes {e1, e1*} as a set, so its ordered stages
+    # cannot decide membership in HK, though SL_4(2) lies in HK
+    build = factorize.build_setup
+
+    def with_ambient(claim, rng):
+        setup = build(claim, rng)
+        setup.G = classical_generators("SL", 4, 2)
+        return setup
+
+    monkeypatch.setattr(factorize, "build_setup", with_ambient)
+    sample = _every_check(load_catalog().claim_by_id("t1r05-m2"))["sample"]
+    assert (sample.verdict, sample.details) == ("skipped", {"reason": "K has a duality element"})
+
+
+def test_tight_at_5sl_m6_certifies_the_closure_once():
+    # the normal closure's rounds run on the Monte Carlo chain and end in
+    # one certificate; with one per round this took about 40 s
+    tight = _every_check(load_catalog().instantiate("5SL", {"m": 6}), record_timings=True)["tight"]
+    assert tight.verdict == "pass" and tight.wall_ms < 5000
+
+
+def _sweep_points():
+    """The 89 rows 1-8 grid points with q^n <= 4,096."""
+    points = []
+    for row, params in load_catalog().sweep_grid():
+        if row in _VARIANTS:
+            q = params.get("q") or factorize._ANTIFLAG_ROWS[row[0]][0]
+            if q ** _VARIANTS[row][1](params) <= 4096:
+                points.append((row, params))
+    return points
+
+
+@pytest.mark.extended
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="strategy sweep is opt-in: set RUN_EXTENDED=1")
+def test_every_strategy_answers_across_the_sweep():
+    catalog = load_catalog()
+    points = _sweep_points()
+    assert len(points) == 89
+    claims = [catalog.instantiate(row, params) for row, params in points]
+    for claim in claims + [catalog.claim_by_id("t1r14"), catalog.claim_by_id("t1r15")]:
+        results = _every_check(claim)
+        print(claim.row, claim.params, {name: (s.verdict, s.details.get("reason")) for name, s in results.items()})
