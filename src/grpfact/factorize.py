@@ -5,8 +5,8 @@ compute H n K explicitly, and check tight containment.
 a vote decides the claim, and a veto can only fail it.
 
 * ``identity``     (vote) exact integer identity |G| * |H n K| == |H| * |K|
-                   from the order formulas (with projective bookkeeping for
-                   rows whose ambient is stated modulo scalars);
+                   from the order formulas, with projective bookkeeping for
+                   ambients stated modulo scalars; needs a lemma identity;
 * ``order``        (vote) H n K computed as an iterated point stabilizer of H,
                    then the counting identity with chain-certified orders;
                    needs a K that is a constructed stabilizer;
@@ -17,8 +17,9 @@ a vote decides the claim, and a veto can only fail it.
                    has the order and spectrum of H n K; needs a suite;
 * ``sample``       (veto) membership in HK of random elements of G; needs G
                    and a constructed stabilizer K with no duality element;
-* ``tight``        (veto) solvable residuals agree, as subgroups, with the
-                   expected minimal factor; needs a tightness target;
+* ``tight``        (veto) H^inf = X^inf as subgroups, for the expected
+                   minimal factor X, by X^inf's normality in H; needs a
+                   tightness target;
 * ``vector_orbit`` (veto) the extended tier's big orbit; needs an orbit seed.
 
 Every claim runs one path: ``build_setup`` constructs the ambient order,
@@ -64,9 +65,11 @@ from .grpcore import (
     Rattle,
     StabChain,
     Tracked,
+    commutators,
+    conjugates,
+    derived_domain,
     derived_series,
     orbit,
-    same_subgroup,
     solvable_residual,
     stabilizer_generators,
     stabilizer_series,
@@ -415,8 +418,6 @@ def _row12_x(row, Z, rng):
 
 def _run_identity(claim, setup, rng, max_points) -> StrategyResult:
     report = identity_for_claim(claim)
-    if report is None:
-        return StrategyResult("identity", "skipped")
     details = {
         "g_order": str(report.g_order),
         "h_order": str(report.h_order),
@@ -524,22 +525,24 @@ def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
 
 
 def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
-    """Solvable residuals equal as subgroups (mutual membership), not just isomorphic.
+    """H^inf = X^inf as subgroups, by normality.
 
-    H's derived series is walked with X_catalog as a bound on each step
-    (``derived_series``), so a derived chain that sifts into X and reaches
-    |X| is certified without a Schreier pass.  The walk stops at the first
-    derived term D of order |X| whose generators lie in X: then D = X
-    (sandwich), so H^inf = D^inf = X^inf, and neither X nor D takes a
-    derived step.  Only when no term reaches X are H's residual and X's
-    compared.
+    R = X^inf (``solvable_residual``) is perfect, so R <= H gives
+    R <= H^inf, and H^inf is normal in H.  The check refuses unless R lies
+    in H and H normalizes R, then walks H's derived series to the first
+    term D whose generators' commutators lie in R: D' <= R <= D^inf = H^inf.
+    A series that ends at a perfect term first is refused.  When H/R is
+    abelian, D = H and H takes no derived step.  Conjugates and
+    commutators are sifted into R's chain on H's derived domain.
     """
-    series = derived_series(H_located, rng=rng, within=X_catalog)
-    res_h = next(series)  # H itself: only its derived terms are matched with X
-    for res_h in series:
-        if res_h.order() == X_catalog.order() and X_catalog.includes(res_h):
-            return True
-    return same_subgroup(res_h, solvable_residual(X_catalog, rng=rng))
+    R = solvable_residual(X_catalog, rng=rng)
+    if R.chain().domain is not derived_domain(H_located):
+        raise VerifyError(f"tight: {R.name} does not act on the derived domain of {H_located.name}")
+    if not H_located.includes(R):
+        return False
+    in_r = R.chain().contains_tracked
+    return all(map(in_r, conjugates(H_located, R.tracked_generators(H_located.home_domain())))) and any(
+        all(map(in_r, commutators(D))) for D in derived_series(H_located, rng=rng))
 
 
 def _conjugate_intersections(setup, rng, samples: int):
@@ -591,24 +594,26 @@ def _run_conjugation(claim, setup, rng, max_points) -> StrategyResult:
 
 
 # Each check's runner, its role and its needs.  A vote decides the claim:
-# every vote that ran must pass.  A veto can only fail it.  A need is a
-# set-up fact the runner reads, and the reason the check is skipped without
-# it.  A check missing here is reported skipped as unknown, and neither
-# votes nor vetoes.
+# every vote that ran must pass.  A veto can only fail it.  A need is the
+# reason the check is skipped without it, and a test, met(claim, setup), of
+# what the runner reads.  A check missing here is skipped as unknown, and
+# neither votes nor vetoes.
 VOTE, VETO = "vote", "veto"
-_SEED = ("no orbit seed", lambda s: s.orbit_seed is not None)
-_STABILIZER_K = ("K is not a constructed stabilizer", lambda s: bool(s.K.stabilizer_of))
+_SEED = ("no orbit seed", lambda c, s: s.orbit_seed is not None)
+_STABILIZER_K = ("K is not a constructed stabilizer", lambda c, s: bool(s.K.stabilizer_of))
+_LEMMA = ("no lemma identity for this row", lambda c, s: identity_for_claim(c) is not None)
 STRATEGIES = {
-    "identity": (_run_identity, VOTE, []),
+    "identity": (_run_identity, VOTE, [_LEMMA]),
     "order": (_run_order, VOTE, [_STABILIZER_K]),
     "enumerate": (_run_enumerate, VOTE, []),
     "orbit": (_run_orbit, VOTE, [_SEED]),
-    "conjugation": (_run_conjugation, VOTE, [("no conjugation suite", lambda s: s.conjugate_intersection is not None)]),
+    "conjugation": (_run_conjugation, VOTE, [("no conjugation suite",
+                                              lambda c, s: s.conjugate_intersection is not None)]),
     # a duality K stabilizes {e1, e1*} as a set, which K's ordered stages cannot sift
-    "sample": (_run_sample, VETO, [("no ambient group", lambda s: s.G is not None), _STABILIZER_K,
-                                   ("K has a duality element", lambda s: s.K.action_tag != DUALITY)]),
+    "sample": (_run_sample, VETO, [("no ambient group", lambda c, s: s.G is not None), _STABILIZER_K,
+                                   ("K has a duality element", lambda c, s: s.K.action_tag != DUALITY)]),
     "tight": (_run_tight, VETO, [("no tightness target",
-                                  lambda s: s.tight_target is not None or s.residual_order is not None)]),
+                                  lambda c, s: s.tight_target is not None or s.residual_order is not None)]),
     "vector_orbit": (_run_vector_orbit, VETO, [_SEED]),
 }
 
@@ -648,7 +653,7 @@ def verify_claim(claim: FactorizationClaim, base_seed: int = 20260810,
     for check in claim.checks:
         t0 = time.perf_counter()
         run, _, needs = STRATEGIES.get(check, (None, None, []))
-        unmet = "unknown check" if run is None else next((why for why, met in needs if not met(setup)), None)
+        unmet = "unknown check" if run is None else next((why for why, met in needs if not met(claim, setup)), None)
         try:
             result = (StrategyResult(check, "skipped", details={"reason": unmet}) if unmet is not None
                       else run(claim, setup, rng, max_orbit_points))

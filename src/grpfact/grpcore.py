@@ -13,8 +13,9 @@ the chain's domain.  ``GroupSpec.tracked_generators`` reads any spec's
 generators as permutations of a domain, reading a matrix off a vector or
 duality permutation (``PermDomain.element_of``) only for a domain they
 were not built on.  A spec with a duality element has V - 0 and V* - 0
-(the duality domain) as its home, for its chain, its point stabilizers
-and its commutators; its derived subgroup lives on the vector half.
+(the duality domain) as its home, for its chain and its point
+stabilizers; its commutators and their conjugates are sifted on the vector
+half (``derived_domain``), where its derived subgroup lives.
 Product-membership samples (``ProductSift``) walk Schreier vectors;
 enumerated intersections (``StabChain.contains_block``) and the Schreier pass
 sift stacked permutations, in one gather per chain level that caches its
@@ -58,8 +59,9 @@ rebuilt.  ``StabChain.conjugate`` relabels a chain, or its suffix from some
 level, through a conjugating element.  ``stabilizer_generators`` takes a
 point of the first basic orbit as that relabeled suffix, and any other
 point by sifting Schreier generators; either way the order |G|/|orbit| is
-the orbit-stabilizer certificate.  ``derived_subgroup`` and
-``solvable_residual`` return the chains they certified.
+the orbit-stabilizer certificate.  ``derived_subgroup`` runs the Monte
+Carlo phase and the normal-closure rounds on the commutators, then
+certifies the closure once; it and ``solvable_residual`` return that chain.
 """
 
 from __future__ import annotations
@@ -1262,94 +1264,86 @@ class ProductSift:
 # derived series / solvable residual
 
 
-def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None,
-                     within: GroupSpec | None = None) -> GroupSpec:
-    """Normal closure of the commutators [a_i, a_j], i < j, verified at its fixpoint.
+def derived_domain(group: GroupSpec) -> PermDomain:
+    """Where group's commutators and their conjugates act: having no duality bit,
+    on a duality home's vector half V - 0, faithfully on half the points, else on the home."""
+    return shared_domain(VECTOR, group.spec, group.n) if group.action_tag == DUALITY else group.home_domain()
 
-    Commutators and their conjugates always have trivial duality bit, so
-    the derived subgroup of a parent on V - 0 and V* - 0 (a duality home)
-    acts on bare vectors, faithfully and on half the points.  The parent's
-    home is faithful for it, so the parent's order bounds the derived
-    subgroup's on either domain (D <= parent).  ``within``'s order is a
-    second bound when it is smaller, its chain is on the same domain, and
-    the commutators and every conjugate the closure adds sift into that
-    chain.  The returned spec keeps the certified chain.
 
-    Commutators and conjugates are permutation products on the parent's
-    home.  On a duality home each product, which has no duality, keeps its
-    vector half, and a derived element is lifted there through its matrix,
-    read off its vector permutation.
-    """
+def _derived_product(group: GroupSpec, *factors: Tracked) -> Tracked:
+    """A product of elements of group's home with no duality bit, on group's derived domain."""
+    product, size = reduce(t_compose, factors), derived_domain(group).size
+    return product if len(product.perm) == size else Tracked(product.perm[:size])
+
+
+def commutators(group: GroupSpec) -> list[Tracked]:
+    """[a, b] for the generators a before b, on group's derived domain."""
+    return [_derived_product(group, a.inverse(), b.inverse(), a, b)
+            for a, b in combinations(group.tracked_generators(), 2)]
+
+
+def conjugates(group: GroupSpec, elements: Iterable[Tracked]):
+    """g^-1 t g for each element t of group's home and generator g, lazily, on group's derived domain."""
+    gens = group.tracked_generators()
+    return (_derived_product(group, g.inverse(), t, g) for t in elements for g in gens)
+
+
+def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> GroupSpec:
+    """Normal closure of the commutators [a_i, a_j], i < j, certified once,
+    at its fixpoint.
+
+    The commutators seed a Monte Carlo chain on group's derived domain,
+    bounded by the parent's order (D <= parent, whose home is faithful).
+    Each round adds the conjugates of the last round's elements that do not
+    sift, then resumes the Monte Carlo phase; a Monte Carlo chain never takes
+    a non-member for a member, so the fixpoint is the closure.  Only then
+    does ``StabChain._certify`` run, and the returned spec keeps the chain.
+    On a duality home a derived element is lifted to the home through its
+    matrix."""
     rng = rng if rng is not None else Stream(zlib.crc32(group.name.encode()) or 1)
-    home = group.home_domain()
-    domain = shared_domain(VECTOR, group.spec, group.n) if group.action_tag == DUALITY else home
-    # the parent's chain first, so its originals are the generators read here
-    parent_order = group.order()
-    gens, N = group.tracked_generators(), domain.size
-    lift, restrict = ((lambda t: t),) * 2 if home is domain else (
-        (lambda t: Tracked(home.perm_of(t.matrix(domain)))), (lambda t: Tracked(t.perm[:N])))
-    # [a, a] = 1 and [b, a] = [a, b]^-1, so the pairs i < j give the normal closure
-    tracked = [restrict(reduce(t_compose, (a.inverse(), b.inverse(), a, b))) for a, b in combinations(gens, 2)]
-    wchain = None
-    if within is not None and within.order() < parent_order:
-        wchain = within.chain()
-        if wchain.domain is not domain or not all(wchain.contains_tracked(t) for t in tracked):
-            wchain = None
-    bound = parent_order if wchain is None else within.order()
-    label = (name or group.name) + "'"
-    chain = StabChain.build(domain, tracked, rng=rng, name=label, bound=bound)
+    home, domain = group.home_domain(), derived_domain(group)
+    bound = group.order()  # the parent's chain first, so its originals are the generators read here
+    chain = StabChain(domain)
+    for t in commutators(group):
+        chain.add_element(t)
+    chain._build_monte_carlo([t for t in chain.originals if not t.is_identity()], rng, bound)
     current = list(chain.levels[0].eff) if chain.levels else []
-    # a Monte Carlo chain never takes a non-member for a member: the rounds' fixpoint is the closure
-    changed = True
-    while changed:
-        changed = False
-        for t in list(current):
-            lifted = lift(t)
-            for g in gens:
-                conj = restrict(reduce(t_compose, (g.inverse(), lifted, g)))
-                if not chain.contains_tracked(conj):
-                    # within bounds the closure while every conjugate sifts into it
-                    if wchain is not None and not wchain.contains_tracked(conj):
-                        wchain, bound = None, parent_order
-                    chain.add_element(conj)
-                    current.append(conj)
-                    changed = True
-        if changed:
+    added = list(current) if chain.order() < bound else []  # a chain at |parent| is the parent
+    while added:
+        lifted = added if home is domain else (Tracked(home.perm_of(t.matrix(domain))) for t in added)
+        added = [c for c in conjugates(group, lifted) if not chain.contains_tracked(c) and chain.add_element(c)]
+        if added:
+            current += added
             chain._build_monte_carlo(list(current), rng, bound)
-    if not chain.verified:  # a round added a conjugate
-        chain._certify(bound, label)
-        chain.verified = True
+    chain._certify(bound, (name or group.name) + "'")
+    chain.verified = True
     # the strong generators, not the k(k-1)/2 commutators, keep the next step small
     return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
 
 
-def derived_series(group: GroupSpec, rng=None, within: GroupSpec | None = None):
-    """group, then each derived subgroup (``derived_subgroup``, bounded by
-    ``within``) while the order falls: the last term is the solvable
-    residual.  Each term keeps its certified chain, and the step that shows
-    the last term perfect is built but not yielded."""
+def derived_series(group: GroupSpec, rng=None):
+    """group, then each derived subgroup (``derived_subgroup``) while the
+    order falls: the last term is the solvable residual.  Each term keeps
+    its certified chain, and the step that shows the last term perfect is
+    built but not yielded.  A term is derived only when the next one is
+    asked for."""
     cur, cur_order = group, group.order()
     step = 0
     yield cur
     while True:
         step += 1
-        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step})", within=within)
+        nxt = derived_subgroup(cur, rng=rng, name=f"{group.name}^({step})")
         if nxt.order() == cur_order:
             return
         cur, cur_order = nxt, nxt.order()
         yield cur
 
 
-def solvable_residual(group: GroupSpec, rng=None, within: GroupSpec | None = None) -> GroupSpec:
+def solvable_residual(group: GroupSpec, rng=None) -> GroupSpec:
     """Limit of the derived series (``derived_series``); the residual keeps
     its certified chain."""
-    *_, last = derived_series(group, rng=rng, within=within)
+    *_, last = derived_series(group, rng=rng)
     return last.with_name(f"{group.name}^(inf)")
-
-
-def same_subgroup(a: GroupSpec, b: GroupSpec) -> bool:
-    """Equality as subgroups: mutual membership of generators."""
-    return a.order() == b.order() and b.includes(a) and a.includes(b)
 
 
 def tracked_power(t: Tracked, e: int) -> Tracked:

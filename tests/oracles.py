@@ -106,8 +106,11 @@ def adjoin_failure(core: StabChain, blown_gens, x: GroupElement, index: int) -> 
 
 
 def count_chain_builds(monkeypatch) -> list:
-    """Count grpcore.StabChain.build calls for the rest of the test: one
-    list entry per call, the name it was given."""
+    """Count the chains made for the rest of the test, by
+    grpcore.StabChain.build or by derived_subgroup (in every grpfact module
+    that holds it): one list entry per chain, in the order they are
+    finished, the name build was given, else the derived chain's name (the
+    name given to derived_subgroup, else the parent's, primed)."""
     calls = []
     real = StabChain.build.__func__
 
@@ -115,15 +118,42 @@ def count_chain_builds(monkeypatch) -> list:
         calls.append(kwargs.get("name", ""))
         return real(cls, *args, **kwargs)
 
+    def deriving(group, rng=None, name=None, real=grpcore.derived_subgroup):
+        out = real(group, rng=rng, name=name)
+        calls.append((name or group.name) + "'")
+        return out
+
     monkeypatch.setattr(StabChain, "build", classmethod(counting))
+    for info in pkgutil.iter_modules(grpfact.__path__):
+        module = importlib.import_module(f"grpfact.{info.name}")
+        if getattr(module, "derived_subgroup", None) is grpcore.derived_subgroup:
+            monkeypatch.setattr(module, "derived_subgroup", deriving)
     return calls
 
 
+def conjugate_gens(gens, x: GroupElement) -> list[GroupElement]:
+    """x^-1 g x for each g of gens, composed as matrices."""
+    return [sl_compose(sl_compose(sl_inverse(x), g), x) for g in gens]
+
+
+def non_normalizing_element(G, X, rng) -> GroupElement:
+    """A random element of G, as a matrix, that does not normalize X."""
+    chain = G.chain()
+    while True:
+        x = chain.random_element(rng).matrix(chain.domain)
+        if not all(X.contains(g) for g in conjugate_gens(X.generators, x)):
+            return x
+
+
+def same_subgroup(a, b) -> bool:
+    """Equality as subgroups: equal orders and mutual membership of generators."""
+    return a.order() == b.order() and a.includes(b) and b.includes(a)
+
+
 def check_tight_by_residuals(H, X, rng=None) -> bool:
-    """Tightness by both solvable residuals, compared as subgroups: H's
-    derived series walked to its end with X as a bound, then X's."""
-    res_h = grpcore.solvable_residual(H, rng=rng, within=X)
-    return grpcore.same_subgroup(res_h, grpcore.solvable_residual(X, rng=rng))
+    """Tightness by both solvable residuals, each H's and X's derived
+    series walked to its end, compared as subgroups."""
+    return same_subgroup(grpcore.solvable_residual(H, rng=rng), grpcore.solvable_residual(X, rng=rng))
 
 
 def count_schreier_orbits(monkeypatch) -> list:

@@ -33,7 +33,7 @@ from grpfact.linalg import (
     det,
     sl_compose,
 )
-from oracles import adjoin_failure, count_chain_builds, count_matrix_ops, element_order
+from oracles import adjoin_failure, count_chain_builds, count_matrix_ops, element_order, same_subgroup
 
 
 @pytest.mark.parametrize(
@@ -286,7 +286,7 @@ def test_g2_derived_keeps_the_chain_derived_subgroup_certified(monkeypatch):
     builds = count_chain_builds(monkeypatch)
     d = g2_derived(2)
     assert d.chain().order() == 6048
-    # G2(2)'s certificate, derived_subgroup's own build, and no third one
+    # G2(2)'s chain, then the derived one, and no third
     assert builds == ["G2(2)", "G2(2)''"]
 
 
@@ -340,8 +340,6 @@ def test_g2_lives_inside_sp6():
 
 
 def test_tightness_targets_of_ext_rows():
-    from grpfact.grpcore import same_subgroup
-
     H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     X = ext_subgroup("SL", 2, 2, 2)
     res = solvable_residual(H)

@@ -17,7 +17,13 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from grpfact import constructors, factorize, grpcore, orders, sporadic
 from grpfact.actions import domain_size
 from grpfact.catalog import FactorizationClaim, load_catalog
-from grpfact.constructors import classical_generators, ext_subgroup, psi_extension, stabilizer_subgroup
+from grpfact.constructors import (
+    automorphism_element,
+    classical_generators,
+    ext_subgroup,
+    psi_extension,
+    stabilizer_subgroup,
+)
 from grpfact.factorize import (
     REPORT_SCHEMA,
     check_tight,
@@ -27,7 +33,8 @@ from grpfact.factorize import (
     verify_claim,
 )
 from grpfact.grpcore import CertificationError, GroupSpec
-from grpfact.linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint
+from grpfact.gf import make_field
+from grpfact.linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint, GroupElement, Mat
 from grpfact.sporadic import sp4_2_derived
 import oracles
 from oracles import chain_elements, count_matrix_ops, domain_point
@@ -253,12 +260,14 @@ def test_orbit_strategy_on_tracked_witnesses_composes_no_matrix(catalog, claim_i
     assert calls == []
 
 
-@pytest.mark.parametrize("claim_id", ["t1r04-sp-m4", "t1r06-m2", "t1r07-m2"])
-def test_check_tight_needs_no_schreier_pass(catalog, claim_id, monkeypatch):
-    # each derived chain reaches its parent's order or the catalog X's order,
-    # so the bounds certify it and the Schreier pass never runs
-    claim = catalog.claim_by_id(claim_id)
-    rng = np.random.default_rng(claim_seed(claim_id, 20260810))
+@pytest.mark.parametrize("point", ["t1r04-sp-m4", "t1r06-m2", "t1r07-m2", pytest.param(("5Sp", {"m": 6}), id="5Sp-m6")])
+def test_check_tight_needs_no_schreier_pass(catalog, point, monkeypatch):
+    # X is perfect, so its one derived step reaches |X|, which bounds it,
+    # and H's commutators lie in X, so H takes no derived step: the
+    # Schreier pass never runs (at 5Sp m = 6, one on H's commutator group
+    # would take about 3.6 s on 4,095 points)
+    claim = catalog.claim_by_id(point) if isinstance(point, str) else catalog.instantiate(*point)
+    rng = np.random.default_rng(claim_seed(claim.claim_id, 20260810))
     setup = factorize.build_setup(claim, rng)
     calls = []
     monkeypatch.setattr(grpcore.StabChain, "_verify_loop", lambda chain: calls.append(chain.order()))
@@ -266,37 +275,78 @@ def test_check_tight_needs_no_schreier_pass(catalog, claim_id, monkeypatch):
     assert calls == []
 
 
+def _derived_steps(monkeypatch) -> list:
+    """The names of the groups that take a derived step (derived_subgroup,
+    as derived_series calls it) for the rest of the test."""
+    steps = []
+    real = grpcore.derived_subgroup
+    monkeypatch.setattr(grpcore, "derived_subgroup",
+                        lambda group, *args, **kw: steps.append(group.name) or real(group, *args, **kw))
+    return steps
+
+
 ROWS_4_TO_7 = ["t1r04-m2", "t1r04-sp-m4", "t1r05-m2", "t1r06-m2", "t1r07-m2"]
 
 
 @pytest.mark.parametrize("claim_id", ROWS_4_TO_7)
-def test_check_tight_agrees_with_both_residuals(catalog, claim_id):
+def test_check_tight_agrees_with_both_residuals(catalog, claim_id, monkeypatch):
     claim = catalog.claim_by_id(claim_id)
     seed = claim_seed(claim_id, 20260810)
     setup = factorize.build_setup(claim, np.random.default_rng(seed))
     want = oracles.check_tight_by_residuals(setup.H, setup.tight_target, rng=np.random.default_rng(seed))
+    steps = _derived_steps(monkeypatch)
     assert check_tight(setup.H, setup.tight_target, rng=np.random.default_rng(seed)) is want is True
+    assert steps == [setup.tight_target.name]  # H/X is abelian: X's perfectness step alone
 
 
-def test_check_tight_falls_back_to_the_residuals_when_no_term_reaches_x(monkeypatch):
-    # X = H = SL_2(4).2, not perfect: H's derived terms stay below |X|, so
-    # the residuals, SL_2(4) both, are compared
+def test_check_tight_compares_a_non_perfect_x_by_its_residual(monkeypatch):
+    # X = H = SL_2(4).2, not perfect: R = X^inf = SL_2(4) is normal in H,
+    # and H's commutators lie in R, so H takes no derived step
     H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
-    compared = []
-    real = factorize.same_subgroup
-    monkeypatch.setattr(factorize, "same_subgroup", lambda a, b: compared.append((a.order(), b.order())) or real(a, b))
-    assert check_tight(H, H) and oracles.check_tight_by_residuals(H, H)
-    assert compared == [(60, 60)]
+    steps = _derived_steps(monkeypatch)
+    assert check_tight(H, H)
+    assert steps == [H.name, f"{H.name}^(1)"]  # X's series, to its perfect term, and no more
+    assert oracles.check_tight_by_residuals(H, H)
+
+
+def test_check_tight_refuses_an_x_that_h_does_not_normalize(monkeypatch):
+    # a conjugate of the core SL_2(4) lies in SL_4(2) = A8, which is simple,
+    # so it is not H^inf: the check refuses it at normality, before any
+    # derived step of H
+    G = classical_generators("SL", 4, 2)
+    X = ext_subgroup("SL", 2, 2, 2)
+    x = oracles.non_normalizing_element(G, X, np.random.default_rng(3))
+    X_conj = GroupSpec("X^x", 4, X.spec, oracles.conjugate_gens(X.generators, x), claimed_order=60)
+    assert G.includes(X_conj)
+    steps = _derived_steps(monkeypatch)
+    assert not check_tight(G, X_conj)
+    assert steps == ["X^x"]
+    assert not oracles.check_tight_by_residuals(G, X_conj)
+
+
+def test_check_tight_takes_one_derived_step_when_h_over_x_is_not_abelian(monkeypatch):
+    # GammaL_2(4) = <SL_2(4), omega I, phi> has order 360 and H/X = S3:
+    # [omega I, phi] = omega I lies outside X = SL_2(4), so H's own
+    # commutators do not lie in R; H' = GL_2(4), whose commutators do
+    spec = make_field(2, 2)
+    X = classical_generators("SL", 2, 4)
+    omega = GroupElement(Mat(spec, [[2, 0], [0, 2]]))
+    H = GroupSpec("GammaL_2(4)", 2, spec, [*X.generators, omega, automorphism_element("phi", 2, 4)],
+                  claimed_order=360)
+    steps = _derived_steps(monkeypatch)
+    assert check_tight(H, X)
+    assert steps == [X.name, H.name]
+    assert oracles.check_tight_by_residuals(H, X)
 
 
 @pytest.mark.parametrize("claim_id", ROWS_4_TO_7)
 def test_rows_4_to_7_build_four_chains(catalog, claim_id, monkeypatch):
-    # the core, H, K's stabilizer and H', which is the core: the tight check
-    # stops there, with no H'' and no derived step of the core
+    # the core, H, K's stabilizer and the core's perfectness step in the
+    # tight check, which derives no term of H
     builds = oracles.count_chain_builds(monkeypatch)
     report = verify_claim(catalog.claim_by_id(claim_id))
     assert report.overall == "pass" and report.tight is True
-    assert len(builds) == 4 and builds[-1].endswith("^(1)'")
+    assert len(builds) == 4 and builds[-1] == builds[0] + "^(1)'"
 
 
 def _duality_setup(catalog, claim_id):
@@ -422,7 +472,7 @@ def test_orbit_on_a_projective_domain_past_the_cap_is_skipped(monkeypatch):
 
 @pytest.mark.parametrize("claim_id, path", [
     ("t1r04-sp-m4", "_schreier_stabilizer"),  # the Schreier loop onto functional stages
-    ("t1r05-m2", "derived_subgroup"),  # the derived subgroup of a duality parent, on its vector half
+    ("t1r05-m2", "_derived_product"),  # the tight check's conjugates and commutators by a duality H
 ])
 def test_strategies_after_set_up_compose_no_matrix(catalog, claim_id, path, monkeypatch):
     ran = []

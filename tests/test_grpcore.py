@@ -72,8 +72,11 @@ from oracles import (
     count_chain_builds,
     count_matrix_ops,
     count_schreier_orbits,
+    conjugate_gens,
     domain_point,
+    non_normalizing_element,
     orbit_contains_key,
+    same_subgroup,
     schreier_witness,
     tracked_random_element,
     tracked_sift,
@@ -215,9 +218,6 @@ def test_solvable_residual_abelian_group():
 
 
 def test_residual_idempotent_and_inside_derived():
-    from grpfact.constructors import ext_subgroup
-    from grpfact.grpcore import derived_subgroup, same_subgroup
-
     H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
     der = derived_subgroup(H)
     res = solvable_residual(H)
@@ -373,63 +373,28 @@ def verify_loop_calls(monkeypatch):
     return calls
 
 
-def _conjugate_gens(gens, x):
-    return [sl_compose(sl_compose(sl_inverse(x), g), x) for g in gens]
-
-
-def _non_normalizing_element(G: GroupSpec, X: GroupSpec, rng) -> GroupElement:
-    chain = G.chain()
-    while True:
-        x = chain.random_element(rng).matrix(chain.domain)
-        if not all(X.contains(g) for g in _conjugate_gens(X.generators, x)):
-            return x
-
-
-def test_caller_bound_that_does_not_contain_the_derived_subgroup_does_not_certify(verify_loop_calls):
-    # H = SL_2(4).2 blown into SL_4(2); H' = X = SL_2(4) has order 60 and the
-    # parent bound |H| = 120 is never reached, so only a caller bound could
-    # skip the Schreier pass
+def test_normal_closure_certifies_once_at_its_fixpoint(monkeypatch, verify_loop_calls):
+    # SL_2(4).2 blown into SL_4(2), on two generators (the product of the
+    # core generators, and psi): their one commutator generates a group of
+    # order 2, so the rounds must enlarge the chain to H' = SL_2(4), and
+    # the one certificate comes after them, on the closure
     H = psi_extension(ext_subgroup("SL", 2, 2, 2), "psi")
-    X = ext_subgroup("SL", 2, 2, 2)
-    D = derived_subgroup(H, within=X)
-    assert D.order() == 60 and verify_loop_calls == []
-    # a conjugate of X has the right order but does not contain H'
-    x = _non_normalizing_element(classical_generators("SL", 4, 2), X, np.random.default_rng(3))
-    X_conj = GroupSpec("X^x", 4, X.spec, _conjugate_gens(X.generators, x), claimed_order=60)
-    D = derived_subgroup(H, within=X_conj)
-    assert verify_loop_calls, "a caller bound that does not contain H' certified it"
-    assert D.order() == 60
-
-
-def test_normal_closure_keeps_the_caller_bound(monkeypatch, verify_loop_calls):
-    # the blown G2(4).2 on three generators (the product of the six core
-    # generators, the last core generator, and psi): their commutators do
-    # not generate H' = X, so the normal-closure loop enlarges the chain,
-    # and every conjugate it adds lies in X
-    H = psi_extension(ext_subgroup("G2", 6, 2, 2), "psi")
-    X = ext_subgroup("G2", 6, 2, 2)
     *core, psi = H.generators
-    product = core[0]
-    for g in core[1:]:
-        product = sl_compose(product, g)
-    H2 = GroupSpec("G2(4).2 on three", H.n, H.spec, [product, core[-1], psi], claimed_order=H.claimed_order)
-    H2.order(), X.order()
-    bounds = []
+    H2 = GroupSpec("SL_2(4).2 on two", H.n, H.spec, [reduce(sl_compose, core), psi], claimed_order=120)
+    H2.order()
+    certified = []
     certify = StabChain._certify
 
     def spy(chain, bound, name):
-        bounds.append(bound)
+        certified.append((bound, chain.order()))
         certify(chain, bound, name)
 
     monkeypatch.setattr(StabChain, "_certify", spy)
-    D = derived_subgroup(H2, within=X)
-    # the build, then the fixpoint: the loop enlarged the chain, and certifies it once
-    assert len(bounds) == 2
-    assert bounds == [X.order()] * len(bounds)
-    assert D.order() == X.order()
-    # only the small intermediate chains get a Schreier pass, never the
-    # chain that already reached |X|
-    assert all(order < X.order() for order in verify_loop_calls)
+    D = derived_subgroup(H2)
+    assert D.order() == 60 and len(D.generators) > 1
+    # one certificate, bounded by the parent, on the fixpoint's chain, and
+    # the Schreier pass it ran was on that chain alone
+    assert certified == [(120, 60)] and verify_loop_calls == [60]
 
 
 def test_monte_carlo_short_of_its_bound_falls_back_to_the_schreier_pass(monkeypatch, verify_loop_calls):
@@ -558,10 +523,10 @@ def test_conjugate_chain_matches_a_fresh_build():
     G = classical_generators("SL", 4, 2)
     X = ext_subgroup("SL", 2, 2, 2)
     rng = np.random.default_rng(11)
-    x = _non_normalizing_element(G, X, rng)
+    x = non_normalizing_element(G, X, rng)
     conj = X.chain().conjugate(x)
     dom = conj.domain
-    fresh = StabChain.build(dom, _conjugate_gens(X.generators, x), name="fresh")
+    fresh = StabChain.build(dom, conjugate_gens(X.generators, x), name="fresh")
     assert conj.verified and conj.order() == fresh.order() == 60
     for t in conj.levels[0].eff:
         assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
