@@ -79,8 +79,6 @@ def cmd_verify(args) -> int:
     else:
         tier = None if args.tier == "all" else args.tier
         claims = catalog.desk_grid(tier=tier)
-        if args.tier == "desk":
-            claims = [c for c in claims if c.tier == "desk"]
     if not claims:
         print("no claims selected", file=sys.stderr)
         return 2
@@ -140,8 +138,9 @@ def main(argv=None) -> int:
     pv.add_argument("--out", default="reports")
 
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        pv.error(f"argument --jobs: must be at least 1, got {args.jobs}")
+    for flag, value in (("--jobs", args.jobs), ("--memory-budget", args.memory_budget)):
+        if value < 1:
+            pv.error(f"argument {flag}: must be at least 1, got {value}")
     try:
         return cmd_verify(args)
     except CatalogError as exc:

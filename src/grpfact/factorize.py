@@ -70,11 +70,11 @@ from .grpcore import (
     derived_domain,
     derived_series,
     orbit,
+    point_chain,
     solvable_residual,
     stabilizer_generators,
     stabilizer_series,
     t_compose,
-    transporter,
 )
 from .linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint
 from .streams import Stream
@@ -177,9 +177,9 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
     if strategy == "stabilizer":
         if not K.stabilizer_of:
             raise VerifyError("stabilizer strategy needs a constructed stabilizer K")
-        series = stabilizer_series(H, K.stabilizer_of, name=f"{H.name}_cap_{K.name}")
         if H.action_tag == DUALITY == K.action_tag:
-            return _swap_extension(H, K, series)
+            return _swap_extension(H, K)
+        series = stabilizer_series(H, K.stabilizer_of, name=f"{H.name}_cap_{K.name}")
         return series[-1].with_name(f"{H.name} n {K.name}")
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
@@ -195,19 +195,31 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
     raise VerifyError(f"unknown intersection strategy {strategy!r}")
 
 
-def _swap_extension(H: GroupSpec, K: GroupSpec, series: list[GroupSpec]) -> GroupSpec:
+def _swap_extension(H: GroupSpec, K: GroupSpec) -> GroupSpec:
     """H n K for H and K with duality elements, K the stabilizer of the
     antiflag (v, w): the setwise stabilizer of {v, w} on V - 0 and V* - 0,
-    which is H_(v,w) = series[-1] (series is H, H_v, H_(v,w)), or twice it
-    when H swaps v and w.  Any swap is s followed by u, for u in H mapping
-    v to w (``transporter``) and s in H_v mapping w to u^-1(v); twice
+    which is H_(v,w), or twice it when H swaps v and w.  Both stages come
+    from chains whose first basic orbits hold their points (``point_chain``):
+    H's at v, and H_v's at w, which also gives H_(v,w).  Any swap is s
+    followed by u, for u in H mapping v to w and s in H_v mapping w to
+    u^-1(v), each read off its chain's level-0 transversals; twice
     |H_(v,w)| is then a known order, which the chain takes as its bound."""
     v, w = K.stabilizer_of
-    name, home, pointwise = f"{H.name} n {K.name}", H.home_domain(), series[-1]
-    u = transporter(H, v, home.index_of_point(w))
-    s = None if u is None else transporter(series[1], w, int(u.inverse().perm[home.index_of_point(v)]))
+    name, home = f"{H.name} n {K.name}", H.home_domain()
+    chain_v, u_v = point_chain(H, v)
+    H_v = GroupSpec.of_chain(f"{H.name}_cap_{K.name}_0", chain_v.conjugate(u_v, from_level=1))
+    chain_w, u_w = point_chain(H_v, w)
+    pointwise = GroupSpec.of_chain(name, chain_w.conjugate(u_w, from_level=1))
+
+    def mover(chain: StabChain, u_p: Tracked, y: int) -> Tracked | None:
+        # u_p^-1 then u_y carries the chain's point to y through its first base point
+        u_y = chain.first_transversal(y)
+        return None if u_y is None else t_compose(u_p.inverse(), u_y)
+
+    u = mover(chain_v, u_v, home.index_of_point(w))
+    s = None if u is None else mover(chain_w, u_w, int(u.inverse().perm[home.index_of_point(v)]))
     if s is None:
-        return pointwise.with_name(name)
+        return pointwise
     order = 2 * pointwise.order()
     chain = StabChain.build(home, pointwise.tracked_generators() + [t_compose(s, u)], order=order, bound=order,
                             name=name)

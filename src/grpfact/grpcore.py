@@ -28,9 +28,8 @@ BFS level by level, under each generator's images of an index array: a
 gather from its permutation of an enumerated domain, or its
 ``Action.apply_batch`` on packed keys.  ``schreier_orbit`` concatenates
 the levels of a domain orbit and keeps a Schreier vector; the chain
-levels, chain supports, the samples' layered orbits and the transporter
-orbits of Schreier stabilizers (``orbit_with_transporters``) use it, and
-row 13's module certificate fills its matrices along the levels.
+levels, chain supports and the samples' layered orbits use it, and row
+13's module certificate fills its matrices along the levels.
 ``orbit`` keeps only the size and a seen mask.  It runs over the seed's
 shared domain for a spec that already holds permutations of it, and for
 every projective or antiflag seed: those points are acted on only through
@@ -56,12 +55,14 @@ add, as the chain reached its target first, is sifted once:
 
 Chains that follow from a certified chain are inherited rather than
 rebuilt.  ``StabChain.conjugate`` relabels a chain, or its suffix from some
-level, through a conjugating element.  ``stabilizer_generators`` takes a
-point of the first basic orbit as that relabeled suffix, and any other
-point by sifting Schreier generators; either way the order |G|/|orbit| is
-the orbit-stabilizer certificate.  ``derived_subgroup`` runs the Monte
-Carlo phase and the normal-closure rounds on the commutators, then
-certifies the closure once; it and ``solvable_residual`` return that chain.
+level, through a conjugating element.  ``stabilizer_generators`` takes
+every point stabilizer as the suffix of a chain whose first basic orbit
+holds the point (``point_chain``): the group's own chain, or one built on
+the point's domain with the point as its first base point; the order
+|G|/|orbit| is the orbit-stabilizer certificate.  ``derived_subgroup``
+runs the Monte Carlo phase and the normal-closure rounds on the
+commutators, then certifies the closure once; it and
+``solvable_residual`` return that chain.
 """
 
 from __future__ import annotations
@@ -411,12 +412,16 @@ class StabChain:
         bound: int | None = None,
         rng=None,
         name: str = "",
+        base: int | None = None,
     ) -> "StabChain":
         """Chain construction, certified by a bound or by the Schreier pass.
         Each generator (original) is a Tracked element of the domain or a
         matrix element, whose permutation is read here.  Originals are added,
         and so are members, while the chain is short of its target (``order``,
         else ``bound``); each other one is sifted once after the certificate.
+        A ``base`` index is the first base point, whose basic orbit may be
+        the point alone; otherwise each level's base is the first point
+        moved by the residue that opened it.
 
         Bound: ``bound`` is the certified order of a group P known to
         contain the generated group S (determinant, form or block-shape
@@ -435,6 +440,8 @@ class StabChain:
         products pass through X on the way up.
         """
         chain = cls(domain)
+        if base is not None:
+            chain.levels.append(_Level(base, [], *schreier_orbit([], base, domain.size)))
         rng = rng if rng is not None else Stream(zlib.crc32(name.encode()) or 1)
         chain.originals = [g if isinstance(g, Tracked) else Tracked(domain.perm_of(g), g) for g in generators]
         target, added = bound if order is None else order, 0
@@ -489,6 +496,8 @@ class StabChain:
         N = len(self._arange)
         invs: list[np.ndarray | None] = [None] * len(self.levels)
         for li, level in reversed(list(enumerate(self.levels))):
+            if not level.eff:  # a based first level of a trivial chain
+                continue
             gens = np.stack([t.perm for t in level.eff])
             table = self._table(li, len(level.orbit))
             if table is None:
@@ -632,6 +641,11 @@ class StabChain:
 
     def contains_tracked(self, t: Tracked) -> bool:
         return self._sift(t)[0].is_identity()
+
+    def first_transversal(self, beta: int) -> Tracked | None:
+        """u_beta, the element that level 0's Schreier tree gives to map the
+        first base point to index beta, else None off the first basic orbit."""
+        return self._transversal(0, beta) if self.levels and self.levels[0].seen[beta] else None
 
     def random_element(self, rng) -> Tracked:
         """The product of u_b for a uniform b of each basic orbit, deepest first,
@@ -1089,40 +1103,32 @@ class TransporterOrbit(NamedTuple):
 def orbit_with_transporters(group: GroupSpec, point: ActionPoint) -> TransporterOrbit:
     """The point's orbit with a Schreier vector, by ``schreier_orbit`` over
     the generators' permutations of the point's domain
-    (``GroupSpec.point_domain``)."""
+    (``GroupSpec.point_domain``).  No verify run calls it; it stays while
+    ``claimbench/tracing.py`` traces it by name."""
     domain = group.point_domain(point)
     perms = [t.perm for t in group.tracked_generators(domain)]
     orb, _, par = schreier_orbit(perms, domain.index_of_point(point), domain.size)
     return TransporterOrbit(domain, perms, orb, par, len(orb))
 
 
-def _orbit_transversal(orb: TransporterOrbit, gens: list[Tracked], ident: Tracked):
-    """rep(x): the product of gens along the orbit's Schreier vector, which
-    maps its first point to x, composed once per point on the way back."""
-    inv = _inverse_perms(orb.perms, orb.domain.size)
-    reps = {int(orb.orbit[0]): ident}
-
-    def rep(x: int) -> Tracked:
-        path = []
-        while x not in reps:
-            path.append(x)
-            x = int(inv[orb.par[x], x])
-        for y in reversed(path):
-            reps[y] = t_compose(reps[x], gens[int(orb.par[y])])
-            x = y
-        return reps[x]
-
-    return rep
-
-
-def transporter(group: GroupSpec, point: ActionPoint, y: int) -> Tracked | None:
-    """An element of the group, Tracked on its home, that maps the point
-    to index y of the point's domain (``GroupSpec.point_domain``), else
-    None when y is off the point's orbit."""
-    orb = orbit_with_transporters(group, point)
-    if y != orb.orbit[0] and orb.par[y] < 0:
-        return None
-    return _orbit_transversal(orb, group.tracked_generators(), group.chain().ident)(y)
+def point_chain(group: GroupSpec, point: ActionPoint) -> tuple[StabChain, Tracked]:
+    """A certified chain of the group on the point's domain
+    (``GroupSpec.point_domain``) whose first basic orbit holds the point,
+    and u_p, its level-0 transversal element that maps the first base
+    point to the point, so the chain relabeled through u_p
+    (``StabChain.conjugate``) is based at the point.  It is the group's own
+    chain when that lies on the domain with the point in its first basic
+    orbit; otherwise it is built there with the point as its first base
+    point, and the group's order as its known order and bound, and u_p is
+    the identity."""
+    chain, domain = group.chain(), group.point_domain(point)
+    x = domain.index_of_point(point)
+    u = chain.first_transversal(x) if chain.domain is domain else None
+    if u is None:
+        chain = StabChain.build(domain, group.tracked_generators(domain), order=group.order(), bound=group.order(),
+                                name=group.name, base=x)
+        u = chain.ident
+    return chain, u
 
 
 def stabilizer_generators(
@@ -1130,81 +1136,22 @@ def stabilizer_generators(
     point: ActionPoint,
     name: str | None = None,
 ) -> GroupSpec:
-    """Point stabilizer, by one of two routes, certified by orbit-stabilizer.
+    """Point stabilizer, certified by orbit-stabilizer.
 
-    Suffix: when the point lies on the domain of the group's certified chain
-    and in its first basic orbit, say x = u(b0) with u the transversal
-    element of level 0, the stabilizer is u^-1 G_b0 u.  The chain's levels
-    from 1 on are a chain of G_b0, so they are relabeled through u
-    (``StabChain.conjugate``) and nothing is sifted; the order is
-    |G| / |b0^G| (Holt, Eick and O'Brien, Handbook of CGT, 2005, 4.1).
+    With u = u_p the transversal element of a chain whose first basic orbit
+    holds the point, from its first base point b0 (``point_chain``), the
+    stabilizer is u^-1 G_b0 u.  The chain's levels from 1 on are a chain of
+    G_b0, so they are relabeled through u (``StabChain.conjugate``) and
+    nothing is sifted; the order is |G| / |b0^G| (Holt, Eick and O'Brien,
+    Handbook of CGT, 2005, 4.1).
 
-    Schreier loop: for any other point (off the chain's domain, or outside
-    its first basic orbit) see ``_schreier_stabilizer``.
-
-    Either way the returned spec is made from the certified chain
-    (``GroupSpec.of_chain``), so its generators are the chain's Tracked
-    originals, permutations of the group's home domain.
+    The returned spec is made from that certified chain
+    (``GroupSpec.of_chain``), so its generators are Tracked permutations of
+    the chain's domain: the group's home, or the point's domain for a point
+    off the home, such as a functional for a group acting on vectors.
     """
-    stab_name = name or f"{group.name}_stab"
-    chain = group.chain()
-    x = _first_orbit_index(group, chain, point)
-    if x is None:
-        stab = _schreier_stabilizer(group, point, stab_name)
-    else:
-        stab = chain.conjugate(chain._transversal(0, x), from_level=1)
-    return GroupSpec.of_chain(stab_name, stab)
-
-
-def _first_orbit_index(group: GroupSpec, chain: StabChain, point: ActionPoint) -> int | None:
-    """The point's index on the domain of the group's certified chain when
-    the point lies in its first basic orbit, else None."""
-    if chain.domain is not group.point_domain(point) or not (chain.verified and chain.levels):
-        return None
-    try:
-        x = chain.domain.index_of_point(point)
-    except ActionError:
-        return None
-    return x if chain.levels[0].seen[x] else None
-
-
-def _schreier_stabilizer(group: GroupSpec, point: ActionPoint, stab_name: str) -> StabChain:
-    """The stabilizer's chain from sifted Schreier generators.
-
-    The point's orbit and Schreier vector live on its domain
-    (``orbit_with_transporters``).  Transversals are walked back through
-    the inverse generator permutations there and composed as Tracked
-    elements of the home domain, only for the orbit points the loop
-    reaches (``_orbit_transversal``).  The Schreier generators lie in the
-    stabilizer, whose order is |G|/|orbit|, so the chain that reaches that
-    order is complete.
-    """
-    orb = orbit_with_transporters(group, point)
-    total = group.order()
-    if total % orb.size:
-        raise GrpError("orbit length does not divide the group order")
-    target = total // orb.size
-    chain = StabChain(group.home_domain())
-    if target > 1:
-        gens = group.tracked_generators()
-        rep = _orbit_transversal(orb, gens, chain.ident)
-        schreier = (t_compose(t_compose(rep(x), g), rep(int(orb.perms[gi][x])).inverse())
-                    for x in map(int, orb.orbit) for gi, g in enumerate(gens))
-        for s in schreier:
-            if chain.order() == target:
-                break
-            if chain._add(s):
-                chain.originals.append(s)
-        if chain.order() < target:
-            # the Schreier generators generate the stabilizer, but sifting
-            # them one by one can leave a partial chain short of it
-            chain._verify_loop()
-        if chain.order() != target:
-            raise CertificationError(
-                f"{stab_name}: Schreier generators reached {chain.order()}, expected {target}"
-            )
-    chain.verified = True
-    return chain
+    chain, u = point_chain(group, point)
+    return GroupSpec.of_chain(name or f"{group.name}_stab", chain.conjugate(u, from_level=1))
 
 
 def stabilizer_series(group: GroupSpec, points: Sequence[ActionPoint], name: str | None = None) -> list[GroupSpec]:

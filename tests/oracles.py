@@ -220,6 +220,24 @@ def chain_elements(chain: StabChain):
         yield functools.reduce(grpcore.t_compose, picks, chain.ident)
 
 
+def brute_stabilizer(group, point) -> set[bytes]:
+    """The stabilizer of a point in a small group, by enumeration: every
+    element of the group's chain (``element_perm_blocks``) that fixes the
+    point, as the bytes of its permutation of the point's domain
+    (``GroupSpec.point_domain``).  For a point off the chain's domain, each
+    element's permutation there is read off its matrix."""
+    chain, domain = group.chain(), group.point_domain(point)
+    x = domain.index_of_point(point)
+    out = set()
+    for block in chain.element_perm_blocks():
+        for perm in block:
+            if domain is not chain.domain:
+                perm = domain.perm_of(Tracked(perm).matrix(chain.domain))
+            if perm[x] == x:
+                out.add(perm.astype(np.intp).tobytes())
+    return out
+
+
 def perm_order(p: np.ndarray) -> int:
     """Order of a permutation, by composing it with itself until the identity."""
     k, cur = 1, p

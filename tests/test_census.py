@@ -63,6 +63,7 @@ ALLOWLIST = {
     **dict.fromkeys(["sporadic.two_generator_search", "sporadic._random_of_order", "sporadic._walk_rejects",
                      "grpcore.tracked_power"], SEARCH),
     "grpcore.element_order_perm": TARGET,
+    "grpcore.orbit_with_transporters": TARGET,
     "grpcore.element_orders": "called only from the tracing TARGET element_order_perm",
     "linalg.sl_apply": f"{TARGET}; {REFERENCE} for batch actions and domain permutations",
     **dict.fromkeys(["linalg.canonical_point", "linalg._proj_normalize", "linalg._eval_functional",

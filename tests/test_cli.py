@@ -70,6 +70,18 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs, why):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_memory_budget_below_one_is_a_usage_error(tmp_path, capsys, budget):
+    # not a silent floor of budget_points' 65,536 points
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--row", "t1r14-ext", "--memory-budget", budget, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: grpfact verify")
+    assert f"argument --memory-budget: must be at least 1, got {budget}" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("jobs, rows, workers", [
     (8, ["t1r09", "t1r03-n4q2", "suite-r1"], 3), (2, ["t1r09", "t1r03-n4q2", "suite-r1"], 2), (4, ["t1r09"], None),
 ])

@@ -40,6 +40,7 @@ from grpfact.grpcore import (
     element_order_perm,
     orbit,
     orbit_with_transporters,
+    point_chain,
     schreier_orbit,
     shared_domain,
     solvable_residual,
@@ -68,6 +69,7 @@ from grpfact.orders import sl_order
 from grpfact.streams import Stream
 from oracles import (
     TrackedRattle,
+    brute_stabilizer,
     chain_elements,
     count_chain_builds,
     count_matrix_ops,
@@ -1507,7 +1509,7 @@ def test_with_name_keeps_stabilizer_stages_and_chain():
 
 
 # ---------------------------------------------------------------------------
-# point stabilizers as relabeled suffixes of the certified chain
+# point stabilizers as relabeled suffixes of certified chains
 
 
 def _stabilizer_cases():
@@ -1528,72 +1530,97 @@ def _points_of_first_orbit(chain):
 
 
 @pytest.fixture
-def schreier_loop_calls(monkeypatch):
-    calls = []
-    loop = grpcore._schreier_stabilizer
+def based_builds(monkeypatch):
+    """The first base point of each chain built with one, for the rest of
+    the test."""
+    bases = []
+    real = StabChain.build.__func__
 
-    def spy(group, point, name):
-        calls.append(point)
-        return loop(group, point, name)
+    def spy(cls, *args, **kwargs):
+        if kwargs.get("base") is not None:
+            bases.append(kwargs["base"])
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(grpcore, "_schreier_stabilizer", spy)
-    return calls
+    monkeypatch.setattr(StabChain, "build", classmethod(spy))
+    return bases
+
+
+def _elements(S):
+    """S's elements as the bytes of their permutations of its chain's domain."""
+    return {perm.tobytes() for block in S.chain().element_perm_blocks() for perm in block}
 
 
 @pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "duality"])
-def test_suffix_stabilizer_matches_the_schreier_loop(case, schreier_loop_calls):
+def test_suffix_stabilizer_matches_the_schreier_loop(case, based_builds):
+    # the reference is the stabilizer by enumeration (oracles.brute_stabilizer)
     G, tag = _stabilizer_cases()[case]
     gchain = G.chain()
     dom = gchain.domain
     assert dom.action.tag == tag
-    rng = np.random.default_rng(17 + case)
     for x in _points_of_first_orbit(gchain):
         pt = domain_point(dom, x)
         S = stabilizer_generators(G, pt)
-        assert not schreier_loop_calls, "a first-orbit point took the Schreier loop"
-        loop = grpcore._schreier_stabilizer(G, pt, "loop")
-        schreier_loop_calls.clear()
-        assert S.order() == loop.order() == gchain.order() // len(gchain.levels[0].orbit)
-        assert S.chain().verified
+        assert not based_builds, "a first-orbit point took a based build"
+        assert S.order() == gchain.order() // len(gchain.levels[0].orbit)
+        assert S.chain().verified and S.chain().domain is dom
         for t in S.generators.tracked:
             if tag == VECTOR:
                 assert np.array_equal(dom.perm_of(t.matrix(dom)), t.perm)
-            assert int(t.perm[x]) == x
-        for _ in range(200):
-            assert S.chain().contains_tracked(loop.random_element(rng))
-            u = S.chain().random_element(rng)
-            assert loop.contains_tracked(u) and int(u.perm[x]) == x
-        outside = 0
-        while outside < 200:
-            t = gchain.random_element(rng)
-            if int(t.perm[x]) != x:
-                assert not S.chain().contains_tracked(t)
-                outside += 1
+        assert _elements(S) == brute_stabilizer(G, pt)
 
 
-def test_off_domain_and_outside_first_orbit_points_take_the_schreier_loop(schreier_loop_calls):
+def test_off_domain_and_outside_first_orbit_points_take_a_based_build(based_builds):
     G = classical_generators("SL", 4, 2)
     functional = ActionPoint(FUNCTIONAL, (1, 0, 0, 0))
     S = stabilizer_generators(G, functional)
-    assert schreier_loop_calls == [functional]
+    fdom = G.point_domain(functional)
+    assert based_builds == [fdom.index_of_point(functional)] and S.chain().domain is fdom
     assert S.order() == 20160 // 15
-    # the antiflag stabilizer SL_3(2) fixes e1, so e1 lies outside its first
-    # basic orbit, and it has two orbits of 7 vectors besides
+    assert _elements(S) == brute_stabilizer(G, functional)
+    # the antiflag stabilizer SL_3(2) fixes e1, and moves the other 14
+    # vectors in two orbits of 7; its chain's first basic orbit is one of them
     K = stabilizer_subgroup("antiflag", 4, 2)
     kchain = K.chain()
-    e1 = ActionPoint(VECTOR, (1, 0, 0, 0))
-    x = kchain.domain.index_of_point(e1)
-    assert not kchain.levels[0].seen[x]
-    schreier_loop_calls.clear()
-    assert stabilizer_generators(K, e1).order() == K.order()
-    assert schreier_loop_calls == [e1]
-    # a point in the other orbit of 7
-    other = next(i for i in range(kchain.domain.size) if not kchain.levels[0].seen[i] and i != x)
+    e1 = kchain.domain.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
+    other = next(i for i in range(kchain.domain.size) if not kchain.levels[0].seen[i] and i != e1)
     pt = domain_point(kchain.domain, other)
-    schreier_loop_calls.clear()
+    based_builds.clear()
     S = stabilizer_generators(K, pt)
-    assert schreier_loop_calls == [pt]
+    assert based_builds == [other]
     assert S.order() * orbit(K, pt).size == K.order()
+    assert _elements(S) == brute_stabilizer(K, pt)
+
+
+def test_a_point_the_group_fixes_has_a_one_point_first_level():
+    K = stabilizer_subgroup("antiflag", 4, 2)
+    e1 = ActionPoint(VECTOR, (1, 0, 0, 0))
+    x = K.chain().domain.index_of_point(e1)
+    assert not K.chain().levels[0].seen[x]
+    chain, u = point_chain(K, e1)
+    assert chain.levels[0].base == x and chain.levels[0].orbit.tolist() == [x] and u.is_identity()
+    S = stabilizer_generators(K, e1)
+    assert S.order() == K.order() == chain.order()
+    assert _elements(S) == brute_stabilizer(K, e1) == _elements(K)
+
+
+@pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "duality"])
+def test_based_build_starts_at_its_point_and_agrees_with_an_unbased_build(case):
+    G, _ = _stabilizer_cases()[case]
+    gchain = G.chain()
+    x = int(gchain.levels[0].orbit[-1])
+    based = StabChain.build(gchain.domain, G.tracked_generators(), order=G.order(), bound=G.order(),
+                            name="based", base=x)
+    assert based.levels[0].base == x != gchain.levels[0].base
+    assert based.verified and based.order() == gchain.order()
+    rng = np.random.default_rng(29 + case)
+    members = np.stack([c.random_element(rng).perm for c in (based, gchain) for _ in range(100)])
+    others = np.stack([rng.permutation(gchain.domain.size) for _ in range(200)])
+    assert based.contains_block(members).all() and gchain.contains_block(members).all()
+    assert not based.contains_block(others).any() and not gchain.contains_block(others).any()
+    # generators that fix every point, against a known order of 2: the
+    # based level has no generator, and the Schreier pass passes over it
+    with pytest.raises(CertificationError, match="not the claimed 2"):
+        StabChain.build(gchain.domain, [gchain.ident], order=2, bound=2, name="trivial", base=x)
 
 
 def test_first_orbit_stabilizer_sifts_nothing(monkeypatch):
