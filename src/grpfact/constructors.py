@@ -117,19 +117,13 @@ def sp_generators(spec: FieldSpec, n: int) -> list[GroupElement]:
 
 
 def classical_generators(family: str, n: int, q: int) -> GroupSpec:
-    """SL/Sp/GL over GF(q) with chain-certifiable claimed order."""
+    """SL/Sp over GF(q) with chain-certifiable claimed order."""
     p, f = _split_prime_power(q)
     spec = make_field(p, f)
     if family == "SL":
         gens, order = sl_generators(spec, n), orders.sl_order(n, q)
     elif family == "Sp":
         gens, order = sp_generators(spec, n), orders.sp_order(n, q)
-    elif family == "GL":
-        gens = sl_generators(spec, n)
-        d = np.eye(n, dtype=np.int64)
-        d[0, 0] = spec.primitive_elem
-        gens = gens + [GroupElement(Mat(spec, d))]
-        order = orders.gl_order(n, q)
     else:
         raise ConstructionError(f"unknown classical family {family!r}")
     return GroupSpec(

@@ -17,9 +17,10 @@ a vote decides the claim, and a veto can only fail it.
                    has the order and spectrum of H n K; needs a suite;
 * ``sample``       (veto) membership in HK of random elements of G; needs G
                    and a constructed stabilizer K with no duality element;
-* ``tight``        (veto) H^inf = X^inf as subgroups, for the expected
-                   minimal factor X, by X^inf's normality in H; needs a
-                   tightness target;
+* ``tight``        (veto) H^inf = X^inf as subgroups, for the set-up's
+                   target X (rows 4-7's and 14's core, row 12a's S5
+                   witness's derived A5), by X^inf's normality in H; needs
+                   a tightness target;
 * ``vector_orbit`` (veto) the extended tier's big orbit; needs an orbit seed.
 
 Every claim runs one path: ``build_setup`` constructs the ambient order,
@@ -69,6 +70,7 @@ from .grpcore import (
     conjugates,
     derived_domain,
     derived_series,
+    derived_subgroup,
     orbit,
     point_chain,
     solvable_residual,
@@ -238,10 +240,8 @@ class ClaimSetup:
     G: GroupSpec | None = None
     orbit_seed: ActionPoint | None = None
     orbit_target: int | None = None
+    # H^inf's expected value: rows 4-7's and 14's core, row 12a's certified A5
     tight_target: GroupSpec | None = None
-    # row 12a: the table names the witness's solvable residual only by its
-    # type (A5), so the tight check reads the residual's order inside H
-    residual_order: int | None = None
     # row 13: a second witness for H, from the other conjugacy class
     extra_witnesses: tuple[GroupSpec, ...] = ()
     # conjugation suites: the order and element-order spectrum of every
@@ -369,12 +369,18 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
         Z = sporadic.psl_n3_projective(4)
         Y = _projective_point_stabilizer(Z)
         X, info = _row12_x(row, Z, rng)
-        return ClaimSetup(
+        setup = ClaimSetup(
             Z.order(), X, Y,
             orbit_seed=ActionPoint(PROJECTIVE, _e1(4)), orbit_target=(3**4 - 1) // 2,
-            residual_order=60 if row == "12a" else None,
             notes={"search": info, "y_is_point_stabilizer": Y.order() == 3**3 * orders.sl_order(3, 3)},
         )
+        if row == "12a":
+            # Table 2 types the S5 witness's residual only as A5: X' must have its order and spectrum
+            A5 = setup.tight_target = derived_subgroup(X, rng=rng, name="A5 inside the S5 witness")
+            if A5.order() != 60 or sporadic.exact_spectrum(A5.chain()) != sporadic.SPECTRA["A5"]:
+                raise CertificationError(f"{A5.name}: {X.name}' has order {A5.order()}, not that of A5")
+            setup.notes["residual_reading"] = {"x_residual_order": A5.order(), "matches_A5_entry": True}
+        return setup
     if row == "13":
         Z = sporadic.psl_n3_projective(6)
         Y = _projective_point_stabilizer(Z)
@@ -522,18 +528,8 @@ def _run_sample(claim, setup, rng, max_points) -> StrategyResult:
 
 
 def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
-    if setup.residual_order is not None:
-        res = solvable_residual(setup.H, rng=rng)
-        ok = res.order() == setup.residual_order and setup.H.includes(res)
-        setup.notes["residual_reading"] = {
-            "x_residual_order": res.order(),
-            "matches_A5_entry": ok,
-        }
-        details = {"target": "A5 inside the S5 witness"}
-    else:
-        ok = check_tight(setup.H, setup.tight_target, rng=rng)
-        details = {"target": setup.tight_target.name}
-    return StrategyResult("tight", "pass" if ok else "fail", details=details)
+    ok = check_tight(setup.H, setup.tight_target, rng=rng)
+    return StrategyResult("tight", "pass" if ok else "fail", details={"target": setup.tight_target.name})
 
 
 def check_tight(H_located: GroupSpec, X_catalog: GroupSpec, rng=None) -> bool:
@@ -624,8 +620,7 @@ STRATEGIES = {
     # a duality K stabilizes {e1, e1*} as a set, which K's ordered stages cannot sift
     "sample": (_run_sample, VETO, [("no ambient group", lambda c, s: s.G is not None), _STABILIZER_K,
                                    ("K has a duality element", lambda c, s: s.K.action_tag != DUALITY)]),
-    "tight": (_run_tight, VETO, [("no tightness target",
-                                  lambda c, s: s.tight_target is not None or s.residual_order is not None)]),
+    "tight": (_run_tight, VETO, [("no tightness target", lambda c, s: s.tight_target is not None)]),
     "vector_orbit": (_run_vector_orbit, VETO, [_SEED]),
 }
 

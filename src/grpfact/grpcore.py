@@ -1016,10 +1016,11 @@ def _sweep_workers(action: Action, keyspace: int) -> int:
     """Threads that sweep a keyspace: two on a GF(2)-linear one of at
     least _PARALLEL_KEYS keys, when the process may run on two CPUs, else
     one.  A linear block is one stacked lookup and one scatter, numpy
-    calls that release the GIL.  On the digit path two workers are no
-    steady gain (2-core machine, best of 3: SL_4(9) on its 9^8 pair keys,
-    5.8 s on one worker and 6.6 s on two; Sp_8(3) on its 3^16 pair keys,
-    17.0 s and 10.3 s), so it stays on one."""
+    calls that release the GIL.  The digit path stays on one.  On a 2-core
+    machine two workers won there on Sp_8(3)'s 3^16 pair keys (17.0 s on
+    one, 10.3 s on two), SL_15(3)'s vectors (11.0 s, 7.7 s) and SL_8(9)'s
+    (81.2 s, 64.0 s), and lost on SL_4(9)'s 9^8 pair keys (5.8 s, 6.6 s);
+    no benchmark workload runs the digit path to settle a split rule."""
     if action.linear and keyspace >= _PARALLEL_KEYS:
         return min(_SWEEP_WORKERS, len(os.sched_getaffinity(0)))
     return 1

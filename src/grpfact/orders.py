@@ -23,12 +23,6 @@ def sl_order(n: int, q: int) -> int:
     return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1))
 
 
-def gl_order(n: int, q: int) -> int:
-    if n < 1:
-        return 1
-    return (q - 1) * sl_order(n, q) if n >= 1 else 1
-
-
 def sp_order(n: int, q: int) -> int:
     if n == 0:
         return 1
@@ -63,7 +57,6 @@ def vector_stab_order(n: int, q: int) -> int:
 
 _FAMILIES = {
     "SL": lambda n, q: sl_order(n, q),
-    "GL": lambda n, q: gl_order(n, q),
     "Sp": lambda n, q: sp_order(n, q),
     "Sp'": lambda n, q: sp_derived_order(n, q),
     "G2": lambda n, q: g2_order(q),

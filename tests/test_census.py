@@ -78,7 +78,6 @@ ALLOWLIST = {
     **dict.fromkeys(["gf.FieldSpec.__repr__", "linalg.Mat.__repr__", "linalg.GroupElement.__repr__",
                      "linalg.ActionPoint.__repr__"], REPR),
     "grpcore.Rattle.__init__.draws[2]": "branch no claim reaches: a Rattle that draws from a numpy Generator",
-    "orders.gl_order": "branch no claim reaches: the GL family of group_order and classical_generators",
 }
 
 

@@ -275,6 +275,39 @@ def test_check_tight_needs_no_schreier_pass(catalog, point, monkeypatch):
     assert calls == []
 
 
+def test_row12a_tight_refuses_an_a5_outside_the_witness(catalog, monkeypatch):
+    # the control: the intransitive S5's A5 is not inside the transitive S5
+    # witness, so check_tight refuses at R <= H, before any conjugate is sifted
+    build = factorize.build_setup
+
+    def with_other_a5(claim, rng):
+        setup = build(claim, rng)
+        other = sporadic.subgroup_from_literal(sporadic.psl_n3_projective(4), sporadic.S5_INTRANSITIVE, "S5",
+                                               "S5'<PSL_4(3)", rng)
+        setup.tight_target = grpcore.derived_subgroup(other, rng=rng, name="A5 inside the other S5")
+        assert setup.tight_target.order() == 60 and not setup.H.includes(setup.tight_target)
+        return setup
+
+    sifted = []
+    monkeypatch.setattr(factorize, "build_setup", with_other_a5)
+    monkeypatch.setattr(factorize, "conjugates", lambda *args: sifted.append(args) or iter(()))
+    report = verify_claim(catalog.claim_by_id("t1r12-a"))
+    tight = next(s for s in report.strategies if s.name == "tight")
+    assert (tight.verdict, tight.details, report.tight, report.overall) == (
+        "fail", {"target": "A5 inside the other S5"}, False, "fail")
+    assert sifted == []
+
+
+def test_row12a_witness_with_no_derived_a5_fails_certification(catalog, monkeypatch):
+    # row 12c's 2^4:A5 is perfect, of order 960: its derived subgroup is
+    # itself, which the set-up refuses as row 12a's A5
+    monkeypatch.setattr(factorize, "_row12_x", lambda row, Z, rng: sporadic.locate_2_4_a5(rng))
+    report = verify_claim(catalog.claim_by_id("t1r12-a"))
+    assert (report.overall, report.strategies, report.tight) == ("fail", [], None)
+    assert report.reason == ("construction failed certification: "
+                             "A5 inside the S5 witness: 2^4:A5<PSL_4(3)' has order 960, not that of A5")
+
+
 def _derived_steps(monkeypatch) -> list:
     """The names of the groups that take a derived step (derived_subgroup,
     as derived_series calls it) for the rest of the test."""

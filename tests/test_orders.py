@@ -23,7 +23,6 @@ def test_formula_values():
     assert orders.g2_order(4) == 251596800
     assert orders.g2_order(2) == 12096
     assert orders.g2_derived_order(2) == 6048
-    assert orders.gl_order(3, 2) == 168
     assert orders.sl_order(1, 5) == 1
     assert orders.sp_order(0, 3) == 1
 
