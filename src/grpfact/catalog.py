@@ -218,18 +218,15 @@ class Catalog:
 _CATALOG: Catalog | None = None
 
 
-def load_catalog(verify_hash: bool = True) -> Catalog:
+def load_catalog() -> Catalog:
     global _CATALOG
     if _CATALOG is None:
         data_dir = resources.files("grpfact") / "data"
         blob = (data_dir / "catalog.json").read_bytes()
-        if verify_hash:
-            manifest = json.loads((data_dir / "manifest.json").read_text())
-            digest = sha256(blob).hexdigest()
-            if digest != manifest["catalog.json"]:
-                raise CatalogError(
-                    f"catalog hash mismatch: {digest} != pinned {manifest['catalog.json']}"
-                )
+        manifest = json.loads((data_dir / "manifest.json").read_text())
+        digest = sha256(blob).hexdigest()
+        if digest != manifest["catalog.json"]:
+            raise CatalogError(f"catalog hash mismatch: {digest} != pinned {manifest['catalog.json']}")
         _CATALOG = Catalog(json.loads(blob))
     return _CATALOG
 

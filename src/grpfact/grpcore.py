@@ -70,7 +70,6 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-import weakref
 import zlib
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -131,20 +130,18 @@ class Tracked:
     product, an inverse or a relabeled element; ``matrix`` reads such an
     element's matrix off its permutation of a vector domain.
 
-    An element holds its inverse once built, and the inverse refers back
-    only weakly (``_inv_of``): a two-way link would be a reference cycle, and
-    a cycle keeps both permutations alive until the cyclic collector runs.
-    So ``t.inverse().inverse() is t`` while ``t`` is alive, and the inverse
-    of an orphaned inverse is built afresh.
+    An element holds its inverse once built, and the inverse holds no link
+    back: a two-way link would be a reference cycle, which keeps both
+    permutations alive until the cyclic collector runs.  So the inverse of
+    an inverse is a new element with the original's permutation.
     """
 
-    __slots__ = ("perm", "elem", "_inv", "_inv_of", "__weakref__")
+    __slots__ = ("perm", "elem", "_inv", "__weakref__")
 
     def __init__(self, perm: np.ndarray, elem: GroupElement | None = None):
         self.perm = perm
         self.elem = elem
         self._inv = None
-        self._inv_of = None
 
     def matrix(self, domain: PermDomain) -> GroupElement:
         """The matrix the element was built from, else the one read off its
@@ -153,10 +150,7 @@ class Tracked:
 
     def inverse(self) -> "Tracked":
         if self._inv is None:
-            if self._inv_of is not None and (of := self._inv_of()) is not None:
-                return of
             self._inv = Tracked(_inverse_perm(self.perm))
-            self._inv._inv_of = weakref.ref(self)
         return self._inv
 
     def is_identity(self) -> bool:
@@ -180,28 +174,22 @@ class Rattle:
     The slots and the accumulator are raw permutation arrays, composed
     with one gather a step, and a slot keeps its inverse until it is
     replaced; only a sample is wrapped as a Tracked element.  A step draws
-    four integers: from a ``Stream`` through its bound ``random()``, which
-    gives what its ``integers`` would, and from any other stream (a numpy
-    Generator) through ``integers``.  Either way the draws, and so the
-    samples, are those of the same walk over Tracked products."""
+    four integers through the stream's ``integers`` (a ``Stream`` or a numpy
+    Generator), as ``tests/oracles.py``'s ``TrackedRattle`` does, so the
+    samples are those of the same walk over Tracked products."""
 
     def __init__(self, gens: list[Tracked], ident: Tracked, rng):
         self.slots = [t.perm for t in gens] + [ident.perm] * 6
         self._invs: list[np.ndarray | None] = [None] * len(self.slots)
         self.accu = ident.perm
-        if isinstance(rng, Stream):
-            def draws(n, random=rng.random):
-                return int(random() * n), int(random() * (n - 1)), int(random() * 2), int(random() * 2)
-        else:
-            def draws(n):
-                return int(rng.integers(n)), int(rng.integers(n - 1)), int(rng.integers(2)), int(rng.integers(2))
-        self._draws = draws
+        self._integers = rng.integers
         for _ in range(max(50, 5 * len(self.slots))):
             self._stir()
 
     def _stir(self) -> np.ndarray:
-        slots, invs = self.slots, self._invs
-        i, j, invert, after = self._draws(len(slots))
+        slots, invs, integers = self.slots, self._invs, self._integers
+        n = len(slots)
+        i, j, invert, after = int(integers(n)), int(integers(n - 1)), int(integers(2)), int(integers(2))
         # i != j keeps <slots> invariant; allowing i == j can erase a slot
         if j >= i:
             j += 1

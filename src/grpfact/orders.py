@@ -33,12 +33,12 @@ def sp_order(n: int, q: int) -> int:
 
 
 def sp_derived_order(n: int, q: int) -> int:
-    """|Sp_n(q)'|: index 2 only at (n, q) in {(2,2),(2,3),(4,2)} within our grids."""
+    """|Sp_n(q)'|: a proper subgroup only at (n, q) in {(2,2),(2,3),(4,2)} within our grids."""
     base = sp_order(n, q)
     if (n, q) in ((2, 2), (4, 2)):
         return base // 2
     if (n, q) == (2, 3):
-        return base // 3  # PSL_2(3)' has index 3... not in any legal grid
+        return base // 3  # Sp_2(3)' = SL_2(3)' = Q8, of order 24/3; not in any legal grid
     return base
 
 

@@ -24,19 +24,13 @@ def test_hash_is_pinned_and_matches():
     assert hashlib.sha256(blob).hexdigest() == manifest["catalog.json"]
 
 
-def test_tampered_catalog_rejected(monkeypatch):
-    data_dir = resources.files("grpfact") / "data"
-    blob = (data_dir / "catalog.json").read_bytes()
-    loader = cat.Catalog(json.loads(blob))
-    digest = hashlib.sha256(blob + b" ").hexdigest()
-    assert digest != json.loads((data_dir / "manifest.json").read_text())["catalog.json"]
-
-
 def test_loader_refuses_a_tampered_catalog(monkeypatch, tmp_path):
     # the loader hashes with the interpreter's built-in sha256, not hashlib's
     data_dir = resources.files("grpfact") / "data"
     blob = (data_dir / "catalog.json").read_bytes()
+    pinned = json.loads((data_dir / "manifest.json").read_text())["catalog.json"]
     assert cat.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
+    assert hashlib.sha256(blob + b" ").hexdigest() != pinned
     (tmp_path / "data").mkdir()
     (tmp_path / "data" / "catalog.json").write_bytes(blob + b" ")
     (tmp_path / "data" / "manifest.json").write_text((data_dir / "manifest.json").read_text())
@@ -44,7 +38,10 @@ def test_loader_refuses_a_tampered_catalog(monkeypatch, tmp_path):
     monkeypatch.setattr(cat.resources, "files", lambda package: tmp_path)
     with pytest.raises(CatalogError, match="catalog hash mismatch"):
         load_catalog()
-    assert load_catalog(verify_hash=False).raw == json.loads(blob)
+    # a refused load caches nothing, so the next load checks the pin again
+    assert cat._CATALOG is None
+    with pytest.raises(CatalogError, match="catalog hash mismatch"):
+        load_catalog()
 
 
 def test_fifteen_table1_rows(catalog):

@@ -77,7 +77,6 @@ ALLOWLIST = {
                      "gf.supported_fields"], ERROR),
     **dict.fromkeys(["gf.FieldSpec.__repr__", "linalg.Mat.__repr__", "linalg.GroupElement.__repr__",
                      "linalg.ActionPoint.__repr__"], REPR),
-    "grpcore.Rattle.__init__.draws[2]": "branch no claim reaches: a Rattle that draws from a numpy Generator",
 }
 
 

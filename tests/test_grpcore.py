@@ -826,7 +826,7 @@ def test_matrix_read_off_a_vector_permutation_matches_eager_composition(q, outer
                 assert np.array_equal(dom.perm_of(read), t.perm)
                 exponents.add(read.fa)
     assert exponents == ({0, 1} if outer else {0})
-    assert left.inverse().inverse() is left
+    assert np.array_equal(left.inverse().inverse().perm, left.perm)
 
 
 @pytest.mark.parametrize("tag", [PROJECTIVE, ANTIFLAG, PAIR, FUNCTIONAL])

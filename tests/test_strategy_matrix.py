@@ -78,31 +78,59 @@ def test_sample_skips_a_duality_k(monkeypatch):
     assert (sample.verdict, sample.details) == ("skipped", {"reason": "K has a duality element"})
 
 
+# (row, m) -> the sifts one check_tight call made there before this bound
+# was set: StabChain._sift calls plus rows passed to StabChain._sift_rows
+_TIGHT_SIFTS = {
+    "4SL": {2: 26, 3: 69, 4: 104, 5: 147, 6: 184, 7: 222, 8: 283},
+    "4Sp": {2: 26, 4: 63, 6: 158, 8: 208},
+    "5SL": {2: 30, 3: 73, 4: 105, 5: 146, 6: 184, 7: 224, 8: 265},
+    "5Sp": {2: 29, 4: 65, 6: 160, 8: 207},
+    "6SL": {2: 64, 3: 167, 4: 244},
+    "6Sp": {2: 63, 4: 116},
+    "7SL": {2: 62, 3: 169, 4: 238},
+    "7Sp": {2: 63, 4: 119},
+}
+
+
 @pytest.mark.extended
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="tight sweep is opt-in: set RUN_EXTENDED=1")
 def test_tight_at_every_rows_4_to_7_point_up_to_2_16(monkeypatch):
     # the normality certificate: one derived step of the core, and sifts.
     # Each call's own CPU time stays under a second, with set-up's chains
     # built first, as the strategies before it in a claim build them.  CPU
-    # time, which host load moves less than wall time, and no call runs a
-    # Schreier pass: that count does not move with load at all
+    # time, which host load moves less than wall time; the counts do not
+    # move with load at all: no call runs a Schreier pass, and none makes
+    # more sifts than its pinned count
     catalog = load_catalog()
     points = [(row, params) for row, params in _sweep_points(1 << 16) if row[0] in factorize._ANTIFLAG_ROWS]
-    assert len(points) == 32
-    schreier_pass = grpcore.StabChain._verify_loop
+    assert len(points) == 32 == sum(map(len, _TIGHT_SIFTS.values()))
+    schreier_pass, sift, sift_rows = grpcore.StabChain._verify_loop, grpcore.StabChain._sift, grpcore.StabChain._sift_rows
+    sifts = [0]
+
+    def counted_sift(chain, t):
+        sifts[0] += 1
+        return sift(chain, t)
+
+    def counted_rows(chain, u, *args):
+        sifts[0] += len(u)
+        return sift_rows(chain, u, *args)
+
     for row, params in points:
         claim = catalog.instantiate(row, params)
         rng = Stream(factorize.claim_seed(claim.claim_id, 20260810))
         setup = factorize.build_setup(claim, rng)
         setup.H.order(), setup.tight_target.order()
-        passes = []
+        passes, sifts[0] = [], 0
         with monkeypatch.context() as m:
             m.setattr(grpcore.StabChain, "_verify_loop", lambda chain: passes.append(chain) or schreier_pass(chain))
+            m.setattr(grpcore.StabChain, "_sift", counted_sift)
+            m.setattr(grpcore.StabChain, "_sift_rows", counted_rows)
             t0 = time.process_time()
             ok = factorize.check_tight(setup.H, setup.tight_target, rng=rng)
             cpu_ms = (time.process_time() - t0) * 1000
-        print(row, params, ok, f"{cpu_ms:.0f} ms CPU", f"{len(passes)} Schreier passes")
+        print(row, params, ok, f"{cpu_ms:.0f} ms CPU", f"{len(passes)} Schreier passes", f"{sifts[0]} sifts")
         assert ok and cpu_ms < 1000 and passes == [], (row, params)
+        assert sifts[0] <= _TIGHT_SIFTS[row][params["m"]], (row, params)
 
 
 def test_tight_at_5sl_m6_certifies_the_closure_once():
