@@ -24,18 +24,29 @@ def test_hash_is_pinned_and_matches():
     assert hashlib.sha256(blob).hexdigest() == manifest["catalog.json"]
 
 
-def test_loader_refuses_a_tampered_catalog(monkeypatch, tmp_path):
-    # the loader hashes with the interpreter's built-in sha256, not hashlib's
+@pytest.fixture
+def tampered_catalog(monkeypatch, tmp_path):
+    """Point the loader at a data directory whose catalog has one extra byte."""
     data_dir = resources.files("grpfact") / "data"
-    blob = (data_dir / "catalog.json").read_bytes()
-    pinned = json.loads((data_dir / "manifest.json").read_text())["catalog.json"]
-    assert cat.sha256(blob).hexdigest() == hashlib.sha256(blob).hexdigest()
-    assert hashlib.sha256(blob + b" ").hexdigest() != pinned
+    blob = (data_dir / "catalog.json").read_bytes() + b" "
     (tmp_path / "data").mkdir()
-    (tmp_path / "data" / "catalog.json").write_bytes(blob + b" ")
+    (tmp_path / "data" / "catalog.json").write_bytes(blob)
     (tmp_path / "data" / "manifest.json").write_text((data_dir / "manifest.json").read_text())
     monkeypatch.setattr(cat, "_CATALOG", None)
     monkeypatch.setattr(cat.resources, "files", lambda package: tmp_path)
+    return blob
+
+
+def test_tampered_catalog_rejected(tampered_catalog):
+    pinned = json.loads((resources.files("grpfact") / "data" / "manifest.json").read_text())
+    assert hashlib.sha256(tampered_catalog).hexdigest() != pinned["catalog.json"]
+    with pytest.raises(CatalogError, match="catalog hash mismatch"):
+        load_catalog()
+
+
+def test_loader_refuses_a_tampered_catalog(tampered_catalog):
+    # the loader hashes with the interpreter's built-in sha256, not hashlib's
+    assert cat.sha256(tampered_catalog).hexdigest() == hashlib.sha256(tampered_catalog).hexdigest()
     with pytest.raises(CatalogError, match="catalog hash mismatch"):
         load_catalog()
     # a refused load caches nothing, so the next load checks the pin again
