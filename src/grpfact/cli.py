@@ -58,7 +58,7 @@ def _select_claims(catalog, selectors):
         matches = [c for c in all_claims if c.claim_id == sel]
         if not matches:
             matches = [c for c in all_claims if c.row == sel and c.tier == "desk"]
-        if not matches and sel.isdigit():
+        if not matches and sel.isdecimal():
             matches = [
                 c for c in all_claims
                 if c.template is not None and c.template.table_row == int(sel) and c.tier == "desk"

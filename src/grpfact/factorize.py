@@ -15,8 +15,6 @@ a vote decides the claim, and a veto can only fail it.
                    cover the whole ambient orbit; needs an orbit seed;
 * ``conjugation``  (vote) the suites: H^x n K^y for random x, y of the ambient
                    has the order and spectrum of H n K; needs a suite;
-* ``sample``       (veto) membership in HK of random elements of G; needs G
-                   and a constructed stabilizer K with no duality element;
 * ``tight``        (veto) H^inf = X^inf as subgroups, for the set-up's
                    target X (rows 4-7's and 14's core, row 12a's S5
                    witness's derived A5), by X^inf's normality in H; needs
@@ -62,8 +60,6 @@ from .grpcore import (
     CertificationError,
     GroupSpec,
     OrbitBudgetError,
-    ProductSift,
-    Rattle,
     StabChain,
     Tracked,
     commutators,
@@ -75,7 +71,6 @@ from .grpcore import (
     point_chain,
     solvable_residual,
     stabilizer_generators,
-    stabilizer_series,
     t_compose,
 )
 from .linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint
@@ -181,8 +176,10 @@ def intersect(H: GroupSpec, K: GroupSpec, strategy: str = "stabilizer") -> Group
             raise VerifyError("stabilizer strategy needs a constructed stabilizer K")
         if H.action_tag == DUALITY == K.action_tag:
             return _swap_extension(H, K)
-        series = stabilizer_series(H, K.stabilizer_of, name=f"{H.name}_cap_{K.name}")
-        return series[-1].with_name(f"{H.name} n {K.name}")
+        inter = H
+        for i, pt in enumerate(K.stabilizer_of):
+            inter = stabilizer_generators(inter, pt, name=f"{H.name}_cap_{K.name}_{i}")
+        return inter.with_name(f"{H.name} n {K.name}")
     if strategy == "enumerate_smaller":
         small, big = (H, K) if H.order() <= K.order() else (K, H)
         if small.order() > _ENUMERATION_CAP:
@@ -237,6 +234,7 @@ class ClaimSetup:
     g_order: int
     H: GroupSpec
     K: GroupSpec
+    # the conjugation suites' ambient, whose random elements conjugate H and K
     G: GroupSpec | None = None
     orbit_seed: ActionPoint | None = None
     orbit_target: int | None = None
@@ -289,7 +287,7 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
             H = sporadic.sp4_2_derived()
         else:
             H = ext_subgroup(row[1:], a, b, q)
-        return _stab_setup("vector", a * b, q, H, G=classical_generators("SL", a * b, q))
+        return _stab_setup("vector", a * b, q, H)
     if row == "2":
         b, q = p["b"], p["q"]
         H = g2_derived(q) if b == 1 else ext_subgroup("G2", 6, b, q)
@@ -297,7 +295,7 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
     if row == "3":
         n, q = p["n"], p["q"]
         H = sporadic.sp4_2_derived() if (n, q) == (4, 2) else classical_generators("Sp", n, q)
-        return _stab_setup("antiflag", n, q, H, G=classical_generators("SL", n, q))
+        return _stab_setup("antiflag", n, q, H)
     if row[:1] in _ANTIFLAG_ROWS and row[1:] in ("SL", "Sp"):
         m, inner = p["m"], row[1:]
         n = 2 * m
@@ -323,7 +321,7 @@ def build_setup(claim: FactorizationClaim, rng) -> ClaimSetup:
         q = p["q"] if row == "8Sp" else 2
         H = g2_generators(q) if row == "8Sp" else g2_derived(2)
         K = sp_pointwise_factor(6, q)
-        return ClaimSetup(orders.sp_order(6, q), H, K, G=classical_generators("Sp", 6, q))
+        return ClaimSetup(orders.sp_order(6, q), H, K)
     if row == "neg_sl":
         return _stab_setup("antiflag", 6, 2, g2_derived(2))
     if row == "14":
@@ -512,21 +510,6 @@ def _run_vector_orbit(claim, setup, rng, max_points) -> StrategyResult:
     return _orbit_strategy("vector_orbit", setup, (setup.H,), details, max_points)
 
 
-def _run_sample(claim, setup, rng, max_points) -> StrategyResult:
-    """Random-element product membership of 50 draws, sifted on
-    permutations through H's layered orbits of K's stages
-    (``ProductSift``).  The elements come from a product-replacement walk
-    over G's generators, so G needs no chain."""
-    samples = 50
-    stages = setup.K.stabilizer_of
-    G, domain = setup.G, setup.G.home_domain()
-    sift = ProductSift(stabilizer_series(setup.H, stages[:-1]), stages)
-    walk = Rattle(G.tracked_generators(), Tracked(domain.identity_perm), rng)
-    drawn = (walk.sample() for _ in range(samples))
-    ok = int(sift.contains(drawn, domain).sum())
-    return StrategyResult("sample", "pass" if ok == samples else "fail", details={"samples": samples, "members": ok})
-
-
 def _run_tight(claim, setup, rng, max_points) -> StrategyResult:
     ok = check_tight(setup.H, setup.tight_target, rng=rng)
     return StrategyResult("tight", "pass" if ok else "fail", details={"target": setup.tight_target.name})
@@ -617,9 +600,6 @@ STRATEGIES = {
     "orbit": (_run_orbit, VOTE, [_SEED]),
     "conjugation": (_run_conjugation, VOTE, [("no conjugation suite",
                                               lambda c, s: s.conjugate_intersection is not None)]),
-    # a duality K stabilizes {e1, e1*} as a set, which K's ordered stages cannot sift
-    "sample": (_run_sample, VETO, [("no ambient group", lambda c, s: s.G is not None), _STABILIZER_K,
-                                   ("K has a duality element", lambda c, s: s.K.action_tag != DUALITY)]),
     "tight": (_run_tight, VETO, [("no tightness target", lambda c, s: s.tight_target is not None)]),
     "vector_orbit": (_run_vector_orbit, VETO, [_SEED]),
 }

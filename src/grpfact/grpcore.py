@@ -16,10 +16,10 @@ were not built on.  A spec with a duality element has V - 0 and V* - 0
 (the duality domain) as its home, for its chain and its point
 stabilizers; its commutators and their conjugates are sifted on the vector
 half (``derived_domain``), where its derived subgroup lives.
-Product-membership samples (``ProductSift``) walk Schreier vectors;
-enumerated intersections (``StabChain.contains_block``) and the Schreier pass
-sift stacked permutations, in one gather per chain level that caches its
-transversals (at most TABLE_ENTRIES entries), else by the same walk.
+Enumerated intersections (``StabChain.contains_block``) and the Schreier
+pass sift stacked permutations, in one gather per chain level that caches
+its transversals (at most TABLE_ENTRIES entries), else by a walk along the
+level's Schreier vector (``_walk_home``).
 Element orders are read off transversal words on a chain's support
 (``StabChain.support``), with no element's permutation of the domain formed.
 
@@ -27,9 +27,9 @@ One BFS kernel computes orbits.  ``frontier_levels`` yields a frontier
 BFS level by level, under each generator's images of an index array: a
 gather from its permutation of an enumerated domain, or its
 ``Action.apply_batch`` on packed keys.  ``schreier_orbit`` concatenates
-the levels of a domain orbit and keeps a Schreier vector; the chain
-levels, chain supports and the samples' layered orbits use it, and row
-13's module certificate fills its matrices along the levels.
+the levels of a domain orbit and keeps a Schreier vector, for the chain
+levels and chain supports; row 13's module certificate fills its matrices
+along the levels.
 ``orbit`` keeps only the size and a seen mask.  It runs over the seed's
 shared domain for a spec that already holds permutations of it, and for
 every projective or antiflag seed: those points are acted on only through
@@ -243,7 +243,8 @@ def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
     """Orbit of a domain index under permutations, with a Schreier vector:
     the levels of ``frontier_levels`` concatenated, the seen mask and par,
     where par[x] is the index of the generator that reached x (-1 off the
-    orbit and at the base), over all ``size`` points."""
+    orbit and at the base), over all ``size`` points.  A chain level keeps
+    all three as its basic orbit and tree, which its sifts walk home."""
     seen = np.zeros(size, dtype=bool)
     par = np.full(size, -1, dtype=np.int32)
     orbit = np.concatenate(list(frontier_levels([p.__getitem__ for p in perms], seen, base, par)))
@@ -259,7 +260,7 @@ def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
     return inv
 
 
-def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.ndarray, inv_gens,
+def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.ndarray, inv_gens: np.ndarray,
                depth: int, what: str):
     """Transport the given rows along a Schreier vector, in place, until
     their point reaches base.
@@ -267,7 +268,7 @@ def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.n
     A row's point, in the orbit, is its entry of a 1-D walkers[0], or its
     base column of a 2-D one; each step applies to every array of walkers,
     at the rows not yet home, the inverse of the generator that reached
-    their point (inv_gens[j] stacks those inverses on walkers[j]'s points).
+    their point (inv_gens stacks those inverses on the domain's points).
     A walk longer than the orbit means a corrupt Schreier vector and raises
     CertificationError.
     """
@@ -278,11 +279,11 @@ def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.n
         if steps == depth:
             raise CertificationError(f"Schreier vector of {what} does not lead a sift to its base")
         steps += 1
-        gi = par[points[todo]]
-        for arr, inv in zip(walkers, inv_gens):
+        gi = par[points[todo]] * inv_gens.shape[1]
+        for arr in walkers:
             sub = arr[todo]
-            sub.T[...] += gi * inv.shape[1]  # one gather from the flattened stack, at each row's inverse
-            arr[todo] = inv.ravel()[sub]
+            sub.T[...] += gi  # one gather from the flattened stack, at each row's inverse
+            arr[todo] = inv_gens.ravel()[sub]
         todo = todo[points[todo] != base]
 
 
@@ -497,7 +498,7 @@ class StabChain:
                 else:
                     betas = level.orbit[lo:lo + step].copy()
                     u_inv = np.tile(self._arange, (len(betas), 1))  # u_beta^-1, once walked home
-                    _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, (invs[li],) * 2,
+                    _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, invs[li],
                                len(level.orbit), f"level {li}")
                     u = _inverse_perms(u_inv, N)
                 # row i * len(gens) + j applies u_beta_i, then eff[j]
@@ -741,7 +742,7 @@ class StabChain:
                 u[rows] = table.inv[table.at[sub[:, level.base]][:, None] + sub]
             else:
                 inv = invs[li] if invs else _inverse_perms([t.perm for t in level.eff], len(self._arange))
-                _walk_home([u], rows, level.base, level.par, (inv,), len(level.orbit), f"level {li}")
+                _walk_home([u], rows, level.base, level.par, inv, len(level.orbit), f"level {li}")
 
 
 # ---------------------------------------------------------------------------
@@ -1141,59 +1142,6 @@ def stabilizer_generators(
     """
     chain, u = point_chain(group, point)
     return GroupSpec.of_chain(name or f"{group.name}_stab", chain.conjugate(u, from_level=1))
-
-
-def stabilizer_series(group: GroupSpec, points: Sequence[ActionPoint], name: str | None = None) -> list[GroupSpec]:
-    """group, its stabilizer of points[0], that stabilizer's stabilizer of
-    points[1], and so on: len(points) + 1 specs from ``stabilizer_generators``,
-    the i-th named name_i when a name is given."""
-    series = [group]
-    for i, pt in enumerate(points):
-        series.append(stabilizer_generators(series[-1], pt, name=f"{name}_{i}" if name else None))
-    return series
-
-
-class ProductSift:
-    """Membership in HK, for K the full stabilizer of the points w_0, w_1,
-    ... of the ambient, sifted on base images.
-
-    g lies in HK iff g^-1 moves w_0 into its H-orbit and, once an element of
-    H carries that image back to w_0, moves w_1 into its orbit under H_w0,
-    and so on; the answer does not depend on the elements chosen.  Layer i
-    keeps the orbit of w_i under series[i] (see ``stabilizer_series``) as a
-    seen mask and Schreier vector over the indices of w_i's shared domain,
-    and the inverses of series[i]'s generators stacked as permutations of
-    the domain of each w_j, j >= i.  A test reads g^-1's images of the points
-    and carries them back by gathers along the Schreier vectors.
-    """
-
-    def __init__(self, series: Sequence[GroupSpec], points: Sequence[ActionPoint]):
-        spec, n = series[0].spec, series[0].n
-        self.domains = [shared_domain(pt.tag, spec, n) for pt in points]
-        self.bases = [d.index_of_point(pt) for d, pt in zip(self.domains, points)]
-        self.layers = []
-        for i, group in enumerate(series[: len(points)]):
-            perms = {d: [t.perm for t in group.tracked_generators(d)] for d in self.domains[i:]}
-            _, seen, par = schreier_orbit(perms[self.domains[i]], self.bases[i], self.domains[i].size)
-            inv = {d: _inverse_perms(p, d.size) for d, p in perms.items()}
-            self.layers.append((seen, par, [inv[d] for d in self.domains[i:]]))
-
-    def contains(self, elements: Iterable[Tracked], domain: PermDomain) -> np.ndarray:
-        """Membership mask of Tracked elements of the given domain, which are
-        read one at a time and not kept.  A point on another shared domain
-        takes the element's permutation there from its matrix
-        (``Tracked.matrix``), once."""
-
-        def images(t: Tracked) -> list[int]:
-            on = {d: t.perm if d is domain else d.perm_of(t.matrix(domain)) for d in dict.fromkeys(self.domains)}
-            return [int(np.argmax(on[d] == b)) for d, b in zip(self.domains, self.bases)]  # g^-1(w)
-
-        x = np.array([images(t) for t in elements], dtype=np.int64).reshape(-1, len(self.domains)).T
-        ok = np.ones(x.shape[1], dtype=bool)
-        for i, (seen, par, inv) in enumerate(self.layers):
-            ok &= seen[x[i]]
-            _walk_home(list(x[i:]), np.flatnonzero(ok), self.bases[i], par, inv, int(seen.sum()), f"stage {i}")
-        return ok
 
 
 # ---------------------------------------------------------------------------

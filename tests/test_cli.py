@@ -113,6 +113,14 @@ def test_bad_claim_id_errors(tmp_path):
     assert main(["verify", "--row", "nonsense", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("sel", ["\u00b2", "\u2463"])  # a superscript two and a circled four: digits, not decimals
+def test_non_decimal_digit_row_is_a_usage_error(tmp_path, capsys, sel):
+    assert main(["verify", "--row", sel, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"no catalog claim matches {sel!r}" in err
+    assert "Traceback" not in err
+
+
 def test_row_number_selection(tmp_path):
     # bare table-row numbers select the desk claims of that row
     rc = main(["verify", "--row", "9", "--out", str(tmp_path)])

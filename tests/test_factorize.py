@@ -37,7 +37,7 @@ from grpfact.gf import make_field
 from grpfact.linalg import DUALITY, PAIR, PROJECTIVE, VECTOR, ActionPoint, GroupElement, Mat
 from grpfact.sporadic import sp4_2_derived
 import oracles
-from oracles import chain_elements, count_matrix_ops, domain_point
+from oracles import count_matrix_ops
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ def test_report_schema_and_dict(catalog):
     validate(data, REPORT_SCHEMA)
     assert data["overall"] == "pass"
     names = [s["name"] for s in data["strategies"]]
-    assert names == ["identity", "order", "orbit", "sample"]
+    assert names == ["identity", "order", "orbit"]
     orders_seen = {s["intersection_order"] for s in data["strategies"]
                    if s["intersection_order"] is not None}
     assert orders_seen == {4}
@@ -547,18 +547,6 @@ def test_construction_error_in_set_up_is_a_fail_report(catalog, monkeypatch):
     assert report.reason == "construction failed: Sp_2(4)^in_SL_4(2): adjoined element power 2 leaves the core"
 
 
-@pytest.mark.parametrize("claim_id", ["t1r01-sl-a2b2q2", "t1r08-q4-sp"])
-def test_product_membership_samples_compose_no_matrix(catalog, claim_id, monkeypatch):
-    claim = catalog.claim_by_id(claim_id)
-    rng = np.random.default_rng(claim_seed(claim_id, 20260810))
-    setup = factorize.build_setup(claim, rng)
-    calls = count_matrix_ops(monkeypatch)
-    result = factorize._run_sample(claim, setup, rng, 2**24)
-    assert result.verdict == "pass"
-    assert result.details == {"samples": 50, "members": 50}
-    assert not calls
-
-
 @pytest.mark.parametrize("row,m,orbit_size", [
     *[pytest.param(row, 2, 120 if row[0] in "45" else 16_320, id=row)
       for row in ["4SL", "4Sp", "5SL", "5Sp", "6SL", "6Sp", "7SL", "7Sp"]],
@@ -674,30 +662,6 @@ def test_conjugation_refuses_a_factor_past_the_enumeration_cap(catalog, monkeypa
                            "domain_size": 20160, "max_size": 10000}
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_sample_members_match_brute_force_without_a_factorization(catalog, seed):
-    # H replaced by a proper point stabilizer: H_v K is a proper subset of
-    # G, and the sampled member count must equal a brute-force count of the
-    # same draws g with g^-1(e1) = h(e1) for some h of H_v
-    claim = catalog.claim_by_id("t1r01-sl-a2b2q2")
-    setup = factorize.build_setup(claim, np.random.default_rng(seed))
-    hchain = setup.H.chain()
-    dom = hchain.domain
-    setup.H = grpcore.stabilizer_generators(setup.H, domain_point(dom, int(hchain.levels[0].orbit[-1])))
-    assert setup.H.order() < hchain.order()
-    result = factorize._run_sample(claim, setup, np.random.default_rng(seed), 2**24)
-    assert setup.G.home_domain() is dom
-    e1 = dom.index_of_point(ActionPoint(VECTOR, (1, 0, 0, 0)))
-    h_images = np.array([int(t.perm[e1]) for t in chain_elements(setup.H.chain())])
-    # the same draws: a product-replacement walk over G's generators
-    ident = grpcore.Tracked(dom.identity_perm)
-    walk = grpcore.Rattle(setup.G.tracked_generators(), ident, np.random.default_rng(seed))
-    draws = [walk.sample() for _ in range(50)]
-    expected = sum(bool((g.perm[h_images] == e1).any()) for g in draws)
-    assert result.details == {"samples": 50, "members": expected}
-    assert expected < 50
-
-
 def test_verification_leaves_no_cyclic_element_garbage(catalog):
     """Elements and their inverses are freed by reference counting: with the
     collector off, a full collection afterwards finds none of them in a
@@ -719,17 +683,26 @@ def test_verification_leaves_no_cyclic_element_garbage(catalog):
             gc.enable()
 
 
-def test_every_catalog_check_has_a_strategy(catalog):
+def _catalog_checks(catalog):
+    """Every check a catalog claim or a template point names."""
     checks = {c for claim in catalog.desk_grid(tier=None) for c in claim.checks}
-    checks |= set(catalog.instantiate("4SL", {"m": 2}).checks)
-    assert checks <= set(factorize.STRATEGIES)
+    return checks | set(catalog.instantiate("4SL", {"m": 2}).checks)
+
+
+def test_every_catalog_check_has_a_strategy(catalog):
+    assert _catalog_checks(catalog) <= set(factorize.STRATEGIES)
+
+
+def test_every_strategy_is_a_catalog_check(catalog):
+    # no orphan strategy: each runner is named by some claim's checks
+    assert set(factorize.STRATEGIES) <= _catalog_checks(catalog)
 
 
 def test_strategy_roles():
     roles = {name: role for name, (_, role, _) in factorize.STRATEGIES.items()}
     assert {n for n, r in roles.items() if r == factorize.VOTE} == {
         "identity", "order", "enumerate", "orbit", "conjugation"}
-    assert {n for n, r in roles.items() if r == factorize.VETO} == {"sample", "tight", "vector_orbit"}
+    assert {n for n, r in roles.items() if r == factorize.VETO} == {"tight", "vector_orbit"}
     assert set(roles.values()) == {factorize.VOTE, factorize.VETO}
 
 

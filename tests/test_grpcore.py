@@ -33,7 +33,6 @@ from grpfact.constructors import (
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
-    ProductSift,
     derived_subgroup,
     StabChain,
     Tracked,
@@ -45,7 +44,6 @@ from grpfact.grpcore import (
     shared_domain,
     solvable_residual,
     stabilizer_generators,
-    stabilizer_series,
     t_compose,
 )
 from grpfact.actions import Action, ActionError, PermDomain
@@ -228,8 +226,8 @@ def test_residual_idempotent_and_inside_derived():
 
 
 def _brute_force_products(G, H, points):
-    """The set HK, K the stabilizer in G of the points (read off matrices),
-    as permutation bytes."""
+    """K, the stabilizer in G of the points (read off matrices), as Tracked
+    elements, and the set HK as permutation bytes."""
     actions = [Action(pt.tag, G.spec, G.n) for pt in points]
     dom = G.chain().domain
 
@@ -237,35 +235,37 @@ def _brute_force_products(G, H, points):
         g = t.matrix(dom)
         return all(a.point_key(sl_apply(g, pt)) == a.point_key(pt) for a, pt in zip(actions, points))
 
-    els = list(chain_elements(G.chain()))
-    k_els = [t for t in els if fixes(t)]
-    return els, {t_compose(h, k).perm.tobytes() for h in chain_elements(H.chain()) for k in k_els}
+    k_els = [t for t in chain_elements(G.chain()) if fixes(t)]
+    return k_els, {t_compose(h, k).perm.tobytes() for h in chain_elements(H.chain()) for k in k_els}
 
 
-def _product_sift(H, points):
-    return ProductSift(stabilizer_series(H, points[:-1]), points)
+def _intersect_matches_brute_force(G, H, points) -> bool:
+    """H n K by ``intersect``, for K the stabilizer of the points, against
+    brute force: its order counts H's elements that fix every point, and
+    the counting identity holds exactly when HK is all of G, which is
+    returned."""
+    k_els, hk = _brute_force_products(G, H, points)
+    K = GroupSpec("K", G.n, G.spec, grpcore.TrackedGenerators(k_els, G.chain().domain), claimed_order=len(k_els),
+                  action_tag=VECTOR, stabilizer_of=list(points))
+    inter = factorize.intersect(H, K, "stabilizer")
+    k = {t.perm.tobytes() for t in k_els}
+    assert inter.order() == sum(h.perm.tobytes() in k for h in chain_elements(H.chain()))
+    factorizes = len(hk) == G.order()
+    assert (G.order() * inter.order() == H.order() * len(k_els)) == factorizes
+    return factorizes
 
 
-def test_product_membership_matches_brute_force():
-    # SL_2(2) with H a subgroup and K = stabilizer: HK as an explicit set
+def test_one_stage_intersection_matches_brute_force():
+    # SL_2(2) with H the swap and K the stabilizer of e1: HK is a proper subset
     G = classical_generators("SL", 2, 2)
-    spec = G.spec
-    w = GroupElement(Mat(spec, [[0, 1], [1, 0]]))
-    H = GroupSpec("swap", 2, spec, [w], claimed_order=2)
-    omega = canonical_point(VECTOR, (1, 0))
-    els, hk = _brute_force_products(G, H, [omega])
-    sift = _product_sift(H, [omega])
-    dom = G.chain().domain
-    got = sift.contains(els, dom)
-    assert got.tolist() == [t.perm.tobytes() in hk for t in els]
-    assert 0 < got.sum() < len(els)
-    ident, swap = G.chain().ident, Tracked(dom.perm_of(w), w)
-    assert sift.contains([ident, swap], dom).all()
+    w = GroupElement(Mat(G.spec, [[0, 1], [1, 0]]))
+    H = GroupSpec("swap", 2, G.spec, [w], claimed_order=2)
+    assert not _intersect_matches_brute_force(G, H, [canonical_point(VECTOR, (1, 0))])
 
 
-def test_two_stage_product_membership_matches_brute_force():
+def test_two_stage_intersection_matches_brute_force():
     # SL_3(2) with K the stabilizer of e1 and e2, and H the stabilizer of
-    # e3 (order 24) and a Sylow 7 (order 7): HK as an explicit set
+    # e3 (order 24), a Sylow 7 (order 7) and G itself
     G = classical_generators("SL", 3, 2)
     dom = G.chain().domain
     stages = [canonical_point(VECTOR, (1, 0, 0)), canonical_point(VECTOR, (0, 1, 0))]
@@ -274,14 +274,10 @@ def test_two_stage_product_membership_matches_brute_force():
     H7 = GroupSpec("C7", 3, G.spec, grpcore.TrackedGenerators([seven], dom), claimed_order=7)
     H24 = stabilizer_generators(G, canonical_point(VECTOR, (0, 0, 1)))
     # the antiflag (e1, e1*) as a vector stage and a functional stage: the
-    # functional stage reads permutations off matrices on its own domain
+    # functional stage's stabilizer is taken on its own domain
     antiflag = [stages[0], ActionPoint(FUNCTIONAL, (1, 0, 0))]
-    for points in (stages, antiflag):
-        for H in (H7, H24, G):
-            els, hk = _brute_force_products(G, H, points)
-            got = _product_sift(H, points).contains(els, dom)
-            assert got.tolist() == [t.perm.tobytes() in hk for t in els]
-            assert got.sum() == len(hk)
+    outcomes = {_intersect_matches_brute_force(G, H, points) for points in (stages, antiflag) for H in (H7, H24, G)}
+    assert outcomes == {True, False}
 
 
 def _walk_to_seed(orb, x):

@@ -18,14 +18,14 @@ from grpfact.catalog import load_catalog
 from grpfact.factorize import verify_claim
 
 DIGESTS = {
-    "t1r01-sl-a2b2q2": "8d9251fbf52d2e28364894fc54f021606a36b5c8ff7ccf13831e1c34caeea6b8",
+    "t1r01-sl-a2b2q2": "41e513ab3c8494288970dee95ff3563e6f7682d4664f3d7a49d8b75da447512a",
     "t1r01-sp-a4b1q2": "3287d8e49e3969b3a5c9ee677d873f2b8244764df927f72ad8b5c642c9a6338d",
     "t1r03-n4q2": "a75b84b1ca007dd4d4a060d7e63908f20d7f8feed3082285937e7d0f54d7d41d",
     "t1r04-m2": "0c00089eda0e364d2bd203541854d39bc61bf77a2e967b386a0f7cf252ad9bab",
     "t1r04-sp-m4": "fb87ef72ce2640a6df245508710fa2e41b3d86c939b5a88cf554fa1c1f2e39ca",
     "t1r06-m2": "c5afa2049c9e9c7c346e4f156b72059ab1056de9df92dfaa296ee26f9b4eead4",
     "t1r07-m2": "026b4ef7c08a6505e5c515e55447eafe3c7c346cc5c6cefac49386c334bdacc2",
-    "t1r08-q4-sp": "a96412d0a7918ce72353e64d87c26c31e0c91d66d1da50c19d23d22a94b840af",
+    "t1r08-q4-sp": "dc9305d00ae7f960dcbe3a2e10bb68928c7da8d879cdb7b4718ad520f0a7e1d9",
     # row 9's literals A5_FIRST and A5_SECOND
     "t1r09": "5c519e52c1d84e09d6e41dc6e10fac5f4e106c42bed8e9a1aab0b7188bfd5db6",
     # row 10's literals PGL2_7 and M10 in the phi_gamma extension

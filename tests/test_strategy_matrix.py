@@ -10,7 +10,6 @@ import pytest
 
 from grpfact import factorize, grpcore
 from grpfact.catalog import _VARIANTS, load_catalog
-from grpfact.constructors import classical_generators
 from grpfact.factorize import STRATEGIES, verify_claim
 from grpfact.streams import Stream
 
@@ -61,21 +60,6 @@ def test_every_strategy_answers(where, params):
     for (pinned, check), details in _PINNED.items():
         if pinned == where:
             assert (results[check].verdict, results[check].details) == ("skipped", details)
-
-
-def test_sample_skips_a_duality_k(monkeypatch):
-    # t1r05-m2's K stabilizes {e1, e1*} as a set, so its ordered stages
-    # cannot decide membership in HK, though SL_4(2) lies in HK
-    build = factorize.build_setup
-
-    def with_ambient(claim, rng):
-        setup = build(claim, rng)
-        setup.G = classical_generators("SL", 4, 2)
-        return setup
-
-    monkeypatch.setattr(factorize, "build_setup", with_ambient)
-    sample = _every_check(load_catalog().claim_by_id("t1r05-m2"))["sample"]
-    assert (sample.verdict, sample.details) == ("skipped", {"reason": "K has a duality element"})
 
 
 # (row, m) -> the sifts one check_tight call made there before this bound
