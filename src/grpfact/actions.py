@@ -6,14 +6,11 @@ or q^n plus a functional's.  Batch application acts on vector, functional,
 pair and duality keys only, and takes and returns int64 key arrays.  In
 characteristic two the key map of the first three is GF(2)-linear on the
 key bits, so it never unpacks: one XOR table per run of at most 12 key
-bits, one lookup each.  ``apply_block`` takes offsets from an aligned block
-start of ``Action.block_bits`` under a stack of generators at once, since
-f(base + j) = f(base) XOR f(j) there: the generators' offset tables and
-block-index tables are stacked one row per generator, so the whole (k, m)
-array of images is one lookup and one XOR with the block's column.  The
-sweep of an orbit walks its keyspace in such blocks, from worker threads
-on a large linear keyspace, and these two numpy calls release the GIL;
-on the digit path ``apply_block`` fills its rows one generator at a time.
+bits, one lookup each.  The sweep of an orbit's keyspace walks aligned
+blocks of ``Action.block_bits`` key bits, and on a linear key map it
+stacks each generator's images of a block's offsets and of the block
+starts once, since f(base + j) = f(base) XOR f(j) there
+(``grpcore._block_images``).
 The digit path unpacks keys to digits, kept in the narrowest unsigned type
 that holds q - 1 and widened only for a prime field's dot products and for
 packing.  A duality key map applies the linear part on each side, and a
@@ -88,17 +85,16 @@ class Action:
         self.keyspace = 2 * self.q**n if tag == DUALITY else self.q**self.width
         self._sides = (Action(VECTOR, spec, n), Action(FUNCTIONAL, spec, n)) if tag == DUALITY else None
         self.linear = spec.p == 2 and tag in (VECTOR, FUNCTIONAL, PAIR)
-        # log2 of the keys per block of apply_block: a linear block's offset
-        # tables stay cache-sized, and the digit path needs larger batches
+        # log2 of the keys per block of an orbit's keyspace sweep: a linear
+        # block's offset tables stay cache-sized, and the digit path needs
+        # larger batches
         self.block_bits = 14 if self.linear else 16
         # digits stay in the narrowest type that holds q - 1 (uint8 for
         # every supported field): the field tables are uint8 as well
         self.digit_type = np.min_scalar_type(self.q - 1)
-        # an element's tables live as long as the element, and a stack's as
-        # long as its first element: a shared domain's action outlives
-        # every claim that applied elements through it
+        # an element's tables live as long as the element: a shared
+        # domain's action outlives every claim that applied elements through it
         self._chunk_cache = weakref.WeakKeyDictionary()
-        self._stack_cache = weakref.WeakKeyDictionary()
 
     # -- scalar interface ---------------------------------------------------
 
@@ -178,22 +174,6 @@ class Action:
             self._chunk_cache[g] = tables
         return tables
 
-    def _stacked_tables(self, gens) -> tuple[np.ndarray, np.ndarray]:
-        """The generators' XOR tables of a block offset (its low block_bits
-        key bits) and of a block index (the key bits above them), stacked
-        one row per generator.  They are cached under the first generator's
-        weak key, for as long as it lives and the rest are the same."""
-        bits = self.block_bits
-        cached = self._stack_cache.get(gens[0])
-        if cached is None or cached[0] != bits or len(cached[1]) != len(gens) or any(
-                ref() is not g for ref, g in zip(cached[1], gens)):
-            cols = [self._columns(g) for g in gens]
-            low = np.stack([_xor_table(c[:bits]) for c in cols])
-            high = np.stack([_xor_table(c[bits:]) for c in cols])
-            cached = bits, [weakref.ref(g) for g in gens], low, high
-            self._stack_cache[gens[0]] = cached
-        return cached[2:]
-
     def apply_batch(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
         """Images of packed vector, functional, pair or duality keys under g."""
         if self.tag in (PROJECTIVE, ANTIFLAG):
@@ -218,26 +198,6 @@ class Action:
             qn = self.q**self.n
             keys = (keys // qn) + (keys % qn) * qn
         return self._apply_batch_digits(g, keys)
-
-    def apply_block(self, gens, offsets: np.ndarray, base: int) -> np.ndarray:
-        """Images of base + offsets under each generator, one row per
-        generator, where base is a multiple of 2**block_bits and the
-        offsets lie below it.
-
-        A GF(2)-linear key map has f(base + j) = f(base) XOR f(j) there, so
-        the whole (k, m) array is one lookup in the stacked offset tables
-        and one XOR with the block's column of the stacked index tables.
-        The digit path fills the rows one generator at a time.
-        """
-        if not self.linear:
-            keys = offsets + base
-            return np.stack([self.apply_batch(g, keys) for g in gens])
-        if not self.two_sided and any(g.dual for g in gens):
-            raise LinAlgError(f"duality does not act on {self.tag} points")
-        low, high = self._stacked_tables(gens)
-        out = np.take(low, offsets, axis=1)
-        out ^= high[:, base >> self.block_bits, None]
-        return out
 
     def _apply_batch_digits(self, g: GroupElement, keys: np.ndarray) -> np.ndarray:
         spec, n, q = self.spec, self.n, self.q

@@ -40,6 +40,9 @@ def _template_point(catalog, sel):
     items = [item.partition("=") for item in spec.split(",")]
     if not all(k and sep and v.isdecimal() for k, sep, v in items):
         raise CatalogError(f"bad template point {sel!r}: expected {_POINT_FORM}")
+    keys = [k for k, _, _ in items]
+    if repeated := next((k for k in keys if keys.count(k) > 1), None):
+        raise CatalogError(f"bad template point {sel!r} ({_POINT_FORM}): parameter {repeated!r} is repeated")
     try:
         return catalog.instantiate(row, {k: int(v) for k, _, v in items})
     except CatalogError as exc:

@@ -18,8 +18,9 @@ stabilizers; its commutators and their conjugates are sifted on the vector
 half (``derived_domain``), where its derived subgroup lives.
 Enumerated intersections (``StabChain.contains_block``) and the Schreier
 pass sift stacked permutations, in one gather per chain level that caches
-its transversals (at most TABLE_ENTRIES entries), else by a walk along the
-level's Schreier vector (``_walk_home``).
+its transversals (at most TABLE_ENTRIES entries); at a level past that a
+row is sifted on by ``StabChain._sift``, the one walk along a Schreier
+vector.
 Element orders are read off transversal words on a chain's support
 (``StabChain.support``), with no element's permutation of the domain formed.
 
@@ -260,33 +261,6 @@ def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
     return inv
 
 
-def _walk_home(walkers: list[np.ndarray], rows: np.ndarray, base: int, par: np.ndarray, inv_gens: np.ndarray,
-               depth: int, what: str):
-    """Transport the given rows along a Schreier vector, in place, until
-    their point reaches base.
-
-    A row's point, in the orbit, is its entry of a 1-D walkers[0], or its
-    base column of a 2-D one; each step applies to every array of walkers,
-    at the rows not yet home, the inverse of the generator that reached
-    their point (inv_gens stacks those inverses on the domain's points).
-    A walk longer than the orbit means a corrupt Schreier vector and raises
-    CertificationError.
-    """
-    points = walkers[0] if walkers[0].ndim == 1 else walkers[0][:, base]  # a view, walked with its array
-    todo = rows[points[rows] != base]
-    steps = 0
-    while todo.size:
-        if steps == depth:
-            raise CertificationError(f"Schreier vector of {what} does not lead a sift to its base")
-        steps += 1
-        gi = par[points[todo]] * inv_gens.shape[1]
-        for arr in walkers:
-            sub = arr[todo]
-            sub.T[...] += gi  # one gather from the flattened stack, at each row's inverse
-            arr[todo] = inv_gens.ravel()[sub]
-        todo = todo[points[todo] != base]
-
-
 class _Table(NamedTuple):
     """A level's transversals: rows[i] is u_b for b = orbit[i], inv their
     inverses flattened and at[b] = i * N, so inv[at[b] + x] is u_b^-1(x)."""
@@ -481,29 +455,20 @@ class StabChain:
         eff order), else None.  A level goes in chunks of orbit points of at
         most BLOCK_ENTRIES entries of rows u_beta * g, each sifted from this
         level on (``_sift_rows``), which takes u_g(beta)^-1 off.  u_beta is a
-        row of the level's table, or, past TABLE_ENTRIES, walked home."""
+        row of the level's table, or, past TABLE_ENTRIES, ``_transversal``'s."""
         N = len(self._arange)
-        invs: list[np.ndarray | None] = [None] * len(self.levels)
         for li, level in reversed(list(enumerate(self.levels))):
             if not level.eff:  # a based first level of a trivial chain
                 continue
             gens = np.stack([t.perm for t in level.eff])
             table = self._table(li, len(level.orbit))
-            if table is None:
-                invs[li] = _inverse_perms(gens, N)
             step = max(1, BLOCK_ENTRIES // gens.size)
             for lo in range(0, len(level.orbit), step):
-                if table is not None:
-                    u = table.rows[lo:lo + step]
-                else:
-                    betas = level.orbit[lo:lo + step].copy()
-                    u_inv = np.tile(self._arange, (len(betas), 1))  # u_beta^-1, once walked home
-                    _walk_home([betas, u_inv], np.arange(len(betas)), level.base, level.par, invs[li],
-                               len(level.orbit), f"level {li}")
-                    u = _inverse_perms(u_inv, N)
+                u = (table.rows[lo:lo + step] if table is not None else
+                     np.stack([self._transversal(li, b).perm for b in level.orbit[lo:lo + step].tolist()]))
                 # row i * len(gens) + j applies u_beta_i, then eff[j]
                 rows = gens[:, u].transpose(1, 0, 2).reshape(-1, N)
-                self._sift_rows(rows, li, invs)
+                self._sift_rows(rows, li)
                 bad = np.flatnonzero((rows != self._arange).any(axis=1))
                 if bad.size:
                     return Tracked(rows[bad[0]].copy())
@@ -723,12 +688,12 @@ class StabChain:
         self._sift_rows(u)
         return (u == self._arange).all(axis=1)
 
-    def _sift_rows(self, u: np.ndarray, start: int = 0, invs: list[np.ndarray | None] | None = None):
+    def _sift_rows(self, u: np.ndarray, start: int = 0):
         """Sift the int64 rows of u (shape (k, N)) in place from level start
         on, each to its ``_sift`` residue.  The rows that move a level's base
         within its basic orbit take their u_beta^-1 in one gather from the
-        level's table (``_table``), else walk home together; invs[li] may
-        stack the inverses of a level with no table."""
+        level's table (``_table``); at a level with no table each such row
+        is sifted the rest of the way by ``_sift``."""
         alive = np.ones(len(u), dtype=bool)
         for li, level in enumerate(self.levels[start:], start):
             beta = u[:, level.base]
@@ -741,8 +706,8 @@ class StabChain:
                 sub = u[rows]
                 u[rows] = table.inv[table.at[sub[:, level.base]][:, None] + sub]
             else:
-                inv = invs[li] if invs else _inverse_perms([t.perm for t in level.eff], len(self._arange))
-                _walk_home([u], rows, level.base, level.par, inv, len(level.orbit), f"level {li}")
+                for r in rows.tolist():
+                    u[r] = self._sift(Tracked(u[r]))[0].perm
 
 
 # ---------------------------------------------------------------------------
@@ -940,13 +905,14 @@ def orbit(
     reaches keyspace/_SCAN_SHARE images, the rest of the closure is swept
     (``_sweep_closure``) in aligned blocks of the action's block width,
     each block's keys applied under every generator at once
-    (``Action.apply_block``).  A GF(2)-linear keyspace of at least
+    (``_block_images``).  A GF(2)-linear keyspace of at least
     _PARALLEL_KEYS keys is swept by two threads when the process may run
     on two CPUs (``_sweep_workers``); the digit path stays on one.  Either
     way the mask and size are those of one thread.  The BFS holds only its
     current level, which is dropped once a packed bit mask of the keys
     already applied is built, so the sweep runs beside nothing but the two
-    masks, each worker's block arrays and the action's cached tables.
+    masks, each worker's block arrays, the action's cached tables and the
+    sweep's stacked block tables.
     Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
     point of max_points before they are allocated.  Either route checks
     max_points after each level.  ``keep_keys`` is accepted only as False,
@@ -1015,6 +981,30 @@ def _sweep_workers(action: Action, keyspace: int) -> int:
     return 1
 
 
+def _block_images(action: Action, gens):
+    """``images(offsets, base)``: the images of base + offsets under each
+    generator, one row per generator, for base a multiple of
+    2**action.block_bits and offsets below it.  A GF(2)-linear key map has
+    f(base + j) = f(base) XOR f(j) there, so the images of every offset
+    and of every block start are stacked once, and a block is one lookup
+    and one XOR with its column; the digit path applies whole keys."""
+    if not action.linear:
+        return lambda offsets, base: np.stack([action.apply_batch(g, offsets + base) for g in gens])
+    bits = action.block_bits
+    offsets, starts = np.arange(min(1 << bits, action.keyspace)), np.arange(0, action.keyspace, 1 << bits)
+    low, high = (np.empty((len(gens), len(keys)), dtype=np.int64) for keys in (offsets, starts))
+    for g, lo, hi in zip(gens, low, high):  # filled row by row: no stacked copy beside them
+        lo[:] = action.apply_batch(g, offsets)
+        hi[:] = action.apply_batch(g, starts)
+
+    def images(offsets: np.ndarray, base: int) -> np.ndarray:
+        out = np.take(low, offsets, axis=1)
+        out ^= high[:, base >> bits, None]
+        return out
+
+    return images
+
+
 def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max_points: int) -> int:
     """Close the seen mask under the generators in place and return the
     orbit size.  done is a packed bit mask of the seen keys whose images
@@ -1033,7 +1023,7 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
     done nor lost: it waits for the next pass.  Each done byte lies in one
     span, so one worker per pass, and seen only ever gets stores of True,
     so the workers need no lock.  All generators' images
-    of a block's keys (``Action.apply_block``) are set in seen with no
+    of a block's keys (``_block_images``) are set in seen with no
     filter; images behind a walk wait for the next pass.  A pass, counted
     after every worker finishes, that sets no new key leaves every seen key
     done, which ends the closure: the mask and size are one worker's, and
@@ -1044,6 +1034,7 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
     block = 1 << action.block_bits
     span = block * _SPAN_BLOCKS
     workers = _sweep_workers(action, seen.size)
+    images = _block_images(action, gens)
 
     def sweep(spans) -> None:
         for first in spans:
@@ -1057,14 +1048,11 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
                 if new.any():
                     bits[:] = snapshot
                     todo = np.flatnonzero(np.unpackbits(new).view(bool))
-                    seen[action.apply_block(gens, todo, lo)] = True
+                    seen[images(todo, lo)] = True
 
     if workers > 1:
         # imported here, since it loads logging, which no one-worker sweep needs
         from concurrent.futures import ThreadPoolExecutor
-
-        # the stacked tables are built once, before the workers share them
-        action.apply_block(gens, np.empty(0, dtype=np.int64), 0)
     total, grown = 0, int(np.count_nonzero(seen))
     with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
         run = map if pool is None else pool.map

@@ -1,13 +1,13 @@
 """Action kernels against scalar references: apply_batch, and the
 permutations of projective, antiflag and duality domains, against
-sl_apply, apply_block's offsets against whole keys, the two-sided domain
+sl_apply, a sweep's block images against whole keys, the two-sided domain
 enumeration, and the scalar-class lookup of projective and antiflag
 domains against sl_apply with canonical_point."""
 
 import numpy as np
 import pytest
 
-from grpfact import gf
+from grpfact import gf, grpcore
 from grpfact.actions import Action, ActionError, DomainCapError, PermDomain, domain_size
 from grpfact.grpcore import shared_domain
 from grpfact.linalg import (
@@ -86,6 +86,7 @@ _BLOCK_CASES = [
 
 
 def _block_offsets_match_whole_keys(action, gens, rng):
+    images = grpcore._block_images(action, gens)
     keyspace = action.q**action.width
     block = 1 << action.block_bits
     starts = range(0, keyspace, block)
@@ -93,10 +94,10 @@ def _block_offsets_match_whole_keys(action, gens, rng):
         size = min(block, keyspace - lo)
         offsets = np.unique(np.concatenate([[0, size - 1], rng.integers(0, size, size=200)]))
         want = [action.apply_batch(g, offsets + lo).tolist() for g in gens]
-        got = action.apply_block(gens, offsets, lo)
+        got = images(offsets, lo)
         assert got.dtype == np.int64 and got.shape == (len(gens), len(offsets))
         assert got.tolist() == want, lo
-        assert action.apply_block(gens, offsets, lo).tolist() == want  # from the cache
+        assert images(offsets, lo).tolist() == want  # from the same tables
 
 
 @pytest.mark.parametrize("tag,f,n", _BLOCK_CASES, ids=lambda c: str(c))
@@ -109,7 +110,7 @@ def test_block_offsets_match_whole_keys(tag, f, n):
     gens = [_random_element(rng, spec, n, fa, dual) for fa in sorted({0, f - 1, f // 2}) for dual in duals]
     _block_offsets_match_whole_keys(action, gens, rng)
     # one generator alone, and the same ones in another order, get their
-    # own stacked tables
+    # own stacked images
     _block_offsets_match_whole_keys(action, gens[-1:], rng)
     _block_offsets_match_whole_keys(action, gens[::-1], rng)
 
@@ -129,15 +130,17 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     # through it; the tables of an element go with the element
     domain = shared_domain(PAIR, gf.make_field(2, 2), 3)
     action = domain.action
-    before = len(action._chunk_cache), len(action._stack_cache)
+    before = len(action._chunk_cache)
     rng = np.random.default_rng(3)
     g, h = (_random_element(rng, action.spec, 3, 1, 1) for _ in range(2))
     domain.perm_of(g)
-    action.apply_block([g, h], np.arange(8, dtype=np.int64), 0)
-    assert (len(action._chunk_cache), len(action._stack_cache)) == (before[0] + 1, before[1] + 1)
+    assert len(action._chunk_cache) == before + 1
+    grpcore._block_images(action, [g, h])
+    assert len(action._chunk_cache) == before + 2
     del g
-    assert (len(action._chunk_cache), len(action._stack_cache)) == before
+    assert len(action._chunk_cache) == before + 1
     del h
+    assert len(action._chunk_cache) == before
 
 
 @pytest.mark.parametrize("p,f,n", [(2, 2, 3), (5, 3, 2)])
@@ -228,8 +231,6 @@ def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n):
     assert np.array_equal(domain._dense[domain._applier.apply_batch(g, domain.keys)], perm)
     with pytest.raises(ActionError, match="only through their enumerated domain"):
         domain.action.apply_batch(g, domain.keys[:1])
-    with pytest.raises(ActionError, match="only through their enumerated domain"):
-        domain.action.apply_block([g], np.arange(4, dtype=np.int64), 0)
 
 
 @pytest.mark.parametrize("p,f,n", [(2, 1, 4), (2, 2, 3), (3, 1, 3), (3, 2, 2)])
@@ -264,8 +265,6 @@ def test_duality_rejected_on_one_sided_kinds():
     for tag in (VECTOR, FUNCTIONAL):
         with pytest.raises(LinAlgError):
             Action(tag, spec, 3).apply_batch(g, np.array([1, 2], dtype=np.int64))
-        with pytest.raises(LinAlgError):
-            Action(tag, spec, 3).apply_block([g], np.array([1, 2], dtype=np.int64), 0)
 
 
 def _all_keys_reference(action: Action) -> list[int]:

@@ -65,9 +65,6 @@ ALLOWLIST = {
     "grpcore.element_order_perm": TARGET,
     "grpcore.orbit_with_transporters": TARGET,
     "grpcore.element_orders": "called only from the tracing TARGET element_order_perm",
-    "grpcore._walk_home": "the sift past TABLE_ENTRIES, which no level that a verify run sifts reaches; "
-                          "tests/test_grpcore.py's test_table_path_matches_the_tracked_oracles and "
-                          "test_corrupt_schreier_vector_stops_the_batched_sift walk it",
     "linalg.sl_apply": f"{TARGET}; {REFERENCE} for batch actions and domain permutations",
     **dict.fromkeys(["linalg.canonical_point", "linalg._proj_normalize", "linalg._eval_functional",
                      "linalg._as_tuple"], f"{REFERENCE}: canonical_point and its helpers"),

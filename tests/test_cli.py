@@ -150,6 +150,7 @@ def test_template_point_is_verified_like_a_catalog_claim(tmp_path, capsys):
     "3:n=4,q=6",  # q is not a prime power
     "1SL:a=2,b=2,q=6",
     "8:q=6",
+    "4SL:m=2,m=3",  # a repeated parameter
 ])
 def test_bad_template_point_is_a_usage_error(tmp_path, capsys, point):
     assert main(["verify", "--row", point, "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib
 import math
+import os
 import pkgutil
 import subprocess
 import sys
@@ -1066,10 +1067,8 @@ def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch)
     point = ActionPoint({PROJECTIVE: VECTOR, ANTIFLAG: PAIR}.get(point.tag, point.tag), point.data)
     action = Action(point.tag, gens[0].spec, gens[0].n)
     queue, _ = _queue_bfs(gens, point, action)
-    real = Action.apply_block
     applied = []
-    monkeypatch.setattr(Action, "apply_block", lambda self, gens, offsets, base:
-                        applied.append(np.tile(offsets + base, len(gens))) or real(self, gens, offsets, base))
+    _hook_block_images(monkeypatch, lambda gens, offsets, base: applied.append(np.tile(offsets + base, len(gens))))
     for workers in (1, 2):
         # two workers on the linear kinds by the rule itself, with its
         # threshold lowered; on the digit path by fiat
@@ -1123,8 +1122,8 @@ def test_keyspace_sweep_runs_beside_nothing_but_its_masks(monkeypatch):
     assert (size, sweeps) == (keyspace - 1, [1])
     masks = keyspace * 9 // 8  # the seen mask and the packed done mask
     tables = sum(tab.nbytes for tabs in action._chunk_cache.values() for _, _, tab in tabs)
-    # the stacked offset and block-index tables of apply_block
-    tables += sum(tab.nbytes for _, _, *tabs in action._stack_cache.values() for tab in tabs)
+    # the sweep's stacked images of a block's offsets and of the block starts
+    tables += len(gens) * ((1 << action.block_bits) + (keyspace >> action.block_bits)) * 8
     # each worker's block scratch: every generator's images of a block's
     # keys as int64, and one snapshot of the block's seen bytes
     block = 1 << action.block_bits
@@ -1168,10 +1167,8 @@ def test_sweep_spans_close_a_reducible_orbit_on_two_workers_as_on_one(monkeypatc
             m[lo:lo + half, lo:lo + half] = g.mat.a
             gens.append(GroupElement(Mat(F2, m)))
     point = canonical_point(VECTOR, (1,) + (0,) * (half - 1) + (1,) + (0,) * (half - 1))
-    real = Action.apply_block
     applied = []
-    monkeypatch.setattr(Action, "apply_block", lambda self, gens, offsets, base:
-                        applied.append(offsets + base) or real(self, gens, offsets, base))
+    _hook_block_images(monkeypatch, lambda gens, offsets, base: applied.append(offsets + base))
     orbits = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
@@ -1180,7 +1177,7 @@ def test_sweep_spans_close_a_reducible_orbit_on_two_workers_as_on_one(monkeypatc
         applied.clear()
         orbits.append(orbit(gens, point, action))
         assert orbits[-1].size == (2**half - 1) ** 2
-        # apply_block applies a key under every generator at once; the keys
+        # a block's keys are applied under every generator at once; the keys
         # that the BFS levels applied before the sweep are not among these
         keys, counts = np.unique(np.concatenate(applied), return_counts=True)
         assert len(keys) > orbits[-1].size * 0.9 and (counts == 1).all()
@@ -1223,18 +1220,28 @@ def test_sweep_worker_rule(monkeypatch):
         assert grpcore._sweep_workers(digits, 4**12) == 1
 
 
+def _hook_block_images(monkeypatch, hook):
+    """Call hook(gens, offsets, base), for the rest of the test, before a
+    sweep applies each block (``grpcore._block_images``)."""
+    real = grpcore._block_images
+
+    def built(action, gens):
+        images = real(action, gens)
+        return lambda offsets, base: hook(gens, offsets, base) or images(offsets, base)
+
+    monkeypatch.setattr(grpcore, "_block_images", built)
+
+
 def _worker_threads(monkeypatch) -> set:
     """Record, for the rest of the test, each thread other than the main
-    one that calls Action.apply_block."""
+    one that applies a sweep's block."""
     threads = set()
-    real = Action.apply_block
 
-    def recording(self, gens, offsets, base):
+    def recording(gens, offsets, base):
         if threading.current_thread() is not threading.main_thread():
             threads.add(threading.current_thread())
-        return real(self, gens, offsets, base)
 
-    monkeypatch.setattr(Action, "apply_block", recording)
+    _hook_block_images(monkeypatch, recording)
     return threads
 
 
@@ -1253,14 +1260,12 @@ def test_sweep_worker_threads_end_with_the_orbit(monkeypatch):
 def test_an_error_in_a_sweep_worker_leaves_the_orbit(monkeypatch):
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
     gens, point, action = _sl10_pair_orbit_case()
-    real = Action.apply_block
 
-    def failing(self, gens, offsets, base):
+    def failing(gens, offsets, base):
         if base >= 1 << 19:  # in the second worker's range only
             raise RuntimeError("worker failed")
-        return real(self, gens, offsets, base)
 
-    monkeypatch.setattr(Action, "apply_block", failing)
+    _hook_block_images(monkeypatch, failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
         orbit(gens, point, action)
@@ -1822,6 +1827,41 @@ def _build_tables(chain):
         chain._table(li, len(level.orbit))
 
 
+def _untabled_walks(monkeypatch) -> list:
+    """Record, for the rest of the test, the level of each row that
+    ``_sift_rows`` or ``_schreier_witness`` walks along a Schreier vector,
+    at a level with no table: a row sifted on by ``_sift`` (the first level
+    whose base it moves) or a u_beta taken from ``_transversal``."""
+    walks, inside = [], []
+
+    def entered(real):
+        def call(chain, *args):
+            inside.append(True)
+            try:
+                return real(chain, *args)
+            finally:
+                inside.pop()
+        return call
+
+    sift, transversal = StabChain._sift, StabChain._transversal
+
+    def sifting(chain, t):
+        if inside:
+            walks.append(next(li for li, lv in enumerate(chain.levels) if t.perm[lv.base] != lv.base))
+        return sift(chain, t)
+
+    def transversing(chain, li, beta):
+        if inside:
+            walks.append(li)
+        return transversal(chain, li, beta)
+
+    for name, method in [("_sift_rows", entered(StabChain._sift_rows)), ("_sift", sifting),
+                         ("_schreier_witness", entered(StabChain._schreier_witness)),
+                         ("_transversal", transversing)]:
+        monkeypatch.setattr(StabChain, name, method)
+    return walks
+
+
 @pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "antiflag-past-the-budget"])
 def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
     # random elements, block sifts through partial and complete chains and
@@ -1829,9 +1869,7 @@ def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
     # the level past the budget walks
     full = _table_cases()[case].chain()
     dom = full.domain
-    walks = []
-    walk = grpcore._walk_home
-    monkeypatch.setattr(grpcore, "_walk_home", lambda *args: walks.append(args[2]) or walk(*args))
+    walks = _untabled_walks(monkeypatch)
     streams = Stream(61 + case), Stream(61 + case)
     samples = [full.random_element(streams[0]) for _ in range(30)]
     for t in samples:
@@ -1855,7 +1893,30 @@ def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
         assert (got is None) == (want is None) and (got is None or np.array_equal(got.perm, want.perm))
         witnessed.append(got is not None)
     assert witnessed[-1] is False and any(witnessed)
-    assert walks if case == 3 else not walks
+    assert set(walks) == {li for li, fit in enumerate(fits) if not fit}
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="the 511-point Schreier pass is opt-in: set RUN_EXTENDED=1")
+def test_schreier_pass_past_the_budget_on_511_points(monkeypatch):
+    # the antiflag stabilizer of SL_9(2) on its 511 vectors: every level but
+    # the last (128 points) is past TABLE_ENTRIES, so the pass takes each
+    # u_beta there from _transversal and sifts its rows on by _sift
+    full = stabilizer_subgroup("antiflag", 9, 2).chain()
+    N = full.domain.size
+    assert N == 511 and [len(lv.orbit) * N > grpcore.TABLE_ENTRIES for lv in full.levels] == [True] * 7 + [False]
+    walks = _untabled_walks(monkeypatch)
+    assert full._schreier_witness() is None
+    assert set(walks) == set(range(7))
+    rng = np.random.default_rng(79)
+    samples = [full.random_element(rng) for _ in range(3)]
+    walks.clear()
+    witnessed = []
+    for k in (1, 2, 3):
+        partial = _chain_of(full.domain, samples[:k])
+        got, want = partial._schreier_witness(), schreier_witness(partial)
+        assert (got is None) == (want is None) and (got is None or np.array_equal(got.perm, want.perm))
+        witnessed.append(got is not None)
+    assert any(witnessed) and 0 in walks
 
 
 def test_add_drops_the_table_of_a_level_whose_orbit_grows():
@@ -1914,22 +1975,20 @@ def test_corrupt_schreier_vector_stops_the_table_path(sl32):
 def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
     # suite-r9 draws x and y from G's chain and sifts each relabeled block
     # into K's chain, all through tables
-    walks, running = [], []
-    walk = grpcore._walk_home
-    monkeypatch.setattr(grpcore, "_walk_home", lambda *args: walks.append(bool(running)) or walk(*args))
+    walks, during = _untabled_walks(monkeypatch), []
     run, role, needs = factorize.STRATEGIES["conjugation"]
 
     def conjugation(*args):
-        running.append(True)
+        before = len(walks)
         try:
             return run(*args)
         finally:
-            running.clear()
+            during.append(len(walks) - before)
 
     monkeypatch.setitem(factorize.STRATEGIES, "conjugation", (conjugation, role, needs))
     report = factorize.verify_claim(load_catalog().claim_by_id("suite-r9"))
     assert report.overall == "pass" and "conjugation" in [s.name for s in report.strategies]
-    assert True not in walks
+    assert during and not any(during)
 
 
 def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
@@ -1959,6 +2018,21 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
     finally:
         tracemalloc.stop()
     assert members.all() and level.table is None
-    # the walk's copies of the block and of the stacked generators and their
+    # the block's int64 copy, a walked row and the strong generators'
     # inverses; one table of this level would take orbit x N entries (2 GiB)
     assert peak <= 2 * (block.nbytes + len(level.eff) * N * 8)
+    # members, members with two images swapped and random permutations,
+    # sifted on through the level past the budget, agree row by row
+    rng = np.random.default_rng(5)
+    elements = [chain.random_element(rng) for _ in range(8)]
+    swapped = []
+    for t in elements:
+        perm = t.perm.copy()
+        i, j = rng.choice(N, size=2, replace=False)
+        perm[[i, j]] = perm[[j, i]]
+        swapped.append(Tracked(perm))
+    tests = elements + swapped + [Tracked(rng.permutation(N)) for _ in range(4)] + [chain.ident]
+    want = [chain.contains_tracked(t) for t in tests]
+    assert all(want[:8]) and not any(want[8:-1]) and want[-1]
+    assert chain.contains_block(np.stack([t.perm for t in tests])).tolist() == want
+    assert level.table is None
