@@ -9,8 +9,8 @@ key bits, so it never unpacks: one XOR table per run of at most 12 key
 bits, one lookup each.  The sweep of an orbit's keyspace walks aligned
 blocks of ``Action.block_bits`` key bits, and on a linear key map it
 stacks each generator's images of a block's offsets and of the block
-starts once, since f(base + j) = f(base) XOR f(j) there
-(``grpcore._block_images``).
+starts once, since f(base + j) = f(base) XOR f(j) there, each row an XOR
+table of the basis keys' images (``grpcore._block_images``).
 The digit path unpacks keys to digits, kept in the narrowest unsigned type
 that holds q - 1 and widened only for a prime field's dot products and for
 packing.  A duality key map applies the linear part on each side, and a
@@ -18,8 +18,10 @@ duality element lands each side on the other.  Projective and antiflag
 points are acted on only through their enumerated domain
 (``PermDomain``): its int32 key -> index table indexes every scalar
 multiple of its points, so the domain permutes through the vector or pair
-kind beneath, and no image is normalized.  A vector or duality domain
-reads an element back off its permutation (``PermDomain.element_of``).
+kind beneath, and no image is normalized.  A domain's base
+(``PermDomain.base``) is fixed only by the identity of its ambient group;
+a vector or duality domain reads an element off its images there
+(``PermDomain.element_of``).
 """
 
 from __future__ import annotations
@@ -271,10 +273,10 @@ class Action:
         return (vkeys[:, None] + q**n * wkeys).ravel()
 
 
-def _xor_table(cols: np.ndarray) -> np.ndarray:
+def _xor_table(cols: np.ndarray, tab: np.ndarray | None = None) -> np.ndarray:
     """Table of the XOR of each subset of the columns, indexed by the subset's
-    bits, built by doubling."""
-    tab = np.zeros(1 << len(cols), dtype=np.int64)
+    bits, built by doubling, in tab (2**len(cols) int64 zeros) if given."""
+    tab = np.zeros(1 << len(cols), dtype=np.int64) if tab is None else tab
     for j, col in enumerate(cols):
         np.bitwise_xor(tab[: 1 << j], col, out=tab[1 << j : 2 << j])
     return tab
@@ -290,6 +292,13 @@ class PermDomain:
     build, so the domain takes its images under the vector or pair kind
     beneath, unnormalized.  This is the only way those points are acted on.
     A duality domain's points are V - 0, then V* - 0.
+
+    ``base`` indexes points that only the identity of the ambient group
+    (Gamma L_n(q), with dualities on duality, pair and antiflag points)
+    fixes: e_1, ..., e_n and w.e_1 (w primitive), or their duals on
+    functional points; on the other kinds, the frame <e_1>, ..., <e_n>,
+    <e_1 + ... + e_n>, which a field automorphism fixes, and <e_1 + w.e_2>,
+    with e_i* beside e_i and e_1* beside the last two, or every point at n = 1.
     """
 
     def __init__(self, action: Action):
@@ -317,6 +326,13 @@ class PermDomain:
                 scale[action.n :] = spec.inv_table[lam]
                 self._dense[action._pack_digits(spec.mul_table[scale, digits])] = index
         self.identity_perm = np.arange(self.size, dtype=np.int64)
+        q, n, w = action.q, action.n, action.spec.primitive_elem
+        frame = [q**i for i in range(n)]
+        vectors = action.tag in (VECTOR, FUNCTIONAL, DUALITY)
+        base = frame + ([w] if vectors else [sum(frame), 1 + w * q])
+        if action.two_sided:
+            base = [v + q**n * f for v, f in zip(base, frame + [1, 1])]
+        self.base = np.array([self.index_of_key(k) for k in base]) if vectors or n > 1 else np.arange(self.size)
 
     def index_of_key(self, key: int) -> int:
         """The index of a key's point; a table takes any scalar representative."""
@@ -341,8 +357,8 @@ class PermDomain:
 
     def element_of(self, perm: np.ndarray) -> GroupElement:
         """The semilinear element with this permutation of a vector or
-        duality domain: the images of e_1, ..., e_n are its matrix's
-        columns, and the image of w.e_1 (w primitive) is w^(p^s) times the
+        duality domain, read at its base: the images of e_1, ..., e_n are
+        its matrix's columns, and the image of w.e_1 is w^(p^s) times the
         first, for Frobenius exponent s; a duality element, which sends e_1
         to a functional, sends those functionals to vectors.  Other kinds
         raise ActionError: projective and antiflag points fix no scalar
@@ -351,8 +367,7 @@ class PermDomain:
         if tag not in (VECTOR, DUALITY):
             raise ActionError(f"no element is read off a permutation of {tag} points")
         dual = int(tag == DUALITY and perm[0] >= q**n - 1)
-        probes = [self.index_of_key(k) + dual * (q**n - 1) for k in [q**i for i in range(n)] + [spec.primitive_elem]]
-        images = self.action._unpack_digits(self.keys[perm[probes]]).astype(np.int64)
+        images = self.action._unpack_digits(self.keys[perm[self.base + dual * (q**n - 1)]]).astype(np.int64)
         j = int(np.flatnonzero(images[0])[0])
         scale = spec.mul(int(images[-1, j]), spec.inv(int(images[0, j])))
         fa = next(s for s in range(spec.f) if spec.frobenius(spec.primitive_elem, s) == scale)

@@ -17,10 +17,8 @@ were not built on.  A spec with a duality element has V - 0 and V* - 0
 stabilizers; its commutators and their conjugates are sifted on the vector
 half (``derived_domain``), where its derived subgroup lives.
 Enumerated intersections (``StabChain.contains_block``) and the Schreier
-pass sift stacked permutations, in one gather per chain level that caches
-its transversals (at most TABLE_ENTRIES entries); at a level past that a
-row is sifted on by ``StabChain._sift``, the one walk along a Schreier
-vector.
+pass sift only an element's images of a base (``StabChain._sift_rows``),
+and a Schreier generator is composed in full only when it fails.
 Element orders are read off transversal words on a chain's support
 (``StabChain.support``), with no element's permutation of the domain formed.
 
@@ -80,7 +78,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .actions import Action, ActionError, PermDomain
+from .actions import Action, ActionError, PermDomain, _xor_table
 from .gf import FieldSpec
 from .linalg import (
     ANTIFLAG,
@@ -252,45 +250,29 @@ def schreier_orbit(perms: Sequence[np.ndarray], base: int, size: int):
     return orbit, seen, par
 
 
-def _inverse_perms(perms: Sequence[np.ndarray], size: int) -> np.ndarray:
-    """The inverses as one (k, size) int32 array (domains stay below 2^31 points), scattered row by row."""
-    inv = np.empty((len(perms), size), dtype=np.int32)
-    points = np.arange(size, dtype=np.int32)
-    for row, perm in zip(inv, perms):
-        row[perm] = points
-    return inv
-
-
-class _Table(NamedTuple):
-    """A level's transversals: rows[i] is u_b for b = orbit[i], inv their
-    inverses flattened and at[b] = i * N, so inv[at[b] + x] is u_b^-1(x)."""
-
-    rows: np.ndarray
-    inv: np.ndarray
-    at: np.ndarray
-
-
 @dataclass(slots=True, eq=False)
 class _Level:
     """A chain level.  ``eff`` is every strong generator added at this level
     or deeper, in the order added; ``orbit``, ``seen`` and ``par`` are the
     BFS tree of the generators it had when its orbit last grew, replaced
-    and never edited in place.  ``table`` caches that tree's transversals,
-    and goes with the tree."""
+    and never edited in place.  ``table`` caches that tree's transversals
+    (``StabChain._transversal_stack``), and goes with the tree."""
 
     base: int
     eff: list[Tracked] = field(default_factory=list)
     orbit: np.ndarray | None = None
     seen: np.ndarray | None = None
     par: np.ndarray | None = None
-    table: _Table | None = None
+    table: np.ndarray | None = None
 
 
-def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int) -> np.ndarray:
-    """Level li's transversals in orbit order as one (orbit, n) int32 array,
-    from its generators gens (k, n) and Schreier vector par on n points: one
-    gather per BFS layer, u_b = u_a * g for b = g(a), a in an earlier layer,
-    with each a read off the generators' forward images of the orbit."""
+def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int, first: np.ndarray) -> np.ndarray:
+    """Level li's transversals' images of the points first, in orbit order,
+    as one (orbit, len(first)) int32 array, from its generators gens (k, n)
+    and Schreier vector par on n points: one gather per BFS layer, u_b = u_a
+    * g for b = g(a), a in an earlier layer, with each a read off the
+    generators' forward images of the orbit: with first every point, the
+    transversals themselves."""
     m, n = len(orbit), gens.shape[1]
     pos = np.full(n, m)
     pos[orbit] = np.arange(m)
@@ -298,8 +280,8 @@ def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: 
     g_of, col = (par[img] == np.arange(len(gens))[:, None]).nonzero()  # g reached g(orbit[col])
     src = np.full(m + 1, m)  # the position of each point's parent; m at the base and past the end
     src[pos[img[g_of, col]]] = col
-    out = np.empty((m, n), dtype=np.int32)
-    out[0] = np.arange(n)
+    out = np.empty((m, len(first)), dtype=np.int32)
+    out[0] = first
     lo = 1
     while lo < m:
         hi = lo + int((src[lo:] >= lo).argmax())
@@ -333,11 +315,10 @@ class Support(NamedTuple):
         return np.lcm.reduce(lengths, axis=1, initial=1)  # partial lcms divide |g|: no overflow
 
 
-# entries of a block of permutations (element_perm_blocks, the Schreier pass)
-# or of words times levels (Support.orders): a few intp arrays under 1 MiB
+# entries of a block of permutations or base images (element_perm_blocks, the Schreier
+# pass) or of words times levels (Support.orders): a few intp arrays under 1 MiB
 BLOCK_ENTRIES = 1 << 14
-# entries of one level's transversals that a chain caches (StabChain._table):
-# two int32 stacks of at most 256 KiB each
+# entries of one level's transversals that a chain caches (StabChain._transversal_stack): 256 KiB
 TABLE_ENTRIES = 4 * BLOCK_ENTRIES
 
 
@@ -349,7 +330,9 @@ class StabChain:
     generator added at it or deeper, in the order added, and its tree is
     the BFS tree of the generators it had when its orbit last grew: a new
     generator that keeps the orbit leaves the old tree valid, and so does
-    the level's cached transversal table (``_table``), read off that tree.
+    the level's cached transversal table (``_transversal_stack``), read off that tree.
+    The Schreier pass and ``contains_block`` sift an element's images of Q
+    (``_sift_points``) alone (``_sift_rows``).
     """
 
     MAX_STALL = 250
@@ -452,26 +435,27 @@ class StabChain:
     def _schreier_witness(self):
         """The residue of the first Schreier generator u_beta * g * u_g(beta)^-1
         that does not sift (levels deepest first, beta in orbit order, g in
-        eff order), else None.  A level goes in chunks of orbit points of at
-        most BLOCK_ENTRIES entries of rows u_beta * g, each sifted from this
-        level on (``_sift_rows``), which takes u_g(beta)^-1 off.  u_beta is a
-        row of the level's table, or, past TABLE_ENTRIES, ``_transversal``'s."""
-        N = len(self._arange)
+        eff order), else None.  A level's rows u_beta * g on Q, read off
+        u_beta's images of Q (``_transversal_rows``), are sifted from that
+        level on (``_sift_rows``), which takes u_g(beta)^-1 off, in chunks of
+        at most BLOCK_ENTRIES entries; only the first that fails is composed
+        in full, for ``_sift`` to give its residue."""
+        points = self._sift_points()
         for li, level in reversed(list(enumerate(self.levels))):
             if not level.eff:  # a based first level of a trivial chain
                 continue
             gens = np.stack([t.perm for t in level.eff])
-            table = self._table(li, len(level.orbit))
-            step = max(1, BLOCK_ENTRIES // gens.size)
+            images = _transversal_rows(gens, level.orbit, level.par, li, points)
+            step = max(1, BLOCK_ENTRIES // (len(gens) * len(points)))
             for lo in range(0, len(level.orbit), step):
-                u = (table.rows[lo:lo + step] if table is not None else
-                     np.stack([self._transversal(li, b).perm for b in level.orbit[lo:lo + step].tolist()]))
                 # row i * len(gens) + j applies u_beta_i, then eff[j]
-                rows = gens[:, u].transpose(1, 0, 2).reshape(-1, N)
+                rows = gens[:, images[lo:lo + step]].transpose(1, 0, 2).reshape(-1, len(points))
                 self._sift_rows(rows, li)
-                bad = np.flatnonzero((rows != self._arange).any(axis=1))
+                bad = np.flatnonzero((rows != points).any(axis=1))
                 if bad.size:
-                    return Tracked(rows[bad[0]].copy())
+                    i, j = divmod(int(bad[0]), len(gens))
+                    u = self._transversal(li, int(level.orbit[lo + i]))
+                    return self._sift(t_compose(u, level.eff[j]))[0]
         return None
 
     # -- internals -------------------------------------------------------------
@@ -603,13 +587,13 @@ class StabChain:
 
     def random_element(self, rng) -> Tracked:
         """The product of u_b for a uniform b of each basic orbit, deepest first,
-        off the levels' tables (built by the first draw), else walked home."""
+        off the levels' tables (``_transversal_stack``), else walked home."""
         perm = self._arange
         for li in range(len(self.levels) - 1, -1, -1):
             level = self.levels[li]
             i = int(rng.integers(len(level.orbit)))
-            table = self._table(li, len(level.orbit))
-            u = table.rows[i] if table is not None else self._transversal(li, int(level.orbit[i])).perm
+            fits = len(level.orbit) * len(self._arange) <= TABLE_ENTRIES
+            u = self._transversal_stack(li)[i] if fits else self._transversal(li, int(level.orbit[i])).perm
             perm = u[perm]
         return Tracked(perm.astype(np.intp, copy=False)) if self.levels else self.ident
 
@@ -655,59 +639,58 @@ class StabChain:
                 inside |= schreier_orbit([t.perm for t in self.levels[0].eff], level.base, N)[1]
         points, rank = np.flatnonzero(inside), np.zeros(N, dtype=np.int32)
         rank[points] = np.arange(len(points))  # each point's position in Δ
-        # on the whole domain Δ's numbering is the domain's, and a level's table holds its stack
+        # on the whole domain Δ's numbering is the domain's
         stacks = [self._transversal_stack(li) if len(points) == N else _transversal_rows(
-            rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit], lv.par[points], li)
-            for li, lv in reversed(list(enumerate(self.levels)))]
+            rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit], lv.par[points], li,
+            np.arange(len(points))) for li, lv in reversed(list(enumerate(self.levels)))]
         return Support(points, rank[[lv.base for lv in self.levels]], stacks)
 
     def _transversal_stack(self, li: int) -> np.ndarray:
-        """Level li's transversals on the whole domain: its table's rows
-        (``_table``), else built (``_transversal_rows``)."""
+        """Level li's transversals on the whole domain (``_transversal_rows``),
+        kept as the level's table when they fit TABLE_ENTRIES."""
         level = self.levels[li]
-        if level.table is not None:
-            return level.table.rows
-        return _transversal_rows(np.stack([t.perm for t in level.eff]), level.orbit, level.par, li)
-
-    def _table(self, li: int, uses: int) -> _Table | None:
-        """Level li's cached transversal table; built here when a caller
-        reads at least orbit-size (``uses``) of its rows and it fits
-        TABLE_ENTRIES, else None."""
-        level, N = self.levels[li], len(self._arange)
-        if level.table is None and uses >= len(level.orbit) and len(level.orbit) * N <= TABLE_ENTRIES:
-            rows = self._transversal_stack(li)
-            at = np.zeros(N, dtype=np.intp)
-            at[level.orbit] = np.arange(0, rows.size, N)
-            level.table = _Table(rows, _inverse_perms(rows, N).ravel(), at)
+        if level.table is None:
+            rows = _transversal_rows(np.stack([t.perm for t in level.eff]), level.orbit, level.par, li, self._arange)
+            if rows.size > TABLE_ENTRIES:
+                return rows
+            level.table = rows
         return level.table
 
     def contains_block(self, block: np.ndarray) -> np.ndarray:
-        """Membership mask of the stacked permutations block[i] (shape (k, N)):
-        a row is a member when its residue (``_sift_rows``) is the identity."""
-        u = np.array(block, dtype=np.int64)
+        """Membership mask of the stacked permutations block[i] (shape (k, N)),
+        each in the domain's ambient semilinear group (``PermDomain.base``),
+        as block enumerations and conjugates of chain elements are: a row is
+        a member when its images of Q sift home to Q (``_sift_rows``).
+        ``contains_tracked`` is exact for any permutation."""
+        points = self._sift_points()
+        u = block[:, points]
         self._sift_rows(u)
-        return (u == self._arange).all(axis=1)
+        return (u == points).all(axis=1)
+
+    def _sift_points(self) -> np.ndarray:
+        """Q: the domain's base (``PermDomain.base``), then the chain's base points."""
+        return np.concatenate([self.domain.base, [level.base for level in self.levels]]).astype(np.intp)
 
     def _sift_rows(self, u: np.ndarray, start: int = 0):
-        """Sift the int64 rows of u (shape (k, N)) in place from level start
-        on, each to its ``_sift`` residue.  The rows that move a level's base
-        within its basic orbit take their u_beta^-1 in one gather from the
-        level's table (``_table``); at a level with no table each such row
-        is sifted the rest of the way by ``_sift``."""
+        """Sift the rows of u, each an element's images of Q, in place from
+        level start on to their residue's images, as ``_sift`` walks.  Only
+        the identity of the ambient group fixes Q, so a member comes home to
+        Q.  At each level, the rows that move its base within its orbit walk
+        home together, one gather a step from its generators' inverses."""
+        N, at = np.intp(len(self._arange)), len(self.domain.base)  # at: the column of level 0's base point
         alive = np.ones(len(u), dtype=bool)
         for li, level in enumerate(self.levels[start:], start):
-            beta = u[:, level.base]
-            alive &= level.seen[beta]
-            rows = np.flatnonzero(alive & (beta != level.base))
-            if not rows.size:
-                continue
-            table = self._table(li, len(rows))
-            if table is not None:
-                sub = u[rows]
-                u[rows] = table.inv[table.at[sub[:, level.base]][:, None] + sub]
+            alive &= level.seen[u[:, at + li]]
+            walk = u[alive]
+            # par is -1 at the base, so a row there reads the last block: the identity
+            inverses = np.concatenate([t.inverse().perm for t in level.eff] + [self._arange])
+            for _ in range(len(level.orbit)):
+                if (walk[:, at + li] == level.base).all():
+                    break
+                walk = inverses[(level.par[walk[:, at + li]] * N)[:, None] + walk]
             else:
-                for r in rows.tolist():
-                    u[r] = self._sift(Tracked(u[r]))[0].perm
+                raise CertificationError(f"Schreier vector of level {li} does not lead a sift to its base")
+            u[alive] = walk
 
 
 # ---------------------------------------------------------------------------
@@ -987,15 +970,16 @@ def _block_images(action: Action, gens):
     2**action.block_bits and offsets below it.  A GF(2)-linear key map has
     f(base + j) = f(base) XOR f(j) there, so the images of every offset
     and of every block start are stacked once, and a block is one lookup
-    and one XOR with its column; the digit path applies whole keys."""
+    and one XOR with its column; the digit path applies whole keys.  A row
+    is filled in place from the basis keys' images (``actions._xor_table``)."""
     if not action.linear:
         return lambda offsets, base: np.stack([action.apply_batch(g, offsets + base) for g in gens])
-    bits = action.block_bits
-    offsets, starts = np.arange(min(1 << bits, action.keyspace)), np.arange(0, action.keyspace, 1 << bits)
-    low, high = (np.empty((len(gens), len(keys)), dtype=np.int64) for keys in (offsets, starts))
-    for g, lo, hi in zip(gens, low, high):  # filled row by row: no stacked copy beside them
-        lo[:] = action.apply_batch(g, offsets)
-        hi[:] = action.apply_batch(g, starts)
+    bits, nbits = action.block_bits, action.keyspace.bit_length() - 1
+    low, high = (np.zeros((len(gens), 1 << k), dtype=np.int64) for k in (min(bits, nbits), max(0, nbits - bits)))
+    for g, lo, hi in zip(gens, low, high):
+        cols = action.apply_batch(g, np.left_shift(1, np.arange(nbits, dtype=np.int64)))
+        _xor_table(cols[:bits], lo)
+        _xor_table(cols[bits:], hi)
 
     def images(offsets: np.ndarray, base: int) -> np.ndarray:
         out = np.take(low, offsets, axis=1)

@@ -21,6 +21,8 @@ from grpfact.linalg import (
     ActionPoint,
     GroupElement,
     LinAlgError,
+    Mat,
+    det,
     identity_element,
     sl_compose,
     sl_inverse,
@@ -191,6 +193,16 @@ def field_norm(ext: FieldSpec, sub: FieldSpec, x: int) -> int:
     if any(int(c) for c in coords[1:]):
         raise FieldError("norm image fell outside the subfield")
     return int(coords[0])
+
+
+def ambient_element(rng, spec: FieldSpec, n: int, fa: int = 0, dual: int = 0) -> GroupElement:
+    """A uniform invertible n x n matrix over spec, drawn by rejection, with
+    Frobenius exponent fa and duality bit dual: an element of the ambient
+    semilinear group of a domain (``PermDomain.base``)."""
+    while True:
+        m = Mat(spec, rng.integers(0, spec.q, size=(n, n)))
+        if det(m):
+            return GroupElement(m, fa, dual)
 
 
 def perm_closure(perms: list[np.ndarray]) -> list[np.ndarray]:

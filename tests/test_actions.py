@@ -18,21 +18,11 @@ from grpfact.linalg import (
     PROJECTIVE,
     VECTOR,
     ActionPoint,
-    GroupElement,
     LinAlgError,
-    Mat,
-    det,
     pack_point,
     sl_apply,
 )
-from oracles import unpack_point
-
-
-def _random_element(rng, spec, n, fa, dual):
-    while True:
-        m = Mat(spec, rng.integers(0, spec.q, size=(n, n)))
-        if det(m):
-            return GroupElement(m, fa, dual)
+from oracles import ambient_element, unpack_point
 
 
 # (kind, p, f, n): every char-2 vector, functional and pair case packs at
@@ -66,7 +56,7 @@ def test_apply_batch_matches_sl_apply(tag, p, f, n):
     duals = (0, 1) if action.two_sided else (0,)
     for fa in sorted({0, f - 1, f // 2}):
         for dual in duals:
-            g = _random_element(rng, spec, n, fa, dual)
+            g = ambient_element(rng, spec, n, fa, dual)
             want = [action.point_key(sl_apply(g, unpack_point(tag, int(k), spec.q, n))) for k in keys]
             if domain is not None:
                 at = [domain.index_of_key(int(k)) for k in keys]
@@ -107,7 +97,7 @@ def test_block_offsets_match_whole_keys(tag, f, n):
     assert action.linear and action.block_bits == 14
     rng = np.random.default_rng(action.width * 31 + f)
     duals = (0, 1) if tag == PAIR else (0,)
-    gens = [_random_element(rng, spec, n, fa, dual) for fa in sorted({0, f - 1, f // 2}) for dual in duals]
+    gens = [ambient_element(rng, spec, n, fa, dual) for fa in sorted({0, f - 1, f // 2}) for dual in duals]
     _block_offsets_match_whole_keys(action, gens, rng)
     # one generator alone, and the same ones in another order, get their
     # own stacked images
@@ -122,7 +112,7 @@ def test_block_offsets_on_the_digit_path():
     action = Action(PAIR, spec, 6)
     assert not action.linear and action.block_bits == 16
     rng = np.random.default_rng(7)
-    _block_offsets_match_whole_keys(action, [_random_element(rng, spec, 6, 0, dual) for dual in (0, 1)], rng)
+    _block_offsets_match_whole_keys(action, [ambient_element(rng, spec, 6, 0, dual) for dual in (0, 1)], rng)
 
 
 def test_dead_element_tables_leave_the_shared_action_cache():
@@ -132,7 +122,7 @@ def test_dead_element_tables_leave_the_shared_action_cache():
     action = domain.action
     before = len(action._chunk_cache)
     rng = np.random.default_rng(3)
-    g, h = (_random_element(rng, action.spec, 3, 1, 1) for _ in range(2))
+    g, h = (ambient_element(rng, action.spec, 3, 1, 1) for _ in range(2))
     domain.perm_of(g)
     assert len(action._chunk_cache) == before + 1
     grpcore._block_images(action, [g, h])
@@ -162,7 +152,7 @@ def test_key_lookup_matches_apply_batch(p, f, n, monkeypatch):
     assert domain._applier.tag == PAIR
     rng = np.random.default_rng(p * f)
     for fa, dual in ((0, 0), (f - 1, 1)):
-        g = _random_element(rng, spec, n, fa, dual)
+        g = ambient_element(rng, spec, n, fa, dual)
         perm = domain.perm_of(g)
         imgs = domain._applier.apply_batch(g, domain.keys)
         assert perm.dtype == np.int64 and np.array_equal(domain._dense[imgs], perm)
@@ -205,7 +195,7 @@ def test_scalar_class_lookup_matches_the_normalizing_path(tag, p, f, n):
     rng = np.random.default_rng(p * f * n)
     for fa in range(f):
         for dual in (0, 1) if tag == ANTIFLAG else (0,):
-            g = _random_element(rng, spec, n, fa, dual)
+            g = ambient_element(rng, spec, n, fa, dual)
             want = [where[pack_point(sl_apply(g, unpack_point(tag, k, spec.q, n)), spec.q, n)]
                     for k in domain.keys.tolist()]
             assert domain.perm_of(g).tolist() == want
@@ -226,7 +216,7 @@ def test_dense_projective_and_antiflag_domains_never_normalize(tag, p, f, n):
     spec = gf.make_field(p, f)
     domain = PermDomain(Action(tag, spec, n))
     assert domain._applier.tag == (PAIR if tag == ANTIFLAG else VECTOR)
-    g = _random_element(np.random.default_rng(5), spec, n, f - 1, tag == ANTIFLAG)
+    g = ambient_element(np.random.default_rng(5), spec, n, f - 1, tag == ANTIFLAG)
     perm = domain.perm_of(g)
     assert np.array_equal(domain._dense[domain._applier.apply_batch(g, domain.keys)], perm)
     with pytest.raises(ActionError, match="only through their enumerated domain"):
@@ -246,7 +236,7 @@ def test_duality_domain_matches_sl_apply(p, f, n):
     rng = np.random.default_rng(p * f * n)
     for fa in range(f):
         for dual in (0, 1):
-            g = _random_element(rng, spec, n, fa, dual)
+            g = ambient_element(rng, spec, n, fa, dual)
             want = []
             for key in domain.keys.tolist():
                 side, x = divmod(key, qn)
@@ -261,7 +251,7 @@ def test_duality_domain_matches_sl_apply(p, f, n):
 
 def test_duality_rejected_on_one_sided_kinds():
     spec = gf.make_field(2, 2)
-    g = _random_element(np.random.default_rng(1), spec, 3, 0, 1)
+    g = ambient_element(np.random.default_rng(1), spec, 3, 0, 1)
     for tag in (VECTOR, FUNCTIONAL):
         with pytest.raises(LinAlgError):
             Action(tag, spec, 3).apply_batch(g, np.array([1, 2], dtype=np.int64))

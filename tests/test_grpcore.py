@@ -31,6 +31,7 @@ from grpfact.constructors import (
     sl_generators,
     stabilizer_subgroup,
 )
+from grpfact.g2 import g2_generators
 from grpfact.grpcore import (
     CertificationError,
     GroupSpec,
@@ -68,6 +69,7 @@ from grpfact.orders import sl_order
 from grpfact.streams import Stream
 from oracles import (
     TrackedRattle,
+    ambient_element,
     brute_stabilizer,
     chain_elements,
     count_chain_builds,
@@ -343,6 +345,18 @@ def test_known_order_below_the_true_order_is_refused():
     G = classical_generators("SL", 2, 2)
     with pytest.raises(CertificationError):
         StabChain.build(shared_domain(VECTOR, G.spec, 2), G.generators, order=3, bound=3)
+
+
+def test_the_pass_finds_a_witness_on_the_order_3_chain_of_sl_2_2():
+    # the chain that the build above accepts meets its known order and its
+    # bound, so no pass runs; forced, the pass on base images finds the
+    # oracle's witness, which a check of the known order can raise on
+    G = classical_generators("SL", 2, 2)
+    chain = StabChain.build(shared_domain(VECTOR, G.spec, 2), G.generators, order=3, bound=3)
+    assert chain.order() == 3
+    witness = chain._schreier_witness()
+    assert witness is not None and not witness.is_identity()
+    assert np.array_equal(witness.perm, schreier_witness(chain).perm)
 
 
 def test_order_alone_refuses_a_supergroup_masquerade(verify_loop_calls):
@@ -880,24 +894,6 @@ def test_inverse_does_not_keep_its_element_alive():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_inverse_perms_scatter_beside_nothing_of_their_size():
-    # six permutations of 16,320 points, the size of t1r07-m2's generators
-    # on its pair domain: the int32 result takes 391,680 bytes, and a
-    # stacked int64 copy of the input would take twice that
-    rng = np.random.default_rng(11)
-    perms = [rng.permutation(16320) for _ in range(6)]
-    tracemalloc.start()
-    try:
-        inv = grpcore._inverse_perms(perms, 16320)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want = np.empty((6, 16320), dtype=np.int32)
-    want[np.arange(6)[:, None], np.asarray(perms)] = np.arange(16320, dtype=np.int32)
-    assert inv.dtype == np.int32 and np.array_equal(inv, want)
-    assert peak < 1.5 * inv.nbytes
 
 
 def _queue_bfs(gens, point, action):
@@ -1615,9 +1611,10 @@ def test_based_build_starts_at_its_point_and_agrees_with_an_unbased_build(case):
     assert based.verified and based.order() == gchain.order()
     rng = np.random.default_rng(29 + case)
     members = np.stack([c.random_element(rng).perm for c in (based, gchain) for _ in range(100)])
-    others = np.stack([rng.permutation(gchain.domain.size) for _ in range(200)])
+    others = [Tracked(rng.permutation(gchain.domain.size)) for _ in range(200)]
     assert based.contains_block(members).all() and gchain.contains_block(members).all()
-    assert not based.contains_block(others).any() and not gchain.contains_block(others).any()
+    # random permutations lie outside the ambient group, where only the full sift is exact
+    assert not any(c.contains_tracked(t) for c in (based, gchain) for t in others)
     # generators that fix every point, against a known order of 2: the
     # based level has no generator, and the Schreier pass passes over it
     with pytest.raises(CertificationError, match="not the claimed 2"):
@@ -1805,13 +1802,13 @@ def test_corrupt_schreier_vector_stops_the_transversal_stack(sl32):
 
 
 # ---------------------------------------------------------------------------
-# cached transversal tables, against the walks they replace
+# row sifts on base images, and the cached transversal tables
 
 
 def _table_cases():
     """One group per domain kind; every level of the first three fits
     TABLE_ENTRIES, and the first level of PSL_3(4) on its 336 antiflags
-    (336 x 336 entries) does not, so it keeps the walk."""
+    (336 x 336 entries) does not, so a random element walks it."""
     sl33, sl34 = classical_generators("SL", 3, 3), classical_generators("SL", 3, 4)
     (vector, _), (projective, _), *_ = _stabilizer_cases()
     return [
@@ -1823,16 +1820,15 @@ def _table_cases():
 
 
 def _build_tables(chain):
-    for li, level in enumerate(chain.levels):
-        chain._table(li, len(level.orbit))
+    for li in range(len(chain.levels)):
+        chain._transversal_stack(li)
 
 
-def _untabled_walks(monkeypatch) -> list:
-    """Record, for the rest of the test, the level of each row that
-    ``_sift_rows`` or ``_schreier_witness`` walks along a Schreier vector,
-    at a level with no table: a row sifted on by ``_sift`` (the first level
-    whose base it moves) or a u_beta taken from ``_transversal``."""
-    walks, inside = [], []
+def _full_rows(monkeypatch) -> list:
+    """Record, for the rest of the test, the residue of each row that
+    ``contains_block``, ``_sift_rows`` or ``_schreier_witness`` composes in
+    full and sifts by ``_sift``."""
+    full, inside = [], []
 
     def entered(real):
         def call(chain, *args):
@@ -1843,33 +1839,29 @@ def _untabled_walks(monkeypatch) -> list:
                 inside.pop()
         return call
 
-    sift, transversal = StabChain._sift, StabChain._transversal
+    sift = StabChain._sift
 
     def sifting(chain, t):
+        out = sift(chain, t)
         if inside:
-            walks.append(next(li for li, lv in enumerate(chain.levels) if t.perm[lv.base] != lv.base))
-        return sift(chain, t)
+            full.append(out[0])
+        return out
 
-    def transversing(chain, li, beta):
-        if inside:
-            walks.append(li)
-        return transversal(chain, li, beta)
-
-    for name, method in [("_sift_rows", entered(StabChain._sift_rows)), ("_sift", sifting),
-                         ("_schreier_witness", entered(StabChain._schreier_witness)),
-                         ("_transversal", transversing)]:
-        monkeypatch.setattr(StabChain, name, method)
-    return walks
+    for name in ("contains_block", "_sift_rows", "_schreier_witness"):
+        monkeypatch.setattr(StabChain, name, entered(getattr(StabChain, name)))
+    monkeypatch.setattr(StabChain, "_sift", sifting)
+    return full
 
 
 @pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "antiflag-past-the-budget"])
 def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
-    # random elements, block sifts through partial and complete chains and
-    # Schreier witnesses read the tables and give what the walks give; only
-    # the level past the budget walks
+    # random elements read the tables and give what the walks give; row
+    # sifts on Q through partial and complete chains give the tracked
+    # residues' images of Q, for any permutation, and each Schreier witness
+    # is the oracle's and the one row the pass composes in full
     full = _table_cases()[case].chain()
     dom = full.domain
-    walks = _untabled_walks(monkeypatch)
+    composed = _full_rows(monkeypatch)
     streams = Stream(61 + case), Stream(61 + case)
     samples = [full.random_element(streams[0]) for _ in range(30)]
     for t in samples:
@@ -1883,40 +1875,54 @@ def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
     loose = [Tracked(rng.permutation(dom.size)) for _ in range(10)]
     witnessed = []
     for partial in [_chain_of(dom, samples[:k]) for k in (1, 3)] + [full]:
-        _build_tables(partial)
+        points = partial._sift_points()
         tests = samples + loose + [partial.ident]
-        rows = np.stack([t.perm for t in tests]).astype(np.int64)
+        rows = np.stack([t.perm[points] for t in tests]).astype(np.int64)
         partial._sift_rows(rows)
         for row, t in zip(rows, tests):
-            assert np.array_equal(row, tracked_sift(partial, t)[0].perm)
+            assert np.array_equal(row, tracked_sift(partial, t)[0].perm[points])
         got, want = partial._schreier_witness(), schreier_witness(partial)
         assert (got is None) == (want is None) and (got is None or np.array_equal(got.perm, want.perm))
+        assert composed == ([] if got is None else [got])
+        composed.clear()
         witnessed.append(got is not None)
     assert witnessed[-1] is False and any(witnessed)
-    assert set(walks) == {li for li, fit in enumerate(fits) if not fit}
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="the 511-point Schreier pass is opt-in: set RUN_EXTENDED=1")
 def test_schreier_pass_past_the_budget_on_511_points(monkeypatch):
-    # the antiflag stabilizer of SL_9(2) on its 511 vectors: every level but
-    # the last (128 points) is past TABLE_ENTRIES, so the pass takes each
-    # u_beta there from _transversal and sifts its rows on by _sift
+    # the antiflag stabilizer of SL_9(2) on its 511 vectors, where every
+    # level but the last (128 points) is past TABLE_ENTRIES: the complete
+    # chain's pass composes no row in full, and a partial chain's composes
+    # only its witness, the oracle's
     full = stabilizer_subgroup("antiflag", 9, 2).chain()
     N = full.domain.size
     assert N == 511 and [len(lv.orbit) * N > grpcore.TABLE_ENTRIES for lv in full.levels] == [True] * 7 + [False]
-    walks = _untabled_walks(monkeypatch)
-    assert full._schreier_witness() is None
-    assert set(walks) == set(range(7))
+    composed = _full_rows(monkeypatch)
+    assert full._schreier_witness() is None and composed == []
     rng = np.random.default_rng(79)
     samples = [full.random_element(rng) for _ in range(3)]
-    walks.clear()
     witnessed = []
     for k in (1, 2, 3):
         partial = _chain_of(full.domain, samples[:k])
         got, want = partial._schreier_witness(), schreier_witness(partial)
         assert (got is None) == (want is None) and (got is None or np.array_equal(got.perm, want.perm))
+        assert composed == ([] if got is None else [got])
+        composed.clear()
         witnessed.append(got is not None)
-    assert any(witnessed) and 0 in walks
+    assert any(witnessed)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="the forced passes on 4,095 points are opt-in: set RUN_EXTENDED=1")
+@pytest.mark.parametrize("group", ["G2(4)", "stab_antiflag_SL_12(2)"])
+def test_forced_schreier_pass_on_4095_vectors(group, monkeypatch):
+    # two complete chains that their known orders certify with no pass:
+    # forced, the pass finds no witness and composes no row in full
+    G = g2_generators(4) if group == "G2(4)" else stabilizer_subgroup("antiflag", 12, 2)
+    chain = G.chain()
+    assert chain.domain.size == 4095
+    composed = _full_rows(monkeypatch)
+    assert chain._schreier_witness() is None and composed == []
 
 
 def test_add_drops_the_table_of_a_level_whose_orbit_grows():
@@ -1937,7 +1943,7 @@ def test_add_drops_the_table_of_a_level_whose_orbit_grows():
     _build_tables(chain)
     _build_tables(fresh)
     for level, ref in zip(chain.levels, fresh.levels, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(level.table, ref.table, strict=True))
+        assert np.array_equal(level.table, ref.table)
 
 
 def test_a_relabeled_chain_builds_its_own_tables():
@@ -1952,38 +1958,39 @@ def test_a_relabeled_chain_builds_its_own_tables():
         assert np.array_equal(conj.random_element(streams[0]).perm, tracked_random_element(conj, streams[1]).perm)
         for li, level in enumerate(conj.levels):
             assert level.table is not None and all(level.table is not t for t in parent)
-            for row, b in zip(level.table.rows, level.orbit.tolist()):
+            for row, b in zip(level.table, level.orbit.tolist()):
                 assert np.array_equal(row, conj._transversal(li, b).perm)
     assert all(level.table is t for level, t in zip(chain.levels, parent))
 
 
 def test_corrupt_schreier_vector_stops_the_table_path(sl32):
-    # the table is read off the Schreier vector by _transversal_rows, whose
-    # check raises where the walk would have
+    # the table and the pass's transversals on Q are read off the Schreier
+    # vector by _transversal_rows, whose check raises where the walk would
+    # have; a row sift walks the vector and raises as well
     chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
     _, u = _corrupt_first_level(chain)
     assert chain.levels[0].table is None
-    block = np.stack([u.perm] * len(chain.levels[0].orbit))
-    calls = [lambda: chain.contains_block(block), lambda: chain.random_element(np.random.default_rng(1)),
-             chain._schreier_witness]
-    for call in calls:
+    for call in (lambda: chain.random_element(np.random.default_rng(1)), chain._schreier_witness):
         with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead its orbit"):
             call()
+    block = np.stack([u.perm] * len(chain.levels[0].orbit))
+    with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead a sift"):
+        chain.contains_block(block)
     assert chain.levels[0].table is None
 
 
 def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
     # suite-r9 draws x and y from G's chain and sifts each relabeled block
-    # into K's chain, all through tables
-    walks, during = _untabled_walks(monkeypatch), []
+    # into K's chain on base images, composing no row in full
+    composed, during = _full_rows(monkeypatch), []
     run, role, needs = factorize.STRATEGIES["conjugation"]
 
     def conjugation(*args):
-        before = len(walks)
+        before = len(composed)
         try:
             return run(*args)
         finally:
-            during.append(len(walks) - before)
+            during.append(len(composed) - before)
 
     monkeypatch.setitem(factorize.STRATEGIES, "conjugation", (conjugation, role, needs))
     report = factorize.verify_claim(load_catalog().claim_by_id("suite-r9"))
@@ -2009,7 +2016,7 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
     level, N = chain.levels[0], chain.domain.size
     assert len(level.orbit) * N > grpcore.TABLE_ENTRIES
     chain.random_element(np.random.default_rng(3))  # reads a row of every level
-    assert all(lv.table is None or lv.table.rows.size <= grpcore.TABLE_ENTRIES for c in made for lv in c.levels)
+    assert all(lv.table is None or lv.table.size <= grpcore.TABLE_ENTRIES for c in made for lv in c.levels)
     block = np.stack([t.perm for t in chain.originals])
     tracemalloc.start()
     try:
@@ -2018,21 +2025,27 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
     finally:
         tracemalloc.stop()
     assert members.all() and level.table is None
-    # the block's int64 copy, a walked row and the strong generators'
-    # inverses; one table of this level would take orbit x N entries (2 GiB)
+    # the block's images of Q and the strong generators' inverses; one
+    # table of this level would take orbit x N entries (2 GiB)
     assert peak <= 2 * (block.nbytes + len(level.eff) * N * 8)
-    # members, members with two images swapped and random permutations,
-    # sifted on through the level past the budget, agree row by row
+    # members and elements of the ambient group, sifted on base images
+    # through the level past the budget, agree row by row with the full
+    # sift; members with two images swapped and random permutations lie
+    # outside the ambient group, where only the full sift is exact
     rng = np.random.default_rng(5)
+    dom, action = chain.domain, chain.domain.action
     elements = [chain.random_element(rng) for _ in range(8)]
+    ambient = [Tracked(dom.perm_of(ambient_element(rng, action.spec, action.n, fa, dual)))
+               for fa in range(action.spec.f) for dual in (0, 1) for _ in range(4)]
+    tests = elements + ambient + [chain.ident]
+    want = [chain.contains_tracked(t) for t in tests]
+    assert all(want[:8]) and want[-1] and not all(want[8:-1])
+    assert chain.contains_block(np.stack([t.perm for t in tests])).tolist() == want
     swapped = []
     for t in elements:
         perm = t.perm.copy()
         i, j = rng.choice(N, size=2, replace=False)
         perm[[i, j]] = perm[[j, i]]
         swapped.append(Tracked(perm))
-    tests = elements + swapped + [Tracked(rng.permutation(N)) for _ in range(4)] + [chain.ident]
-    want = [chain.contains_tracked(t) for t in tests]
-    assert all(want[:8]) and not any(want[8:-1]) and want[-1]
-    assert chain.contains_block(np.stack([t.perm for t in tests])).tolist() == want
+    assert not any(chain.contains_tracked(t) for t in swapped + [Tracked(rng.permutation(N)) for _ in range(4)])
     assert level.table is None
