@@ -20,7 +20,9 @@ Enumerated intersections (``StabChain.contains_block``) and the Schreier
 pass sift only an element's images of a base (``StabChain._sift_rows``),
 and a Schreier generator is composed in full only when it fails.
 Element orders are read off transversal words on a chain's support
-(``StabChain.support``), with no element's permutation of the domain formed.
+(``StabChain.support``), with no element's permutation of the domain
+formed; only the seeded search takes one permutation's cycles
+(``element_order_perm``).
 
 One BFS kernel computes orbits.  ``frontier_levels`` yields a frontier
 BFS level by level, under each generator's images of an index array: a
@@ -34,8 +36,9 @@ shared domain for a spec that already holds permutations of it, and for
 every projective or antiflag seed: those points are acted on only through
 their enumerated domain.  Otherwise it runs over packed keys, with no
 enumerated domain, so it reaches orbits of millions of points; once a
-level is large it sweeps the rest of the keyspace, a large GF(2)-linear
-one on two threads, which it starts and joins itself.
+level is large it drops the BFS and sweeps the keyspace until every seen
+key is applied, a large GF(2)-linear one on two threads, which it starts
+and joins itself.
 
 Stabilizer chains use randomized Schreier-Sims; a level keeps one
 append-only generator list and rebuilds its Schreier tree only when its
@@ -256,7 +259,9 @@ class _Level:
     or deeper, in the order added; ``orbit``, ``seen`` and ``par`` are the
     BFS tree of the generators it had when its orbit last grew, replaced
     and never edited in place.  ``table`` caches that tree's transversals
-    (``StabChain._transversal_stack``), and goes with the tree."""
+    (``StabChain._transversal_stack``), and goes with the tree;
+    ``inverses`` caches eff's inverses and the identity, stacked
+    (``StabChain._sift_rows``), and goes when eff grows."""
 
     base: int
     eff: list[Tracked] = field(default_factory=list)
@@ -264,6 +269,7 @@ class _Level:
     seen: np.ndarray | None = None
     par: np.ndarray | None = None
     table: np.ndarray | None = None
+    inverses: np.ndarray | None = None
 
 
 def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int, first: np.ndarray) -> np.ndarray:
@@ -401,7 +407,6 @@ class StabChain:
             raise CertificationError(f"{name}: a generator the chain did not add fails to sift")
         if order is not None and chain.order() != order:
             raise CertificationError(f"{name}: generated group has order {chain.order()}, not the claimed {order}")
-        chain.verified = True
         return chain
 
     def _build_monte_carlo(self, gens, rng, target: int | None, required: bool = False):
@@ -419,13 +424,15 @@ class StabChain:
 
     def _certify(self, bound: int | None, name: str):
         """Make a Monte Carlo chain exact for the group of its strong
-        generators: complete at its bound (sandwich), else by the Schreier pass."""
+        generators: complete at its bound (sandwich), else by the Schreier
+        pass; the chain is then ``verified``."""
         if bound is None or self.order() < bound:
             self._verify_loop()
         if bound is not None and self.order() > bound:
             raise CertificationError(
                 f"{name}: generated group has order {self.order()}, exceeding its bound {bound}"
             )
+        self.verified = True
 
     def _verify_loop(self):
         while (witness := self._schreier_witness()) is not None:
@@ -503,6 +510,7 @@ class StabChain:
         N = self.domain.size
         for level in self.levels[:li + 1]:
             level.eff.append(residue)
+            level.inverses = None
             if level.orbit is None or not level.seen[residue.perm[level.orbit]].all():
                 level.orbit, level.seen, level.par = schreier_orbit([g.perm for g in level.eff], level.base, N)
                 level.table = None
@@ -610,14 +618,14 @@ class StabChain:
                 out[i] = x // math.prod(sizes[i + 1:]) % size
             yield out
 
-    def element_perm_blocks(self, max_entries: int = BLOCK_ENTRIES):
+    def element_perm_blocks(self):
         """The group's elements as stacked (k, N) permutation arrays of at most
-        max_entries entries (or one element), in ``words`` order.  A chunk's
+        BLOCK_ENTRIES entries (or one element), in ``words`` order.  A chunk's
         words that share a prefix are consecutive, so each level takes one
         gather over the distinct prefixes, and no matrix is composed."""
         N = len(self._arange)
         stacks = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
-        total, rows = math.prod(len(T) for T in stacks), max(1, max_entries // N)
+        total, rows = math.prod(len(T) for T in stacks), max(1, BLOCK_ENTRIES // N)
         for lo in range(0, total, rows):
             # block[i] is prefix first + i; prefix p extends p // len(T) by p % len(T)
             block, span, first = self._arange[None, :], total, 0
@@ -676,14 +684,17 @@ class StabChain:
         level start on to their residue's images, as ``_sift`` walks.  Only
         the identity of the ambient group fixes Q, so a member comes home to
         Q.  At each level, the rows that move its base within its orbit walk
-        home together, one gather a step from its generators' inverses."""
+        home together, one gather a step from its generators' inverses,
+        stacked on first use and kept until its generators grow."""
         N, at = np.intp(len(self._arange)), len(self.domain.base)  # at: the column of level 0's base point
         alive = np.ones(len(u), dtype=bool)
         for li, level in enumerate(self.levels[start:], start):
             alive &= level.seen[u[:, at + li]]
             walk = u[alive]
-            # par is -1 at the base, so a row there reads the last block: the identity
-            inverses = np.concatenate([t.inverse().perm for t in level.eff] + [self._arange])
+            if level.inverses is None:
+                # par is -1 at the base, so a row there reads the last block: the identity
+                level.inverses = np.concatenate([t.inverse().perm for t in level.eff] + [self._arange])
+            inverses = level.inverses
             for _ in range(len(level.orbit)):
                 if (walk[:, at + li] == level.base).all():
                     break
@@ -767,7 +778,10 @@ class GroupSpec:
         a spec with a formula order, it carries that chain's certificate
         (``chain()`` returns the chain).  Its home action, n, field and order
         are the chain's, and its generators are the given Tracked elements
-        of the chain's domain, else the chain's originals."""
+        of the chain's domain, else the chain's originals.  A chain whose
+        certificate has not run (``StabChain.verified``) is refused."""
+        if not chain.verified:
+            raise CertificationError(f"{name}: its chain's certificate has not run")
         action = chain.domain.action
         gens = TrackedGenerators(tracked or chain.originals or [chain.ident], chain.domain)
         return cls(name, action.n, action.spec, gens, claimed_order=chain.order(), action_tag=action.tag, _chain=chain)
@@ -835,8 +849,6 @@ class OrbitSet:
     points, a bool mask over the keyspace, or over the indices of
     ``domain`` for an orbit taken on an enumerated domain."""
 
-    tag: str
-    seed_key: int
     size: int
     seen: np.ndarray
     domain: PermDomain | None = None
@@ -871,7 +883,7 @@ DEFAULT_MAX_POINTS = budget_points(DEFAULT_BUDGET_MB)
 def orbit(
     group_or_gens,
     point: ActionPoint,
-    action: Action | None = None,
+    *,
     max_points: int = DEFAULT_MAX_POINTS,
     keep_keys: bool = False,
 ) -> OrbitSet:
@@ -883,19 +895,19 @@ def orbit(
     its certified chain's originals), takes the orbit over that domain's
     indices, under gathers from those permutations: past the cap the
     domain raises ``DomainCapError``, and no matrix is composed.  Any
-    other orbit runs over packed keys, with no enumerated domain, and no
-    level sorts.  Its seen mask spans the keyspace, and once a level
-    reaches keyspace/_SCAN_SHARE images, the rest of the closure is swept
-    (``_sweep_closure``) in aligned blocks of the action's block width,
+    other orbit runs over the packed keys of the seed's action, with no
+    enumerated domain, and no level sorts.  Its seen mask spans the
+    keyspace, and once a level reaches keyspace/_SCAN_SHARE images, the
+    BFS and its level are dropped and the sweep (``_sweep_closure``)
+    closes the seen mask in aligned blocks of the action's block width,
     each block's keys applied under every generator at once
     (``_block_images``).  A GF(2)-linear keyspace of at least
     _PARALLEL_KEYS keys is swept by two threads when the process may run
     on two CPUs (``_sweep_workers``); the digit path stays on one.  Either
-    way the mask and size are those of one thread.  The BFS holds only its
-    current level, which is dropped once a packed bit mask of the keys
-    already applied is built, so the sweep runs beside nothing but the two
-    masks, each worker's block arrays, the action's cached tables and the
-    sweep's stacked block tables.
+    way the mask and size are those of one thread, and the sweep runs
+    beside nothing but the seen mask, its own packed mask of applied keys,
+    each worker's block arrays, the action's cached tables and the sweep's
+    stacked block tables.
     Those masks, keyspace * 9/8 bytes, are priced at ORBIT_POINT_BYTES per
     point of max_points before they are allocated.  Either route checks
     max_points after each level.  ``keep_keys`` is accepted only as False,
@@ -918,11 +930,11 @@ def orbit(
         gens = list(group_or_gens)
         spec, n = gens[0].spec, gens[0].n
     if domain is not None:
-        action, keyspace = domain.action, domain.size
+        keyspace = domain.size
         images = [t.perm.__getitem__ for t in group.tracked_generators(domain)]
         start = domain.index_of_point(point)
     else:
-        action = Action(point.tag, spec, n) if action is None else action
+        action = Action(point.tag, spec, n)
         keyspace = action.keyspace
         mask_bytes = keyspace + (keyspace + 7) // 8
         if mask_bytes > ORBIT_POINT_BYTES * max_points:
@@ -938,16 +950,11 @@ def orbit(
         if total > max_points:
             raise OrbitBudgetError(f"orbit exceeded {max_points} points", total)
         if domain is None and level.size * len(images) * _SCAN_SHARE >= keyspace:
-            # the level's keys are seen and not yet applied; every other
-            # seen key is done, and the level goes before the sweep
-            seen[level] = False
-            done = np.packbits(seen)
-            seen[level] = True
             levels.close()
             del level
-            total = _sweep_closure(action, gens, seen, done, max_points)
+            total = _sweep_closure(action, gens, seen, max_points)
             break
-    return OrbitSet(point.tag, action.point_key(point), total, seen, domain)
+    return OrbitSet(total, seen, domain)
 
 
 def _sweep_workers(action: Action, keyspace: int) -> int:
@@ -989,11 +996,12 @@ def _block_images(action: Action, gens):
     return images
 
 
-def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max_points: int) -> int:
+def _sweep_closure(action: Action, gens, seen: np.ndarray, max_points: int) -> int:
     """Close the seen mask under the generators in place and return the
-    orbit size.  done is a packed bit mask of the seen keys whose images
-    are already set; the sweep updates it, and the two masks are all it
-    keeps beyond each worker's block arrays.
+    orbit size.  done, a packed bit mask of the seen keys whose images are
+    set, starts empty, so every seen key is applied once, the BFS's
+    included; the two masks are all the sweep keeps beyond each worker's
+    block arrays.
 
     A pass walks the keyspace once in aligned blocks of
     2**action.block_bits keys (a multiple of 8, so a block starts on a byte
@@ -1019,6 +1027,7 @@ def _sweep_closure(action: Action, gens, seen: np.ndarray, done: np.ndarray, max
     span = block * _SPAN_BLOCKS
     workers = _sweep_workers(action, seen.size)
     images = _block_images(action, gens)
+    done = np.zeros((seen.size + 7) // 8, dtype=np.uint8)
 
     def sweep(spans) -> None:
         for first in spans:
@@ -1172,7 +1181,6 @@ def derived_subgroup(group: GroupSpec, rng=None, name: str | None = None) -> Gro
             current += added
             chain._build_monte_carlo(list(current), rng, bound)
     chain._certify(bound, (name or group.name) + "'")
-    chain.verified = True
     # the strong generators, not the k(k-1)/2 commutators, keep the next step small
     return GroupSpec.of_chain(name or f"{group.name}'", chain, current or [chain.ident])
 
@@ -1216,38 +1224,17 @@ def tracked_power(t: Tracked, e: int) -> Tracked:
     return out if out is not None else Tracked(_identity_perm(len(t.perm)))
 
 
-def element_orders(perms: np.ndarray) -> list[int]:
-    """Orders of the stacked permutations perms[i] (shape (k, N)).
-
-    Pointer doubling labels every point with the least point of its cycle,
-    all rows at once; the label counts are the cycle lengths, and the lcm
-    of each row's distinct lengths is taken on Python ints, which do not
-    overflow.  Every index array is intp, because numpy casts an index
-    array of any other dtype on each gather and bincount.
-    """
-    k, N = np.shape(perms)
-    # one flat permutation of k * N points, row i shifted by i * N
-    jump = (np.asarray(perms, dtype=np.intp) + N * np.arange(k, dtype=np.intp)[:, None]).ravel()
-    label = np.arange(k * N, dtype=np.intp)
-    while True:
-        nxt = np.minimum(label, label[jump])
-        if np.array_equal(nxt, label):
-            break
-        label = nxt
-        jump = jump[jump]
-    counts = np.bincount(label, minlength=k * N)
-    roots = np.flatnonzero(counts)
-    codes = np.sort(roots // N * (N + 1) + counts[roots])
-    # the distinct codes, by a neighbour mask: np.unique imports numpy.ma
-    first = np.ones(codes.size, dtype=bool)
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    pairs = codes[first]
-    lengths: list[list[int]] = [[] for _ in range(k)]
-    for row, length in zip((pairs // (N + 1)).tolist(), (pairs % (N + 1)).tolist()):
-        lengths[row].append(length)
-    return [math.lcm(*ls) for ls in lengths]
-
-
 def element_order_perm(perm: np.ndarray) -> int:
-    """Order of one permutation: lcm of cycle lengths (``element_orders``)."""
-    return element_orders(np.asarray(perm)[None, :])[0]
+    """Order of a permutation, the lcm of its cycle lengths.
+
+    Pointer doubling labels every point with the least point of its cycle;
+    the label counts are the cycle lengths, whose lcm is taken on Python
+    ints, which do not overflow.  The index arrays are intp, because numpy
+    casts an index array of any other dtype on each gather and bincount.
+    """
+    jump = np.asarray(perm, dtype=np.intp)
+    label = np.arange(len(jump), dtype=np.intp)
+    while not np.array_equal(nxt := np.minimum(label, label[jump]), label):
+        label, jump = nxt, jump[jump]
+    counts = np.bincount(label)
+    return math.lcm(*set(counts[counts > 0].tolist()))

@@ -7,7 +7,9 @@ sets with hypothesis (derandomized, so every run tries the same examples)
 and checks the Schreier pass, which sifts images of the base, against the
 one-generator-at-a-time pass of ``tests/oracles.py`` on every partial chain
 it completes, and ``contains_block`` against ``contains_tracked`` on
-members and on elements of the ambient group.
+members and on elements of the ambient group.  On the same kinds of drawn
+groups, chains built with a bound and with a base, point stabilizers and
+both intersection strategies are checked against enumerations.
 """
 
 import itertools
@@ -19,9 +21,10 @@ from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import gf
-from grpfact.grpcore import StabChain, Tracked, shared_domain
+from grpfact.factorize import intersect
+from grpfact.grpcore import GroupSpec, StabChain, Tracked, shared_domain, stabilizer_generators
 from grpfact.linalg import ANTIFLAG, DUALITY, FUNCTIONAL, PAIR, PROJECTIVE, VECTOR, GroupElement, Mat, det
-from oracles import ambient_element, schreier_witness
+from oracles import ambient_element, brute_stabilizer, domain_point, perm_closure, schreier_witness
 
 _KINDS = [VECTOR, FUNCTIONAL, DUALITY, PROJECTIVE, ANTIFLAG, PAIR]
 # the kinds on which a duality element acts
@@ -73,17 +76,23 @@ _HARNESS = [
 ]
 
 
-@pytest.mark.parametrize("label,tag,p,f,n", _HARNESS, ids=[f"{c[0]}-{c[1]}" for c in _HARNESS])
+_IDS = [f"{c[0]}-{c[1]}" for c in _HARNESS]
+
+
+def _drawer(tag, spec, n, rng):
+    """Draws from the ambient group of the case: an invertible matrix, a
+    Frobenius exponent, and a duality bit where tag takes one."""
+    return lambda: ambient_element(rng, spec, n, int(rng.integers(spec.f)), int(rng.integers(2)) if tag in _DUAL else 0)
+
+
+@pytest.mark.parametrize("label,tag,p,f,n", _HARNESS, ids=_IDS)
 @settings(max_examples=10, derandomize=True, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
 def test_base_image_sifts_match_the_full_sifts(label, tag, p, f, n, seed, k):
     spec = gf.make_field(p, f)
     dom = shared_domain(tag, spec, n)
     rng = np.random.default_rng(seed)
-
-    def draw():
-        return ambient_element(rng, spec, n, int(rng.integers(f)), int(rng.integers(2)) if tag in _DUAL else 0)
-
+    draw = _drawer(tag, spec, n, rng)
     gens = [Tracked(dom.perm_of(g), g) for g in (draw() for _ in range(k))]
     # the chain that sifting the generators builds, then each chain that
     # adding a witness builds: the pass on base images finds the oracle's
@@ -105,3 +114,49 @@ def test_base_image_sifts_match_the_full_sifts(label, tag, p, f, n, seed, k):
     assert all(want[:13])
     assert chain.contains_block(np.stack([t.perm for t in tests])).tolist() == want
     assert chain.contains_block(np.stack([t.perm for t in members])).all()
+
+
+def _elements(group: GroupSpec, domain) -> set[bytes]:
+    """The bytes of every element of a group whose chain lies on the domain."""
+    chain = group.chain()
+    assert chain.domain is domain
+    return {row.astype(np.intp).tobytes() for block in chain.element_perm_blocks() for row in block}
+
+
+@pytest.mark.parametrize("label,tag,p,f,n", _HARNESS, ids=_IDS)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+def test_builds_stabilizers_and_intersections_match_enumeration(label, tag, p, f, n, seed, k):
+    spec = gf.make_field(p, f)
+    dom = shared_domain(tag, spec, n)
+    rng = np.random.default_rng(seed)
+    draw = _drawer(tag, spec, n, rng)
+    gens = [Tracked(dom.perm_of(g), g) for g in (draw() for _ in range(k))]
+    elements = {e.astype(np.intp).tobytes() for e in perm_closure([t.perm for t in gens])}
+    # the group's order as a bound (sandwich), and a first base point with
+    # no bound (the Schreier pass)
+    base = int(rng.integers(dom.size))
+    bounded = StabChain.build(dom, gens, bound=len(elements), name=label)
+    based = StabChain.build(dom, gens, base=base, name=label)
+    assert bounded.order() == based.order() == len(elements) and based.levels[0].base == base
+    H = GroupSpec.of_chain(label, bounded)
+    assert _elements(H, dom) == elements
+    point = domain_point(dom, int(rng.integers(dom.size)))
+    assert _elements(stabilizer_generators(H, point), dom) == brute_stabilizer(H, point)
+    # K, the stabilizer in A = <H, a> of one or two points, or of the set
+    # {v, w} of a vector and a functional on the duality domain, is
+    # enumerated and built from its elements
+    ambient = perm_closure([t.perm for t in gens] + [dom.perm_of(draw())])
+    if tag == DUALITY:
+        half = dom.size // 2
+        fixed = [int(rng.integers(half)), half + int(rng.integers(half))]
+        K_perms = [a for a in ambient if set(a[fixed].tolist()) == set(fixed)]
+    else:
+        fixed = [int(i) for i in rng.integers(dom.size, size=1 + int(rng.integers(2)))]
+        K_perms = [a for a in ambient if (a[fixed] == fixed).all()]
+    K_chain = StabChain.build(dom, [Tracked(a) for a in K_perms], order=len(K_perms), bound=len(K_perms))
+    K = GroupSpec.of_chain("K", K_chain)
+    K.stabilizer_of = [domain_point(dom, i) for i in fixed]
+    want = elements & {a.astype(np.intp).tobytes() for a in K_perms}
+    for strategy in ("stabilizer", "enumerate_smaller"):
+        assert _elements(intersect(H, K, strategy), dom) == want

@@ -79,6 +79,7 @@ from oracles import (
     domain_point,
     non_normalizing_element,
     orbit_contains_key,
+    perm_order,
     same_subgroup,
     schreier_witness,
     tracked_random_element,
@@ -147,6 +148,27 @@ def test_of_chain_carries_the_given_chain_with_no_build(monkeypatch):
     # built from matrices, the originals read back as those matrices
     assert list(spec.generators) == list(G.generators)
     assert builds == []
+
+
+def test_of_chain_takes_only_a_certified_chain():
+    G = classical_generators("SL", 3, 2)
+    domain = shared_domain(VECTOR, G.spec, 3)
+    grown = StabChain(domain)
+    for t in G.tracked_generators(domain):
+        grown._add(t)
+    with pytest.raises(CertificationError, match="certificate has not run"):
+        GroupSpec.of_chain("grown", grown)
+    built = StabChain.build(domain, G.generators, order=168, bound=168)
+    x = built.random_element(np.random.default_rng(2))
+    chains = [built, derived_subgroup(G).chain(), built.conjugate(x), built.conjugate(x, from_level=1),
+              built.conjugate(built.ident)]
+    for chain in chains:
+        assert GroupSpec.of_chain("certified", chain).chain() is chain
+    # a chain extended after its certificate is refused again
+    extended = StabChain.build(domain, G.generators[:1], name="<a>")
+    extended.add_element(G.generators[1])
+    with pytest.raises(CertificationError, match="certificate has not run"):
+        GroupSpec.of_chain("extended", extended)
 
 
 def test_contains_rejects_determinant_obstruction():
@@ -599,15 +621,20 @@ def _primes_below(n):
     return [p for p in range(2, n) if all(p % d for d in range(2, int(p**0.5) + 1))]
 
 
+def _cycles(*lengths):
+    """A permutation made of consecutive cycles of the given lengths."""
+    perm, start = [], 0
+    for length in lengths:
+        perm.extend(start + (i + 1) % length for i in range(length))
+        start += length
+    return np.array(perm)
+
+
 def _overflow_perm():
     """Cycles of every prime below 80: 791 points, order above 2**63."""
     primes = _primes_below(80)
     assert sum(primes) == 791
-    perm, start = [], 0
-    for p in primes:
-        perm.extend(start + (i + 1) % p for i in range(p))
-        start += p
-    return np.array(perm), math.prod(primes)
+    return _cycles(*primes), math.prod(primes)
 
 
 def _cycle_walk_order(perm):
@@ -637,19 +664,27 @@ def test_element_order_perm_matches_cycle_walk():
             assert element_order_perm(perm) == _cycle_walk_order(perm)
 
 
-def test_element_orders_batched_matches_one_at_a_time():
-    rng = np.random.default_rng(5)
-    big, expected = _overflow_perm()
-    for size in (0, 1, 7, 336, 791):
-        perms = [rng.permutation(size) for _ in range(6)]
-        perms.append(np.arange(size))
-        if size == 791:
-            perms.insert(3, big)
-        got = grpcore.element_orders(np.stack(perms))
-        assert got == [element_order_perm(p) for p in perms] == [_cycle_walk_order(p) for p in perms]
-        if size == 791:
-            assert got[3] == expected
-    assert grpcore.element_orders(np.empty((0, 7), dtype=np.int64)) == []
+def test_element_order_perm_matches_perm_order():
+    # the identity, one long cycle, and coprime cycles
+    for perm, order in ((np.arange(9), 1), (_cycles(60), 60), (_cycles(4, 9, 5, 7), 1260),
+                        (_cycles(3, 1, 2, 5), 30)):
+        assert element_order_perm(perm) == perm_order(perm) == order
+
+
+def test_element_order_perm_on_65535_points():
+    # perm_order would compose this permutation about 1.2e16 times: forty
+    # cycles of each length, then fixed points
+    lengths = [2**7, 3**4, 5**2, 7**2, 11, 13, 17, 19, 23, 29, 31]
+    rest = 65535 - 40 * sum(lengths)
+    perm = _cycles(*lengths * 40, *[1] * rest)
+    assert len(perm) == 65535 and rest > 0
+    rng = np.random.default_rng(11)
+    relabel = rng.permutation(65535)
+    # the same cycles on shuffled points: relabel^-1 perm relabel
+    shuffled = np.empty_like(perm)
+    shuffled[relabel] = relabel[perm]
+    for p in (perm, shuffled):
+        assert element_order_perm(p) == math.lcm(*lengths)
 
 
 def test_verifying_an_element_order_claim_leaves_numpy_ma_unimported():
@@ -665,12 +700,13 @@ def test_verifying_an_element_order_claim_leaves_numpy_ma_unimported():
     assert done.stdout.split() == ["pass", "False"]
 
 
-def test_element_perm_blocks_follow_elements(sl32):
+def test_element_perm_blocks_follow_elements(sl32, monkeypatch):
     chain = sl32.chain()
     want = np.stack([t.perm for t in chain_elements(chain)])
     # element by element, a few levels, a few levels times three prefixes, one block
-    for max_entries in (1, 7 * 10, 7 * 7 * 3, 1 << 22):
-        got = np.concatenate(list(chain.element_perm_blocks(max_entries)))
+    for entries in (1, 7 * 10, 7 * 7 * 3, 1 << 22):
+        monkeypatch.setattr(grpcore, "BLOCK_ENTRIES", entries)
+        got = np.concatenate(list(chain.element_perm_blocks()))
         assert np.array_equal(got, want)
 
 
@@ -734,14 +770,15 @@ def test_contains_block_matches_contains_tracked(case):
     assert gchain.contains_block(np.stack([t.perm for t in supergroup])).all()
 
 
-def test_psl2_13_blocks_fill_max_entries():
+def test_psl2_13_blocks_fill_max_entries(monkeypatch):
     from grpfact import sporadic
 
     X1, _, _ = sporadic.locate_two_psl2_13(np.random.default_rng(3))
     chain = X1.chain()
     N, max_entries = chain.domain.size, 1 << 16
     assert (N, chain.order()) == (364, 1092)
-    blocks = list(chain.element_perm_blocks(max_entries))
+    monkeypatch.setattr(grpcore, "BLOCK_ENTRIES", max_entries)
+    blocks = list(chain.element_perm_blocks())
     assert len(blocks) <= -(-1092 * 364 // max_entries) + 1
     assert all(b.size <= max_entries for b in blocks)
     want = np.stack([t.perm for t in chain_elements(chain)])
@@ -774,7 +811,7 @@ def test_word_orders_on_the_support_match_the_domain(case, monkeypatch):
     if case in ("trivial", "one-level"):
         assert len(chain.levels) == ("trivial", "one-level").index(case)
     perms = np.stack([t.perm for t in chain_elements(chain)])
-    want = grpcore.element_orders(perms)
+    want = [element_order_perm(p) for p in perms]
     support = chain.support()
     # Δ is the union of the base points' orbits, read off every element
     orbits = set(perms[:, [lv.base for lv in chain.levels]].ravel().tolist())
@@ -789,7 +826,7 @@ def test_word_orders_on_the_support_match_the_domain(case, monkeypatch):
         assert got.tolist() == want
     assert sporadic.exact_spectrum(chain) == frozenset(want)
     # the permutation blocks materialize the same words, so their rows line up
-    assert grpcore.element_orders(np.concatenate(list(chain.element_perm_blocks()))) == want
+    assert [element_order_perm(p) for p in np.concatenate(list(chain.element_perm_blocks()))] == want
 
 
 @pytest.mark.parametrize("case", ["vector", "projective", "antiflag"])
@@ -800,7 +837,7 @@ def test_orders_of_products_walk_one_word_then_the_other(case):
     support = chain.support()
     for i in (0, 1, len(perms) // 2, len(perms) - 1):
         # a row applies a, then b
-        want = grpcore.element_orders(perms[:, perms[i]])
+        want = [element_order_perm(p) for p in perms[:, perms[i]]]
         assert support.orders(words[:, i:i + 1], words).tolist() == want
 
 
@@ -1039,11 +1076,11 @@ def test_orbit_with_transporters_matches_queue_bfs(case):
         # these points are acted on only through their domain, which the
         # spec's orbit takes
         with pytest.raises(ActionError, match="enumerated domain"):
-            orbit(gens, point, action)
+            orbit(gens, point)
         routes.append(orbit(GroupSpec("case", n, spec, gens), point))
         assert routes[1].domain is orb.domain
     else:
-        routes.append(orbit(gens, point, action))
+        routes.append(orbit(gens, point))
         assert routes[1].domain is None
     for got in routes:
         assert got.size == len(queue)
@@ -1074,9 +1111,9 @@ def test_scanned_orbit_levels_in_small_blocks_match_queue_bfs(case, monkeypatch)
             monkeypatch.setattr(grpcore, "_sweep_workers", lambda action, keyspace: workers)
         assert grpcore._sweep_workers(action, action.q**action.width) == workers
         for bits in (3, 4):
-            monkeypatch.setattr(action, "block_bits", bits)
+            _orbit_actions(monkeypatch, block_bits=bits)
             applied.clear()
-            orb = orbit(gens, point, action)
+            orb = orbit(gens, point)
             assert orb.size == len(queue) > 3
             assert all(orbit_contains_key(orb, key) for key in queue)
             assert int(orb.seen.sum()) == len(queue)
@@ -1104,18 +1141,19 @@ def test_keyspace_sweep_runs_beside_nothing_but_its_masks(monkeypatch):
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
     n, keyspace = 21, 1 << 21
     gens = sl_generators(gf.make_field(2, 1), n)
-    action = Action(VECTOR, gens[0].spec, n)
-    assert grpcore._sweep_workers(action, keyspace) == 2
     sweeps = []
     real = grpcore._sweep_closure
     monkeypatch.setattr(grpcore, "_sweep_closure", lambda *args: sweeps.append(1) or real(*args))
+    built = _orbit_actions(monkeypatch)
     tracemalloc.start()
     try:
-        size = orbit(gens, canonical_point(VECTOR, (1,) + (0,) * (n - 1)), action).size
+        size = orbit(gens, canonical_point(VECTOR, (1,) + (0,) * (n - 1))).size
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert (size, sweeps) == (keyspace - 1, [1])
+    action, = built
+    assert grpcore._sweep_workers(action, keyspace) == 2
     masks = keyspace * 9 // 8  # the seen mask and the packed done mask
     tables = sum(tab.nbytes for tabs in action._chunk_cache.values() for _, _, tab in tabs)
     # the sweep's stacked images of a block's offsets and of the block starts
@@ -1133,18 +1171,18 @@ def _sl10_pair_orbit_case():
     n = 10
     F2 = gf.make_field(2, 1)
     e1 = (1,) + (0,) * (n - 1)
-    return sl_generators(F2, n), canonical_point(PAIR, e1, e1, spec=F2), Action(PAIR, F2, n)
+    return sl_generators(F2, n), canonical_point(PAIR, e1, e1, spec=F2)
 
 
 def test_two_sweep_workers_close_a_big_linear_orbit_as_one_does(monkeypatch):
-    gens, point, action = _sl10_pair_orbit_case()
+    gens, point = _sl10_pair_orbit_case()
     used = []
     real = grpcore._sweep_workers
     monkeypatch.setattr(grpcore, "_sweep_workers", lambda *args: used.append(real(*args)) or used[-1])
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = orbit(gens, point, action)
+    two = orbit(gens, point)
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0})
-    one = orbit(gens, point, action)
+    one = orbit(gens, point)
     assert used == [2, 1]
     assert two.size == one.size == (2**10 - 1) * 2**9
     assert np.array_equal(two.seen, one.seen)
@@ -1171,12 +1209,12 @@ def test_sweep_spans_close_a_reducible_orbit_on_two_workers_as_on_one(monkeypatc
         action = Action(VECTOR, F2, 2 * half)
         assert grpcore._sweep_workers(action, 1 << 20) == len(cpus)
         applied.clear()
-        orbits.append(orbit(gens, point, action))
+        orbits.append(orbit(gens, point))
         assert orbits[-1].size == (2**half - 1) ** 2
-        # a block's keys are applied under every generator at once; the keys
-        # that the BFS levels applied before the sweep are not among these
+        # a block's keys are applied under every generator at once, and the
+        # sweep applies every orbit key, those of the BFS levels included
         keys, counts = np.unique(np.concatenate(applied), return_counts=True)
-        assert len(keys) > orbits[-1].size * 0.9 and (counts == 1).all()
+        assert len(keys) == orbits[-1].size and (counts == 1).all()
     assert np.array_equal(orbits[0].seen, orbits[1].seen)
 
 
@@ -1193,11 +1231,10 @@ def test_sweep_stress_on_more_workers_than_cores(monkeypatch):
     threads = _worker_threads(monkeypatch)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    _orbit_actions(monkeypatch, block_bits=7)
     try:
         for _ in range(10):
-            action = Action(PAIR, F2, n)
-            action.block_bits = 7
-            orb = orbit(gens, point, action)
+            orb = orbit(gens, point)
             assert orb.size == int(orb.seen.sum()) == (2**n - 1) * 2 ** (n - 1)
     finally:
         sys.setswitchinterval(interval)
@@ -1214,6 +1251,20 @@ def test_sweep_worker_rule(monkeypatch):
         assert grpcore._sweep_workers(linear, big) == want
         assert grpcore._sweep_workers(linear, big - 1) == 1
         assert grpcore._sweep_workers(digits, 4**12) == 1
+
+
+def _orbit_actions(monkeypatch, **attrs) -> list:
+    """Record, for the rest of the test, each action that an orbit builds
+    for its keyspace, with attrs set on it."""
+    built = []
+
+    def action(*args):
+        built.append(Action(*args))
+        vars(built[-1]).update(attrs)
+        return built[-1]
+
+    monkeypatch.setattr(grpcore, "Action", action)
+    return built
 
 
 def _hook_block_images(monkeypatch, hook):
@@ -1244,10 +1295,10 @@ def _worker_threads(monkeypatch) -> set:
 def test_sweep_worker_threads_end_with_the_orbit(monkeypatch):
     # a fork pool (verify --jobs) must never fork a live thread pool
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
-    gens, point, action = _sl10_pair_orbit_case()
+    gens, point = _sl10_pair_orbit_case()
     threads = _worker_threads(monkeypatch)
     before = threading.active_count()
-    assert orbit(gens, point, action).size == (2**10 - 1) * 2**9
+    assert orbit(gens, point).size == (2**10 - 1) * 2**9
     assert len(threads) == 2
     assert threading.active_count() == before
     assert not any(t.is_alive() for t in threads)
@@ -1255,7 +1306,7 @@ def test_sweep_worker_threads_end_with_the_orbit(monkeypatch):
 
 def test_an_error_in_a_sweep_worker_leaves_the_orbit(monkeypatch):
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
-    gens, point, action = _sl10_pair_orbit_case()
+    gens, point = _sl10_pair_orbit_case()
 
     def failing(gens, offsets, base):
         if base >= 1 << 19:  # in the second worker's range only
@@ -1264,7 +1315,7 @@ def test_an_error_in_a_sweep_worker_leaves_the_orbit(monkeypatch):
     _hook_block_images(monkeypatch, failing)
     before = threading.active_count()
     with pytest.raises(RuntimeError, match="worker failed"):
-        orbit(gens, point, action)
+        orbit(gens, point)
     assert threading.active_count() == before
 
 
@@ -1293,9 +1344,9 @@ def test_sweep_worker_threads_call_no_traced_function(monkeypatch):
                 if getattr(holder, attr, None) is real:
                     monkeypatch.setattr(holder, attr, wrap(real, name))
     monkeypatch.setattr(grpcore.os, "sched_getaffinity", lambda pid: {0, 1})
-    gens, point, action = _sl10_pair_orbit_case()
+    gens, point = _sl10_pair_orbit_case()
     threads = _worker_threads(monkeypatch)
-    assert grpcore.orbit(gens, point, action).size == (2**10 - 1) * 2**9
+    assert grpcore.orbit(gens, point).size == (2**10 - 1) * 2**9
     assert len(threads) == 2 and off_main == []
 
 
@@ -1396,7 +1447,7 @@ def test_contains_key_on_2_28_key_pair_orbit():
     omega = canonical_point(PAIR, e1, e1, spec=F2)
     action = Action(PAIR, F2, 14)
     gens = G.generators[1:2]
-    orb = orbit(gens, omega, action)
+    orb = orbit(gens, omega)
     assert orb.seen.size == 1 << 28 and orb.domain is None
     queue, found = _queue_bfs(gens, omega, action)
     assert orb.size == len(queue) > 1
@@ -1485,6 +1536,14 @@ def test_perm_of_on_the_digit_path_keeps_narrow_scratch(ordered_setups):
 def test_orbit_keeps_no_keys():
     with pytest.raises(ValueError):
         orbit(classical_generators("SL", 3, 2).generators, canonical_point(VECTOR, (1, 0, 0)), keep_keys=True)
+
+
+def test_orbit_takes_its_budget_by_keyword_only():
+    # the budget is keyword-only, so a stray third positional argument fails loudly
+    gens = classical_generators("SL", 3, 2).generators
+    with pytest.raises(TypeError):
+        orbit(gens, canonical_point(VECTOR, (1, 0, 0)), 4)
+    assert orbit(gens, canonical_point(VECTOR, (1, 0, 0)), max_points=7).size == 7
 
 
 def test_orbit_with_transporters_budget():
@@ -1923,6 +1982,24 @@ def test_forced_schreier_pass_on_4095_vectors(group, monkeypatch):
     assert chain.domain.size == 4095
     composed = _full_rows(monkeypatch)
     assert chain._schreier_witness() is None and composed == []
+
+
+def test_add_drops_the_inverses_of_a_level_whose_generators_grow():
+    full = _table_cases()[0].chain()
+    rng = np.random.default_rng(73)
+    elements = [full.random_element(rng) for _ in range(8)]
+    block = np.stack([t.perm for t in elements])
+    chain, grown = _chain_of(full.domain, elements[:1]), 0
+    for t in elements[1:]:
+        chain.contains_block(block)
+        before = [(len(level.eff), level.inverses) for level in chain.levels]
+        assert all(inverses is not None for _, inverses in before)
+        chain._add(t)
+        for (k, inverses), level in zip(before, chain.levels):
+            assert level.inverses is (inverses if len(level.eff) == k else None)
+            grown += len(level.eff) > k
+        assert chain.contains_block(block).tolist() == [chain.contains_tracked(e) for e in elements]
+    assert grown
 
 
 def test_add_drops_the_table_of_a_level_whose_orbit_grows():
