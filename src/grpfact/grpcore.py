@@ -258,18 +258,22 @@ class _Level:
     """A chain level.  ``eff`` is every strong generator added at this level
     or deeper, in the order added; ``orbit``, ``seen`` and ``par`` are the
     BFS tree of the generators it had when its orbit last grew, replaced
-    and never edited in place.  ``table`` caches that tree's transversals
-    (``StabChain._transversal_stack``), and goes with the tree;
-    ``inverses`` caches eff's inverses and the identity, stacked
-    (``StabChain._sift_rows``), and goes when eff grows."""
+    and never edited in place; ``inverses`` caches eff's inverses and the
+    identity, stacked (``StabChain._sift_rows``), and goes when eff grows."""
 
     base: int
     eff: list[Tracked] = field(default_factory=list)
     orbit: np.ndarray | None = None
     seen: np.ndarray | None = None
     par: np.ndarray | None = None
-    table: np.ndarray | None = None
     inverses: np.ndarray | None = None
+
+
+def _generator_images(level: _Level, points: np.ndarray) -> np.ndarray:
+    """The level's strong generators' images of points, stacked (k, len(points));
+    a level with none (a based first level of a trivial chain) stacks the
+    identity's, so its one transversal is the identity."""
+    return np.stack([t.perm[points] for t in level.eff] or [points])
 
 
 def _transversal_rows(gens: np.ndarray, orbit: np.ndarray, par: np.ndarray, li: int, first: np.ndarray) -> np.ndarray:
@@ -324,8 +328,6 @@ class Support(NamedTuple):
 # entries of a block of permutations or base images (element_perm_blocks, the Schreier
 # pass) or of words times levels (Support.orders): a few intp arrays under 1 MiB
 BLOCK_ENTRIES = 1 << 14
-# entries of one level's transversals that a chain caches (StabChain._transversal_stack): 256 KiB
-TABLE_ENTRIES = 4 * BLOCK_ENTRIES
 
 
 class StabChain:
@@ -335,8 +337,7 @@ class StabChain:
     Tracked permutations of the domain.  A level's ``eff`` is every strong
     generator added at it or deeper, in the order added, and its tree is
     the BFS tree of the generators it had when its orbit last grew: a new
-    generator that keeps the orbit leaves the old tree valid, and so does
-    the level's cached transversal table (``_transversal_stack``), read off that tree.
+    generator that keeps the orbit leaves the old tree valid.
     The Schreier pass and ``contains_block`` sift an element's images of Q
     (``_sift_points``) alone (``_sift_rows``).
     """
@@ -449,9 +450,7 @@ class StabChain:
         in full, for ``_sift`` to give its residue."""
         points = self._sift_points()
         for li, level in reversed(list(enumerate(self.levels))):
-            if not level.eff:  # a based first level of a trivial chain
-                continue
-            gens = np.stack([t.perm for t in level.eff])
+            gens = _generator_images(level, self._arange)
             images = _transversal_rows(gens, level.orbit, level.par, li, points)
             step = max(1, BLOCK_ENTRIES // (len(gens) * len(points)))
             for lo in range(0, len(level.orbit), step):
@@ -513,7 +512,6 @@ class StabChain:
             level.inverses = None
             if level.orbit is None or not level.seen[residue.perm[level.orbit]].all():
                 level.orbit, level.seen, level.par = schreier_orbit([g.perm for g in level.eff], level.base, N)
-                level.table = None
         return True
 
     def add_element(self, g: GroupElement | Tracked) -> bool:
@@ -535,8 +533,7 @@ class StabChain:
         strong generators are the originals of the relabeled chain, so the
         relabeled chain carries this chain's certificate.  A trivial x
         relabels nothing and shares the generators and the Schreier trees,
-        which a later ``_add`` replaces and never edits.  No transversal
-        table is carried over: the relabeled levels build their own.
+        which a later ``_add`` replaces and never edits.
         """
         xt = x if isinstance(x, Tracked) else Tracked(self.domain.perm_of(x), x)
         pi = xt.perm
@@ -595,14 +592,11 @@ class StabChain:
 
     def random_element(self, rng) -> Tracked:
         """The product of u_b for a uniform b of each basic orbit, deepest first,
-        off the levels' tables (``_transversal_stack``), else walked home."""
+        each walked home (``_transversal``)."""
         perm = self._arange
         for li in range(len(self.levels) - 1, -1, -1):
             level = self.levels[li]
-            i = int(rng.integers(len(level.orbit)))
-            fits = len(level.orbit) * len(self._arange) <= TABLE_ENTRIES
-            u = self._transversal_stack(li)[i] if fits else self._transversal(li, int(level.orbit[i])).perm
-            perm = u[perm]
+            perm = self._transversal(li, int(level.orbit[rng.integers(len(level.orbit))])).perm[perm]
         return Tracked(perm.astype(np.intp, copy=False)) if self.levels else self.ident
 
     def words(self):
@@ -624,7 +618,8 @@ class StabChain:
         words that share a prefix are consecutive, so each level takes one
         gather over the distinct prefixes, and no matrix is composed."""
         N = len(self._arange)
-        stacks = [self._transversal_stack(li) for li in range(len(self.levels) - 1, -1, -1)]
+        stacks = [_transversal_rows(_generator_images(lv, self._arange), lv.orbit, lv.par, li, self._arange)
+                  for li, lv in reversed(list(enumerate(self.levels)))]
         total, rows = math.prod(len(T) for T in stacks), max(1, BLOCK_ENTRIES // N)
         for lo in range(0, total, rows):
             # block[i] is prefix first + i; prefix p extends p // len(T) by p % len(T)
@@ -647,22 +642,9 @@ class StabChain:
                 inside |= schreier_orbit([t.perm for t in self.levels[0].eff], level.base, N)[1]
         points, rank = np.flatnonzero(inside), np.zeros(N, dtype=np.int32)
         rank[points] = np.arange(len(points))  # each point's position in Δ
-        # on the whole domain Δ's numbering is the domain's
-        stacks = [self._transversal_stack(li) if len(points) == N else _transversal_rows(
-            rank[np.stack([t.perm[points] for t in lv.eff])], rank[lv.orbit], lv.par[points], li,
-            np.arange(len(points))) for li, lv in reversed(list(enumerate(self.levels)))]
+        stacks = [_transversal_rows(rank[_generator_images(lv, points)], rank[lv.orbit], lv.par[points], li,
+                                    np.arange(len(points))) for li, lv in reversed(list(enumerate(self.levels)))]
         return Support(points, rank[[lv.base for lv in self.levels]], stacks)
-
-    def _transversal_stack(self, li: int) -> np.ndarray:
-        """Level li's transversals on the whole domain (``_transversal_rows``),
-        kept as the level's table when they fit TABLE_ENTRIES."""
-        level = self.levels[li]
-        if level.table is None:
-            rows = _transversal_rows(np.stack([t.perm for t in level.eff]), level.orbit, level.par, li, self._arange)
-            if rows.size > TABLE_ENTRIES:
-                return rows
-            level.table = rows
-        return level.table
 
     def contains_block(self, block: np.ndarray) -> np.ndarray:
         """Membership mask of the stacked permutations block[i] (shape (k, N)),

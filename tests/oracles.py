@@ -222,6 +222,27 @@ def perm_closure(perms: list[np.ndarray]) -> list[np.ndarray]:
     return list(seen.values())
 
 
+def derived_closure(gens: list[np.ndarray], elements: list[np.ndarray], size: int):
+    """The derived subgroup of the permutation group with these generators
+    and elements, by brute force: ``perm_closure`` over the conjugates, by
+    every element, of the commutators of the generators, each cut to its
+    first size images (a duality home's vector half).  Returns the
+    conjugates that each grew the closure, which generate it, and the
+    closure's elements."""
+    inverse = {g.tobytes(): np.argsort(g) for g in list(gens) + list(elements)}
+    used, closure = [], [np.arange(size)]
+    seen = {closure[0].tobytes()}
+    for a, b in itertools.combinations(gens, 2):
+        c = inverse[b.tobytes()][inverse[a.tobytes()][b[a]]]  # a, then b, then a^-1, then b^-1
+        for g in elements:
+            y = g[c[inverse[g.tobytes()]]][:size]
+            if y.tobytes() not in seen:
+                used.append(y)
+                closure = perm_closure(used)
+                seen = {e.tobytes() for e in closure}
+    return used, closure
+
+
 def chain_elements(chain: StabChain):
     """Every element of the chain's group, each multiplied out on its own
     from one transversal element per level, in ``element_perm_blocks``'

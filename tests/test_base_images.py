@@ -9,7 +9,9 @@ one-generator-at-a-time pass of ``tests/oracles.py`` on every partial chain
 it completes, and ``contains_block`` against ``contains_tracked`` on
 members and on elements of the ambient group.  On the same kinds of drawn
 groups, chains built with a bound and with a base, point stabilizers and
-both intersection strategies are checked against enumerations.
+both intersection strategies are checked against enumerations, and so
+are the derived subgroup and the solvable residual of drawn groups of at
+most 2,000 elements.
 """
 
 import itertools
@@ -22,9 +24,18 @@ from sympy.combinatorics import Permutation, PermutationGroup
 
 from grpfact import gf
 from grpfact.factorize import intersect
-from grpfact.grpcore import GroupSpec, StabChain, Tracked, shared_domain, stabilizer_generators
+from grpfact.grpcore import (
+    GroupSpec,
+    StabChain,
+    Tracked,
+    derived_domain,
+    derived_subgroup,
+    shared_domain,
+    solvable_residual,
+    stabilizer_generators,
+)
 from grpfact.linalg import ANTIFLAG, DUALITY, FUNCTIONAL, PAIR, PROJECTIVE, VECTOR, GroupElement, Mat, det
-from oracles import ambient_element, brute_stabilizer, domain_point, perm_closure, schreier_witness
+from oracles import ambient_element, brute_stabilizer, derived_closure, domain_point, perm_closure, schreier_witness
 
 _KINDS = [VECTOR, FUNCTIONAL, DUALITY, PROJECTIVE, ANTIFLAG, PAIR]
 # the kinds on which a duality element acts
@@ -160,3 +171,35 @@ def test_builds_stabilizers_and_intersections_match_enumeration(label, tag, p, f
     want = elements & {a.astype(np.intp).tobytes() for a in K_perms}
     for strategy in ("stabilizer", "enumerate_smaller"):
         assert _elements(intersect(H, K, strategy), dom) == want
+
+
+@pytest.mark.parametrize("label,tag,p,f,n", _HARNESS, ids=_IDS)
+@settings(max_examples=10, derandomize=True, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 3))
+def test_derived_subgroups_and_residuals_match_enumeration(label, tag, p, f, n, seed, k):
+    spec = gf.make_field(p, f)
+    dom = shared_domain(tag, spec, n)
+    rng = np.random.default_rng(seed)
+    draw = _drawer(tag, spec, n, rng)
+    gens = [Tracked(dom.perm_of(g), g) for g in (draw() for _ in range(k))]
+    G = GroupSpec.of_chain(label, StabChain.build(dom, gens, name=label))
+    if G.order() > 2000:
+        return
+    # the derived series by brute force, on the derived domain from its
+    # first step on, down to its fixpoint, the solvable residual
+    size = derived_domain(G).size
+    series = [([t.perm for t in gens], perm_closure([t.perm for t in gens]))]
+    while True:
+        step = derived_closure(*series[-1], size)
+        if len(step[1]) == len(series[-1][1]):
+            break
+        series.append(step)
+
+    def elements(group):
+        return {row[:size].astype(np.intp).tobytes() for block in group.chain().element_perm_blocks() for row in block}
+
+    want = [{e[:size].astype(np.intp).tobytes() for e in closure} for _, closure in series]
+    derived = derived_subgroup(G)
+    assert derived.chain().domain is derived_domain(G)
+    assert elements(derived) == (want[1] if len(want) > 1 else want[0])
+    assert elements(solvable_residual(G)) == want[-1]

@@ -1843,11 +1843,18 @@ def test_block_schreier_pass_matches_on_the_literal_chains(claim_id, checked_wit
     assert checked_witnesses and checked_witnesses[-1]
 
 
+def _transversal_stack(chain, li):
+    """Level li's transversals on the whole domain, as ``element_perm_blocks``
+    stacks them."""
+    level, points = chain.levels[li], chain._arange
+    return grpcore._transversal_rows(grpcore._generator_images(level, points), level.orbit, level.par, li, points)
+
+
 @pytest.mark.parametrize("case", range(3), ids=["vector", "projective", "pair"])
 def test_transversal_stack_rows_are_the_transversals(case):
     chain = _stabilizer_cases()[case][0].chain()
     for li, level in enumerate(chain.levels):
-        stack = chain._transversal_stack(li)
+        stack = _transversal_stack(chain, li)
         assert stack.dtype == np.int32 and stack.shape == (len(level.orbit), chain.domain.size)
         for row, b in zip(stack, level.orbit.tolist()):
             assert np.array_equal(row, chain._transversal(li, b).perm)
@@ -1856,18 +1863,31 @@ def test_transversal_stack_rows_are_the_transversals(case):
 def test_corrupt_schreier_vector_stops_the_transversal_stack(sl32):
     chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
     _corrupt_first_level(chain)
-    with pytest.raises(CertificationError, match="Schreier vector of level 0"):
-        chain._transversal_stack(0)
+    for call in (lambda: next(chain.element_perm_blocks()), chain.support):
+        with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead its orbit"):
+            call()
+
+
+def test_a_level_with_no_generator_has_the_identity_alone(sl32):
+    # a chain based at a point with trivial generators keeps a first level
+    # with no strong generator, whose one transversal is the identity
+    dom = shared_domain(VECTOR, sl32.spec, 3)
+    chain = StabChain.build(dom, [identity_element(sl32.spec, 3)], base=3)
+    assert [(lv.base, lv.eff, lv.orbit.tolist()) for lv in chain.levels] == [(3, [], [3])]
+    stream = Stream(83)
+    assert all(chain.random_element(stream).is_identity() for _ in range(3))
+    blocks = list(chain.element_perm_blocks())
+    assert len(blocks) == 1 and np.array_equal(blocks[0], dom.identity_perm[None, :])
+    assert chain.support().points.tolist() == [3]
+    assert sporadic.exact_spectrum(chain) == {1}
 
 
 # ---------------------------------------------------------------------------
-# row sifts on base images, and the cached transversal tables
+# row sifts on base images
 
 
 def _table_cases():
-    """One group per domain kind; every level of the first three fits
-    TABLE_ENTRIES, and the first level of PSL_3(4) on its 336 antiflags
-    (336 x 336 entries) does not, so a random element walks it."""
+    """One group per domain kind, the last PSL_3(4) on its 336 antiflags."""
     sl33, sl34 = classical_generators("SL", 3, 3), classical_generators("SL", 3, 4)
     (vector, _), (projective, _), *_ = _stabilizer_cases()
     return [
@@ -1876,11 +1896,6 @@ def _table_cases():
         GroupSpec("SL_3(3) on pairs", 3, sl33.spec, sl33.generators, claimed_order=5616, action_tag=PAIR),
         GroupSpec("PSL_3(4) on antiflags", 3, sl34.spec, sl34.generators, claimed_order=20160, action_tag=ANTIFLAG),
     ]
-
-
-def _build_tables(chain):
-    for li in range(len(chain.levels)):
-        chain._transversal_stack(li)
 
 
 def _full_rows(monkeypatch) -> list:
@@ -1914,10 +1929,10 @@ def _full_rows(monkeypatch) -> list:
 
 @pytest.mark.parametrize("case", range(4), ids=["vector", "projective", "pair", "antiflag-past-the-budget"])
 def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
-    # random elements read the tables and give what the walks give; row
-    # sifts on Q through partial and complete chains give the tracked
-    # residues' images of Q, for any permutation, and each Schreier witness
-    # is the oracle's and the one row the pass composes in full
+    # random elements are the tracked walk's; row sifts on Q through
+    # partial and complete chains give the tracked residues' images of Q,
+    # for any permutation, and each Schreier witness is the oracle's and
+    # the one row the pass composes in full
     full = _table_cases()[case].chain()
     dom = full.domain
     composed = _full_rows(monkeypatch)
@@ -1927,9 +1942,6 @@ def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
         want = tracked_random_element(full, streams[1])
         assert t.perm.dtype == want.perm.dtype and np.array_equal(t.perm, want.perm)
     assert streams[0].integers(10**9) == streams[1].integers(10**9)
-    fits = [len(level.orbit) * dom.size <= grpcore.TABLE_ENTRIES for level in full.levels]
-    assert [level.table is not None for level in full.levels] == fits
-    assert fits.count(False) == (case == 3)
     rng = np.random.default_rng(67 + case)
     loose = [Tracked(rng.permutation(dom.size)) for _ in range(10)]
     witnessed = []
@@ -1950,13 +1962,12 @@ def test_table_path_matches_the_tracked_oracles(case, monkeypatch):
 
 @pytest.mark.skipif(not os.environ.get("RUN_EXTENDED"), reason="the 511-point Schreier pass is opt-in: set RUN_EXTENDED=1")
 def test_schreier_pass_past_the_budget_on_511_points(monkeypatch):
-    # the antiflag stabilizer of SL_9(2) on its 511 vectors, where every
-    # level but the last (128 points) is past TABLE_ENTRIES: the complete
+    # the antiflag stabilizer of SL_9(2) on its 511 vectors: the complete
     # chain's pass composes no row in full, and a partial chain's composes
     # only its witness, the oracle's
     full = stabilizer_subgroup("antiflag", 9, 2).chain()
     N = full.domain.size
-    assert N == 511 and [len(lv.orbit) * N > grpcore.TABLE_ENTRIES for lv in full.levels] == [True] * 7 + [False]
+    assert N == 511
     composed = _full_rows(monkeypatch)
     assert full._schreier_witness() is None and composed == []
     rng = np.random.default_rng(79)
@@ -2002,58 +2013,34 @@ def test_add_drops_the_inverses_of_a_level_whose_generators_grow():
     assert grown
 
 
-def test_add_drops_the_table_of_a_level_whose_orbit_grows():
-    full = _table_cases()[0].chain()
-    dom = full.domain
-    rng = np.random.default_rng(71)
-    elements = [full.random_element(rng) for _ in range(8)]
-    chain, grown = _chain_of(dom, elements[:1]), 0
-    for t in elements[1:]:
-        _build_tables(chain)
-        before = [(level.orbit, level.table) for level in chain.levels]
-        chain._add(t)
-        for (orbit, table), level in zip(before, chain.levels):
-            assert level.table is (table if level.orbit is orbit else None)
-            grown += level.orbit is not orbit
-    assert grown
-    fresh = _chain_of(dom, elements)
-    _build_tables(chain)
-    _build_tables(fresh)
-    for level, ref in zip(chain.levels, fresh.levels, strict=True):
-        assert np.array_equal(level.table, ref.table)
-
-
 def test_a_relabeled_chain_builds_its_own_tables():
     chain = _table_cases()[1].chain()
-    _build_tables(chain)
-    parent = [level.table for level in chain.levels]
     x = chain.random_element(np.random.default_rng(73))
     assert not x.is_identity()
     for conj in (chain.conjugate(x), chain.conjugate(chain.ident), chain.conjugate(x, from_level=1)):
-        assert all(level.table is None for level in conj.levels)
         streams = Stream(5), Stream(5)
         assert np.array_equal(conj.random_element(streams[0]).perm, tracked_random_element(conj, streams[1]).perm)
         for li, level in enumerate(conj.levels):
-            assert level.table is not None and all(level.table is not t for t in parent)
-            for row, b in zip(level.table, level.orbit.tolist()):
+            for row, b in zip(_transversal_stack(conj, li), level.orbit.tolist()):
                 assert np.array_equal(row, conj._transversal(li, b).perm)
-    assert all(level.table is t for level, t in zip(chain.levels, parent))
 
 
 def test_corrupt_schreier_vector_stops_the_table_path(sl32):
-    # the table and the pass's transversals on Q are read off the Schreier
-    # vector by _transversal_rows, whose check raises where the walk would
-    # have; a row sift walks the vector and raises as well
+    # a draw walks the Schreier vector home (_transversal) and raises once
+    # it draws a point whose walk meets the cycle; the pass's transversals
+    # on Q are read off the vector by _transversal_rows, whose check raises
+    # where the walk would have; a row sift walks the vector and raises as well
     chain = StabChain.build(shared_domain(VECTOR, sl32.spec, 3), sl32.generators, order=168, bound=168)
     _, u = _corrupt_first_level(chain)
-    assert chain.levels[0].table is None
-    for call in (lambda: chain.random_element(np.random.default_rng(1)), chain._schreier_witness):
-        with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead its orbit"):
-            call()
+    rng = np.random.default_rng(1)
+    with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead .* to its base"):
+        for _ in range(100):
+            chain.random_element(rng)
+    with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead its orbit"):
+        chain._schreier_witness()
     block = np.stack([u.perm] * len(chain.levels[0].orbit))
     with pytest.raises(CertificationError, match="Schreier vector of level 0 does not lead a sift"):
         chain.contains_block(block)
-    assert chain.levels[0].table is None
 
 
 def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
@@ -2075,25 +2062,14 @@ def test_the_conjugation_suite_walks_no_schreier_vector(monkeypatch):
     assert during and not any(during)
 
 
-def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
-    made = []
-    init = StabChain.__init__
-
-    def recording(self, domain):
-        init(self, domain)
-        made.append(self)
-
-    monkeypatch.setattr(StabChain, "__init__", recording)
+def test_no_table_past_the_budget_on_the_pair_domain():
     claim = load_catalog().claim_by_id("t1r07-m2")
     assert factorize.verify_claim(claim).overall == "pass"
     # H on its 16,320 pairs rather than its 510 vectors and functionals
     H = factorize.build_setup(claim, np.random.default_rng(0)).H
     chain = dataclasses.replace(H, action_tag=PAIR).chain()
-    assert chain.domain.size == 16320 and chain in made
+    assert chain.domain.size == 16320
     level, N = chain.levels[0], chain.domain.size
-    assert len(level.orbit) * N > grpcore.TABLE_ENTRIES
-    chain.random_element(np.random.default_rng(3))  # reads a row of every level
-    assert all(lv.table is None or lv.table.size <= grpcore.TABLE_ENTRIES for c in made for lv in c.levels)
     block = np.stack([t.perm for t in chain.originals])
     tracemalloc.start()
     try:
@@ -2101,9 +2077,9 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert members.all() and level.table is None
-    # the block's images of Q and the strong generators' inverses; one
-    # table of this level would take orbit x N entries (2 GiB)
+    assert members.all()
+    # the block's images of Q and the strong generators' inverses; this
+    # level's transversals on the whole domain would take orbit x N entries (2 GiB)
     assert peak <= 2 * (block.nbytes + len(level.eff) * N * 8)
     # members and elements of the ambient group, sifted on base images
     # through the level past the budget, agree row by row with the full
@@ -2125,4 +2101,3 @@ def test_no_table_past_the_budget_on_the_pair_domain(monkeypatch):
         perm[[i, j]] = perm[[j, i]]
         swapped.append(Tracked(perm))
     assert not any(chain.contains_tracked(t) for t in swapped + [Tracked(rng.permutation(N)) for _ in range(4)])
-    assert level.table is None
